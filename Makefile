@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke ci
+.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke ci
 
 build:
 	$(GO) build ./...
@@ -117,5 +117,13 @@ crashsmoke:
 plansmoke:
 	$(GO) test -run 'TestPlanner' -v ./internal/cluster/
 	$(GO) test -run 'TestDerivedRouteKeys|TestClusterWorkloadModuleIsUnderivable|TestPlannerBench' -v ./internal/bench/
+
+# bench-e2e is the repository's one end-to-end benchmark, exactly the
+# command BENCHMARK.json declares: four closed-loop workloads over
+# loopback HTTP, seven end-to-end metrics each (see benchmark/README.md).
+# Every PR reports its before/after row from this target; it is not part
+# of ci (a run takes minutes and measures, it does not assert).
+bench-e2e:
+	$(GO) run ./benchmark/cmd/xrpcbm
 
 ci: build vet race bench-smoke fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke

@@ -224,8 +224,25 @@ func TestCacheSmoke(t *testing.T) {
 			t.Fatalf("untouched shard %d evicted %d entries", s, delta)
 		}
 	}
-	// and the untouched shard answered its share from Tier 1
+	// the post-write read was a partial refresh: only the touched shard's
+	// part re-ran, the untouched shard's share came from the retained
+	// tier-2 split without a call
 	other := 1 - target
+	if st := co.ResultCache.Stats(); st.PartialHits != 1 {
+		t.Fatalf("tier-2 stats = %+v; want the post-write read to be 1 partial hit", st)
+	}
+	if st := dep.Servers[other][0].RespCache.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("untouched shard %d was re-queried by the partial refresh: %+v", other, st)
+	}
+	// and a coordinator whose tier 2 is cold finds the untouched shard's
+	// Tier-1 entry intact: it answers its share from Tier 1
+	res, err = dep.Coordinator().Scatter(read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeResults(read, res); !bytes.Equal(got, want) {
+		t.Fatalf("cold-tier-2 read differs from baseline:\n%s\nvs\n%s", got, want)
+	}
 	if st := dep.Servers[other][0].RespCache.Stats(); st.Hits == 0 {
 		t.Fatalf("untouched shard %d served no Tier-1 hits: %+v", other, st)
 	}

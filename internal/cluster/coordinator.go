@@ -56,19 +56,25 @@ func (s *RouteSpec) op() string {
 // client unchanged — so a query can mix sharded and direct execute-at
 // destinations.
 //
-// Reads. Merge semantics make the cluster look like one peer holding
-// the whole document: result i of the merged response is the
-// concatenation, in shard order, of every shard's result i. Because the
-// partitioner cuts contiguous subtree ranges, shard order is document
-// order, and the merged response is byte-identical to a single-peer
-// execution of the same bulk request against the unsharded document.
-// When a registered RouteSpec matches the request and the routing table
-// holds keyed range metadata for its container, the scatter is
-// predicate-pruned: each call is sent only to the shards whose key
-// bounds may contain the call's key (a probe for one person id contacts
-// one shard, not N), and shards left with no calls are not contacted at
-// all. Pruning is conservative — a shard is skipped only when its range
-// proves the key absent — so the merged response stays byte-identical.
+// Reads. Every read runs the one pipeline in gather.go — validate, plan,
+// cache stage, open one response stream per shard part, shard-order
+// merge, sink — and Scatter, ScatterStream and the Proxy differ only in
+// the sink they pass. Merge semantics make the cluster look like one
+// peer holding the whole document: result i of the merged response is
+// the concatenation, in shard order, of every contacted shard's result
+// i. Because the partitioner cuts contiguous subtree ranges, shard order
+// is document order, and the merged response is byte-identical to a
+// single-peer execution of the same bulk request against the unsharded
+// document. When a RouteSpec — registered, or derived by the Planner —
+// matches the request and the routing table holds keyed range metadata
+// for its container, the plan is predicate-pruned: each call is sent
+// only to the shards whose key bounds may contain the call's key (a
+// probe for one person id contacts one shard, not N), and shards left
+// with no calls are not contacted at all; otherwise the plan is the
+// broadcast, whose parts are every shard with every call. Pruning is
+// conservative — a shard is skipped only when its range proves the key
+// absent — so the merged response stays byte-identical, and every plan
+// shape streams under the same per-shard memory bound.
 //
 // Updates. An updating bulk request is accepted when a RouteSpec
 // resolves every call to exactly one shard. Each call travels to its
@@ -97,19 +103,21 @@ type Coordinator struct {
 	// minted for routed updates (0 = 30).
 	TxnTimeout int
 	// MaxShardBuffer bounds the per-shard read-ahead window of the
-	// streamed gather, in bytes (0 = DefaultMaxShardBuffer). While the
-	// merge copies shard k's results forward, shards k+1..N keep
-	// producing into windows of at most this size; coordinator memory
-	// during a scatter is therefore O(shards × MaxShardBuffer + largest
-	// item), independent of total result size.
+	// streamed gather, in bytes (0 = DefaultMaxShardBuffer) — the only
+	// read-path setting. While the merge copies shard k's results
+	// forward, shards k+1..N keep producing into windows of at most
+	// this size; coordinator memory during a read is therefore
+	// O(shards × MaxShardBuffer + largest item), independent of total
+	// result size, for every plan shape.
 	MaxShardBuffer int
 	// OnEvict, when set, observes replica evictions (shard, uri, cause).
 	OnEvict func(shard int, uri string, reason error)
-	// ResultCache, when non-nil, serves repeat read-only scatters from
-	// the coordinator's merged-result cache, revalidated against each
+	// ResultCache, when non-nil, serves repeat reads from the
+	// coordinator's merged-result cache, revalidated against each
 	// shard's commit-fence version and registry generation via a
-	// shardInfo probe (see resultcache.go). Requests under a queryID
-	// bypass it.
+	// shardInfo probe (see resultcache.go). It is consulted iff the
+	// request carries no queryID and its plan contacts two or more
+	// shards (the one rule, stated at read in gather.go).
 	ResultCache *ResultCache
 	// Metrics, when non-nil, records scatter/merge/failover/2PC facts
 	// onto an obs.Registry (see NewMetrics). Nil disables all recording.
@@ -200,13 +208,7 @@ func (co *Coordinator) CallOneAtATime(dest string, br *client.BulkRequest) ([]xd
 		if br.SeqNrs != nil {
 			single.SeqNrs = []int64{br.SeqNrs[ci]}
 		}
-		var res []xdm.Sequence
-		var err error
-		if br.Updating {
-			res, err = co.Update(&single)
-		} else {
-			res, err = co.Scatter(&single)
-		}
+		res, err := co.CallBulk(dest, &single)
 		if err != nil {
 			return nil, err
 		}
@@ -223,62 +225,55 @@ func (co *Coordinator) CallParallel(parts []*client.BulkByDest, total int) ([]xd
 }
 
 // ScatterBuffered is the collect-then-concat reference implementation
-// of the broadcast scatter: every shard's full response is decoded into
-// memory, then merged. Scatter produces byte-identical results through
-// the incremental merge (see gather.go) while holding only a bounded
-// window per shard; this path is kept as the executable reference the
-// streamed merge is pinned against, and for the peak-memory comparison
-// in the cluster benchmarks.
-//
-// The broadcast path is encode-once, scatter-many: the request body is
-// destination-independent, so it is encoded exactly once (into a pooled
-// buffer) and the same bytes are posted to every shard and reused
-// across replica failover attempts. The pruned path ships per-shard
-// call subsets, so it encodes once per contacted shard instead — it
-// trades encodings for not sending (or executing) pruned calls at all.
+// of the read path: over the same plan and parts as the pipeline, every
+// part's full response is decoded into memory (one callShard per part),
+// then concatenated by original call index. Scatter produces
+// byte-identical results through the incremental merge (see gather.go)
+// while holding only a bounded window per shard; this path is kept as
+// the executable reference the streamed merge is pinned against, and
+// for the peak-memory comparison in the cluster benchmarks.
 func (co *Coordinator) ScatterBuffered(br *client.BulkRequest) ([]xdm.Sequence, error) {
-	if br.Updating {
-		return nil, xdm.NewError("XRPC0007",
-			"cluster: updating bulk requests are routed, not scattered (use Update/CallBulk)")
-	}
-	if err := co.validTable(); err != nil {
+	r, err := co.newRead(co.Client, br)
+	if err != nil {
 		return nil, err
 	}
-	dec := co.plan(br)
-	if dec.strategy != "broadcast" {
-		return co.scatterPruned(br, dec)
-	}
-	co.countStrategy("broadcast")
-	co.Metrics.countScatter("broadcast")
-	enc := co.Client.EncodeBulk(br)
-	defer enc.Release()
-	body := enc.Bytes()
-	n := co.Table.NumShards()
-	perShard := make([][]xdm.Sequence, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			perShard[s], errs[s] = co.callShard(s, body, len(br.Calls))
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
+	defer r.release()
+	results, err := r.callBuffered()
+	if err != nil {
+		return nil, err
 	}
 	merged := make([]xdm.Sequence, len(br.Calls))
-	for i := range merged {
-		var seq xdm.Sequence
-		for s := 0; s < n; s++ {
-			seq = append(seq, perShard[s][i]...)
+	for i, p := range r.dec.parts {
+		for j, g := range p.orig {
+			merged[g] = append(merged[g], results[i][j]...)
 		}
-		merged[i] = seq
 	}
 	return merged, nil
+}
+
+// callBuffered is the buffered fan-out of the reference path and of the
+// fence probes: one callShard per part of the plan, concurrently, each
+// response decoded whole. The error of the lowest shard index wins.
+func (r *readOp) callBuffered() ([][]xdm.Sequence, error) {
+	parts := r.dec.parts
+	results := make([][]xdm.Sequence, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		body := r.body(p.br)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = r.co.callShard(p.shard, body, len(p.br.Calls))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d: %w", parts[i].shard, err)
+		}
+	}
+	return results, nil
 }
 
 func (co *Coordinator) validTable() error {
@@ -301,7 +296,9 @@ func callKey(br *client.BulkRequest, ci int, spec *RouteSpec) (string, bool) {
 	return args[spec.KeyArg][0].StringValue(), true
 }
 
-// shardPart is one shard's slice of a pruned or routed bulk request.
+// shardPart is one shard's share of a planned read or routed update:
+// the request it is sent (the whole request, for a broadcast) and where
+// its calls sit in the original.
 type shardPart struct {
 	shard int
 	br    *client.BulkRequest
@@ -349,82 +346,23 @@ func allShards(n int) []int {
 	return out
 }
 
-// scatterPruned ships each call only to its candidate shards (the
-// decision's precomputed partition). Merged result i concatenates, in
-// shard order, the results of the shards that received call i —
-// byte-identical to broadcast because a pruned shard's range proves its
-// result for the call would have been empty.
-func (co *Coordinator) scatterPruned(br *client.BulkRequest, dec *planDecision) ([]xdm.Sequence, error) {
-	co.Metrics.countScatter("pruned")
-	co.countStrategy(dec.strategy)
-	var start time.Time
-	if co.Metrics != nil || co.SlowLog != nil {
-		start = time.Now()
+// callShard posts the pre-encoded request body to the shard (see
+// walkReplicas) and decodes the whole response.
+func (co *Coordinator) callShard(shard int, body []byte, calls int) (res []xdm.Sequence, err error) {
+	start := time.Now()
+	err = co.walkReplicas(shard, func(uri string) (err error) {
+		res, err = co.Client.SendEncoded(uri, body, calls)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	parts := dec.parts
-	results := make([][]xdm.Sequence, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *shardPart) {
-			defer wg.Done()
-			enc := co.Client.EncodeBulk(part.br)
-			defer enc.Release()
-			results[i], errs[i] = co.callShard(part.shard, enc.Bytes(), len(part.br.Calls))
-		}(i, part)
+	d := time.Since(start)
+	if m := co.Metrics; m != nil && shard < len(m.Call) {
+		m.Call[shard].ObserveDuration(d)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", parts[i].shard, err)
-		}
-	}
-	// merged result i concatenates in ascending shard order (= document
-	// order); calls pruned everywhere (key provably on no shard) stay
-	// empty — the same answer every shard would have produced
-	merged := make([]xdm.Sequence, len(br.Calls))
-	for i, part := range parts {
-		for j, g := range part.orig {
-			merged[g] = append(merged[g], results[i][j]...)
-		}
-	}
-	if !start.IsZero() {
-		co.observeScatter(br, len(parts), nil, time.Since(start), dec)
-	}
-	return merged, nil
-}
-
-// callShard posts the pre-encoded request body to the shard's primary
-// and walks the replica list on retriable failures — the same bytes for
-// every attempt, never re-encoding. Definitive errors (SOAP faults,
-// 4xx HTTP statuses) stop the walk: every replica holds the same shard,
-// so a deterministic rejection would only repeat.
-func (co *Coordinator) callShard(shard int, body []byte, calls int) ([]xdm.Sequence, error) {
-	var start time.Time
-	if co.Metrics != nil || co.Planner != nil {
-		start = time.Now()
-	}
-	replicas := co.Table.Replicas(shard)
-	var lastErr error
-	for a, uri := range replicas {
-		res, err := co.Client.SendEncoded(uri, body, calls)
-		if err == nil {
-			if !start.IsZero() {
-				co.Metrics.observeCall(shard, time.Since(start), a)
-				co.notePlannerCall(shard, time.Since(start))
-			}
-			return res, nil
-		}
-		if !client.Retriable(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	if m := co.Metrics; m != nil {
-		m.Failovers.Add(int64(len(replicas) - 1))
-	}
-	return nil, fmt.Errorf("all %d replica(s) unreachable: %w", len(replicas), lastErr)
+	co.notePlannerCall(shard, d)
+	return res, nil
 }
 
 // ------------------------------------------------------------- updates
@@ -441,22 +379,9 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 	if err := co.validTable(); err != nil {
 		return nil, err
 	}
-	spec, why := co.registeredSpec(br)
-	if spec == nil {
-		if why != "" {
-			// same visibility as the scatter path: a registered spec that
-			// cannot apply to this request is warned once and counted
-			// before any fallback
-			co.warnInapplicable(br, why)
-		}
-		// no hand-written spec: a derived equality route is just as
-		// sound for updates — the derivation proves the body's update
-		// targets only touch rows carrying the key
-		if d, _, _ := co.derivedSpec(br); d != nil && d.op() == "=" {
-			spec = d
-		}
-	}
-	if spec == nil {
+	// a range route cannot name one owning shard: only equality routes
+	spec, _, _ := co.resolveSpec(br)
+	if spec == nil || spec.op() != "=" {
 		return nil, xdm.Errorf("XRPC0007",
 			"cluster: no route for updating function %s#%s — register a cluster.RouteSpec naming its partition-key parameter",
 			br.ModuleURI, br.Func)

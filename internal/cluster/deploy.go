@@ -40,11 +40,12 @@ type DeployConfig struct {
 	RespCacheEntries int
 	// ResultCacheBytes, when > 0, attaches a Tier-2 merged-result cache
 	// of this byte bound to every coordinator built via Coordinator().
-	// Memory note: with the cache on, ScatterStream's miss path still
-	// streams the response incrementally but retains one copy of the
-	// merged result to populate the cache — the strict
-	// never-materialize bound of the streaming gather holds only with
-	// the cache off.
+	// Memory note: with the cache on, a streamed miss still forwards
+	// the response incrementally and retains a copy to populate the
+	// cache only while the bytes written stay within this bound (the
+	// cache would refuse a larger entry), so coordinator memory is
+	// O(shards × MaxShardBuffer + largest item + min(result,
+	// ResultCacheBytes)).
 	ResultCacheBytes int64
 	// WALRoot, when non-empty, makes every replica durable: shard s
 	// replica j logs to <WALRoot>/s<s>r<j> (commit WAL + snapshots) and

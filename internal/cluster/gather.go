@@ -11,178 +11,40 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// gather.go is the incremental half of scatter-gather: instead of
-// collecting every shard's fully-decoded response and concatenating
-// (ScatterBuffered), the merge walks the open response streams in shard
-// order, one result sequence at a time — shard k's items for call i are
-// forwarded while shards k+1..N are still producing theirs into bounded
-// read-ahead windows. The merged output is byte-identical to the
-// buffered path (the merge order is exactly the concatenation order);
-// what changes is the coordinator's footprint, which drops from
-// O(total result bytes) to O(shards × MaxShardBuffer + largest item).
+// gather.go is the cluster's one read path. Scatter, ScatterStream, the
+// proxy and the result cache's stale-shard refresh all run the same
+// pipeline and differ only in the sink they hand it:
+//
+//	validate → plan → cache stage → open one response stream per shard
+//	part (replica failover at open) → shard-order merge by call index → sink
+//
+// A plan is a list of shard parts, each a sub-request plus the original
+// indices of its calls; a broadcast is simply the plan whose parts are
+// every shard, all calls, one shared encoded body. The merge walks the
+// open streams one result sequence at a time — shard k's items for call
+// i are forwarded while shards k+1..N are still producing theirs into
+// bounded read-ahead windows — so for every plan shape the coordinator's
+// footprint is O(shards × MaxShardBuffer + largest item), not O(result),
+// and the output is byte-identical to ScatterBuffered's collect-then-
+// concat (the merge order is exactly the concatenation order).
 
 // DefaultMaxShardBuffer is the default per-shard read-ahead window of
 // the streamed gather (see Coordinator.MaxShardBuffer).
 const DefaultMaxShardBuffer = 1 << 20
 
-// shardStream is one shard's open response during a gather.
-type shardStream struct {
-	shard   int
-	sr      *client.StreamedResponse
-	err     error
-	openDur time.Duration // send → response stream open (slow-log fodder)
+// readOp is one read's state: the client its sends go through (the
+// coordinator's own, or one pinned to a proxied request's queryID), the
+// plan, and the request encodings held until the read ends.
+type readOp struct {
+	co   *Coordinator
+	cl   *client.Client
+	br   *client.BulkRequest
+	dec  *planDecision
+	encs map[*client.BulkRequest]*soap.Encoder
 }
 
-func (co *Coordinator) shardWindow() int {
-	if co.MaxShardBuffer > 0 {
-		return co.MaxShardBuffer
-	}
-	return DefaultMaxShardBuffer
-}
-
-// openShard opens the response stream at the shard's primary, walking
-// the replica list on retriable failures — the same pre-encoded bytes
-// for every attempt, never re-encoding. Failover happens only at open:
-// once a response stream is being merged, its bytes are already part of
-// the output and a mid-stream failure aborts the gather.
-func (co *Coordinator) openShard(shard int, body []byte, calls int) (*client.StreamedResponse, int, error) {
-	replicas := co.Table.Replicas(shard)
-	var lastErr error
-	for a, uri := range replicas {
-		sr, err := co.Client.SendStreamed(uri, body, calls, co.shardWindow())
-		if err == nil {
-			return sr, a, nil
-		}
-		if !client.Retriable(err) {
-			return nil, a, err
-		}
-		lastErr = err
-	}
-	return nil, len(replicas) - 1,
-		fmt.Errorf("all %d replica(s) unreachable: %w", len(replicas), lastErr)
-}
-
-// openShardStreams opens all shard streams concurrently and waits for
-// the opens (header only — the responses themselves stream afterwards).
-// Waiting here keeps error selection deterministic: when several shards
-// fail to open, the lowest shard index is reported, matching the
-// buffered path. On any failure every opened stream is closed.
-func (co *Coordinator) openShardStreams(body []byte, calls int) ([]*shardStream, error) {
-	n := co.Table.NumShards()
-	conns := make([]*shardStream, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		conns[s] = &shardStream{shard: s}
-		wg.Add(1)
-		go func(c *shardStream) {
-			defer wg.Done()
-			t0 := time.Now()
-			var failovers int
-			c.sr, failovers, c.err = co.openShard(c.shard, body, calls)
-			c.openDur = time.Since(t0)
-			co.Metrics.observeOpen(c.shard, c.openDur, failovers)
-		}(conns[s])
-	}
-	wg.Wait()
-	for _, c := range conns {
-		if c.err != nil {
-			closeShardStreams(conns)
-			return nil, fmt.Errorf("cluster: shard %d: %w", c.shard, c.err)
-		}
-	}
-	return conns, nil
-}
-
-func closeShardStreams(conns []*shardStream) {
-	for _, c := range conns {
-		if c.sr != nil {
-			c.sr.Close()
-		}
-	}
-}
-
-// gatherStreams drives the shard-order merge: for every call it opens a
-// merged sequence, copies each shard's sequence for that call through
-// the item callback in ascending shard order, and closes it — then
-// Finishes every stream, which validates result counts and trailing
-// envelope content. Callbacks receive the merge incrementally (item is
-// told which shard produced each item), so the caller chooses whether
-// items accumulate (Scatter, per-shard capture for the result cache) or
-// leave the process immediately (ScatterStream).
-func gatherStreams(conns []*shardStream, calls int,
-	begin func() error, item func(shard int, it xdm.Item) error, end func() error) error {
-
-	for i := 0; i < calls; i++ {
-		if err := begin(); err != nil {
-			return err
-		}
-		for _, c := range conns {
-			ok, err := c.sr.NextSequence()
-			if err != nil {
-				return fmt.Errorf("cluster: shard %d: %w", c.shard, err)
-			}
-			if !ok {
-				return fmt.Errorf("cluster: shard %d: %d results for %d calls", c.shard, i, calls)
-			}
-			for {
-				it, err := c.sr.NextItem()
-				if err != nil {
-					return fmt.Errorf("cluster: shard %d: %w", c.shard, err)
-				}
-				if it == nil {
-					break
-				}
-				if err := item(c.shard, it); err != nil {
-					return err
-				}
-			}
-		}
-		if err := end(); err != nil {
-			return err
-		}
-	}
-	for _, c := range conns {
-		if _, err := c.sr.Finish(); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", c.shard, err)
-		}
-	}
-	return nil
-}
-
-// gatherObserved wraps gatherStreams with merge timing and per-shard
-// time-to-first-merged-item. With no metrics attached it is exactly
-// gatherStreams — no clock reads, no wrapper closure on the item path.
-func (co *Coordinator) gatherObserved(conns []*shardStream, calls int,
-	begin func() error, item func(shard int, it xdm.Item) error, end func() error) error {
-
-	m := co.Metrics
-	if m == nil {
-		return gatherStreams(conns, calls, begin, item, end)
-	}
-	start := time.Now()
-	seen := make([]bool, len(m.FirstItem))
-	wrapped := func(shard int, it xdm.Item) error {
-		if shard < len(seen) && !seen[shard] {
-			seen[shard] = true
-			m.FirstItem[shard].ObserveDuration(time.Since(start))
-		}
-		return item(shard, it)
-	}
-	err := gatherStreams(conns, calls, begin, wrapped, end)
-	m.Merge.ObserveDuration(time.Since(start))
-	return err
-}
-
-// Scatter sends the read-only bulk request to the shards and merges the
-// responses in shard order, incrementally: result i of the merged
-// response is the concatenation, in shard order, of every shard's
-// result i, assembled one sequence at a time while later shards are
-// still producing. Identical results to ScatterBuffered (the executable
-// reference), with coordinator memory bounded per shard instead of per
-// response. When a RouteSpec matches and the table has keyed ranges for
-// its container, calls are pruned to the shards whose ranges may
-// contain their keys; otherwise every call broadcasts.
-func (co *Coordinator) Scatter(br *client.BulkRequest) ([]xdm.Sequence, error) {
+// newRead validates the request and plans it.
+func (co *Coordinator) newRead(cl *client.Client, br *client.BulkRequest) (*readOp, error) {
 	if br.Updating {
 		return nil, xdm.NewError("XRPC0007",
 			"cluster: updating bulk requests are routed, not scattered (use Update/CallBulk)")
@@ -190,183 +52,257 @@ func (co *Coordinator) Scatter(br *client.BulkRequest) ([]xdm.Sequence, error) {
 	if err := co.validTable(); err != nil {
 		return nil, err
 	}
-	// requests outside an isolation scope can be answered from the
-	// merged-result cache, revalidated against the shards' (version,
-	// generation) fences (see resultcache.go); queryID'd requests see
-	// their own pinned snapshots and bypass it
-	if co.ResultCache != nil && co.Client.QueryID == nil {
-		return co.scatterCached(br)
-	}
-	return co.scatterDirect(br)
+	return co.plannedRead(cl, br, co.plan(br)), nil
 }
 
-// scatterDirect is the scatter proper, cache considerations aside.
-func (co *Coordinator) scatterDirect(br *client.BulkRequest) ([]xdm.Sequence, error) {
-	dec := co.plan(br)
-	if dec.strategy != "broadcast" {
-		return co.scatterPruned(br, dec)
-	}
-	enc := co.Client.EncodeBulk(br)
-	defer enc.Release()
-	merged, _, err := co.gatherCapture(br, enc.Bytes(), false, dec)
-	return merged, err
+func (co *Coordinator) plannedRead(cl *client.Client, br *client.BulkRequest, dec *planDecision) *readOp {
+	return &readOp{co: co, cl: cl, br: br, dec: dec, encs: map[*client.BulkRequest]*soap.Encoder{}}
 }
 
-// gatherCapture runs the streamed broadcast gather; with capture set it
-// additionally records each shard's own result sequences (the per-shard
-// split the result cache needs to refresh stale shards individually).
-// dec, when non-nil, carries the planner decision that chose this
-// broadcast (its cost estimates feed the slow-query log).
-func (co *Coordinator) gatherCapture(br *client.BulkRequest, body []byte, capture bool, dec *planDecision) ([]xdm.Sequence, [][]xdm.Sequence, error) {
-	calls := len(br.Calls)
-	co.Metrics.countScatter("broadcast")
-	co.countStrategy("broadcast")
-	var start time.Time
-	if co.Metrics != nil || co.SlowLog != nil {
-		start = time.Now()
+func (r *readOp) release() {
+	for _, enc := range r.encs {
+		enc.Release()
 	}
-	conns, err := co.openShardStreams(body, calls)
+}
+
+// body is br's encoding, made at most once per read. A request body is
+// destination-independent, so the parts of a broadcast — which all carry
+// the request as it arrived — and every failover attempt post the same
+// bytes, which also key the result cache; a pruned plan encodes one call
+// subset per contacted shard instead, trading encodings for not sending
+// (or executing) pruned calls at all.
+func (r *readOp) body(br *client.BulkRequest) []byte {
+	enc, ok := r.encs[br]
+	if !ok {
+		enc = r.cl.EncodeBulk(br)
+		r.encs[br] = enc
+	}
+	return enc.Bytes()
+}
+
+// read is the pipeline. Results reach out incrementally, in call order
+// and within a call in shard order (= document order); a call no part
+// carries — its key is provably on no shard — yields the empty sequence
+// every shard would have produced.
+func (co *Coordinator) read(cl *client.Client, br *client.BulkRequest, out sink) error {
+	r, err := co.newRead(cl, br)
 	if err != nil {
-		return nil, nil, err
-	}
-	defer closeShardStreams(conns)
-	var perShard [][]xdm.Sequence
-	if capture {
-		perShard = make([][]xdm.Sequence, co.Table.NumShards())
-		for s := range perShard {
-			perShard[s] = make([]xdm.Sequence, calls)
-		}
-	}
-	merged := make([]xdm.Sequence, 0, calls)
-	var cur xdm.Sequence
-	err = co.gatherObserved(conns, calls,
-		func() error { cur = nil; return nil },
-		func(shard int, it xdm.Item) error {
-			cur = append(cur, it)
-			if capture {
-				perShard[shard][len(merged)] = append(perShard[shard][len(merged)], it)
-			}
-			return nil
-		},
-		func() error { merged = append(merged, cur); return nil })
-	if err != nil {
-		return nil, nil, err
-	}
-	if !start.IsZero() {
-		co.observeScatter(br, len(conns), conns, time.Since(start), dec)
-	}
-	return merged, perShard, nil
-}
-
-// ScatterStream runs the scatter with the merged response envelope
-// written to w in chunks as it is assembled: decoded items from shard k
-// are re-encoded into the output and gone before shard k+1's arrive, so
-// the full merged result never exists in coordinator memory at all —
-// the pipeline is socket → pull-decoder → merge → chunked writer end to
-// end. The envelope is byte-identical to encoding Scatter's result.
-// A pruned scatter (per-shard call subsets) falls back to the buffered
-// merge before encoding: pruning already bounds what each shard
-// returns, and its per-call shard subsets do not interleave with a
-// single forward walk.
-func (co *Coordinator) ScatterStream(br *client.BulkRequest, w io.Writer) error {
-	if br.Updating {
-		return xdm.NewError("XRPC0007",
-			"cluster: updating bulk requests are routed, not scattered (use Update/CallBulk)")
-	}
-	if err := co.validTable(); err != nil {
 		return err
 	}
-	dec := co.plan(br)
-	if dec.strategy != "broadcast" {
-		results, err := co.scatterPruned(br, dec)
-		if err != nil {
-			return err
-		}
-		return soap.EncodeResponseTo(w, &soap.Response{
-			Module: br.ModuleURI, Method: br.Func, Results: results,
-		})
+	defer r.release()
+	// The one cache rule: the merged-result cache is consulted iff the
+	// request is outside an isolation scope (a queryID'd request sees its
+	// own pinned snapshots) and the plan sends requests to two or more
+	// shards. A hit costs one fence probe per shard, so for a plan that
+	// contacts at most one shard a hit can never send fewer requests than
+	// executing — and that shard's own response cache (tier 1) already
+	// answers under the same version fence.
+	if co.ResultCache != nil && cl.QueryID == nil && len(r.dec.parts) >= 2 {
+		return r.throughCache(out)
 	}
-	// with the result cache on, the gather stays incremental on a miss
-	// (items flow to w as shards produce them) but one copy of the
-	// merged result is retained to populate the cache — caching a result
-	// requires holding it. A hit encodes straight from the cached
-	// sequences with no shard round trip at all. The never-materialize
-	// guarantee of the pure streaming path therefore applies only when
-	// ResultCache is nil (the default, and what the memory-bound smoke
-	// test exercises); see DeployConfig.ResultCacheBytes.
-	if co.ResultCache != nil && co.Client.QueryID == nil {
-		return co.scatterCachedStream(br, w)
-	}
-	enc := co.Client.EncodeBulk(br)
-	defer enc.Release()
-	_, _, err := co.gatherStreamCapture(br, enc.Bytes(), w, false, dec)
-	return err
+	return r.run(r.dec.parts, out)
 }
 
-// gatherStreamCapture runs the streamed broadcast gather with the
-// merged response envelope encoded to w in chunks as it is assembled:
-// decoded items from shard k are re-encoded into the output and gone
-// before shard k+1's arrive. With capture set it additionally retains
-// the merged and per-shard sequences — the result cache's population
-// input — at the cost of holding one copy of the result; without it
-// nothing is retained and coordinator memory stays bounded by the
-// per-shard read-ahead windows.
-func (co *Coordinator) gatherStreamCapture(br *client.BulkRequest, body []byte, w io.Writer, capture bool, dec *planDecision) ([]xdm.Sequence, [][]xdm.Sequence, error) {
-	calls := len(br.Calls)
-	co.Metrics.countScatter("broadcast")
-	co.countStrategy("broadcast")
-	var start time.Time
-	if co.Metrics != nil || co.SlowLog != nil {
-		start = time.Now()
+// run executes parts — the whole plan, or the stale shards' share of it
+// — into out, and is where a scatter is observed: mode and strategy
+// counters, fan-out, latency, the slow-scatter record.
+func (r *readOp) run(parts []*shardPart, out sink) error {
+	co := r.co
+	mode := "pruned"
+	if r.dec.strategy == "broadcast" {
+		mode = "broadcast"
 	}
-	conns, err := co.openShardStreams(body, calls)
+	co.Metrics.countScatter(mode)
+	co.countStrategy(r.dec.strategy)
+	start := time.Now()
+	streams, err := r.open(parts)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	defer closeShardStreams(conns)
-	var merged []xdm.Sequence
-	var perShard [][]xdm.Sequence
-	if capture {
-		merged = make([]xdm.Sequence, 0, calls)
-		perShard = make([][]xdm.Sequence, co.Table.NumShards())
-		for s := range perShard {
-			perShard[s] = make([]xdm.Sequence, calls)
+	defer closeStreams(streams)
+	if err := co.merge(streams, len(r.br.Calls), out); err != nil {
+		return err
+	}
+	co.observeScatter(r.br, streams, time.Since(start), r.dec)
+	return nil
+}
+
+// partStream is one part's open response during a merge.
+type partStream struct {
+	part    *shardPart
+	sr      *client.StreamedResponse
+	err     error
+	openDur time.Duration // send → response stream open
+	next    int           // index into part.orig of the next sequence to pull
+}
+
+// walkReplicas tries send at the shard's primary and walks the replica
+// list on retriable failures. Definitive errors (SOAP faults, 4xx HTTP
+// statuses) stop the walk: every replica holds the same shard, so a
+// deterministic rejection would only repeat.
+func (co *Coordinator) walkReplicas(shard int, send func(uri string) error) error {
+	replicas := co.Table.Replicas(shard)
+	var err error
+	for a, uri := range replicas {
+		if err = send(uri); err == nil || !client.Retriable(err) {
+			co.Metrics.countFailovers(a)
+			return err
 		}
 	}
-	var cur xdm.Sequence
-	out := soap.NewStreamEncoder(w, 0)
-	defer out.Release()
-	out.BeginResponse(br.ModuleURI, br.Func)
-	err = co.gatherObserved(conns, calls,
-		func() error {
-			out.BeginSequence()
-			cur = nil
-			return out.Err()
-		},
-		func(shard int, it xdm.Item) error {
-			out.EncodeItem(it)
-			if capture {
-				cur = append(cur, it)
-				perShard[shard][len(merged)] = append(perShard[shard][len(merged)], it)
+	co.Metrics.countFailovers(len(replicas) - 1)
+	return fmt.Errorf("all %d replica(s) unreachable: %w", len(replicas), err)
+}
+
+// open opens every part's response stream concurrently — at the shard's
+// primary, failing over along its replicas with the same pre-encoded
+// bytes, never re-encoding — and waits for the opens (header only: the
+// responses themselves stream afterwards). Failover happens only here:
+// once a stream is being merged its bytes are already part of the output
+// and a mid-stream failure aborts the read. Waiting keeps error
+// selection deterministic: parts are in ascending shard order, so when
+// several fail to open the lowest shard index is reported, matching the
+// buffered reference. On any failure every opened stream is closed. The
+// open time is also the per-shard call timing the planner's cost model
+// reads.
+func (r *readOp) open(parts []*shardPart) ([]*partStream, error) {
+	co := r.co
+	window := co.MaxShardBuffer
+	if window <= 0 {
+		window = DefaultMaxShardBuffer
+	}
+	streams := make([]*partStream, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		ps := &partStream{part: p}
+		streams[i] = ps
+		body := r.body(p.br)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			ps.err = co.walkReplicas(p.shard, func(uri string) (err error) {
+				ps.sr, err = r.cl.SendStreamed(uri, body, len(p.br.Calls), window)
+				return err
+			})
+			ps.openDur = time.Since(t0)
+			if m := co.Metrics; m != nil && p.shard < len(m.Open) {
+				m.Open[p.shard].ObserveDuration(ps.openDur)
 			}
-			return out.Err()
-		},
-		func() error {
-			out.EndSequence()
-			if capture {
-				merged = append(merged, cur)
+			if ps.err == nil {
+				co.notePlannerCall(p.shard, ps.openDur)
 			}
-			return out.Err()
-		})
-	if err != nil {
-		return nil, nil, err
+		}()
 	}
-	out.EndResponse(nil)
-	if err := out.Flush(); err != nil {
-		return nil, nil, err
+	wg.Wait()
+	for _, ps := range streams {
+		if ps.err != nil {
+			closeStreams(streams)
+			return nil, fmt.Errorf("cluster: shard %d: %w", ps.part.shard, ps.err)
+		}
 	}
-	if !start.IsZero() {
-		co.observeScatter(br, len(conns), conns, time.Since(start), dec)
+	return streams, nil
+}
+
+func closeStreams(streams []*partStream) {
+	for _, ps := range streams {
+		if ps.sr != nil {
+			ps.sr.Close()
+		}
 	}
-	return merged, perShard, nil
+}
+
+// merge is the shard-order merge over any plan. Each part's stream
+// yields its sequences in ascending original-call order, so one forward
+// walk suffices: for call i, visit the parts in ascending shard order
+// and pull the next sequence from exactly those whose next call is i.
+// Every stream is then Finished, which validates result counts and
+// trailing envelope content. With metrics attached it also records the
+// merge wall clock and each shard's time to first merged item; without,
+// the item path makes no clock reads.
+func (co *Coordinator) merge(streams []*partStream, calls int, out sink) error {
+	var start time.Time
+	var seen []bool
+	if m := co.Metrics; m != nil {
+		start = time.Now()
+		seen = make([]bool, len(m.FirstItem))
+		defer func() { m.Merge.ObserveDuration(time.Since(start)) }()
+	}
+	for i := 0; i < calls; i++ {
+		if err := out.beginSeq(); err != nil {
+			return err
+		}
+		for _, ps := range streams {
+			orig, shard := ps.part.orig, ps.part.shard
+			if ps.next == len(orig) || orig[ps.next] != i {
+				continue
+			}
+			ok, err := ps.sr.NextSequence()
+			if err != nil {
+				return fmt.Errorf("cluster: shard %d: %w", shard, err)
+			}
+			if !ok {
+				return fmt.Errorf("cluster: shard %d: %d results for %d calls", shard, ps.next, len(orig))
+			}
+			ps.next++
+			for {
+				it, err := ps.sr.NextItem()
+				if err != nil {
+					return fmt.Errorf("cluster: shard %d: %w", shard, err)
+				}
+				if it == nil {
+					break
+				}
+				if shard < len(seen) && !seen[shard] {
+					seen[shard] = true
+					co.Metrics.FirstItem[shard].ObserveDuration(time.Since(start))
+				}
+				if err := out.item(shard, it); err != nil {
+					return err
+				}
+			}
+		}
+		if err := out.endSeq(); err != nil {
+			return err
+		}
+	}
+	for _, ps := range streams {
+		if _, err := ps.sr.Finish(); err != nil {
+			return fmt.Errorf("cluster: shard %d: %w", ps.part.shard, err)
+		}
+	}
+	return nil
+}
+
+// Scatter sends the read-only bulk request to the shards and returns the
+// merged response: result i is the concatenation, in shard order, of
+// every contacted shard's result i — identical to ScatterBuffered (the
+// executable reference) and to a single peer holding the whole document.
+func (co *Coordinator) Scatter(br *client.BulkRequest) ([]xdm.Sequence, error) {
+	var out sliceSink
+	if err := co.read(co.Client, br, &out); err != nil {
+		return nil, err
+	}
+	return out.merged, nil
+}
+
+// ScatterStream is Scatter with the merged response envelope written to
+// w in chunks as it is assembled: decoded items from shard k are
+// re-encoded into the output and gone before shard k+1's arrive — socket
+// → pull-decoder → merge → chunked writer end to end, for every plan
+// shape. The envelope is byte-identical to encoding Scatter's result.
+func (co *Coordinator) ScatterStream(br *client.BulkRequest, w io.Writer) error {
+	return co.scatterStream(co.Client, br, w)
+}
+
+// scatterStream is ScatterStream through a per-request client (the
+// proxy pins one to a request's queryID). Nothing reaches w before the
+// part streams are open: the envelope header sits in the encoder's
+// buffer, so a failure to open leaves w untouched.
+func (co *Coordinator) scatterStream(cl *client.Client, br *client.BulkRequest, w io.Writer) error {
+	out := newWriterSink(w, br)
+	defer out.enc.Release()
+	if err := co.read(cl, br, out); err != nil {
+		return err
+	}
+	return out.finish()
 }

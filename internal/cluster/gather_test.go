@@ -17,102 +17,265 @@ import (
 	"time"
 
 	"xrpc/internal/client"
+	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
+	"xrpc/internal/server"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
 
-// TestScatterMatchesScatterBuffered pins the tentpole refactor: the
-// incremental shard-order merge must produce byte-identical merged
-// responses to the collect-then-concat reference, on the fixture
-// requests and on randomized bulks (random key subsets, hit and miss,
-// varying call counts).
-func TestScatterMatchesScatterBuffered(t *testing.T) {
+// planShape is one row family of the differential table: a fixture
+// whose reads resolve to one plan shape. The table's other dimensions —
+// read API, result cache off / cold / warm / one shard stale — are
+// crossed in by runPlanShapeTable.
+type planShape struct {
+	name   string
+	shards []int
+	setup  func(t *testing.T, shards int) *shapeFixture
+}
+
+type shapeFixture struct {
+	// reader builds a coordinator that plans in this shape, with a
+	// merged-result cache of cacheBytes (0 = off).
+	reader   func(cacheBytes int64) *Coordinator
+	requests []*client.BulkRequest
+	// strategies[i] is the plan label requests[i] must resolve to — the
+	// proof that the row exercises the shape it is named after.
+	strategies []string
+	// baseline runs br on one unsharded peer, after write if non-nil.
+	baseline func(br, write *client.BulkRequest) []byte
+	// write is a routed update touching exactly one shard; committing it
+	// through writer moves that one shard's fence. Nil when the fixture
+	// has no updating function (the stale column is skipped).
+	write  *client.BulkRequest
+	writer *Coordinator
+}
+
+func withCache(co *Coordinator, cacheBytes int64) *Coordinator {
+	co.ResultCache = nil
+	if cacheBytes > 0 {
+		co.ResultCache = NewResultCache(cacheBytes)
+	}
+	return co
+}
+
+func planShapes() []planShape {
 	cfg := xmark.PaperConfig(0.05)
 	auctions := xmark.GenerateAuctions(cfg)
-	reg := testRegistry(t)
 
-	rng := rand.New(rand.NewSource(7))
-	requests := []*client.BulkRequest{probeRequest(cfg.Persons), scanRequest()}
-	for i := 0; i < 12; i++ {
-		br := &client.BulkRequest{
-			ModuleURI: "functions_b",
-			AtHint:    "http://example.org/b.xq",
-			Func:      "Q_B3",
-			Arity:     1,
-		}
-		for c := 0; c < 1+rng.Intn(17); c++ {
-			// keys beyond cfg.Persons miss every shard: empty sequences
-			// must merge identically too
-			br.Calls = append(br.Calls, []xdm.Sequence{{xdm.String(xmark.PersonID(rng.Intn(cfg.Persons * 2)))}})
-		}
-		requests = append(requests, br)
-	}
-
-	for ri, br := range requests {
-		for _, shards := range []int{1, 3, 4} {
+	// broadcast over auctions.xml: the fixture requests plus randomized
+	// bulks (random key subsets, hit and miss, varying call counts)
+	auctionShape := planShape{name: "broadcast/auctions", shards: []int{1, 3, 4},
+		setup: func(t *testing.T, shards int) *shapeFixture {
+			reg := testRegistry(t)
 			net := netsim.NewNetwork(0, 0)
 			dep, err := Deploy(net, reg, map[string]string{"auctions.xml": auctions},
 				DeployConfig{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			co := dep.Coordinator()
-			want, err := co.ScatterBuffered(br)
+			fx := &shapeFixture{
+				reader:   func(c int64) *Coordinator { return withCache(dep.Coordinator(), c) },
+				requests: []*client.BulkRequest{probeRequest(cfg.Persons), scanRequest()},
+				baseline: func(br, _ *client.BulkRequest) []byte { return singlePeerBaseline(t, reg, auctions, br) },
+			}
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 12; i++ {
+				br := &client.BulkRequest{
+					ModuleURI: "functions_b",
+					AtHint:    "http://example.org/b.xq",
+					Func:      "Q_B3",
+					Arity:     1,
+				}
+				for c := 0; c < 1+rng.Intn(17); c++ {
+					// keys beyond cfg.Persons miss every shard: empty sequences
+					// must merge identically too
+					br.Calls = append(br.Calls, []xdm.Sequence{{xdm.String(xmark.PersonID(rng.Intn(cfg.Persons * 2)))}})
+				}
+				fx.requests = append(fx.requests, br)
+			}
+			for range fx.requests {
+				fx.strategies = append(fx.strategies, "broadcast")
+			}
+			return fx
+		}}
+
+	// persons.xml under three ways of planning getPerson: no route at all,
+	// the hand-written route, and the compiler-derived one
+	const persons = 17
+	personShape := func(name, strategy string, deploy func(*testing.T, *netsim.Network, int) *Deployment,
+		reader func(*Deployment, *netsim.Network) *Coordinator) planShape {
+		return planShape{name: name, shards: []int{1, 3, 4},
+			setup: func(t *testing.T, shards int) *shapeFixture {
+				net := netsim.NewNetwork(0, 0)
+				dep := deploy(t, net, shards)
+				return &shapeFixture{
+					reader: func(c int64) *Coordinator { return withCache(reader(dep, net), c) },
+					requests: []*client.BulkRequest{
+						getPersonRequest("person5"),
+						// keys across shards, a repeat, and a key no shard owns
+						getPersonRequest("person16", "person0", "person5", "person0", "nosuch", "person9"),
+					},
+					strategies: []string{strategy, strategy},
+					baseline: func(br, write *client.BulkRequest) []byte {
+						return singlePersonsBaseline(t, persons, br, write)
+					},
+					write:  setCityRequest("Staleville", "person5"),
+					writer: dep.Coordinator(),
+				}
+			}}
+	}
+	registered := func(t *testing.T, net *netsim.Network, shards int) *Deployment {
+		return deployPersons(t, net, persons, shards, 1)
+	}
+	zeroSpec := func(t *testing.T, net *netsim.Network, shards int) *Deployment {
+		return deployPersonsZeroSpec(t, net, persons, shards, 0)
+	}
+	viaDeployment := func(dep *Deployment, _ *netsim.Network) *Coordinator { return dep.Coordinator() }
+	routeless := func(dep *Deployment, net *netsim.Network) *Coordinator {
+		return NewCoordinator(dep.Table, client.New(net))
+	}
+
+	// items.xml, zero specs: a derived range predicate over codepoint-
+	// ordered keys. Shards hold k10-14, k15-19, k20-24, k25-29.
+	itemShape := planShape{name: "pruned-derived-range", shards: []int{4},
+		setup: func(t *testing.T, shards int) *shapeFixture {
+			reg := modules.NewRegistry()
+			if err := reg.Register(itemsModule, "http://example.org/i.xq"); err != nil {
+				t.Fatal(err)
+			}
+			net := netsim.NewNetwork(0, 0)
+			dep, err := Deploy(net, reg, map[string]string{"items.xml": itemsXML(20)},
+				DeployConfig{Shards: shards, Replication: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := co.Scatter(br)
-			if err != nil {
-				t.Fatal(err)
+			write := itemsFromRequest()
+			write.Func, write.Arity, write.Updating = "setV", 2, true
+			write.Calls = [][]xdm.Sequence{{{xdm.String("k27")}, {xdm.String("changed")}}}
+			return &shapeFixture{
+				reader: func(c int64) *Coordinator { return withCache(dep.Coordinator(), c) },
+				requests: []*client.BulkRequest{
+					itemsFromRequest("k20", "k35"), // mixed: one call on two shards, one on none
+					itemsFromRequest("k25"),        // range-pruned to the last shard
+					itemsFromRequest("k17"),        // range-pruned to three shards
+				},
+				strategies: []string{"pruned", "routed", "pruned"},
+				baseline: func(br, write *client.BulkRequest) []byte {
+					return singleDocBaseline(t, reg, "items.xml", itemsXML(20), br, write)
+				},
+				write:  write,
+				writer: dep.Coordinator(),
 			}
-			if !bytes.Equal(encodeResults(br, got), encodeResults(br, want)) {
-				t.Fatalf("request %d over %d shards: streamed merge differs from buffered reference", ri, shards)
+		}}
+
+	return []planShape{
+		auctionShape,
+		personShape("broadcast", "broadcast", registered, routeless),
+		personShape("routed-registered", "routed", registered, viaDeployment),
+		personShape("routed-derived", "routed", zeroSpec, viaDeployment),
+		itemShape,
+	}
+}
+
+// runPlanShapeTable crosses every plan shape with the result cache off,
+// cold, warm and — after a commit on one shard — one shard stale, for
+// one read API. Every cell must be byte-identical to ScatterBuffered
+// (the executable reference over the same plan) and to the single-peer
+// baseline.
+func runPlanShapeTable(t *testing.T, read func(co *Coordinator, br *client.BulkRequest) ([]byte, error)) {
+	for _, shape := range planShapes() {
+		for _, shards := range shape.shards {
+			for ri := 0; ; ri++ {
+				// a write dirties the deployment: a fresh one per request
+				fx := shape.setup(t, shards)
+				if ri == len(fx.requests) {
+					break
+				}
+				br := fx.requests[ri]
+				cell := fmt.Sprintf("%s, %d shards, request %d", shape.name, shards, ri)
+				plain, cached := fx.reader(0), fx.reader(1<<20)
+				dec := plain.plan(br)
+				if dec.strategy != fx.strategies[ri] {
+					t.Fatalf("%s: planned %q, want %q", cell, dec.strategy, fx.strategies[ri])
+				}
+				// only a plan that contacts two or more shards consults the cache
+				multi := len(dec.parts) >= 2
+
+				check := func(state string, write *client.BulkRequest) {
+					t.Helper()
+					want := fx.baseline(br, write)
+					ref, err := plain.ScatterBuffered(br)
+					if err != nil {
+						t.Fatalf("%s, %s: %v", cell, state, err)
+					}
+					if !bytes.Equal(encodeResults(br, ref), want) {
+						t.Fatalf("%s, %s: buffered reference differs from single-peer baseline", cell, state)
+					}
+					for _, co := range []*Coordinator{plain, cached} {
+						got, err := read(co, br)
+						if err != nil {
+							t.Fatalf("%s, %s: %v", cell, state, err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s, %s (cache on: %v): differs from buffered reference and baseline",
+								cell, state, co.ResultCache != nil)
+						}
+					}
+				}
+				check("cold", nil)
+				check("warm", nil)
+				st := cached.ResultCache.Stats()
+				if multi && (st.Hits != 1 || st.Misses != 1) || !multi && st != (ResultCacheStats{}) {
+					t.Fatalf("%s: cache stats after cold+warm = %+v (multi-shard plan: %v)", cell, st, multi)
+				}
+				if fx.write == nil {
+					continue
+				}
+				if _, err := fx.writer.Update(fx.write); err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				check("one shard stale", fx.write)
+				if st := cached.ResultCache.Stats(); multi && st.PartialHits != 1 {
+					t.Fatalf("%s: cache stats after the commit = %+v, want 1 partial hit", cell, st)
+				}
 			}
 		}
 	}
+}
+
+// TestScatterMatchesScatterBuffered pins the read pipeline: the
+// incremental shard-order merge must produce byte-identical merged
+// responses to the collect-then-concat reference, for every plan shape
+// and result-cache state (see runPlanShapeTable).
+func TestScatterMatchesScatterBuffered(t *testing.T) {
+	runPlanShapeTable(t, func(co *Coordinator, br *client.BulkRequest) ([]byte, error) {
+		res, err := co.Scatter(br)
+		return encodeResults(br, res), err
+	})
 }
 
 // TestScatterStreamMatchesBufferedEncoding: the fully-streamed variant
 // (merged envelope written incrementally to a sink) must emit exactly
-// the bytes of encoding the buffered scatter's result.
+// the bytes of encoding the buffered scatter's result, over the same
+// table.
 func TestScatterStreamMatchesBufferedEncoding(t *testing.T) {
-	cfg := xmark.PaperConfig(0.05)
-	auctions := xmark.GenerateAuctions(cfg)
-	reg := testRegistry(t)
-
-	for _, br := range []*client.BulkRequest{probeRequest(cfg.Persons), scanRequest()} {
-		for _, shards := range []int{1, 2, 4} {
-			net := netsim.NewNetwork(0, 0)
-			dep, err := Deploy(net, reg, map[string]string{"auctions.xml": auctions},
-				DeployConfig{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			co := dep.Coordinator()
-			buffered, err := co.ScatterBuffered(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			if err := co.ScatterStream(br, &out); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), encodeResults(br, buffered)) {
-				t.Fatalf("%s over %d shards: ScatterStream bytes differ from encoded buffered merge",
-					br.Func, shards)
-			}
-			// the streamed envelope is a well-formed response
-			if _, err := soap.DecodeResponse(out.Bytes()); err != nil {
-				t.Fatalf("ScatterStream output does not decode: %v", err)
-			}
+	runPlanShapeTable(t, func(co *Coordinator, br *client.BulkRequest) ([]byte, error) {
+		var out bytes.Buffer
+		if err := co.ScatterStream(br, &out); err != nil {
+			return nil, err
 		}
-	}
+		// the streamed envelope is a well-formed response
+		if _, err := soap.DecodeResponse(out.Bytes()); err != nil {
+			return nil, fmt.Errorf("ScatterStream output does not decode: %w", err)
+		}
+		return out.Bytes(), nil
+	})
 }
 
-// TestScatterStreamPrunedRoute: the pruned path (per-shard call
-// subsets) flows through ScatterStream's fallback and stays identical.
+// TestScatterStreamPrunedRoute: a pruned plan (per-shard call subsets)
+// streams through the same merge and stays identical.
 func TestScatterStreamPrunedRoute(t *testing.T) {
 	const persons = 17
 	net := netsim.NewNetwork(0, 0)
@@ -132,39 +295,78 @@ func TestScatterStreamPrunedRoute(t *testing.T) {
 	}
 }
 
-// TestScatterStreamShardTruncation: a shard dying mid-envelope must
-// surface as that shard's error, not as a silently short merge.
-func TestScatterStreamShardTruncation(t *testing.T) {
-	reg := testRegistry(t)
-	net := netsim.NewNetwork(0, 0)
-	dep, err := Deploy(net, reg, map[string]string{
-		"auctions.xml": "<site><closed_auctions><closed_auction><price>1</price></closed_auction><closed_auction><price>2</price></closed_auction></closed_auctions></site>",
-	}, DeployConfig{Shards: 2})
+// encodeSOAPRequest renders br as the request envelope a foreign client
+// would post.
+func encodeSOAPRequest(br *client.BulkRequest) []byte {
+	return soap.EncodeRequest(&soap.Request{
+		Module: br.ModuleURI, Method: br.Func, Arity: br.Arity,
+		Location: br.AtHint, Calls: br.Calls,
+	})
+}
+
+// crashAfter replaces shard's primary with a peer that streams the first
+// keep(len) bytes of its real response to br, then dies.
+func crashAfter(t *testing.T, net *netsim.Network, dep *Deployment, shard int, br *client.BulkRequest, keep func(n int) int) {
+	t.Helper()
+	full, err := net.Send(dep.Table.Primary(shard), client.XRPCPath, encodeSOAPRequest(br))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// shard 1's peer streams half a valid response, then dies
-	full, err := net.Send(dep.Table.Primary(1), client.XRPCPath,
-		soap.EncodeRequest(&soap.Request{
-			Module: "functions_b", Method: "Q_B1", Arity: 0,
-			Location: "http://example.org/b.xq", Calls: [][]xdm.Sequence{{}},
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Register(dep.Table.Primary(1), netsim.StreamHandlerFunc(func(_ string, _ []byte) (io.ReadCloser, error) {
+	net.Register(dep.Table.Primary(shard), netsim.StreamHandlerFunc(func(_ string, _ []byte) (io.ReadCloser, error) {
 		pr, pw := io.Pipe()
 		go func() {
-			pw.Write(full[:len(full)/2])
+			pw.Write(full[:keep(len(full))])
 			pw.CloseWithError(errors.New("shard process crashed"))
 		}()
 		return pr, nil
 	}))
-	co := dep.Coordinator()
-	_, err = co.Scatter(scanRequest())
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("err = %v, want a shard 1 failure", err)
-	}
+}
+
+// TestScatterStreamShardTruncation: a shard dying mid-envelope must
+// surface as that shard's error, not as a silently short merge — on a
+// broadcast plan and on a routed one (the single part of a pruned plan
+// streams like any other).
+func TestScatterStreamShardTruncation(t *testing.T) {
+	half := func(n int) int { return n / 2 }
+	t.Run("broadcast", func(t *testing.T) {
+		net := netsim.NewNetwork(0, 0)
+		dep, err := Deploy(net, testRegistry(t), map[string]string{
+			"auctions.xml": "<site><closed_auctions><closed_auction><price>1</price></closed_auction><closed_auction><price>2</price></closed_auction></closed_auctions></site>",
+		}, DeployConfig{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// shard 1's peer streams half a valid response, then dies
+		crashAfter(t, net, dep, 1, scanRequest(), half)
+		_, err = dep.Coordinator().Scatter(scanRequest())
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("err = %v, want a shard 1 failure", err)
+		}
+	})
+	t.Run("routed", func(t *testing.T) {
+		net := netsim.NewNetwork(0, 0)
+		dep := deployPersons(t, net, 8, 2, 1)
+		co := dep.Coordinator()
+		br := getPersonRequest("person6") // shard 1 ([4,8)) only
+		if dec := co.plan(br); dec.strategy != "routed" || len(dec.parts) != 1 || dec.parts[0].shard != 1 {
+			t.Fatalf("plan = %s over %d parts, want routed to shard 1", dec.strategy, len(dec.parts))
+		}
+		crashAfter(t, net, dep, 1, br, half)
+		_, err := co.Scatter(br)
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("Scatter err = %v, want a shard 1 failure", err)
+		}
+		// streamed, the failure must truncate the envelope, never shorten
+		// the result: an error, and no well-formed response in the sink
+		var out bytes.Buffer
+		err = co.ScatterStream(br, &out)
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("ScatterStream err = %v, want a shard 1 failure", err)
+		}
+		if _, derr := soap.DecodeResponse(out.Bytes()); derr == nil {
+			t.Fatal("ScatterStream left a complete-looking envelope behind a mid-stream failure")
+		}
+	})
 }
 
 // TestProxyStreamsMergedResponse drives the whole pipeline over real
@@ -220,55 +422,58 @@ func TestProxyStreamsMergedResponse(t *testing.T) {
 
 // TestProxyAbortsOnMidStreamFailure: once merged bytes are on the wire
 // a shard failure must terminate the connection abnormally, so the
-// client sees truncation instead of a complete-looking partial result.
+// client sees truncation instead of a complete-looking partial result —
+// whether the plan is a broadcast or routed to the one failing shard.
 func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
-	reg := testRegistry(t)
-	net := netsim.NewNetwork(0, 0)
-	big := &strings.Builder{}
-	big.WriteString("<site><closed_auctions>")
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(big, "<closed_auction><price>%d</price></closed_auction>", i)
+	nearEnd := func(n int) int { return n - 200 }
+	check := func(t *testing.T, co *Coordinator, br *client.BulkRequest) {
+		co.MaxShardBuffer = 4 << 10 // small window so the merge starts before the crash is buffered
+		hs := httptest.NewServer(&Proxy{Co: co})
+		defer hs.Close()
+		resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml",
+			bytes.NewReader(encodeSOAPRequest(br)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.ReadAll(resp.Body); err == nil {
+			t.Fatal("mid-stream shard failure delivered a clean (truncated) response body")
+		}
 	}
-	big.WriteString("</closed_auctions></site>")
-	dep, err := Deploy(net, reg, map[string]string{"auctions.xml": big.String()}, DeployConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// shard 0 streams enough of a response that the proxy starts
-	// emitting merged output, then crashes
-	full, err := net.Send(dep.Table.Primary(0), client.XRPCPath,
-		soap.EncodeRequest(&soap.Request{
-			Module: "functions_b", Method: "Q_B1", Arity: 0,
-			Location: "http://example.org/b.xq", Calls: [][]xdm.Sequence{{}},
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Register(dep.Table.Primary(0), netsim.StreamHandlerFunc(func(_ string, _ []byte) (io.ReadCloser, error) {
-		pr, pw := io.Pipe()
-		go func() {
-			pw.Write(full[:len(full)-200])
-			pw.CloseWithError(errors.New("shard process crashed"))
-		}()
-		return pr, nil
-	}))
-	co := dep.Coordinator()
-	co.MaxShardBuffer = 4 << 10 // small window so the merge starts before the crash is buffered
-	hs := httptest.NewServer(&Proxy{Co: co})
-	defer hs.Close()
-
-	resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml",
-		bytes.NewReader(soap.EncodeRequest(&soap.Request{
-			Module: "functions_b", Method: "Q_B1", Arity: 0,
-			Location: "http://example.org/b.xq", Calls: [][]xdm.Sequence{{}},
-		})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.ReadAll(resp.Body); err == nil {
-		t.Fatal("mid-stream shard failure delivered a clean (truncated) response body")
-	}
+	t.Run("broadcast", func(t *testing.T) {
+		net := netsim.NewNetwork(0, 0)
+		big := &strings.Builder{}
+		big.WriteString("<site><closed_auctions>")
+		for i := 0; i < 2000; i++ {
+			fmt.Fprintf(big, "<closed_auction><price>%d</price></closed_auction>", i)
+		}
+		big.WriteString("</closed_auctions></site>")
+		dep, err := Deploy(net, testRegistry(t), map[string]string{"auctions.xml": big.String()}, DeployConfig{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// shard 0 streams enough of a response that the proxy starts
+		// emitting merged output, then crashes
+		crashAfter(t, net, dep, 0, scanRequest(), nearEnd)
+		check(t, dep.Coordinator(), scanRequest())
+	})
+	t.Run("routed", func(t *testing.T) {
+		net := netsim.NewNetwork(0, 0)
+		dep := deployPersons(t, net, 1200, 2, 1)
+		co := dep.Coordinator()
+		// 400 probes, every one owned by shard 0 ([0,600)): one part,
+		// whose response is several encoder chunks long
+		var pids []string
+		for i := 0; i < 400; i++ {
+			pids = append(pids, xmark.PersonID(i))
+		}
+		br := getPersonRequest(pids...)
+		if dec := co.plan(br); dec.strategy != "routed" || len(dec.parts) != 1 || dec.parts[0].shard != 0 {
+			t.Fatalf("plan = %s over %d parts, want routed to shard 0", dec.strategy, len(dec.parts))
+		}
+		crashAfter(t, net, dep, 0, br, nearEnd)
+		check(t, co, br)
+	})
 }
 
 // ------------------------------------------------- bounded-memory smoke
@@ -277,13 +482,20 @@ func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
 // call, many ~1 KiB string items) through the stream encoder — the
 // response never exists as one buffer on the producer side either.
 func syntheticShard(size int64) netsim.StreamHandlerFunc {
-	return netsim.StreamHandlerFunc(func(_ string, _ []byte) (io.ReadCloser, error) {
+	return netsim.StreamHandlerFunc(func(_ string, body []byte) (io.ReadCloser, error) {
 		pr, pw := io.Pipe()
 		go func() {
 			item := xdm.String(strings.Repeat("x", 1024))
 			enc := soap.NewStreamEncoder(pw, 0)
 			enc.BeginResponse("m", "scan")
 			enc.BeginSequence()
+			size := size
+			if bytes.Contains(body, []byte("shardInfo")) {
+				// a result-cache fence probe: a constant fence, no scan
+				enc.EncodeItem(xdm.String(server.VersionItem(1)))
+				enc.EncodeItem(xdm.String(server.GenerationItem(1)))
+				size = 0
+			}
 			for n := int64(0); n < size && enc.Err() == nil; n += 1024 {
 				enc.EncodeItem(item)
 			}
@@ -341,7 +553,11 @@ func heapPeak(f func()) uint64 {
 // `make memsmoke` runs it under GOMEMLIMIT=64MiB with
 // XRPC_MEMSMOKE_BYTES=268435456 (a 256 MiB scan, 4x the cap): if the
 // merge buffered anything proportional to the response, the runtime
-// would be forced into OOM-adjacent thrash instead of finishing.
+// would be forced into OOM-adjacent thrash instead of finishing. The
+// same assertion holds for every plan shape and with the result cache
+// on: a scan pruned by a registered route to one of the four shards
+// (which then produces the whole result alone), and the broadcast scan
+// through a ResultCache whose budget is far below the result.
 func TestScatterStreamBoundedMemory(t *testing.T) {
 	total := int64(32 << 20)
 	if s := os.Getenv("XRPC_MEMSMOKE_BYTES"); s != "" {
@@ -354,45 +570,86 @@ func TestScatterStreamBoundedMemory(t *testing.T) {
 	const shards = 4
 	const window = 256 << 10
 
-	run := func(size int64) (peak uint64, streamed int64) {
-		net := netsim.NewNetwork(0, 0)
-		rt, err := NewRoutingTable(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < shards; s++ {
-			uri := fmt.Sprintf("xrpc://shard%d", s)
-			net.Register(uri, syntheticShard(size/shards))
-			if err := rt.Add(s, uri); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name       string
+		pruned     bool
+		cacheBytes int64
+	}{
+		{name: "broadcast"},
+		{name: "pruned to one shard", pruned: true},
+		{name: "broadcast, small result cache", cacheBytes: 1 << 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(size int64) (peak uint64, streamed int64) {
+				net := netsim.NewNetwork(0, 0)
+				rt, err := NewRoutingTable(shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perShard := size / shards
+				if c.pruned {
+					perShard = size // the one contacted shard produces it all
+				}
+				for s := 0; s < shards; s++ {
+					uri := fmt.Sprintf("xrpc://shard%d", s)
+					net.Register(uri, syntheticShard(perShard))
+					if err := rt.Add(s, uri); err != nil {
+						t.Fatal(err)
+					}
+					// shard s holds keys k<s>0..k<s>9 of a keyed container
+					if err := rt.SetRanges(s, []KeyRange{{
+						Doc: "d.xml", Path: "/r/e", Lo: s * 10, Hi: (s + 1) * 10,
+						Keyed: true, KeyAttr: "id",
+						MinKey: fmt.Sprintf("k%d0", s), MaxKey: fmt.Sprintf("k%d9", s),
+					}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				co := NewCoordinator(rt, client.New(net))
+				co.MaxShardBuffer = window
+				br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
+				if c.pruned {
+					co.Route(RouteSpec{ModuleURI: "m", Func: "scan", KeyArg: 0, Doc: "d.xml", Path: "/r/e"})
+					br.Arity, br.Calls = 1, [][]xdm.Sequence{{{xdm.String("k25")}}}
+					if dec := co.plan(br); dec.strategy != "routed" || len(dec.parts) != 1 {
+						t.Fatalf("plan = %s over %d parts, want routed to 1 shard", dec.strategy, len(dec.parts))
+					}
+				}
+				if c.cacheBytes > 0 {
+					co.ResultCache = NewResultCache(c.cacheBytes)
+				}
+				var n int64
+				peak = heapPeak(func() {
+					cw := &countWriter{n: &n}
+					if err := co.ScatterStream(br, cw); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if c.cacheBytes > 0 {
+					// the cache stage ran (one miss) and stored nothing: the
+					// result outgrew the budget, so retaining stopped
+					if st := co.ResultCache.Stats(); st.Misses != 1 || st.Entries != 0 {
+						t.Fatalf("result cache stats = %+v, want 1 miss and no entry", st)
+					}
+				}
+				return peak, n
 			}
-		}
-		co := NewCoordinator(rt, client.New(net))
-		co.MaxShardBuffer = window
-		br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
-		var n int64
-		peak = heapPeak(func() {
-			cw := &countWriter{n: &n}
-			if err := co.ScatterStream(br, cw); err != nil {
-				t.Fatal(err)
+
+			peakSmall, _ := run(total / 4)
+			peakFull, streamed := run(total)
+			t.Logf("streamed %d MiB merged response; peak heap: %d MiB at quarter size, %d MiB at full size",
+				streamed>>20, peakSmall>>20, peakFull>>20)
+			if streamed < total {
+				t.Fatalf("merged response only %d bytes, want >= %d", streamed, total)
+			}
+			// flat: quadrupling the response must not move the peak by more
+			// than a generous constant — O(shards×window), not O(result)
+			flatBudget := peakSmall + shards*window*4 + (16 << 20)
+			if peakFull > flatBudget {
+				t.Fatalf("peak heap grows with result size: %d at %d bytes vs %d at %d bytes",
+					peakFull, total, peakSmall, total/4)
 			}
 		})
-		return peak, n
-	}
-
-	peakSmall, _ := run(total / 4)
-	peakFull, streamed := run(total)
-	t.Logf("streamed %d MiB merged response; peak heap: %d MiB at quarter size, %d MiB at full size",
-		streamed>>20, peakSmall>>20, peakFull>>20)
-	if streamed < total {
-		t.Fatalf("merged response only %d bytes, want >= %d", streamed, total)
-	}
-	// flat: quadrupling the response must not move the peak by more
-	// than a generous constant — O(shards×window), not O(result)
-	flatBudget := peakSmall + shards*window*4 + (16 << 20)
-	if peakFull > flatBudget {
-		t.Fatalf("peak heap grows with result size: %d at %d bytes vs %d at %d bytes",
-			peakFull, total, peakSmall, total/4)
 	}
 }
 

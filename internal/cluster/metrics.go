@@ -35,8 +35,8 @@ type Metrics struct {
 	// FirstItem[s]: time from merge start to shard s's first merged
 	// item (includes waiting behind earlier shards in shard order).
 	FirstItem []*obs.Histogram
-	// Call[s]: whole buffered call latency at shard s (ScatterBuffered,
-	// pruned scatters, fence probes, stale refreshes).
+	// Call[s]: whole buffered call latency at shard s (ScatterBuffered
+	// and fence probes — the read pipeline itself only streams).
 	Call []*obs.Histogram
 
 	// Txn counts the 2PC verbs of routed updates (shared across the
@@ -92,24 +92,10 @@ func (m *Metrics) countScatter(mode string) {
 	}
 }
 
-func (m *Metrics) observeOpen(shard int, d time.Duration, failovers int) {
-	if m == nil {
-		return
+func (m *Metrics) countFailovers(n int) {
+	if m != nil {
+		m.Failovers.Add(int64(n))
 	}
-	if shard >= 0 && shard < len(m.Open) {
-		m.Open[shard].ObserveDuration(d)
-	}
-	m.Failovers.Add(int64(failovers))
-}
-
-func (m *Metrics) observeCall(shard int, d time.Duration, failovers int) {
-	if m == nil {
-		return
-	}
-	if shard >= 0 && shard < len(m.Call) {
-		m.Call[shard].ObserveDuration(d)
-	}
-	m.Failovers.Add(int64(failovers))
 }
 
 // RegisterMetrics promotes the result cache's semantic counters onto a
@@ -139,11 +125,11 @@ func (rc *ResultCache) RegisterMetrics(reg *obs.Registry) {
 // past the slow-query threshold, a structured record with the trace ID
 // and per-shard open timings — the coordinator half of the slow-query
 // log (each shard's server writes its own half under the same trace).
-// A non-nil dec adds the planner's strategy and its estimated cost next
-// to the actual duration, so mispredictions are visible in the log.
-func (co *Coordinator) observeScatter(br *client.BulkRequest, fanout int, conns []*shardStream, d time.Duration, dec *planDecision) {
+// The planner's strategy and its estimated cost sit next to the actual
+// duration, so mispredictions are visible in the log.
+func (co *Coordinator) observeScatter(br *client.BulkRequest, streams []*partStream, d time.Duration, dec *planDecision) {
 	if m := co.Metrics; m != nil {
-		m.Fanout.Observe(float64(fanout))
+		m.Fanout.Observe(float64(len(streams)))
 		m.Latency.ObserveDuration(d)
 	}
 	if !co.SlowLog.Slow(d) {
@@ -158,21 +144,19 @@ func (co *Coordinator) observeScatter(br *client.BulkRequest, fanout int, conns 
 		"module", br.ModuleURI,
 		"method", br.Func,
 		"calls", len(br.Calls),
-		"fanout", fanout,
+		"fanout", len(streams),
 		"dur_ms", d.Milliseconds(),
+		"strategy", dec.strategy,
 	}
-	if dec != nil {
-		attrs = append(attrs, "strategy", dec.strategy)
-		if dec.est > 0 {
-			attrs = append(attrs,
-				"est_cost_ms", dec.est*1000,
-				"est_alt_cost_ms", dec.estAlt*1000)
-		}
+	if dec.est > 0 {
+		attrs = append(attrs,
+			"est_cost_ms", dec.est*1000,
+			"est_alt_cost_ms", dec.estAlt*1000)
 	}
-	if len(conns) > 0 {
-		shardMS := make([]float64, len(conns))
-		for i, c := range conns {
-			shardMS[i] = float64(c.openDur.Microseconds()) / 1000
+	if len(streams) > 0 {
+		shardMS := make([]float64, len(streams))
+		for i, ps := range streams {
+			shardMS[i] = float64(ps.openDur.Microseconds()) / 1000
 		}
 		attrs = append(attrs, "shard_open_ms", shardMS)
 	}

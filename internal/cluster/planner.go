@@ -30,7 +30,8 @@ type planDecision struct {
 	// "derived", or "" when no spec applied.
 	source string
 	spec   *RouteSpec
-	// parts is the per-shard partition when strategy != "broadcast".
+	// parts is what executes, in ascending shard order: the per-shard
+	// partition, or for a broadcast every shard with every call.
 	parts []*shardPart
 	// est and estAlt are the cost model's estimates (seconds) for the
 	// chosen strategy and the rejected alternative, for the slow-query
@@ -38,8 +39,46 @@ type planDecision struct {
 	est, estAlt float64
 }
 
-func broadcastPlan(source string) *planDecision {
-	return &planDecision{strategy: "broadcast", source: source}
+// broadcastPlan is the plan whose parts are every shard, all calls:
+// each part carries br itself, so all of them share its one encoding.
+func (co *Coordinator) broadcastPlan(br *client.BulkRequest, source string) *planDecision {
+	orig := make([]int, len(br.Calls))
+	for i := range orig {
+		orig[i] = i
+	}
+	parts := make([]*shardPart, co.Table.NumShards())
+	for s := range parts {
+		parts[s] = &shardPart{shard: s, br: br, orig: orig}
+	}
+	return &planDecision{strategy: "broadcast", source: source, parts: parts}
+}
+
+// resolveSpec is the one registered-then-derived route lookup, for reads
+// and updates alike. A hand-written spec wins. One that names the
+// function but cannot apply to this request is warned once and counted,
+// and the lookup falls through to the compiler-derived spec — just as
+// sound, since the derivation proves the body only touches rows carrying
+// the key; a derivation that cannot apply to the live table is warned
+// the same way. source says where the answer, or the refusal, came from
+// ("" when nothing names the function: the documented broadcast
+// fallback); reason is why a nil spec was refused.
+func (co *Coordinator) resolveSpec(br *client.BulkRequest) (spec *RouteSpec, source, reason string) {
+	spec, reason = co.registeredSpec(br)
+	if spec != nil {
+		return spec, "registered", ""
+	}
+	if reason != "" {
+		co.warnInapplicable(br, reason)
+		source = "registered"
+	}
+	d, why, analysed := co.derivedSpec(br)
+	if !analysed {
+		return nil, source, reason
+	}
+	if d == nil {
+		co.warnInapplicable(br, why)
+	}
+	return d, "derived", why
 }
 
 // plan resolves the strategy for a read-only bulk request. It never
@@ -48,26 +87,16 @@ func broadcastPlan(source string) *planDecision {
 // attribute, operator soundness) and rejected to broadcast — with a
 // once-per-function warning — on any mismatch.
 func (co *Coordinator) plan(br *client.BulkRequest) *planDecision {
-	if spec, why := co.registeredSpec(br); spec != nil {
-		if !co.Table.Prunable(spec.Doc, spec.Path) {
-			co.warnInapplicable(br, fmt.Sprintf(
-				"container %s %s has no keyed range metadata", spec.Doc, spec.Path))
-			return broadcastPlan("registered")
-		}
-		return co.decide("registered", spec, br, false)
-	} else if why != "" {
-		co.warnInapplicable(br, why)
-		return broadcastPlan("registered")
-	}
-	spec, why, analysed := co.derivedSpec(br)
-	if !analysed {
-		return broadcastPlan("") // underivable (or no planner): the documented fallback
+	spec, source, _ := co.resolveSpec(br)
+	if spec != nil && source == "registered" && !co.Table.Prunable(spec.Doc, spec.Path) {
+		co.warnInapplicable(br, fmt.Sprintf(
+			"container %s %s has no keyed range metadata", spec.Doc, spec.Path))
+		spec = nil
 	}
 	if spec == nil {
-		co.warnInapplicable(br, why)
-		return broadcastPlan("derived")
+		return co.broadcastPlan(br, source)
 	}
-	return co.decide("derived", spec, br, true)
+	return co.decide(source, spec, br, source == "derived")
 }
 
 // derivedSpec asks the planner for a compiler-derived route key and
@@ -145,7 +174,9 @@ func (co *Coordinator) decide(source string, spec *RouteSpec, br *client.BulkReq
 	d.est = st.EstimateScatter(loads, len(br.Calls), false)
 	d.estAlt = st.EstimateBroadcast(co.Table.NumShards(), len(br.Calls))
 	if costed && d.est > d.estAlt {
-		return &planDecision{strategy: "broadcast", source: source, est: d.estAlt, estAlt: d.est}
+		b := co.broadcastPlan(br, source)
+		b.est, b.estAlt = d.estAlt, d.est
+		return b
 	}
 	return d
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/planner"
+	"xrpc/internal/txn"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -156,12 +158,64 @@ func TestPlannerZeroSpecRoutedUpdate(t *testing.T) {
 	}
 }
 
+// TestProxyQueryIDKeepsPlanner is the regression test for proxied
+// requests inside an isolation scope: the queryID-pinned client is a
+// per-request argument of the one coordinator, so a request carrying a
+// queryID plans exactly like one without — on a zero-spec deployment a
+// point read still contacts one shard (not all three) and an update
+// still finds its derived route and commits.
+func TestProxyQueryIDKeepsPlanner(t *testing.T) {
+	const persons = 12
+	net := netsim.NewNetwork(0, 0)
+	dep := deployPersonsZeroSpec(t, net, persons, 3, 0)
+	hs := httptest.NewServer(&Proxy{Co: dep.Coordinator()})
+	defer hs.Close()
+	isolated := client.New(client.NewHTTPTransport())
+	isolated.QueryID = txn.NewQueryID("xrpc://test-client", 30)
+
+	probe := getPersonRequest("person4")
+	net.ResetStats()
+	res, err := isolated.CallBulk(hs.URL, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeResults(probe, res), singlePersonsBaseline(t, persons, probe, nil)) {
+		t.Fatal("proxied point read under a queryID differs from single-peer baseline")
+	}
+	contacted := 0
+	for s := 0; s < 3; s++ {
+		if reqs, _, _ := net.PeerStats(dep.Table.Primary(s)); reqs > 0 {
+			contacted++
+		}
+	}
+	if contacted != 1 {
+		t.Fatalf("point read under a queryID contacted %d shards, want exactly 1", contacted)
+	}
+
+	upd := setCityRequest("Delft", "person4")
+	if _, err := isolated.CallBulk(hs.URL, upd); err != nil {
+		t.Fatalf("proxied update under a queryID: %v", err)
+	}
+	// read back outside the isolation scope (the pinned snapshot predates
+	// the commit by design)
+	res, err = client.New(client.NewHTTPTransport()).CallBulk(hs.URL, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeResults(probe, res), singlePersonsBaseline(t, persons, probe, upd)) {
+		t.Fatal("proxied update under a queryID did not commit")
+	}
+}
+
 // itemsModule keys a range scan: @id >= $k over a container whose keys
 // are fixed-width, hence codepoint-ordered (KeyRange.Lex).
 const itemsModule = `
 module namespace i = "functions_i";
 declare function i:itemsFrom($k as xs:string) as node()*
-{ doc("items.xml")//item[@id >= $k] };`
+{ doc("items.xml")//item[@id >= $k] };
+declare updating function i:setV($k as xs:string, $v as xs:string)
+{ for $x in doc("items.xml")//item[@id = $k]/v
+  return replace value of node $x with $v };`
 
 func itemsXML(n int) string {
 	var b strings.Builder
@@ -326,7 +380,10 @@ func TestPlannerStatsFencing(t *testing.T) {
 	co := dep.Coordinator()
 	st := co.Planner.Stats
 
-	br := getPersonRequest("person3") // shard 0 ([0,6))
+	// a two-shard read (shard 0 holds [0,6), shard 1 [6,12)): only plans
+	// that contact two or more shards consult the result cache, whose
+	// fence probe round is what the statistics fence rides on
+	br := getPersonRequest("person3", "person9")
 	if _, err := co.Scatter(br); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,12 @@ import (
 // Proxy exposes a Coordinator as an ordinary XRPC peer over HTTP: a
 // client posts a bulk request to /xrpc exactly as it would to a single
 // server, and receives the merged cluster response — streamed. Read
-// requests flow through ScatterStream, so the proxy forwards shard
-// results to the client as they arrive and never materializes the
-// merged response; updating requests route through Update (whose
-// result, one status sequence per call, is small by construction).
+// requests flow through the read pipeline into a writer sink (what
+// ScatterStream does, through a client pinned to the request's queryID
+// when it carries one), so the proxy forwards shard results to the
+// client as they arrive and never materializes the merged response;
+// updating requests route through Update (whose result, one status
+// sequence per call, is small by construction).
 type Proxy struct {
 	Co *Coordinator
 	// MaxRequestBytes bounds one request body (0 = 256 MiB, matching
@@ -79,9 +81,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		SeqNrs:     req.SeqNrs,
 		TraceID:    trace,
 	}
-	co := p.Co.withQueryID(req.QueryID)
 	if req.Updating {
-		results, err := co.Update(br)
+		results, err := p.Co.Update(br)
 		if err != nil {
 			if p.Log != nil {
 				p.Log.Error("update failed", "trace_id", trace,
@@ -99,7 +100,16 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		sink.f = f
 	}
-	if err := co.ScatterStream(br, sink); err != nil {
+	// a request inside an isolation scope reads through a client pinned to
+	// its queryID (repeatable read at every shard); everything else about
+	// the coordinator — planner, routes, table, demotion records — is the
+	// one shared instance, for reads and for Update alike
+	cl := p.Co.Client
+	if req.QueryID != nil {
+		cl = client.New(cl.Transport)
+		cl.QueryID = req.QueryID
+	}
+	if err := p.Co.scatterStream(cl, br, sink); err != nil {
 		if sink.wrote == 0 {
 			// nothing left the process yet: a clean fault envelope
 			if p.Log != nil {
@@ -148,31 +158,4 @@ func (s *proxySink) Write(p []byte) (int, error) {
 		s.f.Flush()
 	}
 	return n, nil
-}
-
-// withQueryID returns a coordinator whose scattered requests carry the
-// given queryID (repeatable-read isolation for proxied clients): the
-// coordinator itself is shared state, so a shallow sibling sharing the
-// routing table and transport is built around a client pinned to the
-// queryID. A nil queryID returns the coordinator unchanged.
-func (co *Coordinator) withQueryID(qid *soap.QueryID) *Coordinator {
-	if qid == nil {
-		return co
-	}
-	cl := client.New(co.Client.Transport)
-	cl.QueryID = qid
-	sib := &Coordinator{
-		ClusterURI:     co.ClusterURI,
-		Table:          co.Table,
-		Client:         cl,
-		TxnTimeout:     co.TxnTimeout,
-		MaxShardBuffer: co.MaxShardBuffer,
-		OnEvict:        co.OnEvict,
-		Metrics:        co.Metrics,
-		SlowLog:        co.SlowLog,
-	}
-	co.mu.RLock()
-	sib.routes = append([]RouteSpec(nil), co.routes...)
-	co.mu.RUnlock()
-	return sib
 }

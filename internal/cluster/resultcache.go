@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"io"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"xrpc/internal/cache"
@@ -20,11 +19,12 @@ const DefaultResultCacheBytes = 64 << 20
 // results keyed on the request's encoded call set and fenced on a
 // per-shard fence vector of (store version, registry generation).
 // Revalidation is a shardInfo probe — one tiny system call per shard
-// instead of re-executing the query — and a broadcast entry whose
-// vector is partially stale refreshes only the stale shards, splicing
-// their fresh results into the retained ones.
+// instead of re-executing the query — and an entry whose vector is
+// partially stale refreshes only the stale shards, splicing their fresh
+// results into the retained ones.
 type ResultCache struct {
-	lru *cache.LRU
+	lru    *cache.LRU
+	budget int64 // the LRU's byte bound: a larger result is not worth retaining
 
 	// Semantic counters (the LRU's own hit/miss counters track entry
 	// presence; these track what presence *meant*):
@@ -48,7 +48,7 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultResultCacheBytes
 	}
-	return &ResultCache{lru: cache.New(maxBytes, 0)}
+	return &ResultCache{lru: cache.New(maxBytes, 0), budget: maxBytes}
 }
 
 // Stats snapshots the counters and current size.
@@ -84,11 +84,9 @@ type resultEntry struct {
 	// fences[s] is shard s's (version, generation) fence the entry is
 	// valid at (probed around population, stored for every shard).
 	fences []shardFence
-	// perShard[s][i] is shard s's own result for call i — retained for
-	// broadcast scatters so a partially-stale entry can refresh just
-	// the stale shards. nil for pruned scatters (their per-call shard
-	// subsets don't decompose this way); those entries are all-or-
-	// nothing.
+	// perShard[s][i] is shard s's own result for call i (empty where the
+	// plan did not send call i to shard s) — retained so a partially
+	// stale entry can refresh just the stale shards.
 	perShard [][]xdm.Sequence
 	// merged is the full shard-order merge — what a hit returns.
 	merged []xdm.Sequence
@@ -122,50 +120,36 @@ func estimateSize(key string, merged []xdm.Sequence) int64 {
 }
 
 // probeFences asks every shard for its (version, generation) fence via
-// the shardInfo system call (encode once, post to each shard with
-// replica failover). An error — or a shard that does not report both
-// fence items, e.g. a peer predating the fence — disables caching for
-// this request.
+// the shardInfo system call, broadcast through the buffered fan-out
+// (encode once, post to each shard with replica failover). An error —
+// or a shard that does not report both fence items, e.g. a peer
+// predating the fence — disables caching for this request.
 func (co *Coordinator) probeFences() ([]shardFence, error) {
-	enc := co.Client.EncodeBulk(&client.BulkRequest{
+	br := &client.BulkRequest{
 		ModuleURI: client.SystemModule,
 		Func:      "shardInfo",
 		Arity:     0,
 		Calls:     [][]xdm.Sequence{{}},
-	})
-	defer enc.Release()
-	body := enc.Bytes()
-	n := co.Table.NumShards()
-	fences := make([]shardFence, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			res, err := co.callShard(s, body, 1)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			var haveVer, haveGen bool
-			for _, it := range res[0] {
-				if v, ok := server.ParseVersionItem(it.StringValue()); ok {
-					fences[s].version, haveVer = v, true
-				}
-				if g, ok := server.ParseGenerationItem(it.StringValue()); ok {
-					fences[s].generation, haveGen = g, true
-				}
-			}
-			if !haveVer || !haveGen {
-				errs[s] = xdm.Errorf("XRPC0007", "shard %d reports no version/generation fence", s)
-			}
-		}(s)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	r := co.plannedRead(co.Client, br, co.broadcastPlan(br, ""))
+	defer r.release()
+	results, err := r.callBuffered()
+	if err != nil {
+		return nil, err
+	}
+	fences := make([]shardFence, len(results))
+	for s, res := range results {
+		var haveVer, haveGen bool
+		for _, it := range res[0] {
+			if v, ok := server.ParseVersionItem(it.StringValue()); ok {
+				fences[s].version, haveVer = v, true
+			}
+			if g, ok := server.ParseGenerationItem(it.StringValue()); ok {
+				fences[s].generation, haveGen = g, true
+			}
+		}
+		if !haveVer || !haveGen {
+			return nil, xdm.Errorf("XRPC0007", "shard %d reports no version/generation fence", s)
 		}
 	}
 	// the planner's per-shard statistics fence on the same probe round:
@@ -174,29 +158,19 @@ func (co *Coordinator) probeFences() ([]shardFence, error) {
 	return fences, nil
 }
 
-func sameFences(a, b []shardFence) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scatterCached answers a read-only scatter through the merged-result
-// cache. The key is the request's destination-independent encoded body
-// (encode-once scatter-many makes this deterministic); freshness is the
-// per-shard (version, generation) fence vector. Any probe failure falls
-// back to plain execution with caching off — stale is never served.
-func (co *Coordinator) scatterCached(br *client.BulkRequest) ([]xdm.Sequence, error) {
-	rc := co.ResultCache
-	enc := co.Client.EncodeBulk(br)
-	defer enc.Release()
-	body := enc.Bytes()
-	key := string(body)
+// throughCache is the pipeline's cache stage (see read for when it
+// runs). The key is the request's destination-independent encoded body
+// (encode-once makes this deterministic); freshness is the per-shard
+// (version, generation) fence vector. A hit is delivered from memory
+// after one probe round; a partially stale entry narrows the shard set —
+// the same pipeline runs over only the stale shards' parts and the merge
+// is rebuilt from retained + fresh per-shard sequences; a miss runs the
+// whole plan through a capturing tee. Any probe failure falls back to
+// plain execution with caching off — stale is never served.
+func (r *readOp) throughCache(out sink) error {
+	co, rc := r.co, r.co.ResultCache
+	parts, calls, n := r.dec.parts, len(r.br.Calls), co.Table.NumShards()
+	key := string(r.body(r.br))
 
 	if v, _, ok := rc.lru.GetAny(key); ok {
 		entry := v.(*resultEntry)
@@ -207,162 +181,84 @@ func (co *Coordinator) scatterCached(br *client.BulkRequest) ([]xdm.Sequence, er
 			// a shard we can't probe is a shard we can't trust the
 			// entry against: execute directly, don't populate
 			rc.Misses.Add(1)
-			return co.scatterDirect(br)
-		case sameFences(entry.fences, probed):
+			return r.run(parts, out)
+		case slices.Equal(entry.fences, probed):
 			rc.Hits.Add(1)
-			return entry.clipped(), nil
-		case entry.perShard != nil:
-			// broadcast entry, some shards moved on: re-query only
-			// those, splice, and re-store under the probed vector.
-			// A commit landing between probe and refresh tags the
-			// fresher data with the older probed fence — the safe
-			// direction (one extra refresh later, never a stale serve).
-			merged, err := co.refreshStale(br, body, entry, probed)
-			if err != nil {
-				return nil, err
+			return out.all(entry.clipped())
+		case len(entry.fences) == n:
+			// some shards moved on: re-query only those and re-store
+			// under the probed vector. A commit landing between probe
+			// and refresh tags the fresher data with the older probed
+			// fence — the safe direction (one extra refresh later,
+			// never a stale serve).
+			var stale []*shardPart
+			for _, p := range parts {
+				if probed[p.shard] != entry.fences[p.shard] {
+					stale = append(stale, p)
+				}
 			}
+			fresh := newTee(discard{}, n, calls, 0)
+			if len(stale) > 0 { // else only shards the plan never contacts moved
+				if err := r.run(stale, fresh); err != nil {
+					return err
+				}
+			}
+			perShard := slices.Clone(entry.perShard)
+			for _, p := range stale {
+				perShard[p.shard] = fresh.perShard[p.shard]
+			}
+			next := &resultEntry{fences: probed, perShard: perShard, merged: mergeShards(perShard, calls)}
 			rc.PartialHits.Add(1)
-			return merged, nil
-		default:
-			// pruned entry: no per-shard split to refresh from
-			rc.lru.Remove(key)
+			if err := out.all(next.clipped()); err != nil {
+				return err
+			}
+			rc.put(key, next, out.written())
+			return nil
 		}
+		// table resized since population: the entry's shard split no
+		// longer lines up — re-execute, overwriting it
 	}
 
 	rc.Misses.Add(1)
 	// populate guard: probe before and after execution and store only
 	// when the fence vectors agree — a commit landing mid-scatter could
 	// otherwise tag mixed-version results as clean
-	pre, preErr := co.probeFences()
-	dec := co.plan(br)
-	var merged []xdm.Sequence
-	var perShard [][]xdm.Sequence
-	var err error
-	if dec.strategy != "broadcast" {
-		merged, err = co.scatterPruned(br, dec)
-	} else {
-		merged, perShard, err = co.gatherCapture(br, body, preErr == nil, dec)
-	}
+	pre, err := co.probeFences()
 	if err != nil {
-		return nil, err
+		return r.run(parts, out)
 	}
-	if preErr == nil {
-		if post, err := co.probeFences(); err == nil && sameFences(pre, post) {
-			entry := &resultEntry{fences: pre, perShard: perShard, merged: merged}
-			rc.lru.Put(key, entry, estimateSize(key, merged), 0)
-			return entry.clipped(), nil
-		}
-	}
-	return merged, nil
-}
-
-// encodeMergedTo renders a materialized merged result as the response
-// envelope — the hit path of the streamed cached scatter, whose result
-// the cache necessarily holds anyway. Byte-identical to the incremental
-// encoder's output for the same sequences.
-func encodeMergedTo(w io.Writer, br *client.BulkRequest, results []xdm.Sequence) error {
-	return soap.EncodeResponseTo(w, &soap.Response{
-		Module: br.ModuleURI, Method: br.Func, Results: results,
-	})
-}
-
-// scatterCachedStream is scatterCached for the streaming response path
-// (broadcast requests only — ScatterStream handles pruned requests
-// before consulting the cache). Hits and partial hits encode the cached
-// sequences; a miss keeps the gather incremental — items flow to w as
-// shards produce them — and retains one copy of the result only to
-// populate the cache (and only when a clean pre-probe means the entry
-// may actually be stored).
-func (co *Coordinator) scatterCachedStream(br *client.BulkRequest, w io.Writer) error {
-	rc := co.ResultCache
-	enc := co.Client.EncodeBulk(br)
-	defer enc.Release()
-	body := enc.Bytes()
-	key := string(body)
-
-	if v, _, ok := rc.lru.GetAny(key); ok {
-		entry := v.(*resultEntry)
-		rc.Revalidations.Add(1)
-		probed, err := co.probeFences()
-		switch {
-		case err != nil:
-			rc.Misses.Add(1)
-			_, _, err := co.gatherStreamCapture(br, body, w, false, nil)
-			return err
-		case sameFences(entry.fences, probed):
-			rc.Hits.Add(1)
-			return encodeMergedTo(w, br, entry.merged)
-		case entry.perShard != nil:
-			merged, err := co.refreshStale(br, body, entry, probed)
-			if err != nil {
-				return err
-			}
-			rc.PartialHits.Add(1)
-			return encodeMergedTo(w, br, merged)
-		default:
-			rc.lru.Remove(key)
-		}
-	}
-
-	rc.Misses.Add(1)
-	pre, preErr := co.probeFences()
-	merged, perShard, err := co.gatherStreamCapture(br, body, w, preErr == nil, nil)
-	if err != nil {
+	t := newTee(out, n, calls, rc.budget)
+	if err := r.run(parts, t); err != nil {
 		return err
 	}
-	if preErr == nil {
-		if post, err := co.probeFences(); err == nil && sameFences(pre, post) {
-			entry := &resultEntry{fences: pre, perShard: perShard, merged: merged}
-			rc.lru.Put(key, entry, estimateSize(key, merged), 0)
-		}
+	if t.perShard == nil {
+		return nil // outgrew what the cache could store: nothing was kept
+	}
+	if post, err := co.probeFences(); err == nil && slices.Equal(pre, post) {
+		rc.put(key, &resultEntry{fences: pre, perShard: t.perShard,
+			merged: mergeShards(t.perShard, calls)}, out.written())
 	}
 	return nil
 }
 
-// refreshStale re-queries exactly the shards whose probed fence differs
-// from the entry's, rebuilds the merge from retained + fresh per-shard
-// results, and re-stores the entry under the probed vector.
-func (co *Coordinator) refreshStale(br *client.BulkRequest, body []byte, entry *resultEntry, probed []shardFence) ([]xdm.Sequence, error) {
-	n := co.Table.NumShards()
-	if len(entry.fences) != n || len(entry.perShard) != n {
-		// table resized since population: the entry's shard split no
-		// longer lines up — full re-execute
-		return co.scatterDirect(br)
-	}
-	fresh := make([][]xdm.Sequence, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		if probed[s] == entry.fences[s] {
-			fresh[s] = entry.perShard[s]
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			fresh[s], errs[s] = co.callShard(s, body, len(br.Calls))
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, xdm.Errorf("XRPC0007", "cluster: shard %d: %v", s, err)
-		}
-	}
-	merged := make([]xdm.Sequence, len(br.Calls))
+// mergeShards concatenates per-shard results in shard order (= document
+// order): the merge, rebuilt from its retained split.
+func mergeShards(perShard [][]xdm.Sequence, calls int) []xdm.Sequence {
+	merged := make([]xdm.Sequence, calls)
 	for i := range merged {
-		var seq xdm.Sequence
-		for s := 0; s < n; s++ {
-			seq = append(seq, fresh[s][i]...)
+		for _, seqs := range perShard {
+			merged[i] = append(merged[i], seqs[i]...)
 		}
-		merged[i] = seq
 	}
-	next := &resultEntry{
-		fences:   append([]shardFence(nil), probed...),
-		perShard: fresh,
-		merged:   merged,
+	return merged
+}
+
+// put prices and stores an entry: by the encoded bytes the output sink
+// already counted where it encodes, by measuring otherwise.
+func (rc *ResultCache) put(key string, e *resultEntry, written int64) {
+	size := int64(len(key)) + written
+	if written == 0 {
+		size = estimateSize(key, e.merged)
 	}
-	key := string(body)
-	co.ResultCache.lru.Put(key, next, estimateSize(key, merged), 0)
-	return next.clipped(), nil
+	rc.lru.Put(key, e, size, 0)
 }

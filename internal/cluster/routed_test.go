@@ -99,12 +99,18 @@ func deployPersons(t *testing.T, net *netsim.Network, persons, shards, replicati
 func singlePersonsBaseline(t *testing.T, persons int, br *client.BulkRequest, after *client.BulkRequest) []byte {
 	t.Helper()
 	xml := xmark.GeneratePersons(xmark.Config{Persons: persons, Seed: 11})
+	return singleDocBaseline(t, personsRegistry(t), "persons.xml", xml, br, after)
+}
+
+// singleDocBaseline loads one document into one unsharded peer, applies
+// the update after (if any), and returns br's encoded result there.
+func singleDocBaseline(t *testing.T, reg *modules.Registry, doc, xml string, br, after *client.BulkRequest) []byte {
+	t.Helper()
 	net := netsim.NewNetwork(0, 0)
 	st := store.New()
-	if err := st.LoadXML("persons.xml", xml); err != nil {
+	if err := st.LoadXML(doc, xml); err != nil {
 		t.Fatal(err)
 	}
-	reg := personsRegistry(t)
 	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
 	net.Register("xrpc://single", srv)
 	cl := client.New(net)
