@@ -88,18 +88,31 @@ func versionOf(t *testing.T, cl *client.Client, url string) int64 {
 // recovered peer's version covers all acked updates, the stormed
 // person's city is the last acked write (or a later unacked one the
 // log happened to make durable — never an earlier one), and a document
-// committed before the storm reads back byte-identical.
+// committed before the storm reads back byte-identical. It runs without
+// and with the response cache, the configuration the end-to-end
+// benchmark's point_lookup and update_mix shards use.
 func TestXrpcdCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "xrpcd")
+	bin := filepath.Join(t.TempDir(), "xrpcd")
 	build := exec.Command("go", "build", "-o", bin, "xrpc/cmd/xrpcd")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building xrpcd: %v\n%s", err, out)
 	}
+	for _, row := range []struct {
+		name  string
+		extra []string
+	}{
+		{"wal", nil},
+		{"wal+respcache", []string{"-respcache", "8"}},
+	} {
+		t.Run(row.name, func(t *testing.T) { crashRecovery(t, bin, row.extra) })
+	}
+}
 
+func crashRecovery(t *testing.T, bin string, extra []string) {
+	tmp := t.TempDir()
 	docs := filepath.Join(tmp, "docs")
 	mods := filepath.Join(tmp, "modules")
 	// the WAL lives outside t.TempDir-per-start so both incarnations
@@ -131,7 +144,7 @@ func TestXrpcdCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	args := []string{"-docs", docs, "-modules", mods, "-wal-dir", walDir}
+	args := append([]string{"-docs", docs, "-modules", mods, "-wal-dir", walDir}, extra...)
 	url, proc := startXrpcd(t, bin, args...)
 	cl := client.New(client.NewHTTPTransportTimeout(10 * time.Second))
 

@@ -278,7 +278,7 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 			return nil, err
 		}
 	}
-	if err := interp.ApplyUpdates(p.Store, pul); err != nil {
+	if err := p.Server.Apply(pul); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"xrpc/internal/client"
 	"xrpc/internal/netsim"
+	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
 
@@ -121,6 +123,37 @@ return count(execute at {"xrpc://y"} {f:filmsByActor($a)})`
 	y.SetFunctionCache(true)
 	wp, _ := NewWrapperPeer("xrpc://w", net)
 	wp.SetFunctionCache(false) // no-op, must not panic
+}
+
+// Both engines apply one function library: the same answer, or the same
+// error code, whichever engine the peer runs.
+func TestEnginesShareFunctionLibrary(t *testing.T) {
+	probes := []struct{ query, want, wantCode string }{
+		{`upper-case("abc")`, "ABC", ""},
+		{`subsequence((1,2,3,4), 1.5)`, "2 3 4", ""},
+		{`for $i in (1,2) return substring("hello", $i)`, "hello ello", ""},
+		{`sum((), 7)`, "7", ""},
+		{`round(2.5)`, "3", ""},
+		{`xs:integer((1,2))`, "", "XPTY0004"},
+	}
+	for _, engine := range []EngineKind{EngineLoopLifted, EngineInterpreted} {
+		p := NewPeer("xrpc://p", nil)
+		p.Engine = engine
+		for _, probe := range probes {
+			res, err := p.Query(probe.query)
+			var xe *xdm.Error
+			switch {
+			case probe.wantCode != "":
+				if !errors.As(err, &xe) || xe.Code != probe.wantCode {
+					t.Errorf("engine %d: %s: err = %v, want %s", engine, probe.query, err, probe.wantCode)
+				}
+			case err != nil:
+				t.Errorf("engine %d: %s: %v", engine, probe.query, err)
+			case res.Serialize() != probe.want:
+				t.Errorf("engine %d: %s = %q, want %q", engine, probe.query, res.Serialize(), probe.want)
+			}
+		}
+	}
 }
 
 func TestQueryNoTransport(t *testing.T) {

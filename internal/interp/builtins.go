@@ -2,59 +2,165 @@ package interp
 
 import (
 	"math"
+	"sort"
 	"strings"
 
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
 )
 
-// evalBuiltin dispatches built-in function calls. Names may be written
-// bare ("count") or with the fn: prefix; xs:TYPE(...) constructor
-// functions cast; xrpc:host/xrpc:path are the §5 helper functions.
-func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
-	name := call.Name
-	if strings.HasPrefix(name, "fn:") {
-		name = name[3:]
+// BuiltinFunc is a built-in function that reads nothing but its evaluated
+// arguments and the document resolver, so either engine can apply it.
+type BuiltinFunc func(docs DocResolver, args []xdm.Sequence) (xdm.Sequence, error)
+
+// builtin is one entry of the function library both engines share.
+type builtin struct {
+	minArgs, maxArgs int
+	eval             BuiltinFunc
+	// ctxItem: called without arguments, eval is applied to the context
+	// item (fn:string() is fn:string(.)).
+	ctxItem bool
+	// dyn replaces eval in the entries that read the interpreter's
+	// dynamic context; needs names what they read.
+	dyn   func(ctx *dynCtx, args []xdm.Sequence) (xdm.Sequence, error)
+	needs string
+}
+
+func fn(minArgs, maxArgs int, eval BuiltinFunc) builtin {
+	return builtin{minArgs: minArgs, maxArgs: maxArgs, eval: eval}
+}
+
+func ctxFn(eval BuiltinFunc) builtin {
+	return builtin{maxArgs: 1, eval: eval, ctxItem: true}
+}
+
+func dynFn(args int, needs string, dyn func(*dynCtx, []xdm.Sequence) (xdm.Sequence, error)) builtin {
+	return builtin{minArgs: args, maxArgs: args, dyn: dyn, needs: needs}
+}
+
+var builtins = map[string]builtin{
+	"doc": fn(1, 1, bifDoc),
+	"put": dynFn(2, "the pending update list", bifPut),
+
+	"count":  fn(1, 1, bifCount),
+	"empty":  fn(1, 1, bifEmpty),
+	"exists": fn(1, 1, bifExists),
+
+	"not":     fn(1, 1, bifNot),
+	"boolean": fn(1, 1, bifBoolean),
+	"true":    fn(0, 0, bifTrue),
+	"false":   fn(0, 0, bifFalse),
+
+	"string":           ctxFn(bifString),
+	"data":             fn(1, 1, bifData),
+	"number":           ctxFn(bifNumber),
+	"concat":           fn(2, 64, bifConcat),
+	"contains":         fn(2, 2, bifContains),
+	"starts-with":      fn(2, 2, bifStartsWith),
+	"ends-with":        fn(2, 2, bifEndsWith),
+	"substring":        fn(2, 3, bifSubstring),
+	"substring-before": fn(2, 2, bifSubstringBefore),
+	"substring-after":  fn(2, 2, bifSubstringAfter),
+	"string-length":    ctxFn(bifStringLength),
+	"string-join":      fn(2, 2, bifStringJoin),
+	"upper-case":       fn(1, 1, bifUpperCase),
+	"lower-case":       fn(1, 1, bifLowerCase),
+	"normalize-space":  ctxFn(bifNormalizeSpace),
+	"translate":        fn(3, 3, bifTranslate),
+	"tokenize":         fn(2, 2, bifTokenize),
+
+	"sum":     fn(1, 2, bifSum),
+	"avg":     fn(1, 1, bifAvg),
+	"min":     fn(1, 1, bifMin),
+	"max":     fn(1, 1, bifMax),
+	"abs":     fn(1, 1, bifAbs),
+	"floor":   fn(1, 1, bifFloor),
+	"ceiling": fn(1, 1, bifCeiling),
+	"round":   fn(1, 1, bifRound),
+
+	"distinct-values": fn(1, 1, bifDistinctValues),
+	"reverse":         fn(1, 1, bifReverse),
+	"subsequence":     fn(2, 3, bifSubsequence),
+	"insert-before":   fn(3, 3, bifInsertBefore),
+	"remove":          fn(2, 2, bifRemove),
+	"index-of":        fn(2, 2, bifIndexOf),
+
+	"zero-or-one":  fn(1, 1, bifZeroOrOne),
+	"one-or-more":  fn(1, 1, bifOneOrMore),
+	"exactly-one":  fn(1, 1, bifExactlyOne),
+	"deep-equal":   fn(2, 2, bifDeepEqual),
+	"name":         ctxFn(bifName),
+	"local-name":   ctxFn(bifLocalName),
+	"node-name":    fn(1, 1, bifNodeName),
+	"root":         ctxFn(bifRoot),
+	"last":         dynFn(0, "the context size", bifLast),
+	"position":     dynFn(0, "the context position", bifPosition),
+	"error":        fn(0, 2, bifError),
+	"trace":        fn(2, 2, bifTrace),
+	"string-value": fn(1, 1, bifStringValue),
+
+	// xrpc: helper functions from §5 "Advanced Pushdown"
+	"xrpc:host": fn(1, 1, bifXrpcHost),
+	"xrpc:path": fn(1, 1, bifXrpcPath),
+}
+
+// lookupBuiltin resolves a call by name and arity, the same way for both
+// engines. Names may be written bare ("count") or with the fn: prefix;
+// xs:TYPE(...) constructor functions cast; xrpc:host/xrpc:path are the
+// §5 helper functions.
+func lookupBuiltin(name string, arity int) (builtin, error) {
+	if strings.HasPrefix(name, "xs:") && arity == 1 {
+		return fn(1, 1, castTo(name)), nil
 	}
-	// xs: constructor functions
-	if strings.HasPrefix(call.Name, "xs:") && len(call.Args) == 1 {
-		v, err := ctx.eval(call.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		v = xdm.Atomize(v)
-		if len(v) == 0 {
-			return nil, nil
-		}
-		if len(v) > 1 {
-			return nil, xdm.NewError("XPTY0004", "constructor argument is not a singleton")
-		}
-		out, err := xdm.CastAtomic(v[0], call.Name)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(out), nil
-	}
-	fn, ok := builtins[name]
+	b, ok := builtins[strings.TrimPrefix(name, "fn:")]
 	if !ok {
-		if ext, isExt := ctx.c.engine.ExtFuncs[call.Name]; isExt {
-			args := make([]xdm.Sequence, len(call.Args))
-			for i, a := range call.Args {
-				v, err := ctx.eval(a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			return ext(args)
+		return builtin{}, xdm.Errorf("XPST0017", "unknown function %s#%d", name, arity)
+	}
+	if b.minArgs > arity || arity > b.maxArgs {
+		return builtin{}, xdm.Errorf("XPST0017", "wrong number of arguments for %s: %d", name, arity)
+	}
+	return b, nil
+}
+
+// Builtin returns the built-in function name#arity for an engine that
+// keeps no dynamic context of its own (the loop-lifted one). f is nil
+// for the applications only the interpreter can evaluate, and needs
+// then names what they read: the focus (position, last, the zero-arity
+// forms that default to the context item) or the pending update list
+// (put). err is the XPST0017 the interpreter raises for the same call.
+func Builtin(name string, arity int) (f BuiltinFunc, needs string, err error) {
+	b, err := lookupBuiltin(name, arity)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case b.dyn != nil:
+		return nil, b.needs, nil
+	case b.ctxItem && arity == 0:
+		return nil, "the context item", nil
+	}
+	return b.eval, "", nil
+}
+
+// BuiltinNames lists the function library's names, sorted (the xs:
+// constructors are a prefix rule, not entries).
+func BuiltinNames() []string {
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// evalBuiltin applies a built-in (or host extension) function to its
+// evaluated arguments.
+func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
+	b, err := lookupBuiltin(call.Name, len(call.Args))
+	var ext ExtFunc
+	if err != nil {
+		if ext = ctx.c.engine.ExtFuncs[call.Name]; ext == nil {
+			return nil, err
 		}
-		return nil, xdm.Errorf("XPST0017", "unknown function %s#%d", call.Name, len(call.Args))
-	}
-	if fn.minArgs > len(call.Args) || len(call.Args) > fn.maxArgs {
-		return nil, xdm.Errorf("XPST0017", "wrong number of arguments for %s: %d", call.Name, len(call.Args))
-	}
-	if fn.raw != nil {
-		return fn.raw(ctx, call.Args)
 	}
 	args := make([]xdm.Sequence, len(call.Args))
 	for i, a := range call.Args {
@@ -64,96 +170,53 @@ func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
 		}
 		args[i] = v
 	}
-	return fn.eval(ctx, args)
+	switch {
+	case ext != nil:
+		return ext(args)
+	case b.dyn != nil:
+		return b.dyn(ctx, args)
+	case b.ctxItem && len(args) == 0:
+		if ctx.item == nil {
+			return nil, xdm.NewError("XPDY0002", "context item is absent")
+		}
+		args = []xdm.Sequence{xdm.Singleton(ctx.item)}
+	}
+	return b.eval(ctx.docs, args)
 }
 
-type builtin struct {
-	minArgs, maxArgs int
-	eval             func(ctx *dynCtx, args []xdm.Sequence) (xdm.Sequence, error)
-	// raw builtins receive unevaluated ASTs (position/last need none;
-	// used for functions with special evaluation rules).
-	raw func(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error)
-}
-
-var builtins map[string]builtin
-
-func init() {
-	builtins = map[string]builtin{
-		"doc": {1, 1, bifDoc, nil},
-		"put": {2, 2, bifPut, nil},
-
-		"count":  {1, 1, bifCount, nil},
-		"empty":  {1, 1, bifEmpty, nil},
-		"exists": {1, 1, bifExists, nil},
-
-		"not":     {1, 1, bifNot, nil},
-		"boolean": {1, 1, bifBoolean, nil},
-		"true":    {0, 0, bifTrue, nil},
-		"false":   {0, 0, bifFalse, nil},
-
-		"string":           {0, 1, nil, bifString},
-		"data":             {1, 1, bifData, nil},
-		"number":           {0, 1, nil, bifNumber},
-		"concat":           {2, 64, bifConcat, nil},
-		"contains":         {2, 2, bifContains, nil},
-		"starts-with":      {2, 2, bifStartsWith, nil},
-		"ends-with":        {2, 2, bifEndsWith, nil},
-		"substring":        {2, 3, bifSubstring, nil},
-		"substring-before": {2, 2, bifSubstringBefore, nil},
-		"substring-after":  {2, 2, bifSubstringAfter, nil},
-		"string-length":    {0, 1, nil, bifStringLength},
-		"string-join":      {2, 2, bifStringJoin, nil},
-		"upper-case":       {1, 1, bifUpperCase, nil},
-		"lower-case":       {1, 1, bifLowerCase, nil},
-		"normalize-space":  {0, 1, nil, bifNormalizeSpace},
-		"translate":        {3, 3, bifTranslate, nil},
-		"tokenize":         {2, 2, bifTokenize, nil},
-
-		"sum":     {1, 2, bifSum, nil},
-		"avg":     {1, 1, bifAvg, nil},
-		"min":     {1, 1, bifMin, nil},
-		"max":     {1, 1, bifMax, nil},
-		"abs":     {1, 1, bifAbs, nil},
-		"floor":   {1, 1, bifFloor, nil},
-		"ceiling": {1, 1, bifCeiling, nil},
-		"round":   {1, 1, bifRound, nil},
-
-		"distinct-values": {1, 1, bifDistinctValues, nil},
-		"reverse":         {1, 1, bifReverse, nil},
-		"subsequence":     {2, 3, bifSubsequence, nil},
-		"insert-before":   {3, 3, bifInsertBefore, nil},
-		"remove":          {2, 2, bifRemove, nil},
-		"index-of":        {2, 2, bifIndexOf, nil},
-
-		"zero-or-one":  {1, 1, bifZeroOrOne, nil},
-		"one-or-more":  {1, 1, bifOneOrMore, nil},
-		"exactly-one":  {1, 1, bifExactlyOne, nil},
-		"deep-equal":   {2, 2, bifDeepEqual, nil},
-		"name":         {0, 1, nil, bifName},
-		"local-name":   {0, 1, nil, bifLocalName},
-		"node-name":    {1, 1, bifNodeName, nil},
-		"root":         {0, 1, nil, bifRoot},
-		"last":         {0, 0, nil, bifLast},
-		"position":     {0, 0, nil, bifPosition},
-		"error":        {0, 2, bifError, nil},
-		"trace":        {2, 2, bifTrace, nil},
-		"string-value": {1, 1, bifStringValue, nil},
-
-		// xrpc: helper functions from §5 "Advanced Pushdown"
-		"xrpc:host": {1, 1, bifXrpcHost, nil},
-		"xrpc:path": {1, 1, bifXrpcPath, nil},
+// castTo is the xs:TYPE(...) constructor function.
+func castTo(typ string) BuiltinFunc {
+	return func(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+		return castSingleton(args[0], typ)
 	}
 }
 
-func bifDoc(ctx *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+// castSingleton is "cast as" and the constructor functions: atomize, ()
+// stays (), a singleton is cast.
+func castSingleton(v xdm.Sequence, typ string) (xdm.Sequence, error) {
+	v = xdm.Atomize(v)
+	if len(v) == 0 {
+		return nil, nil
+	}
+	if len(v) > 1 {
+		return nil, xdm.NewError("XPTY0004", "cast source is not a singleton")
+	}
+	out, err := xdm.CastAtomic(v[0], typ)
+	if err != nil {
+		return nil, err
+	}
+	return xdm.Singleton(out), nil
+}
+
+func bifDoc(docs DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, nil
 	}
 	uri := args[0].StringJoin("")
-	if ctx.docs == nil {
+	if docs == nil {
 		return nil, xdm.NewError("FODC0002", "no document resolver")
 	}
-	doc, err := ctx.docs.Doc(uri)
+	doc, err := docs.Doc(uri)
 	if err != nil {
 		return nil, err
 	}
@@ -174,19 +237,19 @@ func bifPut(ctx *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return nil, nil
 }
 
-func bifCount(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifCount(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Integer(len(args[0]))), nil
 }
 
-func bifEmpty(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifEmpty(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(len(args[0]) == 0)), nil
 }
 
-func bifExists(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifExists(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(len(args[0]) > 0)), nil
 }
 
-func bifNot(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifNot(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	b, err := xdm.EffectiveBoolean(args[0])
 	if err != nil {
 		return nil, err
@@ -194,7 +257,7 @@ func bifNot(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(!b)), nil
 }
 
-func bifBoolean(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifBoolean(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	b, err := xdm.EffectiveBoolean(args[0])
 	if err != nil {
 		return nil, err
@@ -202,31 +265,16 @@ func bifBoolean(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(b)), nil
 }
 
-func bifTrue(_ *dynCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
+func bifTrue(_ DocResolver, _ []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(true)), nil
 }
 
-func bifFalse(_ *dynCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
+func bifFalse(_ DocResolver, _ []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(false)), nil
 }
 
-// zeroOrCtx evaluates the optional single argument, defaulting to the
-// context item.
-func zeroOrCtx(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	if len(args) == 1 {
-		return ctx.eval(args[0])
-	}
-	if ctx.item == nil {
-		return nil, xdm.NewError("XPDY0002", "context item is absent")
-	}
-	return xdm.Singleton(ctx.item), nil
-}
-
-func bifString(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	v, err := zeroOrCtx(ctx, args)
-	if err != nil {
-		return nil, err
-	}
+func bifString(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	v := args[0]
 	if len(v) == 0 {
 		return xdm.Singleton(xdm.String("")), nil
 	}
@@ -236,16 +284,12 @@ func bifString(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(v[0].StringValue())), nil
 }
 
-func bifData(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifData(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Atomize(args[0]), nil
 }
 
-func bifNumber(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	v, err := zeroOrCtx(ctx, args)
-	if err != nil {
-		return nil, err
-	}
-	v = xdm.Atomize(v)
+func bifNumber(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	v := xdm.Atomize(args[0])
 	if len(v) != 1 {
 		return xdm.Singleton(xdm.Double(math.NaN())), nil
 	}
@@ -260,7 +304,7 @@ func bifNumber(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Double(f)), nil
 }
 
-func bifConcat(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifConcat(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	var sb strings.Builder
 	for _, a := range args {
 		if len(a) > 1 {
@@ -280,19 +324,19 @@ func strArg(a xdm.Sequence) string {
 	return a[0].StringValue()
 }
 
-func bifContains(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifContains(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(strings.Contains(strArg(args[0]), strArg(args[1])))), nil
 }
 
-func bifStartsWith(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifStartsWith(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(strings.HasPrefix(strArg(args[0]), strArg(args[1])))), nil
 }
 
-func bifEndsWith(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifEndsWith(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(strings.HasSuffix(strArg(args[0]), strArg(args[1])))), nil
 }
 
-func bifSubstring(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifSubstring(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	s := []rune(strArg(args[0]))
 	startF, ok := xdm.NumericValue(firstOrNaN(args[1]))
 	if !ok {
@@ -330,7 +374,7 @@ func firstOrNaN(s xdm.Sequence) xdm.Item {
 	return s[0]
 }
 
-func bifSubstringBefore(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifSubstringBefore(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	s, sub := strArg(args[0]), strArg(args[1])
 	if i := strings.Index(s, sub); i >= 0 {
 		return xdm.Singleton(xdm.String(s[:i])), nil
@@ -338,7 +382,7 @@ func bifSubstringBefore(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String("")), nil
 }
 
-func bifSubstringAfter(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifSubstringAfter(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	s, sub := strArg(args[0]), strArg(args[1])
 	if i := strings.Index(s, sub); i >= 0 {
 		return xdm.Singleton(xdm.String(s[i+len(sub):])), nil
@@ -346,35 +390,27 @@ func bifSubstringAfter(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String("")), nil
 }
 
-func bifStringLength(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	v, err := zeroOrCtx(ctx, args)
-	if err != nil {
-		return nil, err
-	}
-	return xdm.Singleton(xdm.Integer(len([]rune(strArg(v))))), nil
+func bifStringLength(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	return xdm.Singleton(xdm.Integer(len([]rune(strArg(args[0]))))), nil
 }
 
-func bifStringJoin(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifStringJoin(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(args[0].StringJoin(strArg(args[1])))), nil
 }
 
-func bifUpperCase(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifUpperCase(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(strings.ToUpper(strArg(args[0])))), nil
 }
 
-func bifLowerCase(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifLowerCase(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(strings.ToLower(strArg(args[0])))), nil
 }
 
-func bifNormalizeSpace(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	v, err := zeroOrCtx(ctx, args)
-	if err != nil {
-		return nil, err
-	}
-	return xdm.Singleton(xdm.String(strings.Join(strings.Fields(strArg(v)), " "))), nil
+func bifNormalizeSpace(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	return xdm.Singleton(xdm.String(strings.Join(strings.Fields(strArg(args[0])), " "))), nil
 }
 
-func bifTranslate(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifTranslate(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	s := []rune(strArg(args[0]))
 	from := []rune(strArg(args[1]))
 	to := []rune(strArg(args[2]))
@@ -397,7 +433,7 @@ func bifTranslate(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(sb.String())), nil
 }
 
-func bifTokenize(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifTokenize(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	s, sep := strArg(args[0]), strArg(args[1])
 	if s == "" {
 		return nil, nil
@@ -428,7 +464,7 @@ func numericFold(args xdm.Sequence, init float64, f func(acc, v float64) float64
 	return acc, any, nil
 }
 
-func bifSum(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifSum(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	total := 0.0
 	allInt := true
 	for _, it := range xdm.Atomize(args[0]) {
@@ -453,7 +489,7 @@ func bifSum(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Double(total)), nil
 }
 
-func bifAvg(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifAvg(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, nil
 	}
@@ -464,7 +500,7 @@ func bifAvg(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Double(total / float64(len(args[0])))), nil
 }
 
-func bifMin(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifMin(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, nil
 	}
@@ -475,7 +511,7 @@ func bifMin(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Double(v)), nil
 }
 
-func bifMax(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifMax(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, nil
 	}
@@ -503,23 +539,23 @@ func numUnary(args []xdm.Sequence, f func(float64) float64) (xdm.Sequence, error
 	return xdm.Singleton(xdm.Double(res)), nil
 }
 
-func bifAbs(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifAbs(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return numUnary(args, math.Abs)
 }
 
-func bifFloor(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifFloor(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return numUnary(args, math.Floor)
 }
 
-func bifCeiling(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifCeiling(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return numUnary(args, math.Ceil)
 }
 
-func bifRound(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifRound(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return numUnary(args, math.Round)
 }
 
-func bifDistinctValues(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifDistinctValues(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	var out xdm.Sequence
 	for _, it := range xdm.Atomize(args[0]) {
 		dup := false
@@ -537,7 +573,7 @@ func bifDistinctValues(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifReverse(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifReverse(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	in := args[0]
 	out := make(xdm.Sequence, len(in))
 	for i, it := range in {
@@ -546,7 +582,7 @@ func bifReverse(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifSubsequence(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifSubsequence(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	in := args[0]
 	startF, _ := xdm.NumericValue(firstOrNaN(args[1]))
 	start := int(math.Round(startF))
@@ -564,7 +600,7 @@ func bifSubsequence(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifInsertBefore(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifInsertBefore(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	target, ins := args[0], args[2]
 	posF, _ := xdm.NumericValue(firstOrNaN(args[1]))
 	pos := int(posF)
@@ -581,7 +617,7 @@ func bifInsertBefore(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifRemove(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifRemove(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	in := args[0]
 	posF, _ := xdm.NumericValue(firstOrNaN(args[1]))
 	pos := int(posF)
@@ -594,7 +630,7 @@ func bifRemove(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifIndexOf(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifIndexOf(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[1]) != 1 {
 		return nil, xdm.NewError("XPTY0004", "fn:index-of search value must be a singleton")
 	}
@@ -608,36 +644,33 @@ func bifIndexOf(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return out, nil
 }
 
-func bifZeroOrOne(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifZeroOrOne(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) > 1 {
 		return nil, xdm.NewError("FORG0003", "fn:zero-or-one called with more than one item")
 	}
 	return args[0], nil
 }
 
-func bifOneOrMore(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifOneOrMore(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, xdm.NewError("FORG0004", "fn:one-or-more called with empty sequence")
 	}
 	return args[0], nil
 }
 
-func bifExactlyOne(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifExactlyOne(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) != 1 {
 		return nil, xdm.NewError("FORG0005", "fn:exactly-one called with a non-singleton")
 	}
 	return args[0], nil
 }
 
-func bifDeepEqual(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifDeepEqual(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.Boolean(xdm.DeepEqual(args[0], args[1]))), nil
 }
 
-func nodeArgOrCtx(ctx *dynCtx, args []xq.Expr) (*xdm.Node, error) {
-	v, err := zeroOrCtx(ctx, args)
-	if err != nil {
-		return nil, err
-	}
+// nodeArg is the optional node argument of name, local-name and root.
+func nodeArg(v xdm.Sequence) (*xdm.Node, error) {
 	if len(v) == 0 {
 		return nil, nil
 	}
@@ -648,8 +681,8 @@ func nodeArgOrCtx(ctx *dynCtx, args []xq.Expr) (*xdm.Node, error) {
 	return n, nil
 }
 
-func bifName(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	n, err := nodeArgOrCtx(ctx, args)
+func bifName(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	n, err := nodeArg(args[0])
 	if err != nil {
 		return nil, err
 	}
@@ -659,8 +692,8 @@ func bifName(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(n.Name)), nil
 }
 
-func bifLocalName(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	n, err := nodeArgOrCtx(ctx, args)
+func bifLocalName(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	n, err := nodeArg(args[0])
 	if err != nil {
 		return nil, err
 	}
@@ -674,7 +707,7 @@ func bifLocalName(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(name)), nil
 }
 
-func bifNodeName(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifNodeName(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	if len(args[0]) == 0 {
 		return nil, nil
 	}
@@ -688,29 +721,29 @@ func bifNodeName(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(n.Name)), nil
 }
 
-func bifRoot(ctx *dynCtx, args []xq.Expr) (xdm.Sequence, error) {
-	n, err := nodeArgOrCtx(ctx, args)
+func bifRoot(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
+	n, err := nodeArg(args[0])
 	if err != nil || n == nil {
 		return nil, err
 	}
 	return xdm.Singleton(n.Root()), nil
 }
 
-func bifLast(ctx *dynCtx, _ []xq.Expr) (xdm.Sequence, error) {
+func bifLast(ctx *dynCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
 	if ctx.size == 0 {
 		return nil, xdm.NewError("XPDY0002", "fn:last outside a predicate")
 	}
 	return xdm.Singleton(xdm.Integer(ctx.size)), nil
 }
 
-func bifPosition(ctx *dynCtx, _ []xq.Expr) (xdm.Sequence, error) {
+func bifPosition(ctx *dynCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
 	if ctx.pos == 0 {
 		return nil, xdm.NewError("XPDY0002", "fn:position outside a predicate")
 	}
 	return xdm.Singleton(xdm.Integer(ctx.pos)), nil
 }
 
-func bifError(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifError(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	code := "FOER0000"
 	msg := "error signalled by fn:error"
 	if len(args) >= 1 && len(args[0]) > 0 {
@@ -722,24 +755,24 @@ func bifError(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 	return nil, xdm.NewError(code, msg)
 }
 
-func bifTrace(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifTrace(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return args[0], nil
 }
 
-func bifStringValue(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifStringValue(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.String(args[0].StringJoin(""))), nil
 }
 
 // bifXrpcHost implements xrpc:host (§5): for xrpc:// URLs it returns the
 // xrpc://host[:port] prefix; otherwise "localhost".
-func bifXrpcHost(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifXrpcHost(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	host, _ := SplitXrpcURL(strArg(args[0]))
 	return xdm.Singleton(xdm.String(host)), nil
 }
 
 // bifXrpcPath implements xrpc:path (§5): for xrpc:// URLs it returns the
 // path suffix; otherwise the argument unchanged.
-func bifXrpcPath(_ *dynCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+func bifXrpcPath(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
 	_, path := SplitXrpcURL(strArg(args[0]))
 	return xdm.Singleton(xdm.String(path)), nil
 }

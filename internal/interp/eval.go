@@ -930,18 +930,7 @@ func (ctx *dynCtx) evalCast(n *xq.Cast) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	v = xdm.Atomize(v)
-	if len(v) == 0 {
-		return nil, nil
-	}
-	if len(v) > 1 {
-		return nil, xdm.NewError("XPTY0004", "cast source is not a singleton")
-	}
-	out, err := xdm.CastAtomic(v[0], n.Type)
-	if err != nil {
-		return nil, err
-	}
-	return xdm.Singleton(out), nil
+	return castSingleton(v, n.Type)
 }
 
 // MatchesSeqType exposes sequence-type matching for the loop-lifting

@@ -1,7 +1,7 @@
 package pathfinder
 
 import (
-	"math"
+	"fmt"
 	"strings"
 
 	"xrpc/internal/algebra"
@@ -84,10 +84,10 @@ func convertTable(t *algebra.Table, typ xq.SeqType, iters []int64) (*algebra.Tab
 	return tableFromSeqs(iters, out), nil
 }
 
-// aggPlan compiles a per-iteration aggregate: args are grouped by iter
+// aggPlan compiles a per-iteration application: args are grouped by iter
 // and f computes each iteration's result sequence (aligned to the loop,
 // so empty groups still invoke f — needed for count() = 0).
-func (env *staticEnv) aggPlan(args []xq.Expr, f func(groups []xdm.Sequence) (xdm.Sequence, error)) (Plan, error) {
+func (env *staticEnv) aggPlan(args []xq.Expr, f interp.BuiltinFunc) (Plan, error) {
 	plans := make([]Plan, len(args))
 	for i, a := range args {
 		p, err := env.compile(a)
@@ -112,7 +112,7 @@ func (env *staticEnv) aggPlan(args []xq.Expr, f func(groups []xdm.Sequence) (xdm
 			for i := range plans {
 				argSeqs[i] = grouped[i][it]
 			}
-			res, err := f(argSeqs)
+			res, err := f(ec.Docs, argSeqs)
 			if err != nil {
 				return nil, err
 			}
@@ -122,296 +122,17 @@ func (env *staticEnv) aggPlan(args []xq.Expr, f func(groups []xdm.Sequence) (xdm
 	}, nil
 }
 
+// compileBuiltin applies the function library the interpreter defines
+// (interp.Builtin) once per iteration; no function is defined here.
 func (env *staticEnv) compileBuiltin(call *xq.FuncCall) (Plan, error) {
-	name := strings.TrimPrefix(call.Name, "fn:")
-	arity := len(call.Args)
-	// xs: constructor casts
-	if strings.HasPrefix(call.Name, "xs:") && arity == 1 {
-		return env.compileCast(&xq.Cast{X: call.Args[0], Type: call.Name})
+	f, needs, err := interp.Builtin(call.Name, len(call.Args))
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case name == "doc" && arity == 1:
-		return env.aggWithCtx(call.Args, func(ec *ExecCtx, groups []xdm.Sequence) (xdm.Sequence, error) {
-			if len(groups[0]) == 0 {
-				return nil, nil
-			}
-			if ec.Docs == nil {
-				return nil, xdm.NewError("FODC0002", "no document resolver")
-			}
-			d, err := ec.Docs.Doc(groups[0].StringJoin(""))
-			if err != nil {
-				return nil, err
-			}
-			return xdm.Singleton(d), nil
-		})
-	case name == "count" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Integer(len(g[0]))), nil
-		})
-	case name == "empty" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Boolean(len(g[0]) == 0)), nil
-		})
-	case name == "exists" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Boolean(len(g[0]) > 0)), nil
-		})
-	case name == "not" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			b, err := xdm.EffectiveBoolean(g[0])
-			if err != nil {
-				return nil, err
-			}
-			return xdm.Singleton(xdm.Boolean(!b)), nil
-		})
-	case name == "boolean" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			b, err := xdm.EffectiveBoolean(g[0])
-			if err != nil {
-				return nil, err
-			}
-			return xdm.Singleton(xdm.Boolean(b)), nil
-		})
-	case name == "true" && arity == 0:
-		return constPlan(xdm.Boolean(true)), nil
-	case name == "false" && arity == 0:
-		return constPlan(xdm.Boolean(false)), nil
-	case name == "string" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) == 0 {
-				return xdm.Singleton(xdm.String("")), nil
-			}
-			if len(g[0]) > 1 {
-				return nil, xdm.NewError("XPTY0004", "fn:string argument is not a singleton")
-			}
-			return xdm.Singleton(xdm.String(g[0][0].StringValue())), nil
-		})
-	case name == "data" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Atomize(g[0]), nil
-		})
-	case name == "number" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			a := xdm.Atomize(g[0])
-			if len(a) != 1 {
-				return xdm.Singleton(xdm.Double(nan())), nil
-			}
-			f, ok := xdm.NumericValue(a[0])
-			if !ok {
-				if cast, err := xdm.CastAtomic(a[0], "xs:double"); err == nil {
-					return xdm.Singleton(cast), nil
-				}
-				return xdm.Singleton(xdm.Double(nan())), nil
-			}
-			return xdm.Singleton(xdm.Double(f)), nil
-		})
-	case name == "concat" && arity >= 2:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			var sb strings.Builder
-			for _, s := range g {
-				if len(s) > 1 {
-					return nil, xdm.NewError("XPTY0004", "fn:concat argument is not a singleton")
-				}
-				if len(s) == 1 {
-					sb.WriteString(s[0].StringValue())
-				}
-			}
-			return xdm.Singleton(xdm.String(sb.String())), nil
-		})
-	case name == "string-join" && arity == 2:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			sep := ""
-			if len(g[1]) > 0 {
-				sep = g[1][0].StringValue()
-			}
-			return xdm.Singleton(xdm.String(g[0].StringJoin(sep))), nil
-		})
-	case name == "contains" && arity == 2:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Boolean(strings.Contains(str0(g[0]), str0(g[1])))), nil
-		})
-	case name == "starts-with" && arity == 2:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Boolean(strings.HasPrefix(str0(g[0]), str0(g[1])))), nil
-		})
-	case name == "string-length" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Integer(len([]rune(str0(g[0]))))), nil
-		})
-	case name == "sum" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			total := 0.0
-			allInt := true
-			for _, it := range xdm.Atomize(g[0]) {
-				v, ok := xdm.NumericValue(it)
-				if !ok {
-					return nil, xdm.NewError("FORG0006", "non-numeric item in fn:sum")
-				}
-				if _, isInt := it.(xdm.Integer); !isInt {
-					allInt = false
-				}
-				total += v
-			}
-			if allInt {
-				return xdm.Singleton(xdm.Integer(int64(total))), nil
-			}
-			return xdm.Singleton(xdm.Double(total)), nil
-		})
-	case (name == "min" || name == "max" || name == "avg") && arity == 1:
-		kind := name
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) == 0 {
-				return nil, nil
-			}
-			var acc float64
-			for i, it := range xdm.Atomize(g[0]) {
-				v, ok := xdm.NumericValue(it)
-				if !ok {
-					return nil, xdm.NewError("FORG0006", "non-numeric item in aggregate")
-				}
-				switch {
-				case i == 0:
-					acc = v
-				case kind == "min" && v < acc:
-					acc = v
-				case kind == "max" && v > acc:
-					acc = v
-				case kind == "avg":
-					acc += v
-				}
-			}
-			if kind == "avg" {
-				acc /= float64(len(g[0]))
-			}
-			return xdm.Singleton(xdm.Double(acc)), nil
-		})
-	case name == "distinct-values" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			var out xdm.Sequence
-			for _, it := range xdm.Atomize(g[0]) {
-				dup := false
-				for _, seen := range out {
-					if eq, err := xdm.CompareAtomic(it, seen, xdm.OpEq); err == nil && eq {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					out = append(out, it)
-				}
-			}
-			return out, nil
-		})
-	case name == "zero-or-one" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) > 1 {
-				return nil, xdm.NewError("FORG0003", "fn:zero-or-one called with more than one item")
-			}
-			return g[0], nil
-		})
-	case name == "one-or-more" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) == 0 {
-				return nil, xdm.NewError("FORG0004", "fn:one-or-more called with empty sequence")
-			}
-			return g[0], nil
-		})
-	case name == "exactly-one" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) != 1 {
-				return nil, xdm.NewError("FORG0005", "fn:exactly-one called with a non-singleton")
-			}
-			return g[0], nil
-		})
-	case name == "name" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			if len(g[0]) == 0 {
-				return xdm.Singleton(xdm.String("")), nil
-			}
-			n, ok := g[0][0].(*xdm.Node)
-			if !ok {
-				return nil, xdm.NewError("XPTY0004", "fn:name requires a node")
-			}
-			return xdm.Singleton(xdm.String(n.Name)), nil
-		})
-	case name == "reverse" && arity == 1:
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			out := make(xdm.Sequence, len(g[0]))
-			for i, it := range g[0] {
-				out[len(g[0])-1-i] = it
-			}
-			return out, nil
-		})
-	case name == "subsequence" && (arity == 2 || arity == 3):
-		return env.aggPlan(call.Args, func(g []xdm.Sequence) (xdm.Sequence, error) {
-			start := int(num0(g[1]))
-			end := len(g[0]) + 1
-			if len(g) == 3 {
-				end = start + int(num0(g[2]))
-			}
-			var out xdm.Sequence
-			for i := 1; i <= len(g[0]); i++ {
-				if i >= start && i < end {
-					out = append(out, g[0][i-1])
-				}
-			}
-			return out, nil
-		})
+	if f == nil {
+		return nil, unsupported(fmt.Sprintf("function %s#%d, which needs %s,", call.Name, len(call.Args), needs))
 	}
-	return nil, unsupported("function " + call.Name + " in the loop-lifted engine")
-}
-
-func str0(s xdm.Sequence) string {
-	if len(s) == 0 {
-		return ""
-	}
-	return s[0].StringValue()
-}
-
-func num0(s xdm.Sequence) float64 {
-	if len(s) == 0 {
-		return nan()
-	}
-	f, _ := xdm.NumericValue(s[0])
-	return f
-}
-
-func nan() float64 { return math.NaN() }
-
-// aggWithCtx is aggPlan with access to the ExecCtx (doc()).
-func (env *staticEnv) aggWithCtx(args []xq.Expr, f func(ec *ExecCtx, groups []xdm.Sequence) (xdm.Sequence, error)) (Plan, error) {
-	plans := make([]Plan, len(args))
-	for i, a := range args {
-		p, err := env.compile(a)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = p
-	}
-	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-		grouped := make([]map[int64]xdm.Sequence, len(plans))
-		for i, p := range plans {
-			t, err := p(ec, sc)
-			if err != nil {
-				return nil, err
-			}
-			grouped[i] = groupByIter(t)
-		}
-		iters := itersOf(sc.loop)
-		seqs := map[int64]xdm.Sequence{}
-		for _, it := range iters {
-			argSeqs := make([]xdm.Sequence, len(plans))
-			for i := range plans {
-				argSeqs[i] = grouped[i][it]
-			}
-			res, err := f(ec, argSeqs)
-			if err != nil {
-				return nil, err
-			}
-			seqs[it] = res
-		}
-		return tableFromSeqs(iters, seqs), nil
-	}, nil
+	return env.aggPlan(call.Args, f)
 }
 
 // ------------------------------------------------------- constructors
@@ -521,7 +242,7 @@ func (env *staticEnv) compileDirElem(n *xq.DirElem) (Plan, error) {
 }
 
 func (env *staticEnv) compileCompText(n *xq.CompText) (Plan, error) {
-	return env.aggPlan([]xq.Expr{n.Val}, func(g []xdm.Sequence) (xdm.Sequence, error) {
+	return env.aggPlan([]xq.Expr{n.Val}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
 		t := xdm.NewText(g[0].StringJoin(" "))
 		t.Seal()
 		return xdm.Singleton(t), nil

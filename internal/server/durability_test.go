@@ -48,36 +48,44 @@ func filmDoc(t *testing.T, st *store.Store) string {
 
 // A peer with a WAL that "crashes" (its in-memory state discarded, its
 // directory reopened by a fresh server) recovers the exact pre-crash
-// version and byte-identical documents.
+// version and byte-identical documents — also with the response cache
+// on, whose requests commit through the same durable path.
 func TestWALRecoveryRoundTrip(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	dir := t.TempDir()
-	p := newPeer(t, "xrpc://durable", filmDBY, net)
-	if recovered := enableWAL(t, p, dir, WALConfig{}); recovered {
-		t.Fatal("fresh dir reported a recovery")
-	}
-	for i := 0; i < 5; i++ {
-		addFilm(t, net, p.uri, fmt.Sprintf("Film %d", i), "Actor")
-	}
-	wantVersion := p.store.Version()
-	wantDoc := filmDoc(t, p.store)
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("respcache=%v", cached), func(t *testing.T) {
+			net := netsim.NewNetwork(0, 0)
+			dir := t.TempDir()
+			p := newPeer(t, "xrpc://durable", filmDBY, net)
+			if cached {
+				p.server.RespCache = NewRespCache(0, 0)
+			}
+			if recovered := enableWAL(t, p, dir, WALConfig{}); recovered {
+				t.Fatal("fresh dir reported a recovery")
+			}
+			for i := 0; i < 5; i++ {
+				addFilm(t, net, p.uri, fmt.Sprintf("Film %d", i), "Actor")
+			}
+			wantVersion := p.store.Version()
+			wantDoc := filmDoc(t, p.store)
 
-	// "crash": the old server's memory is abandoned; a new empty peer
-	// recovers from the directory alone
-	reg := obs.NewRegistry()
-	m := wal.NewMetrics(reg)
-	p2 := newPeer(t, "xrpc://durable-2", "", net)
-	if recovered := enableWAL(t, p2, dir, WALConfig{Metrics: m}); !recovered {
-		t.Fatal("existing dir did not recover")
-	}
-	if got := p2.store.Version(); got != wantVersion {
-		t.Fatalf("recovered version = %d, want %d", got, wantVersion)
-	}
-	if got := filmDoc(t, p2.store); got != wantDoc {
-		t.Fatalf("recovered document differs:\n got %s\nwant %s", got, wantDoc)
-	}
-	if n, ok := reg.Gather("xrpc_wal_replayed_records_total"); !ok || n < 5 {
-		t.Fatalf("replay counter = %v (ok=%v), want >= 5", n, ok)
+			// "crash": the old server's memory is abandoned; a new empty
+			// peer recovers from the directory alone
+			reg := obs.NewRegistry()
+			m := wal.NewMetrics(reg)
+			p2 := newPeer(t, "xrpc://durable-2", "", net)
+			if recovered := enableWAL(t, p2, dir, WALConfig{Metrics: m}); !recovered {
+				t.Fatal("existing dir did not recover")
+			}
+			if got := p2.store.Version(); got != wantVersion {
+				t.Fatalf("recovered version = %d, want %d", got, wantVersion)
+			}
+			if got := filmDoc(t, p2.store); got != wantDoc {
+				t.Fatalf("recovered document differs:\n got %s\nwant %s", got, wantDoc)
+			}
+			if n, ok := reg.Gather("xrpc_wal_replayed_records_total"); !ok || n < 5 {
+				t.Fatalf("replay counter = %v (ok=%v), want >= 5", n, ok)
+			}
+		})
 	}
 }
 

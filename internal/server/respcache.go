@@ -8,6 +8,7 @@ import (
 	"xrpc/internal/cache"
 	"xrpc/internal/interp"
 	"xrpc/internal/soap"
+	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 )
 
@@ -139,97 +140,88 @@ func (c *countingRPC) Call(dest string, req *interp.CallRequest) (xdm.Sequence, 
 	return c.rpc.Call(dest, req)
 }
 
-// handleCached serves a no-queryID request through the response cache:
-// hits are answered from stored bytes, misses execute against a pinned
-// snapshot and populate. Mixed requests execute only the missing calls.
-func (s *Server) handleCached(req *soap.Request, body []byte, meta *reqMeta) (*soap.Response, error) {
-	// the snapshot pins both the data and the version the served (and
+// cachedCalls is the response cache's view of one no-queryID request
+// inside handle: which calls were answered from stored bytes and which
+// are still to execute. The zero value means the cache was not
+// consulted.
+type cachedCalls struct {
+	// snap pins both the data and the version the served (and
 	// populated) results are valid at; a commit landing mid-request
 	// steps the live version but not this snapshot, so entries written
 	// under ver stay consistent with the data they were computed from
-	snap := s.Store.Snapshot()
-	ver := snap.Version()
-	var gen int64
-	if s.Registry != nil {
-		gen = s.Registry.Generation()
-	}
+	snap     *store.Snapshot
+	ver, gen int64
+	raw      [][]byte // per call: the stored <xrpc:sequence> bytes, nil if missing
+	missing  []int    // indices of the calls to execute
+	counter  *countingRPC
+}
 
-	raw := make([][]byte, len(req.Calls))
-	var missing []int
+// lookupCached looks every call of req up in the response cache.
+func (s *Server) lookupCached(req *soap.Request, meta *reqMeta) cachedCalls {
+	c := cachedCalls{snap: s.Store.Snapshot(), raw: make([][]byte, len(req.Calls))}
+	c.ver = c.snap.Version()
+	if s.Registry != nil {
+		c.gen = s.Registry.Generation()
+	}
 	for ci, call := range req.Calls {
-		if v, ok := s.RespCache.lru.Get(respKey(gen, req.Module, req.Method, call), ver); ok {
-			raw[ci] = v.([]byte)
+		if v, ok := s.RespCache.lru.Get(respKey(c.gen, req.Module, req.Method, call), c.ver); ok {
+			c.raw[ci] = v.([]byte)
 		} else {
-			missing = append(missing, ci)
+			c.missing = append(c.missing, ci)
 		}
 	}
 	meta.usedCache = true
-	meta.cacheHits = len(req.Calls) - len(missing)
-	meta.cacheMiss = len(missing)
-	if len(missing) == 0 {
-		return &soap.Response{Module: req.Module, Method: req.Method, Raw: raw}, nil
-	}
+	meta.cacheHits = len(req.Calls) - len(c.missing)
+	meta.cacheMiss = len(c.missing)
+	return c
+}
 
-	// execute only the cache-missing calls, as one sub-request
+// missingCalls is req narrowed to the cache-missing calls, so a mixed
+// request executes only those, as one sub-request.
+func (c *cachedCalls) missingCalls(req *soap.Request) *soap.Request {
+	if len(c.missing) == len(req.Calls) {
+		return req
+	}
 	sub := *req
-	if len(missing) < len(req.Calls) {
-		sub.Calls = make([][]xdm.Sequence, len(missing))
-		for i, ci := range missing {
-			sub.Calls[i] = req.Calls[ci]
-		}
-		if req.SeqNrs != nil {
-			sub.SeqNrs = make([]int64, len(missing))
-			for i, ci := range missing {
-				sub.SeqNrs[i] = req.SeqNrs[ci]
-			}
+	sub.Calls = make([][]xdm.Sequence, len(c.missing))
+	for i, ci := range c.missing {
+		sub.Calls[i] = req.Calls[ci]
+	}
+	if req.SeqNrs != nil {
+		sub.SeqNrs = make([]int64, len(c.missing))
+		for i, ci := range c.missing {
+			sub.SeqNrs[i] = req.SeqNrs[ci]
 		}
 	}
+	return &sub
+}
 
-	var rpc interp.RPCCaller
-	var counter *countingRPC
-	peers := func() []string { return nil }
-	if s.NewRPC != nil {
-		rpc, peers = s.NewRPC(req.QueryID)
-		if rpc != nil {
-			counter = &countingRPC{rpc: rpc}
-			rpc = counter
+// watch wraps the nested-call client of a request whose results may be
+// cached, so populateCached can tell whether execution left this peer.
+func (c *cachedCalls) watch(rpc interp.RPCCaller) interp.RPCCaller {
+	if c.raw == nil || rpc == nil {
+		return rpc
+	}
+	c.counter = &countingRPC{rpc: rpc}
+	return c.counter
+}
+
+// populateCached turns the executed calls' results into response bytes,
+// merges them with the hits, and stores them. A result is cacheable
+// only when it is a pure function of (module generation, local data at
+// ver, arguments): no pending updates, no nested RPC, no
+// participating-peers piggyback.
+func (s *Server) populateCached(c *cachedCalls, req *soap.Request, resp *soap.Response, pul *interp.UpdateList) {
+	cacheable := pul.Empty() && (c.counter == nil || !c.counter.used.Load()) && len(resp.Peers) == 0
+	for i, ci := range c.missing {
+		b := encodeSequence(resp.Results[i])
+		c.raw[ci] = b
+		if cacheable {
+			key := respKey(c.gen, req.Module, req.Method, req.Calls[ci])
+			s.RespCache.lru.Put(key, b, int64(len(key)+len(b)), c.ver)
 		}
 	}
-
-	results, pul, stats, err := s.Exec.Execute(&sub, body, snap, rpc)
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		s.mu.Lock()
-		s.LastStats = *stats
-		s.mu.Unlock()
-	}
-	if !pul.Empty() {
-		// immediate application (R_Fu); the PUL was collected against
-		// the pinned snapshot, exactly like the uncached path collects
-		// against pre-request state
-		if err := interp.ApplyUpdates(s.Store, pul); err != nil {
-			return nil, err
-		}
-	}
-	peerList := peers()
-
-	// a result is cacheable only when it is a pure function of
-	// (module generation, local data at ver, arguments): no pending
-	// updates, no nested RPC, no participating-peers piggyback
-	populate := pul.Empty() && (counter == nil || !counter.used.Load()) && len(peerList) == 0
-
-	resp := &soap.Response{Module: req.Module, Method: req.Method, Raw: raw, Peers: peerList}
-	for i, ci := range missing {
-		b := encodeSequence(results[i])
-		resp.Raw[ci] = b
-		if populate {
-			key := respKey(gen, req.Module, req.Method, req.Calls[ci])
-			s.RespCache.lru.Put(key, b, int64(len(key)+len(b)), ver)
-		}
-	}
-	return resp, nil
+	resp.Raw, resp.Results = c.raw, nil
 }
 
 // encodeSequence renders one result sequence exactly as the response

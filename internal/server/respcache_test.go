@@ -159,7 +159,7 @@ func TestRespCacheCommitInvalidates(t *testing.T) {
 		t.Fatalf("version fence did not evict: %+v", st)
 	}
 
-	// note: the updating request itself ran through handleCached (it
+	// note: the updating request itself ran through the cache stage (it
 	// carries no queryID) — its non-empty PUL must have kept it out of
 	// the cache, so repeating it appends a second film
 	if _, err := cl.CallBulk("xrpc://warm", write); err != nil {

@@ -316,33 +316,38 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		return s.handleSystem(req)
 	}
 
-	// requests outside an isolation scope can be answered from the
-	// version-fenced response cache; queryID'd requests pin their own
-	// snapshot and bypass it (their repeatable-read state is per-query,
-	// not per-version)
-	if s.RespCache != nil && req.QueryID == nil {
-		return s.handleCached(req, body, meta)
-	}
-
-	// pick the database state: latest (rule R_Fr) or the queryID's
-	// pinned snapshot (rule R'_Fr)
+	// pick the database state: the queryID's pinned snapshot (rule
+	// R'_Fr), or the latest (rule R_Fr). Requests outside an isolation
+	// scope are first looked up in the version-fenced response cache;
+	// queryID'd requests bypass it (their repeatable-read state is
+	// per-query, not per-version)
 	var docs interp.DocResolver = s.Store
 	var entry *isoEntry
-	if req.QueryID != nil {
+	var cached cachedCalls
+	exec := req
+	switch {
+	case req.QueryID != nil:
 		entry, err = s.iso.entryFor(req.QueryID, s.Store)
 		if err != nil {
 			return nil, err
 		}
 		docs = entry.snap
+	case s.RespCache != nil:
+		cached = s.lookupCached(req, meta)
+		if len(cached.missing) == 0 {
+			return &soap.Response{Module: req.Module, Method: req.Method, Raw: cached.raw}, nil
+		}
+		docs, exec = cached.snap, cached.missingCalls(req)
 	}
 
 	var rpc interp.RPCCaller
 	peers := func() []string { return nil }
 	if s.NewRPC != nil {
 		rpc, peers = s.NewRPC(req.QueryID)
+		rpc = cached.watch(rpc)
 	}
 
-	results, pul, stats, err := s.Exec.Execute(req, body, docs, rpc)
+	results, pul, stats, err := s.Exec.Execute(exec, body, docs, rpc)
 	if err != nil {
 		return nil, err
 	}
@@ -355,20 +360,29 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		if entry != nil {
 			// deferred: accumulate ∆ per query, applied at Commit (R'_Fu)
 			entry.addPUL(pul)
-		} else {
-			// immediate application (R_Fu), durable before the response
-			// leaves when a WAL is enabled
-			if _, err := s.applyDurable("", pul); err != nil {
-				return nil, err
-			}
+		} else if err := s.Apply(pul); err != nil {
+			return nil, err
 		}
 	}
-	return &soap.Response{
+	resp := &soap.Response{
 		Module:  req.Module,
 		Method:  req.Method,
 		Results: results,
 		Peers:   peers(),
-	}, nil
+	}
+	if cached.raw != nil {
+		s.populateCached(&cached, req, resp, pul)
+	}
+	return resp, nil
+}
+
+// Apply commits pending updates immediately (rule R_Fu) — a served
+// request's outside an isolation scope, or those of a query this peer
+// originated: under the commit lock, and durable before it returns when
+// a WAL is enabled.
+func (s *Server) Apply(pul *interp.UpdateList) error {
+	_, err := s.applyDurable("", pul)
+	return err
 }
 
 // handleSystem serves the reserved system calls (getDocument for data

@@ -4,7 +4,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"time"
 
 	"xrpc/internal/xdm"
 )
@@ -230,7 +229,7 @@ func (e *Encoder) EncodeRequest(r *Request) {
 		e.str(`<xrpc:queryID`)
 		e.attr("xrpc:host", r.QueryID.Host)
 		e.str(` xrpc:timestamp="`)
-		e.buf = r.QueryID.Timestamp.UTC().AppendFormat(e.buf, time.RFC3339Nano)
+		e.buf = r.QueryID.Timestamp.UTC().AppendFormat(e.buf, queryIDTimeLayout)
 		e.str(`" xrpc:timeout="`)
 		e.int(int64(r.QueryID.Timeout))
 		e.str(`">`)

@@ -43,6 +43,13 @@ type QueryID struct {
 	Timeout   int
 }
 
+// queryIDTimeLayout is how both encoders write QueryID.Timestamp:
+// RFC 3339 with all nine fractional digits, so a request's size does not
+// depend on how many trailing zeros the clock produced (RFC3339Nano
+// trims them). The decoders parse with time.RFC3339Nano, which accepts
+// either form.
+const queryIDTimeLayout = "2006-01-02T15:04:05.000000000Z07:00"
+
 // Request is one SOAP XRPC request: possibly many calls (Bulk RPC) of
 // the same function.
 type Request struct {

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,35 @@ func TestEncodeRequestMatchesPaperExample(t *testing.T) {
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("request message missing %q\n%s", want, msg)
+		}
+	}
+}
+
+// A request's size must not depend on the clock: timestamps with and
+// without trailing zeros in the fraction encode to the same length (in
+// both encoders) and decode back exactly.
+func TestQueryIDTimestampFixedWidth(t *testing.T) {
+	encode := func(ts time.Time) (*Request, []byte) {
+		req := &Request{Module: "m", Method: "f", Updating: true,
+			QueryID: &QueryID{ID: "q", Host: "xrpc://a", Timestamp: ts, Timeout: 30}}
+		return req, EncodeRequest(req)
+	}
+	_, whole := encode(time.Date(2007, 9, 23, 12, 0, 0, 0, time.UTC))
+	for _, nanos := range []int{120000000, 123456000, 123456789} {
+		ts := time.Date(2007, 9, 23, 12, 0, 0, nanos, time.UTC)
+		req, msg := encode(ts)
+		if len(msg) != len(whole) {
+			t.Errorf("nanos %d: request is %d bytes, %d with a whole-second timestamp", nanos, len(msg), len(whole))
+		}
+		if ref := EncodeRequestRef(req); !bytes.Equal(ref, msg) {
+			t.Errorf("nanos %d: reference encoder differs:\n%s\n%s", nanos, ref, msg)
+		}
+		back, err := DecodeRequest(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.QueryID.Timestamp.Equal(ts) {
+			t.Errorf("nanos %d: decoded timestamp = %v", nanos, back.QueryID.Timestamp)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package soap
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"xrpc/internal/xdm"
 )
@@ -49,7 +48,7 @@ func EncodeRequestRef(r *Request) []byte {
 	b.WriteString(">\n")
 	if r.QueryID != nil {
 		fmt.Fprintf(&b, `<xrpc:queryID xrpc:host=%q xrpc:timestamp=%q xrpc:timeout="%d">%s</xrpc:queryID>`+"\n",
-			r.QueryID.Host, r.QueryID.Timestamp.UTC().Format(time.RFC3339Nano),
+			r.QueryID.Host, r.QueryID.Timestamp.UTC().Format(queryIDTimeLayout),
 			r.QueryID.Timeout, escape(r.QueryID.ID))
 	}
 	for ci, call := range r.Calls {
