@@ -6,7 +6,7 @@
 //	xrpcbench -table 4           Table 4  (Q7 distributed strategies)
 //	xrpcbench -table throughput  §3.3 request/response throughput
 //	xrpcbench -table fig1        Figure 1 (Bulk RPC intermediate tables)
-//	xrpcbench -table bulkexec    server-side bulk execution: sequential vs parallel
+//	xrpcbench -table bulkexec    server-side bulk execution: cost by bulk size, sequential vs parallel
 //	xrpcbench -table algebra     columnar vs row-store relational operators
 //	xrpcbench -table cluster     scatter-gather Bulk RPC over 1/2/4/8 shard peers
 //	xrpcbench -table cluster-update  routed vs broadcast writes, pruned vs full probes
@@ -17,7 +17,8 @@
 //
 // The -scale flag scales the XMark data (1.0 = the paper's 250 persons /
 // 4875 auctions); -rtt sets the simulated round-trip latency; -parallel
-// sets the worker pool sizes compared by the bulkexec experiment; -gzip
+// and -calls bound the worker pool sizes and the bulk sizes swept by the
+// bulkexec experiment; -gzip
 // adds gzip content-coding sizes to the wire experiment; -wire-json
 // writes the wire rows as a JSON snapshot (BENCH_wire.json);
 // -cluster-json writes the cluster experiments — the scatter-gather
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -49,7 +51,7 @@ func main() {
 	x := flag.Int("x", 1000, "loop iterations for Table 2/3 ($x)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"largest worker pool size for the bulkexec experiment")
-	calls := flag.Int("calls", 256, "bulk request size for the bulkexec experiment")
+	calls := flag.Int("calls", 512, "largest bulk request size of the bulkexec sweep (1, 8, 64, 512)")
 	rows := flag.Int("rows", 16384, "input rows for the algebra experiment")
 	useGzip := flag.Bool("gzip", false, "measure gzip content-coding sizes in the wire experiment")
 	wireJSON := flag.String("wire-json", "", "write the wire experiment rows to this file as JSON")
@@ -275,38 +277,69 @@ func runAlgebra(rows int) error {
 	return nil
 }
 
-// runBulkExec contrasts sequential execution of one read-only bulk
-// request with the NativeExecutor worker pool at increasing sizes, and
-// verifies that every parallel response is byte-identical to the
-// sequential one.
-func runBulkExec(calls, maxWorkers int, scale float64) error {
+// runBulkExec measures server-side execution of one read-only bulk
+// request as the bulk grows (1, 8, 64, 512 calls, up to maxCalls) and as
+// the NativeExecutor worker pool grows (1, 2, 4, … up to maxWorkers),
+// for the paper's two selections: getPerson over persons (§4) and Q_B3
+// over auctions (§5). A cell is the median of 9 runs; every response is
+// verified byte-identical to the one-worker response before timing.
+func runBulkExec(maxCalls, maxWorkers int, scale float64) error {
 	cfg := xmark.PaperConfig(scale)
-	env, err := bench.NewBulkExecEnv(calls, cfg)
-	if err != nil {
-		return err
+	envs := []struct {
+		title string
+		build func(calls int, cfg xmark.Config) (*bench.BulkExecEnv, error)
+	}{
+		{fmt.Sprintf("getPerson over %d persons", cfg.Persons), bench.NewBulkExecEnv},
+		{fmt.Sprintf("Q_B3 over %d closed auctions", cfg.ClosedAuctions), bench.NewBulkProbeEnv},
 	}
-	// untimed warm-up: prime the function cache so the workers=1
-	// baseline does not pay one-time module compilation
-	if _, _, err := env.Run(1); err != nil {
-		return err
+	var pools []int
+	for workers := 1; workers <= maxWorkers || workers == 1; workers *= 2 {
+		pools = append(pools, workers)
 	}
-	base, baseResp, err := env.Run(1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bulk request: %d getPerson calls over %d persons\n", calls, cfg.Persons)
-	fmt.Printf("workers %2d: %8.2f ms\n", 1, float64(base.Microseconds())/1000.0)
-	for workers := 2; workers <= maxWorkers; workers *= 2 {
-		d, resp, err := env.Run(workers)
-		if err != nil {
-			return err
+	for _, e := range envs {
+		fmt.Printf("%s, ms per request (median of 9)\n%8s", e.title, "calls")
+		for _, workers := range pools {
+			fmt.Printf("  workers %-3d", workers)
 		}
-		if !bytes.Equal(resp, baseResp) {
-			return fmt.Errorf("parallel response (workers=%d) differs from sequential", workers)
+		fmt.Printf("  ms/call at workers 1\n")
+		for _, calls := range []int{1, 8, 64, 512} {
+			if calls > maxCalls && calls > 1 {
+				break
+			}
+			env, err := e.build(calls, cfg)
+			if err != nil {
+				return err
+			}
+			// untimed: primes the function cache, and is the reference
+			_, baseResp, err := env.Run(1)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%8d", calls)
+			var seqMS float64
+			for _, workers := range pools {
+				times := make([]float64, 9)
+				for i := range times {
+					d, resp, err := env.Run(workers)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(resp, baseResp) {
+						return fmt.Errorf("%s x%d: response at workers=%d differs from sequential", e.title, calls, workers)
+					}
+					times[i] = float64(d.Microseconds()) / 1000.0
+				}
+				sort.Float64s(times)
+				if workers == 1 {
+					seqMS = times[4]
+				}
+				fmt.Printf("  %11.3f", times[4])
+			}
+			fmt.Printf("  %.4f\n", seqMS/float64(calls))
 		}
-		fmt.Printf("workers %2d: %8.2f ms  (%.2fx)\n",
-			workers, float64(d.Microseconds())/1000.0, float64(base)/float64(d))
+		fmt.Println()
 	}
+	fmt.Println("responses verified byte-identical across worker counts before timing")
 	return nil
 }
 

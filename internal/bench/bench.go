@@ -572,33 +572,21 @@ func FormatAlgebraBench(rows []AlgebraBenchRow) string {
 // --------------------------------------------------- parallel bulk exec
 
 // BulkExecEnv is the server-side bulk execution harness: one native
-// (function-cached) peer holding an XMark persons document, and one
-// pre-encoded read-only bulk request of getPerson calls. It isolates the
-// executor's per-call evaluation cost — no network, no client — so the
-// sequential-vs-parallel contrast of the NativeExecutor worker pool is
-// directly observable.
+// (function-cached) peer holding an XMark document, and one pre-encoded
+// read-only bulk request of selections over it. It isolates the
+// executor's evaluation cost — no network, no client — so the cost per
+// call as the bulk grows, and the sequential-vs-parallel contrast of the
+// NativeExecutor worker pool, are directly observable.
 type BulkExecEnv struct {
 	Server *server.Server
 	Exec   *server.NativeExecutor
-	// Body is the encoded bulk request (Calls calls of func:getPerson).
+	// Body is the encoded bulk request.
 	Body []byte
 }
 
-// NewBulkExecEnv wires the harness with the given bulk size over an
-// XMark document of cfg.Persons persons.
+// NewBulkExecEnv wires the harness with a bulk of calls func:getPerson
+// calls (§4) over an XMark document of cfg.Persons persons.
 func NewBulkExecEnv(calls int, cfg xmark.Config) (*BulkExecEnv, error) {
-	reg := modules.NewRegistry()
-	if err := reg.Register(GetPersonModule, "http://example.org/functions.xq"); err != nil {
-		return nil, err
-	}
-	st := store.New()
-	if err := st.LoadXML("xmark.xml", xmark.GeneratePersons(cfg)); err != nil {
-		return nil, err
-	}
-	exec := server.NewNativeExecutor(interp.New(st, reg, nil), reg)
-	srv := server.New(st, reg, exec)
-	srv.Self = "xrpc://y.example.org"
-
 	req := &soap.Request{
 		Module:   "functions",
 		Method:   "getPerson",
@@ -611,6 +599,37 @@ func NewBulkExecEnv(calls int, cfg xmark.Config) (*BulkExecEnv, error) {
 			{xdm.String("xmark.xml")}, {xdm.String(pid)},
 		})
 	}
+	return newBulkExecEnv(GetPersonModule, "xmark.xml", xmark.GeneratePersons(cfg), req)
+}
+
+// NewBulkProbeEnv wires the harness with a bulk of calls b:Q_B3 probes
+// (§5, the semi-join's callee side) over cfg.ClosedAuctions auctions.
+func NewBulkProbeEnv(calls int, cfg xmark.Config) (*BulkExecEnv, error) {
+	req := &soap.Request{
+		Module:   "functions_b",
+		Method:   "Q_B3",
+		Arity:    1,
+		Location: "http://example.org/b.xq",
+	}
+	for i := 0; i < calls; i++ {
+		pid := xmark.PersonID(i % maxInt(cfg.Persons, 1))
+		req.Calls = append(req.Calls, []xdm.Sequence{{xdm.String(pid)}})
+	}
+	return newBulkExecEnv(strategies.FunctionsB, "auctions.xml", xmark.GenerateAuctions(cfg), req)
+}
+
+func newBulkExecEnv(module, docName, docXML string, req *soap.Request) (*BulkExecEnv, error) {
+	reg := modules.NewRegistry()
+	if err := reg.Register(module, req.Location); err != nil {
+		return nil, err
+	}
+	st := store.New()
+	if err := st.LoadXML(docName, docXML); err != nil {
+		return nil, err
+	}
+	exec := server.NewNativeExecutor(interp.New(st, reg, nil), reg)
+	srv := server.New(st, reg, exec)
+	srv.Self = "xrpc://y.example.org"
 	return &BulkExecEnv{Server: srv, Exec: exec, Body: soap.EncodeRequest(req)}, nil
 }
 

@@ -158,6 +158,31 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("post-write read: planner stats invalidations = %v, want >= 1", n)
 	}
 
+	// --- multi-call bulk: a shard scans and hash-indexes its persons
+	// once per request and answers every call by probe
+	indexed := func(name string) (n float64) {
+		for s := 0; s < 2; s++ {
+			n += reg.MustGather(name, obs.Label{Key: "shard", Value: strconv.Itoa(s)})
+		}
+		return n
+	}
+	builds0, probes0 := indexed("xrpc_exec_index_builds_total"), indexed("xrpc_exec_index_probes_total")
+	var bulkIDs []string
+	for _, i := range []int{4, 5, 6, 7, persons - 8, persons - 7, persons - 6, persons - 5} {
+		bulkIDs = append(bulkIDs, xmark.PersonID(i))
+	}
+	if _, err := co.Scatter(getPersonRequest(bulkIDs...)); err != nil {
+		t.Fatal(err)
+	}
+	builds := indexed("xrpc_exec_index_builds_total") - builds0
+	probes := indexed("xrpc_exec_index_probes_total") - probes0
+	if builds < 1 || builds >= probes {
+		t.Fatalf("multi-call bulk: index builds = %v, probes = %v, want 1 <= builds < probes", builds, probes)
+	}
+	if n := indexed("xrpc_exec_index_fallbacks_total"); n != 0 {
+		t.Fatalf("index fallbacks = %v, want 0 (getPerson's predicate is indexable)", n)
+	}
+
 	// --- demote → resync → rejoin: the durability counters move
 	shard := ownerShard(t, dep, xmark.PersonID(2))
 	replica := dep.Table.Replicas(shard)[1]
@@ -205,6 +230,9 @@ func TestObsSmoke(t *testing.T) {
 		}
 		if !strings.Contains(logged, "query_hash=") {
 			t.Fatalf("shard %d slow-query log has no query hash:\n%s", s, logged)
+		}
+		if !strings.Contains(logged, "calls=4 index_builds=1 index_probes=4") {
+			t.Fatalf("shard %d slow-query log has no 4-call bulk answered from one index build:\n%s", s, logged)
 		}
 	}
 

@@ -11,6 +11,8 @@ package interp
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"xrpc/internal/xdm"
@@ -51,11 +53,19 @@ type RPCCaller interface {
 }
 
 // Stats records the three latency phases reported in Table 3 of the
-// paper (Saxon latency: compile, treebuild, exec).
+// paper (Saxon latency: compile, treebuild, exec) and, for a CallBulk
+// request, what the predicate hash index (predindex.go) did.
 type Stats struct {
 	Compile   time.Duration
 	TreeBuild time.Duration
 	Exec      time.Duration
+	// IndexBuilds counts hash indexes built and IndexProbes the
+	// predicate applications answered from one: builds < probes means a
+	// bulk shared its scans. IndexFallbacks counts the calls that
+	// evaluated at least one predicate row-at-a-time.
+	IndexBuilds    int
+	IndexProbes    int
+	IndexFallbacks int
 }
 
 // Total is the sum of the phases.
@@ -280,6 +290,12 @@ type EvalOptions struct {
 	// CollectUpdates, when true, permits update expressions; their
 	// pending update list is returned instead of applied.
 	CollectUpdates bool
+	// Workers carries the executor's Parallelism into CallBulk: the
+	// calls of a non-updating bulk are evaluated by this many
+	// goroutines; values <= 1 mean sequential evaluation.
+	Workers int
+	// Stats, when set, receives CallBulk's index counters.
+	Stats *Stats
 }
 
 // Eval evaluates the main module body. For updating queries the pending
@@ -292,7 +308,7 @@ func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
-	ctx := c.newDynCtx(opts)
+	ctx := c.newDynCtx(opts, c.newEvalMemo(opts), &indexCounters{})
 	// prolog variables
 	for _, v := range c.globals {
 		if v.Val == nil {
@@ -314,63 +330,170 @@ func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
 	return seq, ctx.pul, nil
 }
 
-// CallFunction directly invokes a declared function with the given
-// arguments (the server-side entry point for XRPC requests). The
-// function is addressed by local name and arity within module uri; when
-// uri is "" the first match by local name wins.
-func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
-	if opts == nil {
-		opts = &EvalOptions{}
+// resolveFunc is the one answer to "which function does a request for
+// (uri, local, arity) run": the exact match, else — a caller that names a
+// module this compilation does not know — the same-named function of the
+// lowest module URI, so the choice does not depend on map order.
+func (c *Compiled) resolveFunc(uri, local string, arity int) *boundFunc {
+	if f, ok := c.funcs[funcKey{uri: uri, local: local, arity: arity}]; ok {
+		return f
 	}
-	var f *boundFunc
-	if uri != "" {
-		f = c.funcs[funcKey{uri: uri, local: local, arity: len(args)}]
-	}
-	if f == nil {
-		for k, cand := range c.funcs {
-			if k.local == local && k.arity == len(args) {
-				f = cand
-				break
-			}
+	var best *boundFunc
+	var bestURI string
+	for k, cand := range c.funcs {
+		if k.local == local && k.arity == arity && (best == nil || k.uri < bestURI) {
+			best, bestURI = cand, k.uri
 		}
 	}
-	if f == nil {
-		return nil, nil, xdm.Errorf("XPST0017", "function %s#%d not found in module %q", local, len(args), uri)
-	}
-	ctx := c.newDynCtx(opts)
-	seq, err := ctx.callBound(f, args)
+	return best
+}
+
+// FunctionUpdating reports whether the function a request for (uri,
+// local, arity) resolves to is an XQUF updating function; CallBulk
+// evaluates the calls of such a request strictly in order.
+func (c *Compiled) FunctionUpdating(uri, local string, arity int) bool {
+	f := c.resolveFunc(uri, local, arity)
+	return f != nil && f.decl.Updating
+}
+
+// CallFunction invokes a declared function once: a CallBulk of one call.
+func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
+	results, puls, err := c.CallBulk(uri, local, [][]xdm.Sequence{args}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return seq, ctx.pul, nil
+	return results[0], puls[0], nil
 }
 
-// FunctionUpdating reports whether a bulk request addressed the way
-// CallFunction addresses it (local name + arity within module uri) may
-// resolve to an XQUF updating function. The server consults this before
-// evaluating the calls of a bulk request concurrently: updating calls
-// must stay sequential. CallFunction's fallback for unmatched URIs picks
-// an arbitrary local-name match, so this deliberately answers true if
-// ANY candidate is updating — erring toward sequential execution.
-func (c *Compiled) FunctionUpdating(uri, local string, arity int) bool {
-	if uri != "" {
-		if f, ok := c.funcs[funcKey{uri: uri, local: local, arity: arity}]; ok {
-			return f.decl.Updating
+// CallBulk is the server-side entry point for an XRPC request: it applies
+// one function (addressed by local name and arity within module uri, see
+// resolveFunc) to every argument tuple of calls and returns the results
+// and pending update lists by call index. The error is the one the
+// lowest failing call raises, whatever opts.Workers is.
+//
+// The function is resolved once and all calls share one evalMemo, so the
+// request scans a document and builds a predicate hash index once and
+// answers each call by probe (§3.2: a Bulk RPC lets the callee turn N
+// selections into one join). Sharing is sound because every tree the
+// memo is keyed on is immutable for the whole request: the server pins
+// one snapshot, and pending updates are collected, not applied. Each
+// call keeps its own dynamic context, variable frame and UpdateList.
+func (c *Compiled) CallBulk(uri, local string, calls [][]xdm.Sequence, opts *EvalOptions) ([]xdm.Sequence, []*UpdateList, error) {
+	if len(calls) == 0 {
+		return nil, nil, nil
+	}
+	if opts == nil {
+		opts = &EvalOptions{}
+	}
+	arity := len(calls[0])
+	f := c.resolveFunc(uri, local, arity)
+	if f == nil {
+		return nil, nil, xdm.Errorf("XPST0017", "function %s#%d not found in module %q", local, arity, uri)
+	}
+	for ci, args := range calls {
+		if len(args) != arity {
+			return nil, nil, xdm.Errorf("XPST0017", "call %d of %s passes %d arguments, call 0 passes %d", ci, local, len(args), arity)
 		}
 	}
-	for k, f := range c.funcs {
-		if k.local == local && k.arity == arity && f.decl.Updating {
-			return true
+
+	memo := c.newEvalMemo(opts)
+	results := make([]xdm.Sequence, len(calls))
+	puls := make([]*UpdateList, len(calls))
+	counts := make([]indexCounters, len(calls))
+	run := func(ci int) error {
+		ctx := c.newDynCtx(opts, memo, &counts[ci])
+		seq, err := ctx.callBound(f, calls[ci])
+		results[ci], puls[ci] = seq, ctx.pul
+		return err
+	}
+
+	workers := opts.Workers
+	if workers > len(calls) {
+		workers = len(calls)
+	}
+	// an updating function's pending updates are produced in call order:
+	// the repeatable-read contract of §2.2
+	var err error
+	if workers <= 1 || f.decl.Updating {
+		for ci := range calls {
+			if err = run(ci); err != nil {
+				break
+			}
+		}
+	} else {
+		err = runPool(workers, len(calls), run)
+	}
+	if opts.Stats != nil {
+		for _, n := range counts {
+			opts.Stats.IndexBuilds += n.builds
+			opts.Stats.IndexProbes += n.probes
+			if n.fallbacks > 0 {
+				opts.Stats.IndexFallbacks++
+			}
 		}
 	}
-	return false
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, puls, nil
 }
 
-func (c *Compiled) newDynCtx(opts *EvalOptions) *dynCtx {
+// runPool has workers goroutines draw the indexes 0..n-1 from one
+// counter and returns the error of the lowest failing index. Indexes
+// above a failure are skipped — sequential execution would never reach
+// them — while lower ones still run, so the error is exactly the one
+// sequential execution returns.
+func runPool(workers, n int, run func(i int) error) error {
+	errs := make([]error, n)
+	var next, firstFailed atomic.Int64
+	firstFailed.Store(int64(n))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= firstFailed.Load() {
+					return
+				}
+				if errs[i] = run(int(i)); errs[i] == nil {
+					continue
+				}
+				for {
+					cur := firstFailed.Load()
+					if i >= cur || firstFailed.CompareAndSwap(cur, i) {
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ff := firstFailed.Load(); ff < int64(n) {
+		return errs[ff]
+	}
+	return nil
+}
+
+// newEvalMemo starts the memo of one Eval or CallBulk over the document
+// resolver that evaluation reads from.
+func (c *Compiled) newEvalMemo(opts *EvalOptions) *evalMemo {
 	docs := c.engine.Docs
 	if opts.Docs != nil {
 		docs = opts.Docs
 	}
+	return &evalMemo{
+		docs:  docs,
+		trees: map[int64]bool{},
+		steps: map[*xq.Step]map[*xdm.Node][]*xdm.Node{},
+		preds: map[predKey]*predIndex{},
+	}
+}
+
+// newDynCtx starts one evaluation (the main module body, or one call of
+// a bulk) over memo, counting its index use in cnt.
+func (c *Compiled) newDynCtx(opts *EvalOptions, memo *evalMemo, cnt *indexCounters) *dynCtx {
 	maxRec := c.engine.MaxRecursion
 	if maxRec <= 0 {
 		maxRec = 4096
@@ -382,11 +505,14 @@ func (c *Compiled) newDynCtx(opts *EvalOptions) *dynCtx {
 	ctx := &dynCtx{
 		c:      c,
 		module: c.main,
-		docs:   docs,
 		rpc:    rpc,
 		pul:    &UpdateList{},
-		memo:   &evalMemo{preds: map[predKey]*predIndex{}},
+		cnt:    cnt,
+		memo:   memo,
 		maxRec: maxRec,
+	}
+	if memo.docs != nil {
+		ctx.docs = memo // fn:doc goes through the memo, which notes the trees it may retain
 	}
 	for name, val := range opts.Vars {
 		ctx.bind(name, val)

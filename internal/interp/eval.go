@@ -29,6 +29,7 @@ type dynCtx struct {
 	pos    int
 	size   int
 	pul    *UpdateList
+	cnt    *indexCounters // this evaluation's index use; shared by child contexts
 	memo   *evalMemo
 	depth  int
 	maxRec int
@@ -679,7 +680,7 @@ func (ctx *dynCtx) evalPath(p *xq.Path) (xdm.Sequence, error) {
 	}
 	// predicates on the root primary
 	for _, pred := range p.RootPreds {
-		filtered, err := ctx.applyPredicate(current, pred, false)
+		filtered, err := ctx.applyPredicate(current, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -697,10 +698,21 @@ func (ctx *dynCtx) evalPath(p *xq.Path) (xdm.Sequence, error) {
 		var results []*xdm.Node
 		for _, cn := range nodes {
 			stepOut := ctx.memoStep(st, cn)
+			preds := st.Preds
+			// hash-index fast path for a join-shaped first predicate (§4)
+			if len(preds) > 0 {
+				if hits, ok := ctx.tryIndexedPredicate(cn, stepOut, preds[0]); ok {
+					stepOut, preds = hits, preds[1:]
+				}
+			}
+			if len(preds) == 0 {
+				results = append(results, stepOut...)
+				continue
+			}
 			seq := xdm.NodeSeq(stepOut)
-			for _, pred := range st.Preds {
+			for _, pred := range preds {
 				var err error
-				seq, err = ctx.applyPredicate(seq, pred, st.Axis.Reverse())
+				seq, err = ctx.applyPredicate(seq, pred)
 				if err != nil {
 					return nil, err
 				}
@@ -714,10 +726,11 @@ func (ctx *dynCtx) evalPath(p *xq.Path) (xdm.Sequence, error) {
 	return current, nil
 }
 
-// applyPredicate filters seq by one predicate, with XPath positional
-// semantics (numeric predicate selects by position; position() and
-// last() are available).
-func (ctx *dynCtx) applyPredicate(seq xdm.Sequence, pred xq.Expr, reverse bool) (xdm.Sequence, error) {
+// applyPredicate filters seq by one predicate row-at-a-time, with XPath
+// positional semantics (numeric predicate selects by position;
+// position() and last() are available). Step results arrive in axis
+// order, so positions equal sequence order on reverse axes too.
+func (ctx *dynCtx) applyPredicate(seq xdm.Sequence, pred xq.Expr) (xdm.Sequence, error) {
 	// fast path: constant integer predicate
 	if lit, ok := pred.(*xq.IntLit); ok {
 		idx := int(lit.Val)
@@ -726,11 +739,7 @@ func (ctx *dynCtx) applyPredicate(seq xdm.Sequence, pred xq.Expr, reverse bool) 
 		}
 		return nil, nil
 	}
-	_ = reverse // axis-order positions equal sequence order here: Step returns axis order
-	// hash-index fast path for join-shaped predicates (§4)
-	if out, ok := ctx.tryIndexedPredicate(seq, pred); ok {
-		return out, nil
-	}
+	ctx.cnt.fallbacks++
 	var out xdm.Sequence
 	for i, it := range seq {
 		pctx := ctx.child()

@@ -667,6 +667,58 @@ func TestCallFunctionDirect(t *testing.T) {
 	}
 }
 
+// A request whose module URI matches no imported module falls back to
+// the local name; with two candidates every call of the bulk must run the
+// same one — the lowest module URI — and FunctionUpdating must describe
+// that one, not "any candidate".
+func TestCallResolvesOneFunctionForTheWholeRequest(t *testing.T) {
+	reg := modules.NewRegistry()
+	for uri, src := range map[string]string{
+		"mod_a": `module namespace a = "mod_a"; declare function a:pick($x as xs:string) as xs:string { concat("a:", $x) };`,
+		"mod_b": `module namespace b = "mod_b"; declare updating function b:pick($x as xs:string) { delete node doc("filmDB.xml")//film[name = $x] };`,
+	} {
+		if err := reg.Register(src, "http://x.example.org/"+uri+".xq"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, _ := newTestEngine(t)
+	e.Modules = reg
+	c, err := e.Compile(`
+import module namespace b = "mod_b" at "http://x.example.org/mod_b.xq";
+import module namespace a = "mod_a" at "http://x.example.org/mod_a.xq";
+1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make([][]xdm.Sequence, 64)
+	for i := range calls {
+		calls[i] = []xdm.Sequence{{xdm.String("The Rock")}}
+	}
+	// map iteration order is drawn per range statement, so a resolver
+	// that ranges per call would split this bulk between the two
+	results, puls, err := c.CallBulk("mod_renamed", "pick", calls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if got := xdm.SerializeSequence(results[i]); got != "a:The Rock" || !puls[i].Empty() {
+			t.Fatalf("call %d ran %q with %d pending updates, want a:pick", i, got, len(puls[i].Prims))
+		}
+	}
+	if c.FunctionUpdating("mod_renamed", "pick", 1) {
+		t.Error("FunctionUpdating(mod_renamed) = true, but the request runs the non-updating a:pick")
+	}
+	if !c.FunctionUpdating("mod_b", "pick", 1) || c.FunctionUpdating("mod_a", "pick", 1) {
+		t.Error("an exact module URI must win over the fallback")
+	}
+	if seq, pul, err := c.CallFunction("mod_b", "pick", calls[0], nil); err != nil || len(seq) != 0 || pul.Empty() {
+		t.Errorf("exact match b:pick: %v, %d items, pending updates empty=%v", err, len(seq), pul.Empty())
+	}
+	if _, _, err := c.CallFunction("mod_renamed", "pick", nil, nil); err == nil || !strings.Contains(err.Error(), "XPST0017") {
+		t.Errorf("pick#0 does not exist: err = %v", err)
+	}
+}
+
 func TestStatsCompileTimeRecorded(t *testing.T) {
 	e, _ := newTestEngine(t)
 	c, err := e.Compile(`1+1`)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -52,6 +53,266 @@ return count(doc("people.xml")//person[@id=$pid])`
 	}
 	if !strings.HasPrefix(withIdx, "1 1 1") {
 		t.Errorf("result = %s", withIdx[:30])
+	}
+}
+
+// The paper's selection functions, written out here so that the package
+// imports no workload: Q_B3 (§5), getPerson/setCity (the routed cluster
+// workload), plus the shapes around them — the operands swapped and the
+// parameter untyped, so that (), multi-item and non-string probes reach
+// the predicate instead of failing the function conversion rules.
+const bulkAuctionModule = `
+module namespace b = "functions_b";
+declare function b:Q_B3($pid as xs:string) as node()*
+{ doc("auctions.xml")//closed_auction[./buyer/@person=$pid] };
+declare function b:Q_B3any($pid as item()*) as node()*
+{ doc("auctions.xml")//closed_auction[$pid = ./buyer/@person] };`
+
+const bulkPersonModule = `
+module namespace p = "functions_p";
+declare function p:getPerson($pid as xs:string) as node()*
+{ doc("persons.xml")//person[@id=$pid] };
+declare updating function p:setCity($pid as xs:string, $city as xs:string)
+{ for $c in doc("persons.xml")//person[@id=$pid]/address/city
+  return replace value of node $c with $city };`
+
+// bulkStore holds auctions.xml (120 closed auctions over 40 buyers, so
+// keys repeat; every tenth has no buyer and every seventh a second one),
+// persons.xml (60 persons) and the three-film filmDB.xml.
+func bulkStore(t testing.TB) *store.Store {
+	t.Helper()
+	var a, p strings.Builder
+	a.WriteString("<site><closed_auctions>")
+	for i := 0; i < 120; i++ {
+		a.WriteString("<closed_auction>")
+		if i%10 != 9 {
+			fmt.Fprintf(&a, `<buyer person="person%d"/>`, (i*7)%40)
+		}
+		if i%7 == 0 {
+			fmt.Fprintf(&a, `<buyer person="person%d"/>`, (i*3)%40)
+		}
+		fmt.Fprintf(&a, "<price>%d</price></closed_auction>", i)
+	}
+	a.WriteString("</closed_auctions></site>")
+	p.WriteString("<site><people>")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&p, `<person id="person%d"><address><city>City%d</city></address></person>`, i, i)
+	}
+	p.WriteString("</people></site>")
+	st := store.New()
+	for name, xml := range map[string]string{"auctions.xml": a.String(), "persons.xml": p.String(), "filmDB.xml": filmDB} {
+		if err := st.LoadXML(name, xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// bulkOutcome is everything a caller of a bulk can observe.
+type bulkOutcome struct {
+	results, puls []string
+	err           string
+}
+
+// oneAtATime is the reference: N independent CallFunction calls on an
+// engine without the index, stopping at the first error.
+func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence) bulkOutcome {
+	t.Helper()
+	e := New(st, nil, nil)
+	e.DisablePredIndex = true
+	c, err := e.CompileModule(module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bulkOutcome
+	for _, args := range calls {
+		seq, pul, err := c.CallFunction(uri, local, args, nil)
+		if err != nil {
+			return bulkOutcome{err: err.Error()}
+		}
+		out.results = append(out.results, xdm.SerializeSequence(seq))
+		out.puls = append(out.puls, pul.Describe())
+	}
+	return out
+}
+
+func bulk(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence, workers int) (bulkOutcome, Stats) {
+	t.Helper()
+	c, err := New(st, nil, nil).CompileModule(module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	seqs, puls, err := c.CallBulk(uri, local, calls, &EvalOptions{Workers: workers, Stats: &stats})
+	if err != nil {
+		return bulkOutcome{err: err.Error()}, stats
+	}
+	var out bulkOutcome
+	for i := range seqs {
+		out.results = append(out.results, xdm.SerializeSequence(seqs[i]))
+		out.puls = append(out.puls, puls[i].Describe())
+	}
+	return out, stats
+}
+
+// One evaluation per request must be indistinguishable from N
+// one-at-a-time evaluations without the index: results, pending update
+// lists and the error of the first failing call, on random bulks with
+// duplicate keys, misses, (), multi-item probes and a non-string probe.
+// A memo keyed so that two calls with different arguments share a probe
+// result fails here on the duplicate-key and miss calls.
+func TestCallBulkMatchesOneAtATime(t *testing.T) {
+	st := bulkStore(t)
+	str := func(s string) []xdm.Sequence { return []xdm.Sequence{{xdm.String(s)}} }
+	key := func(rng *rand.Rand) string {
+		if rng.Intn(5) == 0 {
+			return "nobody" // miss
+		}
+		return fmt.Sprintf("person%d", rng.Intn(45)) // repeats; 40..44 miss in auctions
+	}
+	fns := []struct {
+		name, module, uri, local string
+		arg                      func(rng *rand.Rand) []xdm.Sequence
+		odd                      [][]xdm.Sequence // (), multi-item, non-string
+	}{
+		{"Q_B3", bulkAuctionModule, "functions_b", "Q_B3",
+			func(rng *rand.Rand) []xdm.Sequence { return str(key(rng)) },
+			[][]xdm.Sequence{{{}}, {{xdm.String("person1"), xdm.String("person2")}}, {{xdm.Integer(7)}}}},
+		{"Q_B3any", bulkAuctionModule, "functions_b", "Q_B3any",
+			func(rng *rand.Rand) []xdm.Sequence { return str(key(rng)) },
+			[][]xdm.Sequence{{{}}, {{xdm.String("person1"), xdm.Untyped("person8"), xdm.String("person1")}}, {{xdm.Integer(7)}}}},
+		{"getPerson", bulkPersonModule, "functions_p", "getPerson",
+			func(rng *rand.Rand) []xdm.Sequence { return str(key(rng)) },
+			[][]xdm.Sequence{{{}}, {{xdm.String("person1"), xdm.String("person2")}}, {{xdm.Boolean(true)}}}},
+		{"setCity", bulkPersonModule, "functions_p", "setCity",
+			func(rng *rand.Rand) []xdm.Sequence {
+				return []xdm.Sequence{{xdm.String(key(rng))}, {xdm.String(fmt.Sprintf("Town%d", rng.Intn(3)))}}
+			},
+			[][]xdm.Sequence{{{}, {xdm.String("x")}}, {{xdm.String("person1")}, {xdm.Integer(1)}}}},
+		{"filmsByActor", filmModule, "films", "filmsByActor",
+			func(rng *rand.Rand) []xdm.Sequence {
+				return str([]string{"Sean Connery", "Gerard Depardieu", "Nobody"}[rng.Intn(3)])
+			},
+			[][]xdm.Sequence{{{}}}},
+	}
+	for _, fn := range fns {
+		for _, n := range []int{1, 2, 16, 64, 512} {
+			// without, then with, the calls that the typed functions reject:
+			// the second bulk compares the choice of the first error
+			for _, withOdd := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(n)))
+				calls := make([][]xdm.Sequence, n)
+				for i := range calls {
+					calls[i] = fn.arg(rng)
+				}
+				if withOdd {
+					for _, odd := range fn.odd {
+						calls[rng.Intn(n)] = odd
+					}
+				}
+				want := oneAtATime(t, st, fn.module, fn.uri, fn.local, calls)
+				for _, workers := range []int{1, 4} {
+					got, _ := bulk(t, st, fn.module, fn.uri, fn.local, calls, workers)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s x%d odd=%v workers=%d:\n bulk:          %.300v\n one at a time: %.300v",
+							fn.name, n, withOdd, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// What the index accepts and what it must refuse, asserted on the
+// build/probe/fallback counters of a 64-call bulk (never by timing);
+// each result is also checked against the row-at-a-time reference.
+func TestPredIndexShapes(t *testing.T) {
+	st := bulkStore(t)
+	var r strings.Builder
+	r.WriteString("<r>")
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&r, `<e k="0%d"/><e k="%d"/>`, i, i) // numeric-looking keys, zero-padded twins
+	}
+	r.WriteString("</r>")
+	if err := st.LoadXML("r.xml", r.String()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	person := func(i int) []xdm.Sequence { return []xdm.Sequence{{xdm.String(fmt.Sprintf("person%d", i%50))}} }
+	cases := []struct {
+		name, body string
+		arg        func(i int) []xdm.Sequence
+		indexed    bool
+	}{
+		{"./a/@b = $v", `doc("auctions.xml")//closed_auction[./buyer/@person = $v]`, person, true},
+		{"$v = ./a/@b", `doc("auctions.xml")//closed_auction[$v = ./buyer/@person]`, person, true},
+		{"a/@b = $v", `doc("auctions.xml")//closed_auction[buyer/@person = $v]`, person, true},
+		{"@id = $v", `doc("persons.xml")//person[@id = $v]`, person, true},
+		{"child step, not fused", `doc("persons.xml")/site/people/person[@id = $v]`, person, true},
+		{"numeric-looking keys, string probe", `doc("r.xml")//e[@k = $v]`,
+			func(i int) []xdm.Sequence { return []xdm.Sequence{{xdm.String(fmt.Sprint(i % 25))}} }, true},
+		{"numeric-looking keys, numeric probe", `doc("r.xml")//e[@k = $v]`,
+			func(i int) []xdm.Sequence { return []xdm.Sequence{{xdm.Integer(i % 25)}} }, false},
+		{"position()", `doc("persons.xml")//person[position() = $v]`,
+			func(i int) []xdm.Sequence { return []xdm.Sequence{{xdm.Integer(i)}} }, false},
+		{"and position()", `doc("persons.xml")//person[@id = $v and position() < 30]`, person, false},
+		{"nested predicate in the key path", `doc("auctions.xml")//closed_auction[./buyer[1]/@person = $v]`, person, false},
+		{"parent axis in the key path", `doc("auctions.xml")//buyer[../buyer/@person = $v]`, person, false},
+		{"second predicate", `doc("auctions.xml")//closed_auction[price][./buyer/@person = $v]`, person, false},
+		{"filter expression", `(doc("auctions.xml")//closed_auction)[./buyer/@person = $v]`, person, false},
+		{"under 16 candidates", `doc("filmDB.xml")//film[actor = $v]`,
+			func(int) []xdm.Sequence { return []xdm.Sequence{{xdm.String("Sean Connery")}} }, false},
+		{"constructed candidates", `(<r>{doc("persons.xml")//person}</r>)//person[@id = $v]`, person, false},
+	}
+	for _, tc := range cases {
+		module := `module namespace s = "shapes";
+declare function s:f($v as item()*) as node()* { ` + tc.body + ` };`
+		calls := make([][]xdm.Sequence, n)
+		for i := range calls {
+			calls[i] = tc.arg(i)
+		}
+		got, stats := bulk(t, st, module, "shapes", "f", calls, 1)
+		if want := oneAtATime(t, st, module, "shapes", "f", calls); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: bulk differs from one at a time:\n bulk:          %.300v\n one at a time: %.300v", tc.name, got, want)
+		}
+		wantStats := Stats{IndexFallbacks: n}
+		if tc.indexed {
+			wantStats = Stats{IndexBuilds: 1, IndexProbes: n}
+		}
+		if stats != wantStats {
+			t.Errorf("%s: builds/probes/fallbacks = %d/%d/%d, want %d/%d/%d", tc.name,
+				stats.IndexBuilds, stats.IndexProbes, stats.IndexFallbacks,
+				wantStats.IndexBuilds, wantStats.IndexProbes, wantStats.IndexFallbacks)
+		}
+	}
+}
+
+// The memo keeps nothing for trees its resolver did not hand out: a bulk
+// of a function that constructs and navigates a tree per call must not
+// grow it per call.
+func TestEvalMemoRetainsOnlyResolverDocuments(t *testing.T) {
+	c, err := New(bulkStore(t), nil, nil).CompileModule(`module namespace s = "shapes";
+declare function s:f($v as xs:string) as node()*
+{ (<r>{doc("persons.xml")//person}</r>)//person[@id = $v]/address/city };`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := c.newEvalMemo(&EvalOptions{})
+	f := c.resolveFunc("shapes", "f", 1)
+	sizes := map[int]int{}
+	for i := 0; i < 32; i++ {
+		ctx := c.newDynCtx(&EvalOptions{}, memo, &indexCounters{})
+		if seq, err := ctx.callBound(f, []xdm.Sequence{{xdm.String("person3")}}); err != nil || len(seq) != 1 {
+			t.Fatalf("call %d: %v, %d items", i, err, len(seq))
+		}
+		n := len(memo.preds)
+		for _, inner := range memo.steps {
+			n += len(inner)
+		}
+		sizes[n]++
+	}
+	if len(sizes) != 1 {
+		t.Errorf("memo grew with the call count: entries after each of 32 calls %v", sizes)
 	}
 }
 

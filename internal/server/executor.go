@@ -23,24 +23,26 @@ const (
 
 // NativeExecutor executes XRPC requests the way MonetDB/XQuery does (§3):
 // the requested module is compiled into a prepared plan, cached in the
-// function cache, and each call of a Bulk RPC is executed against it.
-// With the cache disabled every request pays module translation time —
-// the "No Function Cache" column of Table 2.
+// function cache, and the whole request — all calls of a Bulk RPC — is
+// handed to the plan as one evaluation (interp.CallBulk): the function
+// is resolved once, a document is scanned and a join-shaped selection
+// hash-indexed once, and each call is answered by probe (§3.2). With the
+// cache disabled every request pays module translation time — the "No
+// Function Cache" column of Table 2.
 //
 // When Parallelism > 1 the calls of one read-only bulk request are
-// evaluated by a bounded worker pool: Bulk RPC already amortizes network
-// latency (the paper's contribution), and the pool additionally drains
-// the batch across cores. Results keep their call-index order and the
-// merged pending update list is byte-identical to sequential execution.
-// Updating requests always run sequentially, preserving the paper's
-// repeatable-read isolation semantics (§2.2).
+// drawn by that many workers over the same shared scans and indexes.
+// Results keep their call-index order and the merged pending update list
+// is byte-identical to sequential execution. Updating requests always
+// run sequentially, preserving the paper's repeatable-read isolation
+// semantics (§2.2).
 type NativeExecutor struct {
 	Engine   *interp.Engine
 	Registry *modules.Registry
 	// CacheEnabled turns the function cache on (the default in
 	// MonetDB/XQuery).
 	CacheEnabled bool
-	// Parallelism bounds the worker pool that evaluates the calls of one
+	// Parallelism is the number of workers that evaluate the calls of one
 	// bulk request concurrently; values <= 1 mean sequential execution.
 	// Configure before serving traffic.
 	Parallelism int
@@ -183,79 +185,21 @@ func (x *NativeExecutor) Execute(req *soap.Request, _ []byte, docs interp.DocRes
 	stats := &interp.Stats{Compile: compileTime}
 	execStart := time.Now()
 
-	arity := req.Arity
-	if len(req.Calls) > 0 {
-		arity = len(req.Calls[0])
-	}
-	// updating requests keep strictly sequential evaluation: the order
-	// in which their pending updates are produced is the repeatable-read
-	// contract of §2.2 (the request may also declare Updating itself).
-	updating := req.Updating || c.FunctionUpdating(req.Module, req.Method, arity)
 	workers := x.Parallelism
-	if workers > len(req.Calls) {
-		workers = len(req.Calls)
+	if req.Updating {
+		// a request may declare itself updating whatever its function is;
+		// CallBulk serializes updating functions on its own
+		workers = 1
 	}
-
-	results := make([]xdm.Sequence, len(req.Calls))
-	pulByCall := make([]*interp.UpdateList, len(req.Calls))
-	runCall := func(ci int) error {
-		seq, callPUL, err := c.CallFunction(req.Module, req.Method, req.Calls[ci], &interp.EvalOptions{
-			Docs:           docs,
-			RPC:            rpc,
-			CollectUpdates: true,
-		})
-		if err != nil {
-			return err
-		}
-		results[ci] = seq
-		pulByCall[ci] = callPUL
-		return nil
-	}
-
-	if workers <= 1 || len(req.Calls) < 2 || updating {
-		for ci := range req.Calls {
-			if err := runCall(ci); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	} else {
-		errByCall := make([]error, len(req.Calls))
-		// firstFailed tracks the lowest failing call index so far. Calls
-		// above it are skipped — sequential execution would never reach
-		// them — while lower-indexed calls still run, so the reported
-		// error is exactly the one sequential execution returns.
-		var firstFailed atomic.Int64
-		firstFailed.Store(int64(len(req.Calls)))
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range idx {
-					if int64(ci) > firstFailed.Load() {
-						continue
-					}
-					if err := runCall(ci); err != nil {
-						errByCall[ci] = err
-						for {
-							cur := firstFailed.Load()
-							if int64(ci) >= cur || firstFailed.CompareAndSwap(cur, int64(ci)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for ci := range req.Calls {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-		if ff := firstFailed.Load(); ff < int64(len(req.Calls)) {
-			return nil, nil, nil, errByCall[ff]
-		}
+	results, pulByCall, err := c.CallBulk(req.Module, req.Method, req.Calls, &interp.EvalOptions{
+		Docs:           docs,
+		RPC:            rpc,
+		CollectUpdates: true,
+		Workers:        workers,
+		Stats:          stats,
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	// merge pending updates in call-index order: identical to the

@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"xrpc/internal/interp"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 )
@@ -18,6 +19,10 @@ type Metrics struct {
 	ResponseBytes *obs.Counter    // response bytes written over HTTP
 	Rejections    *obs.Counter    // request-size (413) rejections
 	Faults        *obs.Counter    // requests answered with a SOAP fault
+	// what the executor's predicate hash index did (interp.Stats.Index*)
+	IndexBuilds    *obs.Counter
+	IndexProbes    *obs.Counter
+	IndexFallbacks *obs.Counter
 }
 
 // NewMetrics registers the request-path instrument family; labels
@@ -40,6 +45,12 @@ func NewMetrics(reg *obs.Registry, labels ...obs.Label) *Metrics {
 			"Requests rejected for exceeding MaxRequestBytes.", labels...),
 		Faults: reg.NewCounter("xrpc_server_faults_total",
 			"Requests answered with a SOAP fault.", labels...),
+		IndexBuilds: reg.NewCounter("xrpc_exec_index_builds_total",
+			"Predicate hash indexes built by executed requests.", labels...),
+		IndexProbes: reg.NewCounter("xrpc_exec_index_probes_total",
+			"Predicate applications answered from a hash index.", labels...),
+		IndexFallbacks: reg.NewCounter("xrpc_exec_index_fallbacks_total",
+			"Calls that evaluated a predicate row-at-a-time.", labels...),
 	}
 }
 
@@ -85,10 +96,11 @@ func (s *Server) RegisterCacheMetrics(reg *obs.Registry, labels ...obs.Label) {
 // observation point without touching the Server (stack-allocated, so
 // the fast path stays alloc-free).
 type reqMeta struct {
-	req        *soap.Request
-	cacheHits  int // respcache calls served from stored bytes
-	cacheMiss  int // respcache calls that executed
-	usedCache  bool
+	req       *soap.Request
+	exec      interp.Stats // what Execute reported (zero when nothing executed)
+	cacheHits int          // respcache calls served from stored bytes
+	cacheMiss int          // respcache calls that executed
+	usedCache bool
 }
 
 // observe records the request into the metrics and, past the threshold,
@@ -105,6 +117,9 @@ func (s *Server) observe(meta *reqMeta, body []byte, d time.Duration, fault *soa
 		if fault != nil {
 			m.Faults.Inc()
 		}
+		m.IndexBuilds.Add(int64(meta.exec.IndexBuilds))
+		m.IndexProbes.Add(int64(meta.exec.IndexProbes))
+		m.IndexFallbacks.Add(int64(meta.exec.IndexFallbacks))
 	}
 	if !s.SlowLog.Slow(d) {
 		return
@@ -125,6 +140,8 @@ func (s *Server) observe(meta *reqMeta, body []byte, d time.Duration, fault *soa
 		"module", module,
 		"method", method,
 		"calls", calls,
+		"index_builds", meta.exec.IndexBuilds,
+		"index_probes", meta.exec.IndexProbes,
 		"shard", s.Shard,
 		"dur_ms", d.Milliseconds(),
 		"bytes_in", len(body),

@@ -352,6 +352,7 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		return nil, err
 	}
 	if stats != nil {
+		meta.exec = *stats
 		s.mu.Lock()
 		s.LastStats = *stats
 		s.mu.Unlock()

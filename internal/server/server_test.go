@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xmark"
 )
 
 const filmDBY = `<films>
@@ -55,7 +57,7 @@ type peer struct {
 	exec   *NativeExecutor
 }
 
-func newPeer(t *testing.T, uri, filmXML string, net *netsim.Network) *peer {
+func newPeer(t testing.TB, uri, filmXML string, net *netsim.Network) *peer {
 	t.Helper()
 	st := store.New()
 	if filmXML != "" {
@@ -665,51 +667,286 @@ return execute at {"xrpc://y.example.org"} {rel:isInside($film, $name)}`
 	}
 }
 
+// ------------------------------------------------- bulk execution
+
+// The paper's selection functions over XMark (§5 Q_B3; the routed
+// cluster workload's getPerson/setCity), and fetch, whose document name
+// is an argument so that a call can be made to fail.
+const bulkModule = `
+module namespace b = "functions_b";
+declare function b:Q_B3($pid as xs:string) as node()*
+{ doc("auctions.xml")//closed_auction[./buyer/@person=$pid] };
+declare function b:getPerson($pid as xs:string) as node()*
+{ doc("persons.xml")//person[@id=$pid] };
+declare updating function b:setCity($pid as xs:string, $city as xs:string)
+{ for $c in doc("persons.xml")//person[@id=$pid]/address/city
+  return replace value of node $c with $city };
+declare function b:fetch($doc as xs:string, $pid as xs:string) as node()*
+{ doc($doc)//closed_auction[./buyer/@person=$pid] };`
+
+// shardXMark is one shard's share of the end-to-end benchmark's
+// semijoin_probe workload: 609 closed auctions, 62 persons, each of the
+// 62 buying at least once.
+var shardXMark = xmark.Config{Persons: 62, ClosedAuctions: 609, Matches: 62, AnnotationWords: 120, Seed: 42}
+
+// newBulkPeer is newPeer plus the shard-sized XMark documents and
+// bulkModule: every predicate in it has enough candidates to be hash
+// indexed, and each request builds its index while it runs.
+func newBulkPeer(t testing.TB, net *netsim.Network) *peer {
+	t.Helper()
+	p := newPeer(t, "xrpc://y.example.org", filmDBY, net)
+	if err := p.store.LoadXML("auctions.xml", xmark.GenerateAuctions(shardXMark)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.store.LoadXML("persons.xml", xmark.GeneratePersons(shardXMark)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.reg.Register(bulkModule, "http://x.example.org/b.xq"); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func bulkRequest(method string, calls [][]xdm.Sequence) *soap.Request {
+	return &soap.Request{
+		Module: "functions_b", Method: method, Arity: len(calls[0]),
+		Location: "http://x.example.org/b.xq", Calls: calls,
+	}
+}
+
+// probeCalls is n Q_B3/getPerson argument tuples: buyers that repeat,
+// with every fifth a miss.
+func probeCalls(n int) [][]xdm.Sequence {
+	calls := make([][]xdm.Sequence, n)
+	for i := range calls {
+		pid := xmark.PersonID((i * 7) % shardXMark.Persons)
+		if i%5 == 4 {
+			pid = "nobody"
+		}
+		calls[i] = []xdm.Sequence{{xdm.String(pid)}}
+	}
+	return calls
+}
+
+// executed is everything Execute hands back, in comparable form.
+type executed struct {
+	results []string
+	pul     string
+	err     string
+}
+
+func execute(p *peer, req *soap.Request, parallelism int) (executed, *interp.Stats) {
+	p.exec.SetParallelism(parallelism)
+	results, pul, stats, err := p.exec.Execute(req, nil, p.store, nil)
+	if err != nil {
+		return executed{err: err.Error()}, stats
+	}
+	out := executed{pul: pul.Describe()}
+	for _, seq := range results {
+		out.results = append(out.results, xdm.SerializeSequence(seq))
+	}
+	return out, stats
+}
+
+// oneAtATime is the reference for execute: the request's calls run as
+// independent CallFunction calls on an engine without the predicate
+// index, pending updates merged by SeqNrs, stopping at the first error.
+func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
+	t.Helper()
+	src, _ := p.reg.Source(req.Module)
+	ref := interp.New(p.store, p.reg, nil)
+	ref.DisablePredIndex = true
+	c, err := ref.CompileModule(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := &interp.UpdateList{}
+	var out executed
+	for ci, args := range req.Calls {
+		seq, pul, err := c.CallFunction(req.Module, req.Method, args, nil)
+		if err != nil {
+			return executed{err: err.Error()}
+		}
+		if req.SeqNrs != nil {
+			pul.SetSeqBase(req.SeqNrs[ci])
+		}
+		merged.Merge(pul)
+		out.results = append(out.results, xdm.SerializeSequence(seq))
+	}
+	out.pul = merged.Describe()
+	return out
+}
+
+// One evaluation per request, at any pool size, must hand back what N
+// one-at-a-time evaluations without the index hand back: results, the
+// merged pending update list and the error of the first failing call —
+// on random bulks with duplicate keys, misses, (), multi-item probes and
+// a non-string probe.
+func TestExecuteBulkMatchesOneAtATime(t *testing.T) {
+	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	pid := func(rng *rand.Rand) xdm.Sequence {
+		if rng.Intn(5) == 0 {
+			return xdm.Sequence{xdm.String("nobody")}
+		}
+		return xdm.Sequence{xdm.String(xmark.PersonID(rng.Intn(shardXMark.Persons + 4)))}
+	}
+	one := func(rng *rand.Rand) []xdm.Sequence { return []xdm.Sequence{pid(rng)} }
+	fns := []struct {
+		module, method string
+		arg            func(rng *rand.Rand) []xdm.Sequence
+		odd            [][]xdm.Sequence // rejected by the function conversion rules
+	}{
+		{"functions_b", "Q_B3", one,
+			[][]xdm.Sequence{{{}}, {{xdm.String("person1"), xdm.String("person2")}}, {{xdm.Integer(7)}}}},
+		{"functions_b", "getPerson", one,
+			[][]xdm.Sequence{{{}}, {{xdm.String("person1"), xdm.String("person2")}}, {{xdm.Integer(7)}}}},
+		{"functions_b", "setCity",
+			func(rng *rand.Rand) []xdm.Sequence {
+				return []xdm.Sequence{pid(rng), {xdm.String(fmt.Sprintf("Town%d", rng.Intn(3)))}}
+			},
+			[][]xdm.Sequence{{{}, {xdm.String("x")}}, {{xdm.String("person1")}, {xdm.Integer(1)}}}},
+		{"films", "filmsByActor",
+			func(rng *rand.Rand) []xdm.Sequence {
+				return []xdm.Sequence{{xdm.String([]string{"Sean Connery", "Gerard Depardieu", "Nobody"}[rng.Intn(3)])}}
+			},
+			[][]xdm.Sequence{{{}}}},
+	}
+	for _, fn := range fns {
+		for _, n := range []int{1, 2, 16, 64, 512} {
+			for _, withOdd := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(n)))
+				req := &soap.Request{Module: fn.module, Method: fn.method, Location: "http://x.example.org/film.xq"}
+				for i := 0; i < n; i++ {
+					req.Calls = append(req.Calls, fn.arg(rng))
+					// reversed seqNrs: the merge must honor the tags
+					req.SeqNrs = append(req.SeqNrs, int64(n-i))
+				}
+				if withOdd {
+					for _, odd := range fn.odd {
+						req.Calls[rng.Intn(n)] = odd
+					}
+				}
+				req.Arity = len(req.Calls[0])
+				want := oneAtATime(t, p, req)
+				for _, parallelism := range []int{1, 2, 4} {
+					got, _ := execute(p, req, parallelism)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s x%d odd=%v parallelism=%d:\n bulk:          %.300v\n one at a time: %.300v",
+							fn.method, n, withOdd, parallelism, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The paper's headline query on the callee: a 64-call Q_B3 bulk scans
+// and hash-indexes the auctions once and answers every call by probe.
+func TestBulkBuildsOneIndexPerRequest(t *testing.T) {
+	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	for _, parallelism := range []int{1, 4} {
+		_, stats := execute(p, bulkRequest("Q_B3", probeCalls(64)), parallelism)
+		if stats.IndexBuilds != 1 || stats.IndexProbes != 64 || stats.IndexFallbacks != 0 {
+			t.Errorf("parallelism=%d: builds/probes/fallbacks = %d/%d/%d, want 1/64/0", parallelism,
+				stats.IndexBuilds, stats.IndexProbes, stats.IndexFallbacks)
+		}
+	}
+	// filmsByActor's key path climbs to the parent: every call falls back
+	req := &soap.Request{Module: "films", Method: "filmsByActor", Arity: 1, Location: "http://x.example.org/film.xq"}
+	for i := 0; i < 8; i++ {
+		req.Calls = append(req.Calls, []xdm.Sequence{{xdm.String("Sean Connery")}})
+	}
+	if _, stats := execute(p, req, 1); stats.IndexBuilds != 0 || stats.IndexProbes != 0 || stats.IndexFallbacks != 8 {
+		t.Errorf("filmsByActor: builds/probes/fallbacks = %d/%d/%d, want 0/0/8",
+			stats.IndexBuilds, stats.IndexProbes, stats.IndexFallbacks)
+	}
+}
+
+// A request's allocations must not grow with its call count the way N
+// evaluations do: the 64-call bulk shares one scan and one index, so it
+// may cost at most 8x the single call (at the parent commit: ~64x).
+func TestBulkAllocationsDoNotScaleWithCalls(t *testing.T) {
+	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	allocs := func(calls int) float64 {
+		req := bulkRequest("Q_B3", probeCalls(calls))
+		return testing.AllocsPerRun(10, func() {
+			if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	x1, x64 := allocs(1), allocs(64)
+	if x64 > 8*x1 {
+		t.Errorf("64-call bulk allocates %.0f, 1-call request %.0f: more than 8x", x64, x1)
+	}
+}
+
+func benchBulkProbe(b *testing.B, calls int) {
+	p := newBulkPeer(b, netsim.NewNetwork(0, 0))
+	req := bulkRequest("Q_B3", probeCalls(calls))
+	if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil { // compile outside the timer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBulkProbe_Q_B3 is one shard's share of semijoin_probe: X64 is
+// about the 62-call bulk a shard receives per op, X1 its one-call floor.
+func BenchmarkBulkProbe_Q_B3_X1(b *testing.B)  { benchBulkProbe(b, 1) }
+func BenchmarkBulkProbe_Q_B3_X64(b *testing.B) { benchBulkProbe(b, 64) }
+
 // ------------------------------------------------- parallel bulk exec
 
 // The worker pool must be invisible on the wire: a read-only bulk
-// request returns byte-identical responses at any pool size.
+// request returns byte-identical responses at any pool size — for the
+// row-at-a-time film bulk and for the Q_B3 bulk whose workers share one
+// scan and one index built while they run.
 func TestParallelBulkByteIdenticalToSequential(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	y := newPeer(t, "xrpc://y.example.org", filmDBY, net)
-	req := &soap.Request{
+	y := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	films := &soap.Request{
 		Module: "films", Method: "filmsByActor", Arity: 1,
 		Location: "http://x.example.org/film.xq",
 	}
 	actors := []string{"Sean Connery", "Gerard Depardieu", "Nobody"}
 	for i := 0; i < 48; i++ {
-		req.Calls = append(req.Calls, []xdm.Sequence{{xdm.String(actors[i%len(actors)])}})
+		films.Calls = append(films.Calls, []xdm.Sequence{{xdm.String(actors[i%len(actors)])}})
 	}
-	body := soap.EncodeRequest(req)
-	y.server.SetParallelism(1)
-	want, err := y.server.HandleXRPC("/xrpc", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(want), "Fault") {
-		t.Fatalf("sequential run faulted: %s", want)
-	}
-	for _, workers := range []int{2, 4, 16, 64} {
-		y.server.SetParallelism(workers)
-		got, err := y.server.HandleXRPC("/xrpc", body)
+	for _, req := range []*soap.Request{films, bulkRequest("Q_B3", probeCalls(48))} {
+		body := soap.EncodeRequest(req)
+		y.server.SetParallelism(1)
+		want, err := y.server.HandleXRPC("/xrpc", body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: response differs from sequential", workers)
+		if strings.Contains(string(want), "Fault") {
+			t.Fatalf("sequential run faulted: %s", want)
+		}
+		for _, workers := range []int{2, 4, 16, 64} {
+			y.server.SetParallelism(workers)
+			got, err := y.server.HandleXRPC("/xrpc", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%d: response differs from sequential", req.Method, workers)
+			}
 		}
 	}
 }
 
-// Updating bulk requests fall back to sequential evaluation under any
-// Parallelism: the pending-update order, and hence the final document,
-// is identical to sequential mode.
+// Updating bulk requests are evaluated in call order under any
+// Parallelism — whether the request declares itself updating (addFilm)
+// or only its function does (setCity, whose selection is hash-indexed
+// during the run): the pending-update order, and hence the final
+// document, is identical to sequential mode.
 func TestParallelUpdatingKeepsPendingUpdateOrder(t *testing.T) {
-	run := func(parallelism int) (string, string) {
-		t.Helper()
-		net := netsim.NewNetwork(0, 0)
-		y := newPeer(t, "xrpc://y.example.org", filmDBY, net)
-		y.server.SetParallelism(parallelism)
+	addFilm := func() (*soap.Request, string) {
 		req := &soap.Request{
 			Module: "upd", Method: "addFilm", Arity: 2,
 			Location: "http://x.example.org/film.xq",
@@ -720,103 +957,109 @@ func TestParallelUpdatingKeepsPendingUpdateOrder(t *testing.T) {
 				{xdm.String(fmt.Sprintf("Film %d", i))},
 				{xdm.String(fmt.Sprintf("Actor %d", i))},
 			})
-			// reversed seqNrs: the merge must honor the tags, not the
-			// evaluation order
-			req.SeqNrs = append(req.SeqNrs, int64(8-i))
 		}
-		_, pul, _, err := y.exec.Execute(req, nil, y.store, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order := pul.Describe()
-		if err := interp.ApplyUpdates(y.store, pul); err != nil {
-			t.Fatal(err)
-		}
-		doc, _ := y.store.Get("filmDB.xml")
-		return order, xdm.SerializeSequence(xdm.Sequence{doc})
+		return req, "filmDB.xml"
 	}
-	seqOrder, seqDoc := run(1)
-	parOrder, parDoc := run(8)
-	if parOrder != seqOrder {
-		t.Errorf("pending-update order differs:\nsequential:\n%s\nparallel:\n%s", seqOrder, parOrder)
+	setCity := func() (*soap.Request, string) {
+		var calls [][]xdm.Sequence
+		for i := 0; i < 24; i++ { // 24 calls over 8 persons: later calls overwrite earlier ones
+			calls = append(calls, []xdm.Sequence{
+				{xdm.String(xmark.PersonID(i % 8))}, {xdm.String(fmt.Sprintf("Town %d", i))}})
+		}
+		return bulkRequest("setCity", calls), "persons.xml"
 	}
-	if parDoc != seqDoc {
-		t.Errorf("final document differs:\nsequential:\n%s\nparallel:\n%s", seqDoc, parDoc)
+	for _, mk := range []func() (*soap.Request, string){addFilm, setCity} {
+		run := func(parallelism int) (string, string) {
+			t.Helper()
+			y := newBulkPeer(t, netsim.NewNetwork(0, 0))
+			y.server.SetParallelism(parallelism)
+			req, doc := mk()
+			for i := range req.Calls {
+				// reversed seqNrs: the merge must honor the tags, not the
+				// evaluation order
+				req.SeqNrs = append(req.SeqNrs, int64(len(req.Calls)-i))
+			}
+			_, pul, _, err := y.exec.Execute(req, nil, y.store, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := pul.Describe()
+			if err := interp.ApplyUpdates(y.store, pul); err != nil {
+				t.Fatal(err)
+			}
+			root, _ := y.store.Get(doc)
+			return order, xdm.SerializeSequence(xdm.Sequence{root})
+		}
+		seqOrder, seqDoc := run(1)
+		for _, parallelism := range []int{2, 4, 8} {
+			parOrder, parDoc := run(parallelism)
+			if parOrder != seqOrder {
+				t.Errorf("parallelism=%d: pending-update order differs:\nsequential:\n%s\nparallel:\n%s", parallelism, seqOrder, parOrder)
+			}
+			if parDoc != seqDoc {
+				t.Errorf("parallelism=%d: final document differs from sequential", parallelism)
+			}
+		}
 	}
 }
 
 // Concurrent bulk requests against a pool-enabled server (race-detector
-// coverage for the shared function cache and counters).
+// coverage for the shared function cache and counters, and for each
+// request's workers over its own shared memo).
 func TestParallelBulkConcurrentRequests(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	y := newPeer(t, "xrpc://y.example.org", filmDBY, net)
-	y.server.SetParallelism(4)
-	req := &soap.Request{
-		Module: "films", Method: "filmsByActor", Arity: 1,
-		Location: "http://x.example.org/film.xq",
+	y := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	body := soap.EncodeRequest(bulkRequest("Q_B3", probeCalls(32)))
+	y.server.SetParallelism(1)
+	want, err := y.server.HandleXRPC("/xrpc", body)
+	if err != nil || strings.Contains(string(want), "Fault") {
+		t.Fatalf("sequential run: %v %s", err, want)
 	}
-	for i := 0; i < 32; i++ {
-		req.Calls = append(req.Calls, []xdm.Sequence{{xdm.String("Sean Connery")}})
-	}
-	body := soap.EncodeRequest(req)
-	var wg sync.WaitGroup
-	faults := make([]error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			resp, err := y.server.HandleXRPC("/xrpc", body)
-			if err != nil {
+	for _, parallelism := range []int{1, 2, 4} {
+		y.server.SetParallelism(parallelism)
+		var wg sync.WaitGroup
+		faults := make([]error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				resp, err := y.server.HandleXRPC("/xrpc", body)
+				if err == nil && !bytes.Equal(resp, want) {
+					err = fmt.Errorf("response differs from sequential: %.200s", resp)
+				}
 				faults[g] = err
-				return
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range faults {
+			if err != nil {
+				t.Fatalf("parallelism=%d: %v", parallelism, err)
 			}
-			if strings.Contains(string(resp), "Fault") {
-				faults[g] = fmt.Errorf("fault: %s", resp)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range faults {
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
 // A failing call reports the lowest-index error, exactly like sequential
-// execution.
+// execution — here on a bulk whose early calls build and probe an index
+// and whose calls from the sixth on name documents that do not exist.
 func TestParallelBulkDeterministicError(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	y := newPeer(t, "xrpc://y.example.org", filmDBY, net)
-	// tst:echo with wrong arity 0 is fine; instead call a function that
-	// faults on a bad document for the middle call
-	badModule := `
-module namespace bad="bad";
-declare function bad:fetch($doc as xs:string) as node()*
-{ doc($doc)//name };`
-	if err := y.reg.Register(badModule, "http://x.example.org/bad.xq"); err != nil {
-		t.Fatal(err)
-	}
-	req := &soap.Request{
-		Module: "bad", Method: "fetch", Arity: 1,
-		Location: "http://x.example.org/bad.xq",
-	}
+	y := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	var calls [][]xdm.Sequence
 	for i := 0; i < 16; i++ {
-		name := "filmDB.xml"
+		name := "auctions.xml"
 		if i >= 5 {
 			name = fmt.Sprintf("missing%d.xml", i)
 		}
-		req.Calls = append(req.Calls, []xdm.Sequence{{xdm.String(name)}})
+		calls = append(calls, []xdm.Sequence{{xdm.String(name)}, {xdm.String(xmark.PersonID(i))}})
 	}
-	y.server.SetParallelism(1)
-	_, _, _, seqErr := y.exec.Execute(req, nil, y.store, nil)
-	y.server.SetParallelism(8)
-	_, _, _, parErr := y.exec.Execute(req, nil, y.store, nil)
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("expected errors, got seq=%v par=%v", seqErr, parErr)
+	req := bulkRequest("fetch", calls)
+	seq, _ := execute(y, req, 1)
+	if !strings.Contains(seq.err, "missing5.xml") {
+		t.Fatalf("sequential error = %q, want the sixth call's", seq.err)
 	}
-	if seqErr.Error() != parErr.Error() {
-		t.Errorf("error differs: sequential %q, parallel %q", seqErr, parErr)
+	for _, parallelism := range []int{2, 4, 8} {
+		if par, _ := execute(y, req, parallelism); par.err != seq.err {
+			t.Errorf("parallelism=%d: error %q, sequential %q", parallelism, par.err, seq.err)
+		}
 	}
 }
 
