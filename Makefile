@@ -70,18 +70,26 @@ memsmoke:
 # and the compiled-plan caches all enabled must serve warm hits on both
 # coordinator and shard tiers, and a routed single-shard 2PC commit
 # must invalidate exactly the touched shard's entries — with every
-# answer byte-identical to an unsharded single-peer execution. The full
-# sweep with latency columns: xrpcbench -table cache -cache-json
+# answer byte-identical to an unsharded single-peer execution. The
+# compiled-text cache (interp.PlanCache) has no invalidation call to
+# forget, so the gate also re-registers modules: on a shard executor,
+# through Deploy, and under a query peer, the next request must run the
+# new text, and only the plans importing the module may recompile. The
+# full sweep with latency columns: xrpcbench -table cache -cache-json
 # BENCH_cache.json.
 cachesmoke:
-	$(GO) test -run 'TestCacheSmoke' -v ./internal/cluster/
+	$(GO) test -run 'TestCacheSmoke|TestDeployInvalidatesImporterPlans|Reregist' -v ./internal/cluster/
+	$(GO) test -run 'Reregist|TestCachedQueryMintsFreshQueryID|TestPlanCacheInvalidatesOnRegistration' -v \
+		./internal/core/ ./internal/server/ ./internal/pathfinder/
 
 # obssmoke is the observability acceptance check: a 2-shard cached
 # cluster with the full metrics/trace/slow-log layer attached, driven
 # cold -> warm -> routed 2PC update -> post-write read, then scraped
 # through the /metrics, /healthz and /readyz debug endpoints. Asserts
 # the scatter, cache-tier and 2PC counters move at each stage and that
-# one trace ID appears in both shards' slow-query logs.
+# one trace ID appears in both shards' slow-query logs; a query peer in
+# front runs one text cold then warm and its compiled-text cache's hit
+# counter (cache="query") must move.
 obssmoke:
 	$(GO) test -run 'TestObsSmoke' -v ./internal/cluster/
 

@@ -80,8 +80,8 @@ func TestTable2FunctionCacheShape(t *testing.T) {
 	if _, err := env.RunEchoVoid(1, true, false); err != nil {
 		t.Fatal(err)
 	}
-	if env.YExec.CacheMisses.Load() != 1 {
-		t.Errorf("cold run misses = %d, want 1", env.YExec.CacheMisses.Load())
+	if st := env.YExec.PlanCacheStats(); st.Misses != 1 {
+		t.Errorf("cold run misses = %d, want 1", st.Misses)
 	}
 	// warm cache: the measured run is a pure cache hit
 	env2, err := NewTable2Env(0)
@@ -91,8 +91,8 @@ func TestTable2FunctionCacheShape(t *testing.T) {
 	if _, err := env2.RunEchoVoid(1, true, true); err != nil {
 		t.Fatal(err)
 	}
-	if env2.YExec.CacheMisses.Load() != 1 || env2.YExec.CacheHits.Load() < 1 {
-		t.Errorf("warm run misses=%d hits=%d", env2.YExec.CacheMisses.Load(), env2.YExec.CacheHits.Load())
+	if st := env2.YExec.PlanCacheStats(); st.Misses != 1 || st.Hits < 1 {
+		t.Errorf("warm run misses=%d hits=%d", st.Misses, st.Hits)
 	}
 	// and the cold single call is visibly slower than the warm one
 	// (module translation time, the 130 ms of the paper)

@@ -1,14 +1,14 @@
 // Package cache provides the bounded, version-fenced LRU that backs the
 // three caching tiers of the serving stack: the per-shard response cache
 // (internal/server), the coordinator merged-result cache
-// (internal/cluster), and the normalized compiled-plan caches
-// (internal/server, internal/pathfinder). One implementation, three
-// policies: entries are bounded both by total byte size and by entry
-// count, evicted least-recently-used first, and optionally fenced on a
-// version tag — a lookup carrying a different version treats the entry
-// as stale, removes it, and reports a miss (exact invalidation: the
-// store's commit fence advances the version by exactly one step per
-// committed write).
+// (internal/cluster), and the compiled-text cache (interp.PlanCache,
+// which fences on module identity and so reads through GetAny). One
+// implementation, three policies: entries are bounded both by total
+// byte size and by entry count, evicted least-recently-used first, and
+// optionally fenced on a version tag — a lookup carrying a different
+// version treats the entry as stale, removes it, and reports a miss
+// (exact invalidation: the store's commit fence advances the version by
+// exactly one step per committed write).
 package cache
 
 import (
@@ -153,25 +153,6 @@ func (c *LRU) Remove(key string) {
 		c.removeLocked(el)
 	}
 	c.mu.Unlock()
-}
-
-// RemoveFunc deletes every entry the predicate matches, returning how
-// many were removed — the granular invalidation behind
-// InvalidateModule (drop only the plans that depend on one module).
-func (c *LRU) RemoveFunc(pred func(key string, val any) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var doomed []*list.Element
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
-		if pred(e.key, e.val) {
-			doomed = append(doomed, el)
-		}
-	}
-	for _, el := range doomed {
-		c.removeLocked(el)
-	}
-	return len(doomed)
 }
 
 // Clear empties the cache (counters are preserved).

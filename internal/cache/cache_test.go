@@ -84,7 +84,7 @@ func TestReplaceAccountsBytes(t *testing.T) {
 	}
 }
 
-func TestGetAnyAndRemoveFunc(t *testing.T) {
+func TestGetAnyAndRemove(t *testing.T) {
 	c := New(0, 10)
 	c.Put("x", "vx", 1, 7)
 	v, ver, ok := c.GetAny("x")
@@ -92,12 +92,12 @@ func TestGetAnyAndRemoveFunc(t *testing.T) {
 		t.Fatalf("GetAny = %v, %d, %v", v, ver, ok)
 	}
 	c.Put("y", "vy", 1, 7)
-	n := c.RemoveFunc(func(key string, val any) bool { return key == "x" })
-	if n != 1 || c.Len() != 1 {
-		t.Fatalf("RemoveFunc removed %d, Len=%d; want 1, 1", n, c.Len())
+	c.Remove("x")
+	if c.Len() != 1 {
+		t.Fatalf("Len after Remove = %d; want 1", c.Len())
 	}
 	if _, _, ok := c.GetAny("x"); ok {
-		t.Fatal("x survived RemoveFunc")
+		t.Fatal("x survived Remove")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestConcurrentAccess(t *testing.T) {
 				c.Put(k, i, 64, int64(i%3))
 				c.Get(k, int64(i%3))
 				if i%50 == 0 {
-					c.RemoveFunc(func(string, any) bool { return false })
+					c.Remove(k)
 					c.Stats()
 				}
 			}

@@ -411,12 +411,11 @@ declare updating function p:setCity($pid as xs:string, $city as xs:string)
 	}
 }
 
-// TestDeployInvalidatesImporterPlans: Deploy must wire
-// reg.OnUpdate(exec.InvalidateModule) on every shard executor, as
-// core.NewPeer does — re-registering an imported module leaves the
-// importer's source, and hence its normalized plan-cache key,
-// unchanged, so only the dependency-tracking invalidation can drop the
-// importer's stale compiled plan.
+// TestDeployInvalidatesImporterPlans: re-registering an imported module
+// leaves the importer's own text, and hence its plan-cache key (its
+// module URI), unchanged — every shard executor must still drop the
+// importer's compiled plan, and Deploy wires nothing to tell it: the
+// cached plan finds out from the registry at its next lookup.
 func TestDeployInvalidatesImporterPlans(t *testing.T) {
 	const baseV1 = `
 module namespace base = "base_m";

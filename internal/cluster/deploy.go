@@ -146,11 +146,6 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 				}
 			}
 			exec := server.NewNativeExecutor(interp.New(st, reg, nil), reg)
-			// mirror core.NewPeer: a module re-registration must drop
-			// every plan depending on it on every shard executor — an
-			// importer's own source (hence its plan-cache key) does not
-			// change when an imported module does
-			reg.OnUpdate(exec.InvalidateModule)
 			srv := server.New(st, reg, exec)
 			srv.Self = uri
 			srv.Shard, srv.Shards = s, cfg.Shards

@@ -113,6 +113,9 @@ func (rc *ResultCache) RegisterMetrics(reg *obs.Registry) {
 		"Merged-result cache misses.", rc.Misses.Load)
 	reg.CounterFunc("xrpc_resultcache_revalidations_total",
 		"Shard fence probes for cached entries.", rc.Revalidations.Load)
+	reg.CounterFunc("xrpc_resultcache_evictions_total",
+		"Merged-result cache capacity evictions.",
+		func() int64 { return rc.Stats().Evictions })
 	reg.GaugeFunc("xrpc_resultcache_entries",
 		"Merged-result cache resident entries.",
 		func() float64 { return float64(rc.Stats().Entries) })

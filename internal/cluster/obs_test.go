@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"xrpc/internal/core"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/planner"
@@ -24,7 +25,8 @@ import (
 // cluster with the full observability layer attached — one shared
 // registry over shard servers, coordinator, result cache, client,
 // netsim and the per-replica write-ahead logs — driven cold → warm →
-// routed update → post-write → demote/resync/rejoin, then scraped
+// routed update → post-write → a query peer's cold and warm run of one
+// text → demote/resync/rejoin, then scraped
 // through the debug endpoints. Asserts the counters that must move at
 // each stage, and that one trace ID minted at the coordinator's front
 // door appears in BOTH shards' slow-query logs.
@@ -183,6 +185,36 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("index fallbacks = %v, want 0 (getPerson's predicate is indexable)", n)
 	}
 
+	// --- a query peer in front: the same text cold then warm. The warm
+	// run is compiled from Q's compiled-text cache (cache="query"), the
+	// same type the shards export as their function cache (cache="module")
+	q := core.NewPeer("xrpc://q", net)
+	if err := q.RegisterModule(personsModule, "http://example.org/p.xq"); err != nil {
+		t.Fatal(err)
+	}
+	qLbl := obs.Label{Key: "peer", Value: "q"}
+	q.EnableObs(reg, nil, qLbl)
+	queryCache := func(name string) float64 {
+		return reg.MustGather(name, qLbl, obs.Label{Key: "cache", Value: "query"})
+	}
+	const text = `import module namespace p = "functions_p" at "http://example.org/p.xq";
+count(execute at {"xrpc://shard0"} {p:getPerson("person2")})`
+	for run, wantHits := range []float64{0, 1} {
+		if _, err := q.Query(text); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := queryCache("xrpc_plancache_hits_total"), queryCache("xrpc_plancache_misses_total"); hits != wantHits || misses != 1 {
+			t.Fatalf("query peer run %d: plan cache hits = %v misses = %v, want %v and 1", run, hits, misses, wantHits)
+		}
+	}
+	if n := queryCache("xrpc_plancache_entries"); n != 1 {
+		t.Fatalf("query peer: plan cache entries = %v, want 1", n)
+	}
+	if n := reg.MustGather("xrpc_plancache_hits_total",
+		obs.Label{Key: "shard", Value: "0"}, obs.Label{Key: "cache", Value: "module"}); n < 1 {
+		t.Fatalf("shard 0 function cache hits = %v, want >= 1 over the stages above", n)
+	}
+
 	// --- demote → resync → rejoin: the durability counters move
 	shard := ownerShard(t, dep, xmark.PersonID(2))
 	replica := dep.Table.Replicas(shard)[1]
@@ -273,6 +305,9 @@ func TestObsSmoke(t *testing.T) {
 		"# TYPE xrpc_wal_fsync_seconds histogram",
 		"xrpc_wal_resyncs_total",
 		"xrpc_cluster_rejoins_total 1",
+		`xrpc_plancache_hits_total{peer="q",cache="query"} 1`,
+		`xrpc_plancache_evictions_total{shard="0",cache="module"} 0`,
+		"xrpc_resultcache_evictions_total 0",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("/metrics scrape missing %q", want)

@@ -38,8 +38,10 @@ type ResultCache struct {
 // ResultCacheStats is a point-in-time snapshot of a ResultCache.
 type ResultCacheStats struct {
 	Hits, PartialHits, Misses, Revalidations int64
-	Entries                                  int
-	Bytes                                    int64
+	// Evictions counts entries the byte bound pushed out.
+	Evictions int64
+	Entries   int
+	Bytes     int64
 }
 
 // NewResultCache builds a merged-result cache bounded by maxBytes
@@ -59,6 +61,7 @@ func (rc *ResultCache) Stats() ResultCacheStats {
 		PartialHits:   rc.PartialHits.Load(),
 		Misses:        rc.Misses.Load(),
 		Revalidations: rc.Revalidations.Load(),
+		Evictions:     st.Evictions,
 		Entries:       st.Entries,
 		Bytes:         st.Bytes,
 	}

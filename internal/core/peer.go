@@ -6,6 +6,12 @@
 // tree-walking interpreter (one-at-a-time RPC, the Saxon role), honoring
 // the declare option xrpc:isolation / xrpc:timeout prolog options, and
 // driving WS-AtomicTransaction 2PC for distributed updating queries.
+//
+// A query text has one compiled form, its interp.Compiled static context
+// (parsed, imports resolved, classified), which both engines run from and
+// which Peer.Plans caches; everything that belongs to one run — the
+// client, its queryID, the document resolver — is made per query and
+// handed to the evaluation, never stored in the cached form.
 package core
 
 import (
@@ -25,6 +31,7 @@ import (
 	"xrpc/internal/txn"
 	"xrpc/internal/wrapper"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xq"
 )
 
 // EngineKind selects the local execution engine.
@@ -58,10 +65,14 @@ type Peer struct {
 	// DefaultTimeout is the isolation timeout (seconds) when the query
 	// does not declare xrpc:timeout.
 	DefaultTimeout int
-	// Plans caches loop-lifted query compilations keyed on normalized
-	// query text (nil = compile every query). NewPeer enables it.
-	Plans *pathfinder.PlanCache
+	// Plans caches the static context of each query text, and with it
+	// the loop-lifted plan, keyed on normalized query text (nil = compile
+	// every query). NewPeer enables it.
+	Plans *interp.PlanCache
 
+	// eng compiles query texts against Registry; it holds no per-query
+	// state (documents and the RPC caller are passed to each evaluation).
+	eng  *interp.Engine
 	exec *server.NativeExecutor
 }
 
@@ -80,13 +91,10 @@ func NewPeer(self string, transport netsim.Transport) *Peer {
 		Server:         srv,
 		Transport:      transport,
 		DefaultTimeout: 30,
-		Plans:          pathfinder.NewPlanCache(reg),
+		Plans:          interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
+		eng:            eng,
 		exec:           exec,
 	}
-	// a module re-registration invalidates exactly the plans that
-	// depend on it (the query plan cache fences itself on the registry
-	// generation instead)
-	reg.OnUpdate(exec.InvalidateModule)
 	srv.NewRPC = func(qid *soap.QueryID) (interp.RPCCaller, func() []string) {
 		if transport == nil {
 			return nil, func() []string { return nil }
@@ -117,6 +125,7 @@ func NewWrapperPeer(self string, transport netsim.Transport) (*Peer, *wrapper.Wr
 		Server:         srv,
 		Transport:      transport,
 		DefaultTimeout: 30,
+		eng:            interp.New(st, reg, nil),
 	}
 	return p, w
 }
@@ -152,14 +161,17 @@ func (p *Peer) RegisterModule(src string, hints ...string) error {
 }
 
 // EnableObs attaches the observability layer to the peer: request-path
-// metrics and the counters of every server-side cache tier registered on
-// reg, and slow (may be nil) as the structured slow-query log. Labels —
-// typically shard="N" — distinguish peers sharing one registry. Call
-// before serving traffic; a peer without EnableObs runs exactly as
-// before (the nil-instrument fast path).
+// metrics, the counters of every server-side cache tier and of the query
+// plan cache registered on reg, and slow (may be nil) as the structured
+// slow-query log. Labels — typically shard="N" — distinguish peers
+// sharing one registry. Call before serving traffic; a peer without
+// EnableObs runs exactly as before (the nil-instrument fast path).
 func (p *Peer) EnableObs(reg *obs.Registry, slow *obs.SlowLog, labels ...obs.Label) {
 	p.Server.Metrics = server.NewMetrics(reg, labels...)
 	p.Server.RegisterCacheMetrics(reg, labels...)
+	if p.Plans != nil {
+		p.Plans.RegisterMetrics(reg, "query", labels...)
+	}
 	p.Server.SlowLog = slow
 }
 
@@ -210,56 +222,40 @@ func (p *Peer) Query(q string) (*Result, error) {
 //     WS-AtomicTransaction 2PC across all participating peers;
 //   - read-only queries without the option run at isolation "none"
 //     (rules R_Fr / R_Fu).
+//
+// The text costs one cache lookup (compile); the client and the queryID
+// are this run's own.
 func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, error) {
-	// classification pass: options + updating detection use the
-	// interpreter's compiler (cheap, and shared by both engines)
-	cl := client.New(p.transportOrNoop())
-	eng := interp.New(&client.DocResolver{Local: p.Store, Client: cl}, p.Registry, cl)
-	compiled, err := eng.Compile(q)
+	static, err := p.compile(q)
 	if err != nil {
 		return nil, err
 	}
-	isolation := compiled.Option("xrpc:isolation")
-	updating := compiled.IsUpdating()
-	timeout := p.DefaultTimeout
-	if t := compiled.Option("xrpc:timeout"); t != "" {
-		fmt.Sscanf(t, "%d", &timeout)
-	}
-	if isolation == "repeatable" || updating {
+	updating := static.IsUpdating()
+	cl := client.New(p.transportOrNoop())
+	if static.Repeatable() || updating {
+		timeout := static.Timeout()
+		if timeout == 0 {
+			timeout = p.DefaultTimeout
+		}
 		cl.QueryID = txn.NewQueryID(p.Self, timeout)
 	}
+	docs := &client.DocResolver{Local: p.Store, Client: cl}
 
 	var seq xdm.Sequence
 	var pul *interp.UpdateList
-	switch p.Engine {
-	case EngineInterpreted:
-		seq, pul, err = compiled.Eval(&interp.EvalOptions{
+	if p.Engine == EngineInterpreted || updating {
+		// local update expressions need the interpreter, whichever engine
+		// the peer runs
+		seq, pul, err = static.Eval(&interp.EvalOptions{
 			Vars:           vars,
+			Docs:           docs,
+			RPC:            cl,
 			CollectUpdates: updating,
 		})
-	default:
-		// local update expressions need the interpreter; fall back
-		// transparently for updating queries
-		if updating {
-			seq, pul, err = compiled.Eval(&interp.EvalOptions{
-				Vars:           vars,
-				CollectUpdates: true,
-			})
-		} else {
-			var pfc *pathfinder.Compiled
-			if p.Plans != nil {
-				pfc, err = p.Plans.Compile(q)
-			} else {
-				pfc, err = pathfinder.Compile(q, p.Registry)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ec := &pathfinder.ExecCtx{
-				Docs: &client.DocResolver{Local: p.Store, Client: cl},
-				Bulk: cl,
-			}
-			seq, err = pfc.Eval(ec, vars)
+	} else {
+		var plan *pathfinder.Compiled
+		if plan, err = pathfinder.Lift(static); err == nil {
+			seq, err = plan.Eval(&pathfinder.ExecCtx{Docs: docs, Bulk: cl}, vars)
 		}
 	}
 	if err != nil {
@@ -282,6 +278,15 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 		return nil, err
 	}
 	return res, nil
+}
+
+// compile returns the static context of a query text: a hit in Plans
+// costs the key's normalization and nothing else — no parse.
+func (p *Peer) compile(q string) (*interp.Compiled, error) {
+	if p.Plans == nil {
+		return p.eng.Compile(q)
+	}
+	return p.Plans.Compile(p.eng, xq.Normalize(q), q)
 }
 
 func (p *Peer) transportOrNoop() netsim.Transport {

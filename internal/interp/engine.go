@@ -6,11 +6,16 @@
 //
 // It is also the reference semantics for the loop-lifting relational
 // engine (internal/pathfinder): both must produce identical results on
-// the supported subset.
+// the supported subset. They share this package's front end: Compile
+// turns a text into its one static context (Compiled), pathfinder lifts
+// its plan from that, and PlanCache — the function cache Saxon lacks and
+// MonetDB/XQuery has — is how a peer keeps either.
 package interp
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,15 +123,32 @@ type boundFunc struct {
 	atHint string
 }
 
-// Compiled is a compiled (parsed + import-resolved) query, ready to run.
-// Compiled values are immutable and safe for concurrent Eval calls; this
-// is what the server's function cache stores.
+// Compiled is the static context of one XQuery text: the parsed main
+// module, its transitively resolved imports, the function table both
+// engines resolve calls in, and the text's classification. It holds
+// nothing of any one evaluation — documents, the RPC caller and variables
+// arrive through EvalOptions — so a Compiled is immutable, safe for
+// concurrent Eval calls, and what a PlanCache stores.
 type Compiled struct {
-	engine  *Engine
-	main    *xq.Module
-	modules map[string]*xq.Module // by namespace URI
+	engine *Engine
+	main   *xq.Module
+	// modules are the library modules of this context by namespace URI.
+	// Every one but a library main module is the very *xq.Module the
+	// resolver returned: the dependency record that fresh checks.
+	modules map[string]*xq.Module
 	funcs   map[funcKey]*boundFunc
 	globals []*xq.VarDecl
+
+	updating   bool
+	repeatable bool
+	timeout    int
+
+	// lifted is the plan another engine derived from this context (see
+	// Lifted), built at most once.
+	liftOnce sync.Once
+	lifted   any
+	liftErr  error
+
 	// CompileTime is how long parsing+resolution took (Table 3 "compile").
 	CompileTime time.Duration
 }
@@ -134,36 +156,32 @@ type Compiled struct {
 // Module returns the parsed main module.
 func (c *Compiled) Module() *xq.Module { return c.main }
 
-// ModuleURIs lists the namespace URIs this compilation depends on: the
-// main module's own URI (when it is a library) plus every transitively
-// imported module. A plan cache uses this as the invalidation set —
-// re-registering any of these modules makes the plan stale.
-func (c *Compiled) ModuleURIs() []string {
-	uris := make([]string, 0, len(c.modules)+1)
-	if c.main.IsLibrary && c.main.ModuleURI != "" {
-		uris = append(uris, c.main.ModuleURI)
-	}
-	for uri := range c.modules {
-		if uri != c.main.ModuleURI {
-			uris = append(uris, uri)
-		}
-	}
-	return uris
-}
-
-// Option returns a declared prolog option value ("" when absent).
-func (c *Compiled) Option(name string) string { return c.main.Options[name] }
-
 // IsUpdating reports whether the query body contains update expressions
 // or calls to updating functions (a static property per XQUF).
-func (c *Compiled) IsUpdating() bool {
-	if c.main.Body == nil {
-		return false
-	}
-	return exprIsUpdating(c.main.Body, c)
+func (c *Compiled) IsUpdating() bool { return c.updating }
+
+// Repeatable reports whether the text declares option xrpc:isolation
+// "repeatable" (§2.2; the default, and the only other value, is "none").
+func (c *Compiled) Repeatable() bool { return c.repeatable }
+
+// Timeout is the declared option xrpc:timeout in seconds, 0 when the
+// text does not declare one.
+func (c *Compiled) Timeout() int { return c.timeout }
+
+// Lifted returns the plan lift derives from this static context, calling
+// lift on first use only: a cached context carries its derived plan with
+// it. One context has one derived form (internal/pathfinder's loop-lifted
+// plan), so every caller must pass the same lift.
+func (c *Compiled) Lifted(lift func(*Compiled) (any, error)) (any, error) {
+	c.liftOnce.Do(func() { c.lifted, c.liftErr = lift(c) })
+	return c.lifted, c.liftErr
 }
 
-// Compile parses src and resolves its module imports.
+// ErrLibraryModule is what either engine answers when asked to run a
+// library module as a query.
+var ErrLibraryModule = errors.New("xquery: a library module has no query body to evaluate")
+
+// Compile parses src, resolves its module imports and classifies it.
 func (e *Engine) Compile(src string) (*Compiled, error) {
 	start := time.Now()
 	m, err := xq.Parse(src)
@@ -182,8 +200,52 @@ func (e *Engine) Compile(src string) (*Compiled, error) {
 	if err := c.resolveImports(m); err != nil {
 		return nil, err
 	}
+	if err := c.classify(); err != nil {
+		return nil, err
+	}
 	c.CompileTime = time.Since(start)
 	return c, nil
+}
+
+// classify reads what a query processor decides per text, not per run:
+// whether the body is updating, and the two XRPC prolog options. A
+// malformed option is a static error — silently running a misspelt
+// "repeatable" at isolation none is the alternative.
+func (c *Compiled) classify() error {
+	c.updating = exprIsUpdating(c.main.Body, c)
+	switch iso := c.main.Options["xrpc:isolation"]; iso {
+	case "", "none":
+	case "repeatable":
+		c.repeatable = true
+	default:
+		return xdm.Errorf("XQST0013", `option xrpc:isolation must be "none" or "repeatable", not %q`, iso)
+	}
+	if t, declared := c.main.Options["xrpc:timeout"]; declared {
+		n, err := strconv.Atoi(t)
+		if err != nil || n <= 0 {
+			return xdm.Errorf("XQST0013", "option xrpc:timeout must be a positive number of seconds, not %q", t)
+		}
+		c.timeout = n
+	}
+	return nil
+}
+
+// fresh reports whether every module this context depends on is still
+// the one the resolver holds: the single invalidation rule of a
+// PlanCache. self stands in for a library main module, whose own parse
+// the resolver never held (see PlanCache.Put); nil skips it.
+func (c *Compiled) fresh(self *xq.Module) bool {
+	for uri, m := range c.modules {
+		if m == c.main {
+			if m = self; m == nil {
+				continue
+			}
+		}
+		if cur, err := c.engine.Modules.ResolveModule(uri, nil); err != nil || cur != m {
+			return false
+		}
+	}
+	return true
 }
 
 // CompileModule compiles a library module source for direct invocation
@@ -259,6 +321,18 @@ func prefixOf(name string) string {
 	return ""
 }
 
+// LookupFunc resolves a prefixed call name in the static context of
+// module m for another engine compiling from c: the declaration, the
+// module whose static context its body sees, and the at-hint its module
+// was imported under (what an execute at of it is addressed with).
+func (c *Compiled) LookupFunc(m *xq.Module, name string, arity int) (*xq.FuncDecl, *xq.Module, string, bool) {
+	f, ok := c.lookupFunc(m, name, arity)
+	if !ok {
+		return nil, nil, "", false
+	}
+	return f.decl, f.module, f.atHint, true
+}
+
 // lookupFunc resolves a prefixed call name in the static context of
 // module m.
 func (c *Compiled) lookupFunc(m *xq.Module, name string, arity int) (*boundFunc, bool) {
@@ -303,7 +377,7 @@ type EvalOptions struct {
 // (XQUF semantics: side effects happen after query evaluation).
 func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
 	if c.main.Body == nil {
-		return nil, nil, fmt.Errorf("interp: library module has no body")
+		return nil, nil, ErrLibraryModule
 	}
 	if opts == nil {
 		opts = &EvalOptions{}

@@ -3,6 +3,13 @@
 // "http://x.example.org/film.xq") and every peer fetches and caches them.
 // The registry plays that role: it stores module sources indexed both by
 // target namespace URI and by location hint.
+//
+// Every Register parses the source into a new *xq.Module, so the module
+// ResolveModule returns doubles as the version of its text: a cache of
+// compiled text (interp.PlanCache) remembers the modules it was compiled
+// against and is stale exactly when the registry holds a different one.
+// The registry therefore notifies nobody; Generation serves the caches
+// that key on "any module changed" (response cache, planner).
 package modules
 
 import (
@@ -15,11 +22,10 @@ import (
 
 // Registry resolves module imports to parsed library modules.
 type Registry struct {
-	mu       sync.RWMutex
-	byURI    map[string]*entry
-	byHint   map[string]*entry
-	gen      atomic.Int64
-	onUpdate []func(uri string)
+	mu     sync.RWMutex
+	byURI  map[string]*entry
+	byHint map[string]*entry
+	gen    atomic.Int64
 }
 
 type entry struct {
@@ -48,15 +54,11 @@ func (r *Registry) Register(source string, hints ...string) error {
 	for _, h := range hints {
 		r.byHint[h] = e
 	}
-	callbacks := r.onUpdate
 	r.mu.Unlock()
 	// every (re-)registration can change semantics without any store
-	// write, so it must advance the generation that fences plan and
-	// response caches
+	// write, so it must advance the generation that fences the response
+	// caches and the planner's derivations
 	r.gen.Add(1)
-	for _, fn := range callbacks {
-		fn(m.ModuleURI)
-	}
 	return nil
 }
 
@@ -64,15 +66,6 @@ func (r *Registry) Register(source string, hints ...string) error {
 // Caches keyed on module content include it in their fence: a store
 // version alone cannot see module re-registration.
 func (r *Registry) Generation() int64 { return r.gen.Load() }
-
-// OnUpdate registers a callback invoked (outside the registry lock)
-// with the module URI after each successful Register — the hook that
-// lets an executor invalidate just the plans depending on that module.
-func (r *Registry) OnUpdate(fn func(uri string)) {
-	r.mu.Lock()
-	r.onUpdate = append(r.onUpdate, fn)
-	r.mu.Unlock()
-}
 
 // ResolveModule implements interp.ModuleResolver: lookup by namespace
 // URI first, then by location hint.

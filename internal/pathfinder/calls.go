@@ -16,7 +16,7 @@ const maxInlineDepth = 64
 // and maps over iter|pos|item tables) and user-defined functions (which
 // are inlined — MonetDB/XQuery compiles loop-lifted function bodies).
 func (env *staticEnv) compileCall(call *xq.FuncCall) (Plan, error) {
-	if f, mod, _, ok := env.comp.lookupFunc(env.module, call.Name, len(call.Args)); ok {
+	if f, mod, _, ok := env.static.LookupFunc(env.module, call.Name, len(call.Args)); ok {
 		return env.inlineFunction(call, f, mod)
 	}
 	return env.compileBuiltin(call)
@@ -42,7 +42,7 @@ func (env *staticEnv) inlineFunction(call *xq.FuncCall, f *xq.FuncDecl, mod *xq.
 		}
 		argPlans[i] = p
 	}
-	fenv := &staticEnv{comp: env.comp, module: mod, vars: map[string]bool{}, depth: env.depth + 1}
+	fenv := &staticEnv{static: env.static, module: mod, vars: map[string]bool{}, depth: env.depth + 1}
 	for _, prm := range f.Params {
 		fenv.vars[prm.Name] = true
 	}

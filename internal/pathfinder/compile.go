@@ -15,27 +15,44 @@ import (
 // Compiled is a loop-lifted query plan, ready for (repeated) execution —
 // what MonetDB/XQuery's function cache stores.
 type Compiled struct {
-	Plan        Plan
-	Main        *xq.Module
+	Plan Plan
+	// CompileTime is parse + import resolution + lifting.
 	CompileTime time.Duration
-	comp        *compiler
 }
 
-// Compile translates a main-module query into a single bulk plan.
+// Compile translates a main-module query into a single bulk plan: the
+// interpreter's front end compiles the text, Lift lifts the plan.
 func Compile(src string, reg *modules.Registry) (*Compiled, error) {
-	start := time.Now()
-	m, err := xq.Parse(src)
+	var resolver interp.ModuleResolver
+	if reg != nil {
+		resolver = reg
+	}
+	static, err := interp.New(nil, resolver, nil).Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	if m.IsLibrary {
-		return nil, fmt.Errorf("pathfinder: cannot compile a library module as a query")
-	}
-	comp := &compiler{registry: reg, modules: map[string]*xq.Module{}}
-	if err := comp.loadImports(m); err != nil {
+	return Lift(static)
+}
+
+// Lift returns the loop-lifted plan of a static context, lifting it on
+// first use and keeping it on the context: whoever caches the context
+// caches its plan. Function names resolve through the context's own
+// table, so the two engines cannot disagree on what a text means.
+func Lift(static *interp.Compiled) (*Compiled, error) {
+	c, err := static.Lifted(lift)
+	if err != nil {
 		return nil, err
 	}
-	env := &staticEnv{comp: comp, module: m, vars: map[string]bool{}}
+	return c.(*Compiled), nil
+}
+
+func lift(static *interp.Compiled) (any, error) {
+	start := time.Now()
+	m := static.Module()
+	if m.IsLibrary {
+		return nil, interp.ErrLibraryModule
+	}
+	env := &staticEnv{static: static, module: m, vars: map[string]bool{}}
 	// prolog variables compile as nested lets around the body
 	body := m.Body
 	for i := len(m.Variables) - 1; i >= 0; i-- {
@@ -49,7 +66,7 @@ func Compile(src string, reg *modules.Registry) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Plan: plan, Main: m, CompileTime: time.Since(start), comp: comp}, nil
+	return &Compiled{Plan: plan, CompileTime: static.CompileTime + time.Since(start)}, nil
 }
 
 // Eval executes the plan with a fresh single-iteration loop relation,
@@ -78,65 +95,9 @@ func (c *Compiled) Eval(ec *ExecCtx, vars map[string]xdm.Sequence) (xdm.Sequence
 	return seq, nil
 }
 
-// compiler holds cross-module compile state.
-type compiler struct {
-	registry *modules.Registry
-	modules  map[string]*xq.Module
-}
-
-func (c *compiler) loadImports(m *xq.Module) error {
-	for _, imp := range m.Imports {
-		if _, done := c.modules[imp.URI]; done {
-			continue
-		}
-		if c.registry == nil {
-			return fmt.Errorf("pathfinder: no module registry for import %q", imp.URI)
-		}
-		lib, err := c.registry.ResolveModule(imp.URI, imp.AtHints)
-		if err != nil {
-			return err
-		}
-		c.modules[imp.URI] = lib
-		if err := c.loadImports(lib); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lookupFunc resolves a prefixed function name in module m's static
-// context, returning the declaration, its module, and the import at-hint.
-func (c *compiler) lookupFunc(m *xq.Module, name string, arity int) (*xq.FuncDecl, *xq.Module, string, bool) {
-	prefix := ""
-	local := name
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		prefix, local = name[:i], name[i+1:]
-	}
-	uri := m.Namespaces[prefix]
-	// functions declared in m itself
-	if f := m.Function(name, arity); f != nil && (uri == m.ModuleURI || prefix == "" || m.Namespaces[prefix] == m.ModuleURI || !m.IsLibrary) {
-		// main-module local functions or own-module functions
-		if f.LocalName() == local {
-			return f, m, "", true
-		}
-	}
-	if lib, ok := c.modules[uri]; ok {
-		if f := lib.Function(local, arity); f != nil {
-			hint := ""
-			for _, imp := range m.Imports {
-				if imp.URI == uri && len(imp.AtHints) > 0 {
-					hint = imp.AtHints[0]
-				}
-			}
-			return f, lib, hint, true
-		}
-	}
-	return nil, nil, "", false
-}
-
 // staticEnv is the compile-time environment.
 type staticEnv struct {
-	comp   *compiler
+	static *interp.Compiled
 	module *xq.Module
 	vars   map[string]bool
 	depth  int // function inlining depth
@@ -147,7 +108,7 @@ func (env *staticEnv) child() *staticEnv {
 	for k := range env.vars {
 		vars[k] = true
 	}
-	return &staticEnv{comp: env.comp, module: env.module, vars: vars, depth: env.depth}
+	return &staticEnv{static: env.static, module: env.module, vars: vars, depth: env.depth}
 }
 
 func (env *staticEnv) withVar(names ...string) *staticEnv {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"xrpc/internal/client"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/xdm"
@@ -317,6 +318,115 @@ func errCode(err error) string {
 		return xe.Code
 	}
 	return err.Error()
+}
+
+// callRecorder stands in for the XRPC client of either engine and notes
+// how each execute at was addressed.
+type callRecorder struct{ sent []string }
+
+func (r *callRecorder) note(dest, module, hint, fn string) {
+	r.sent = append(r.sent, fmt.Sprintf("%s %s@%s %s", dest, module, hint, fn))
+}
+
+func (r *callRecorder) Call(dest string, req *interp.CallRequest) (xdm.Sequence, error) {
+	r.note(dest, req.ModuleURI, req.AtHint, req.Func)
+	return xdm.Sequence{xdm.Integer(7)}, nil
+}
+
+func (r *callRecorder) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
+	r.note(dest, br.ModuleURI, br.AtHint, br.Func)
+	out := make([]xdm.Sequence, len(br.Calls))
+	for i := range out {
+		out[i] = xdm.Sequence{xdm.Integer(7)}
+	}
+	return out, nil
+}
+
+func (r *callRecorder) CallOneAtATime(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
+	return r.CallBulk(dest, br)
+}
+
+func (r *callRecorder) CallParallel(parts []*client.BulkByDest, total int) ([]xdm.Sequence, error) {
+	return client.DispatchParallel(r.CallBulk, parts, total)
+}
+
+// TestStaticContextAgreement: a loop-lifted plan is lifted from the
+// interpreter's static context, so on everything a prolog can say — which
+// module an import resolves to, which declaration a name means, how an
+// execute at is addressed — the two engines give the same answer or raise
+// the same static error.
+func TestStaticContextAgreement(t *testing.T) {
+	reg := modules.NewRegistry()
+	for _, m := range []struct{ src, hint string }{
+		{`module namespace a="A"; declare function a:f() { 1 };`, "http://h/a.xq"},
+		{`module namespace t="T"; import module namespace a="A"; declare function t:g() { a:f() + 1 };`, "http://h/t.xq"},
+	} {
+		if err := reg.Register(m.src, m.hint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name, query string
+		noRegistry  bool
+		want        string // serialized result, or the error code
+		wantSent    string
+	}{
+		{name: "hint resolves to a module of another namespace",
+			query: `import module namespace b="B" at "http://h/a.xq"; b:f()`, want: "XQST0059"},
+		{name: "duplicate function declaration",
+			query: `declare function local:f() { 1 }; declare function local:f() { 2 }; local:f()`, want: "XQST0034"},
+		{name: "import of an unregistered module",
+			query: `import module namespace z="Z"; z:f()`, want: "XQST0059"},
+		{name: "import with no registry", noRegistry: true,
+			query: `import module namespace a="A" at "http://h/a.xq"; a:f()`, want: "XQST0059"},
+		{name: "library module passed as a query",
+			query: `module namespace a="A"; declare function a:f() { 1 };`, want: interp.ErrLibraryModule.Error()},
+		{name: "unprefixed main-module function",
+			query: `declare function inc($x as xs:integer) as xs:integer { $x + 1 }; for $i in (1, 2) return inc($i)`, want: "2 3"},
+		{name: "function reached through a transitive import",
+			query: `import module namespace t="T" at "http://h/t.xq"; t:g()`, want: "2"},
+		{name: "at-hint carried to execute at",
+			query: `import module namespace a="A" at "http://h/a.xq"; execute at {"xrpc://p"} {a:f()}`,
+			want:  "7", wantSent: "xrpc://p A@http://h/a.xq f"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var resolver interp.ModuleResolver = reg
+			pfReg := reg
+			if tc.noRegistry {
+				resolver, pfReg = nil, nil
+			}
+			outcome := func(seq xdm.Sequence, err error) string {
+				if err != nil {
+					return errCode(err)
+				}
+				return xdm.SerializeSequence(seq)
+			}
+
+			var iRec, pfRec callRecorder
+			var iSeq, pfSeq xdm.Sequence
+			ic, iErr := interp.New(nil, resolver, &iRec).Compile(tc.query)
+			if iErr == nil {
+				iSeq, _, iErr = ic.Eval(nil)
+			}
+			pfc, pfErr := Compile(tc.query, pfReg)
+			if pfErr == nil {
+				pfSeq, pfErr = pfc.Eval(&ExecCtx{Bulk: &pfRec}, nil)
+			}
+			if got := outcome(iSeq, iErr); got != tc.want {
+				t.Errorf("interp: %s (err %v), want %s", got, iErr, tc.want)
+			}
+			if got := outcome(pfSeq, pfErr); got != tc.want {
+				t.Errorf("pathfinder: %s (err %v), want %s", got, pfErr, tc.want)
+			}
+			if got := strings.Join(iRec.sent, "; "); got != tc.wantSent {
+				t.Errorf("interp sent %q, want %q", got, tc.wantSent)
+			}
+			if got := strings.Join(pfRec.sent, "; "); got != tc.wantSent {
+				t.Errorf("pathfinder sent %q, want %q", got, tc.wantSent)
+			}
+		})
+	}
 }
 
 // TestSharedLibraryPerIteration applies every function the library

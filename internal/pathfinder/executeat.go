@@ -48,7 +48,7 @@ func (env *staticEnv) compileExecuteAt(n *xq.ExecuteAt) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, mod, atHint, ok := env.comp.lookupFunc(env.module, n.Call.Name, len(n.Call.Args))
+	f, mod, atHint, ok := env.static.LookupFunc(env.module, n.Call.Name, len(n.Call.Args))
 	if !ok {
 		return nil, unsupported("execute at of undeclared function " + n.Call.Name)
 	}

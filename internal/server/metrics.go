@@ -79,10 +79,7 @@ func (s *Server) RegisterCacheMetrics(reg *obs.Registry, labels ...obs.Label) {
 			func() float64 { return float64(rc.Stats().Bytes) }, labels...)
 	}
 	if x, ok := s.Exec.(*NativeExecutor); ok {
-		reg.CounterFunc("xrpc_plancache_hits_total",
-			"Prepared-plan cache hits.", x.CacheHits.Load, labels...)
-		reg.CounterFunc("xrpc_plancache_misses_total",
-			"Prepared-plan cache misses (compilations).", x.CacheMisses.Load, labels...)
+		x.plans.RegisterMetrics(reg, "module", labels...)
 	}
 	if s.Store != nil {
 		st := s.Store

@@ -181,7 +181,6 @@ func TestRespCacheModuleRegistrationInvalidates(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	p := newPeer(t, "xrpc://p", filmDBY, net)
 	p.server.RespCache = NewRespCache(0, 0)
-	p.reg.OnUpdate(p.exec.InvalidateModule)
 
 	br := &client.BulkRequest{
 		ModuleURI: "test", Func: "echo", Arity: 1,
@@ -246,11 +245,19 @@ func TestFunctionCacheLRUBound(t *testing.T) {
 	}
 }
 
-// TestInvalidateModuleGranularity: invalidating one module keeps every
-// other module's plan warm.
-func TestInvalidateModuleGranularity(t *testing.T) {
+// TestReregistrationDropsOnlyDependentPlans: with no hook wired anywhere,
+// re-registering one module makes the executor recompile exactly that
+// module's plan and the plans importing it, once; every other module's
+// plan stays warm.
+func TestReregistrationDropsOnlyDependentPlans(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	p := newPeer(t, "xrpc://p", filmDBY, net)
+	if err := p.reg.Register(`
+module namespace i="importer";
+import module namespace tst="test";
+declare function i:twice($x as item()*) as item()* { (tst:echo($x), tst:echo($x)) };`); err != nil {
+		t.Fatal(err)
+	}
 
 	films := &client.BulkRequest{
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
@@ -261,63 +268,49 @@ func TestInvalidateModuleGranularity(t *testing.T) {
 		ModuleURI: "test", Func: "echo", Arity: 1,
 		Calls: [][]xdm.Sequence{{{xdm.String("x")}}},
 	}
+	twice := &client.BulkRequest{
+		ModuleURI: "importer", Func: "twice", Arity: 1,
+		Calls: [][]xdm.Sequence{{{xdm.String("x")}}},
+	}
 	cl := client.New(net)
-	for _, br := range []*client.BulkRequest{films, echo} {
-		if _, err := cl.CallBulk("xrpc://p", br); err != nil {
+	call := func(br *client.BulkRequest) string {
+		t.Helper()
+		res, err := cl.CallBulk("xrpc://p", br)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return xdm.SerializeSequence(res[0])
 	}
-	misses := p.exec.CacheMisses.Load()
+	for _, br := range []*client.BulkRequest{films, echo, twice} {
+		call(br)
+	}
 
-	p.exec.InvalidateModule("test")
-
-	hits := p.exec.CacheHits.Load()
-	if _, err := cl.CallBulk("xrpc://p", films); err != nil {
+	if err := p.reg.Register(`
+module namespace tst="test";
+declare function tst:echoVoid() { () };
+declare function tst:echo($x as item()*) as item()* { ("got", $x) };`); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.exec.CacheHits.Load(); got != hits+1 {
-		t.Fatalf("films plan was flushed too: hits %d → %d", hits, got)
-	}
-	if _, err := cl.CallBulk("xrpc://p", echo); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.exec.CacheMisses.Load(); got != misses+1 {
-		t.Fatalf("test plan survived its invalidation: misses %d → %d", misses, got)
-	}
-}
 
-// TestPlanCacheSharesEquivalentSources: the same module re-registered
-// with different layout and comments keeps hitting the same plan (the
-// normalized-text key), with zero recompilation.
-func TestPlanCacheSharesEquivalentSources(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	p := newPeer(t, "xrpc://p", filmDBY, net)
-
-	br := &client.BulkRequest{
-		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
-		Func: "filmsByActor", Arity: 1,
-		Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
+	before := p.exec.PlanCacheStats()
+	call(films)
+	if st := p.exec.PlanCacheStats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("films plan was dropped too: %+v → %+v", before, st)
 	}
-	cl := client.New(net)
-	if _, err := cl.CallBulk("xrpc://p", br); err != nil {
-		t.Fatal(err)
+	if got := call(echo); got != "got x" {
+		t.Fatalf("echo after re-registration = %q (stale plan)", got)
 	}
-	misses := p.exec.CacheMisses.Load()
-
-	variant := `module   namespace film="films";
-(: layout variant of the film module :)
-declare function film:filmsByActor($actor as xs:string) as node()*
-{
-  doc("filmDB.xml")//name[../actor=$actor]
-};`
-	if err := p.reg.Register(variant, "http://x.example.org/film.xq"); err != nil {
-		t.Fatal(err)
+	if got := call(twice); got != "got x got x" {
+		t.Fatalf("importer after re-registration = %q (stale plan)", got)
 	}
-	if _, err := cl.CallBulk("xrpc://p", br); err != nil {
-		t.Fatal(err)
+	if st := p.exec.PlanCacheStats(); st.Misses != before.Misses+2 {
+		t.Fatalf("test and its importer should each recompile once: misses %d → %d", before.Misses, st.Misses)
 	}
-	if got := p.exec.CacheMisses.Load(); got != misses {
-		t.Fatalf("layout variant recompiled: misses %d → %d", misses, got)
+	before = p.exec.PlanCacheStats()
+	call(echo)
+	call(twice)
+	if st := p.exec.PlanCacheStats(); st.Hits != before.Hits+2 || st.Misses != before.Misses {
+		t.Fatalf("recompiled plans are not warm: %+v → %+v", before, st)
 	}
 }
 

@@ -279,21 +279,20 @@ func TestFunctionCacheCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if y.exec.CacheMisses.Load() != 1 || y.exec.CacheHits.Load() != 4 {
-		t.Errorf("cache hits=%d misses=%d, want 4/1", y.exec.CacheHits.Load(), y.exec.CacheMisses.Load())
+	warm := y.exec.PlanCacheStats()
+	if warm.Misses != 1 || warm.Hits != 4 {
+		t.Errorf("cache hits=%d misses=%d, want 4/1", warm.Hits, warm.Misses)
 	}
 	// disable cache: every request recompiles
 	y.exec.CacheEnabled = false
 	y.exec.InvalidateCache()
-	y.exec.CacheHits.Store(0)
-	y.exec.CacheMisses.Store(0)
 	for i := 0; i < 3; i++ {
 		if _, err := cl.CallBulk("xrpc://y.example.org", br); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if y.exec.CacheMisses.Load() != 3 {
-		t.Errorf("no-cache misses = %d, want 3", y.exec.CacheMisses.Load())
+	if off := y.exec.PlanCacheStats(); off.Misses != warm.Misses+3 || off.Hits != warm.Hits {
+		t.Errorf("no-cache hits=%d misses=%d, want %d/%d", off.Hits, off.Misses, warm.Hits, warm.Misses+3)
 	}
 }
 
