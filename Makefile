@@ -32,7 +32,10 @@ bench:
 # writable-cluster benchmarks (BenchmarkClusterRoutedUpdate_*,
 # BenchmarkClusterPrunedProbe_*), the SOAP wire-path benchmarks incl.
 # the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
-# BenchmarkSoapResponseStreamWalk), and the paper-table benchmarks.
+# BenchmarkSoapResponseStreamWalk), the query peer's join of Q7_1
+# (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
+# before/after of the join rule: go test -run NONE -bench LiftedJoin
+# -benchmem ./internal/pathfinder), and the paper-table benchmarks.
 # Full sweep with peak-heap columns: xrpcbench -table cluster
 # -cluster-json BENCH_cluster.json.
 bench-smoke:
@@ -89,7 +92,9 @@ cachesmoke:
 # the scatter, cache-tier and 2PC counters move at each stage and that
 # one trace ID appears in both shards' slow-query logs; a query peer in
 # front runs one text cold then warm and its compiled-text cache's hit
-# counter (cache="query") must move.
+# counter (cache="query") must move, then one two-for join over string
+# keys, which must count as xrpc_query_joins_total{kind="hash"} and not
+# as kind="fallback".
 obssmoke:
 	$(GO) test -run 'TestObsSmoke' -v ./internal/cluster/
 

@@ -26,7 +26,7 @@ import (
 // registry over shard servers, coordinator, result cache, client,
 // netsim and the per-replica write-ahead logs — driven cold → warm →
 // routed update → post-write → a query peer's cold and warm run of one
-// text → demote/resync/rejoin, then scraped
+// text and one hashed two-for join → demote/resync/rejoin, then scraped
 // through the debug endpoints. Asserts the counters that must move at
 // each stage, and that one trace ID minted at the coordinator's front
 // door appears in BOTH shards' slow-query logs.
@@ -210,6 +210,22 @@ count(execute at {"xrpc://shard0"} {p:getPerson("person2")})`
 	if n := queryCache("xrpc_plancache_entries"); n != 1 {
 		t.Fatalf("query peer: plan cache entries = %v, want 1", n)
 	}
+	// two fors joined by a where equality over string keys: the query
+	// engine hashes instead of lifting the cross product
+	joins := func(kind string) float64 {
+		return reg.MustGather("xrpc_query_joins_total", qLbl, obs.Label{Key: "kind", Value: kind})
+	}
+	res, err := q.Query(`import module namespace p = "functions_p" at "http://example.org/p.xq";
+for $id in ("person1", "person2", "person3"),
+    $p in execute at {"xrpc://shard0"} {p:getPerson("person2")}
+where $id = $p/@id
+return string($p/@id)`)
+	if err != nil || res.Serialize() != "person2" {
+		t.Fatalf("query peer join: %v, err %v", res, err)
+	}
+	if h, f, pairs := joins("hash"), joins("fallback"), reg.MustGather("xrpc_query_join_pairs_total", qLbl); h != 1 || f != 0 || pairs != 1 {
+		t.Fatalf("query peer join: hash = %v fallback = %v pairs = %v, want 1, 0 and 1", h, f, pairs)
+	}
 	if n := reg.MustGather("xrpc_plancache_hits_total",
 		obs.Label{Key: "shard", Value: "0"}, obs.Label{Key: "cache", Value: "module"}); n < 1 {
 		t.Fatalf("shard 0 function cache hits = %v, want >= 1 over the stages above", n)
@@ -306,6 +322,7 @@ count(execute at {"xrpc://shard0"} {p:getPerson("person2")})`
 		"xrpc_wal_resyncs_total",
 		"xrpc_cluster_rejoins_total 1",
 		`xrpc_plancache_hits_total{peer="q",cache="query"} 1`,
+		`xrpc_query_joins_total{peer="q",kind="hash"} 1`,
 		`xrpc_plancache_evictions_total{shard="0",cache="module"} 0`,
 		"xrpc_resultcache_evictions_total 0",
 	} {

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"xrpc/internal/client"
@@ -74,6 +75,10 @@ type Peer struct {
 	// state (documents and the RPC caller are passed to each evaluation).
 	eng  *interp.Engine
 	exec *server.NativeExecutor
+
+	// what the loop-lifted engine's join rule did, summed over this
+	// peer's queries (pathfinder.JoinStats)
+	joinsHashed, joinsFallback, joinPairs atomic.Int64
 }
 
 // NewPeer creates a peer with a native (function-cached) executor.
@@ -161,17 +166,26 @@ func (p *Peer) RegisterModule(src string, hints ...string) error {
 }
 
 // EnableObs attaches the observability layer to the peer: request-path
-// metrics, the counters of every server-side cache tier and of the query
-// plan cache registered on reg, and slow (may be nil) as the structured
-// slow-query log. Labels — typically shard="N" — distinguish peers
-// sharing one registry. Call before serving traffic; a peer without
-// EnableObs runs exactly as before (the nil-instrument fast path).
+// metrics, the counters of every server-side cache tier, of the query
+// plan cache and of the query engine's join rule registered on reg, and
+// slow (may be nil) as the structured slow-query log. Labels — typically
+// shard="N" — distinguish peers sharing one registry. Call before serving
+// traffic; a peer without EnableObs runs exactly as before (the
+// nil-instrument fast path).
 func (p *Peer) EnableObs(reg *obs.Registry, slow *obs.SlowLog, labels ...obs.Label) {
 	p.Server.Metrics = server.NewMetrics(reg, labels...)
 	p.Server.RegisterCacheMetrics(reg, labels...)
 	if p.Plans != nil {
 		p.Plans.RegisterMetrics(reg, "query", labels...)
 	}
+	const joinsHelp = "Two-for equality joins in this peer's queries: hashed, or compared pair by pair because of a non-string key."
+	kind := func(k string) []obs.Label {
+		return append(labels[:len(labels):len(labels)], obs.Label{Key: "kind", Value: k})
+	}
+	reg.CounterFunc("xrpc_query_joins_total", joinsHelp, p.joinsHashed.Load, kind("hash")...)
+	reg.CounterFunc("xrpc_query_joins_total", joinsHelp, p.joinsFallback.Load, kind("fallback")...)
+	reg.CounterFunc("xrpc_query_join_pairs_total",
+		"Matched pairs the hashed joins handed to their return clauses.", p.joinPairs.Load, labels...)
 	p.Server.SlowLog = slow
 }
 
@@ -255,7 +269,11 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 	} else {
 		var plan *pathfinder.Compiled
 		if plan, err = pathfinder.Lift(static); err == nil {
-			seq, err = plan.Eval(&pathfinder.ExecCtx{Docs: docs, Bulk: cl}, vars)
+			var joins pathfinder.JoinStats
+			seq, err = plan.Eval(&pathfinder.ExecCtx{Docs: docs, Bulk: cl, Joins: &joins}, vars)
+			p.joinsHashed.Add(int64(joins.Hashed))
+			p.joinsFallback.Add(int64(joins.Fallback))
+			p.joinPairs.Add(int64(joins.Pairs))
 		}
 	}
 	if err != nil {

@@ -111,10 +111,14 @@ func (env *staticEnv) child() *staticEnv {
 	return &staticEnv{static: env.static, module: env.module, vars: vars, depth: env.depth}
 }
 
+// withVar adds variables to the static scope ("" — an absent "at $p" —
+// is skipped).
 func (env *staticEnv) withVar(names ...string) *staticEnv {
 	e := env.child()
 	for _, n := range names {
-		e.vars[n] = true
+		if n != "" {
+			e.vars[n] = true
+		}
 	}
 	return e
 }
@@ -396,12 +400,20 @@ func (env *staticEnv) compileComparison(n *xq.Comparison) (Plan, error) {
 			return xdm.Singleton(xdm.Boolean(ok)), nil
 		}), nil
 	}
-	// general comparison: existential over the two per-iter sequences —
-	// this is the "selection turned join" effect of §3.2
 	op, err := interp.GeneralOp(n.Op)
 	if err != nil {
 		return nil, err
 	}
+	return generalPlan(l, r, op), nil
+}
+
+// generalPlan is a general comparison: per iteration, existential over
+// the two operand sequences. It is not §3.2's "selection turned join": a
+// where that compares the variables of two for clauses pays it once per
+// pair of the cross product. The join is compileJoin's rule, whose
+// equality shapes reach this plan only when a key column holds something
+// other than strings.
+func generalPlan(l, r Plan, op xdm.CompareOp) Plan {
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		lt, err := l(ec, sc)
 		if err != nil {
@@ -422,7 +434,7 @@ func (env *staticEnv) compileComparison(n *xq.Comparison) (Plan, error) {
 			out.AppendSeq(it, 1, xdm.Boolean(b))
 		}
 		return out, nil
-	}, nil
+	}
 }
 
 func (env *staticEnv) compileLogic(n *xq.Logic) (Plan, error) {
@@ -434,7 +446,12 @@ func (env *staticEnv) compileLogic(n *xq.Logic) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	and := n.Op == "and"
+	return logicPlan(l, r, n.Op == "and"), nil
+}
+
+// logicPlan is "l and r" (or "l or r"): both operands are evaluated over
+// the whole loop, then combined per iteration.
+func logicPlan(l, r Plan, and bool) Plan {
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		lt, err := l(ec, sc)
 		if err != nil {
@@ -463,7 +480,7 @@ func (env *staticEnv) compileLogic(n *xq.Logic) (Plan, error) {
 			out.AppendSeq(it, 1, xdm.Boolean(v))
 		}
 		return out, nil
-	}, nil
+	}
 }
 
 func (env *staticEnv) compileIf(n *xq.If) (Plan, error) {
@@ -750,20 +767,7 @@ func (env *staticEnv) compileClauses(fl *xq.FLWOR, i int) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-			if condPlan != nil {
-				ct, err := condPlan(ec, sc)
-				if err != nil {
-					return nil, err
-				}
-				cb, err := ebvByIter(ct)
-				if err != nil {
-					return nil, err
-				}
-				sc = sc.restrict(subLoop(sc.loop, cb, true))
-			}
-			return retPlan(ec, sc)
-		}, nil
+		return whereReturn(condPlan, retPlan), nil
 	}
 	switch cl := fl.Clauses[i].(type) {
 	case *xq.LetClause:
@@ -784,59 +788,106 @@ func (env *staticEnv) compileClauses(fl *xq.FLWOR, i int) (Plan, error) {
 			return rest(ec, sc.bind(varName, val))
 		}, nil
 	case *xq.ForClause:
+		if shape := env.joinShape(fl, i); shape != nil {
+			return env.compileJoin(fl, shape)
+		}
 		inPlan, err := env.compile(cl.In)
 		if err != nil {
 			return nil, err
 		}
-		names := []string{cl.Var}
-		if cl.PosVar != "" {
-			names = append(names, cl.PosVar)
-		}
-		rest, err := env.withVar(names...).compileClauses(fl, i+1)
+		rest, err := env.withVar(cl.Var, cl.PosVar).compileClauses(fl, i+1)
 		if err != nil {
 			return nil, err
 		}
-		varName, posName := cl.Var, cl.PosVar
-		return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-			q1, err := inPlan(ec, sc)
-			if err != nil {
-				return nil, err
-			}
-			inner, mapTbl := liftLoop(q1)
-			sc2 := mapScopeInner(sc, inner, mapTbl)
-			// $v binding: one row (inner, 1, item)
-			binding := seqTable()
-			posBinding := seqTable()
-			q1n := algebra.RowNum(q1, "inner", []string{algebra.ColIter, algebra.ColPos}, "")
-			inners := q1n.IntsOf("inner")
-			xc := q1n.ColIdx(algebra.ColItem)
-			pc := q1n.ColIdx(algebra.ColPos)
-			for ri, in := range inners {
-				binding.AppendSeq(in, 1, q1n.Item(ri, xc))
-				posBinding.AppendSeq(in, 1, q1n.Item(ri, pc))
-			}
-			sc2 = sc2.bind(varName, binding)
-			if posName != "" {
-				sc2 = sc2.bind(posName, posBinding)
-			}
-			q2, err := rest(ec, sc2)
-			if err != nil {
-				return nil, err
-			}
-			return mapBack(q2, mapTbl), nil
-		}, nil
+		return forPlan(inPlan, cl, rest), nil
 	}
 	return nil, unsupported("FLWOR clause")
 }
 
-// liftLoop numbers the rows of an iter|pos|item table into a fresh inner
-// loop, returning the inner loop relation (column iter) and the mapping
-// table inner|outer.
-func liftLoop(q1 *algebra.Table) (loop, mapTbl *algebra.Table) {
-	numbered := algebra.RowNum(q1, "inner", []string{algebra.ColIter, algebra.ColPos}, "")
-	loop = algebra.Project(numbered, "iter:inner")
-	mapTbl = algebra.Project(numbered, "inner:inner", "outer:iter")
-	return loop, mapTbl
+// whereReturn is the end of every FLWOR: ret over the iterations whose
+// cond (nil: all of them) holds.
+func whereReturn(cond, ret Plan) Plan {
+	if cond == nil {
+		return ret
+	}
+	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
+		ct, err := cond(ec, sc)
+		if err != nil {
+			return nil, err
+		}
+		cb, err := ebvByIter(ct)
+		if err != nil {
+			return nil, err
+		}
+		return ret(ec, sc.restrict(subLoop(sc.loop, cb, true)))
+	}
+}
+
+// forPlan is "for $v [at $p] in E" followed by rest: rest runs in a fresh
+// loop with one iteration per item of E, and its result is mapped back.
+func forPlan(in Plan, cl *xq.ForClause, rest Plan) Plan {
+	vars := forVars(cl, "item", "pos")
+	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
+		q1, err := in(ec, sc)
+		if err != nil {
+			return nil, err
+		}
+		return runLoop(ec, sc, forRows(q1), vars, rest)
+	}
+}
+
+// loopVar binds variable name to column col of the rows a loop is opened
+// over. Names stay out of column names: a QName has a colon, and so do
+// algebra.Project's specs.
+type loopVar struct{ name, col string }
+
+// forVars are the variables of a for clause whose items are in column item
+// and whose positions in column pos, in binding order.
+func forVars(cl *xq.ForClause, item, pos string) []loopVar {
+	vars := []loopVar{{cl.Var, item}}
+	if cl.PosVar != "" {
+		vars = append(vars, loopVar{cl.PosVar, pos})
+	}
+	return vars
+}
+
+// forRows lays out the binding sequence of a for clause as loop rows for
+// openLoop: in (iter, pos) order, the iteration as "outer", then "item"
+// and "pos".
+func forRows(q *algebra.Table) *algebra.Table {
+	return algebra.Project(algebra.SortBy(q, algebra.ColIter, algebra.ColPos),
+		"outer:"+algebra.ColIter, "item:"+algebra.ColItem, "pos:"+algebra.ColPos)
+}
+
+// runLoop runs body in a loop opened over rows and maps its result back
+// to sc's loop: the inner loop of every for, nested or joined.
+func runLoop(ec *ExecCtx, sc *scope, rows *algebra.Table, vars []loopVar, body Plan) (*algebra.Table, error) {
+	inner, mapTbl := openLoop(sc, rows, vars)
+	q2, err := body(ec, inner)
+	if err != nil {
+		return nil, err
+	}
+	return mapBack(q2, mapTbl), nil
+}
+
+// openLoop opens a fresh loop with one iteration per row of rows, in row
+// order. Column "outer" names the iteration of sc a row belongs to, and
+// every live variable is mapped in through it; then each of vars is bound,
+// in order, to its column's value. The second result is the inner|outer
+// mapping table mapBack needs.
+func openLoop(sc *scope, rows *algebra.Table, vars []loopVar) (*scope, *algebra.Table) {
+	numbered := algebra.RowNum(rows, "inner", nil, "")
+	mapTbl := algebra.Project(numbered, "inner", "outer")
+	inner := mapScopeInner(sc, algebra.Project(numbered, algebra.ColIter+":inner"), mapTbl)
+	for _, v := range vars {
+		c := rows.ColIdx(v.col)
+		binding := seqTable()
+		for r := 0; r < rows.Len(); r++ {
+			binding.AppendSeq(int64(r+1), 1, rows.Item(r, c))
+		}
+		inner.vars[v.name] = binding
+	}
+	return inner, mapTbl
 }
 
 // mapScopeInner maps every live variable table into the inner loop by

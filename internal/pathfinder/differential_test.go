@@ -211,6 +211,9 @@ func (g *qgen) boolean(depth int) string {
 }
 
 func (g *qgen) flwor(depth int) string {
+	if g.r.Intn(3) == 0 {
+		return g.joinFlwor(depth)
+	}
 	in := g.numseq(depth) // generate before binding: $v not in scope here
 	v := g.freshVar()
 	var sb strings.Builder
@@ -220,6 +223,70 @@ func (g *qgen) flwor(depth int) string {
 	}
 	fmt.Fprintf(&sb, "return %s)", g.expr(depth))
 	g.dropVar()
+	return sb.String()
+}
+
+// joinFlwor produces two fors joined by a where equality — the shape the
+// join rule looks for — over string, node or numeric keys, so the rule's
+// hash path, its run-time fallback (numeric keys) and its refusals (an
+// operand that reads both variables, a second for that reads the first)
+// all meet the interpreter. Optional parts: at $i, an "and <boolean>"
+// tail, and an enclosing for whose variable both keys read. Only numeric
+// variables are offered to the other generators.
+func (g *qgen) joinFlwor(depth int) string {
+	side := func(numeric bool) string {
+		switch {
+		case numeric:
+			return g.numseq(depth)
+		case g.r.Intn(2) == 0:
+			return g.path()
+		default:
+			return fmt.Sprintf("(%s, %s, %s)", g.str(depth), g.str(depth), g.str(depth))
+		}
+	}
+	// both sides of one kind, so keys often match; now and then one of each
+	numA := g.r.Intn(2) == 0
+	numB := numA != (g.r.Intn(8) == 0)
+	var sb strings.Builder
+	sb.WriteString("(")
+	scoped := 0 // variables pushed on g.vars
+	outer := ""
+	if g.r.Intn(3) == 0 {
+		outer = g.freshVar()
+		scoped++
+		fmt.Fprintf(&sb, "for $%s in %s return ", outer, g.numseq(0))
+	}
+	inA := side(numA)
+	a := g.freshVar()
+	if scoped++; !numA {
+		g.dropVar()
+		scoped--
+	}
+	inB := side(numB) // may read a numeric $a: the rule must refuse
+	b := g.freshVar()
+	g.dropVar()
+	at, ret := "", "$"+b
+	if g.r.Intn(3) == 0 {
+		at, ret = fmt.Sprintf(" at $%si", a), fmt.Sprintf("($%si, $%s)", a, b)
+	}
+	keyA, keyB := "$"+a, "$"+b
+	switch {
+	case outer != "":
+		keyA, keyB = fmt.Sprintf("concat($%s, $%s)", a, outer), fmt.Sprintf("concat($%s, $%s)", b, outer)
+	case g.r.Intn(6) == 0:
+		keyA = fmt.Sprintf("($%s, $%s)", a, b) // reads both sides
+	}
+	if g.r.Intn(2) == 0 {
+		keyA, keyB = keyB, keyA
+	}
+	fmt.Fprintf(&sb, "for $%s%s in %s, $%s in %s where %s = %s", a, at, inA, b, inB, keyA, keyB)
+	if g.r.Intn(3) == 0 {
+		fmt.Fprintf(&sb, " and %s", g.boolean(depth))
+	}
+	fmt.Fprintf(&sb, " return %s)", ret)
+	for ; scoped > 0; scoped-- {
+		g.dropVar()
+	}
 	return sb.String()
 }
 
@@ -269,24 +336,16 @@ func TestDifferentialEngines(t *testing.T) {
 	f := newFixture(t)
 	refEngine := interp.New(f.st, f.reg, nil)
 	const n = 400
-	skipped := 0
+	skipped, bothErr := 0, 0
+	var joins JoinStats
 	for seed := 0; seed < n; seed++ {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
 		query := g.expr(4)
 
-		pfc, pfErr := Compile(query, f.reg)
-		var pfSeq xdm.Sequence
-		if pfErr == nil {
-			pfSeq, pfErr = pfc.Eval(&ExecCtx{Docs: f.st}, nil)
-		}
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st, Joins: &joins})
 		if pfErr != nil && strings.Contains(pfErr.Error(), "not supported") {
 			skipped++
 			continue
-		}
-		ic, iErr := refEngine.Compile(query)
-		var iSeq xdm.Sequence
-		if iErr == nil {
-			iSeq, _, iErr = ic.Eval(nil)
 		}
 		switch {
 		case pfErr == nil && iErr == nil:
@@ -296,7 +355,7 @@ func TestDifferentialEngines(t *testing.T) {
 					seed, query, got, want)
 			}
 		case pfErr != nil && iErr != nil:
-			// both reject: fine
+			bothErr++ // both reject: fine
 		default:
 			t.Fatalf("seed %d: one engine errored\nquery: %s\npathfinder err: %v\ninterp err:     %v",
 				seed, query, pfErr, iErr)
@@ -304,6 +363,10 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	if skipped > 0 {
 		t.Errorf("%d/%d generated queries unsupported by pathfinder", skipped, n)
+	}
+	t.Logf("%d/%d queries rejected by both engines; join rule: %+v", bothErr, n, joins)
+	if joins.Hashed == 0 || joins.Fallback == 0 || joins.Pairs == 0 {
+		t.Errorf("the generated queries no longer reach the join rule's hash path and its fallback: %+v", joins)
 	}
 }
 
@@ -320,9 +383,43 @@ func errCode(err error) string {
 	return err.Error()
 }
 
+// outcome is what a run produced: the serialized result, or errCode.
+func outcome(seq xdm.Sequence, err error) string {
+	if err != nil {
+		return errCode(err)
+	}
+	return xdm.SerializeSequence(seq)
+}
+
+// bothEngines runs a query on the loop-lifted engine, under ec, and on
+// the reference interpreter.
+func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
+	pfc, pfErr := Compile(query, f.reg)
+	if pfErr == nil {
+		pfSeq, pfErr = pfc.Eval(ec, nil)
+	}
+	ic, iErr := ref.Compile(query)
+	if iErr == nil {
+		iSeq, _, iErr = ic.Eval(nil)
+	}
+	return pfSeq, pfErr, iSeq, iErr
+}
+
 // callRecorder stands in for the XRPC client of either engine and notes
-// how each execute at was addressed.
-type callRecorder struct{ sent []string }
+// how each execute at was addressed and how many calls each request
+// carried; every call is answered with reply (7 when nil).
+type callRecorder struct {
+	sent  []string
+	calls []int
+	reply xdm.Sequence
+}
+
+func (r *callRecorder) answer() xdm.Sequence {
+	if r.reply == nil {
+		return xdm.Sequence{xdm.Integer(7)}
+	}
+	return r.reply
+}
 
 func (r *callRecorder) note(dest, module, hint, fn string) {
 	r.sent = append(r.sent, fmt.Sprintf("%s %s@%s %s", dest, module, hint, fn))
@@ -330,14 +427,16 @@ func (r *callRecorder) note(dest, module, hint, fn string) {
 
 func (r *callRecorder) Call(dest string, req *interp.CallRequest) (xdm.Sequence, error) {
 	r.note(dest, req.ModuleURI, req.AtHint, req.Func)
-	return xdm.Sequence{xdm.Integer(7)}, nil
+	r.calls = append(r.calls, 1)
+	return r.answer(), nil
 }
 
 func (r *callRecorder) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
 	r.note(dest, br.ModuleURI, br.AtHint, br.Func)
+	r.calls = append(r.calls, len(br.Calls))
 	out := make([]xdm.Sequence, len(br.Calls))
 	for i := range out {
-		out[i] = xdm.Sequence{xdm.Integer(7)}
+		out[i] = r.answer()
 	}
 	return out, nil
 }
@@ -396,13 +495,6 @@ func TestStaticContextAgreement(t *testing.T) {
 			if tc.noRegistry {
 				resolver, pfReg = nil, nil
 			}
-			outcome := func(seq xdm.Sequence, err error) string {
-				if err != nil {
-					return errCode(err)
-				}
-				return xdm.SerializeSequence(seq)
-			}
-
 			var iRec, pfRec callRecorder
 			var iSeq, pfSeq xdm.Sequence
 			ic, iErr := interp.New(nil, resolver, &iRec).Compile(tc.query)
@@ -424,6 +516,170 @@ func TestStaticContextAgreement(t *testing.T) {
 			}
 			if got := strings.Join(pfRec.sent, "; "); got != tc.wantSent {
 				t.Errorf("pathfinder sent %q, want %q", got, tc.wantSent)
+			}
+		})
+	}
+}
+
+// TestJoinShapes runs the shapes the join rule accepts, the key columns
+// that send it down the nested plan at run time, and the shapes it must
+// refuse through both engines — equal serialization or equal error code —
+// and checks on JoinStats which way the loop-lifted engine went.
+func TestJoinShapes(t *testing.T) {
+	f := newFixture(t)
+	refEngine := interp.New(f.st, f.reg, nil)
+	const (
+		hash     = "hash"
+		fallback = "fallback"
+		refused  = "refused"
+	)
+	films := `doc("filmDB.xml")//film`
+	cases := []struct {
+		name, query string
+		path        string
+		want        string // serialization or error code; "" = whatever the interpreter says
+		pairs       int    // hash rows: pairs handed on
+	}{
+		{name: "string keys", path: hash, pairs: 2, want: "y-y z-z",
+			query: `for $a in ("x","y","z"), $b in ("y","z","w") where $a = $b return concat($a,"-",$b)`},
+		{name: "string keys, $b's operand first", path: hash, pairs: 2, want: "y-y z-z",
+			query: `for $a in ("x","y","z"), $b in ("y","z","w") where $b = $a return concat($a,"-",$b)`},
+		{name: "duplicate keys on both sides, at $i/$j returned", path: hash, pairs: 5, want: "1:2 2:1 2:3 3:1 3:3",
+			query: `for $a at $i in ("1","2","2"), $b at $j in ("2","1","2") where $a = $b return concat($i,":",$j)`},
+		{name: "empty E1", path: hash, want: "",
+			query: `for $a in (), $b in ("x") where $a = $b return 1`},
+		{name: "empty E2", path: hash, want: "",
+			query: `for $a in ("x"), $b in () where $a = $b return 1`},
+		{name: "empty key on every row", path: hash, want: "",
+			query: `for $a in ` + films + `, $b in ("Sean Connery") where $a/missing = $b return $a/name`},
+		{name: "multi-item key matches once", path: hash, pairs: 2, want: "xx yx",
+			query: `for $a in ("x","y"), $b in ("x","q") where ($a,"x") = $b return concat($a,$b)`},
+		{name: "node keys", path: hash, pairs: 5,
+			query: `for $a in ` + films + `, $b in ` + films + ` where $a/actor = $b/actor return concat($a/name,"/",$b/name)`},
+		{name: "node key against strings", path: hash, pairs: 2,
+			query: `for $a in ` + films + `, $b in ("Sean Connery","x") where $b = $a/actor return $a/name`},
+		{name: "residual conjuncts", path: hash, pairs: 2, want: "x",
+			query: `for $a in ("x","y"), $b in ("x","y") where $a = $b and $a = "x" and true() return $b`},
+		{name: "residual as written on the right", path: hash, pairs: 2, want: "x",
+			query: `for $a in ("x","y"), $b in ("x","y") where $a = $b and ($a = "x" and true()) return $b`},
+		{name: "enclosing for read by both keys", path: hash, pairs: 4, want: "1aa 1bb 2aa 2bb",
+			query: `for $o in ("1","2") return for $a in ("a","b"), $b in ("b","a") where concat($a,$o) = concat($b,$o) return concat($o,$a,$b)`},
+		{name: "enclosing for with an empty side in one iteration", path: hash, pairs: 1, want: "2a",
+			query: `for $o in (1,2) return for $a in ("a","b"), $b in (if ($o = 1) then () else "a") where $a = $b return concat($o,$a)`},
+		{name: "let before the fors", path: hash, pairs: 1, want: "y",
+			query: `let $k := "y" for $a in ("x","y"), $b in ($k,"z") where $a = $b return $b`},
+		{name: "third for before the pair", path: hash, pairs: 2, want: "1x 2x",
+			query: `for $o in (1,2), $a in ("x","y"), $b in ("x","z") where $a = $b return concat($o,$b)`},
+		{name: "prefixed variable names", path: hash, pairs: 2, want: "1 y 2 y 2 x 1 x",
+			query: `for $local:a at $local:i in ("y","x"), $local:b at $local:j in ("x","y") where $local:a = $local:b return ($local:i, $local:a, $local:j, $local:b)`},
+
+		{name: "integer keys", path: fallback, want: "2 3",
+			query: `for $a in (1,2,3), $b in (2,3,4) where $a = $b return $a`},
+		{name: "position keys", path: fallback, want: "a b",
+			query: `for $a at $i in ("a","b"), $b at $j in ("c","d") where $i = $j return $a`},
+		{name: "mixed numeric and string keys", path: fallback, want: "XPTY0004",
+			query: `for $a in (1.0, 2e0, "2"), $b in (2, 3) where $a = $b return $a`},
+		{name: "untyped node against numbers", path: fallback, want: "FORG0001",
+			query: `for $a in <x>a</x>, $b in (1, 2) where $a = $b return 1`},
+		{name: "boolean keys", path: fallback, want: "true",
+			query: `for $a in (true(), false()), $b in (true()) where $a = $b return $a`},
+
+		{name: "$b in ($a, 3)", path: refused, want: "x y",
+			query: `for $a in ("x","y"), $b in ($a, "3") where $a = $b return $b`},
+		{name: "$b in (1 to $a)", path: refused, want: "1 2",
+			query: `for $a in (1, 2), $b in (1 to $a) where $a = $b return $b`},
+		{name: "shadowed $a", path: refused, want: "x z x z",
+			query: `for $a in ("x","y"), $a in ("x","z") where $a = ("x","z") return $a`},
+		{name: "shadowing position variable", path: refused, want: "1 1",
+			query: `for $a in ("x","y"), $b at $a in (1, 5) where $a = $b return $b`},
+		{name: "position variable named as its for variable", path: refused, want: "2",
+			query: `for $a at $a in ("1","2"), $b in (2, 3) where $a = $b return $b`},
+		{name: "($a = $b) = true()", path: refused, want: "x",
+			query: `for $a in ("x","y"), $b in ("x","z") where ($a = $b) = true() return $b`},
+		{name: "$a eq $b", path: refused, want: "x",
+			query: `for $a in ("x","y"), $b in ("x","z") where $a eq $b return $b`},
+		{name: "$a = $b or …", path: refused, want: "x x z",
+			query: `for $a in ("x","y"), $b in ("x","z") where $a = $b or $a = "y" return $b`},
+		{name: "not($a = $b)", path: refused, want: "z x z",
+			query: `for $a in ("x","y"), $b in ("x","z") where not($a = $b) return $b`},
+		{name: "K is not the leftmost conjunct", path: refused, want: "x",
+			query: `for $a in ("x","y"), $b in ("x","z") where true() and $a = $b return $b`},
+		{name: "an operand reads both variables", path: refused, want: "x z x z",
+			query: `for $a in ("x","y"), $b in ("x","z") where ($a, $b) = $b return $b`},
+		{name: "an operand reads neither variable", path: refused, want: "",
+			query: `for $a in ("x","y"), $b in ("x","z") where "q" = $b return $b`},
+		{name: "inner for nested in return", path: refused, want: "x",
+			query: `for $a in ("x","y") return for $b in ("x","z") where $a = $b return $b`},
+		{name: "let after the fors", path: refused, want: "xc",
+			query: `for $a in ("x","y"), $b in ("x","z") let $c := "c" where $a = $b return concat($b,$c)`},
+		{name: "E2 constructs nodes", path: refused,
+			query: `(for $a in ("x","x"), $b in <k>x</k> where $a = $b return $b)/text()`},
+		{name: "E2 constructs nodes in a function", path: refused,
+			query: `declare function local:k() { <k>x</k> }; (for $a in ("x","x"), $b in local:k() where $a = $b return $b)/text()`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var js JoinStats
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.st, Joins: &js})
+			ref, got := outcome(iSeq, iErr), outcome(pfSeq, pfErr)
+			if got != ref {
+				t.Errorf("engines disagree\n  pathfinder: %s\n  interp:     %s", got, ref)
+			}
+			if tc.want != "" && ref != tc.want || tc.want == "" && iErr != nil {
+				t.Errorf("interp: %s (err %v), want %q", ref, iErr, tc.want)
+			}
+			want := map[string]JoinStats{
+				hash:     {Hashed: 1, Pairs: tc.pairs},
+				fallback: {Fallback: 1},
+				refused:  {},
+			}[tc.path]
+			js.BuildRows, js.ProbeRows = 0, 0
+			if js != want {
+				t.Errorf("join rule went %+v, want %s: %+v", js, tc.path, want)
+			}
+		})
+	}
+}
+
+// TestJoinSendsOneRequest: with E2 an execute at, the join evaluates it
+// once under the enclosing loop — one request carrying one call, where the
+// nested plan relies on δ to fold one call per $a into it — whether the
+// keys can be hashed or not, and not at all when E1 is empty.
+func TestJoinSendsOneRequest(t *testing.T) {
+	reg := modules.NewRegistry()
+	if err := reg.Register(`module namespace a="A"; declare function a:f() { 1 };`, "http://h/a.xq"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, e1 string
+		reply    xdm.Sequence
+		want     JoinStats
+		calls    []int
+		result   string
+	}{
+		{name: "Q7_1's shape", e1: `("p", "q", "r")`, reply: xdm.Sequence{xdm.String("q"), xdm.String("s")}, calls: []int{1},
+			want: JoinStats{Hashed: 1, BuildRows: 2, ProbeRows: 3, Pairs: 1}, result: "q"},
+		{name: "numeric keys", e1: `(1, 2, 3)`, reply: xdm.Sequence{xdm.Integer(2), xdm.Integer(4)}, calls: []int{1},
+			want: JoinStats{Fallback: 1}, result: "2"},
+		{name: "empty E1", e1: `()`, reply: xdm.Sequence{xdm.String("q")}, want: JoinStats{Hashed: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &callRecorder{reply: tc.reply}
+			pfc, err := Compile(`import module namespace a="A" at "http://h/a.xq";
+for $p in `+tc.e1+`, $ca in execute at {"xrpc://p"} {a:f()} where $p = $ca return $ca`, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var js JoinStats
+			seq, err := pfc.Eval(&ExecCtx{Bulk: rec, Joins: &js}, nil)
+			if got := outcome(seq, err); got != tc.result {
+				t.Errorf("result %q, want %q", got, tc.result)
+			}
+			if js != tc.want {
+				t.Errorf("join stats %+v, want %+v", js, tc.want)
+			}
+			if fmt.Sprint(rec.calls) != fmt.Sprint(tc.calls) {
+				t.Errorf("calls per request %v, want %v", rec.calls, tc.calls)
 			}
 		})
 	}
@@ -454,15 +710,7 @@ func TestSharedLibraryPerIteration(t *testing.T) {
 				return
 			}
 			query := fmt.Sprintf("for $i in (1, 2, 3) return %s(%s)", fn.name, strings.Join(args, ", "))
-			var pfSeq, iSeq xdm.Sequence
-			pfc, pfErr := Compile(query, f.reg)
-			if pfErr == nil {
-				pfSeq, pfErr = pfc.Eval(&ExecCtx{Docs: f.st}, nil)
-			}
-			ic, iErr := refEngine.Compile(query)
-			if iErr == nil {
-				iSeq, _, iErr = ic.Eval(nil)
-			}
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st})
 			if errCode(pfErr) != errCode(iErr) {
 				t.Errorf("%s\npathfinder err: %v\ninterp err:     %v", query, pfErr, iErr)
 			} else if got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq); got != want {

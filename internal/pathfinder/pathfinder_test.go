@@ -13,6 +13,7 @@ import (
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xmark"
 )
 
 const filmDBY = `<films>
@@ -143,6 +144,8 @@ func TestBasicExpressions(t *testing.T) {
 		`xs:integer("7") + 1`,
 		`some $x in (1,2,3) satisfies $x gt 2`,
 		`every $x in (1,2,3) satisfies $x gt 0`,
+		`some $a in (1,2), $b in ($a, 5) satisfies $a + $b = 7`,
+		`every $a in (1,2), $b in (1 to $a) satisfies $b le $a`,
 		`min((3,1,2))`,
 		`max((3,1,2))`,
 		`avg((2,4))`,
@@ -169,6 +172,7 @@ func TestFLWORBoth(t *testing.T) {
 		`for $x in (1,2), $y in (10,20) return $x + $y`,
 		`let $y := 5 return $y + 1`,
 		`for $x at $i in ("a","b","c") return $i`,
+		`for $local:x at $local:i in ("a","b") return ($local:i, $local:x)`,
 		`for $x in (1,2) let $z := ($x, $x*10) return count($z)`,
 		`for $x in (1 to 3) return if ($x mod 2 eq 0) then "even" else "odd"`,
 		`for $x in () return $x`,
@@ -616,5 +620,85 @@ func TestTypeswitchBoth(t *testing.T) {
 	}
 	for _, q := range queries {
 		f.evalBoth(t, q)
+	}
+}
+
+// q71 is the paper's predicate push-down (Q7_1, §5): B ships every
+// closed_auction and the query peer joins them with its persons.
+const q71 = `
+import module namespace b="functions_b" at "http://example.org/b.xq";
+for $p in doc("persons.xml")//person,
+    $ca in execute at {"xrpc://B"} { b:Q_B1() }
+where $p/@id = $ca/buyer/@person
+return <result>{$p,$ca/annotation}</result>`
+
+// newQ71 compiles q71 over generated XMark data: persons.xml at the query
+// peer, auctions.xml behind an in-process peer B. run evaluates it once
+// and returns the number of results.
+func newQ71(tb testing.TB, cfg xmark.Config) (run func(ec *ExecCtx) int) {
+	tb.Helper()
+	reg := modules.NewRegistry()
+	if err := reg.Register(`module namespace b = "functions_b";
+declare function b:Q_B1() as node()* { doc("auctions.xml")//closed_auction };`, "http://example.org/b.xq"); err != nil {
+		tb.Fatal(err)
+	}
+	stA, stB := store.New(), store.New()
+	if err := stA.LoadXML("persons.xml", xmark.GeneratePersons(cfg)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := stB.LoadXML("auctions.xml", xmark.GenerateAuctions(cfg)); err != nil {
+		tb.Fatal(err)
+	}
+	net := netsim.NewNetwork(0, 0)
+	net.Register("xrpc://B", server.New(stB, reg, server.NewNativeExecutor(interp.New(stB, reg, nil), reg)))
+	c, err := Compile(q71, reg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(ec *ExecCtx) int {
+		ec.Docs, ec.Bulk = stA, client.New(net)
+		seq, err := c.Eval(ec, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return len(seq)
+	}
+}
+
+// TestJoinAllocationsDoNotScaleWithProduct: Q7_1 against a fixed 256
+// auctions with a constant number of matches allocates for its two sides,
+// not for their product — eight times the persons must cost less than
+// twice the allocations (the cross product costs 5.6 times).
+func TestJoinAllocationsDoNotScaleWithProduct(t *testing.T) {
+	allocs := func(persons int) float64 {
+		run := newQ71(t, xmark.Config{Persons: persons, ClosedAuctions: 256, Matches: 4, AnnotationWords: 20, Seed: 1})
+		var js JoinStats
+		if n := run(&ExecCtx{Joins: &js}); n != 4 || js.Hashed != 1 || js.Pairs != 4 {
+			t.Fatalf("%d persons: %d results, join stats %+v; want 4 results from one hashed join", persons, n, js)
+		}
+		return testing.AllocsPerRun(5, func() { run(&ExecCtx{}) })
+	}
+	small, large := allocs(8), allocs(64)
+	t.Logf("allocations per evaluation: %.0f at 8 persons, %.0f at 64", small, large)
+	if large >= 2*small {
+		t.Errorf("allocations grew %.1fx from 8 to 64 persons (%.0f -> %.0f): the join is paying for the product",
+			large/small, small, large)
+	}
+}
+
+// BenchmarkLiftedJoin_Q71 is the query peer's whole evaluation of Q7_1 at
+// the end-to-end benchmark's pushdown_scan size (30 persons, 585
+// auctions, 6 matches), peer B in process: the layer-level before/after
+// of the join rule.
+func BenchmarkLiftedJoin_Q71(b *testing.B) {
+	cfg := xmark.PaperConfig(0.12)
+	cfg.Seed = 1
+	run := newQ71(b, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := run(&ExecCtx{}); n != cfg.Matches {
+			b.Fatalf("%d results, want %d", n, cfg.Matches)
+		}
 	}
 }

@@ -44,6 +44,8 @@ type ExecCtx struct {
 	// Trace, when non-nil, captures the Figure 1 intermediate tables of
 	// every execute-at evaluation.
 	Trace *Trace
+	// Joins, when non-nil, receives what the join rule (join.go) did.
+	Joins *JoinStats
 
 	shreds map[*xdm.Node]*shred.Doc
 	// seqSite numbers execute-at evaluations within one query, giving

@@ -323,21 +323,45 @@ func (d *deriver) pathSig(p *xq.Path, shadow map[string]bool) (keySig, bool) {
 // collect gathers every keyed-access signature in the expression,
 // tracking variable bindings that shadow parameters.
 func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
+	walkExpr(e, shadow, func(x xq.Expr, shadow map[string]bool) {
+		if p, ok := x.(*xq.Path); ok {
+			if sig, ok := d.pathSig(p, shadow); ok {
+				d.sigs = append(d.sigs, sig)
+			}
+		}
+	})
+}
+
+// walkExpr calls visit on e and on every expression below it, each with
+// the set of variables bound on the way down — shadow plus what the
+// enclosing for, let, quantifier and typeswitch clauses inside e bind
+// (valid during the call only). An execute at is walked through its
+// destination and arguments; the called function is the remote peer's to
+// evaluate, so its name is not visited as a local call.
+func walkExpr(e xq.Expr, shadow map[string]bool, visit func(xq.Expr, map[string]bool)) {
 	if e == nil {
 		return
 	}
+	visit(e, shadow)
+	walk := func(x xq.Expr) { walkExpr(x, shadow, visit) }
+	// binding walks x with one more variable in scope
+	binding := func(name string, x xq.Expr) {
+		sh := shadow
+		if name != "" {
+			sh = copyShadow(shadow)
+			sh[name] = true
+		}
+		walkExpr(x, sh, visit)
+	}
 	switch x := e.(type) {
 	case *xq.Path:
-		if sig, ok := d.pathSig(x, shadow); ok {
-			d.sigs = append(d.sigs, sig)
-		}
-		d.collect(x.Root, shadow)
+		walk(x.Root)
 		for _, p := range x.RootPreds {
-			d.collect(p, shadow)
+			walk(p)
 		}
 		for _, s := range x.Steps {
 			for _, p := range s.Preds {
-				d.collect(p, shadow)
+				walk(p)
 			}
 		}
 	case *xq.FLWOR:
@@ -345,112 +369,102 @@ func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
 		for _, cl := range x.Clauses {
 			switch c := cl.(type) {
 			case *xq.ForClause:
-				d.collect(c.In, sh)
+				walkExpr(c.In, sh, visit)
 				sh[c.Var] = true
 				if c.PosVar != "" {
 					sh[c.PosVar] = true
 				}
 			case *xq.LetClause:
-				d.collect(c.Val, sh)
+				walkExpr(c.Val, sh, visit)
 				sh[c.Var] = true
 			}
 		}
-		d.collect(x.Where, sh)
+		walkExpr(x.Where, sh, visit)
 		for _, o := range x.OrderBy {
-			d.collect(o.Key, sh)
+			walkExpr(o.Key, sh, visit)
 		}
-		d.collect(x.Return, sh)
+		walkExpr(x.Return, sh, visit)
 	case *xq.Quantified:
-		d.collect(x.In, shadow)
-		sh := copyShadow(shadow)
-		sh[x.Var] = true
-		d.collect(x.Satisfies, sh)
+		walk(x.In)
+		binding(x.Var, x.Satisfies)
 	case *xq.Typeswitch:
-		d.collect(x.Operand, shadow)
+		walk(x.Operand)
 		for _, c := range x.Cases {
-			sh := shadow
-			if c.Var != "" {
-				sh = copyShadow(shadow)
-				sh[c.Var] = true
-			}
-			d.collect(c.Ret, sh)
+			binding(c.Var, c.Ret)
 		}
-		sh := shadow
-		if x.DefaultVar != "" {
-			sh = copyShadow(shadow)
-			sh[x.DefaultVar] = true
-		}
-		d.collect(x.Default, sh)
+		binding(x.DefaultVar, x.Default)
 	case *xq.SeqExpr:
 		for _, it := range x.Items {
-			d.collect(it, shadow)
+			walk(it)
 		}
 	case *xq.RangeExpr:
-		d.collect(x.Lo, shadow)
-		d.collect(x.Hi, shadow)
+		walk(x.Lo)
+		walk(x.Hi)
 	case *xq.Arith:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
+		walk(x.L)
+		walk(x.R)
 	case *xq.Unary:
-		d.collect(x.X, shadow)
+		walk(x.X)
 	case *xq.Comparison:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
+		walk(x.L)
+		walk(x.R)
 	case *xq.Logic:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
+		walk(x.L)
+		walk(x.R)
 	case *xq.UnionExpr:
-		d.collect(x.L, shadow)
-		d.collect(x.R, shadow)
+		walk(x.L)
+		walk(x.R)
 	case *xq.If:
-		d.collect(x.Cond, shadow)
-		d.collect(x.Then, shadow)
-		d.collect(x.Else, shadow)
+		walk(x.Cond)
+		walk(x.Then)
+		walk(x.Else)
 	case *xq.FuncCall:
 		for _, a := range x.Args {
-			d.collect(a, shadow)
+			walk(a)
 		}
 	case *xq.ExecuteAt:
-		d.collect(x.Dest, shadow)
+		walk(x.Dest)
 		if x.Call != nil {
-			d.collect(x.Call, shadow)
+			for _, a := range x.Call.Args {
+				walk(a)
+			}
 		}
 	case *xq.DirElem:
 		for _, a := range x.Attrs {
 			for _, v := range a.Value {
-				d.collect(v, shadow)
+				walk(v)
 			}
 		}
 		for _, c := range x.Content {
-			d.collect(c, shadow)
+			walk(c)
 		}
 	case *xq.Enclosed:
-		d.collect(x.X, shadow)
+		walk(x.X)
 	case *xq.CompElem:
-		d.collect(x.Name, shadow)
-		d.collect(x.Content, shadow)
+		walk(x.Name)
+		walk(x.Content)
 	case *xq.CompAttr:
-		d.collect(x.Name, shadow)
-		d.collect(x.Value, shadow)
+		walk(x.Name)
+		walk(x.Value)
 	case *xq.CompText:
-		d.collect(x.Val, shadow)
+		walk(x.Val)
 	case *xq.Cast:
-		d.collect(x.X, shadow)
+		walk(x.X)
 	case *xq.Castable:
-		d.collect(x.X, shadow)
+		walk(x.X)
 	case *xq.InstanceOf:
-		d.collect(x.X, shadow)
+		walk(x.X)
 	case *xq.Insert:
-		d.collect(x.Source, shadow)
-		d.collect(x.Target, shadow)
+		walk(x.Source)
+		walk(x.Target)
 	case *xq.Delete:
-		d.collect(x.Target, shadow)
+		walk(x.Target)
 	case *xq.Replace:
-		d.collect(x.Target, shadow)
-		d.collect(x.Source, shadow)
+		walk(x.Target)
+		walk(x.Source)
 	case *xq.Rename:
-		d.collect(x.Target, shadow)
-		d.collect(x.NewName, shadow)
+		walk(x.Target)
+		walk(x.NewName)
 	}
 }
 

@@ -276,6 +276,15 @@ func (env *ShardedEnv) measureSides(personsXML, auctionsXML string) error {
 // planner's model: ship the person keys to the auction shards
 // (QShardedSemiJoin) or ship every auction row to the probe side once
 // (QShardedSemiJoinData).
+//
+// planner.ChooseSemiJoin's estData is linear in the shipped rows — it has
+// no |keys| × |rows| term, i.e. it always assumed the probe side joins
+// what it receives in linear time. That holds for the two-for spelling of
+// the join (QPredicatePushdown), which the loop-lifted engine hashes
+// (pathfinder/join.go). QShardedSemiJoinData spells the same join as a
+// predicate, $all[buyer/@person = string($p/@id)], which is not
+// recognised yet: its local join is still |persons| × |auctions|
+// comparisons, so its actual cost exceeds estData by that product.
 func (env *ShardedEnv) ChooseSemiJoinSide() planner.SemiJoinChoice {
 	return planner.NewStats().ChooseSemiJoin(
 		env.Persons, env.KeyBytes, int64(env.Auctions), env.AuctionItemBytes)

@@ -644,10 +644,19 @@ func (p *parser) parseFLWOR() (Expr, error) {
 }
 
 func (p *parser) parseQuantified() (Expr, error) {
-	q := &Quantified{Every: p.tok.Is("every")}
+	every := p.tok.Is("every")
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
+	return p.parseQuantifiedBindings(every)
+}
+
+// parseQuantifiedBindings parses "$v in E (, $w in F)* satisfies P". A
+// binding list is nested quantifiers — some $v in E, $w in F satisfies P
+// is some $v in E satisfies (some $w in F satisfies P), likewise every —
+// so the tree holds one Quantified per binding.
+func (p *parser) parseQuantifiedBindings(every bool) (Expr, error) {
+	q := &Quantified{Every: every}
 	if err := p.expect("$"); err != nil {
 		return nil, err
 	}
@@ -663,14 +672,18 @@ func (p *parser) parseQuantified() (Expr, error) {
 		return nil, err
 	}
 	q.In = in
-	if err := p.expect("satisfies"); err != nil {
-		return nil, err
-	}
-	sat, err := p.parseExprSingle()
+	more, err := p.accept(",")
 	if err != nil {
 		return nil, err
 	}
-	q.Satisfies = sat
+	if more {
+		q.Satisfies, err = p.parseQuantifiedBindings(every)
+	} else if err = p.expect("satisfies"); err == nil {
+		q.Satisfies, err = p.parseExprSingle()
+	}
+	if err != nil {
+		return nil, err
+	}
 	return q, nil
 }
 

@@ -219,6 +219,25 @@ func TestParseRangeAndQuantified(t *testing.T) {
 	if q.Every || q.Var != "x" {
 		t.Fatalf("quantified = %+v", q)
 	}
+	// a binding list is one nested quantifier per binding
+	for _, kw := range []string{"some", "every"} {
+		e = mustParseExpr(t, kw+` $a in (1,2), $b in ($a, 3), $c in 4 satisfies $a = $b + $c`)
+		for _, v := range []string{"a", "b", "c"} {
+			q, ok := e.(*Quantified)
+			if !ok || q.Var != v || q.Every != (kw == "every") {
+				t.Fatalf("%s: binding $%s parsed as %#v", kw, v, e)
+			}
+			e = q.Satisfies
+		}
+		if _, ok := e.(*Comparison); !ok {
+			t.Fatalf("%s: satisfies = %T", kw, e)
+		}
+	}
+	for _, bad := range []string{`some $a in 1, satisfies 1`, `some $a in 1, $b satisfies 1`, `every $a in 1, $b in 2`} {
+		if _, err := ParseExpr(bad); err == nil {
+			t.Errorf("%s: parsed", bad)
+		}
+	}
 }
 
 func TestParsePathForms(t *testing.T) {
