@@ -49,7 +49,10 @@ bench-cluster:
 # fuzz-smoke gives the SOAP envelope decoders a short coverage-guided
 # shake on every CI run: the buffered DOM-free decoder (FuzzDecode) and
 # the incremental io.Reader decoder fed adversarially fragmented input
-# (FuzzDecodeStream). Both targets share one corpus directory; patterns
+# (FuzzDecodeStream), and the forwarding read the gather splices item
+# bytes with (FuzzResponseStreamRaw: bounded window, nothing rejected
+# that the decoded walk accepts, and the spliced envelope decodes to
+# NextItem's items). The targets share one corpus directory; patterns
 # are anchored because `go test -fuzz` requires exactly one match.
 # FuzzWALDecode shakes the write-ahead-log frame parser the same way
 # (truncated, corrupted and torn inputs must never panic).
@@ -58,6 +61,7 @@ bench-cluster:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzDecodeStream$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
+	$(GO) test -run=NONE -fuzz 'FuzzResponseStreamRaw$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
 
 # memsmoke is the bounded-memory acceptance check of the streamed
@@ -89,8 +93,11 @@ cachesmoke:
 # cluster with the full metrics/trace/slow-log layer attached, driven
 # cold -> warm -> routed 2PC update -> post-write read, then scraped
 # through the /metrics, /healthz and /readyz debug endpoints. Asserts
-# the scatter, cache-tier and 2PC counters move at each stage and that
-# one trace ID appears in both shards' slow-query logs; a query peer in
+# the scatter, cache-tier and 2PC counters move at each stage, that a
+# part stream counts as forward="decoded" when Scatter or the result
+# cache takes its items as trees and as forward="raw" when the proxy only
+# passes them on (xrpc_cluster_gather_streams_total), and that one trace
+# ID appears in both shards' slow-query logs; a query peer in
 # front runs one text cold then warm and its compiled-text cache's hit
 # counter (cache="query") must move, then one two-for join over string
 # keys, which must count as xrpc_query_joins_total{kind="hash"} and not

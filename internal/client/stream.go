@@ -97,6 +97,15 @@ func (sr *StreamedResponse) NextItem() (xdm.Item, error) {
 	return sr.rs.NextItem()
 }
 
+// NextItemRaw returns the next item wrapper of the current sequence as
+// bytes for a consumer that forwards it, valid until the next call on
+// the response; ok false means this response's framing cannot lend its
+// items out and the caller reads NextItem instead (see
+// soap.ResponseStream.NextItemRaw).
+func (sr *StreamedResponse) NextItemRaw() (raw []byte, ok bool, err error) {
+	return sr.rs.NextItemRaw()
+}
+
 // Finish drains the rest of the response, verifies one result sequence
 // arrived per call, records piggybacked participating peers, and
 // releases the connection. It returns the peers.

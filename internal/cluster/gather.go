@@ -134,6 +134,7 @@ type partStream struct {
 	err     error
 	openDur time.Duration // send → response stream open
 	next    int           // index into part.orig of the next sequence to pull
+	decoded bool          // some item of it was pulled as a tree, not as bytes
 }
 
 // walkReplicas tries send at the shard's primary and walks the replica
@@ -216,10 +217,16 @@ func closeStreams(streams []*partStream) {
 // walk suffices: for call i, visit the parts in ascending shard order
 // and pull the next sequence from exactly those whose next call is i.
 // Every stream is then Finished, which validates result counts and
-// trailing envelope content. With metrics attached it also records the
-// merge wall clock and each shard's time to first merged item; without,
-// the item path makes no clock reads.
+// trailing envelope content. A rawSink is handed each item wrapper as the
+// bytes the shard sent — tokenized on the way, so a malformed or
+// truncated stream fails here exactly as it does decoded, but never
+// built into a tree the coordinator would only serialize again; any
+// other sink, and any stream that cannot lend its items out, gets them
+// decoded. With metrics attached merge also records the merge wall
+// clock, each shard's time to first merged item and which way each
+// stream was forwarded; without, the item path makes no clock reads.
 func (co *Coordinator) merge(streams []*partStream, calls int, out sink) error {
+	splice, _ := out.(rawSink)
 	var start time.Time
 	var seen []bool
 	if m := co.Metrics; m != nil {
@@ -245,18 +252,34 @@ func (co *Coordinator) merge(streams []*partStream, calls int, out sink) error {
 			}
 			ps.next++
 			for {
-				it, err := ps.sr.NextItem()
+				var (
+					raw     []byte
+					it      xdm.Item
+					spliced bool
+				)
+				if splice != nil {
+					raw, spliced, err = ps.sr.NextItemRaw()
+				}
+				if !spliced && err == nil {
+					ps.decoded = true
+					it, err = ps.sr.NextItem()
+				}
 				if err != nil {
 					return fmt.Errorf("cluster: shard %d: %w", shard, err)
 				}
-				if it == nil {
+				if raw == nil && it == nil {
 					break
 				}
 				if shard < len(seen) && !seen[shard] {
 					seen[shard] = true
 					co.Metrics.FirstItem[shard].ObserveDuration(time.Since(start))
 				}
-				if err := out.item(shard, it); err != nil {
+				if raw != nil {
+					err = splice.raw(shard, raw)
+				} else {
+					err = out.item(shard, it)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -269,6 +292,7 @@ func (co *Coordinator) merge(streams []*partStream, calls int, out sink) error {
 		if _, err := ps.sr.Finish(); err != nil {
 			return fmt.Errorf("cluster: shard %d: %w", ps.part.shard, err)
 		}
+		co.Metrics.countStream(splice != nil && !ps.decoded)
 	}
 	return nil
 }
@@ -286,10 +310,11 @@ func (co *Coordinator) Scatter(br *client.BulkRequest) ([]xdm.Sequence, error) {
 }
 
 // ScatterStream is Scatter with the merged response envelope written to
-// w in chunks as it is assembled: decoded items from shard k are
-// re-encoded into the output and gone before shard k+1's arrive — socket
-// → pull-decoder → merge → chunked writer end to end, for every plan
-// shape. The envelope is byte-identical to encoding Scatter's result.
+// w in chunks as it is assembled: shard k's item wrappers are appended
+// to the output as the bytes they arrived in and gone before shard
+// k+1's arrive — socket → tokenizer → merge → chunked writer end to end,
+// for every plan shape, with no item built into a tree on the way. The
+// envelope is byte-identical to encoding Scatter's result.
 func (co *Coordinator) ScatterStream(br *client.BulkRequest, w io.Writer) error {
 	return co.scatterStream(co.Client, br, w)
 }

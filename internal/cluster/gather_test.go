@@ -476,6 +476,90 @@ func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
 	})
 }
 
+// TestProxyValidationBoundary pins what a proxy that splices shard bytes
+// still checks and what it leaves to whoever decodes them. A shard
+// stream that cannot be walked — truncated, unbalanced, not well formed,
+// a wrapper of unknown name, more results than calls — is rejected by
+// the proxy as before: a clean Fault while nothing has been written, a
+// connection abort once merged bytes are out. What only building the
+// value checks — the lexical form of a typed atomic — reaches the client,
+// whose decoder reports it; never a silently shortened result.
+func TestProxyValidationBoundary(t *testing.T) {
+	good := soap.NewEncoder()
+	good.EncodeItem(xdm.String(strings.Repeat("x", 1024)))
+	item := string(good.Copy())
+	good.Release()
+	const filler = 3 * soap.DefaultStreamChunk / 1024 // items that make the proxy flush before the bad one
+
+	for _, c := range []struct {
+		name string
+		tail string // what follows the good items, through the end of the message
+		// what the client's decoder reports when the proxy passes the
+		// stream on ("" = the proxy rejects it with this in its Fault)
+		atClient, atProxy string
+	}{
+		{name: "truncated body", tail: `<xrpc:element><a>`, atProxy: "unclosed element"},
+		{name: "unbalanced tags", tail: `</xrpc:sequence></x></x></x></x></x></x>`, atProxy: "unbalanced end tag"},
+		{name: "not well formed", tail: `<xrpc:element><a b=c/></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
+			atProxy: "unquoted value"},
+		{name: "unknown wrapper", tail: `<xrpc:bogus/></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
+			atProxy: "unknown sequence item element"},
+		{name: "result-count mismatch", tail: `</xrpc:sequence><xrpc:sequence></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
+			atProxy: "2 results for 1 calls"},
+		{name: "lexically invalid atomic", tail: `<xrpc:atomic-value xsi:type="xs:integer">abc</xrpc:atomic-value></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
+			atClient: `soap: bad atomic value "abc" as xs:integer`},
+	} {
+		for _, items := range []int{0, filler} {
+			t.Run(fmt.Sprintf("%s after %d items", c.name, items), func(t *testing.T) {
+				enc := soap.NewEncoder()
+				enc.BeginResponse("m", "scan")
+				enc.BeginSequence()
+				body := string(enc.Copy()) + strings.Repeat(item, items) + c.tail
+				enc.Release()
+
+				net := netsim.NewNetwork(0, 0)
+				rt, err := NewRoutingTable(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Register("xrpc://shard0", netsim.HandlerFunc(func(string, []byte) ([]byte, error) {
+					return []byte(body), nil
+				}))
+				if err := rt.Add(0, "xrpc://shard0"); err != nil {
+					t.Fatal(err)
+				}
+				hs := httptest.NewServer(&Proxy{Co: NewCoordinator(rt, client.New(net))})
+				defer hs.Close()
+
+				br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
+				res, err := client.New(client.NewHTTPTransport()).CallBulk(hs.URL, br)
+				if err == nil {
+					t.Fatalf("client got %d item(s) and no error from a malformed shard stream", len(res[0]))
+				}
+				var fault *soap.Fault
+				switch {
+				case c.atClient != "":
+					// passed through whole; the client's decoder rejects it
+					if errors.As(err, &fault) || !strings.Contains(err.Error(), c.atClient) {
+						t.Fatalf("client err = %v, want its own decoder's %q", err, c.atClient)
+					}
+				case items == 0:
+					// nothing written yet: a clean Fault naming the cause
+					if !errors.As(err, &fault) || !strings.Contains(fault.Reason, c.atProxy) {
+						t.Fatalf("client err = %v, want a Fault containing %q", err, c.atProxy)
+					}
+				default:
+					// merged bytes already out: the connection is aborted,
+					// and the client sees truncation
+					if errors.As(err, &fault) || strings.Contains(err.Error(), "bad atomic") {
+						t.Fatalf("client err = %v, want an aborted connection", err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // ------------------------------------------------- bounded-memory smoke
 
 // syntheticShard produces a response of approximately size bytes (one

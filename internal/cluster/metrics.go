@@ -20,6 +20,7 @@ var fanoutBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 // formatting labels. A nil *Metrics disables all recording.
 type Metrics struct {
 	Scatters  *obs.CounterVec // execution mode: "broadcast" | "pruned"
+	Streams   *obs.CounterVec // merged part streams, by how their items were forwarded: "raw" | "decoded"
 	Updates   *obs.Counter    // routed updating bulk requests
 	Fanout    *obs.Histogram  // shards contacted per scatter
 	Latency   *obs.Histogram  // whole-scatter wall clock
@@ -53,6 +54,8 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 	m := &Metrics{
 		Scatters: reg.NewCounterVec("xrpc_cluster_scatters_total",
 			"Scatter executions, by mode.", "mode"),
+		Streams: reg.NewCounterVec("xrpc_cluster_gather_streams_total",
+			"Part streams merged, by whether their items were forwarded as the shard's bytes or decoded.", "forward"),
 		Updates: reg.NewCounter("xrpc_cluster_updates_total",
 			"Routed updating bulk requests."),
 		Fanout: reg.NewHistogram("xrpc_cluster_scatter_fanout_shards",
@@ -90,6 +93,17 @@ func (m *Metrics) countScatter(mode string) {
 	if m != nil {
 		m.Scatters.With(mode).Inc()
 	}
+}
+
+func (m *Metrics) countStream(raw bool) {
+	if m == nil {
+		return
+	}
+	forward := "decoded"
+	if raw {
+		forward = "raw"
+	}
+	m.Streams.With(forward).Inc()
 }
 
 func (m *Metrics) countFailovers(n int) {

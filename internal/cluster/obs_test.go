@@ -7,17 +7,21 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"xrpc/internal/client"
 	"xrpc/internal/core"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/planner"
 	"xrpc/internal/server"
+	"xrpc/internal/soap"
 	"xrpc/internal/wal"
+	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
 
@@ -25,11 +29,12 @@ import (
 // cluster with the full observability layer attached — one shared
 // registry over shard servers, coordinator, result cache, client,
 // netsim and the per-replica write-ahead logs — driven cold → warm →
-// routed update → post-write → a query peer's cold and warm run of one
-// text and one hashed two-for join → demote/resync/rejoin, then scraped
-// through the debug endpoints. Asserts the counters that must move at
-// each stage, and that one trace ID minted at the coordinator's front
-// door appears in BOTH shards' slow-query logs.
+// routed update → post-write → a read through the proxy → a query peer's
+// cold and warm run of one text and one hashed two-for join →
+// demote/resync/rejoin, then scraped through the debug endpoints. Asserts
+// the counters that must move at each stage, and that one trace ID
+// minted at the coordinator's front door appears in BOTH shards'
+// slow-query logs.
 func TestObsSmoke(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	const persons = 40
@@ -92,6 +97,14 @@ func TestObsSmoke(t *testing.T) {
 	}
 	if n := reg.MustGather("xrpc_cluster_scatters_total", obs.Label{Key: "mode", Value: "pruned"}); n < 1 {
 		t.Fatalf("cold read: pruned scatters = %v, want >= 1", n)
+	}
+	// Scatter hands back trees, and the read populated the result cache,
+	// which keeps them: both part streams were decoded
+	streams := func(forward string) float64 {
+		return reg.MustGather("xrpc_cluster_gather_streams_total", obs.Label{Key: "forward", Value: forward})
+	}
+	if n := streams("decoded"); n != 2 {
+		t.Fatalf("cold read: decoded part streams = %v, want 2", n)
 	}
 	// the route-less getPerson went through the derivation pass and the
 	// strategy decision, and the probe round installed shard statistics
@@ -183,6 +196,25 @@ func TestObsSmoke(t *testing.T) {
 	}
 	if n := indexed("xrpc_exec_index_fallbacks_total"); n != 0 {
 		t.Fatalf("index fallbacks = %v, want 0 (getPerson's predicate is indexable)", n)
+	}
+
+	// --- a read through the proxy only passes the shard's items on: the
+	// one part stream of a routed read is spliced, not decoded
+	hs := httptest.NewServer(&Proxy{Co: co})
+	decoded0 := streams("decoded")
+	resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml",
+		bytes.NewReader(encodeSOAPRequest(getPersonRequest(xmark.PersonID(9)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxied, err := soap.DecodeResponseStream(resp.Body)
+	resp.Body.Close()
+	hs.Close()
+	if err != nil || len(proxied.Results) != 1 || len(proxied.Results[0]) != 1 {
+		t.Fatalf("proxied read: %+v, err %v", proxied, err)
+	}
+	if raw, dec := streams("raw"), streams("decoded")-decoded0; raw != 1 || dec != 0 {
+		t.Fatalf("proxied read: raw part streams = %v, decoded = %v, want 1 and 0", raw, dec)
 	}
 
 	// --- a query peer in front: the same text cold then warm. The warm
@@ -309,6 +341,7 @@ return string($p/@id)`)
 	for _, want := range []string{
 		"# TYPE xrpc_cluster_scatter_seconds histogram",
 		`xrpc_cluster_scatters_total{mode="pruned"}`,
+		`xrpc_cluster_gather_streams_total{forward="raw"} 1`,
 		`xrpc_server_requests_total{shard="0",method="getPerson"}`,
 		`xrpc_server_requests_total{shard="1",method="getPerson"}`,
 		"xrpc_resultcache_hits_total 1",
@@ -332,5 +365,66 @@ return string($p/@id)`)
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", scrape)
+	}
+}
+
+// TestInstrumentationAddsNoAllocs is the coordinator's counterpart of
+// the server's guard of the same name, over the gather's item path: with
+// the metrics attached a read may pay a constant (the first-item flags),
+// but nothing per item — neither where wrappers are spliced
+// (ScatterStream) nor where they are decoded (Scatter).
+func TestInstrumentationAddsNoAllocs(t *testing.T) {
+	const shards, items = 2, 512
+	enc := soap.NewEncoder()
+	enc.EncodeResponse(&soap.Response{Module: "m", Method: "scan",
+		Results: []xdm.Sequence{slices.Repeat(xdm.Sequence{xdm.String("an item")}, items)}})
+	body := enc.Copy()
+	enc.Release()
+
+	net := netsim.NewNetwork(0, 0)
+	rt, err := NewRoutingTable(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < shards; s++ {
+		uri := "xrpc://shard" + strconv.Itoa(s)
+		net.Register(uri, netsim.HandlerFunc(func(string, []byte) ([]byte, error) { return body, nil }))
+		if err := rt.Add(s, uri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	co := NewCoordinator(rt, client.New(net))
+	br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
+	reg := obs.NewRegistry()
+	metrics := NewMetrics(reg, shards)
+
+	for _, c := range []struct {
+		forward string
+		read    func() error
+	}{
+		{"raw", func() error { return co.ScatterStream(br, io.Discard) }},
+		{"decoded", func() error { _, err := co.Scatter(br); return err }},
+	} {
+		run := func() float64 {
+			return testing.AllocsPerRun(20, func() {
+				if err := c.read(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		co.Metrics = nil
+		base := run()
+		co.Metrics = metrics
+		instr := run()
+		// a per-item cost would show as shards*items; the constant is the
+		// first-item flags, one allocation where they escape
+		if instr-base >= 2 {
+			t.Errorf("%s: instrumentation added allocations: %.1f -> %.1f per read of %d items",
+				c.forward, base, instr, shards*items)
+		}
+		if n := reg.MustGather("xrpc_cluster_gather_streams_total",
+			obs.Label{Key: "forward", Value: c.forward}); n != shards*21 {
+			t.Errorf("%s part streams = %v, want %d", c.forward, n, shards*21)
+		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 
 // sink is where the read pipeline's merge goes. There are three: a
 // slice sink (Scatter), a writer sink (ScatterStream, the proxy), and a
-// capturing tee around either for result-cache population.
+// capturing tee around either for result-cache population. A sink takes
+// items as trees; one that only passes them on says so by also being a
+// rawSink, and the merge then hands it the shards' bytes instead.
 type sink interface {
 	// beginSeq, item and endSeq receive the merge incrementally, one
 	// result sequence per call; item is told which shard produced it.
@@ -23,6 +25,16 @@ type sink interface {
 	// written is the encoded size of what the sink has taken so far; 0
 	// for a sink that does not encode.
 	written() int64
+}
+
+// rawSink is a sink that does not read the items it is given: where a
+// part stream can lend an item wrapper out as bytes
+// (client.StreamedResponse.NextItemRaw), the merge calls raw with them
+// in place of item with the decoded tree. The bytes are only valid
+// during the call.
+type rawSink interface {
+	sink
+	raw(shard int, wrapper []byte) error
 }
 
 // sliceSink accumulates the merged result.
@@ -41,9 +53,12 @@ func (s *sliceSink) all(res []xdm.Sequence) error { s.merged = res; return nil }
 
 func (s *sliceSink) written() int64 { return 0 }
 
-// writerSink encodes the merged response envelope to w in chunks as it
-// is assembled, so the merged result never exists in memory. It is the
-// encoder's own io.Writer in order to count what has left the process.
+// writerSink writes the merged response envelope to w in chunks as it
+// is assembled, so the merged result never exists in memory: the framing
+// is encoded here, item wrappers are appended as the bytes the shards
+// sent (raw), and only items that arrive as trees — a cached result, a
+// shard whose framing is not ours — are encoded. It is the encoder's own
+// io.Writer in order to count what has left the process.
 type writerSink struct {
 	enc     *soap.Encoder
 	w       io.Writer
@@ -66,6 +81,11 @@ func (s *writerSink) Write(p []byte) (int, error) {
 func (s *writerSink) beginSeq() error { s.enc.BeginSequence(); return s.enc.Err() }
 
 func (s *writerSink) item(_ int, it xdm.Item) error { s.enc.EncodeItem(it); return s.enc.Err() }
+
+func (s *writerSink) raw(_ int, wrapper []byte) error {
+	s.enc.RawSequence(wrapper)
+	return s.enc.Err()
+}
 
 func (s *writerSink) endSeq() error { s.enc.EndSequence(); return s.enc.Err() }
 

@@ -148,7 +148,13 @@ func BenchmarkSoapDecodeResponseStream(b *testing.B) {
 // BenchmarkSoapResponseStreamWalk measures item-at-a-time consumption:
 // header, every sequence, every item, Finish — without retaining the
 // response.
-func BenchmarkSoapResponseStreamWalk(b *testing.B) {
+func BenchmarkSoapResponseStreamWalk(b *testing.B) { benchStreamWalk(b, false) }
+
+// BenchmarkSoapResponseStreamWalkRaw is the same walk by a consumer that
+// forwards: every item wrapper taken as bytes (NextItemRaw), none built.
+func BenchmarkSoapResponseStreamWalkRaw(b *testing.B) { benchStreamWalk(b, true) }
+
+func benchStreamWalk(b *testing.B, raw bool) {
 	msg := EncodeResponse(benchResponse(64))
 	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
@@ -166,11 +172,21 @@ func BenchmarkSoapResponseStreamWalk(b *testing.B) {
 				break
 			}
 			for {
-				it, err := rs.NextItem()
+				var (
+					wrapper []byte
+					it      xdm.Item
+				)
+				if raw {
+					if wrapper, ok, err = rs.NextItemRaw(); !ok {
+						b.Fatal("Encoder's own framing was not lent out")
+					}
+				} else {
+					it, err = rs.NextItem()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				if it == nil {
+				if wrapper == nil && it == nil {
 					break
 				}
 			}

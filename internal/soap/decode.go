@@ -425,9 +425,24 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		pi.Seal()
 		out = append(out, pi)
 	default:
-		return nil, fmt.Errorf("soap: unknown sequence item element %q", d.sc.name)
+		return nil, unknownItemWrapper(d.sc.name)
 	}
 	return out, nil
+}
+
+// isItemWrapper reports whether decodeSequenceItem has a case for the
+// local name — what a reader that passes a wrapper on undecoded checks
+// in its place.
+func isItemWrapper(local string) bool {
+	switch local {
+	case "atomic-value", "element", "document", "attribute", "text", "comment", "pi":
+		return true
+	}
+	return false
+}
+
+func unknownItemWrapper(name string) error {
+	return fmt.Errorf("soap: unknown sequence item element %q", name)
 }
 
 func (d *decoder) decodeResponse() (*Response, error) {

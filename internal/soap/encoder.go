@@ -21,6 +21,11 @@ const envelopeHeader = `<?xml version="1.0" encoding="utf-8"?>` + "\n" +
 
 const envelopeFooter = "</env:Body>\n</env:Envelope>\n"
 
+// sequenceStartTag opens one result sequence. With envelopeHeader and
+// the response start tag it is the framing whose namespace bindings
+// item bytes borrow (ResponseStream.NextItemRaw).
+const sequenceStartTag = "<xrpc:sequence>"
+
 // maxPooledBuf bounds the buffers the pool retains: an occasional huge
 // message (a multi-MB document parameter) should not pin its buffer
 // forever.
@@ -291,14 +296,19 @@ func (e *Encoder) EncodeResponse(r *Response) {
 // EndSequence per result, then EndResponse.
 func (e *Encoder) BeginResponse(module, method string) {
 	e.str(envelopeHeader)
+	e.responseStartTag(module, method)
+	e.byte('\n')
+}
+
+func (e *Encoder) responseStartTag(module, method string) {
 	e.str(`<xrpc:response`)
 	e.attr("xrpc:module", module)
 	e.attr("xrpc:method", method)
-	e.str(">\n")
+	e.byte('>')
 }
 
 // BeginSequence opens one result sequence.
-func (e *Encoder) BeginSequence() { e.str("<xrpc:sequence>") }
+func (e *Encoder) BeginSequence() { e.str(sequenceStartTag) }
 
 // EncodeItem appends one item to the open sequence.
 func (e *Encoder) EncodeItem(it xdm.Item) { e.item(it) }
@@ -306,9 +316,11 @@ func (e *Encoder) EncodeItem(it xdm.Item) { e.item(it) }
 // EndSequence closes the open result sequence.
 func (e *Encoder) EndSequence() { e.str("</xrpc:sequence>\n") }
 
-// RawSequence splices a pre-serialized result sequence — bytes
-// previously produced by BeginSequence/EncodeItem/EndSequence — into
-// the envelope verbatim (the cache-hit fast path).
+// RawSequence splices pre-serialized bytes into the envelope verbatim:
+// a whole result sequence previously produced by BeginSequence/
+// EncodeItem/EndSequence (the cache-hit fast path), or, inside an open
+// sequence, item wrappers as ResponseStream.NextItemRaw hands them out
+// (the gather's cut-through).
 func (e *Encoder) RawSequence(b []byte) {
 	e.buf = append(e.buf, b...)
 	e.maybeFlush()

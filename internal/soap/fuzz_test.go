@@ -90,6 +90,80 @@ func FuzzDecodeStream(f *testing.F) {
 	})
 }
 
+// FuzzResponseStreamRaw shakes the forwarding read (NextItemRaw) with
+// arbitrary envelopes under adversarial chunking. Properties:
+//
+//  1. It never panics and never leaves the read window pinned.
+//  2. The window stays bounded by the longest span the scanner had to
+//     hold — a token, or a wrapper lent out — not by the message.
+//  3. It rejects nothing the decoded walk accepts, and whenever both
+//     accept, decoding the envelope a forwarder built from the raw reads
+//     gives exactly the items NextItem delivered.
+func FuzzResponseStreamRaw(f *testing.F) {
+	for _, resp := range fixtureResponses(f) {
+		f.Add(EncodeResponse(resp), uint8(3))
+	}
+	for _, resp := range itemKindResponses(f) {
+		f.Add(EncodeResponse(resp), uint8(0))
+	}
+	f.Add(oursFramed(`<xrpc:sequence><xrpc:attribute a="1" b='two'/><xrpc:element/><xrpc:element><p/> x <q>t</q></xrpc:element></xrpc:sequence><xrpc:sequence/><xrpc:sequence><xrpc:atomic-value xsi:type="xs:integer">abc</xrpc:atomic-value></xrpc:sequence>`), uint8(6))
+	f.Add(oursFramed(`<xrpc:sequence><xrpc:text>cr&#13;lf&nope;</xrpc:text><xrpc:bogus/></xrpc:sequence>`), uint8(1))
+	f.Add([]byte(`<env:Envelope><env:Body><xrpc:response xrpc:module="m" xrpc:method="f"><xrpc:sequence><xrpc:element><a b="&#65;"><![CDATA[<raw>]]></a></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`), uint8(7))
+	f.Add(EncodeFault(&Fault{Code: "env:Sender", Reason: "could not load module!"}), uint8(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		chunk := int(size)%64 + 1
+		var want *Response
+		rs, errDecoded := NewResponseStream(&chunkReader{data: data, size: chunk})
+		if errDecoded == nil {
+			want, errDecoded = collectStream(rs)
+		}
+		rs, err := NewResponseStream(&chunkReader{data: data, size: chunk}) // must not panic
+		if err != nil {
+			if errDecoded == nil {
+				t.Fatalf("header rejected on the second read only: %v\ninput: %q", err, data)
+			}
+			return
+		}
+		got, err := forward(rs, true)
+		if errDecoded == nil && err != nil {
+			t.Fatalf("raw walk rejects what the decoded walk accepts (chunk=%d): %v\ninput: %q", chunk, err, data)
+		}
+		// the longest token of the input, found in byte mode (one that
+		// does not end is looked for to the end of the input)
+		span := 0
+		for sc := (scanner{data: data}); ; {
+			tok, err := sc.next()
+			if err != nil {
+				span = max(span, len(data)-sc.tok)
+			}
+			if err != nil || tok == tokEOF {
+				break
+			}
+			span = max(span, sc.pos-sc.tok)
+		}
+		if got != nil {
+			span = max(span, got.largest)
+		}
+		if bound := windowBound(span, chunk); cap(rs.d.sc.data) > bound {
+			t.Fatalf("read window grew to %d bytes, bound %d for a longest span of %d (chunk=%d)\ninput: %q",
+				cap(rs.d.sc.data), bound, span, chunk, data)
+		}
+		if err != nil || errDecoded != nil {
+			return
+		}
+		fwd, err := DecodeResponse(got.env)
+		if err != nil {
+			t.Fatalf("forwarded envelope does not decode (chunk=%d): %v\nforwarded: %q\ninput: %q", chunk, err, got.env, data)
+		}
+		fwd.Module, fwd.Method = want.Module, want.Method
+		if g, w := EncodeResponse(fwd), EncodeResponse(want); !bytes.Equal(g, w) {
+			t.Fatalf("forwarded envelope decodes to other items (chunk=%d)\nforwarded: %q\nNextItem:  %q\ninput: %q",
+				chunk, g, w, data)
+		}
+	})
+}
+
 func reencodeFuzz(t *testing.T, m *Message) []byte {
 	t.Helper()
 	switch {

@@ -27,7 +27,8 @@ import (
 //     as bytes arrive off the socket. Scans hold absolute offsets into
 //     data, so refills only ever append; the consumed prefix is
 //     reclaimed between tokens (compact), keeping the window bounded by
-//     the largest single token plus one read.
+//     the largest single token plus one read — or, while a caller pins
+//     the window to borrow a run of tokens as bytes, by that run.
 
 // Token kinds produced by scanner.next.
 type tokenKind int
@@ -58,6 +59,14 @@ type scanAttr struct{ name, value string }
 type scanner struct {
 	data []byte
 	pos  int
+	// tok is where the current token starts in data, and base how many
+	// input bytes compact has dropped before data[0]: base+tok is the
+	// token's offset in the input.
+	tok  int
+	base int
+	// pinned suspends compact, so data[tok:pos] spans of successive
+	// tokens stay contiguous and in place until it is cleared.
+	pinned bool
 	// depth is the current element nesting depth; next() maintains it
 	// and rejects underflow and unclosed elements at EOF.
 	depth int
@@ -127,17 +136,13 @@ func (s *scanner) grow() (bool, error) {
 // copied strings; its text bytes are dead by contract) and only in
 // stream mode, once the consumed prefix is worth reclaiming.
 func (s *scanner) compact() {
-	if s.src == nil || s.pos == 0 {
+	if s.src == nil || s.pos == 0 || s.pinned {
 		return
 	}
-	if s.pos == len(s.data) {
-		s.data = s.data[:0]
-		s.pos = 0
-		return
-	}
-	if s.pos >= compactThreshold || s.pos*2 >= cap(s.data) {
+	if s.pos == len(s.data) || s.pos >= compactThreshold || s.pos*2 >= cap(s.data) {
 		n := copy(s.data, s.data[s.pos:])
 		s.data = s.data[:n]
+		s.base += s.pos
 		s.pos = 0
 	}
 }
@@ -206,6 +211,7 @@ func (s *scanner) next() (tokenKind, error) {
 				return tokEOF, nil
 			}
 		}
+		s.tok = s.pos
 		if s.data[s.pos] != '<' {
 			return s.scanText()
 		}

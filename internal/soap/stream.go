@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -74,6 +75,18 @@ func DecodeResponseStream(r io.Reader) (*Response, error) {
 // response element still takes precedence up front — here it surfaces
 // at Finish instead (our encoder only ever emits one Body child, so
 // this matters only for foreign envelopes).
+//
+// A consumer that forwards items instead of reading them can take each
+// item wrapper as bytes (NextItemRaw). The scanner still tokenizes every
+// tag of a forwarded item, so what is rejected mid-stream is the same
+// either way: a truncated body, unbalanced tags, markup that is not
+// well formed, a wrapper with an unknown local name — and, one level up,
+// a result count that does not match the call count. What a forwarder no
+// longer checks is what only building the value checks: the lexical form
+// of a typed atomic (xsi:type="xs:integer" over "abc") and the entity
+// references in character data. Those surface, as the same "soap: bad
+// atomic value" or "malformed envelope" error, at the peer that decodes
+// the forwarded bytes — an error there, never a shortened result.
 type ResponseStream struct {
 	d      decoder
 	module string
@@ -90,6 +103,12 @@ type ResponseStream struct {
 	seqEnd   bool // ...but was self-closed (no tokens left to read)
 	done     bool // the response element is fully consumed
 	finished bool // Finish completed
+
+	// ours holds while every framing byte read so far — prolog through
+	// <env:Body>, the response start tag, each sequence start tag — is
+	// what Encoder writes, so an item wrapper's bytes mean in an
+	// Encoder-framed envelope what they mean here (NextItemRaw).
+	ours bool
 
 	// queue holds decoded items not yet delivered: one wrapper element
 	// can denote several items (<xrpc:attribute> with multiple
@@ -110,6 +129,20 @@ func NewResponseStream(r io.Reader) (*ResponseStream, error) {
 	return rs, nil
 }
 
+// responseTagOurs reports whether the response start tag — the scanner's
+// current token — sits where Encoder.BeginResponse puts it, right after
+// envelopeHeader, and is the bytes it writes for this module and method.
+func (rs *ResponseStream) responseTagOurs() bool {
+	sc := &rs.d.sc
+	if sc.base+sc.tok != len(envelopeHeader) {
+		return false
+	}
+	e := NewEncoder()
+	defer e.Release()
+	e.responseStartTag(rs.module, rs.method)
+	return bytes.Equal(sc.data[sc.tok:sc.pos], e.Bytes())
+}
+
 // Module returns the xrpc:module attribute of the response.
 func (rs *ResponseStream) Module() string { return rs.module }
 
@@ -118,6 +151,15 @@ func (rs *ResponseStream) Method() string { return rs.method }
 
 func (rs *ResponseStream) header() error {
 	d := &rs.d
+	// peek at the prolog before any token is consumed (and compacted
+	// away); a read error met here is held and surfaces from next
+	for len(d.sc.data) < len(envelopeHeader) {
+		if ok, _ := d.sc.grow(); !ok {
+			break
+		}
+	}
+	rs.ours = len(d.sc.data) >= len(envelopeHeader) &&
+		string(d.sc.data[:len(envelopeHeader)]) == envelopeHeader
 	// locate the Envelope among the top-level elements (decodeMessage)
 	for {
 		tok, err := d.sc.next()
@@ -194,6 +236,7 @@ func (rs *ResponseStream) header() error {
 		case "response":
 			rs.module = d.attrLocalScan("module")
 			rs.method = d.attrLocalScan("method")
+			rs.ours = rs.ours && rs.responseTagOurs()
 			if d.sc.selfClose {
 				rs.done = true
 			} else {
@@ -242,6 +285,9 @@ func (rs *ResponseStream) NextSequence() (bool, error) {
 		}
 		switch localName(d.sc.name) {
 		case "sequence":
+			if string(d.sc.data[d.sc.tok:d.sc.pos]) != sequenceStartTag {
+				rs.ours = false
+			}
 			rs.inSeq = true
 			rs.seqEnd = d.sc.selfClose
 			if !d.sc.selfClose {
@@ -260,55 +306,91 @@ func (rs *ResponseStream) NextSequence() (bool, error) {
 	}
 }
 
+// nextWrapper advances to the start tag of the current sequence's next
+// item wrapper and leaves it as the scanner's current token; false at
+// the end of the sequence.
+func (rs *ResponseStream) nextWrapper() (bool, error) {
+	if !rs.inSeq {
+		return false, fmt.Errorf("soap: NextItem outside a sequence")
+	}
+	if rs.seqEnd {
+		rs.inSeq = false
+		return false, nil
+	}
+	sc := &rs.d.sc
+	for {
+		tok, err := sc.next()
+		if err != nil {
+			return false, err
+		}
+		switch tok {
+		case tokEnd:
+			if sc.depth == rs.seqTgt {
+				rs.inSeq = false
+				return false, nil
+			}
+		case tokStart:
+			return true, nil
+		}
+	}
+}
+
 // NextItem returns the next item of the current sequence, or (nil, nil)
 // at its end. Delivered items are released from the stream's own
 // references, so the caller decides their lifetime.
 func (rs *ResponseStream) NextItem() (xdm.Item, error) {
-	if rs.qi < len(rs.queue) {
-		it := rs.queue[rs.qi]
-		rs.queue[rs.qi] = nil
-		rs.qi++
-		return it, nil
-	}
-	if !rs.inSeq {
-		return nil, fmt.Errorf("soap: NextItem outside a sequence")
-	}
-	if rs.seqEnd {
-		rs.inSeq = false
-		return nil, nil
-	}
-	d := &rs.d
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
+	for rs.qi == len(rs.queue) {
+		ok, err := rs.nextWrapper()
+		if !ok {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.seqTgt {
-				rs.inSeq = false
-				return nil, nil
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
-		}
-		rs.queue = rs.queue[:0]
+		// a wrapper may denote no items (empty <xrpc:element/>): then
+		// keep scanning
 		rs.qi = 0
-		q, err := d.decodeSequenceItem(rs.queue)
-		if err != nil {
+		if rs.queue, err = rs.d.decodeSequenceItem(rs.queue[:0]); err != nil {
 			return nil, err
 		}
-		rs.queue = q
-		if len(rs.queue) > 0 {
-			it := rs.queue[0]
-			rs.queue[0] = nil
-			rs.qi = 1
-			return it, nil
-		}
-		// the wrapper denoted no items (empty <xrpc:element/>): keep
-		// scanning
 	}
+	it := rs.queue[rs.qi]
+	rs.queue[rs.qi] = nil
+	rs.qi++
+	return it, nil
+}
+
+// NextItemRaw is NextItem for a consumer that forwards: it returns the
+// next item wrapper of the current sequence as the bytes it arrived in,
+// start tag through end tag, or (nil, true, nil) at the sequence's end.
+// The slice aliases the stream's read window and is valid until the next
+// call on the stream. Between them the raw reads of a sequence deliver
+// exactly the items NextItem would (one wrapper may denote several, or
+// none); see the type's comment for what is validated on the way.
+//
+// The bytes borrow the namespace bindings of the envelope around them,
+// so they are handed out only while that framing is byte for byte what
+// Encoder writes — an Encoder-built envelope (BeginResponse,
+// BeginSequence, RawSequence per wrapper, …) is then the same message.
+// For any other framing, or with items of a decoded wrapper still
+// undelivered, ok is false, nothing is consumed, and the caller decodes
+// with NextItem.
+func (rs *ResponseStream) NextItemRaw() (raw []byte, ok bool, err error) {
+	if !rs.ours || rs.qi < len(rs.queue) {
+		return nil, false, nil
+	}
+	if more, err := rs.nextWrapper(); !more {
+		return nil, true, err
+	}
+	sc := &rs.d.sc
+	if !isItemWrapper(localName(sc.name)) {
+		return nil, true, unknownItemWrapper(sc.name)
+	}
+	start := sc.tok
+	sc.pinned = true
+	err = rs.d.skipElement()
+	sc.pinned = false
+	if err != nil {
+		return nil, true, err
+	}
+	return sc.data[start:sc.pos], true, nil
 }
 
 // Finish drains and validates the rest of the document — unread
