@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke ci
+.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke loc ci
 
 build:
 	$(GO) build ./...
@@ -145,5 +145,20 @@ plansmoke:
 # of ci (a run takes minutes and measures, it does not assert).
 bench-e2e:
 	$(GO) run ./benchmark/cmd/xrpcbm
+
+# loc prints the table a simplicity PR quotes before and after: non-test
+# Go lines outside benchmark/, physical and code (neither blank nor
+# comment-only; the tree has no block comments), per internal package,
+# for the rest of the module (root package, cmd/, examples/) and in total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | sort | xargs awk ' \
+		FNR == 1 { n = split(FILENAME, p, "/"); \
+			pkg = p[2] == "internal" ? "internal/" p[3] : n > 2 ? p[2] "/" : "(root)"; \
+			if (!(pkg in phys)) order[++pkgs] = pkg } \
+		{ phys[pkg]++; allphys++ } \
+		!/^[ \t]*($$|\/\/)/ { code[pkg]++; allcode++ } \
+		END { printf "%-22s %8s %8s\n", "package", "physical", "code"; \
+			for (i = 1; i <= pkgs; i++) printf "%-22s %8d %8d\n", order[i], phys[order[i]], code[order[i]]; \
+			printf "%-22s %8d %8d\n", "total", allphys, allcode }'
 
 ci: build vet race bench-smoke fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke

@@ -72,23 +72,26 @@ func (r KeyRange) String() string {
 	return s
 }
 
+// quoted splits the Go-quoted string that leads rest, after spaces, from
+// what follows it — the field syntax of both descriptors below.
+func quoted(rest string) (value, tail string, ok bool) {
+	rest = strings.TrimLeft(rest, " ")
+	q, err := strconv.QuotedPrefix(rest)
+	if err != nil {
+		return "", rest, false
+	}
+	v, err := strconv.Unquote(q)
+	if err != nil {
+		return "", rest, false
+	}
+	return v, rest[len(q):], true
+}
+
 // ParseKeyRange parses a KeyRange.String() descriptor.
 func ParseKeyRange(s string) (KeyRange, error) {
 	var r KeyRange
 	fail := func() (KeyRange, error) {
 		return KeyRange{}, fmt.Errorf("cluster: malformed range descriptor %q", s)
-	}
-	quoted := func(rest string) (string, string, bool) {
-		rest = strings.TrimLeft(rest, " ")
-		q, err := strconv.QuotedPrefix(rest)
-		if err != nil {
-			return "", rest, false
-		}
-		v, err := strconv.Unquote(q)
-		if err != nil {
-			return "", rest, false
-		}
-		return v, rest[len(q):], true
 	}
 	rest := s
 	var ok bool
@@ -181,18 +184,6 @@ func ParseElemLoc(s string) (ElemLoc, error) {
 	rest, ok := strings.CutPrefix(s, "elem ")
 	if !ok {
 		return fail()
-	}
-	quoted := func(rest string) (string, string, bool) {
-		rest = strings.TrimLeft(rest, " ")
-		q, err := strconv.QuotedPrefix(rest)
-		if err != nil {
-			return "", rest, false
-		}
-		v, err := strconv.Unquote(q)
-		if err != nil {
-			return "", rest, false
-		}
-		return v, rest[len(q):], true
 	}
 	if l.Doc, rest, ok = quoted(rest); !ok {
 		return fail()

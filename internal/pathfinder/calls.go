@@ -129,6 +129,11 @@ func (env *staticEnv) compileBuiltin(call *xq.FuncCall) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if f == nil && needs == "the context item" && env.vars["."] {
+		// in a path predicate the context item is the variable ".",
+		// and f() is f(.)
+		return env.compileBuiltin(&xq.FuncCall{Name: call.Name, Args: []xq.Expr{&xq.ContextItem{}}})
+	}
 	if f == nil {
 		return nil, unsupported(fmt.Sprintf("function %s#%d, which needs %s,", call.Name, len(call.Args), needs))
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -724,13 +725,17 @@ func TestSharedLibraryPerIteration(t *testing.T) {
 // TestLibraryClassification: every name in the interpreter's table is
 // served to the loop-lifted engine at some arity, except the short list
 // that reads the interpreter's dynamic context — so a future built-in
-// cannot silently become interpreter-only.
+// cannot silently become interpreter-only. The lists are README's
+// ("Both engines share one built-in function library").
 func TestLibraryClassification(t *testing.T) {
 	interpOnly := map[string]string{
 		"position": "the context position",
 		"last":     "the context size",
 		"put":      "the pending update list",
 	}
+	// the zero-arity forms that default to the context item: served in a
+	// path predicate, where "." is bound, and refused anywhere else
+	contextItemForms := []string{"string", "number", "string-length", "normalize-space", "name", "local-name", "root"}
 	for _, name := range interp.BuiltinNames() {
 		served, needs := false, ""
 		for arity := 0; arity <= maxLibArity; arity++ {
@@ -739,13 +744,30 @@ func TestLibraryClassification(t *testing.T) {
 			case err != nil:
 			case f != nil:
 				served = true
-			case n != "the context item": // that is the zero-arity form of a served function
+			case n != "the context item":
 				needs = n
+			case arity != 0 || !slices.Contains(contextItemForms, name):
+				t.Errorf("%s#%d needs the context item and is not one of the zero-arity forms %v", name, arity, contextItemForms)
 			}
 		}
 		if want := interpOnly[name]; needs != want || served == (want != "") {
 			t.Errorf("%s: served=%v needs=%q, want interpreter-only=%q", name, served, needs, want)
 		}
+	}
+	f := newFixture(t)
+	for _, name := range contextItemForms {
+		if _, n, err := interp.Builtin(name, 0); err != nil || n != "the context item" {
+			t.Errorf("%s#0: needs %q, err %v, want the context item", name, n, err)
+		}
+		for _, q := range []string{name + `()`, `for $n in doc("filmDB.xml")//name return ` + name + `()`} {
+			if _, err := Compile(q, modules.NewRegistry()); err == nil || !strings.Contains(err.Error(), "needs the context item") {
+				t.Errorf("%s outside a predicate: err = %v, want a refusal that names the context item", q, err)
+			}
+		}
+		// in a predicate, nested in an argument too; evalBoth compiles it
+		// and holds the result against the interpreter's
+		f.evalBoth(t, `doc("filmDB.xml")//film/*[`+name+`()]`)
+		f.evalBoth(t, `doc("filmDB.xml")//film/*[contains(string(`+name+`()), "n")]`)
 	}
 	if _, _, err := interp.Builtin("no-such-function", 1); errCode(err) != "XPST0017" {
 		t.Errorf("unknown function: err = %v, want XPST0017", err)

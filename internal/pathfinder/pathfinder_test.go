@@ -261,6 +261,30 @@ func TestPathsBoth(t *testing.T) {
 	}
 }
 
+// TestOneStepBoth pins what taking every axis with xdm.Step changed for
+// the loop-lifted engine, and what the step itself got wrong from an
+// attribute: an attribute's following axis starts with its owner's
+// content, its preceding axis stops at its owner, it has no siblings;
+// and a positional predicate on a reverse axis counts in axis order
+// (nearest first), where the staircase step counted in document order.
+func TestOneStepBoth(t *testing.T) {
+	f := newFixture(t)
+	const r = `let $r := <r><a/><e id="1"><c/><d/></e><z/></r> return $r/e/@id/`
+	for _, tc := range []struct{ query, want string }{
+		{r + `following::node()`, `<c/><d/><z/>`},
+		{r + `preceding::node()`, `<a/>`},
+		{r + `preceding-sibling::node()`, ``},
+		{r + `following-sibling::node()`, ``},
+		{`doc("filmDB.xml")//film[3]/preceding-sibling::film[1]/name`, `<name>Goldfinger</name>`},
+		{`doc("filmDB.xml")//film[3]/preceding::name[1]`, `<name>Goldfinger</name>`},
+		{`string(doc("filmDB.xml")//film[3]/name/ancestor::*[1]/actor)`, `Gerard Depardieu`},
+	} {
+		if got := f.evalBoth(t, tc.query); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.query, got, tc.want)
+		}
+	}
+}
+
 func TestConstructorsBoth(t *testing.T) {
 	f := newFixture(t)
 	queries := []string{
@@ -662,6 +686,67 @@ declare function b:Q_B1() as node()* { doc("auctions.xml")//closed_auction };`, 
 			tb.Fatal(err)
 		}
 		return len(seq)
+	}
+}
+
+// shipped is what execute at hands the engine for seq: every node a
+// fresh fragment of its own, as the response decoder builds them.
+func shipped(t *testing.T, seq xdm.Sequence) xdm.Sequence {
+	t.Helper()
+	resp, err := soap.DecodeResponse(soap.EncodeResponse(&soap.Response{Results: []xdm.Sequence{seq}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results[0]
+}
+
+// TestShippedSubtreesBothEngines: Q7_1, and the same join spelled as a
+// filter (strategies.QShardedSemiJoinData, verbatim), read one key path
+// and one child from each shipped closed_auction and one attribute from
+// each person; both engines step into the fragments the decoder built
+// and must serialize the same result.
+func TestShippedSubtreesBothEngines(t *testing.T) {
+	cfg := xmark.PaperConfig(0.02)
+	cfg.Seed = 1
+	st := store.New()
+	if err := st.LoadXML("persons.xml", xmark.GeneratePersons(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	auctions, err := xdm.ParseDocument("auctions.xml", xmark.GenerateAuctions(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var closed xdm.Sequence
+	for _, ca := range xdm.Step(auctions, xdm.AxisDescendant, xdm.NodeTest{Name: "closed_auction"}) {
+		closed = append(closed, ca)
+	}
+	if len(closed) < cfg.Matches {
+		t.Fatalf("generated %d closed auctions", len(closed))
+	}
+	f := newFixture(t)
+	if err := f.reg.Register(`module namespace b = "functions_b";
+declare function b:Q_B1() as node()* { doc("auctions.xml")//closed_auction };`, "http://example.org/b.xq"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, query string }{
+		{"Q7_1", q71},
+		{"QShardedSemiJoinData", `
+import module namespace b="functions_b" at "http://example.org/b.xq";
+for $p in doc("persons.xml")//person
+let $all := execute at {"xrpc://cluster"} {b:Q_B1()}
+let $ca := $all[buyer/@person = string($p/@id)]
+return if(empty($ca)) then ()
+       else <result>{$p, $ca/annotation}</result>`},
+	} {
+		ec := &ExecCtx{Docs: st, Bulk: &callRecorder{reply: shipped(t, closed)}}
+		ref := interp.New(st, f.reg, &callRecorder{reply: shipped(t, closed)})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, ec)
+		if pfErr != nil || iErr != nil {
+			t.Fatalf("%s: pathfinder err %v, interp err %v", tc.name, pfErr, iErr)
+		}
+		if got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq); got != want || len(pfSeq) == 0 {
+			t.Fatalf("%s: %d results, the interpreter has %d; serializations equal: %v", tc.name, len(pfSeq), len(iSeq), got == want)
+		}
 	}
 }
 

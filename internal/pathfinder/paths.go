@@ -98,22 +98,10 @@ func mapNodes(t *algebra.Table, f func(*xdm.Node) *xdm.Node) *algebra.Table {
 	return out
 }
 
-// treeStep reports the axes whose result is read off the context node
-// itself — its children, its attributes, the node — so that xdm.Step
-// answers them without the pre/size/level encoding the staircase scans
-// of the other axes run on. Same nodes in the same order either way
-// (shred.Doc tests nodes with xdm.NodeTest.Matches too;
-// TestTreeStepMatchesStaircase compares all twelve axes), and a tree
-// that is only ever stepped into — a subtree shipped by execute at, read
-// for one key path — is then never shredded.
-func treeStep(a xdm.Axis) bool {
-	return a == xdm.AxisChild || a == xdm.AxisAttribute || a == xdm.AxisSelf
-}
-
-// execStep performs one axis step on every (iter, context node) row —
-// on the tree for treeStep axes, via the shredded staircase encoding for
-// the rest — applies the predicates, then re-establishes per-iteration
-// document order with duplicate elimination.
+// execStep performs one axis step on every (iter, context node) row
+// with xdm.Step — the step interp's evalPath takes, so the two engines
+// cannot disagree on an axis — applies the predicates, then re-establishes
+// per-iteration document order with duplicate elimination.
 func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []predPlan) (*algebra.Table, error) {
 	type candGroup struct {
 		outer int64
@@ -128,22 +116,7 @@ func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []pr
 		if !ok {
 			return nil, xdm.NewError("XPTY0004", "path step applied to a non-node")
 		}
-		var nodes []*xdm.Node
-		if treeStep(st.Axis) {
-			nodes = xdm.Step(n, st.Axis, st.Test)
-		} else {
-			d := ec.shredFor(n)
-			pre, ok := d.Pre(n)
-			if !ok {
-				return nil, xdm.NewError("XPTY0004", "node not found in shredded doc")
-			}
-			pres := d.Step([]int{pre}, st.Axis, st.Test)
-			nodes = make([]*xdm.Node, len(pres))
-			for i, q := range pres {
-				nodes[i] = d.Node(q)
-			}
-		}
-		groups = append(groups, candGroup{outer: it, nodes: nodes})
+		groups = append(groups, candGroup{outer: it, nodes: xdm.Step(n, st.Axis, st.Test)})
 	}
 	// predicates: loop-lifted over all candidates of all groups
 	for _, pp := range preds {

@@ -15,7 +15,6 @@ import (
 	"xrpc/internal/algebra"
 	"xrpc/internal/client"
 	"xrpc/internal/interp"
-	"xrpc/internal/shred"
 	"xrpc/internal/xdm"
 )
 
@@ -47,7 +46,6 @@ type ExecCtx struct {
 	// Joins, when non-nil, receives what the join rule (join.go) did.
 	Joins *JoinStats
 
-	shreds map[*xdm.Node]*shred.Doc
 	// seqSite numbers execute-at evaluations within one query, giving
 	// each site a disjoint block of update sequence numbers (the
 	// deterministic-update-order extension).
@@ -57,21 +55,6 @@ type ExecCtx struct {
 func (ec *ExecCtx) nextSeqSite() int64 {
 	ec.seqSite++
 	return ec.seqSite
-}
-
-// shredFor returns (and caches) the shredded form of the tree containing
-// n.
-func (ec *ExecCtx) shredFor(n *xdm.Node) *shred.Doc {
-	root := n.Root()
-	if ec.shreds == nil {
-		ec.shreds = map[*xdm.Node]*shred.Doc{}
-	}
-	if d, ok := ec.shreds[root]; ok {
-		return d
-	}
-	d := shred.Shred(root)
-	ec.shreds[root] = d
-	return d
 }
 
 // Trace records the intermediate tables of Bulk RPC translation for the

@@ -16,6 +16,21 @@ import (
 // results. The semantics are pinned to the DOM reference decoder
 // (DecodeDOM) by round-trip tests on every message fixture and a
 // differential test on randomized messages.
+//
+// The grammar is walked by three functions, which the buffered decoder
+// here and ResponseStream (stream.go) both call:
+//
+//   - child steps through the element children of one open element;
+//     every loop over children in this package is a loop over child.
+//   - openBody and closeEnvelope bracket the Body: the prolog, the
+//     Envelope and its first Body before; the Envelope's other children
+//     and the epilogue after.
+//   - nextResult steps through the xrpc:sequence children of an
+//     xrpc:response, collecting participatingPeers on the way.
+//
+// What is left to a caller is which Body child is the message, and when
+// to decide: decodeMessage after the whole Body, the stream at the first
+// candidate.
 
 // Decode parses a SOAP XRPC message of any kind.
 func Decode(data []byte) (*Message, error) {
@@ -56,6 +71,8 @@ type decoder struct {
 	// arena slab-allocates the xdm nodes of decoded node-typed values:
 	// one allocation per 64 nodes instead of one each.
 	arena xdm.Arena
+	// envTgt is the Envelope's target, set by openBody for closeEnvelope.
+	envTgt int
 }
 
 // attrLocalScan reads an attribute of the current start tag by local
@@ -81,127 +98,175 @@ func (d *decoder) attrExactScan(name string) (string, bool) {
 	return "", false
 }
 
-func (d *decoder) decodeMessage() (*Message, error) {
-	// locate the Envelope among the top-level elements
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return nil, err
-		}
-		switch tok {
-		case tokEOF:
-			return nil, fmt.Errorf("soap: missing Envelope")
-		case tokStart:
-			if localName(d.sc.name) == "Envelope" {
-				msg, err := d.decodeEnvelope()
-				if err != nil {
-					return nil, err
-				}
-				// validate the remainder of the document (balance,
-				// well-formed markup), as parsing the whole DOM did
-				if err := d.drain(); err != nil {
-					return nil, err
-				}
-				return msg, nil
-			}
-			if err := d.skipElement(); err != nil {
-				return nil, err
-			}
-		default:
-			// prolog text, comments, PIs (incl. the XML declaration)
-		}
+const (
+	// topLevel is the target of the document itself: no end tag returns
+	// to it, so child(topLevel) is false only at EOF.
+	topLevel = -1
+	// selfClosed is the target of an element that has no end tag to
+	// wait for: child(selfClosed) is false without reading a token.
+	selfClosed = -2
+)
+
+// enter returns the target that makes child walk the children of the
+// element whose start tag is the current token.
+func (d *decoder) enter() int {
+	if d.sc.selfClose {
+		return selfClosed
 	}
+	return d.sc.depth - 1
 }
 
-// decodeEnvelope handles the children of env:Envelope: the first Body
-// child carries the message.
-func (d *decoder) decodeEnvelope() (*Message, error) {
-	if d.sc.selfClose {
-		return nil, fmt.Errorf("soap: missing Body")
+// child advances to the next child start tag of the element that ends
+// at depth target and leaves it as the current token; it reports false
+// at that element's end tag, or at EOF for topLevel. The caller consumes
+// each child whole (a decode function, skipElement, elementText) before
+// asking for the next; content between children is passed over.
+func (d *decoder) child(target int) (bool, error) {
+	if target == selfClosed {
+		return false, nil
 	}
-	target := d.sc.depth - 1
-	var msg *Message
 	for {
 		tok, err := d.sc.next()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		switch tok {
 		case tokStart:
-			if msg == nil && localName(d.sc.name) == "Body" {
-				if msg, err = d.decodeBody(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := d.skipElement(); err != nil {
-				return nil, err
-			}
+			return true, nil
 		case tokEnd:
 			if d.sc.depth == target {
-				if msg == nil {
-					return nil, fmt.Errorf("soap: missing Body")
-				}
-				return msg, nil
+				return false, nil
 			}
+		case tokEOF:
+			return false, nil
 		}
 	}
 }
 
-// decodeBody scans the Body's children. Mirroring the DOM decoder's
-// lookup order, a Fault wins over a request, which wins over a response,
-// regardless of document order; the first child of each kind counts.
-func (d *decoder) decodeBody() (*Message, error) {
+// childNamed is child for a caller that reads only the children with
+// one local name: the others are skipped.
+func (d *decoder) childNamed(target int, local string) (bool, error) {
+	for {
+		ok, err := d.child(target)
+		if !ok || localName(d.sc.name) == local {
+			return ok, err
+		}
+		if err := d.skipElement(); err != nil {
+			return false, err
+		}
+	}
+}
+
+// openBody walks from the start of the document into the first Body
+// child of the top-level Envelope and returns the Body's target,
+// remembering the Envelope's for closeEnvelope.
+func (d *decoder) openBody() (int, error) {
+	if ok, err := d.childNamed(topLevel, "Envelope"); err != nil {
+		return 0, err
+	} else if !ok {
+		return 0, fmt.Errorf("soap: missing Envelope")
+	}
+	d.envTgt = d.enter()
+	if ok, err := d.childNamed(d.envTgt, "Body"); err != nil {
+		return 0, err
+	} else if !ok {
+		return 0, fmt.Errorf("soap: missing Body")
+	}
+	return d.enter(), nil
+}
+
+// closeEnvelope, called at the Body's end tag, passes over the
+// Envelope's other children and validates the remainder of the document
+// (balance, well-formed markup), as parsing the whole DOM did.
+func (d *decoder) closeEnvelope() error {
+	for {
+		ok, err := d.child(d.envTgt)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return d.drain()
+		}
+		if err := d.skipElement(); err != nil {
+			return err
+		}
+	}
+}
+
+// nextResult advances to the next xrpc:sequence child of the
+// xrpc:response that ends at depth respTgt, appending the uris of any
+// participatingPeers it passes to *peers; false at the response's end.
+func (d *decoder) nextResult(respTgt int, peers *[]string) (bool, error) {
+	for {
+		ok, err := d.child(respTgt)
+		if !ok {
+			return false, err
+		}
+		switch localName(d.sc.name) {
+		case "sequence":
+			return true, nil
+		case "participatingPeers":
+			*peers, err = d.decodePeers(*peers)
+		default:
+			err = d.skipElement()
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
+// decodeMessage scans the whole Body before it picks the message.
+// Mirroring the DOM decoder's lookup order, a Fault wins over a request,
+// which wins over a response, regardless of document order; the first
+// child of each kind counts.
+func (d *decoder) decodeMessage() (*Message, error) {
+	bodyTgt, err := d.openBody()
+	if err != nil {
+		return nil, err
+	}
 	var (
 		req   *Request
 		resp  *Response
 		fault *Fault
 	)
-	if !d.sc.selfClose {
-		target := d.sc.depth - 1
-		for {
-			tok, err := d.sc.next()
-			if err != nil {
-				return nil, err
-			}
-			if tok == tokEnd {
-				if d.sc.depth == target {
-					break
-				}
-				continue
-			}
-			if tok != tokStart {
-				continue
-			}
-			switch local := localName(d.sc.name); {
-			case local == "Fault" && fault == nil:
-				if fault, err = d.decodeFault(); err != nil {
-					return nil, err
-				}
-			case local == "request" && req == nil:
-				if req, err = d.decodeRequest(); err != nil {
-					return nil, err
-				}
-			case local == "response" && resp == nil:
-				if resp, err = d.decodeResponse(); err != nil {
-					return nil, err
-				}
-			default:
-				if err := d.skipElement(); err != nil {
-					return nil, err
-				}
-			}
+	for {
+		ok, err := d.child(bodyTgt)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		switch local := localName(d.sc.name); {
+		case local == "Fault" && fault == nil:
+			fault, err = d.decodeFault()
+		case local == "request" && req == nil:
+			req, err = d.decodeRequest()
+		case local == "response" && resp == nil:
+			resp, err = d.decodeResponse()
+		default:
+			err = d.skipElement()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	var msg *Message
 	switch {
 	case fault != nil:
-		return &Message{Fault: fault}, nil
+		msg = &Message{Fault: fault}
 	case req != nil:
-		return &Message{Request: req}, nil
+		msg = &Message{Request: req}
 	case resp != nil:
-		return &Message{Response: resp}, nil
+		msg = &Message{Response: resp}
+	default:
+		return nil, fmt.Errorf("soap: body contains no request, response or fault")
 	}
-	return nil, fmt.Errorf("soap: body contains no request, response or fault")
+	if err := d.closeEnvelope(); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }
 
 func (d *decoder) decodeRequest() (*Request, error) {
@@ -213,88 +278,57 @@ func (d *decoder) decodeRequest() (*Request, error) {
 		TraceID:  d.attrLocalScan("traceID"),
 	}
 	scanIntInto(d.attrLocalScan("arity"), &req.Arity)
-	if d.sc.selfClose {
-		return req, nil
-	}
-	target := d.sc.depth - 1
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
 		if err != nil {
 			return nil, err
 		}
-		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
-				if req.SeqNrs != nil {
-					for len(req.SeqNrs) < len(req.Calls) {
-						req.SeqNrs = append(req.SeqNrs, int64(len(req.SeqNrs)))
-					}
-				}
-				return req, nil
+		if !ok {
+			break
+		}
+		switch local := localName(d.sc.name); {
+		case local == "queryID" && req.QueryID == nil:
+			qid := &QueryID{Host: d.attrLocalScan("host")}
+			if ts, err := time.Parse(time.RFC3339Nano, d.attrLocalScan("timestamp")); err == nil {
+				qid.Timestamp = ts
 			}
-		case tokStart:
-			switch localName(d.sc.name) {
-			case "queryID":
-				if req.QueryID != nil {
-					if err := d.skipElement(); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				qid := &QueryID{Host: d.attrLocalScan("host")}
-				if ts, err := time.Parse(time.RFC3339Nano, d.attrLocalScan("timestamp")); err == nil {
-					qid.Timestamp = ts
-				}
-				scanIntInto(d.attrLocalScan("timeout"), &qid.Timeout)
-				if qid.ID, err = d.elementText(); err != nil {
-					return nil, err
-				}
-				req.QueryID = qid
-			case "call":
-				if err := d.decodeCall(req); err != nil {
-					return nil, err
-				}
-			default:
-				if err := d.skipElement(); err != nil {
-					return nil, err
-				}
-			}
+			scanIntInto(d.attrLocalScan("timeout"), &qid.Timeout)
+			qid.ID, err = d.elementText()
+			req.QueryID = qid
+		case local == "call":
+			err = d.decodeCall(req)
+		default:
+			err = d.skipElement()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	if req.SeqNrs != nil {
+		for len(req.SeqNrs) < len(req.Calls) {
+			req.SeqNrs = append(req.SeqNrs, int64(len(req.SeqNrs)))
+		}
+	}
+	return req, nil
 }
 
 // decodeCall decodes one <xrpc:call> element and appends it to req.
 func (d *decoder) decodeCall(req *Request) error {
 	seqNr := d.attrLocalScan("seqNr")
 	var params []xdm.Sequence
-	if !d.sc.selfClose {
-		target := d.sc.depth - 1
-		for {
-			tok, err := d.sc.next()
-			if err != nil {
-				return err
-			}
-			if tok == tokEnd {
-				if d.sc.depth == target {
-					break
-				}
-				continue
-			}
-			if tok != tokStart {
-				continue
-			}
-			if localName(d.sc.name) != "sequence" {
-				if err := d.skipElement(); err != nil {
-					return err
-				}
-				continue
-			}
-			seq, err := d.decodeSequence()
-			if err != nil {
-				return err
-			}
-			params = append(params, seq)
+	for tgt := d.enter(); ; {
+		ok, err := d.childNamed(tgt, "sequence")
+		if err != nil {
+			return err
 		}
+		if !ok {
+			break
+		}
+		seq, err := d.decodeSequence()
+		if err != nil {
+			return err
+		}
+		params = append(params, seq)
 	}
 	if req.Arity > 0 && len(params) != req.Arity {
 		return fmt.Errorf("soap: call has %d parameters, arity is %d", len(params), req.Arity)
@@ -321,23 +355,13 @@ func (d *decoder) decodeCall(req *Request) error {
 // out as fresh sealed fragments that cannot see the envelope.
 func (d *decoder) decodeSequence() (xdm.Sequence, error) {
 	var out xdm.Sequence
-	if d.sc.selfClose {
-		return out, nil
-	}
-	target := d.sc.depth - 1
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
-				return out, nil
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
+		if !ok {
+			return out, nil
 		}
 		if out, err = d.decodeSequenceItem(out); err != nil {
 			return nil, err
@@ -450,63 +474,32 @@ func (d *decoder) decodeResponse() (*Response, error) {
 		Module: d.attrLocalScan("module"),
 		Method: d.attrLocalScan("method"),
 	}
-	if d.sc.selfClose {
-		return resp, nil
-	}
-	target := d.sc.depth - 1
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.nextResult(tgt, &resp.Peers)
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
-				return resp, nil
-			}
-			continue
+		if !ok {
+			return resp, nil
 		}
-		if tok != tokStart {
-			continue
+		seq, err := d.decodeSequence()
+		if err != nil {
+			return nil, err
 		}
-		switch localName(d.sc.name) {
-		case "sequence":
-			seq, err := d.decodeSequence()
-			if err != nil {
-				return nil, err
-			}
-			resp.Results = append(resp.Results, seq)
-		case "participatingPeers":
-			if resp.Peers, err = d.decodePeers(resp.Peers); err != nil {
-				return nil, err
-			}
-		default:
-			if err := d.skipElement(); err != nil {
-				return nil, err
-			}
-		}
+		resp.Results = append(resp.Results, seq)
 	}
 }
 
 // decodePeers consumes an <xrpc:participatingPeers> element whose start
 // tag is current, appending each peer child's uri attribute.
 func (d *decoder) decodePeers(peers []string) ([]string, error) {
-	if d.sc.selfClose {
-		return peers, nil
-	}
-	target := d.sc.depth - 1
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
-				return peers, nil
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
+		if !ok {
+			return peers, nil
 		}
 		if uri, ok := d.attrExactScan("uri"); ok {
 			peers = append(peers, uri)
@@ -517,74 +510,58 @@ func (d *decoder) decodePeers(peers []string) ([]string, error) {
 	}
 }
 
+// decodeFault reads the first Code child's first Value and the first
+// Reason, each as trimmed text.
 func (d *decoder) decodeFault() (*Fault, error) {
 	fault := &Fault{Code: "env:Receiver"}
-	if d.sc.selfClose {
-		return fault, nil
-	}
-	target := d.sc.depth - 1
 	seenCode, seenReason := false, false
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == target {
-				return fault, nil
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
+		if !ok {
+			return fault, nil
 		}
 		switch local := localName(d.sc.name); {
 		case local == "Code" && !seenCode:
 			seenCode = true
-			if d.sc.selfClose {
-				continue
-			}
-			ctarget := d.sc.depth - 1
-			seenValue := false
-			for {
-				tok, err := d.sc.next()
-				if err != nil {
-					return nil, err
-				}
-				if tok == tokEnd {
-					if d.sc.depth == ctarget {
-						break
-					}
-					continue
-				}
-				if tok != tokStart {
-					continue
-				}
-				if localName(d.sc.name) == "Value" && !seenValue {
-					seenValue = true
-					sv, err := d.elementText()
-					if err != nil {
-						return nil, err
-					}
-					fault.Code = strings.TrimSpace(sv)
-					continue
-				}
-				if err := d.skipElement(); err != nil {
-					return nil, err
-				}
-			}
+			err = d.decodeFaultCode(fault)
 		case local == "Reason" && !seenReason:
 			seenReason = true
-			sv, err := d.elementText()
-			if err != nil {
-				return nil, err
-			}
+			var sv string
+			sv, err = d.elementText()
 			fault.Reason = strings.TrimSpace(sv)
 		default:
-			if err := d.skipElement(); err != nil {
-				return nil, err
-			}
+			err = d.skipElement()
 		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodeFaultCode consumes a Fault's Code element: its first Value child
+// is the fault code.
+func (d *decoder) decodeFaultCode(fault *Fault) error {
+	seenValue := false
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
+		if !ok {
+			return err
+		}
+		if localName(d.sc.name) != "Value" || seenValue {
+			if err := d.skipElement(); err != nil {
+				return err
+			}
+			continue
+		}
+		seenValue = true
+		sv, err := d.elementText()
+		if err != nil {
+			return err
+		}
+		fault.Code = strings.TrimSpace(sv)
 	}
 }
 
@@ -594,29 +571,21 @@ func (d *decoder) decodeFault() (*Fault, error) {
 // fresh sealed trees (text and other non-element content between them is
 // dropped, as the DOM decoder's ChildElements did).
 func (d *decoder) childElements() ([]*xdm.Node, error) {
-	if d.sc.selfClose {
-		return nil, nil
-	}
-	target := d.sc.depth - 1
 	var out []*xdm.Node
-	for {
-		tok, err := d.sc.next()
+	for tgt := d.enter(); ; {
+		ok, err := d.child(tgt)
 		if err != nil {
 			return nil, err
 		}
-		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
-				return out, nil
-			}
-		case tokStart:
-			n, err := d.buildElement()
-			if err != nil {
-				return nil, err
-			}
-			n.Seal()
-			out = append(out, n)
+		if !ok {
+			return out, nil
 		}
+		n, err := d.buildElement()
+		if err != nil {
+			return nil, err
+		}
+		n.Seal()
+		out = append(out, n)
 	}
 }
 

@@ -116,6 +116,93 @@ func fixtureResponses(t testing.TB) []*Response {
 	}
 }
 
+// envelopeShapes are the Envelope and Body shapes the grammar walks
+// (child, openBody/closeEnvelope, nextResult) decide, written by hand
+// because no encoder of ours produces them. Every decoder must read each
+// row the same way: Decode and DecodeDOM (TestDecoderAgreesWithDOMOnFixtures,
+// which also feeds DecodeStream 1, 7 and 64 bytes at a time) and the
+// ResponseStream drain (TestResponseStreamMatchesDecodeResponse).
+type envelopeShape struct {
+	name, msg string
+	// want is the message Decode yields, nil when it fails; err is the
+	// error of DecodeResponse, which is Decode's when that fails.
+	want *Message
+	err  string
+	// atFinish and streamErr state the one divergence of the stream: it
+	// commits to the first Fault, request or response in document order.
+	// Behind a response, the error DecodeResponse raises then comes from
+	// Finish, not from the header; behind a request, a Fault is not
+	// reached, and the error is streamErr.
+	atFinish  bool
+	streamErr string
+}
+
+func envelopeShapes() []envelopeShape {
+	const (
+		open  = `<env:Envelope xmlns:env="e" xmlns:xrpc="x" xmlns:xsi="i">`
+		resp1 = `<xrpc:response xrpc:module="m" xrpc:method="f"><xrpc:sequence><xrpc:atomic-value xsi:type="xs:integer">1</xrpc:atomic-value></xrpc:sequence></xrpc:response>`
+		resp2 = `<xrpc:response xrpc:module="m2" xrpc:method="g"><xrpc:sequence><xrpc:atomic-value xsi:type="xs:integer">2</xrpc:atomic-value></xrpc:sequence></xrpc:response>`
+		req   = `<xrpc:request xrpc:module="m" xrpc:method="f" xrpc:arity="1" xrpc:location="l"><xrpc:call><xrpc:sequence><xrpc:atomic-value xsi:type="xs:integer">3</xrpc:atomic-value></xrpc:sequence></xrpc:call></xrpc:request>`
+		fault = `<env:Fault><env:Code><env:Value>env:Sender</env:Value></env:Code><env:Reason><env:Text xml:lang="en">boom</env:Text></env:Reason></env:Fault>`
+		noise = ` t <!--c--><?p i?> `
+	)
+	one := &Message{Response: &Response{Module: "m", Method: "f", Results: []xdm.Sequence{{xdm.Integer(1)}}}}
+	three := &Message{Request: &Request{Module: "m", Method: "f", Arity: 1, Location: "l", Calls: [][]xdm.Sequence{{{xdm.Integer(3)}}}}}
+	boom := &Message{Fault: &Fault{Code: "env:Sender", Reason: "boom"}}
+	const notResponse = "soap: message is not a response"
+	return []envelopeShape{
+		{name: "Header before Body", want: one,
+			msg: open + `<env:Header><xrpc:response xrpc:module="h" xrpc:method="h"/><env:Body/></env:Header><env:Body>` + resp1 + `</env:Body></env:Envelope>`},
+		{name: "two Bodies, first wins", want: one,
+			msg: open + `<env:Body>` + resp1 + `</env:Body><env:Body>` + fault + `</env:Body></env:Envelope>`},
+		{name: "empty first Body still wins", err: "soap: body contains no request, response or fault",
+			msg: open + `<env:Body></env:Body><env:Body>` + resp1 + `</env:Body></env:Envelope>`},
+		{name: "two responses, first wins", want: one,
+			msg: open + `<env:Body>` + resp1 + resp2 + `</env:Body></env:Envelope>`},
+		{name: "request after the response", want: three, err: notResponse, atFinish: true,
+			msg: open + `<env:Body>` + resp1 + req + `</env:Body></env:Envelope>`},
+		{name: "request before the response", want: three, err: notResponse,
+			msg: open + `<env:Body>` + req + resp1 + `</env:Body></env:Envelope>`},
+		{name: "Fault after the response", want: boom, err: boom.Fault.Error(), atFinish: true,
+			msg: open + `<env:Body>` + resp1 + fault + `</env:Body></env:Envelope>`},
+		{name: "Fault after a request", want: boom, err: boom.Fault.Error(), streamErr: notResponse,
+			msg: open + `<env:Body>` + req + fault + `</env:Body></env:Envelope>`},
+		{name: "self-closed Envelope", err: "soap: missing Body",
+			msg: `<env:Envelope xmlns:env="e"/>`},
+		{name: "Envelope without Body", err: "soap: missing Body",
+			msg: open + `<env:Header/>` + resp1 + `</env:Envelope>`},
+		{name: "no Envelope", err: "soap: missing Envelope",
+			msg: `<?xml version="1.0"?><!--c--><other><env:Envelope><env:Body>` + resp1 + `</env:Body></env:Envelope></other>`},
+		{name: "self-closed Body", err: "soap: body contains no request, response or fault",
+			msg: open + `<env:Body/></env:Envelope>`},
+		{name: "Body of strangers", err: "soap: body contains no request, response or fault",
+			msg: open + `<env:Body><a>` + resp1 + `</a><b/></env:Body></env:Envelope>`},
+		{name: "self-closed response", want: &Message{Response: &Response{Module: "m", Method: "f"}},
+			msg: open + `<env:Body><xrpc:response xrpc:module="m" xrpc:method="f"/></env:Body></env:Envelope>`},
+		{name: "self-closed Fault children and request", want: &Message{Fault: &Fault{Code: "env:Receiver"}}, err: (&Fault{Code: "env:Receiver"}).Error(),
+			msg: open + `<env:Body><env:Fault><env:Code/><env:Reason/></env:Fault><xrpc:request/></env:Body></env:Envelope>`},
+		{name: "text, comment and PI between the children of a response",
+			want: &Message{Response: &Response{Module: "m", Method: "f", Results: []xdm.Sequence{{xdm.Integer(1), xdm.Integer(2)}, nil}, Peers: []string{"xrpc://p", "xrpc://q"}}},
+			msg: `<?xml version="1.0"?> <!--c--><?p i?> ` + open + noise + `<env:Body>` + noise +
+				`<xrpc:response xrpc:module="m" xrpc:method="f">` + noise +
+				`<xrpc:sequence>` + noise + `<xrpc:atomic-value xsi:type="xs:integer">1</xrpc:atomic-value>` + noise +
+				`<xrpc:atomic-value xsi:type="xs:integer">2</xrpc:atomic-value>` + noise + `</xrpc:sequence>` + noise +
+				`<xrpc:participatingPeers>` + noise + `<xrpc:peer uri="xrpc://p"/>` + noise + `<xrpc:peer uri="xrpc://q">` + noise + `</xrpc:peer>` + noise + `</xrpc:participatingPeers>` + noise +
+				`<xrpc:sequence>` + noise + `</xrpc:sequence>` + noise + `</xrpc:response>` + noise +
+				`</env:Body>` + noise + `<after/>` + noise + `</env:Envelope> <!--c--><?p i?> `},
+		{name: "text, comment and PI between the children of a request", want: three, err: notResponse,
+			msg: open + noise + `<env:Body>` + noise +
+				`<xrpc:request xrpc:module="m" xrpc:method="f" xrpc:arity="1" xrpc:location="l">` + noise +
+				`<xrpc:call>` + noise + `<xrpc:sequence>` + noise + `<xrpc:atomic-value xsi:type="xs:integer">3</xrpc:atomic-value>` + noise + `</xrpc:sequence>` + noise + `</xrpc:call>` + noise +
+				`</xrpc:request>` + noise + `</env:Body>` + noise + `</env:Envelope>`},
+		{name: "text, comment and PI between the children of a Fault", want: boom, err: boom.Fault.Error(),
+			msg: open + `<env:Body>` + noise + `<env:Fault>` + noise + `<env:Code>` + noise + `<env:Subcode/>` + noise +
+				`<env:Value>env:Sender</env:Value>` + noise + `<env:Value>second</env:Value>` + noise + `</env:Code>` + noise +
+				`<env:Reason><env:Text xml:lang="en">boom</env:Text></env:Reason>` + noise + `<env:Code><env:Value>late</env:Value></env:Code>` + noise +
+				`</env:Fault>` + noise + `</env:Body></env:Envelope>`},
+	}
+}
+
 func TestEncoderMatchesReferenceOnFixtures(t *testing.T) {
 	for i, req := range fixtureRequests(t) {
 		if got, want := EncodeRequest(req), EncodeRequestRef(req); !bytes.Equal(got, want) {
@@ -255,6 +342,22 @@ func TestDecoderAgreesWithDOMOnFixtures(t *testing.T) {
 	}
 	for _, msg := range hand {
 		assertAgree(t, []byte(msg))
+	}
+	for _, sh := range envelopeShapes() {
+		msg := []byte(sh.msg)
+		assertAgree(t, msg)
+		for _, size := range []int{1, 7, 64} {
+			assertStreamAgrees(t, msg, &chunkReader{data: msg, size: size}, fmt.Sprintf("%s chunk=%d", sh.name, size))
+		}
+		got, err := Decode(msg)
+		switch {
+		case sh.want == nil && (err == nil || err.Error() != sh.err):
+			t.Errorf("%s: Decode error %v, want %q", sh.name, err, sh.err)
+		case sh.want != nil && err != nil:
+			t.Errorf("%s: Decode error %v", sh.name, err)
+		case sh.want != nil && !bytes.Equal(reencode(t, got), reencode(t, sh.want)):
+			t.Errorf("%s: decoded %s\nwant %s", sh.name, reencode(t, got), reencode(t, sh.want))
+		}
 	}
 }
 

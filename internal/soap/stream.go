@@ -8,15 +8,15 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// stream.go is the incremental face of the decoder: the same grammar
-// walk as decode.go, but fed from an io.Reader, so envelopes decode as
-// bytes arrive off the socket. DecodeStream is the drop-in streaming
-// counterpart of Decode (whole message in, whole Message out, bounded
-// only by message size), while ResponseStream exposes a response one
-// result sequence — and within it one item — at a time, so a consumer
-// can forward results while the producer is still writing them. Memory
-// then scales with the largest single item plus the scanner's refill
-// window, not with the response.
+// stream.go is the incremental face of the decoder: decode.go's three
+// walks (child, openBody/closeEnvelope, nextResult), but fed from an
+// io.Reader, so envelopes decode as bytes arrive off the socket.
+// DecodeStream is the drop-in streaming counterpart of Decode (whole
+// message in, whole Message out, bounded only by message size), while
+// ResponseStream exposes a response one result sequence — and within it
+// one item — at a time, so a consumer can forward results while the
+// producer is still writing them. Memory then scales with the largest
+// single item plus the scanner's refill window, not with the response.
 
 // DecodeStream parses a SOAP XRPC message of any kind from r,
 // decoding incrementally as bytes arrive. It accepts and produces
@@ -24,18 +24,6 @@ import (
 func DecodeStream(r io.Reader) (*Message, error) {
 	d := &decoder{sc: scanner{src: r}}
 	return d.decodeMessage()
-}
-
-// DecodeRequestStream parses and requires a request message from r.
-func DecodeRequestStream(r io.Reader) (*Request, error) {
-	m, err := DecodeStream(r)
-	if err != nil {
-		return nil, err
-	}
-	if m.Request == nil {
-		return nil, fmt.Errorf("soap: message is not a request")
-	}
-	return m.Request, nil
 }
 
 // DecodeResponseStream parses a response message from r, converting
@@ -70,11 +58,14 @@ func DecodeResponseStream(r io.Reader) (*Response, error) {
 //
 // NextSequence discards any unread items of the current sequence, and
 // Finish drains whatever was not consumed, so partial reads are always
-// safe. The one divergence from the buffered decoder: Decode scans the
-// whole Body before picking a winner, so a Fault placed *after* the
-// response element still takes precedence up front — here it surfaces
-// at Finish instead (our encoder only ever emits one Body child, so
-// this matters only for foreign envelopes).
+// safe. The stream drives the walks the buffered decoder drives
+// (decode.go) and differs from it in one thing, when the Body child that
+// is the message gets picked: Decode scans the whole Body first (Fault
+// over request over response), the stream must commit to the first of
+// the three in document order. A Fault or request placed *after* the
+// response element therefore surfaces at Finish instead of up front (our
+// encoder only ever emits one Body child, so this matters only for
+// foreign envelopes).
 //
 // A consumer that forwards items instead of reading them can take each
 // item wrapper as bytes (NextItemRaw). The scanner still tokenizes every
@@ -93,14 +84,12 @@ type ResponseStream struct {
 	method string
 	peers  []string
 
-	// end-tag depth targets for the open elements
-	envTgt  int
+	// child targets of the open elements (the Envelope's is d.envTgt)
 	bodyTgt int
 	respTgt int
 	seqTgt  int
 
 	inSeq    bool // a sequence is open for NextItem
-	seqEnd   bool // ...but was self-closed (no tokens left to read)
 	done     bool // the response element is fully consumed
 	finished bool // Finish completed
 
@@ -160,93 +149,50 @@ func (rs *ResponseStream) header() error {
 	}
 	rs.ours = len(d.sc.data) >= len(envelopeHeader) &&
 		string(d.sc.data[:len(envelopeHeader)]) == envelopeHeader
-	// locate the Envelope among the top-level elements (decodeMessage)
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return err
-		}
-		if tok == tokEOF {
-			return fmt.Errorf("soap: missing Envelope")
-		}
-		if tok != tokStart {
-			continue
-		}
-		if localName(d.sc.name) == "Envelope" {
-			break
-		}
-		if err := d.skipElement(); err != nil {
-			return err
-		}
+	var err error
+	if rs.bodyTgt, err = d.openBody(); err != nil {
+		return err
 	}
-	if d.sc.selfClose {
-		return fmt.Errorf("soap: missing Body")
+	ok, err := rs.bodyChild()
+	if err != nil {
+		return err
 	}
-	rs.envTgt = d.sc.depth - 1
-	// first Body child (decodeEnvelope)
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return err
-		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.envTgt {
-				return fmt.Errorf("soap: missing Body")
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
-		}
-		if localName(d.sc.name) == "Body" {
-			break
-		}
-		if err := d.skipElement(); err != nil {
-			return err
-		}
-	}
-	if d.sc.selfClose {
+	if !ok {
 		return fmt.Errorf("soap: body contains no request, response or fault")
 	}
-	rs.bodyTgt = d.sc.depth - 1
-	// first meaningful Body child (decodeBody, taken in document order)
+	rs.module = d.attrLocalScan("module")
+	rs.method = d.attrLocalScan("method")
+	rs.ours = rs.ours && rs.responseTagOurs()
+	rs.respTgt = d.enter()
+	return nil
+}
+
+// bodyChild advances to the Body's next Fault, request or response child
+// in document order, passing over any other. Only a response is handed
+// to the caller (true, its start tag current): a Fault is returned as a
+// *Fault error and a request makes the message not a response. False at
+// the Body's end tag.
+func (rs *ResponseStream) bodyChild() (bool, error) {
+	d := &rs.d
 	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return err
-		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.bodyTgt {
-				return fmt.Errorf("soap: body contains no request, response or fault")
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
+		ok, err := d.child(rs.bodyTgt)
+		if !ok {
+			return false, err
 		}
 		switch localName(d.sc.name) {
 		case "Fault":
 			f, err := d.decodeFault()
 			if err != nil {
-				return err
+				return false, err
 			}
-			return f
+			return false, f
 		case "request":
-			return fmt.Errorf("soap: message is not a response")
+			return false, fmt.Errorf("soap: message is not a response")
 		case "response":
-			rs.module = d.attrLocalScan("module")
-			rs.method = d.attrLocalScan("method")
-			rs.ours = rs.ours && rs.responseTagOurs()
-			if d.sc.selfClose {
-				rs.done = true
-			} else {
-				rs.respTgt = d.sc.depth - 1
-			}
-			return nil
-		default:
-			if err := d.skipElement(); err != nil {
-				return err
-			}
+			return true, nil
+		}
+		if err := d.skipElement(); err != nil {
+			return false, err
 		}
 	}
 }
@@ -268,42 +214,17 @@ func (rs *ResponseStream) NextSequence() (bool, error) {
 		return false, nil
 	}
 	d := &rs.d
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return false, err
-		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.respTgt {
-				rs.done = true
-				return false, nil
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
-		}
-		switch localName(d.sc.name) {
-		case "sequence":
-			if string(d.sc.data[d.sc.tok:d.sc.pos]) != sequenceStartTag {
-				rs.ours = false
-			}
-			rs.inSeq = true
-			rs.seqEnd = d.sc.selfClose
-			if !d.sc.selfClose {
-				rs.seqTgt = d.sc.depth - 1
-			}
-			return true, nil
-		case "participatingPeers":
-			if rs.peers, err = d.decodePeers(rs.peers); err != nil {
-				return false, err
-			}
-		default:
-			if err := d.skipElement(); err != nil {
-				return false, err
-			}
-		}
+	ok, err := d.nextResult(rs.respTgt, &rs.peers)
+	if !ok {
+		rs.done = err == nil
+		return false, err
 	}
+	if string(d.sc.data[d.sc.tok:d.sc.pos]) != sequenceStartTag {
+		rs.ours = false
+	}
+	rs.inSeq = true
+	rs.seqTgt = d.enter()
+	return true, nil
 }
 
 // nextWrapper advances to the start tag of the current sequence's next
@@ -313,26 +234,11 @@ func (rs *ResponseStream) nextWrapper() (bool, error) {
 	if !rs.inSeq {
 		return false, fmt.Errorf("soap: NextItem outside a sequence")
 	}
-	if rs.seqEnd {
+	ok, err := rs.d.child(rs.seqTgt)
+	if !ok && err == nil {
 		rs.inSeq = false
-		return false, nil
 	}
-	sc := &rs.d.sc
-	for {
-		tok, err := sc.next()
-		if err != nil {
-			return false, err
-		}
-		switch tok {
-		case tokEnd:
-			if sc.depth == rs.seqTgt {
-				rs.inSeq = false
-				return false, nil
-			}
-		case tokStart:
-			return true, nil
-		}
-	}
+	return ok, err
 }
 
 // NextItem returns the next item of the current sequence, or (nil, nil)
@@ -412,55 +318,21 @@ func (rs *ResponseStream) Finish() ([]string, error) {
 			break
 		}
 	}
-	d := &rs.d
+	// the rest of the Body: a second response is passed over, as the
+	// buffered decoder passes it over
 	for {
-		tok, err := d.sc.next()
+		ok, err := rs.bodyChild()
 		if err != nil {
 			return nil, err
 		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.bodyTgt {
-				break
-			}
-			continue
+		if !ok {
+			break
 		}
-		if tok != tokStart {
-			continue
-		}
-		switch localName(d.sc.name) {
-		case "Fault":
-			f, err := d.decodeFault()
-			if err != nil {
-				return nil, err
-			}
-			return nil, f
-		case "request":
-			return nil, fmt.Errorf("soap: message is not a response")
-		default:
-			if err := d.skipElement(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return nil, err
-		}
-		if tok == tokEnd {
-			if d.sc.depth == rs.envTgt {
-				break
-			}
-			continue
-		}
-		if tok != tokStart {
-			continue
-		}
-		if err := d.skipElement(); err != nil {
+		if err := rs.d.skipElement(); err != nil {
 			return nil, err
 		}
 	}
-	if err := d.drain(); err != nil {
+	if err := rs.d.closeEnvelope(); err != nil {
 		return nil, err
 	}
 	rs.finished = true

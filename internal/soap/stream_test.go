@@ -2,6 +2,7 @@ package soap
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -185,15 +186,30 @@ func TestResponseStreamMatchesDecodeResponse(t *testing.T) {
 		}
 		msgs = append(msgs, EncodeResponse(resp))
 	}
+	// the hand-written Body and Envelope shapes: the same outcome as
+	// DecodeResponse down to the error text, except where the row itself
+	// states the divergence
+	shapes := map[int]envelopeShape{}
+	for _, sh := range envelopeShapes() {
+		shapes[len(msgs)] = sh
+		msgs = append(msgs, []byte(sh.msg))
+	}
 	for i, msg := range msgs {
 		want, errWant := DecodeResponse(msg)
+		sh, isShape := shapes[i]
+		if isShape && fmt.Sprint(errWant) != cmp.Or(sh.err, "<nil>") {
+			t.Fatalf("%s: DecodeResponse error %v, want %q", sh.name, errWant, sh.err)
+		}
 		for _, size := range []int{1, 7, 64, len(msg)} {
 			rs, err := NewResponseStream(&chunkReader{data: msg, size: size})
+			if (err == nil) != (errWant == nil || sh.atFinish) {
+				t.Fatalf("msg %d chunk=%d: buffered err=%v, stream header err=%v (error due at Finish: %v)", i, size, errWant, err, sh.atFinish)
+			}
 			var got *Response
 			if err == nil {
 				got, err = collectStream(rs)
 			}
-			if (errWant == nil) != (err == nil) {
+			if (errWant == nil) != (err == nil) || err != nil && err.Error() != cmp.Or(sh.streamErr, errWant.Error()) {
 				t.Fatalf("msg %d chunk=%d: buffered err=%v, stream err=%v", i, size, errWant, err)
 			}
 			if errWant != nil {

@@ -140,7 +140,8 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 			}
 		}
 	case AxisPrecedingSibling:
-		if ctx.Parent != nil {
+		// an attribute is not among its owner's Children: no siblings
+		if ctx.Parent != nil && ctx.Kind != AttributeNode {
 			var before []*Node
 			for _, s := range ctx.Parent.Children {
 				if s == ctx {
@@ -153,6 +154,11 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 			}
 		}
 	case AxisFollowing:
+		if ctx.Kind == AttributeNode && ctx.Parent != nil {
+			// an attribute precedes its owner's content in document
+			// order and is no ancestor of it
+			walkDescendants(ctx.Parent, add)
+		}
 		for p := ctx; p != nil; p = p.Parent {
 			if p.Parent == nil {
 				break
@@ -169,8 +175,13 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 			}
 		}
 	case AxisPreceding:
-		// collected in document order then reversed by caller's sort;
-		// exclude ancestors per spec.
+		// collected in document order, up to the context node — for an
+		// attribute its owner, which the walk over Children does meet —
+		// then reversed; ancestors are excluded per spec.
+		stop := ctx
+		if ctx.Kind == AttributeNode && ctx.Parent != nil {
+			stop = ctx.Parent
+		}
 		anc := map[*Node]bool{}
 		for p := ctx; p != nil; p = p.Parent {
 			anc[p] = true
@@ -178,7 +189,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 		var pre []*Node
 		var walk func(*Node) bool
 		walk = func(n *Node) bool {
-			if n == ctx {
+			if n == stop {
 				return true
 			}
 			if !anc[n] {

@@ -109,6 +109,22 @@ func TestFollowingPrecedingAxes(t *testing.T) {
 	if prec[0].Name != "a1" || prec[1].Name != "a" {
 		t.Fatalf("preceding order = %s,%s", prec[0].Name, prec[1].Name)
 	}
+
+	// from an attribute: its owner's content follows it, the axis back
+	// stops at its owner, and it has no siblings
+	doc = mustParse(t, `<r><a/><e id="1"><c/><d/></e><z/></r>`)
+	id := Step(doc, AxisDescendant, NodeTest{Name: "e"})[0].Attrs[0]
+	for axis, want := range map[Axis]string{
+		AxisFollowing: "c d z", AxisPreceding: "a", AxisFollowingSibling: "", AxisPrecedingSibling: "",
+	} {
+		var got []string
+		for _, n := range Step(id, axis, NodeTest{KindTest: true, AnyKind: true}) {
+			got = append(got, n.Name)
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s::node() from @id = %q, want %q", axis, strings.Join(got, " "), want)
+		}
+	}
 }
 
 func TestAttributeAxis(t *testing.T) {

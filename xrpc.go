@@ -16,8 +16,8 @@
 //
 // This library contains everything the paper's system needed, built
 // from scratch: an XQuery parser and tree-walking interpreter (the
-// "Saxon" role), a loop-lifting relational compiler over a pre/size/level
-// shredded store (the "MonetDB/XQuery + Pathfinder" role), the SOAP XRPC
+// "Saxon" role), a loop-lifting relational compiler over iter|pos|item
+// tables (the "MonetDB/XQuery + Pathfinder" role), the SOAP XRPC
 // wire protocol, client and server with function cache and isolation
 // manager, the §4 XRPC wrapper that lets any XQuery engine answer XRPC
 // calls, and the §5 distributed query strategies (predicate pushdown,
