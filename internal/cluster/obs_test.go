@@ -417,8 +417,10 @@ func TestInstrumentationAddsNoAllocs(t *testing.T) {
 		co.Metrics = metrics
 		instr := run()
 		// a per-item cost would show as shards*items; the constant is the
-		// first-item flags, one allocation where they escape
-		if instr-base >= 2 {
+		// first-item flags, one allocation where they escape. Not under
+		// -race: the pooled decoders are dropped at random there, and the
+		// two runs differ by whole pool refills.
+		if instr-base >= 2 && !raceEnabled {
 			t.Errorf("%s: instrumentation added allocations: %.1f -> %.1f per read of %d items",
 				c.forward, base, instr, shards*items)
 		}

@@ -256,6 +256,40 @@ func mustQuery(t testing.TB, p *Peer, q string) string {
 	return res.Serialize()
 }
 
+// TestUpdateBelowAnyNodeCommits: wherever in a query an update sits — a
+// typeswitch branch, computed element content, a quantifier's satisfies,
+// a path predicate calling an updating function (interp's
+// TestUpdatingFunctionClassification classifies the same four) — the
+// peer runs it as an updating query and commits it, on either engine
+// setting, instead of raising XUST0001.
+func TestUpdateBelowAnyNodeCommits(t *testing.T) {
+	for _, q := range []string{
+		`for $a in doc("filmDB.xml")//film return typeswitch ($a) case element() return delete node $a default return ()`,
+		`element {"gone"} {delete node doc("filmDB.xml")//film}`,
+		`some $f in doc("filmDB.xml")//film satisfies delete node $f`,
+		`declare updating function local:del($n as node()) { delete node $n }; doc("filmDB.xml")//film[local:del(.)]`,
+	} {
+		for _, engine := range []EngineKind{EngineLoopLifted, EngineInterpreted} {
+			p := NewPeer("xrpc://p", nil)
+			p.Engine = engine
+			if err := p.LoadDocument("filmDB.xml", xmark.PaperFilmDB); err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Query(q)
+			if err != nil {
+				t.Errorf("engine %v: %v\nquery: %s", engine, err, q)
+				continue
+			}
+			if !res.Updating {
+				t.Errorf("engine %v: not run as an updating query: %s", engine, q)
+			}
+			if got := mustQuery(t, p, `count(doc("filmDB.xml")//film)`); got != "0" {
+				t.Errorf("engine %v: %s films left after %s", engine, got, q)
+			}
+		}
+	}
+}
+
 // A malformed prolog option is a static error of the text, raised by
 // whichever engine the peer runs, not a silent fall back to the default.
 func TestMalformedPrologOptionsRejected(t *testing.T) {

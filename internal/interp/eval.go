@@ -1059,8 +1059,10 @@ func (ctx *dynCtx) callBound(f *boundFunc, args []xdm.Sequence) (xdm.Sequence, e
 	}
 	fctx := ctx.child()
 	fctx.module = f.module
-	fctx.vars = nil // functions see only their parameters (and globals via rebinding below)
-	fctx.item = nil
+	// functions see only their parameters (and globals via rebinding
+	// below), and none of the caller's focus
+	fctx.vars = nil
+	fctx.item, fctx.pos, fctx.size = nil, 0, 0
 	fctx.depth = ctx.depth + 1
 	for i, p := range f.decl.Params {
 		conv, err := convertParam(args[i], p.Type)

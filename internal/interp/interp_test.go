@@ -592,24 +592,72 @@ func TestUpdatePut(t *testing.T) {
 	}
 }
 
+// updatingShapes are queries whose update sits below a node the
+// classification once did not descend into: a typeswitch branch, computed
+// element content, a quantifier's satisfies, a path predicate. Each
+// deletes every film of filmDB.xml; core's TestUpdateBelowAnyNodeCommits
+// runs the same four through Peer.Query.
+var updatingShapes = []string{
+	`for $a in doc("filmDB.xml")//film return typeswitch ($a) case element() return delete node $a default return ()`,
+	`element {"gone"} {delete node doc("filmDB.xml")//film}`,
+	`some $f in doc("filmDB.xml")//film satisfies delete node $f`,
+	`declare updating function local:del($n as node()) { delete node $n }; doc("filmDB.xml")//film[local:del(.)]`,
+}
+
 func TestUpdatingFunctionClassification(t *testing.T) {
 	e, _ := newTestEngine(t)
-	c, err := e.Compile(`
+	updating := append([]string{`
 declare updating function local:add($n as xs:string)
 { insert node <film><name>{$n}</name></film> into doc("filmDB.xml")/films };
-local:add("via function")`)
-	if err != nil {
+local:add("via function")`,
+		`put(<a/>, "a.xml")`, `fn:put(<a/>, "a.xml")`,
+		`if (delete node doc("filmDB.xml")//film) then 1 else 2`,
+		`for $f in doc("filmDB.xml")//film order by count(delete node $f) return 1`,
+		`import module namespace film="films" at "http://x.example.org/film.xq";
+declare updating function local:del($n as node()) { delete node $n };
+execute at {"xrpc://y"} {film:filmsByActor(string(local:del(doc("filmDB.xml")//film)))}`,
+	}, updatingShapes...)
+	for _, q := range updating {
+		c, err := e.Compile(q)
+		if err != nil {
+			t.Fatalf("%v\nquery: %s", err, q)
+		}
+		if !c.IsUpdating() {
+			t.Errorf("must be classified updating: %s", q)
+		}
+	}
+	for _, q := range []string{`1 + 1`, `doc("filmDB.xml")//film[name = "x"]`,
+		`declare function local:f($n) { $n }; for $f in doc("filmDB.xml")//film return typeswitch ($f) case element() return local:f($f) default return ()`,
+		`import module namespace film="films" at "http://x.example.org/film.xq"; execute at {"xrpc://y"} {film:filmsByActor("x")}`} {
+		c, err := e.Compile(q)
+		if err != nil {
+			t.Fatalf("%v\nquery: %s", err, q)
+		}
+		if c.IsUpdating() {
+			t.Errorf("misclassified as updating: %s", q)
+		}
+	}
+}
+
+// //a[…] selects per parent when the predicate consults the position,
+// wherever in the predicate: fused into descendant::a[…] the four <a>
+// would be numbered 1..4 and these answer 1 (xq's
+// TestFuseDescendantSteps has the parse; pathfinder's TestFocusBoth the
+// rows both engines serve — order by is the interpreter's alone).
+func TestPositionKeptPerParent(t *testing.T) {
+	e, st := newTestEngine(t)
+	if err := st.LoadXML("d.xml", `<r><g><a n="1"/><a n="2"/></g><g><a n="3"/><a n="4"/></g></r>`); err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsUpdating() {
-		t.Error("query calling an updating function must be classified updating")
-	}
-	c2, err := e.Compile(`1 + 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.IsUpdating() {
-		t.Error("1+1 misclassified as updating")
+	for _, pred := range []string{
+		`not(if (position() = 1) then false() else true())`,
+		`(position() cast as xs:string) = "1"`,
+		`not(typeswitch (position()) case xs:integer return position() != 1 default return true())`,
+		`(for $x in (1, 2) order by $x = position() descending return $x)[1] = 1`,
+	} {
+		if got := evalStr(t, e, `data(doc("d.xml")//a[`+pred+`]/@n)`); got != "1 3" {
+			t.Errorf("//a[%s] = %q, want 1 3", pred, got)
+		}
 	}
 }
 

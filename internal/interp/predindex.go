@@ -267,70 +267,25 @@ func purePath(p *xq.Path) bool {
 
 // contextFree reports whether the expression never consults the context
 // item, position or size — so it can be evaluated once per predicate
-// application instead of per candidate.
+// application instead of per candidate. Only the node kinds listed are
+// accepted, anywhere below e; whether a built-in reads the focus is the
+// library table's answer (Builtin), whatever the call's prefix.
 func contextFree(e xq.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *xq.VarRef, *xq.StringLit, *xq.IntLit, *xq.DecimalLit, *xq.DoubleLit, *xq.EmptySeq:
-		return true
-	case *xq.ContextItem:
-		return false
-	case *xq.Path:
-		if n.Root == nil {
-			return false
-		}
-		if !contextFree(n.Root) {
-			return false
-		}
-		for _, st := range n.Steps {
-			for _, p := range st.Preds {
-				if !contextFree(p) {
-					return false
-				}
+	free := true
+	xq.Walk(e, nil, func(x xq.Expr, _ map[string]bool) {
+		switch n := x.(type) {
+		case *xq.VarRef, *xq.StringLit, *xq.IntLit, *xq.DecimalLit, *xq.DoubleLit, *xq.EmptySeq,
+			*xq.Comparison, *xq.Arith, *xq.Logic, *xq.Unary, *xq.Cast, *xq.SeqExpr:
+		case *xq.Path:
+			free = free && n.Root != nil
+		case *xq.FuncCall:
+			// f is nil for exactly the built-ins that read the dynamic context
+			if f, _, err := Builtin(n.Name, len(n.Args)); err == nil && f == nil {
+				free = false
 			}
+		default:
+			free = false
 		}
-		for _, p := range n.RootPreds {
-			if !contextFree(p) {
-				return false
-			}
-		}
-		return true
-	case *xq.FuncCall:
-		switch n.Name {
-		case "position", "last", "fn:position", "fn:last":
-			return false
-		// zero-argument string()/number()/etc. default to the context
-		case "string", "number", "string-length", "normalize-space",
-			"name", "local-name", "root":
-			if len(n.Args) == 0 {
-				return false
-			}
-		}
-		for _, a := range n.Args {
-			if !contextFree(a) {
-				return false
-			}
-		}
-		return true
-	case *xq.Comparison:
-		return contextFree(n.L) && contextFree(n.R)
-	case *xq.Arith:
-		return contextFree(n.L) && contextFree(n.R)
-	case *xq.Logic:
-		return contextFree(n.L) && contextFree(n.R)
-	case *xq.Unary:
-		return contextFree(n.X)
-	case *xq.Cast:
-		return contextFree(n.X)
-	case *xq.SeqExpr:
-		for _, it := range n.Items {
-			if !contextFree(it) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
+	})
+	return free
 }

@@ -246,64 +246,25 @@ func contentNodes(v xdm.Sequence) ([]*xdm.Node, error) {
 }
 
 // exprIsUpdating statically classifies expressions per the XQUF: an
-// expression is updating if it contains an update primitive or a call to
-// an updating function.
+// expression is updating if an update primitive, fn:put, or a call or
+// execute at of an updating function occurs anywhere below it.
 func exprIsUpdating(e xq.Expr, c *Compiled) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *xq.Insert, *xq.Delete, *xq.Replace, *xq.Rename:
-		return true
-	case *xq.FuncCall:
-		if n.Name == "put" || n.Name == "fn:put" {
-			return true
-		}
-		if f, ok := c.lookupFunc(c.main, n.Name, len(n.Args)); ok && f.decl.Updating {
-			return true
-		}
-		for _, a := range n.Args {
-			if exprIsUpdating(a, c) {
-				return true
-			}
-		}
-		return false
-	case *xq.ExecuteAt:
-		if f, ok := c.lookupFunc(c.main, n.Call.Name, len(n.Call.Args)); ok && f.decl.Updating {
-			return true
-		}
-		return false
-	case *xq.SeqExpr:
-		for _, it := range n.Items {
-			if exprIsUpdating(it, c) {
-				return true
-			}
-		}
-	case *xq.FLWOR:
-		for _, cl := range n.Clauses {
-			switch clause := cl.(type) {
-			case *xq.ForClause:
-				if exprIsUpdating(clause.In, c) {
-					return true
-				}
-			case *xq.LetClause:
-				if exprIsUpdating(clause.Val, c) {
-					return true
-				}
-			}
-		}
-		return exprIsUpdating(n.Return, c) || exprIsUpdating(n.Where, c)
-	case *xq.If:
-		return exprIsUpdating(n.Then, c) || exprIsUpdating(n.Else, c)
-	case *xq.Enclosed:
-		return exprIsUpdating(n.X, c)
-	case *xq.DirElem:
-		for _, sub := range n.Content {
-			if exprIsUpdating(sub, c) {
-				return true
-			}
-		}
+	applies := func(call *xq.FuncCall) bool {
+		f, ok := c.lookupFunc(c.main, call.Name, len(call.Args))
+		return ok && f.decl.Updating
 	}
-	return false
+	updating := false
+	xq.Walk(e, nil, func(x xq.Expr, _ map[string]bool) {
+		switch n := x.(type) {
+		case *xq.Insert, *xq.Delete, *xq.Replace, *xq.Rename:
+			updating = true
+		case *xq.FuncCall:
+			updating = updating || strings.TrimPrefix(n.Name, "fn:") == "put" || applies(n)
+		case *xq.ExecuteAt:
+			updating = updating || applies(n.Call)
+		}
+	})
+	return updating
 }
 
 // SetSeqBase stamps every primitive of the list with an ordering base:

@@ -122,16 +122,28 @@ func (env *staticEnv) aggPlan(args []xq.Expr, f interp.BuiltinFunc) (Plan, error
 	}, nil
 }
 
+// focusVar names the variable a predicate's scope binds for each part of
+// the focus interp.Builtin can report a function needs.
+var focusVar = map[string]string{
+	"the context item":     ".",
+	"the context position": "@position",
+	"the context size":     "@last",
+}
+
 // compileBuiltin applies the function library the interpreter defines
-// (interp.Builtin) once per iteration; no function is defined here.
+// (interp.Builtin) once per iteration; no function is defined here. A
+// function that reads the focus is served where the focus is bound, in a
+// path predicate: position() and last() are the variables "@position"
+// and "@last", and f() is f(.).
 func (env *staticEnv) compileBuiltin(call *xq.FuncCall) (Plan, error) {
 	f, needs, err := interp.Builtin(call.Name, len(call.Args))
 	if err != nil {
 		return nil, err
 	}
-	if f == nil && needs == "the context item" && env.vars["."] {
-		// in a path predicate the context item is the variable ".",
-		// and f() is f(.)
+	if v := focusVar[needs]; f == nil && env.vars[v] {
+		if v != "." {
+			return env.compile(&xq.VarRef{Name: v})
+		}
 		return env.compileBuiltin(&xq.FuncCall{Name: call.Name, Args: []xq.Expr{&xq.ContextItem{}}})
 	}
 	if f == nil {

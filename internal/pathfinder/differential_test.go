@@ -87,7 +87,24 @@ type qgen struct {
 	r     *rand.Rand
 	vars  []string
 	nvars int
+	// focus is set while a step predicate is generated: num, str and
+	// boolean then also draw the focus atoms — ".", position(), last(), the
+	// zero-arity context-item forms — and the productions around them.
+	focus bool
+	// drawn counts, by production, the focus productions that came out
+	// with position() or last() below them (nil: not counted).
+	drawn map[string]int
 }
+
+// focusDrawn notes that production came out as s.
+func (g *qgen) focusDrawn(production, s string) string {
+	if g.drawn != nil && (strings.Contains(s, "position()") || strings.Contains(s, "last()")) {
+		g.drawn[production]++
+	}
+	return s
+}
+
+func (g *qgen) oneOf(forms ...string) string { return forms[g.r.Intn(len(forms))] }
 
 func (g *qgen) pick(weights ...int) int {
 	total := 0
@@ -144,6 +161,9 @@ func (g *qgen) expr(depth int) string {
 
 // num produces a singleton numeric expression.
 func (g *qgen) num(depth int) string {
+	if g.focus && g.r.Intn(3) == 0 {
+		return g.oneOf("position()", "last()", "fn:position()", "fn:last()", "string-length()", "fn:string-length()", "count(*)")
+	}
 	if depth <= 0 || g.r.Intn(3) == 0 {
 		if len(g.vars) > 0 && g.r.Intn(3) == 0 {
 			return "$" + g.vars[g.r.Intn(len(g.vars))]
@@ -183,6 +203,10 @@ func (g *qgen) numseq(depth int) string {
 // str produces a singleton string expression.
 func (g *qgen) str(depth int) string {
 	words := []string{`"a"`, `"bc"`, `"xy z"`, `""`}
+	if g.focus && g.r.Intn(3) == 0 {
+		return g.oneOf("string()", "fn:string()", "name()", "local-name()", "normalize-space()", "string(.)",
+			"string(number())", "name(root()/*)")
+	}
 	if depth <= 0 || g.r.Intn(2) == 0 {
 		return words[g.r.Intn(len(words))]
 	}
@@ -191,6 +215,9 @@ func (g *qgen) str(depth int) string {
 
 // boolean produces a boolean expression.
 func (g *qgen) boolean(depth int) string {
+	if g.focus && g.r.Intn(2) == 0 {
+		return g.focusBoolean(depth)
+	}
 	if depth <= 0 {
 		return []string{"true()", "false()", "1 < 2", "2 eq 3"}[g.r.Intn(4)]
 	}
@@ -209,6 +236,47 @@ func (g *qgen) boolean(depth int) string {
 		g.dropVar()
 		return out
 	}
+}
+
+// focusBoolean produces the predicate shapes that read the focus through
+// something other than a call, a comparison, a logic or an arithmetic
+// node: every one was once refused by the loop-lifted engine.
+func (g *qgen) focusBoolean(depth int) string {
+	if depth <= 0 {
+		return g.oneOf(`position() = 1`, `position() < last()`, `. = "Sean Connery"`, `name() = "actor"`,
+			`string() = .`, `not(position() = last())`)
+	}
+	depth--
+	switch g.pick(2, 2, 2, 2, 2, 2) {
+	case 0:
+		return g.focusDrawn("if", fmt.Sprintf("(if (%s) then %s else %s)", g.boolean(depth), g.boolean(depth), g.boolean(depth)))
+	case 1:
+		return g.focusDrawn("unary minus", fmt.Sprintf("(-%s %s -%s)", g.num(depth), g.oneOf("=", "<", ">="), g.num(depth)))
+	case 2:
+		in := g.numseq(depth)
+		v := g.freshVar()
+		out := fmt.Sprintf("(%s $%s in %s satisfies $%s %s %s)", g.oneOf("some", "every"), v, in, v, g.oneOf("=", "<=", "!="), g.num(depth))
+		g.dropVar()
+		return g.focusDrawn("quantifier", out)
+	case 3:
+		return g.focusDrawn("sequence comparison", fmt.Sprintf("((%s, %s) %s %s)", g.num(depth), g.num(depth), g.oneOf("=", "<", "!="), g.num(depth)))
+	case 4:
+		return g.focusDrawn("filter expression", fmt.Sprintf("exists((%s)[. = %d])", g.num(depth), 1+g.r.Intn(3)))
+	default:
+		return fmt.Sprintf("(%s %s %s)", g.str(depth), g.oneOf("=", "!=", "<"), g.str(depth))
+	}
+}
+
+// focusPath produces a path whose step predicate, or whose filter
+// expression, is drawn from boolean's grammar with the focus on offer.
+func (g *qgen) focusPath(depth int) string {
+	outer := g.focus
+	g.focus = true
+	pred := g.boolean(depth)
+	g.focus = outer
+	shape := g.oneOf(`doc("filmDB.xml")//film/*[%s]`, `doc("filmDB.xml")//film[%s]/name`,
+		`(doc("filmDB.xml")//film/*)[%s]`, `doc("filmDB.xml")/films/film[%s][1]/actor`)
+	return fmt.Sprintf(shape, pred)
 }
 
 func (g *qgen) flwor(depth int) string {
@@ -308,6 +376,9 @@ func (g *qgen) atom() string {
 }
 
 func (g *qgen) path() string {
+	if g.r.Intn(3) == 0 {
+		return g.focusPath(2)
+	}
 	paths := []string{
 		`doc("filmDB.xml")//film/name`,
 		`doc("filmDB.xml")//actor`,
@@ -369,6 +440,36 @@ func TestDifferentialEngines(t *testing.T) {
 	if joins.Hashed == 0 || joins.Fallback == 0 || joins.Pairs == 0 {
 		t.Errorf("the generated queries no longer reach the join rule's hash path and its fallback: %+v", joins)
 	}
+}
+
+// TestDifferentialPredicates draws step predicates and filter
+// expressions from qgen's grammar: inside a predicate the loop-lifted
+// engine refuses nothing — position(), last(), "." and the zero-arity
+// context-item forms are served under any node — and agrees with the
+// interpreter on the result or the error code. The shapes it once
+// refused must be among the predicates drawn.
+func TestDifferentialPredicates(t *testing.T) {
+	f := newFixture(t)
+	refEngine := interp.New(f.st, f.reg, nil)
+	drawn := map[string]int{}
+	bothErr := 0
+	for seed := 0; seed < 300; seed++ {
+		g := &qgen{r: rand.New(rand.NewSource(int64(seed))), drawn: drawn}
+		query := g.focusPath(3)
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st})
+		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != want {
+			t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s", seed, query, got, want)
+		}
+		if iErr != nil {
+			bothErr++
+		}
+	}
+	for _, production := range []string{"if", "unary minus", "quantifier", "sequence comparison", "filter expression"} {
+		if drawn[production] == 0 {
+			t.Errorf("no generated predicate reads position() or last() under: %s", production)
+		}
+	}
+	t.Logf("%d/300 predicates raise the same error on both engines; focus productions drawn: %v", bothErr, drawn)
 }
 
 // errCode is the XQuery error code of err ("" for none), or its text
@@ -764,19 +865,37 @@ func TestLibraryClassification(t *testing.T) {
 				t.Errorf("%s outside a predicate: err = %v, want a refusal that names the context item", q, err)
 			}
 		}
-		// in a predicate, nested in an argument too; evalBoth compiles it
-		// and holds the result against the interpreter's
-		f.evalBoth(t, `doc("filmDB.xml")//film/*[`+name+`()]`)
-		f.evalBoth(t, `doc("filmDB.xml")//film/*[contains(string(`+name+`()), "n")]`)
+	}
+	// inside a predicate every function that reads the focus is served, in
+	// any position: evalBoth compiles the query and holds the result
+	// against the interpreter's
+	positions := []string{`%s`, `contains(string(%s), "n")`, `if (exists(%s)) then true() else false()`,
+		`some $x in (1, 2) satisfies exists(($x, %s)[2])`, `count((%s, 7)) = 2`, `exists((%s)[1])`,
+		`for $i in 1 return exists(%s)`, `string(%s) cast as xs:string = ""`, `exists(<a>{%s}</a>/node())`,
+		`typeswitch (%s) case xs:integer return true() default return false()`, `-number(%s) = -1`}
+	for _, name := range append([]string{"position", "last", "fn:position", "fn:last", "fn:string"}, contextItemForms...) {
+		for _, position := range positions {
+			call := name + "()"
+			f.evalBoth(t, `doc("filmDB.xml")//film/*[`+strings.ReplaceAll(position, "%s", call)+`]`)
+			f.evalBoth(t, `for $f in doc("filmDB.xml")//film return ($f/name, $f/actor)[`+strings.ReplaceAll(position, "%s", call)+`]`)
+		}
+	}
+	// … and refused outside one, also in a function a predicate calls:
+	// the body of a function has no focus
+	for _, q := range []string{`position()`, `for $n in doc("filmDB.xml")//name return last()`,
+		`declare function local:p() { position() }; doc("filmDB.xml")//name[local:p() = 1]`} {
+		_, err := Compile(q, modules.NewRegistry())
+		if err == nil || !strings.Contains(err.Error(), "needs the context") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
+			t.Errorf("%s outside a predicate: err = %v", q, err)
+		}
+		if _, _, _, iErr := bothEngines(f, interp.New(f.st, f.reg, nil), q, &ExecCtx{Docs: f.st}); errCode(iErr) != "XPDY0002" {
+			t.Errorf("%s on the interpreter: err = %v, want XPDY0002", q, iErr)
+		}
 	}
 	if _, _, err := interp.Builtin("no-such-function", 1); errCode(err) != "XPST0017" {
 		t.Errorf("unknown function: err = %v, want XPST0017", err)
 	}
 	if _, err := Compile(`no-such-function(1)`, modules.NewRegistry()); errCode(err) != "XPST0017" {
 		t.Errorf("pathfinder compile of an unknown function: err = %v, want XPST0017", err)
-	}
-	_, err := Compile(`position()`, modules.NewRegistry())
-	if err == nil || !strings.Contains(err.Error(), "needs the context position") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
-		t.Errorf("position() outside a predicate: err = %v", err)
 	}
 }

@@ -104,7 +104,7 @@ func leftSpine(e xq.Expr) []xq.Expr {
 // reads reports whether e has a free reference to one of vars.
 func reads(e xq.Expr, vars map[string]bool) bool {
 	found := false
-	walkExpr(e, nil, func(x xq.Expr, bound map[string]bool) {
+	xq.Walk(e, nil, func(x xq.Expr, bound map[string]bool) {
 		if v, ok := x.(*xq.VarRef); ok && vars[v.Name] && !bound[v.Name] {
 			found = true
 		}
@@ -120,7 +120,7 @@ func (env *staticEnv) pinned(e xq.Expr, seen map[*xq.FuncDecl]bool) bool {
 		seen = map[*xq.FuncDecl]bool{}
 	}
 	found := false
-	walkExpr(e, nil, func(x xq.Expr, _ map[string]bool) {
+	xq.Walk(e, nil, func(x xq.Expr, _ map[string]bool) {
 		switch n := x.(type) {
 		case *xq.DirElem, *xq.CompElem, *xq.CompAttr, *xq.CompText,
 			*xq.Insert, *xq.Delete, *xq.Replace, *xq.Rename:

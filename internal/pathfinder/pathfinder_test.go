@@ -261,6 +261,52 @@ func TestPathsBoth(t *testing.T) {
 	}
 }
 
+// TestFocusBoth: position() and last() mean the focus of the nearest
+// enclosing predicate wherever they stand in it. The parser must not
+// fuse //a[…] into descendant::a[…] when the predicate consults the
+// position below an if, a cast or a typeswitch (the first group: 1 3 per
+// parent, 1 when fused; order by, the fourth node kind the fusion check
+// once skipped, is the interpreter's alone), and the loop-lifted engine
+// serves them as the focus variables under any node (the second group,
+// which it once refused with "needs the context position").
+func TestFocusBoth(t *testing.T) {
+	f := newFixture(t)
+	if err := f.st.LoadXML("d.xml", `<r><g><a n="1"/><a n="2"/></g><g><a n="3"/><a n="4"/></g></r>`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ pred, want string }{
+		{`not(if (position() = 1) then false() else true())`, "1 3"},
+		{`(position() cast as xs:string) = "1"`, "1 3"},
+		{`not(typeswitch (position()) case xs:integer return position() != 1 default return true())`, "1 3"},
+		{`not(fn:position() != fn:last())`, "2 4"},
+	} {
+		if got := f.evalBoth(t, `data(doc("d.xml")//a[`+tc.pred+`]/@n)`); got != tc.want {
+			t.Errorf("//a[%s] = %q, want %q", tc.pred, got, tc.want)
+		}
+	}
+	for _, tc := range []struct{ pred, want string }{
+		{`if (position() = 1) then true() else false()`, "1 3"},
+		{`-position() = -2`, "2 4"},
+		{`some $x in (1, 5) satisfies $x = position()`, "1 3"},
+		{`every $x in (1, 2) satisfies $x <= last()`, "1 2 3 4"},
+		{`exists((position())[. = 1])`, "1 3"},
+		{`(position(), 7) = last()`, "2 4"},
+		{`for $i in 2 return position() = $i`, "2 4"},
+		{`(1 to last())[position() = last()] = position()`, "2 4"},
+		{`@n = (3, 4)[position()]`, "3 4"}, // the inner predicate's own position
+		{`../a[position() = last()]/@n = @n`, "2 4"},
+		{`0`, ""},
+		{`last()`, "2 4"},
+		{`position() + 1`, ""},
+	} {
+		if got := f.evalBoth(t, `data(doc("d.xml")//g/a[`+tc.pred+`]/@n)`); got != tc.want {
+			t.Errorf("//g/a[%s] = %q, want %q", tc.pred, got, tc.want)
+		}
+		// a filter expression opens the same focus, counted per iteration
+		f.evalBoth(t, `for $g in doc("d.xml")//g return data(($g/a, $g/a)[`+tc.pred+`]/@n)`)
+	}
+}
+
 // TestOneStepBoth pins what taking every axis with xdm.Step changed for
 // the loop-lifted engine, and what the step itself got wrong from an
 // attribute: an attribute's following axis starts with its owner's

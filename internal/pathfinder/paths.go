@@ -69,7 +69,7 @@ func (env *staticEnv) compilePath(p *xq.Path) (Plan, error) {
 			return nil, err
 		}
 		for _, pp := range rootPredPlans {
-			cur, err = applyPred(ec, sc, cur, pp, true)
+			cur, err = applyPred(ec, sc, cur, pp)
 			if err != nil {
 				return nil, err
 			}
@@ -98,62 +98,32 @@ func mapNodes(t *algebra.Table, f func(*xdm.Node) *xdm.Node) *algebra.Table {
 	return out
 }
 
+// candGroup is the candidates a predicate numbers 1..last: what one step
+// found from one context node, or one iteration's filtered sequence.
+type candGroup[T xdm.Item] struct {
+	outer int64 // the iteration of the enclosing loop
+	items []T
+}
+
 // execStep performs one axis step on every (iter, context node) row
 // with xdm.Step — the step interp's evalPath takes, so the two engines
 // cannot disagree on an axis — applies the predicates, then re-establishes
 // per-iteration document order with duplicate elimination.
 func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []predPlan) (*algebra.Table, error) {
-	type candGroup struct {
-		outer int64
-		nodes []*xdm.Node
-	}
 	sorted := algebra.SortBy(ctx, algebra.ColIter, algebra.ColPos)
 	iters := sorted.IntsOf(algebra.ColIter)
 	xc := sorted.ColIdx(algebra.ColItem)
-	var groups []candGroup
+	var groups []candGroup[*xdm.Node]
 	for ri, it := range iters {
 		n, ok := sorted.Item(ri, xc).(*xdm.Node)
 		if !ok {
 			return nil, xdm.NewError("XPTY0004", "path step applied to a non-node")
 		}
-		groups = append(groups, candGroup{outer: it, nodes: xdm.Step(n, st.Axis, st.Test)})
+		groups = append(groups, candGroup[*xdm.Node]{outer: it, items: xdm.Step(n, st.Axis, st.Test)})
 	}
-	// predicates: loop-lifted over all candidates of all groups
 	for _, pp := range preds {
-		// inner loop: one iteration per candidate
-		inner := algebra.NewTable(algebra.ColIter)
-		mapTbl := algebra.NewTable("inner", "outer")
-		dot := seqTable()
-		posT := seqTable()
-		lastT := seqTable()
-		k := int64(0)
-		for _, g := range groups {
-			for i, n := range g.nodes {
-				k++
-				inner.Append(xdm.Integer(k))
-				mapTbl.Append(xdm.Integer(k), xdm.Integer(g.outer))
-				dot.AppendSeq(k, 1, n)
-				posT.AppendSeq(k, 1, xdm.Integer(i+1))
-				lastT.AppendSeq(k, 1, xdm.Integer(len(g.nodes)))
-			}
-		}
-		sc2 := mapScopeInner(sc, inner, mapTbl)
-		sc2 = sc2.bind(".", dot).bind("@position", posT).bind("@last", lastT)
-		keep, err := evalPredKeep(ec, sc2, pp, posT)
-		if err != nil {
+		if err := filterGroups(ec, sc, groups, pp); err != nil {
 			return nil, err
-		}
-		// filter the groups by the keep set
-		k = 0
-		for gi := range groups {
-			var kept []*xdm.Node
-			for _, n := range groups[gi].nodes {
-				k++
-				if keep[k] {
-					kept = append(kept, n)
-				}
-			}
-			groups[gi].nodes = kept
 		}
 	}
 	// doc order + dedup per iteration, then emit with fresh pos
@@ -164,7 +134,7 @@ func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []pr
 		if _, seen := perIter[g.outer]; !seen {
 			iterOrder = append(iterOrder, g.outer)
 		}
-		perIter[g.outer] = append(perIter[g.outer], g.nodes...)
+		perIter[g.outer] = append(perIter[g.outer], g.items...)
 	}
 	for _, it := range iterOrder {
 		nodes := xdm.SortDocOrderDedup(perIter[it])
@@ -183,125 +153,103 @@ type predPlan struct {
 	constPos int64
 }
 
+// compilePredicate compiles a predicate under its focus: ".",
+// "@position" and "@last" are variables of the inner scope, and that is
+// all a context-item form, position() or last() anywhere below needs
+// (compileBuiltin).
 func (env *staticEnv) compilePredicate(pe xq.Expr) (predPlan, error) {
-	if lit, ok := pe.(*xq.IntLit); ok {
+	if lit, ok := pe.(*xq.IntLit); ok && lit.Val != 0 {
 		return predPlan{constPos: lit.Val}, nil
 	}
-	inner := env.withVar(".", "@position", "@last")
-	// rewrite position()/last() to the special vars
-	p, err := inner.compile(rewritePosLast(pe))
+	p, err := env.withVar(".", "@position", "@last").compile(pe)
 	if err != nil {
 		return predPlan{}, err
 	}
 	return predPlan{plan: p}, nil
 }
 
-// rewritePosLast substitutes position() and last() calls with the
-// predicate-scope variables.
-func rewritePosLast(e xq.Expr) xq.Expr {
-	switch n := e.(type) {
-	case *xq.FuncCall:
-		if len(n.Args) == 0 && (n.Name == "position" || n.Name == "fn:position") {
-			return &xq.VarRef{Name: "@position"}
-		}
-		if len(n.Args) == 0 && (n.Name == "last" || n.Name == "fn:last") {
-			return &xq.VarRef{Name: "@last"}
-		}
-		args := make([]xq.Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = rewritePosLast(a)
-		}
-		return &xq.FuncCall{Name: n.Name, Args: args}
-	case *xq.Comparison:
-		return &xq.Comparison{Op: n.Op, General: n.General, Node: n.Node,
-			L: rewritePosLast(n.L), R: rewritePosLast(n.R)}
-	case *xq.Logic:
-		return &xq.Logic{Op: n.Op, L: rewritePosLast(n.L), R: rewritePosLast(n.R)}
-	case *xq.Arith:
-		return &xq.Arith{Op: n.Op, L: rewritePosLast(n.L), R: rewritePosLast(n.R)}
-	default:
-		return e
+// keeps decides one candidate from the predicate's value for it: a
+// numeric value selects by position; everything else goes through the
+// effective boolean value.
+func (pp predPlan) keeps(val xdm.Sequence, pos int64) (bool, error) {
+	if pp.constPos != 0 {
+		return pos == pp.constPos, nil
 	}
+	if len(val) == 1 && xdm.IsNumeric(val[0]) {
+		f, _ := xdm.NumericValue(val[0])
+		return float64(pos) == f, nil
+	}
+	return xdm.EffectiveBoolean(val)
 }
 
-// evalPredKeep evaluates a predicate plan over the candidate inner loop
-// and returns the kept inner iteration numbers. Numeric predicate values
-// select by position; everything else goes through the effective boolean
-// value.
-func evalPredKeep(ec *ExecCtx, sc2 *scope, pp predPlan, posT *algebra.Table) (map[int64]bool, error) {
-	keep := map[int64]bool{}
-	posOf := map[int64]int64{}
-	for ri := 0; ri < posT.Len(); ri++ {
-		posOf[posT.Int(ri, 0)] = posT.Int(ri, 2)
-	}
-	if pp.constPos != 0 {
-		for k, p := range posOf {
-			keep[k] = p == pp.constPos
+// filterGroups applies one predicate to all candidates of all groups and
+// drops the ones it rejects. It opens the predicate's focus: an inner
+// loop with one iteration per candidate, loop-lifted under the enclosing
+// scope, in which ".", "@position" and "@last" are bound.
+func filterGroups[T xdm.Item](ec *ExecCtx, sc *scope, groups []candGroup[T], pp predPlan) error {
+	var vals map[int64]xdm.Sequence // the predicate's value per inner iteration
+	if pp.constPos == 0 {
+		inner := algebra.NewTable(algebra.ColIter)
+		mapTbl := algebra.NewTable("inner", "outer")
+		dot, posT, lastT := seqTable(), seqTable(), seqTable()
+		k := int64(0)
+		for _, g := range groups {
+			for i, it := range g.items {
+				k++
+				inner.Append(xdm.Integer(k))
+				mapTbl.Append(xdm.Integer(k), xdm.Integer(g.outer))
+				dot.AppendSeq(k, 1, it)
+				posT.AppendSeq(k, 1, xdm.Integer(i+1))
+				lastT.AppendSeq(k, 1, xdm.Integer(len(g.items)))
+			}
 		}
-		return keep, nil
-	}
-	t, err := pp.plan(ec, sc2)
-	if err != nil {
-		return nil, err
-	}
-	groups := groupByIter(t)
-	for k := range posOf {
-		seq := groups[k]
-		if len(seq) == 1 && xdm.IsNumeric(seq[0]) {
-			f, _ := xdm.NumericValue(seq[0])
-			keep[k] = float64(posOf[k]) == f
-			continue
-		}
-		b, err := xdm.EffectiveBoolean(seq)
+		sc2 := mapScopeInner(sc, inner, mapTbl).bind(".", dot).bind("@position", posT).bind("@last", lastT)
+		t, err := pp.plan(ec, sc2)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		keep[k] = b
+		vals = groupByIter(t)
 	}
-	return keep, nil
+	k := int64(0)
+	for gi := range groups {
+		var kept []T
+		for i, it := range groups[gi].items {
+			k++
+			keep, err := pp.keeps(vals[k], int64(i+1))
+			if err != nil {
+				return err
+			}
+			if keep {
+				kept = append(kept, it)
+			}
+		}
+		groups[gi].items = kept
+	}
+	return nil
 }
 
 // applyPred filters an item table by a predicate (for root filter
 // expressions: positions count within each iteration's sequence).
-func applyPred(ec *ExecCtx, sc *scope, t *algebra.Table, pp predPlan, _ bool) (*algebra.Table, error) {
+func applyPred(ec *ExecCtx, sc *scope, t *algebra.Table, pp predPlan) (*algebra.Table, error) {
 	sorted := algebra.SortBy(t, algebra.ColIter, algebra.ColPos)
-	inner := algebra.NewTable(algebra.ColIter)
-	mapTbl := algebra.NewTable("inner", "outer")
-	dot := seqTable()
-	posT := seqTable()
-	lastT := seqTable()
 	iters := sorted.IntsOf(algebra.ColIter)
 	xc := sorted.ColIdx(algebra.ColItem)
-	// group sizes per iter
-	sizes := map[int64]int64{}
-	for _, it := range iters {
-		sizes[it]++
-	}
-	counters := map[int64]int64{}
-	k := int64(0)
+	var groups []candGroup[xdm.Item]
 	for ri, it := range iters {
-		counters[it]++
-		k++
-		inner.Append(xdm.Integer(k))
-		mapTbl.Append(xdm.Integer(k), xdm.Integer(it))
-		dot.AppendSeq(k, 1, sorted.Item(ri, xc))
-		posT.AppendSeq(k, 1, xdm.Integer(counters[it]))
-		lastT.AppendSeq(k, 1, xdm.Integer(sizes[it]))
+		if ri == 0 || iters[ri-1] != it {
+			groups = append(groups, candGroup[xdm.Item]{outer: it})
+		}
+		g := &groups[len(groups)-1]
+		g.items = append(g.items, sorted.Item(ri, xc))
 	}
-	sc2 := mapScopeInner(sc, inner, mapTbl)
-	sc2 = sc2.bind(".", dot).bind("@position", posT).bind("@last", lastT)
-	keep, err := evalPredKeep(ec, sc2, pp, posT)
-	if err != nil {
+	if err := filterGroups(ec, sc, groups, pp); err != nil {
 		return nil, err
 	}
 	out := seqTable()
-	newPos := map[int64]int64{}
-	for ri, it := range iters {
-		if !keep[int64(ri+1)] {
-			continue
+	for _, g := range groups {
+		for p, it := range g.items {
+			out.AppendSeq(g.outer, int64(p+1), it)
 		}
-		newPos[it]++
-		out.AppendSeq(it, newPos[it], sorted.Item(ri, xc))
 	}
 	return out, nil
 }

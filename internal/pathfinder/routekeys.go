@@ -323,149 +323,13 @@ func (d *deriver) pathSig(p *xq.Path, shadow map[string]bool) (keySig, bool) {
 // collect gathers every keyed-access signature in the expression,
 // tracking variable bindings that shadow parameters.
 func (d *deriver) collect(e xq.Expr, shadow map[string]bool) {
-	walkExpr(e, shadow, func(x xq.Expr, shadow map[string]bool) {
+	xq.Walk(e, shadow, func(x xq.Expr, shadow map[string]bool) {
 		if p, ok := x.(*xq.Path); ok {
 			if sig, ok := d.pathSig(p, shadow); ok {
 				d.sigs = append(d.sigs, sig)
 			}
 		}
 	})
-}
-
-// walkExpr calls visit on e and on every expression below it, each with
-// the set of variables bound on the way down — shadow plus what the
-// enclosing for, let, quantifier and typeswitch clauses inside e bind
-// (valid during the call only). An execute at is walked through its
-// destination and arguments; the called function is the remote peer's to
-// evaluate, so its name is not visited as a local call.
-func walkExpr(e xq.Expr, shadow map[string]bool, visit func(xq.Expr, map[string]bool)) {
-	if e == nil {
-		return
-	}
-	visit(e, shadow)
-	walk := func(x xq.Expr) { walkExpr(x, shadow, visit) }
-	// binding walks x with one more variable in scope
-	binding := func(name string, x xq.Expr) {
-		sh := shadow
-		if name != "" {
-			sh = copyShadow(shadow)
-			sh[name] = true
-		}
-		walkExpr(x, sh, visit)
-	}
-	switch x := e.(type) {
-	case *xq.Path:
-		walk(x.Root)
-		for _, p := range x.RootPreds {
-			walk(p)
-		}
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				walk(p)
-			}
-		}
-	case *xq.FLWOR:
-		sh := copyShadow(shadow)
-		for _, cl := range x.Clauses {
-			switch c := cl.(type) {
-			case *xq.ForClause:
-				walkExpr(c.In, sh, visit)
-				sh[c.Var] = true
-				if c.PosVar != "" {
-					sh[c.PosVar] = true
-				}
-			case *xq.LetClause:
-				walkExpr(c.Val, sh, visit)
-				sh[c.Var] = true
-			}
-		}
-		walkExpr(x.Where, sh, visit)
-		for _, o := range x.OrderBy {
-			walkExpr(o.Key, sh, visit)
-		}
-		walkExpr(x.Return, sh, visit)
-	case *xq.Quantified:
-		walk(x.In)
-		binding(x.Var, x.Satisfies)
-	case *xq.Typeswitch:
-		walk(x.Operand)
-		for _, c := range x.Cases {
-			binding(c.Var, c.Ret)
-		}
-		binding(x.DefaultVar, x.Default)
-	case *xq.SeqExpr:
-		for _, it := range x.Items {
-			walk(it)
-		}
-	case *xq.RangeExpr:
-		walk(x.Lo)
-		walk(x.Hi)
-	case *xq.Arith:
-		walk(x.L)
-		walk(x.R)
-	case *xq.Unary:
-		walk(x.X)
-	case *xq.Comparison:
-		walk(x.L)
-		walk(x.R)
-	case *xq.Logic:
-		walk(x.L)
-		walk(x.R)
-	case *xq.UnionExpr:
-		walk(x.L)
-		walk(x.R)
-	case *xq.If:
-		walk(x.Cond)
-		walk(x.Then)
-		walk(x.Else)
-	case *xq.FuncCall:
-		for _, a := range x.Args {
-			walk(a)
-		}
-	case *xq.ExecuteAt:
-		walk(x.Dest)
-		if x.Call != nil {
-			for _, a := range x.Call.Args {
-				walk(a)
-			}
-		}
-	case *xq.DirElem:
-		for _, a := range x.Attrs {
-			for _, v := range a.Value {
-				walk(v)
-			}
-		}
-		for _, c := range x.Content {
-			walk(c)
-		}
-	case *xq.Enclosed:
-		walk(x.X)
-	case *xq.CompElem:
-		walk(x.Name)
-		walk(x.Content)
-	case *xq.CompAttr:
-		walk(x.Name)
-		walk(x.Value)
-	case *xq.CompText:
-		walk(x.Val)
-	case *xq.Cast:
-		walk(x.X)
-	case *xq.Castable:
-		walk(x.X)
-	case *xq.InstanceOf:
-		walk(x.X)
-	case *xq.Insert:
-		walk(x.Source)
-		walk(x.Target)
-	case *xq.Delete:
-		walk(x.Target)
-	case *xq.Replace:
-		walk(x.Target)
-		walk(x.Source)
-	case *xq.Rename:
-		walk(x.Target)
-		walk(x.NewName)
-	}
 }
 
 // shadowOf views a keyedness environment as a shadow set: every bound

@@ -1291,70 +1291,20 @@ func boolValued(e Expr) bool {
 	return false
 }
 
-// usesPosition reports whether the expression may consult position() or
-// last().
+// usesPosition reports whether position() or last() is called anywhere
+// below e — conservatively also in a nested predicate, which has its own
+// focus.
 func usesPosition(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *FuncCall:
-		switch n.Name {
-		case "position", "last", "fn:position", "fn:last":
-			return true
-		}
-		for _, a := range n.Args {
-			if usesPosition(a) {
-				return true
+	found := false
+	Walk(e, nil, func(x Expr, _ map[string]bool) {
+		if c, ok := x.(*FuncCall); ok {
+			switch strings.TrimPrefix(c.Name, "fn:") {
+			case "position", "last":
+				found = true
 			}
 		}
-	case *Comparison:
-		return usesPosition(n.L) || usesPosition(n.R)
-	case *Logic:
-		return usesPosition(n.L) || usesPosition(n.R)
-	case *Arith:
-		return usesPosition(n.L) || usesPosition(n.R)
-	case *Unary:
-		return usesPosition(n.X)
-	case *SeqExpr:
-		for _, it := range n.Items {
-			if usesPosition(it) {
-				return true
-			}
-		}
-	case *Path:
-		if usesPosition(n.Root) {
-			return true
-		}
-		for _, pr := range n.RootPreds {
-			if usesPosition(pr) {
-				return true
-			}
-		}
-		for _, st := range n.Steps {
-			for _, pr := range st.Preds {
-				if usesPosition(pr) {
-					return true
-				}
-			}
-		}
-	case *Quantified:
-		return usesPosition(n.In) || usesPosition(n.Satisfies)
-	case *FLWOR:
-		for _, cl := range n.Clauses {
-			switch c := cl.(type) {
-			case *ForClause:
-				if usesPosition(c.In) {
-					return true
-				}
-			case *LetClause:
-				if usesPosition(c.Val) {
-					return true
-				}
-			}
-		}
-		return usesPosition(n.Where) || usesPosition(n.Return)
-	}
-	return false
+	})
+	return found
 }
 
 // startsStep reports whether the current token can begin an axis step.

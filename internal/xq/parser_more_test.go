@@ -32,6 +32,22 @@ func TestFuseDescendantSteps(t *testing.T) {
 	if len(p.Steps) != 2 {
 		t.Errorf("nested position() wrongly fused: %+v", p.Steps)
 	}
+	// position()/last() below any node, under either prefix: NOT fused
+	for _, pred := range []string{
+		`not(if (position() = 1) then false() else true())`,
+		`(position() cast as xs:string) = "1"`,
+		`not(typeswitch (position()) case xs:integer return false() default return true())`,
+		`not(typeswitch (1) case $i as xs:integer return $i = last() default return true())`,
+		`exists(for $x in (1, 2) order by $x = fn:position() return $x)`,
+		`empty(<a>{last()}</a>/text())`,
+		`not(fn:last() instance of xs:string)`,
+		`exists((1 to position())[. = 2])`,
+	} {
+		e = mustParseExpr(t, `doc("d")//person[`+pred+`]`)
+		if p = e.(*Path); len(p.Steps) != 2 {
+			t.Errorf("[%s] wrongly fused: %+v", pred, p.Steps)
+		}
+	}
 	// explicit descendant-or-self is untouched
 	e = mustParseExpr(t, `$x/descendant-or-self::node()`)
 	p = e.(*Path)
@@ -46,6 +62,20 @@ func TestFusionSemanticsPreserved(t *testing.T) {
 	p := e.(*Path)
 	if p.Steps[0].Axis != xdm.AxisDescendant {
 		t.Error("//film[name=...] should fuse")
+	}
+	// the node kinds position() is looked for under do not themselves
+	// stop the fusion
+	for _, pred := range []string{
+		`not(if (@n = 1) then false() else true())`,
+		`(@n cast as xs:string) = "1"`,
+		`not(typeswitch (@n) case xs:integer return false() default return true())`,
+		`exists(for $x in (1, 2) order by $x = @n return $x)`,
+		`local:position(.) = 1`,
+	} {
+		e = mustParseExpr(t, `//film[`+pred+`]`)
+		if p = e.(*Path); len(p.Steps) != 1 || p.Steps[0].Axis != xdm.AxisDescendant {
+			t.Errorf("[%s] should fuse: %+v", pred, p.Steps)
+		}
 	}
 }
 
