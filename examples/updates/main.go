@@ -65,12 +65,10 @@ return execute at {$dst} {u:addFilm("Dr. No", "Sean Connery")}`)
 		res.Updating, res.Peers)
 	fmt.Println("films per peer after commit: ", count())
 
-	// the Prepare log on each peer shows what 2PC wrote to stable
-	// storage before committing
-	for uri, p := range peers {
-		for _, entry := range p.Server.PrepareLog() {
-			fmt.Printf("%s prepare log:\n%s\n", uri, entry)
-		}
+	// each participant applied the transaction once at Commit: its store
+	// moved from version 1 (the loaded document) to version 2
+	for _, uri := range []string{"xrpc://y.example.org", "xrpc://z.example.org"} {
+		fmt.Printf("%s store version after commit: %d\n", uri, peers[uri].Store.Version())
 	}
 
 	// repeatable read: both reads of y inside ONE query see the same

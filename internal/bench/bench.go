@@ -420,12 +420,9 @@ return execute at {$dst} {f:filmsByActor($actor)}`, reg)
 		return nil, err
 	}
 	trace := &pathfinder.Trace{}
-	ec := &pathfinder.ExecCtx{
-		Docs:       store.New(),
-		Bulk:       client.New(net),
-		Trace:      trace,
-		Sequential: true, // deterministic trace order
-	}
+	// the trace's order is fixed while the requests are built, so the
+	// concurrent dispatch leaves it deterministic
+	ec := &pathfinder.ExecCtx{Docs: store.New(), Bulk: client.New(net), Trace: trace}
 	if _, err := compiled.Eval(ec, nil); err != nil {
 		return nil, err
 	}

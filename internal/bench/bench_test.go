@@ -223,6 +223,17 @@ func TestFigure1Trace(t *testing.T) {
 			t.Errorf("figure 1 output missing %q", want)
 		}
 	}
+	// the peers are called concurrently, but the tables are fixed before
+	// dispatch: every run prints the same figure
+	for i := 1; i < 20; i++ {
+		again, err := RunFigure1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FormatFigure1(again); got != out {
+			t.Fatalf("run %d printed a different figure:\n%s\nfirst run:\n%s", i, got, out)
+		}
+	}
 }
 
 func TestClusterBenchVerifiesAndSplitsBytes(t *testing.T) {

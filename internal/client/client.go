@@ -2,8 +2,9 @@
 // function applications into SOAP XRPC request messages, posts them to
 // destination peers, and shreds response messages back into XDM
 // sequences. It supports single calls (one-at-a-time RPC, used by the
-// interpreter), Bulk RPC (used by the loop-lifting engine), parallel
-// multi-destination dispatch (§3.2 "Parallel & Out-Of-Order"), and the
+// interpreter), Bulk RPC (used by the loop-lifting engine), the
+// concurrent fan-out behind parallel multi-destination dispatch (§3.2
+// "Parallel & Out-Of-Order") and every other send to many peers, and the
 // getDocument system call used for data-shipping queries.
 package client
 
@@ -43,7 +44,7 @@ type Client struct {
 	mu    sync.Mutex
 	peers map[string]bool
 
-	// Stats for experiments (atomic: CallParallel dispatches to multiple
+	// Stats for experiments (atomic: Fanout sends to multiple
 	// destinations concurrently, and experiments may read while a
 	// dispatch is in flight).
 	Requests atomic.Int64
@@ -226,85 +227,40 @@ func (c *Client) sendRetried(dest string, body []byte) ([]byte, error) {
 	}
 }
 
-// CallOneAtATime performs the same set of calls as CallBulk but with one
-// synchronous request per call — the comparison mechanism from Table 2 of
-// the paper.
-func (c *Client) CallOneAtATime(dest string, br *BulkRequest) ([]xdm.Sequence, error) {
-	out := make([]xdm.Sequence, 0, len(br.Calls))
-	for ci, call := range br.Calls {
-		single := &BulkRequest{
-			ModuleURI:  br.ModuleURI,
-			AtHint:     br.AtHint,
-			Func:       br.Func,
-			Arity:      br.Arity,
-			Updating:   br.Updating,
-			ByFragment: br.ByFragment,
-			Calls:      [][]xdm.Sequence{call},
-			TraceID:    br.TraceID,
+// Fanout is the one way to send to many peers at once (§3.2's parallel
+// multi-destination Bulk RPC, a scatter's shard parts, §2.3's 2PC verbs):
+// it runs f(0) … f(n-1) concurrently — f(0) on the caller's goroutine,
+// so n == 1 starts no goroutine — and waits for every one of them, even
+// after a failure. When several fail, the lowest failing index and its
+// error are returned, deterministically; failed is -1 when none did.
+// Each f writes only its own index's results; what to do about a
+// failure (abort, close, carry on) stays with the caller.
+func Fanout(n int, f func(i int) error) (failed int, err error) {
+	if n <= 1 {
+		if n == 1 {
+			if err := f(0); err != nil {
+				return 0, err
+			}
 		}
-		if br.SeqNrs != nil {
-			single.SeqNrs = []int64{br.SeqNrs[ci]}
-		}
-		res, err := c.CallBulk(dest, single)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res[0])
+		return -1, nil
 	}
-	return out, nil
-}
-
-// BulkByDest is one destination's share of a multi-destination bulk
-// dispatch, with the original call indexes for result re-mapping
-// (the map_p tables of Figure 1).
-type BulkByDest struct {
-	Dest    string
-	Request *BulkRequest
-	// OrigIdx[i] is the position in the overall call list that this
-	// destination's call i came from.
-	OrigIdx []int
-}
-
-// CallParallel dispatches bulk requests to multiple destinations in
-// parallel and re-unites results in original call order (Figure 1:
-// parallel Bulk RPC with mapping tables). Results[origIdx] receives the
-// corresponding sequence.
-func (c *Client) CallParallel(parts []*BulkByDest, total int) ([]xdm.Sequence, error) {
-	return DispatchParallel(c.CallBulk, parts, total)
-}
-
-// DispatchParallel fans parts out concurrently through callBulk and
-// re-unites results in original call order; when several parts fail,
-// the error of the lowest part index is returned, deterministically.
-// Shared by Client.CallParallel and the cluster coordinator (whose
-// callBulk may itself scatter a part across shards).
-func DispatchParallel(callBulk func(dest string, br *BulkRequest) ([]xdm.Sequence, error),
-	parts []*BulkByDest, total int) ([]xdm.Sequence, error) {
-
-	results := make([]xdm.Sequence, total)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make([]error, len(parts))
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *BulkByDest) {
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
 			defer wg.Done()
-			res, err := callBulk(part.Dest, part.Request)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for j, seq := range res {
-				results[part.OrigIdx[j]] = seq
-			}
-		}(i, part)
+			errs[i] = f(i)
+		}()
 	}
+	errs[0] = f(0)
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return i, err
 		}
 	}
-	return results, nil
+	return -1, nil
 }
 
 // FetchDocument retrieves a remote document by path from dest using the

@@ -2,12 +2,16 @@ package client
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
@@ -61,39 +65,90 @@ func TestCallSingle(t *testing.T) {
 	}
 }
 
-func TestCallOneAtATimeCount(t *testing.T) {
-	net := netsim.NewNetwork(0, 0)
-	srv := newServer(t)
-	net.Register("xrpc://y", srv)
-	cl := New(net)
-	calls := [][]xdm.Sequence{
-		{{xdm.String("Sean Connery")}},
-		{{xdm.String("Julie Andrews")}},
-		{{xdm.String("Gerard Depardieu")}},
+// TestFanout pins the one fan-out's contract; run it under -race.
+func TestFanout(t *testing.T) {
+	boom := func(i int) error { return fmt.Errorf("f(%d) failed", i) }
+	for _, tc := range []struct {
+		name       string
+		n          int
+		fail       []int // indexes whose f fails
+		wantFailed int
+	}{
+		{"none", 0, nil, -1},
+		{"one ok", 1, nil, -1},
+		{"one failing", 1, []int{0}, 0},
+		{"many ok", 8, nil, -1},
+		{"many, one failing", 8, []int{5}, 5},
+		{"many, two failing: lower reported", 8, []int{6, 2}, 2},
+		{"many, first and last failing", 8, []int{7, 0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fails := map[int]bool{}
+			for _, i := range tc.fail {
+				fails[i] = true
+			}
+			ran := make([]atomic.Bool, tc.n)
+			failed, err := Fanout(tc.n, func(i int) error {
+				ran[i].Store(true)
+				if fails[i] {
+					return boom(i)
+				}
+				return nil
+			})
+			if failed != tc.wantFailed {
+				t.Errorf("failed = %d, want %d", failed, tc.wantFailed)
+			}
+			if tc.wantFailed < 0 && err != nil {
+				t.Errorf("err = %v, want nil", err)
+			}
+			if tc.wantFailed >= 0 && (err == nil || err.Error() != boom(tc.wantFailed).Error()) {
+				t.Errorf("err = %v, want %v", err, boom(tc.wantFailed))
+			}
+			// an early failure cancels nothing: every f ran
+			for i := range ran {
+				if !ran[i].Load() {
+					t.Errorf("f(%d) never ran", i)
+				}
+			}
+		})
 	}
-	br := &BulkRequest{
-		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
-		Func: "filmsByActor", Arity: 1, Calls: calls,
+
+	// the higher index failing first in time does not change the answer
+	failed, err := Fanout(4, func(i int) error {
+		if i == 1 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if i == 1 || i == 3 {
+			return boom(i)
+		}
+		return nil
+	})
+	if failed != 1 || err == nil || err.Error() != boom(1).Error() {
+		t.Errorf("late low failure: failed = %d, err = %v; want 1, %v", failed, err, boom(1))
 	}
-	res, err := cl.CallOneAtATime("xrpc://y", br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	if srv.ServedRequests != 3 {
-		t.Errorf("requests = %d, want 3", srv.ServedRequests)
-	}
-	if len(res[0]) != 2 || len(res[1]) != 0 || len(res[2]) != 1 {
-		t.Errorf("result sizes = %d,%d,%d", len(res[0]), len(res[1]), len(res[2]))
+
+	// n == 1 runs f on the caller's goroutine
+	caller := goroutineID()
+	var ranOn uint64
+	Fanout(1, func(int) error { ranOn = goroutineID(); return nil })
+	if ranOn != caller {
+		t.Errorf("n == 1 ran on goroutine %d, caller is %d", ranOn, caller)
 	}
 }
 
-// The stats counters are mutated by every CallBulk, and CallParallel
-// issues CallBulk from one goroutine per destination — plus experiments
-// read the counters while a dispatch may still be in flight. Run under
-// -race (make race / CI) this pins the counters as data-race-free.
+// goroutineID parses the current goroutine's id out of its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	line := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _ := strconv.ParseUint(line[:strings.IndexByte(line, ' ')], 10, 64)
+	return id
+}
+
+// The stats counters are mutated by every CallBulk, and Fanout issues
+// CallBulk from one goroutine per destination — plus experiments read
+// the counters while a dispatch may still be in flight. Run under -race
+// (make race / CI) this pins the counters as data-race-free.
 func TestStatsRaceUnderParallelDispatch(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	const peers = 8
@@ -104,18 +159,6 @@ func TestStatsRaceUnderParallelDispatch(t *testing.T) {
 		dests = append(dests, dest)
 	}
 	cl := New(net)
-	var parts []*BulkByDest
-	for p, dest := range dests {
-		parts = append(parts, &BulkByDest{
-			Dest: dest,
-			Request: &BulkRequest{
-				ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
-				Func: "filmsByActor", Arity: 1,
-				Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
-			},
-			OrigIdx: []int{p},
-		})
-	}
 	done := make(chan struct{})
 	go func() { // concurrent reader, as the experiment harnesses do
 		defer close(done)
@@ -123,13 +166,23 @@ func TestStatsRaceUnderParallelDispatch(t *testing.T) {
 			_ = cl.Requests.Load() + cl.Sent.Load() + cl.Received.Load()
 		}
 	}()
-	res, err := cl.CallParallel(parts, peers)
+	res := make([][]xdm.Sequence, peers)
+	_, err := Fanout(peers, func(p int) (err error) {
+		res[p], err = cl.CallBulk(dests[p], &BulkRequest{
+			ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
+			Func: "filmsByActor", Arity: 1,
+			Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
+		})
+		return err
+	})
 	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != peers {
-		t.Fatalf("results = %d", len(res))
+	for p := range res {
+		if len(res[p]) != 1 || len(res[p][0]) != 2 {
+			t.Fatalf("peer %d: results = %v", p, res[p])
+		}
 	}
 	if got := cl.Requests.Load(); got != peers {
 		t.Errorf("requests = %d, want %d", got, peers)

@@ -12,6 +12,7 @@ import (
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
+	"xrpc/internal/pathfinder"
 	"xrpc/internal/server"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
@@ -89,7 +90,7 @@ func encodeResults(br *client.BulkRequest, res []xdm.Sequence) []byte {
 
 func TestPartitionContiguousRanges(t *testing.T) {
 	cfg := xmark.Config{Persons: 10, Seed: 1}
-	parts, err := Partition("persons.xml", xmark.GeneratePersons(cfg), 3)
+	parts, _, _, err := PartitionWithMeta("persons.xml", xmark.GeneratePersons(cfg), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestPartitionContiguousRanges(t *testing.T) {
 }
 
 func TestPartitionMoreShardsThanChildren(t *testing.T) {
-	parts, err := Partition("d.xml", "<r><e>1</e><e>2</e></r>", 4)
+	parts, _, _, err := PartitionWithMeta("d.xml", "<r><e>1</e><e>2</e></r>", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPartitionMoreShardsThanChildren(t *testing.T) {
 func TestPartitionReplicatesUnrepeatedContent(t *testing.T) {
 	// no repeated subtree: every shard keeps the whole (reference)
 	// document so local joins against it still work
-	parts, err := Partition("ref.xml", "<config><limit>10</limit></config>", 3)
+	parts, _, _, err := PartitionWithMeta("ref.xml", "<config><limit>10</limit></config>", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +150,20 @@ func TestPartitionReplicatesUnrepeatedContent(t *testing.T) {
 
 func TestPartitionShardMatchesPartition(t *testing.T) {
 	xml := xmark.GeneratePersons(xmark.Config{Persons: 7, Seed: 2})
-	all, err := Partition("persons.xml", xml, 3)
+	all, _, _, err := PartitionWithMeta("persons.xml", xml, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range all {
-		one, err := PartitionShard("persons.xml", xml, k, 3)
+		one, _, _, err := PartitionShardWithMeta("persons.xml", xml, k, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if one != all[k] {
-			t.Fatalf("PartitionShard(%d) differs from Partition[%d]", k, k)
+			t.Fatalf("PartitionShardWithMeta(%d) differs from PartitionWithMeta[%d]", k, k)
 		}
 	}
-	if _, err := PartitionShard("persons.xml", xml, 3, 3); err == nil {
+	if _, _, _, err := PartitionShardWithMeta("persons.xml", xml, 3, 3); err == nil {
 		t.Fatal("out-of-range shard index not rejected")
 	}
 }
@@ -218,12 +219,30 @@ func TestScatterThroughBulkCallerInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOne, err := co.CallOneAtATime(DefaultClusterURI, br)
+	// the engine's one-at-a-time mode (Table 2) over the coordinator:
+	// one scattered request per call, the same answer
+	compiled, err := pathfinder.Compile(`
+import module namespace b="functions_b" at "http://example.org/b.xq";
+for $pid in $pids return execute at {"xrpc://cluster"} {b:Q_B3($pid)}`, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeResults(br, viaBulk), encodeResults(br, viaOne)) {
-		t.Fatal("CallBulk and CallOneAtATime disagree on the cluster URI")
+	var pids, flat xdm.Sequence
+	for ci, call := range br.Calls {
+		pids = append(pids, call[0]...)
+		flat = append(flat, viaBulk[ci]...)
+	}
+	counted := &countingCaller{BulkCaller: co}
+	viaOne, err := compiled.Eval(&pathfinder.ExecCtx{Bulk: counted, OneAtATime: true},
+		map[string]xdm.Sequence{"pids": pids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xdm.SerializeSequence(viaOne) != xdm.SerializeSequence(flat) {
+		t.Fatal("CallBulk and the one-at-a-time mode disagree on the cluster URI")
+	}
+	if counted.requests != len(br.Calls) {
+		t.Fatalf("one-at-a-time mode sent %d requests for %d calls", counted.requests, len(br.Calls))
 	}
 
 	// a non-cluster destination passes through to the underlying client
@@ -240,6 +259,17 @@ func TestScatterThroughBulkCallerInterface(t *testing.T) {
 	if !bytes.Equal(encodeResults(br, direct), encodeResults(br, viaBulk)) {
 		t.Fatal("pass-through destination differs from scattered result")
 	}
+}
+
+// countingCaller counts the Bulk RPCs an evaluation sends.
+type countingCaller struct {
+	pathfinder.BulkCaller
+	requests int
+}
+
+func (c *countingCaller) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
+	c.requests++
+	return c.BulkCaller.CallBulk(dest, br)
 }
 
 func TestUpdatingRequestRejected(t *testing.T) {
@@ -442,7 +472,7 @@ func TestCoordinatorOverHTTP(t *testing.T) {
 	want := singlePeerBaseline(t, reg, auctions, br)
 
 	const shards = 3
-	parts, err := Partition("auctions.xml", auctions, shards)
+	parts, _, _, err := PartitionWithMeta("auctions.xml", auctions, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,10 @@ func (s *RouteSpec) op() string {
 // commit, or reports a version different from its primary's is evicted
 // from the routing table instead of serving stale reads.
 //
-// Error semantics mirror the server's parallel bulk executor: when
-// several shards fail (after replica failover), the error of the
-// lowest shard index is reported, deterministically.
+// Error semantics mirror the server's parallel bulk executor: every
+// fan-out goes through client.Fanout, so when several shards fail
+// (after replica failover), the error of the lowest shard index is
+// reported, deterministically.
 type Coordinator struct {
 	// ClusterURI is the virtual scatter-gather destination
 	// (DefaultClusterURI if empty).
@@ -194,36 +195,6 @@ func (co *Coordinator) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequ
 	return co.Scatter(br)
 }
 
-// CallOneAtATime implements pathfinder.BulkCaller (the Table 2
-// comparison mechanism): one scattered (or routed) request per call.
-func (co *Coordinator) CallOneAtATime(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
-	if dest != co.clusterURI() {
-		return co.Client.CallOneAtATime(dest, br)
-	}
-	out := make([]xdm.Sequence, 0, len(br.Calls))
-	for ci, call := range br.Calls {
-		single := *br
-		single.Calls = [][]xdm.Sequence{call}
-		single.SeqNrs = nil
-		if br.SeqNrs != nil {
-			single.SeqNrs = []int64{br.SeqNrs[ci]}
-		}
-		res, err := co.CallBulk(dest, &single)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res[0])
-	}
-	return out, nil
-}
-
-// CallParallel implements pathfinder.BulkCaller: parts are dispatched
-// concurrently (each part may itself be a scatter), results re-united
-// in original call order, and the error of the lowest part index wins.
-func (co *Coordinator) CallParallel(parts []*client.BulkByDest, total int) ([]xdm.Sequence, error) {
-	return client.DispatchParallel(co.CallBulk, parts, total)
-}
-
 // ScatterBuffered is the collect-then-concat reference implementation
 // of the read path: over the same plan and parts as the pipeline, every
 // part's full response is decoded into memory (one callShard per part),
@@ -256,22 +227,17 @@ func (co *Coordinator) ScatterBuffered(br *client.BulkRequest) ([]xdm.Sequence, 
 // response decoded whole. The error of the lowest shard index wins.
 func (r *readOp) callBuffered() ([][]xdm.Sequence, error) {
 	parts := r.dec.parts
-	results := make([][]xdm.Sequence, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
+	bodies := make([][]byte, len(parts))
 	for i, p := range parts {
-		body := r.body(p.br)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = r.co.callShard(p.shard, body, len(p.br.Calls))
-		}()
+		bodies[i] = r.body(p.br)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", parts[i].shard, err)
-		}
+	results := make([][]xdm.Sequence, len(parts))
+	failed, err := client.Fanout(len(parts), func(i int) (err error) {
+		results[i], err = r.co.callShard(parts[i].shard, bodies[i], len(parts[i].br.Calls))
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %d: %w", parts[failed].shard, err)
 	}
 	return results, nil
 }
@@ -430,21 +396,13 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 	// safe answer is to abort the transaction, not to mutate a replica
 	// that the primary will diverge from.
 	results := make([][]xdm.Sequence, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *shardPart) {
-			defer wg.Done()
-			results[i], errs[i] = txCl.CallBulk(primaries[i], part.br)
-		}(i, part)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			tc.AbortAll(primaries)
-			return nil, fmt.Errorf("cluster: shard %d: %w", parts[i].shard, err)
-		}
+	failed, err := client.Fanout(len(parts), func(i int) (err error) {
+		results[i], err = txCl.CallBulk(primaries[i], parts[i].br)
+		return err
+	})
+	if err != nil {
+		tc.AbortAll(primaries)
+		return nil, fmt.Errorf("cluster: shard %d: %w", parts[failed].shard, err)
 	}
 
 	// 2PC phase 1 over the touched primaries; the Prepare acks carry the
@@ -468,13 +426,7 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 			continue // empty PUL: replicas stay consistent without it
 		}
 		for _, uri := range co.Table.Replicas(part.shard)[1:] {
-			_, err := txCl.CallBulk(uri, &client.BulkRequest{
-				ModuleURI: txn.WSATModule,
-				Func:      "AdoptPUL",
-				Arity:     1,
-				Calls:     [][]xdm.Sequence{{xdm.Singleton(pulNode)}},
-			})
-			if err != nil {
+			if _, err := tc.Verb(uri, "AdoptPUL", xdm.Singleton(pulNode)); err != nil {
 				co.evict(part.shard, uri, fmt.Errorf("PUL replication failed: %w", err))
 				continue
 			}
@@ -497,23 +449,20 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 		if !haveWant {
 			// the primary's own commit failed (a heuristic outcome): the
 			// replica must not commit against an unverifiable primary
-			// state — release its prepared snapshot and evict it
-			co.abortPeer(txCl, rep.uri)
+			// state — release its prepared snapshot (best-effort: an
+			// unreachable replica expires the queryID via its timeout
+			// instead) and evict it
+			_, _ = tc.Verb(rep.uri, "Abort")
 			co.evict(rep.shard, rep.uri,
 				fmt.Errorf("primary commit failed; replica consistency unverifiable"))
 			continue
 		}
-		res, err := txCl.CallBulk(rep.uri, &client.BulkRequest{
-			ModuleURI: txn.WSATModule,
-			Func:      "Commit",
-			Arity:     0,
-			Calls:     [][]xdm.Sequence{{}},
-		})
+		res, err := tc.Verb(rep.uri, "Commit")
 		if err != nil {
 			co.evict(rep.shard, rep.uri, fmt.Errorf("replica commit failed: %w", err))
 			continue
 		}
-		got, ok := commitVersion(res[0])
+		got, ok := commitVersion(res)
 		if !ok || got != want {
 			co.evict(rep.shard, rep.uri,
 				fmt.Errorf("version fence: replica at %d, primary at %d", got, want))
@@ -527,17 +476,6 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 		}
 	}
 	return merged, commitErr
-}
-
-// abortPeer releases a peer's deferred transaction state, best-effort
-// (an unreachable peer expires the queryID via its timeout instead).
-func (co *Coordinator) abortPeer(txCl *client.Client, uri string) {
-	_, _ = txCl.CallBulk(uri, &client.BulkRequest{
-		ModuleURI: txn.WSATModule,
-		Func:      "Abort",
-		Arity:     0,
-		Calls:     [][]xdm.Sequence{{}},
-	})
 }
 
 // evict demotes a replica: removed from the routing table (so it stops

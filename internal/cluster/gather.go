@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"xrpc/internal/client"
@@ -131,7 +130,6 @@ func (r *readOp) run(parts []*shardPart, out sink) error {
 type partStream struct {
 	part    *shardPart
 	sr      *client.StreamedResponse
-	err     error
 	openDur time.Duration // send → response stream open
 	next    int           // index into part.orig of the next sequence to pull
 	decoded bool          // some item of it was pulled as a tree, not as bytes
@@ -159,7 +157,7 @@ func (co *Coordinator) walkReplicas(shard int, send func(uri string) error) erro
 // bytes, never re-encoding — and waits for the opens (header only: the
 // responses themselves stream afterwards). Failover happens only here:
 // once a stream is being merged its bytes are already part of the output
-// and a mid-stream failure aborts the read. Waiting keeps error
+// and a mid-stream failure aborts the read. client.Fanout keeps error
 // selection deterministic: parts are in ascending shard order, so when
 // several fail to open the lowest shard index is reported, matching the
 // buffered reference. On any failure every opened stream is closed. The
@@ -172,34 +170,32 @@ func (r *readOp) open(parts []*shardPart) ([]*partStream, error) {
 		window = DefaultMaxShardBuffer
 	}
 	streams := make([]*partStream, len(parts))
-	var wg sync.WaitGroup
+	backing := make([]partStream, len(parts))
+	bodies := make([][]byte, len(parts))
 	for i, p := range parts {
-		ps := &partStream{part: p}
-		streams[i] = ps
-		body := r.body(p.br)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			ps.err = co.walkReplicas(p.shard, func(uri string) (err error) {
-				ps.sr, err = r.cl.SendStreamed(uri, body, len(p.br.Calls), window)
-				return err
-			})
-			ps.openDur = time.Since(t0)
-			if m := co.Metrics; m != nil && p.shard < len(m.Open) {
-				m.Open[p.shard].ObserveDuration(ps.openDur)
-			}
-			if ps.err == nil {
-				co.notePlannerCall(p.shard, ps.openDur)
-			}
-		}()
+		backing[i].part = p
+		streams[i] = &backing[i]
+		bodies[i] = r.body(p.br) // r.body fills a map: not from the concurrent sends
 	}
-	wg.Wait()
-	for _, ps := range streams {
-		if ps.err != nil {
-			closeStreams(streams)
-			return nil, fmt.Errorf("cluster: shard %d: %w", ps.part.shard, ps.err)
+	failed, err := client.Fanout(len(parts), func(i int) error {
+		ps, shard := streams[i], parts[i].shard
+		t0 := time.Now()
+		err := co.walkReplicas(shard, func(uri string) (err error) {
+			ps.sr, err = r.cl.SendStreamed(uri, bodies[i], len(parts[i].br.Calls), window)
+			return err
+		})
+		ps.openDur = time.Since(t0)
+		if m := co.Metrics; m != nil && shard < len(m.Open) {
+			m.Open[shard].ObserveDuration(ps.openDur)
 		}
+		if err == nil {
+			co.notePlannerCall(shard, ps.openDur)
+		}
+		return err
+	})
+	if err != nil {
+		closeStreams(streams)
+		return nil, fmt.Errorf("cluster: shard %d: %w", parts[failed].shard, err)
 	}
 	return streams, nil
 }

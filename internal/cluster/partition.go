@@ -27,39 +27,30 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// Partition splits an XML document into n shard documents by subtree
-// ranges. A "container" is an element whose element children all share
-// one name (with at most whitespace text between them) — people/person,
-// closed_auctions/closed_auction, films/film. Shard k of n receives the
-// k-th contiguous slice of every container's children, so concatenating
-// per-shard query results in shard order reproduces document order.
+// PartitionWithMeta splits an XML document into n shard documents by
+// subtree ranges. A "container" is an element whose element children all
+// share one name (with at most whitespace text between them) —
+// people/person, closed_auctions/closed_auction, films/film. Shard k of
+// n receives the k-th contiguous slice of every container's children, so
+// concatenating per-shard query results in shard order reproduces
+// document order.
 //
 // Content outside containers (the enclosing structure, and any document
 // with no repeated subtrees at all) is replicated to every shard:
 // small reference documents stay fully available next to the sharded
 // fact data, at the cost of scatter-gather identity only holding for
 // queries that select inside partitioned containers.
-func Partition(name, xml string, n int) ([]string, error) {
-	texts, _, err := PartitionWithRanges(name, xml, n)
-	return texts, err
-}
-
-// PartitionWithRanges splits like Partition and additionally emits each
-// shard's partition metadata: one KeyRange per container per shard,
-// recording the child-ordinal slice the shard received and — when the
-// container's children carry a common attribute whose values are
-// strictly increasing in natural order (persons.xml ids, for example) —
-// the key bounds of that slice. The ranges are what a RoutingTable
-// needs to route single-shard updates and prune key-predicate scatters.
-func PartitionWithRanges(name, xml string, n int) ([]string, [][]KeyRange, error) {
-	texts, ranges, _, err := PartitionWithMeta(name, xml, n)
-	return texts, ranges, err
-}
-
-// PartitionWithMeta splits like PartitionWithRanges and additionally
-// emits the document's element-name census (one ElemLoc per container
-// row name; identical for every shard) — the metadata FindContainer
-// needs before a compiler-derived route may prune anything.
+//
+// Beside the texts it returns each shard's partition metadata: one
+// KeyRange per container per shard, recording the child-ordinal slice
+// the shard received and — when the container's children carry a common
+// attribute whose values are strictly increasing in natural order
+// (persons.xml ids, for example) — the key bounds of that slice. The
+// ranges are what a RoutingTable needs to route single-shard updates and
+// prune key-predicate scatters. Last comes the document's element-name
+// census (one ElemLoc per container row name; identical for every
+// shard) — the metadata FindContainer needs before a compiler-derived
+// route may prune anything.
 func PartitionWithMeta(name, xml string, n int) ([]string, [][]KeyRange, []ElemLoc, error) {
 	if n < 1 {
 		return nil, nil, nil, fmt.Errorf("cluster: partition into %d shards", n)
@@ -76,23 +67,11 @@ func PartitionWithMeta(name, xml string, n int) ([]string, [][]KeyRange, []ElemL
 	return texts, ranges, docElemLocs(doc, name), nil
 }
 
-// PartitionShard returns only shard k of n (what one xrpcd -shard k
-// -of n peer loads), without materializing the other shards.
-func PartitionShard(name, xml string, k, n int) (string, error) {
-	text, _, err := PartitionShardWithRanges(name, xml, k, n)
-	return text, err
-}
-
-// PartitionShardWithRanges returns shard k of n plus its partition
-// metadata (what xrpcd -shard k -of n reports via shardInfo).
-func PartitionShardWithRanges(name, xml string, k, n int) (string, []KeyRange, error) {
-	text, ranges, _, err := PartitionShardWithMeta(name, xml, k, n)
-	return text, ranges, err
-}
-
-// PartitionShardWithMeta returns shard k of n, its partition metadata,
-// and the document's element-name census (shard-independent; every
-// shard reports the same census via shardInfo).
+// PartitionShardWithMeta returns only shard k of n (what one xrpcd
+// -shard k -of n peer loads), without materializing the other shards,
+// with its partition metadata and the document's element-name census
+// (shard-independent; every shard reports the same census via
+// shardInfo).
 func PartitionShardWithMeta(name, xml string, k, n int) (string, []KeyRange, []ElemLoc, error) {
 	if k < 0 || k >= n {
 		return "", nil, nil, fmt.Errorf("cluster: shard %d out of range [0,%d)", k, n)

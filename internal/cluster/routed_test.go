@@ -286,7 +286,7 @@ func TestRoutingTableValidate(t *testing.T) {
 
 func TestPartitionEmitsRanges(t *testing.T) {
 	xml := xmark.GeneratePersons(xmark.Config{Persons: 10, Seed: 1})
-	_, ranges, err := PartitionWithRanges("persons.xml", xml, 3)
+	_, ranges, _, err := PartitionWithMeta("persons.xml", xml, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,18 +319,18 @@ func TestPartitionEmitsRanges(t *testing.T) {
 
 	// per-shard partitioning emits the identical metadata
 	for k := 0; k < 3; k++ {
-		_, one, err := PartitionShardWithRanges("persons.xml", xml, k, 3)
+		_, one, _, err := PartitionShardWithMeta("persons.xml", xml, k, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(one) != 1 || one[0] != ranges[k][0] {
-			t.Fatalf("PartitionShardWithRanges(%d) metadata %+v differs from PartitionWithRanges %+v",
+			t.Fatalf("PartitionShardWithMeta(%d) metadata %+v differs from PartitionWithMeta %+v",
 				k, one, ranges[k])
 		}
 	}
 
 	// auctions have no common child attribute: container present, unkeyed
-	_, aranges, err := PartitionWithRanges("auctions.xml",
+	_, aranges, _, err := PartitionWithMeta("auctions.xml",
 		xmark.GenerateAuctions(xmark.PaperConfig(0.02)), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -424,18 +424,18 @@ func TestRoutedUpdateCommitsVia2PCWithReadYourWrites(t *testing.T) {
 		t.Fatalf("shard 0 primary served %d requests for an update it does not own", reqs)
 	}
 
-	// both touched primaries went through Prepare (stable log written)
 	for _, s := range []int{1, 2} {
-		if logs := dep.Servers[s][0].PrepareLog(); len(logs) != 1 || !strings.Contains(logs[0], "replaceValue") {
-			t.Fatalf("shard %d primary prepare log = %q, want one replaceValue entry", s, logs)
+		// both touched primaries committed the transaction once, and each
+		// replica adopted the forwarded PUL and committed it to the same
+		// store version (the version fence)
+		if pv, rv := dep.Stores[s][0].Version(), dep.Stores[s][1].Version(); pv != 2 || rv != 2 {
+			t.Fatalf("shard %d: primary/replica versions %d/%d after commit, want 2/2", s, pv, rv)
 		}
-		// replica adopted the forwarded PUL
-		if logs := dep.Servers[s][1].PrepareLog(); len(logs) != 1 || !strings.Contains(logs[0], "ADOPT") {
-			t.Fatalf("shard %d replica log = %q, want an ADOPT entry", s, logs)
-		}
-		// version fence: replica committed to the same store version
-		if pv, rv := dep.Stores[s][0].Version(), dep.Stores[s][1].Version(); pv != rv {
-			t.Fatalf("shard %d: primary version %d != replica version %d after commit", s, pv, rv)
+		// the 2PC left no transaction state behind
+		for r, srv := range dep.Servers[s] {
+			if n := srv.IsolatedQueries(); n != 0 {
+				t.Fatalf("shard %d replica %d holds %d isolated queries after commit", s, r, n)
+			}
 		}
 		// no replica was evicted
 		if got := len(dep.Table.Replicas(s)); got != 2 {

@@ -543,14 +543,6 @@ func (r *callRecorder) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequ
 	return out, nil
 }
 
-func (r *callRecorder) CallOneAtATime(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
-	return r.CallBulk(dest, br)
-}
-
-func (r *callRecorder) CallParallel(parts []*client.BulkByDest, total int) ([]xdm.Sequence, error) {
-	return client.DispatchParallel(r.CallBulk, parts, total)
-}
-
 // TestStaticContextAgreement: a loop-lifted plan is lifted from the
 // interpreter's static context, so on everything a prolog can say — which
 // module an import resolves to, which declaration a name means, how an

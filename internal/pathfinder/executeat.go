@@ -82,6 +82,14 @@ func (env *staticEnv) compileExecuteAt(n *xq.ExecuteAt) (Plan, error) {
 	}, nil
 }
 
+// destPart is one destination's Bulk RPC, with the global index of each
+// of its calls for re-uniting the results (the map_p tables of Figure 1).
+type destPart struct {
+	dest string
+	br   *client.BulkRequest
+	orig []int // orig[j] = global call index of the part's call j
+}
+
 // execBulkRPC is the runtime of the Figure 2 rule.
 func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.Table,
 	decl *xq.FuncDecl, moduleURI, atHint string) (*algebra.Table, error) {
@@ -123,8 +131,10 @@ func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.T
 		trace.PerPeer = nil
 	}
 
-	// build one Bulk RPC per peer: map table + per-parameter req tables
-	parts := make([]*client.BulkByDest, 0, len(peers))
+	// build one Bulk RPC per peer: map table + per-parameter req tables.
+	// Everything order-dependent — the peer order, each part's calls and
+	// the traced tables — is fixed here, before any dispatch.
+	parts := make([]destPart, 0, len(peers))
 	origOf := map[int64]int{}
 	for i, it := range liveIters {
 		origOf[it] = i
@@ -215,42 +225,42 @@ func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.T
 				}
 			}
 		}
-		parts = append(parts, &client.BulkByDest{Dest: peer, Request: br, OrigIdx: origIdx})
+		parts = append(parts, destPart{dest: peer, br: br, orig: origIdx})
 		if trace != nil {
 			trace.PerPeer = append(trace.PerPeer, &PeerTrace{Peer: peer, Map: mapTbl, Req: reqTbls})
 		}
 	}
 
-	// dispatch: bulk in parallel (default), sequential bulk, or
-	// one-at-a-time (the Table 2 comparison mode)
+	// dispatch: one Bulk RPC per peer, all peers at once (the lowest
+	// peer's error wins), or — the Table 2 comparison mode — one
+	// synchronous RPC per call
 	callResults := make([]xdm.Sequence, totalCalls)
-	switch {
-	case ec.OneAtATime:
+	if ec.OneAtATime {
 		for _, part := range parts {
-			res, err := ec.Bulk.CallOneAtATime(part.Dest, part.Request)
-			if err != nil {
-				return nil, err
-			}
-			for j, seq := range res {
-				callResults[part.OrigIdx[j]] = seq
+			for j, call := range part.br.Calls {
+				single := *part.br
+				single.Calls = [][]xdm.Sequence{call}
+				if part.br.SeqNrs != nil {
+					single.SeqNrs = part.br.SeqNrs[j : j+1]
+				}
+				res, err := ec.Bulk.CallBulk(part.dest, &single)
+				if err != nil {
+					return nil, err
+				}
+				callResults[part.orig[j]] = res[0]
 			}
 		}
-	case ec.Sequential || len(parts) <= 1:
-		for _, part := range parts {
-			res, err := ec.Bulk.CallBulk(part.Dest, part.Request)
-			if err != nil {
-				return nil, err
-			}
-			for j, seq := range res {
-				callResults[part.OrigIdx[j]] = seq
-			}
-		}
-	default:
-		res, err := ec.Bulk.CallParallel(parts, totalCalls)
+	} else if _, err := client.Fanout(len(parts), func(i int) error {
+		res, err := ec.Bulk.CallBulk(parts[i].dest, parts[i].br)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		callResults = res
+		for j, seq := range res {
+			callResults[parts[i].orig[j]] = seq
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	// fan results back out to the iterations
 	results := make([]xdm.Sequence, len(liveIters))
@@ -270,13 +280,13 @@ func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.T
 		for pi, part := range parts {
 			msg := algebra.NewTable("iterp", algebra.ColPos, algebra.ColItem)
 			res := seqTable()
-			for j, gc := range part.OrigIdx {
+			for j, gc := range part.orig {
 				for p, item := range callResults[gc] {
 					msg.Append(xdm.Integer(j+1), xdm.Integer(p+1), item)
 				}
 			}
 			for li, it := range liveIters {
-				if iterPeer[it] != part.Dest {
+				if iterPeer[it] != part.dest {
 					continue
 				}
 				for p, item := range results[li] {

@@ -437,16 +437,35 @@ import module namespace fm="films" at "http://x.example.org/film.xq";
 }
 
 // Figure 1: the intermediate map/req/msg/res tables for the
-// multi-destination example.
+// multi-destination example. The two peers are called concurrently; the
+// tables are fixed while the requests are built, so every run traces
+// the same ones.
 func TestFigure1Tables(t *testing.T) {
 	f := newFixture(t)
-	trace := &Trace{}
-	ec := &ExecCtx{Docs: f.st, Bulk: client.New(f.net), Trace: trace, Sequential: true}
-	f.evalCtx(t, `
+	run := func() (*Trace, string) {
+		trace := &Trace{}
+		ec := &ExecCtx{Docs: f.st, Bulk: client.New(f.net), Trace: trace}
+		f.evalCtx(t, `
 import module namespace fm="films" at "http://x.example.org/film.xq";
 for $actor in ("Julie Andrews", "Sean Connery")
 for $dst in ("xrpc://y.example.org", "xrpc://z.example.org")
 return execute at {$dst} {fm:filmsByActor($actor)}`, nil, ec)
+		var b strings.Builder
+		for _, pt := range trace.PerPeer {
+			b.WriteString(pt.Peer + "\n" + pt.Map.String())
+			for _, req := range pt.Req {
+				b.WriteString(req.String())
+			}
+			b.WriteString(pt.Msg.String() + pt.Res.String())
+		}
+		return trace, b.String() + trace.Result.String()
+	}
+	trace, first := run()
+	for i := 1; i < 20; i++ {
+		if _, again := run(); again != first {
+			t.Fatalf("run %d traced different tables:\n%s\nfirst run:\n%s", i, again, first)
+		}
+	}
 
 	if len(trace.PerPeer) != 2 {
 		t.Fatalf("traced %d peers, want 2", len(trace.PerPeer))
@@ -538,6 +557,17 @@ return execute at {"xrpc://y.example.org"} {tst:echoVoid()}`, nil, ec)
 	}
 	if f.ySrv.ServedRequests != 10 {
 		t.Errorf("y served %d requests, want 10 (one-at-a-time)", f.ySrv.ServedRequests)
+	}
+	// each call's result lands at its own iteration
+	seq = f.evalCtx(t, `
+import module namespace fm="films" at "http://x.example.org/film.xq";
+for $actor in ("Sean Connery", "Julie Andrews", "Gerard Depardieu")
+return count(execute at {"xrpc://y.example.org"} {fm:filmsByActor($actor)})`, nil, ec)
+	if got := xdm.SerializeSequence(seq); got != "2 0 1" {
+		t.Errorf("one-at-a-time per-actor counts = %q, want \"2 0 1\"", got)
+	}
+	if f.ySrv.ServedRequests != 13 {
+		t.Errorf("y served %d requests, want 13 (3 more, one per call)", f.ySrv.ServedRequests)
 	}
 	// bulk mode: 1 request
 	f2 := newFixture(t)

@@ -18,12 +18,11 @@ import (
 	"xrpc/internal/xdm"
 )
 
-// BulkCaller abstracts the XRPC client operations the engine needs.
-// *client.Client implements it.
+// BulkCaller sends one Bulk RPC to one destination; the engine owns the
+// one-at-a-time loop and the multi-destination fan-out (executeat.go).
+// *client.Client and the cluster coordinator implement it.
 type BulkCaller interface {
 	CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error)
-	CallOneAtATime(dest string, br *client.BulkRequest) ([]xdm.Sequence, error)
-	CallParallel(parts []*client.BulkByDest, total int) ([]xdm.Sequence, error)
 }
 
 // ExecCtx carries the runtime services of one evaluation.
@@ -35,8 +34,6 @@ type ExecCtx struct {
 	// OneAtATime switches execute-at dispatch to one RPC per iteration —
 	// the comparison mechanism of Table 2.
 	OneAtATime bool
-	// Sequential disables parallel multi-destination dispatch.
-	Sequential bool
 	// NoDedup disables δ over identical read-only calls (for the
 	// ablation benchmarks).
 	NoDedup bool

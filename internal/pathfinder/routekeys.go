@@ -148,7 +148,7 @@ func docLit(e xq.Expr) (string, bool) {
 	if !ok || len(c.Args) != 1 {
 		return "", false
 	}
-	if n := localOf(c.Name); n != "doc" {
+	if n := xq.LocalOf(c.Name); n != "doc" {
 		return "", false
 	}
 	s, ok := c.Args[0].(*xq.StringLit)
@@ -156,13 +156,6 @@ func docLit(e xq.Expr) (string, bool) {
 		return "", false
 	}
 	return s.Val, true
-}
-
-func localOf(name string) string {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }
 
 // paramRef unwraps the parameter side of a key comparison: a bare $p,
@@ -182,7 +175,7 @@ func (d *deriver) paramRef(e xq.Expr, shadow map[string]bool) (string, bool) {
 		if !ok || !d.isParam(v.Name, shadow) {
 			return "", false
 		}
-		switch localOf(x.Name) {
+		switch xq.LocalOf(x.Name) {
 		case "data":
 			return v.Name, true
 		case "string":
@@ -431,7 +424,7 @@ func (d *deriver) keyed(e xq.Expr, sig keySig, env map[string]bool) bool {
 		}
 		return forKeyed || d.keyed(x.Return, sig, envc)
 	case *xq.FuncCall:
-		if emptyPreserving[localOf(x.Name)] && len(x.Args) >= 1 {
+		if emptyPreserving[xq.LocalOf(x.Name)] && len(x.Args) >= 1 {
 			return d.keyed(x.Args[0], sig, env)
 		}
 		return false

@@ -45,7 +45,7 @@ type Executor interface {
 }
 
 // ParallelExecutor is implemented by executors whose bulk-call worker
-// pool is tunable (NativeExecutor, wrapper.Wrapper).
+// pool is tunable (NativeExecutor).
 type ParallelExecutor interface {
 	// SetParallelism bounds the number of calls of one bulk request
 	// evaluated concurrently; n <= 1 means sequential.
@@ -561,10 +561,6 @@ func (s *Server) handleWSAT(req *soap.Request) (*soap.Response, error) {
 // snapshots (observability for tests/experiments).
 func (s *Server) IsolatedQueries() int { return s.iso.count() }
 
-// PrepareLog returns the logged pending-update descriptions (the stable
-// log written by Prepare).
-func (s *Server) PrepareLog() []string { return s.iso.prepareLog() }
-
 // ------------------------------------------------------------ isolation
 
 // isoEntry pins the database state db(t_q) and accumulates the pending
@@ -593,7 +589,6 @@ type isoManager struct {
 	mu            sync.Mutex
 	entries       map[string]*isoEntry
 	expiredByHost map[string]time.Time
-	log           []string
 	now           func() time.Time
 	// commitMu serializes commit applies with their version reads (see
 	// commit).
@@ -665,9 +660,10 @@ func (m *isoManager) get(id string) (*isoEntry, bool) {
 	return e, ok
 }
 
-// prepare brings the query into prepared state and logs its pending
-// update list to the (simulated) stable log. The serialized list is
-// returned (nil when empty) for the Prepare-ack piggyback.
+// prepare brings the query into prepared state; with a WAL, handleWSAT
+// then records it (logPrepare). The serialized pending update list is
+// returned (nil when empty) for the Prepare-ack piggyback and that
+// record.
 func (m *isoManager) prepare(id string) (*xdm.Node, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -676,7 +672,6 @@ func (m *isoManager) prepare(id string) (*xdm.Node, error) {
 		return nil, xdm.Errorf("XRPC0006", "Prepare: unknown or expired queryID %s", id)
 	}
 	e.prepared = true
-	m.log = append(m.log, fmt.Sprintf("PREPARE %s\n%s", id, e.pul.Describe()))
 	if e.pul.Empty() {
 		return nil, nil
 	}
@@ -698,7 +693,6 @@ func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store
 	e.addPUL(ul)
 	m.mu.Lock()
 	e.prepared = true
-	m.log = append(m.log, fmt.Sprintf("ADOPT %s\n%s", qid.ID, ul.Describe()))
 	m.mu.Unlock()
 	return nil
 }
@@ -731,12 +725,4 @@ func (m *isoManager) count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
-}
-
-func (m *isoManager) prepareLog() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.log))
-	copy(out, m.log)
-	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
+	"xrpc/internal/pathfinder"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
@@ -335,20 +337,28 @@ func TestUpdateDeferredUntilCommit(t *testing.T) {
 		t.Fatalf("update visible before commit: %d films", got)
 	}
 	// Prepare + Commit over WS-AT
-	wsat := func(method string) error {
-		_, err := cl.CallBulk("xrpc://y.example.org", &client.BulkRequest{
+	wsat := func(method string) (xdm.Sequence, error) {
+		res, err := cl.CallBulk("xrpc://y.example.org", &client.BulkRequest{
 			ModuleURI: WSATModule, Func: method, Arity: 0,
 			Calls: [][]xdm.Sequence{{}},
 		})
-		return err
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
 	}
-	if err := wsat("Prepare"); err != nil {
+	ack, err := wsat("Prepare")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(y.server.PrepareLog()) != 1 {
-		t.Error("Prepare did not log the pending update list")
+	// the ack piggybacks the prepared pending update list: the insert
+	if len(ack) != 2 || !strings.Contains(xdm.SerializeSequence(ack[1:]), "Deferred") {
+		t.Errorf("Prepare ack = %s, want the prepared PUL carrying the insert", xdm.SerializeSequence(ack))
 	}
-	if err := wsat("Commit"); err != nil {
+	if got := countFilms(); got != 3 {
+		t.Fatalf("update visible after Prepare, before Commit: %d films", got)
+	}
+	if _, err := wsat("Commit"); err != nil {
 		t.Fatal(err)
 	}
 	if got := countFilms(); got != 4 {
@@ -558,46 +568,49 @@ declare function n:viaZ($actor as xs:string) as node()*
 	}
 }
 
+// Parallel multi-destination Bulk RPC (§3.2, Figure 1): a loop-lifted
+// execute at over two peers sends one request to each, concurrently,
+// and re-unites the results in query order. When both peers fail, the
+// lower peer's error — the first destination in query order — is
+// reported, however the failures race.
 func TestParallelMultiDestDispatch(t *testing.T) {
-	net, _, _, _ := newCluster(t)
-	cl := client.New(net)
-	mk := func(actor string) []xdm.Sequence { return []xdm.Sequence{{xdm.String(actor)}} }
-	parts := []*client.BulkByDest{
-		{
-			Dest: "xrpc://y.example.org",
-			Request: &client.BulkRequest{
-				ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
-				Func: "filmsByActor", Arity: 1,
-				Calls: [][]xdm.Sequence{mk("Julie Andrews"), mk("Sean Connery")},
-			},
-			OrigIdx: []int{0, 2},
-		},
-		{
-			Dest: "xrpc://z.example.org",
-			Request: &client.BulkRequest{
-				ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
-				Func: "filmsByActor", Arity: 1,
-				Calls: [][]xdm.Sequence{mk("Julie Andrews"), mk("Sean Connery")},
-			},
-			OrigIdx: []int{1, 3},
-		},
-	}
-	results, err := cl.CallParallel(parts, 4)
+	net, local, y, z := newCluster(t)
+	compiled, err := pathfinder.Compile(`
+import module namespace f="films" at "http://x.example.org/film.xq";
+for $actor in ("Julie Andrews", "Sean Connery")
+for $dst in ("xrpc://y.example.org", "xrpc://z.example.org")
+return count(execute at {$dst} {f:filmsByActor($actor)})`, local.reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// original iteration order: (JA,y)=0 films... wait y has no JA
-	if len(results[0]) != 0 { // Julie Andrews on y
-		t.Errorf("results[0] = %v", results[0])
+	eval := func() (xdm.Sequence, error) {
+		return compiled.Eval(&pathfinder.ExecCtx{Docs: local.store, Bulk: client.New(net)}, nil)
 	}
-	if got := xdm.SerializeSequence(results[1]); got != "<name>Sound Of Music</name>" {
-		t.Errorf("results[1] = %s", got)
+	seq, err := eval()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(results[2]) != 2 { // Sean Connery on y
-		t.Errorf("results[2] = %v", results[2])
+	// (Julie Andrews, y), (Julie Andrews, z), (Sean Connery, y), (Sean Connery, z)
+	if got := xdm.SerializeSequence(seq); got != "0 1 2 0" {
+		t.Errorf("per-iteration counts = %q, want \"0 1 2 0\"", got)
 	}
-	if len(results[3]) != 0 { // Sean Connery on z
-		t.Errorf("results[3] = %v", results[3])
+	if y.server.ServedRequests != 1 || z.server.ServedRequests != 1 {
+		t.Errorf("requests served: y=%d z=%d, want 1 each (one Bulk RPC per peer)",
+			y.server.ServedRequests, z.server.ServedRequests)
+	}
+
+	// y fails late and z at once: y's error still wins
+	net.Register(y.uri, netsim.HandlerFunc(func(string, []byte) ([]byte, error) {
+		time.Sleep(5 * time.Millisecond)
+		return nil, errors.New("y is down")
+	}))
+	net.Register(z.uri, netsim.HandlerFunc(func(string, []byte) ([]byte, error) {
+		return nil, errors.New("z is down")
+	}))
+	for run := 0; run < 5; run++ {
+		if _, err := eval(); err == nil || !strings.Contains(err.Error(), "y is down") {
+			t.Fatalf("run %d: err = %v, want the lower peer's (y's) error", run, err)
+		}
 	}
 }
 

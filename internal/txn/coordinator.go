@@ -92,12 +92,16 @@ func (co *Coordinator) logf(event, peer string) {
 	}
 }
 
-func (co *Coordinator) verb(peer, method string) (xdm.Sequence, error) {
+// Verb sends one WS-AT verb (Prepare, Commit, Abort, AdoptPUL) with its
+// arguments to peer under the query's queryID and returns its result.
+// It is the one place the WS-AT request format is built; it counts and
+// logs nothing, which the phase methods below do for the participants.
+func (co *Coordinator) Verb(peer, method string, args ...xdm.Sequence) (xdm.Sequence, error) {
 	res, err := co.Client.CallBulk(peer, &client.BulkRequest{
 		ModuleURI: WSATModule,
 		Func:      method,
-		Arity:     0,
-		Calls:     [][]xdm.Sequence{{}},
+		Arity:     len(args),
+		Calls:     [][]xdm.Sequence{args},
 	})
 	if err != nil {
 		return nil, err
@@ -116,34 +120,22 @@ func (co *Coordinator) verb(peer, method string) (xdm.Sequence, error) {
 // lowest failed peer index, deterministically); no peer commits.
 func (co *Coordinator) PrepareAll(peers []string) ([]xdm.Sequence, error) {
 	out := make([]xdm.Sequence, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		wg.Add(1)
-		go func(i int, p string) {
-			defer wg.Done()
-			co.logf("prepare", p)
-			if co.Metrics != nil {
-				co.Metrics.Prepares.Inc()
-			}
-			res, err := co.verb(p, "Prepare")
-			if err != nil {
-				co.logf("prepare-failed", p)
-				if co.Metrics != nil {
-					co.Metrics.PrepareFailures.Inc()
-				}
-				errs[i] = err
-				return
-			}
-			out[i] = res
-		}(i, p)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			co.AbortAll(peers)
-			return nil, fmt.Errorf("txn: prepare failed at %s: %w", peers[i], err)
+	failed, err := client.Fanout(len(peers), func(i int) (err error) {
+		co.logf("prepare", peers[i])
+		if co.Metrics != nil {
+			co.Metrics.Prepares.Inc()
 		}
+		if out[i], err = co.Verb(peers[i], "Prepare"); err != nil {
+			co.logf("prepare-failed", peers[i])
+			if co.Metrics != nil {
+				co.Metrics.PrepareFailures.Inc()
+			}
+		}
+		return err
+	})
+	if err != nil {
+		co.AbortAll(peers)
+		return nil, fmt.Errorf("txn: prepare failed at %s: %w", peers[failed], err)
 	}
 	return out, nil
 }
@@ -157,36 +149,20 @@ func (co *Coordinator) PrepareAll(peers []string) ([]xdm.Sequence, error) {
 // remaining peers still commit; the failed peer's result is nil.
 func (co *Coordinator) CommitPrepared(peers []string) ([]xdm.Sequence, error) {
 	out := make([]xdm.Sequence, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		wg.Add(1)
-		go func(i int, p string) {
-			defer wg.Done()
-			co.logf("commit", p)
-			if co.Metrics != nil {
-				co.Metrics.Commits.Inc()
-			}
-			res, err := co.verb(p, "Commit")
-			if err != nil {
-				if co.Metrics != nil {
-					co.Metrics.CommitFailures.Inc()
-				}
-				errs[i] = err
-				return
-			}
-			out[i] = res
-		}(i, p)
-	}
-	wg.Wait()
-	var firstErr error
-	for i, err := range errs {
-		if err != nil {
-			firstErr = fmt.Errorf("txn: commit failed at %s: %w", peers[i], err)
-			break
+	failed, err := client.Fanout(len(peers), func(i int) (err error) {
+		co.logf("commit", peers[i])
+		if co.Metrics != nil {
+			co.Metrics.Commits.Inc()
 		}
+		if out[i], err = co.Verb(peers[i], "Commit"); err != nil && co.Metrics != nil {
+			co.Metrics.CommitFailures.Inc()
+		}
+		return err
+	})
+	if err != nil {
+		return out, fmt.Errorf("txn: commit failed at %s: %w", peers[failed], err)
 	}
-	return out, firstErr
+	return out, nil
 }
 
 // CommitAll runs the 2PC protocol over all peers: Prepare each (phase
@@ -209,6 +185,6 @@ func (co *Coordinator) AbortAll(peers []string) {
 		if co.Metrics != nil {
 			co.Metrics.Aborts.Inc()
 		}
-		_, _ = co.verb(p, "Abort")
+		_, _ = co.Verb(p, "Abort")
 	}
 }

@@ -48,13 +48,6 @@ type Wrapper struct {
 	// n2s/s2n implementations (PureMarshalModule) instead of the native
 	// ones — §4's "can be implemented purely in XQuery".
 	PureXQueryMarshal bool
-	// Parallelism bounds the worker pool that serves one bulk request:
-	// the calls are sharded into contiguous chunks and each chunk runs
-	// the full wrapper cycle (request doc, generated query, execution)
-	// concurrently, re-uniting results in call order. Values <= 1 mean
-	// the single generated query of Figure 3. Updating requests always
-	// take the sequential path. Configure before serving traffic.
-	Parallelism int
 
 	reqSeq atomic.Int64
 
@@ -124,87 +117,10 @@ func GenerateQueryWith(req *soap.Request, requestDoc string, pureMarshal bool) s
 	return b.String()
 }
 
-// SetParallelism implements server.ParallelExecutor.
-func (w *Wrapper) SetParallelism(n int) { w.Parallelism = n }
-
-// Execute implements server.Executor. With Parallelism <= 1 (or an
-// updating request) it performs the single full wrapper cycle; otherwise
-// the bulk calls are sharded across a worker pool, each shard running
-// its own wrapper cycle, and the per-call results are concatenated in
-// shard order — identical to the sequential response.
-func (w *Wrapper) Execute(req *soap.Request, raw []byte, docs interp.DocResolver, rpc interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
-	workers := w.Parallelism
-	if workers > len(req.Calls) {
-		workers = len(req.Calls)
-	}
-	if workers <= 1 || len(req.Calls) < 2 || req.Updating {
-		return w.executeOnce(req, raw)
-	}
-
-	// contiguous shards, one per worker
-	type shard struct {
-		req  *soap.Request
-		res  []xdm.Sequence
-		pul  *interp.UpdateList
-		stat *interp.Stats
-		err  error
-	}
-	shards := make([]*shard, 0, workers)
-	per := (len(req.Calls) + workers - 1) / workers
-	for lo := 0; lo < len(req.Calls); lo += per {
-		hi := lo + per
-		if hi > len(req.Calls) {
-			hi = len(req.Calls)
-		}
-		sub := *req
-		sub.Calls = req.Calls[lo:hi]
-		if req.SeqNrs != nil {
-			sub.SeqNrs = req.SeqNrs[lo:hi]
-		}
-		shards = append(shards, &shard{req: &sub})
-	}
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			// pooled encoder: executeOnce copies the bytes into its
-			// per-request document source before returning
-			enc := soap.NewEncoder()
-			enc.EncodeRequest(sh.req)
-			sh.res, sh.pul, sh.stat, sh.err = w.executeOnce(sh.req, enc.Bytes())
-			enc.Release()
-		}(sh)
-	}
-	wg.Wait()
-
-	stats := &interp.Stats{}
-	pul := &interp.UpdateList{}
-	results := make([]xdm.Sequence, 0, len(req.Calls))
-	for _, sh := range shards {
-		if sh.err != nil {
-			// lowest-shard failure: what sequential execution would hit
-			// first
-			return nil, nil, nil, sh.err
-		}
-		results = append(results, sh.res...)
-		pul.Merge(sh.pul)
-		// phase accounting sums CPU time across shards (wall-clock is
-		// lower under parallelism)
-		stats.Compile += sh.stat.Compile
-		stats.TreeBuild += sh.stat.TreeBuild
-		stats.Exec += sh.stat.Exec
-	}
-	w.mu.Lock()
-	w.LastStats = *stats
-	w.mu.Unlock()
-	return results, pul, stats, nil
-}
-
-// executeOnce performs the full wrapper cycle for one request message
-// (store request doc, generate query, compile, execute, decode response)
-// and records the three latency phases.
-func (w *Wrapper) executeOnce(req *soap.Request, raw []byte) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
+// Execute implements server.Executor: the full wrapper cycle for one
+// request message (store request doc, generate query, compile, execute,
+// decode response), recording the three latency phases of Table 3.
+func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ interp.DocResolver, _ interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
 	reqDoc := fmt.Sprintf("/tmp/request%d.xml", w.reqSeq.Add(1))
 	stats := &interp.Stats{}
 

@@ -1,7 +1,6 @@
 package wrapper
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -259,44 +258,5 @@ declare function up:parentCount($n as node()) as xs:integer
 	results := execRequest(t, w, req)
 	if got := xdm.SerializeSequence(results[0]); got != "0" {
 		t.Errorf("parent count through pure n2s = %s, want 0 (fresh fragment)", got)
-	}
-}
-
-// Sharded parallel wrapper execution returns the same per-call results
-// as the single generated query of Figure 3.
-func TestWrapperParallelShardsMatchSequential(t *testing.T) {
-	req := &soap.Request{
-		Module: "functions", Method: "getPerson", Arity: 2,
-		Location: "http://example.org/functions.xq",
-	}
-	for i := 0; i < 9; i++ {
-		req.Calls = append(req.Calls, []xdm.Sequence{
-			{xdm.String("xmark.xml")},
-			{xdm.String(fmt.Sprintf("person%d", i%3))},
-		})
-	}
-	raw := soap.EncodeRequest(req)
-	w := newWrapper(t)
-	want, _, _, err := w.Execute(req, raw, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		wp := newWrapper(t)
-		wp.SetParallelism(workers)
-		got, _, _, err := wp.Execute(req, raw, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			ws := xdm.SerializeSequence(want[i])
-			gs := xdm.SerializeSequence(got[i])
-			if ws != gs {
-				t.Errorf("workers=%d call %d: %s != %s", workers, i, gs, ws)
-			}
-		}
 	}
 }

@@ -317,12 +317,7 @@ type FuncDecl struct {
 func (f *FuncDecl) Arity() int { return len(f.Params) }
 
 // LocalName returns the name without its prefix.
-func (f *FuncDecl) LocalName() string {
-	if i := strings.IndexByte(f.Name, ':'); i >= 0 {
-		return f.Name[i+1:]
-	}
-	return f.Name
-}
+func (f *FuncDecl) LocalName() string { return LocalOf(f.Name) }
 
 // VarDecl is a prolog variable declaration.
 type VarDecl struct {
@@ -357,14 +352,15 @@ func (m *Module) Function(name string, arity int) *FuncDecl {
 		if f.Arity() != arity {
 			continue
 		}
-		if f.Name == name || f.LocalName() == localOf(name) {
+		if f.Name == name || f.LocalName() == LocalOf(name) {
 			return f
 		}
 	}
 	return nil
 }
 
-func localOf(name string) string {
+// LocalOf strips the prefix off a QName ("fn:doc" → "doc").
+func LocalOf(name string) string {
 	if i := strings.IndexByte(name, ':'); i >= 0 {
 		return name[i+1:]
 	}

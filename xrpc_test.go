@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"xrpc/internal/obs"
 	"xrpc/internal/xmark"
 )
 
@@ -95,6 +96,7 @@ return execute at {"xrpc://y.example.org"} {f:filmsByActor($actor)}`)
 
 func TestDistributedUpdateWith2PC(t *testing.T) {
 	_, local, y := twoPeers(t)
+	y.EnableObs(obs.NewRegistry(), nil)
 	res, err := local.Query(`
 import module namespace u="upd" at "http://x.example.org/film.xq";
 execute at {"xrpc://y.example.org"} {u:addFilm("Dr. No", "Sean Connery")}`)
@@ -113,9 +115,18 @@ count(execute at {"xrpc://y.example.org"} {f:filmsByActor("Sean Connery")})`)
 	if got := check.Serialize(); got != "3" {
 		t.Errorf("films after distributed update = %s, want 3", got)
 	}
-	// the update went through prepare/commit
-	if logs := y.Server.PrepareLog(); len(logs) != 1 {
-		t.Errorf("prepare log entries = %d, want 1", len(logs))
+	// the update went through prepare/commit: y saw one of each verb,
+	// committed once, and holds no isolation state afterwards
+	for _, verb := range []string{"Prepare", "Commit"} {
+		if n := y.Server.Metrics.Requests.With(verb).Value(); n != 1 {
+			t.Errorf("%s requests at y = %d, want 1", verb, n)
+		}
+	}
+	if v := y.Store.Version(); v != 2 {
+		t.Errorf("y store version = %d, want 2 (one commit)", v)
+	}
+	if n := y.Server.IsolatedQueries(); n != 0 {
+		t.Errorf("y still holds %d isolated queries after commit", n)
 	}
 }
 
