@@ -36,8 +36,7 @@ bench:
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
 # before/after of the join rule: go test -run NONE -bench LiftedJoin
 # -benchmem ./internal/pathfinder), and the paper-table benchmarks.
-# Full sweep with peak-heap columns: xrpcbench -table cluster
-# -cluster-json BENCH_cluster.json.
+# Full sweep with peak-heap columns: xrpcbench -table cluster.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -82,8 +81,7 @@ memsmoke:
 # forget, so the gate also re-registers modules: on a shard executor,
 # through Deploy, and under a query peer, the next request must run the
 # new text, and only the plans importing the module may recompile. The
-# full sweep with latency columns: xrpcbench -table cache -cache-json
-# BENCH_cache.json.
+# full sweep with latency columns: xrpcbench -table cache.
 cachesmoke:
 	$(GO) test -run 'TestCacheSmoke|TestDeployInvalidatesImporterPlans|Reregist' -v ./internal/cluster/
 	$(GO) test -run 'Reregist|TestCachedQueryMintsFreshQueryID|TestPlanCacheInvalidatesOnRegistration' -v \
@@ -129,11 +127,10 @@ crashsmoke:
 # hand-written RouteSpecs the coordinator must derive routes from the
 # compiled module bodies (equality probes routed to one shard, Lex-keyed
 # range scans pruned, underivable functions broadcast — never a wrong
-# route), stay byte-identical to broadcast on every fixture, and fence
-# its per-shard statistics on the (store version, registry generation)
-# vector so commits and module re-registrations invalidate cached stats.
-# The full sweep: xrpcbench -table planner -planner-json
-# BENCH_planner.json.
+# route), stay byte-identical to broadcast on every fixture, show that a
+# function which is not empty-on-miss diverges under broadcast and needs
+# its registered spec, and count each read's strategy once, on the
+# coordinator. The full sweep: xrpcbench -table planner.
 plansmoke:
 	$(GO) test -run 'TestPlanner' -v ./internal/cluster/
 	$(GO) test -run 'TestDerivedRouteKeys|TestClusterWorkloadModuleIsUnderivable|TestPlannerBench' -v ./internal/bench/

@@ -18,15 +18,8 @@
 // The -scale flag scales the XMark data (1.0 = the paper's 250 persons /
 // 4875 auctions); -rtt sets the simulated round-trip latency; -parallel
 // and -calls bound the worker pool sizes and the bulk sizes swept by the
-// bulkexec experiment; -gzip
-// adds gzip content-coding sizes to the wire experiment; -wire-json
-// writes the wire rows as a JSON snapshot (BENCH_wire.json);
-// -cluster-json writes the cluster experiments — the scatter-gather
-// sweep with its streamed-vs-buffered peak-heap columns and the
-// cluster-update rows — as one JSON snapshot (BENCH_cluster.json);
-// -cache-json writes the cache experiment rows as a JSON snapshot
-// (BENCH_cache.json); -planner-json writes the planner experiment rows
-// as a JSON snapshot (BENCH_planner.json).
+// bulkexec experiment; -gzip adds gzip content-coding sizes to the wire
+// experiment.
 package main
 
 import (
@@ -54,10 +47,6 @@ func main() {
 	calls := flag.Int("calls", 512, "largest bulk request size of the bulkexec sweep (1, 8, 64, 512)")
 	rows := flag.Int("rows", 16384, "input rows for the algebra experiment")
 	useGzip := flag.Bool("gzip", false, "measure gzip content-coding sizes in the wire experiment")
-	wireJSON := flag.String("wire-json", "", "write the wire experiment rows to this file as JSON")
-	clusterJSON := flag.String("cluster-json", "", "write the cluster experiment rows (scatter sweep + cluster-update) to this file as JSON")
-	cacheJSON := flag.String("cache-json", "", "write the cache experiment rows to this file as JSON")
-	plannerJSON := flag.String("planner-json", "", "write the planner experiment rows to this file as JSON")
 	flag.Parse()
 
 	run := func(name string, f func() error) {
@@ -99,45 +88,29 @@ func main() {
 			return runAlgebra(*rows)
 		})
 	}
-	var scatterResults []bench.ClusterBenchResult
-	var updateRows []bench.ClusterUpdateRow
 	if all || selected["cluster"] {
-		run("Cluster scatter-gather (1/2/4/8 shard peers)", func() (err error) {
-			scatterResults, err = runCluster(*scale, *rtt)
-			return err
+		run("Cluster scatter-gather (1/2/4/8 shard peers)", func() error {
+			return runCluster(*scale, *rtt)
 		})
 	}
 	if all || selected["cluster-update"] {
-		run("Cluster writes & pruned probes (routed vs broadcast)", func() (err error) {
-			updateRows, err = runClusterUpdate(*scale, *rtt)
-			return err
+		run("Cluster writes & pruned probes (routed vs broadcast)", func() error {
+			return runClusterUpdate(*scale, *rtt)
 		})
-	}
-	if *clusterJSON != "" && (scatterResults != nil || updateRows != nil) {
-		data, err := bench.ClusterSnapshotJSON(scatterResults, updateRows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*clusterJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *clusterJSON)
 	}
 	if all || selected["cache"] {
 		run("Three-tier cache (cold vs warm vs post-invalidation)", func() error {
-			return runCache(*scale, *rtt, *cacheJSON)
+			return runCache(*scale, *rtt)
 		})
 	}
 	if all || selected["planner"] {
 		run("Self-driving planner (derived routes + cost model vs broadcast)", func() error {
-			return runPlanner(*scale, *rtt, *plannerJSON)
+			return runPlanner(*scale, *rtt)
 		})
 	}
 	if all || selected["wire"] {
 		run("SOAP wire path (streaming vs reference)", func() error {
-			return runWire(*useGzip, *wireJSON)
+			return runWire(*useGzip)
 		})
 	}
 }
@@ -148,7 +121,7 @@ func main() {
 // a derived range scan, and the cost-model semi-join shipping keys,
 // data, or the measured smaller side. Every mode's response is verified
 // byte-identical to the unsharded single-peer baseline before timing.
-func runPlanner(scale float64, rtt time.Duration, jsonPath string) error {
+func runPlanner(scale float64, rtt time.Duration) error {
 	cfg := xmark.PaperConfig(scale)
 	fmt.Printf("XMark: %d persons, %d closed auctions; rtt %v, %d MB/s links\n",
 		cfg.Persons, cfg.ClosedAuctions, rtt, bench.ClusterBandwidth/(1024*1024))
@@ -158,16 +131,6 @@ func runPlanner(scale float64, rtt time.Duration, jsonPath string) error {
 	}
 	fmt.Print(bench.FormatPlannerBench(rows))
 	fmt.Println("\nzero hand-written route specs; every response verified byte-identical to the unsharded baseline before timing")
-	if jsonPath != "" {
-		data, err := bench.PlannerSnapshotJSON(rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
 	return nil
 }
 
@@ -177,7 +140,7 @@ func runPlanner(scale float64, rtt time.Duration, jsonPath string) error {
 // from coordinator memory), and right after a routed single-shard
 // commit (the fence redoes exactly the invalidated work). Every timed
 // response is byte-compared against an unsharded single-peer execution.
-func runCache(scale float64, rtt time.Duration, jsonPath string) error {
+func runCache(scale float64, rtt time.Duration) error {
 	cfg := xmark.PaperConfig(scale)
 	fmt.Printf("XMark: %d persons; rtt %v, %d MB/s links\n",
 		cfg.Persons, rtt, bench.ClusterBandwidth/(1024*1024))
@@ -187,16 +150,6 @@ func runCache(scale float64, rtt time.Duration, jsonPath string) error {
 	}
 	fmt.Print(bench.FormatCacheBench(rows))
 	fmt.Println("\nevery timed response (cold, warm, post-write) verified byte-identical to the unsharded single-peer baseline")
-	if jsonPath != "" {
-		data, err := bench.CacheSnapshotJSON(rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
 	return nil
 }
 
@@ -206,17 +159,17 @@ func runCache(scale float64, rtt time.Duration, jsonPath string) error {
 // probes pruned by range metadata vs scattered to all shards. Every
 // mode's results are verified byte-identical to an unsharded
 // single-peer execution before timing.
-func runClusterUpdate(scale float64, rtt time.Duration) ([]bench.ClusterUpdateRow, error) {
+func runClusterUpdate(scale float64, rtt time.Duration) error {
 	cfg := xmark.PaperConfig(scale)
 	fmt.Printf("XMark: %d persons; rtt %v, %d MB/s links\n",
 		cfg.Persons, rtt, bench.ClusterBandwidth/(1024*1024))
 	rows, err := bench.RunClusterUpdateBench(cfg, []int{2, 4, 8}, rtt, 3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Print(bench.FormatClusterUpdateBench(rows))
 	fmt.Println("\nall modes verified byte-identical to the unsharded single-peer baseline before timing")
-	return rows, nil
+	return nil
 }
 
 // runWire contrasts the streaming wire path (pooled encoder + envelope
@@ -224,23 +177,13 @@ func runClusterUpdate(scale float64, rtt time.Duration) ([]bench.ClusterUpdateRo
 // + DOM decoder) across message shapes. Outputs are verified identical
 // before timing: both encoders must emit the same bytes, and both
 // decoders' results must re-encode identically.
-func runWire(gzipSizes bool, jsonPath string) error {
+func runWire(gzipSizes bool) error {
 	rows, err := bench.RunWireBench(3, gzipSizes)
 	if err != nil {
 		return err
 	}
 	fmt.Print(bench.FormatWireBench(rows))
 	fmt.Println("\noutputs verified identical between streaming and reference paths before timing")
-	if jsonPath != "" {
-		data, err := bench.WireSnapshotJSON(rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
 	return nil
 }
 
@@ -251,17 +194,17 @@ func runWire(gzipSizes bool, jsonPath string) error {
 // columns show the partitioner splitting traffic across the cluster;
 // the peak-heap columns contrast the streamed shard-order merge with
 // the buffered collect-then-encode reference.
-func runCluster(scale float64, rtt time.Duration) ([]bench.ClusterBenchResult, error) {
+func runCluster(scale float64, rtt time.Duration) error {
 	cfg := xmark.PaperConfig(scale)
 	fmt.Printf("XMark: %d persons, %d closed auctions; rtt %v, %d MB/s links\n",
 		cfg.Persons, cfg.ClosedAuctions, rtt, bench.ClusterBandwidth/(1024*1024))
 	results, err := bench.RunClusterBench(cfg, []int{1, 2, 4, 8}, rtt, 3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Print(bench.FormatClusterBench(results))
 	fmt.Println("\nmerged responses verified byte-identical to the unsharded single-peer response at every peer count")
-	return results, nil
+	return nil
 }
 
 // runAlgebra contrasts the columnar vectorized operators with the

@@ -156,7 +156,7 @@ func main() {
 	peer.SetParallelism(*parallel)
 	peer.Server.Gzip = *useGzip
 	if *respCacheMiB > 0 {
-		peer.Server.RespCache = server.NewRespCache(int64(*respCacheMiB)<<20, 0)
+		peer.Server.RespCache = server.NewRespCache(int64(*respCacheMiB) << 20)
 		logger.Info("response cache enabled", "mib", *respCacheMiB, "fence", "store version")
 	}
 	if *of > 0 {

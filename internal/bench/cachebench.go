@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -21,24 +20,24 @@ import (
 // commit (the version fence forces exactly the touched shard's work to
 // be redone).
 type CacheRow struct {
-	Peers int `json:"peers"`
+	Peers int
 	// Millis per request, best of reps (cold is single-shot by nature).
-	ColdMillis      float64 `json:"cold_ms"`
-	WarmMillis      float64 `json:"warm_ms"`
-	PostWriteMillis float64 `json:"post_write_ms"`
+	ColdMillis      float64
+	WarmMillis      float64
+	PostWriteMillis float64
 	// WarmSpeedup is cold/warm.
-	WarmSpeedup float64 `json:"warm_speedup"`
+	WarmSpeedup float64
 	// Tier-2 coordinator cache counters after the row's runs.
-	ResultHits        int64 `json:"result_hits"`
-	ResultPartialHits int64 `json:"result_partial_hits"`
-	ResultMisses      int64 `json:"result_misses"`
+	ResultHits        int64
+	ResultPartialHits int64
+	ResultMisses      int64
 	// Tier-1 hit rate summed across shard response caches.
-	RespHits   int64 `json:"resp_hits"`
-	RespMisses int64 `json:"resp_misses"`
+	RespHits   int64
+	RespMisses int64
 	// Verified is set when every timed response (cold, warm, and
 	// post-write) was byte-compared against an unsharded single-peer
 	// execution of the same calls.
-	Verified bool `json:"verified"`
+	Verified bool
 }
 
 // newCacheEnv deploys a persons cluster with all cache tiers enabled.
@@ -210,15 +209,4 @@ func FormatCacheBench(rows []CacheRow) string {
 			r.ResultHits, r.ResultPartialHits, r.ResultMisses, r.RespHits, r.RespMisses)
 	}
 	return b.String()
-}
-
-// CacheSnapshotJSON renders the committed BENCH_cache.json.
-func CacheSnapshotJSON(rows []CacheRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string     `json:"experiment"`
-		Rows       []CacheRow `json:"rows"`
-	}{
-		Experiment: "cache: cold vs warm vs post-invalidation, three version-fenced tiers",
-		Rows:       rows,
-	}, "", "  ")
 }

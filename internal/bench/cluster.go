@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -283,50 +282,4 @@ func FormatClusterBench(results []ClusterBenchResult) string {
 		}
 	}
 	return b.String()
-}
-
-// clusterScatterJSONRow is the snapshot shape of one scatter-sweep row.
-type clusterScatterJSONRow struct {
-	Workload         string  `json:"workload"`
-	Peers            int     `json:"peers"`
-	Millis           float64 `json:"ms"`
-	Throughput       float64 `json:"throughput"`
-	ThroughputUnit   string  `json:"throughput_unit"`
-	BytesTotal       int64   `json:"bytes_total"`
-	PerShard         []int64 `json:"per_shard"`
-	PeakHeapStreamed uint64  `json:"peak_heap_streamed"`
-	PeakHeapBuffered uint64  `json:"peak_heap_buffered"`
-	Verified         bool    `json:"verified"`
-}
-
-// ClusterSnapshotJSON renders the committed BENCH_cluster.json: the
-// scatter-gather sweep (including the streamed-vs-buffered peak-heap
-// columns) and the routed/broadcast update rows, side by side.
-func ClusterSnapshotJSON(scatter []ClusterBenchResult, update []ClusterUpdateRow) ([]byte, error) {
-	var rows []clusterScatterJSONRow
-	for _, res := range scatter {
-		for _, r := range res.Rows {
-			rows = append(rows, clusterScatterJSONRow{
-				Workload:         r.Workload,
-				Peers:            r.Peers,
-				Millis:           ms(r.Elapsed),
-				Throughput:       r.Throughput,
-				ThroughputUnit:   r.ThroughputUnit,
-				BytesTotal:       r.BytesTotal,
-				PerShard:         r.PerShard,
-				PeakHeapStreamed: r.PeakHeapStreamed,
-				PeakHeapBuffered: r.PeakHeapBuffered,
-				Verified:         r.Verified,
-			})
-		}
-	}
-	return json.MarshalIndent(struct {
-		Experiment string                  `json:"experiment"`
-		Scatter    []clusterScatterJSONRow `json:"scatter"`
-		Update     []ClusterUpdateRow      `json:"update"`
-	}{
-		Experiment: "cluster: streamed scatter-gather sweep + routed vs broadcast writes",
-		Scatter:    rows,
-		Update:     update,
-	}, "", "  ")
 }

@@ -50,19 +50,19 @@ func PersonRoutes() []cluster.RouteSpec {
 // ClusterUpdateRow is one (workload, mode, peer-count) measurement of
 // the cluster-update experiment.
 type ClusterUpdateRow struct {
-	Workload string  `json:"workload"` // "update xN" or "probe xN"
-	Mode     string  `json:"mode"`     // routed/broadcast (writes), pruned/full (probes)
-	Peers    int     `json:"peers"`
-	Millis   float64 `json:"ms"`
+	Workload string // "update xN" or "probe xN"
+	Mode     string // routed/broadcast (writes), pruned/full (probes)
+	Peers    int
+	Millis   float64
 	// Requests is the number of network requests one operation costs
 	// (incl. 2PC verbs for writes).
-	Requests int64 `json:"requests"`
+	Requests int64
 	// ServedCalls is the number of function applications the peers
 	// executed for one operation — the server-side work routing avoids.
-	ServedCalls int64 `json:"served_calls"`
+	ServedCalls int64
 	// Verified is set when the mode's results were checked against the
 	// unsharded single-peer baseline before timing.
-	Verified bool `json:"verified"`
+	Verified bool
 }
 
 // clusterUpdateEnv is one deployed persons cluster plus its workloads.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -52,22 +51,22 @@ func benchItemID(i int) string { return fmt.Sprintf("i%05d", i) }
 // PlannerRow is one (workload, mode, peer-count) measurement of the
 // planner experiment.
 type PlannerRow struct {
-	Workload string  `json:"workload"`
-	Mode     string  `json:"mode"` // "planner" | "broadcast" | semi-join sides
-	Peers    int     `json:"peers"`
-	Millis   float64 `json:"ms"`
+	Workload string
+	Mode     string // "planner" | "broadcast" | semi-join sides
+	Peers    int
+	Millis   float64
 	// Requests is the network request count of one operation: flat in
 	// peer count for planner-routed point work, linear for broadcast.
-	Requests int64 `json:"requests"`
+	Requests int64
 	// ServedCalls is the number of function applications the peers
 	// executed (0 where the workload does not expose it).
-	ServedCalls int64 `json:"served_calls"`
+	ServedCalls int64
 	// Strategy records the planner's decision where one was made
 	// ("routed", "ship-keys", "ship-data").
-	Strategy string `json:"strategy,omitempty"`
+	Strategy string
 	// Verified is set when the mode's response was byte-compared against
 	// the unsharded single-peer baseline before timing.
-	Verified bool `json:"verified"`
+	Verified bool
 }
 
 // plannerEnv is one zero-spec deployment (persons.xml + items.xml) with
@@ -323,15 +322,4 @@ func FormatPlannerBench(rows []PlannerRow) string {
 			r.Mode, r.Peers, r.Millis, r.Requests, r.ServedCalls, r.Strategy)
 	}
 	return b.String()
-}
-
-// PlannerSnapshotJSON renders the committed BENCH_planner.json.
-func PlannerSnapshotJSON(rows []PlannerRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		Rows       []PlannerRow `json:"rows"`
-	}{
-		Experiment: "planner: compiler-derived routes + cost-based strategies vs static broadcast, zero hand-written RouteSpecs",
-		Rows:       rows,
-	}, "", "  ")
 }

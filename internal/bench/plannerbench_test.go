@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -140,19 +139,5 @@ func TestPlannerBenchSweepsAndVerifies(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted output missing %q", want)
 		}
-	}
-	data, err := PlannerSnapshotJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Experiment string       `json:"experiment"`
-		Rows       []PlannerRow `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Experiment == "" || len(snap.Rows) != len(rows) {
-		t.Fatalf("snapshot round-trip: %q, %d rows", snap.Experiment, len(snap.Rows))
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -27,7 +26,7 @@ type WireRow struct {
 	// Bytes is the encoded message size.
 	Bytes int
 	// GzipBytes is the gzip content-coding size (0 when not measured).
-	GzipBytes int `json:",omitempty"`
+	GzipBytes int
 	// Durations are per-operation, best of reps, amortized over enough
 	// iterations to total ≥ 2 ms.
 	EncodeStream time.Duration
@@ -247,21 +246,3 @@ func FormatWireBench(rows []WireRow) string {
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000.0 }
-
-// WireSnapshot is the JSON document `xrpcbench -table wire -wire-json`
-// writes (BENCH_wire.json in the repository records the trajectory).
-type WireSnapshot struct {
-	Generated string
-	Note      string
-	Rows      []WireRow
-}
-
-// WireSnapshotJSON renders rows as an indented JSON snapshot.
-func WireSnapshotJSON(rows []WireRow) ([]byte, error) {
-	snap := WireSnapshot{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note:      "durations in ns, best-of-3 amortized; outputs verified identical between streaming and reference paths before timing",
-		Rows:      rows,
-	}
-	return json.MarshalIndent(snap, "", "  ")
-}

@@ -17,15 +17,22 @@ import (
 // scatter-gather dispatch in a Coordinator.
 const DefaultClusterURI = "xrpc://cluster"
 
+// txnTimeout is the isolation timeout, in seconds, of the queryIDs
+// minted for routed updates.
+const txnTimeout = 30
+
 // RouteSpec declares how the calls of one function map onto the
 // partition key space: parameter KeyArg of every call is a key drawn
 // from the partitioned container (Doc, Path). Registering a spec is a
-// promise about the function's semantics — its result on a shard whose
-// range cannot contain the key is empty, and its side effects touch
-// only the container rows with that key — which is what makes
-// predicate-pruned reads byte-identical to broadcast and single-shard
-// routed updates sound. The cluster-update benchmark and tests verify
-// the identity for every spec they register.
+// promise about the function's semantics — only the shard owning the
+// key answers for it, and its side effects touch only the container
+// rows with that key — which is what makes predicate-pruned reads
+// byte-identical to one unsharded peer and single-shard routed updates
+// sound. A function whose result on a non-owning shard is not empty
+// (string() of an absent node is "", count() is 0) needs its spec:
+// broadcast would concatenate those non-owning answers into the result,
+// and the unsharded peer has none of them. The cluster-update benchmark
+// and tests verify the identity for every spec they register.
 type RouteSpec struct {
 	// ModuleURI and Func name the function the spec routes.
 	ModuleURI, Func string
@@ -51,7 +58,7 @@ func (s *RouteSpec) op() string {
 
 // Coordinator fans Bulk RPC requests out across the shards of a routing
 // table and merges the responses. It implements pathfinder.BulkCaller:
-// requests addressed to ClusterURI are scattered (reads) or routed
+// requests addressed to DefaultClusterURI are scattered (reads) or routed
 // (updates), any other destination passes through to the underlying
 // client unchanged — so a query can mix sharded and direct execute-at
 // destinations.
@@ -65,9 +72,13 @@ func (s *RouteSpec) op() string {
 // i. Because the partitioner cuts contiguous subtree ranges, shard order
 // is document order, and the merged response is byte-identical to a
 // single-peer execution of the same bulk request against the unsharded
-// document. When a RouteSpec — registered, or derived by the Planner —
-// matches the request and the routing table holds keyed range metadata
-// for its container, the plan is predicate-pruned: each call is sent
+// document whenever the per-shard results concatenate to the
+// whole-document result — true of every function whose answer on a
+// shard lacking the key is empty, and made true for any other by the
+// RouteSpec that routes it to the owning shard alone. When a RouteSpec
+// — registered, or derived by the Planner — matches the request and the
+// routing table holds keyed range metadata for its container, the plan
+// is predicate-pruned: each call is sent
 // only to the shards whose key bounds may contain the call's key (a
 // probe for one person id contacts one shard, not N), and shards left
 // with no calls are not contacted at all; otherwise the plan is the
@@ -93,16 +104,10 @@ func (s *RouteSpec) op() string {
 // (after replica failover), the error of the lowest shard index is
 // reported, deterministically.
 type Coordinator struct {
-	// ClusterURI is the virtual scatter-gather destination
-	// (DefaultClusterURI if empty).
-	ClusterURI string
 	// Table routes shard index → replica peer URIs + range metadata.
 	Table *RoutingTable
 	// Client performs the actual sends (and keeps the traffic stats).
 	Client *client.Client
-	// TxnTimeout is the isolation timeout (seconds) of the queryIDs
-	// minted for routed updates (0 = 30).
-	TxnTimeout int
 	// MaxShardBuffer bounds the per-shard read-ahead window of the
 	// streamed gather, in bytes (0 = DefaultMaxShardBuffer) — the only
 	// read-path setting. While the merge copies shard k's results
@@ -128,8 +133,8 @@ type Coordinator struct {
 	SlowLog *obs.SlowLog
 	// Planner, when non-nil, derives route specs from the compiled
 	// module bodies for functions with no registered RouteSpec, keeps
-	// fenced per-shard statistics, and cost-compares pruned execution
-	// against broadcast for derived routes (see internal/planner and
+	// each shard's observed call latency, and cost-compares pruned
+	// execution against broadcast for derived routes (see internal/planner and
 	// planner.go in this package). Nil keeps the registered-specs-only
 	// behaviour.
 	Planner *planner.Planner
@@ -144,7 +149,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over a routing table and client.
 func NewCoordinator(rt *RoutingTable, cl *client.Client) *Coordinator {
-	return &Coordinator{ClusterURI: DefaultClusterURI, Table: rt, Client: cl}
+	return &Coordinator{Table: rt, Client: cl}
 }
 
 // Route registers a routing declaration (see RouteSpec).
@@ -175,18 +180,11 @@ func (co *Coordinator) registeredSpec(br *client.BulkRequest) (*RouteSpec, strin
 	return nil, reason
 }
 
-func (co *Coordinator) clusterURI() string {
-	if co.ClusterURI == "" {
-		return DefaultClusterURI
-	}
-	return co.ClusterURI
-}
-
 // CallBulk implements pathfinder.BulkCaller. The cluster URI scatters
 // read-only requests and routes updating ones; everything else passes
 // through.
 func (co *Coordinator) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
-	if dest != co.clusterURI() {
+	if dest != DefaultClusterURI {
 		return co.Client.CallBulk(dest, br)
 	}
 	if br.Updating {
@@ -366,17 +364,12 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 				ci, key, len(cand))
 		}
 	}
-	co.countStrategy("routed")
 	parts := co.partition(br, spec)
 
 	// one transaction per updating bulk request: a fresh queryID scopes
 	// the snapshot, the deferred PULs, and the 2PC verbs
-	timeout := co.TxnTimeout
-	if timeout <= 0 {
-		timeout = 30
-	}
 	txCl := client.New(co.Client.Transport)
-	txCl.QueryID = txn.NewQueryID(co.clusterURI(), timeout)
+	txCl.QueryID = txn.NewQueryID(DefaultClusterURI, txnTimeout)
 	// the 2PC verbs inherit the coordinator client's retry policy: a
 	// transient burst at a replica during AdoptPUL/Commit is retried in
 	// place instead of demoting a healthy peer

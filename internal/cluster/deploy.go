@@ -34,10 +34,8 @@ type DeployConfig struct {
 	// single-shard updates and predicate-pruned scatters.
 	Routes []RouteSpec
 	// RespCacheBytes, when > 0, enables each shard server's Tier-1
-	// response cache with this byte bound (RespCacheEntries optionally
-	// caps entry count).
-	RespCacheBytes   int64
-	RespCacheEntries int
+	// response cache with this byte bound.
+	RespCacheBytes int64
 	// ResultCacheBytes, when > 0, attaches a Tier-2 merged-result cache
 	// of this byte bound to every coordinator built via Coordinator().
 	// Memory note: with the cache on, a streamed miss still forwards
@@ -167,7 +165,7 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 				}
 			}
 			if cfg.RespCacheBytes > 0 {
-				srv.RespCache = server.NewRespCache(cfg.RespCacheBytes, cfg.RespCacheEntries)
+				srv.RespCache = server.NewRespCache(cfg.RespCacheBytes)
 			}
 			if cfg.Parallelism > 1 {
 				srv.SetParallelism(cfg.Parallelism)

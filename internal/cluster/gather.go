@@ -103,16 +103,11 @@ func (co *Coordinator) read(cl *client.Client, br *client.BulkRequest, out sink)
 }
 
 // run executes parts — the whole plan, or the stale shards' share of it
-// — into out, and is where a scatter is observed: mode and strategy
-// counters, fan-out, latency, the slow-scatter record.
+// — into out, and is where a scatter is observed: the strategy counter,
+// fan-out, latency, the slow-scatter record.
 func (r *readOp) run(parts []*shardPart, out sink) error {
 	co := r.co
-	mode := "pruned"
-	if r.dec.strategy == "broadcast" {
-		mode = "broadcast"
-	}
-	co.Metrics.countScatter(mode)
-	co.countStrategy(r.dec.strategy)
+	co.Metrics.countScatter(r.dec.strategy)
 	start := time.Now()
 	streams, err := r.open(parts)
 	if err != nil {

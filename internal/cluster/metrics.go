@@ -19,7 +19,7 @@ var fanoutBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 // into slices at construction so the hot path indexes instead of
 // formatting labels. A nil *Metrics disables all recording.
 type Metrics struct {
-	Scatters  *obs.CounterVec // execution mode: "broadcast" | "pruned"
+	Scatters  *obs.CounterVec // executed reads, by strategy: "routed" | "pruned" | "broadcast"
 	Streams   *obs.CounterVec // merged part streams, by how their items were forwarded: "raw" | "decoded"
 	Updates   *obs.Counter    // routed updating bulk requests
 	Fanout    *obs.Histogram  // shards contacted per scatter
@@ -53,7 +53,7 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 	}
 	m := &Metrics{
 		Scatters: reg.NewCounterVec("xrpc_cluster_scatters_total",
-			"Scatter executions, by mode.", "mode"),
+			"Read executions, by planned strategy.", "strategy"),
 		Streams: reg.NewCounterVec("xrpc_cluster_gather_streams_total",
 			"Part streams merged, by whether their items were forwarded as the shard's bytes or decoded.", "forward"),
 		Updates: reg.NewCounter("xrpc_cluster_updates_total",
@@ -89,9 +89,9 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 	return m
 }
 
-func (m *Metrics) countScatter(mode string) {
+func (m *Metrics) countScatter(strategy string) {
 	if m != nil {
-		m.Scatters.With(mode).Inc()
+		m.Scatters.With(strategy).Inc()
 	}
 }
 

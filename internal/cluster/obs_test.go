@@ -61,7 +61,6 @@ func TestObsSmoke(t *testing.T) {
 	co.Client.RegisterMetrics(reg)
 	net.RegisterMetrics(reg)
 	co.Planner.Metrics = planner.NewMetrics(reg)
-	planner.RegisterStats(reg, co.Planner.Stats)
 
 	// one shared WAL metric family across every replica's log: fsync
 	// latency, appends by kind, and the resync/replay counters
@@ -85,7 +84,7 @@ func TestObsSmoke(t *testing.T) {
 		srv.SlowLog = obs.NewSlowLog(slog.New(slog.NewTextHandler(shardLogs[s], nil)), time.Nanosecond)
 	}
 
-	// --- cold read: tier-2 miss, pruned scatter to both shards
+	// --- cold read: tier-2 miss, each key routed to its one shard
 	trace := obs.NewTraceID()
 	read := getPersonRequest(xmark.PersonID(2), xmark.PersonID(persons-3))
 	read.TraceID = trace
@@ -95,8 +94,10 @@ func TestObsSmoke(t *testing.T) {
 	if n := reg.MustGather("xrpc_resultcache_misses_total"); n != 1 {
 		t.Fatalf("cold read: resultcache misses = %v, want 1", n)
 	}
-	if n := reg.MustGather("xrpc_cluster_scatters_total", obs.Label{Key: "mode", Value: "pruned"}); n < 1 {
-		t.Fatalf("cold read: pruned scatters = %v, want >= 1", n)
+	// one read, one strategy decision: the two keys live on different
+	// shards, but each call reaches exactly one of them
+	if n := reg.MustGather("xrpc_cluster_scatters_total", obs.Label{Key: "strategy", Value: "routed"}); n != 1 {
+		t.Fatalf("cold read: routed reads = %v, want 1", n)
 	}
 	// Scatter hands back trees, and the read populated the result cache,
 	// which keeps them: both part streams were decoded
@@ -106,19 +107,12 @@ func TestObsSmoke(t *testing.T) {
 	if n := streams("decoded"); n != 2 {
 		t.Fatalf("cold read: decoded part streams = %v, want 2", n)
 	}
-	// the route-less getPerson went through the derivation pass and the
-	// strategy decision, and the probe round installed shard statistics
+	// the route-less getPerson went through the derivation pass
 	if n := reg.MustGather("xrpc_planner_derivations_total", obs.Label{Key: "outcome", Value: "derived"}); n < 1 {
 		t.Fatalf("cold read: derivations = %v, want >= 1 (getPerson auto-derived)", n)
 	}
 	if n := reg.MustGather("xrpc_planner_derivations_total", obs.Label{Key: "outcome", Value: "fallback"}); n < 1 {
 		t.Fatalf("cold read: derivation fallbacks = %v, want >= 1 (cityOf is underivable)", n)
-	}
-	if n := reg.MustGather("xrpc_planner_strategy_total", obs.Label{Key: "strategy", Value: "routed"}); n < 1 {
-		t.Fatalf("cold read: routed strategy decisions = %v, want >= 1", n)
-	}
-	if n := reg.MustGather("xrpc_planner_stats_refreshes_total"); n < 2 {
-		t.Fatalf("cold read: planner stats refreshes = %v, want >= 2 (one per shard)", n)
 	}
 
 	// --- warm read: tier-2 hit, shards see only the shardInfo probe
@@ -167,10 +161,6 @@ func TestObsSmoke(t *testing.T) {
 	if n := reg.MustGather("xrpc_resultcache_partial_hits_total") +
 		reg.MustGather("xrpc_resultcache_misses_total"); n < 2 {
 		t.Fatalf("post-write read did not re-query: partial+misses = %v", n)
-	}
-	// the same moved fence dropped the touched shard's planner snapshot
-	if n := reg.MustGather("xrpc_planner_stats_invalidations_total"); n < 1 {
-		t.Fatalf("post-write read: planner stats invalidations = %v, want >= 1", n)
 	}
 
 	// --- multi-call bulk: a shard scans and hash-indexes its persons
@@ -340,7 +330,7 @@ return string($p/@id)`)
 	}
 	for _, want := range []string{
 		"# TYPE xrpc_cluster_scatter_seconds histogram",
-		`xrpc_cluster_scatters_total{mode="pruned"}`,
+		`xrpc_cluster_scatters_total{strategy="routed"}`,
 		`xrpc_cluster_gather_streams_total{forward="raw"} 1`,
 		`xrpc_server_requests_total{shard="0",method="getPerson"}`,
 		`xrpc_server_requests_total{shard="1",method="getPerson"}`,
@@ -348,9 +338,7 @@ return string($p/@id)`)
 		"xrpc_txn_commits_total 2",
 		`xrpc_cluster_shard_open_seconds_bucket{shard="0",le="+Inf"}`,
 		`xrpc_wal_appends_total{kind="commit"}`,
-		`xrpc_planner_strategy_total{strategy="routed"}`,
 		`xrpc_planner_derivations_total{outcome="derived"}`,
-		"xrpc_planner_stats_refreshes_total",
 		"# TYPE xrpc_wal_fsync_seconds histogram",
 		"xrpc_wal_resyncs_total",
 		"xrpc_cluster_rejoins_total 1",
@@ -361,6 +349,13 @@ return string($p/@id)`)
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("/metrics scrape missing %q", want)
+		}
+	}
+	// the strategy is counted once, by the coordinator, and the planner
+	// exports no per-shard statistics
+	for _, gone := range []string{"xrpc_planner_strategy_total", "xrpc_planner_stats_"} {
+		if strings.Contains(scrape, gone) {
+			t.Errorf("/metrics scrape lists %q", gone)
 		}
 	}
 	if t.Failed() {

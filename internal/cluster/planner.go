@@ -26,10 +26,6 @@ type planDecision struct {
 	// subsets), or "routed" (every call to at most one shard — the
 	// degenerate pruned case the strategy counter reports separately).
 	strategy string
-	// source records where the route came from: "registered",
-	// "derived", or "" when no spec applied.
-	source string
-	spec   *RouteSpec
 	// parts is what executes, in ascending shard order: the per-shard
 	// partition, or for a broadcast every shard with every call.
 	parts []*shardPart
@@ -41,7 +37,7 @@ type planDecision struct {
 
 // broadcastPlan is the plan whose parts are every shard, all calls:
 // each part carries br itself, so all of them share its one encoding.
-func (co *Coordinator) broadcastPlan(br *client.BulkRequest, source string) *planDecision {
+func (co *Coordinator) broadcastPlan(br *client.BulkRequest) *planDecision {
 	orig := make([]int, len(br.Calls))
 	for i := range orig {
 		orig[i] = i
@@ -50,7 +46,7 @@ func (co *Coordinator) broadcastPlan(br *client.BulkRequest, source string) *pla
 	for s := range parts {
 		parts[s] = &shardPart{shard: s, br: br, orig: orig}
 	}
-	return &planDecision{strategy: "broadcast", source: source, parts: parts}
+	return &planDecision{strategy: "broadcast", parts: parts}
 }
 
 // resolveSpec is the one registered-then-derived route lookup, for reads
@@ -94,9 +90,9 @@ func (co *Coordinator) plan(br *client.BulkRequest) *planDecision {
 		spec = nil
 	}
 	if spec == nil {
-		return co.broadcastPlan(br, source)
+		return co.broadcastPlan(br)
 	}
-	return co.decide(source, spec, br, source == "derived")
+	return co.decide(spec, br, source == "derived")
 }
 
 // derivedSpec asks the planner for a compiler-derived route key and
@@ -144,9 +140,9 @@ func (co *Coordinator) derivedSpec(br *client.BulkRequest) (spec *RouteSpec, rea
 // For derived specs (costed) the cost model may still pick broadcast —
 // sound because the derivation proves the two byte-identical; for
 // registered specs the pruned execution always stands.
-func (co *Coordinator) decide(source string, spec *RouteSpec, br *client.BulkRequest, costed bool) *planDecision {
+func (co *Coordinator) decide(spec *RouteSpec, br *client.BulkRequest, costed bool) *planDecision {
 	parts := co.partition(br, spec)
-	d := &planDecision{source: source, spec: spec, parts: parts}
+	d := &planDecision{parts: parts}
 	// routed iff every call reached at most one shard — counted per
 	// call, not in aggregate (one call on two shards plus one call with
 	// zero candidates sums to len(Calls) but is still pruned)
@@ -174,7 +170,7 @@ func (co *Coordinator) decide(source string, spec *RouteSpec, br *client.BulkReq
 	d.est = st.EstimateScatter(loads, len(br.Calls), false)
 	d.estAlt = st.EstimateBroadcast(co.Table.NumShards(), len(br.Calls))
 	if costed && d.est > d.estAlt {
-		b := co.broadcastPlan(br, source)
+		b := co.broadcastPlan(br)
 		b.est, b.estAlt = d.estAlt, d.est
 		return b
 	}
@@ -187,90 +183,10 @@ func (co *Coordinator) warnInapplicable(br *client.BulkRequest, reason string) {
 	co.Planner.WarnInapplicable(br.ModuleURI, br.Func, reason)
 }
 
-// countStrategy records an executed strategy decision.
-func (co *Coordinator) countStrategy(strategy string) {
-	if p := co.Planner; p != nil {
-		p.Metrics.CountStrategy(strategy)
-	}
-}
-
-// ------------------------------------------------- per-shard statistics
-
-// peerStatser is the optional transport face the planner reads link
-// totals from (netsim.Network implements it).
-type peerStatser interface {
-	PeerStats(dest string) (requests, sent, received int64)
-}
-
-// notePlannerFences piggybacks the planner's statistics fencing on a
-// completed shardInfo probe round: each shard's observed (version,
-// generation) fence invalidates a stale snapshot, and shards left
-// without one get a fresh snapshot rebuilt — from the routing table's
-// own range metadata, so revalidation costs no extra wire traffic.
-func (co *Coordinator) notePlannerFences(fences []shardFence) {
-	p := co.Planner
-	if p == nil || p.Stats == nil {
-		return
-	}
-	for s, f := range fences {
-		pf := planner.Fence{Version: f.version, Generation: f.generation}
-		p.Stats.NoteFence(s, pf)
-		if _, ok := p.Stats.Snapshot(s); !ok {
-			co.refreshShardStats(s, pf)
-		}
-	}
-}
-
-// refreshShardStats rebuilds shard s's statistics snapshot under an
-// observed fence: container cardinalities are the Hi-Lo spans of the
-// shard's key ranges, and the shard link's bytes-per-request average is
-// folded in when the transport exposes peer totals.
-//
-// Accuracy caveat: the routing table's spans are deploy-time
-// partitioning facts that commits do not update, so a snapshot rebuilt
-// after an update carries the deploy-time cardinalities under the fresh
-// fence. The fence still does its correctness job — it invalidates the
-// snapshot whenever a shard's data or modules change, forcing the cost
-// model to re-read whatever is known — but Docs/Containers stay
-// deploy-time estimates until the shards report live counts. That skews
-// cost estimates only, never routing soundness (candidate sets come
-// from the key bounds, not these counts).
-func (co *Coordinator) refreshShardStats(s int, f planner.Fence) {
-	st := co.Planner.Stats
-	snap := planner.Snapshot{Fence: f, Containers: map[string]int64{}}
-	docs := map[string]bool{}
-	for _, r := range co.Table.Ranges(s) {
-		snap.Containers[planner.ContainerKey(r.Doc, r.Path)] = int64(r.Hi - r.Lo)
-		docs[r.Doc] = true
-	}
-	snap.Docs = len(docs)
-	st.SetSnapshot(s, snap)
-	if ps, ok := co.Client.Transport.(peerStatser); ok {
-		if reqs, sent, recv := ps.PeerStats(co.Table.Primary(s)); reqs > 0 {
-			st.ObserveLink(s, reqs, sent+recv)
-		}
-	}
-}
-
 // notePlannerCall feeds one successful shard call into the rolling
 // latency average the cost model reads.
 func (co *Coordinator) notePlannerCall(shard int, d time.Duration) {
 	if p := co.Planner; p != nil {
-		p.Stats.ObserveCall(shard, d, 0)
+		p.Stats.ObserveCall(shard, d)
 	}
-}
-
-// RefreshPlannerStats runs one shardInfo probe round purely to fence
-// and (re)build the planner's per-shard statistics — what deployments
-// without a result cache (whose probes would otherwise do this as a
-// side effect) call after topology or data changes.
-func (co *Coordinator) RefreshPlannerStats() error {
-	if co.Planner == nil {
-		return nil
-	}
-	if err := co.validTable(); err != nil {
-		return err
-	}
-	_, err := co.probeFences()
-	return err
 }

@@ -13,6 +13,7 @@ import (
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/planner"
+	"xrpc/internal/soap"
 	"xrpc/internal/txn"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
@@ -70,6 +71,49 @@ func TestPlannerDerivedSpecsMatchHandWritten(t *testing.T) {
 			got.Path != want.Path || got.op() != want.op() {
 			t.Fatalf("%s: derived %+v, want the hand-written %+v", want.Func, got, want)
 		}
+	}
+}
+
+// TestPlannerBroadcastDivergesWhenNotEmptyOnMiss pins the condition under which
+// a merged read equals one unsharded peer: the per-shard results must
+// concatenate to the whole-document result. cityOf is string() of a
+// path, so every shard without the key answers "" instead of nothing;
+// with no registered spec the planner cannot derive a route for it and
+// broadcasts, and the merge carries one item per shard. The registered
+// spec restores identity by sending the call to the owning shard alone.
+func TestPlannerBroadcastDivergesWhenNotEmptyOnMiss(t *testing.T) {
+	const persons, shards = 12, 3
+	br := cityOfRequest("person1")
+	want := singlePersonsBaseline(t, persons, br, nil)
+	single, err := soap.DecodeResponse(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single.Results[0]) != 1 {
+		t.Fatalf("unsharded cityOf returned %d items, want 1", len(single.Results[0]))
+	}
+
+	bare := deployPersonsZeroSpec(t, netsim.NewNetwork(0, 0), persons, shards, 0).Coordinator()
+	res, err := bare.Scatter(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// shard 0 holds person0..person3 and answers the city; shards 1 and
+	// 2 each answer ""
+	got := res[0]
+	if len(got) != shards || got[0].StringValue() != single.Results[0][0].StringValue() ||
+		got[1].StringValue() != "" || got[2].StringValue() != "" {
+		t.Fatalf("broadcast cityOf = %q, want the owner's city then two empty strings",
+			xdm.SerializeSequence(got))
+	}
+
+	routed := deployPersons(t, netsim.NewNetwork(0, 0), persons, shards, 1).Coordinator()
+	res, err = routed.Scatter(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeResults(br, res), want) {
+		t.Fatal("cityOf under its registered spec differs from the unsharded peer")
 	}
 }
 
@@ -320,11 +364,11 @@ func TestPlannerMixedPartitionLabelsPruned(t *testing.T) {
 	if spec == nil {
 		t.Fatalf("no derived spec (reason %q)", reason)
 	}
-	if dec := co.decide("derived", spec, br, false); dec.strategy != "pruned" {
+	if dec := co.decide(spec, br, false); dec.strategy != "pruned" {
 		t.Fatalf("mixed partition labelled %q, want pruned", dec.strategy)
 	}
 	// degenerate case stays routed: a single call on exactly one shard
-	if dec := co.decide("derived", spec, itemsFromRequest("k25"), false); dec.strategy != "routed" {
+	if dec := co.decide(spec, itemsFromRequest("k25"), false); dec.strategy != "routed" {
 		t.Fatalf("single-shard call labelled %q, want routed", dec.strategy)
 	}
 }
@@ -364,73 +408,8 @@ func TestPlannerRangeNeedsCodepointOrderedKeys(t *testing.T) {
 	if !strings.Contains(reason, "codepoint-ordered") {
 		t.Fatalf("refusal reason = %q, want the codepoint-order explanation", reason)
 	}
-	if dec := co.plan(br); dec.strategy != "broadcast" || dec.source != "derived" {
-		t.Fatalf("plan = %s/%s, want broadcast via the derived fallback", dec.strategy, dec.source)
-	}
-}
-
-// TestPlannerStatsFencing is the regression test for the statistics
-// fence: planner snapshots revalidate on the same (store version,
-// registry generation) vector as the tier-2 result cache — a commit or
-// a module re-registration must invalidate cached stats.
-func TestPlannerStatsFencing(t *testing.T) {
-	const persons = 12
-	net := netsim.NewNetwork(0, 0)
-	dep := deployPersonsZeroSpec(t, net, persons, 2, 1<<20)
-	co := dep.Coordinator()
-	st := co.Planner.Stats
-
-	// a two-shard read (shard 0 holds [0,6), shard 1 [6,12)): only plans
-	// that contact two or more shards consult the result cache, whose
-	// fence probe round is what the statistics fence rides on
-	br := getPersonRequest("person3", "person9")
-	if _, err := co.Scatter(br); err != nil {
-		t.Fatal(err)
-	}
-	// the cold read's fence probe round installed per-shard snapshots
-	if st.Refreshes() == 0 {
-		t.Fatal("no statistics snapshot installed by the probe round")
-	}
-	snap0, ok := st.Snapshot(0)
-	if !ok {
-		t.Fatal("shard 0 has no statistics snapshot after the probe round")
-	}
-	if c, ok := st.Card(0, "persons.xml", personsPath); !ok || c != 6 {
-		t.Fatalf("shard 0 person cardinality = %d (known %v), want 6", c, ok)
-	}
-
-	// a commit moves the owning shard's store-version fence
-	if _, err := co.CallBulk(DefaultClusterURI, setCityRequest("Utrecht", "person3")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Scatter(br); err != nil {
-		t.Fatal(err)
-	}
-	if st.Invalidations() == 0 {
-		t.Fatal("commit did not invalidate the cached shard statistics")
-	}
-	snap1, ok := st.Snapshot(0)
-	if !ok {
-		t.Fatal("shard 0 snapshot not rebuilt after invalidation")
-	}
-	if snap1.Fence == snap0.Fence {
-		t.Fatalf("rebuilt snapshot kept the stale fence %+v", snap1.Fence)
-	}
-
-	// a module re-registration moves the registry-generation fence on
-	// every shard
-	inv := st.Invalidations()
-	if err := dep.Registry.Register(personsModule, "http://example.org/p.xq"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Scatter(br); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Invalidations(); got <= inv {
-		t.Fatalf("module re-registration left invalidations at %d (was %d)", got, inv)
-	}
-	if snap2, ok := st.Snapshot(0); !ok || snap2.Fence.Generation == snap1.Fence.Generation {
-		t.Fatalf("snapshot fence generation did not advance (ok %v)", ok)
+	if dec := co.plan(br); dec.strategy != "broadcast" {
+		t.Fatalf("plan = %s, want broadcast", dec.strategy)
 	}
 }
 
@@ -502,38 +481,47 @@ func TestUpdateWarnsOnInapplicableSpec(t *testing.T) {
 	}
 }
 
-// TestPlannerStrategyCounter checks the decision counter labels for the
-// three read strategies and the routed update.
+// TestPlannerStrategyCounter checks that each read's strategy decision
+// is counted once, on the coordinator's counter, under the label of the
+// plan that executed, and that a routed update counts as an update, not
+// as a read.
 func TestPlannerStrategyCounter(t *testing.T) {
-	const persons = 12
 	net := netsim.NewNetwork(0, 0)
-	dep := deployPersonsZeroSpec(t, net, persons, 3, 0)
-	co := dep.Coordinator()
-	reg := obs.NewRegistry()
-	co.Planner.Metrics = planner.NewMetrics(reg)
-
-	if _, err := co.Scatter(getPersonRequest("person1")); err != nil {
+	reg := personsRegistry(t)
+	if err := reg.Register(itemsModule, "http://example.org/i.xq"); err != nil {
 		t.Fatal(err)
+	}
+	docs := map[string]string{
+		"persons.xml": xmark.GeneratePersons(xmark.Config{Persons: 12, Seed: 11}),
+		"items.xml":   itemsXML(20),
+	}
+	dep, err := Deploy(net, reg, docs, DeployConfig{Shards: 4, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := dep.Coordinator()
+	metrics := obs.NewRegistry()
+	co.Metrics = NewMetrics(metrics, 4)
+
+	for _, br := range []*client.BulkRequest{
+		getPersonRequest("person1"), // routed: one call, one shard
+		itemsFromRequest("k20"),     // pruned: @id >= "k20" reaches shards 2 and 3
+		cityOfRequest("person1"),    // broadcast: cityOf is underivable
+	} {
+		if _, err := co.Scatter(br); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := co.CallBulk(DefaultClusterURI, setCityRequest("X", "person1")); err != nil {
 		t.Fatal(err)
 	}
-	// cityOf underivable -> broadcast
-	cb := &client.BulkRequest{
-		ModuleURI: "functions_p", AtHint: "http://example.org/p.xq",
-		Func: "cityOf", Arity: 1,
-		Calls: [][]xdm.Sequence{{{xdm.String("person1")}}},
-	}
-	if _, err := co.Scatter(cb); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		strategy string
-		want     float64
-	}{{"routed", 2}, {"broadcast", 1}} {
-		if got := reg.MustGather("xrpc_planner_strategy_total",
-			obs.Label{Key: "strategy", Value: c.strategy}); got != c.want {
-			t.Fatalf("strategy %q counted %v, want %v", c.strategy, got, c.want)
+	for _, strategy := range []string{"routed", "pruned", "broadcast"} {
+		if got := metrics.MustGather("xrpc_cluster_scatters_total",
+			obs.Label{Key: "strategy", Value: strategy}); got != 1 {
+			t.Errorf("%s reads counted %v, want 1", strategy, got)
 		}
+	}
+	if got := metrics.MustGather("xrpc_cluster_updates_total"); got != 1 {
+		t.Errorf("routed updates counted %v, want 1", got)
 	}
 }

@@ -117,49 +117,6 @@ func (co *Coordinator) Rejoin(shard int, uri string) error {
 	return nil
 }
 
-// RejoinDemoted attempts to rejoin every demoted replica, returning how
-// many made it back and the first error encountered (the rest are still
-// attempted).
-func (co *Coordinator) RejoinDemoted() (int, error) {
-	var firstErr error
-	n := 0
-	for _, rep := range co.demoted.snapshot() {
-		if err := co.Rejoin(rep.Shard, rep.URI); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n++
-	}
-	return n, firstErr
-}
-
-// StartAutoRejoin retries RejoinDemoted every interval until the
-// returned stop function is called — the hands-off mode for deployments
-// where a demoted peer is expected to come back (restart, partition
-// heal) rather than be replaced.
-func (co *Coordinator) StartAutoRejoin(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				co.RejoinDemoted()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // resync tells the demoted peer to catch up from primary (the
 // resyncFrom system verb runs on the follower) and returns the
 // follower's post-resync version.

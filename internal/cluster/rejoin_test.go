@@ -102,7 +102,7 @@ func TestEvictedReplicaRejoinsAndServesReads(t *testing.T) {
 	if !dep.Table.Evict(shard, reps[0]) {
 		t.Fatalf("could not evict primary %s", reps[0])
 	}
-	res, err := co.CallBulk(co.clusterURI(), cityOfRequest(pid))
+	res, err := co.CallBulk(DefaultClusterURI, cityOfRequest(pid))
 	if err != nil {
 		t.Fatalf("routed read after rejoin: %v", err)
 	}

@@ -67,9 +67,6 @@ func (rc *ResultCache) Stats() ResultCacheStats {
 	}
 }
 
-// Clear drops every entry (counters are preserved).
-func (rc *ResultCache) Clear() { rc.lru.Clear() }
-
 // shardFence is one shard's freshness coordinates: the store's
 // commit-fence version (every committed write advances it by one step)
 // and the module registry's generation (every Register advances it).
@@ -134,7 +131,7 @@ func (co *Coordinator) probeFences() ([]shardFence, error) {
 		Arity:     0,
 		Calls:     [][]xdm.Sequence{{}},
 	}
-	r := co.plannedRead(co.Client, br, co.broadcastPlan(br, ""))
+	r := co.plannedRead(co.Client, br, co.broadcastPlan(br))
 	defer r.release()
 	results, err := r.callBuffered()
 	if err != nil {
@@ -155,9 +152,6 @@ func (co *Coordinator) probeFences() ([]shardFence, error) {
 			return nil, xdm.Errorf("XRPC0007", "shard %d reports no version/generation fence", s)
 		}
 	}
-	// the planner's per-shard statistics fence on the same probe round:
-	// revalidation and snapshot refresh ride along for free
-	co.notePlannerFences(fences)
 	return fences, nil
 }
 

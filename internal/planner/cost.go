@@ -4,7 +4,8 @@ package planner
 // shards, monotone in calls and bytes — not wall-clock predictions:
 // the planner only ever compares two estimates for the same request,
 // so the constants matter at the margins (does per-part encoding
-// outweigh the pruned calls?) and the observed EWMAs do the rest.
+// outweigh the pruned calls?) and the observed latency EWMA does the
+// rest.
 const (
 	// defaultLatency is the per-shard-request overhead assumed before
 	// any call has been observed (~LAN round trip).
@@ -13,8 +14,8 @@ const (
 	encodeCost = 2e-6
 	// execCost is the shard-side cost of executing one call.
 	execCost = 50e-6
-	// byteCost is seconds per response byte at the paper's ~10 MB/s
-	// effective SOAP throughput, used when a response-size EWMA exists.
+	// byteCost is seconds per shipped byte at the paper's ~10 MB/s
+	// effective SOAP throughput (the semi-join sides' wire term).
 	byteCost = 1.0 / (10 << 20)
 )
 
@@ -37,11 +38,6 @@ func (s *Stats) EstimateScatter(loads []ShardLoad, totalCalls int, encodeOnce bo
 	}
 	for _, l := range loads {
 		cost += s.Latency(l.Shard) + float64(l.Calls)*execCost
-		if rb := s.RespBytes(l.Shard); rb > 0 {
-			// scale the observed per-call response size by this
-			// strategy's share of the calls
-			cost += rb * float64(l.Calls) * byteCost
-		}
 		if !encodeOnce {
 			cost += float64(l.Calls) * encodeCost
 		}

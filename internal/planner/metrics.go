@@ -2,11 +2,10 @@ package planner
 
 import "xrpc/internal/obs"
 
-// Metrics records the planner's decisions onto an obs.Registry.
+// Metrics records the planner's derivation outcomes onto an
+// obs.Registry. The strategy each read executes is counted once, by the
+// coordinator that executes it (cluster.Metrics.Scatters).
 type Metrics struct {
-	// Strategy counts executed strategy decisions by name
-	// (routed/pruned/broadcast/semijoin-keys/semijoin-data).
-	Strategy *obs.CounterVec
 	// Derivations counts per-function derivation outcomes
 	// (derived/fallback) as modules are analysed.
 	Derivations *obs.CounterVec
@@ -18,28 +17,10 @@ type Metrics struct {
 // NewMetrics registers the planner metric families.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Strategy: reg.NewCounterVec("xrpc_planner_strategy_total",
-			"Executed strategy decisions by the cost-based planner.", "strategy"),
 		Derivations: reg.NewCounterVec("xrpc_planner_derivations_total",
 			"Route-spec derivation outcomes per analysed function.", "outcome"),
 		Inapplicable: reg.NewCounter("xrpc_planner_inapplicable_specs_total",
 			"Requests whose route spec existed but could not apply (fell back to broadcast)."),
-	}
-}
-
-// RegisterStats exposes a Stats table's snapshot lifecycle counters on
-// the registry (refreshes and fence invalidations).
-func RegisterStats(reg *obs.Registry, s *Stats) {
-	reg.CounterFunc("xrpc_planner_stats_refreshes_total",
-		"Per-shard statistics snapshots installed.", s.Refreshes)
-	reg.CounterFunc("xrpc_planner_stats_invalidations_total",
-		"Per-shard statistics snapshots dropped by a moved (version, generation) fence.", s.Invalidations)
-}
-
-// CountStrategy records one executed strategy decision (nil-safe).
-func (m *Metrics) CountStrategy(strategy string) {
-	if m != nil {
-		m.Strategy.With(strategy).Inc()
 	}
 }
 

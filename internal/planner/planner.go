@@ -1,12 +1,11 @@
 // Package planner is the self-driving half of the cluster's strategy
 // choice: it derives routing predicates from compiled library modules
-// (pathfinder.DeriveRouteKeys), keeps per-shard statistics fenced on
-// the same (store version, registry generation) vector as the tier-2
-// result cache, and costs the strategy space — routed, pruned,
-// broadcast, ship-smallest-side semi-join — so the coordinator can
-// execute the cheapest plan instead of the declared one. Underivable
-// functions always fall back to broadcast: the planner may miss an
-// optimisation, never produce a wrong route.
+// (pathfinder.DeriveRouteKeys), keeps each shard's observed call
+// latency, and costs the strategy space — routed, pruned, broadcast,
+// ship-smallest-side semi-join — so the coordinator can execute the
+// cheapest plan instead of the declared one. Underivable functions
+// always fall back to broadcast: the planner may miss an optimisation,
+// never produce a wrong route.
 package planner
 
 import (
@@ -24,11 +23,11 @@ type Planner struct {
 	// Registry resolves module URIs to parsed modules; its Generation
 	// fences the derivation cache.
 	Registry *modules.Registry
-	// Stats, when non-nil, refines the cost model with observed
-	// per-shard facts (see Stats).
+	// Stats, when non-nil, refines the cost model with each shard's
+	// observed call latency (see Stats).
 	Stats *Stats
-	// Metrics, when non-nil, records derivation outcomes and strategy
-	// decisions. Nil disables all recording.
+	// Metrics, when non-nil, records derivation outcomes and
+	// inapplicable specs. Nil disables all recording.
 	Metrics *Metrics
 	// Logger receives the once-per-(module,function) warnings about
 	// specs that cannot apply. Nil discards them.

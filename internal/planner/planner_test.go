@@ -5,53 +5,11 @@ import (
 	"time"
 )
 
-func TestStatsFenceInvalidation(t *testing.T) {
+func TestStatsLatencyEWMA(t *testing.T) {
 	s := NewStats()
-	snap := Snapshot{
-		Fence:      Fence{Version: 3, Generation: 1},
-		Containers: map[string]int64{ContainerKey("persons.xml", "/site/people/person"): 6},
-		Docs:       1,
-	}
-	s.SetSnapshot(0, snap)
-	if s.Refreshes() != 1 {
-		t.Fatalf("refreshes = %d, want 1", s.Refreshes())
-	}
-	if c, ok := s.Card(0, "persons.xml", "/site/people/person"); !ok || c != 6 {
-		t.Fatalf("card = %d, %v", c, ok)
-	}
-	// the same fence revalidates: no invalidation
-	if s.NoteFence(0, snap.Fence) {
-		t.Fatal("unchanged fence invalidated the snapshot")
-	}
-	// a commit moves the version half of the fence
-	if !s.NoteFence(0, Fence{Version: 4, Generation: 1}) {
-		t.Fatal("moved store version did not invalidate")
-	}
-	if _, ok := s.Snapshot(0); ok {
-		t.Fatal("snapshot survived its fence")
-	}
-	// a module re-registration moves the generation half
-	s.SetSnapshot(0, snap)
-	if !s.NoteFence(0, Fence{Version: 3, Generation: 2}) {
-		t.Fatal("moved registry generation did not invalidate")
-	}
-	if s.Invalidations() != 2 {
-		t.Fatalf("invalidations = %d, want 2", s.Invalidations())
-	}
-}
-
-func TestStatsEWMASurvivesFenceMove(t *testing.T) {
-	s := NewStats()
-	s.ObserveCall(1, 2*time.Millisecond, 512)
-	s.SetSnapshot(1, Snapshot{Fence: Fence{Version: 1}})
-	s.NoteFence(1, Fence{Version: 2})
-	// behaviour averages measure the link, not the state: they outlive
-	// the snapshot
+	s.ObserveCall(1, 2*time.Millisecond)
 	if got := s.Latency(1); got != 2e-3 {
-		t.Fatalf("latency after fence move = %v, want 2ms", got)
-	}
-	if got := s.RespBytes(1); got != 512 {
-		t.Fatalf("respBytes after fence move = %v, want 512", got)
+		t.Fatalf("latency after one call = %v, want 2ms", got)
 	}
 	// an unobserved shard costs the default latency
 	if got := s.Latency(7); got != defaultLatency {
@@ -75,7 +33,7 @@ func TestCostModelOrdersStrategies(t *testing.T) {
 		t.Fatal("broadcast not monotone in calls")
 	}
 	// a slow observed shard raises its strategies' estimates
-	s.ObserveCall(0, 80*time.Millisecond, 0)
+	s.ObserveCall(0, 80*time.Millisecond)
 	slow := s.EstimateScatter([]ShardLoad{{Shard: 0, Calls: 1}}, 1, false)
 	fast := s.EstimateScatter([]ShardLoad{{Shard: 1, Calls: 1}}, 1, false)
 	if slow <= fast {

@@ -5,29 +5,6 @@ import (
 	"time"
 )
 
-// Fence is the validity vector of one shard's cached statistics: the
-// shard's store commit version and the module-registry generation —
-// the same pair the tier-2 result cache revalidates on. A commit or a
-// module re-registration moves the fence and invalidates the snapshot.
-type Fence struct {
-	Version    int64
-	Generation int64
-}
-
-// Snapshot is one shard's fenced statistics snapshot: what the shard
-// holds (container cardinalities by "doc path" key, document count),
-// valid exactly while the fence stands.
-type Snapshot struct {
-	Fence Fence
-	// Containers maps doc + "\x00" + containerPath to the shard's row
-	// count for that container (KeyRange Hi-Lo).
-	Containers map[string]int64
-	Docs       int
-}
-
-// ContainerKey builds the Containers map key.
-func ContainerKey(doc, path string) string { return doc + "\x00" + path }
-
 const ewmaAlpha = 0.2
 
 // ewma is an exponentially weighted moving average (α = 0.2).
@@ -44,122 +21,29 @@ func (e *ewma) observe(x float64) {
 	e.v += ewmaAlpha * (x - e.v)
 }
 
-// shardStat is one shard's statistics: a fenced snapshot plus rolling
-// observations. The EWMAs measure behaviour (latency, response sizes,
-// link cost), not state — they survive a fence move; only the snapshot
-// is invalidated.
-type shardStat struct {
-	snap      *Snapshot
-	latency   ewma // seconds per shard call
-	respBytes ewma // response payload bytes per call
-	linkBytes ewma // wire bytes per request on the shard's link
-}
-
-// Stats collects per-shard statistics for the cost model. All methods
-// are safe for concurrent use; unknown shard indexes grow the table.
+// Stats is the cost model's one observed input: each shard's per-call
+// latency average. All methods are safe for concurrent use; unknown
+// shard indexes grow the table.
 type Stats struct {
-	mu     sync.RWMutex
-	shards []shardStat
-	// refreshes counts snapshot installs; invalidations counts snapshot
-	// drops caused by a moved fence (exported via Metrics).
-	refreshes     int64
-	invalidations int64
+	mu      sync.RWMutex
+	latency []ewma // seconds per shard call, by shard index
 }
 
 // NewStats builds an empty statistics table.
 func NewStats() *Stats { return &Stats{} }
 
-func (s *Stats) grow(shard int) {
-	for len(s.shards) <= shard {
-		s.shards = append(s.shards, shardStat{})
-	}
-}
-
-// SetSnapshot installs a shard's fenced snapshot (replacing any
-// previous one).
-func (s *Stats) SetSnapshot(shard int, snap Snapshot) {
+// ObserveCall feeds one successful shard call into the shard's rolling
+// latency average.
+func (s *Stats) ObserveCall(shard int, d time.Duration) {
 	if s == nil || shard < 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.grow(shard)
-	s.shards[shard].snap = &snap
-	s.refreshes++
-}
-
-// NoteFence compares an observed shard fence against the cached
-// snapshot's and drops the snapshot when they differ — a commit or
-// module re-registration happened since it was taken. Returns true if
-// a snapshot was invalidated. Piggybacking this on the result cache's
-// shardInfo probe round keeps the statistics fenced without any extra
-// wire traffic.
-func (s *Stats) NoteFence(shard int, f Fence) bool {
-	if s == nil || shard < 0 {
-		return false
+	for len(s.latency) <= shard {
+		s.latency = append(s.latency, ewma{})
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if shard >= len(s.shards) {
-		return false
-	}
-	st := &s.shards[shard]
-	if st.snap == nil || st.snap.Fence == f {
-		return false
-	}
-	st.snap = nil
-	s.invalidations++
-	return true
-}
-
-// Snapshot returns the shard's cached snapshot, if still valid.
-func (s *Stats) Snapshot(shard int) (Snapshot, bool) {
-	if s == nil {
-		return Snapshot{}, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if shard < 0 || shard >= len(s.shards) || s.shards[shard].snap == nil {
-		return Snapshot{}, false
-	}
-	return *s.shards[shard].snap, true
-}
-
-// Card returns the shard's cardinality for a container, when known.
-func (s *Stats) Card(shard int, doc, path string) (int64, bool) {
-	snap, ok := s.Snapshot(shard)
-	if !ok {
-		return 0, false
-	}
-	c, ok := snap.Containers[ContainerKey(doc, path)]
-	return c, ok
-}
-
-// ObserveCall feeds one successful shard call into the rolling
-// latency/response-size averages.
-func (s *Stats) ObserveCall(shard int, d time.Duration, respBytes int) {
-	if s == nil || shard < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.grow(shard)
-	s.shards[shard].latency.observe(d.Seconds())
-	if respBytes > 0 {
-		s.shards[shard].respBytes.observe(float64(respBytes))
-	}
-}
-
-// ObserveLink feeds link-level totals (e.g. netsim.PeerStats deltas)
-// into the shard's wire-cost average: bytes per request on the link.
-func (s *Stats) ObserveLink(shard int, requests, bytes int64) {
-	if s == nil || shard < 0 || requests <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.grow(shard)
-	s.shards[shard].linkBytes.observe(float64(bytes) / float64(requests))
+	s.latency[shard].observe(d.Seconds())
 }
 
 // Latency returns the shard's observed per-call latency in seconds
@@ -170,42 +54,8 @@ func (s *Stats) Latency(shard int) float64 {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if shard < 0 || shard >= len(s.shards) || !s.shards[shard].latency.set {
+	if shard < 0 || shard >= len(s.latency) || !s.latency[shard].set {
 		return defaultLatency
 	}
-	return s.shards[shard].latency.v
-}
-
-// RespBytes returns the shard's observed response size per call in
-// bytes (0 when unobserved).
-func (s *Stats) RespBytes(shard int) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if shard < 0 || shard >= len(s.shards) || !s.shards[shard].respBytes.set {
-		return 0
-	}
-	return s.shards[shard].respBytes.v
-}
-
-// Refreshes and Invalidations expose the snapshot lifecycle counters.
-func (s *Stats) Refreshes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.refreshes
-}
-
-// Invalidations counts snapshots dropped by a moved fence.
-func (s *Stats) Invalidations() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.invalidations
+	return s.latency[shard].v
 }

@@ -57,7 +57,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			p := newPeer(t, "xrpc://durable", filmDBY, net)
 			if cached {
-				p.server.RespCache = NewRespCache(0, 0)
+				p.server.RespCache = NewRespCache(0)
 			}
 			if recovered := enableWAL(t, p, dir, WALConfig{}); recovered {
 				t.Fatal("fresh dir reported a recovery")

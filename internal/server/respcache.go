@@ -78,26 +78,22 @@ const DefaultRespCacheBytes = 32 << 20
 // The fence is the snapshot's store.Version: every commit (2PC apply,
 // PUL adopt, direct R_Fu apply) advances it by exactly one step, so the
 // first post-commit lookup evicts exactly the stale entries and
-// repopulates from fresh execution. Entries are LRU-bounded by bytes
-// and count.
+// repopulates from fresh execution. Entries are LRU-bounded by bytes.
 type RespCache struct {
 	lru *cache.LRU
 }
 
 // NewRespCache builds a response cache bounded by maxBytes (0 =
-// DefaultRespCacheBytes) and maxEntries (0 = unbounded count).
-func NewRespCache(maxBytes int64, maxEntries int) *RespCache {
+// DefaultRespCacheBytes).
+func NewRespCache(maxBytes int64) *RespCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultRespCacheBytes
 	}
-	return &RespCache{lru: cache.New(maxBytes, maxEntries)}
+	return &RespCache{lru: cache.New(maxBytes, 0)}
 }
 
 // Stats snapshots hit/miss/eviction counters and current size.
 func (rc *RespCache) Stats() cache.Stats { return rc.lru.Stats() }
-
-// Clear drops every entry (counters are preserved).
-func (rc *RespCache) Clear() { rc.lru.Clear() }
 
 // respKey renders one call's cache key. The arguments are serialized
 // with the same pooled encoder the response path uses, so two calls

@@ -45,7 +45,7 @@ func TestRespCacheByteIdentity(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	newPeer(t, "xrpc://cold", filmDBY, net)
 	warm := newPeer(t, "xrpc://warm", filmDBY, net)
-	warm.server.RespCache = NewRespCache(0, 0)
+	warm.server.RespCache = NewRespCache(0)
 
 	cl := client.New(net)
 	for fi, br := range respCacheFixtures() {
@@ -105,7 +105,7 @@ func TestRespCacheCommitInvalidates(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	cold := newPeer(t, "xrpc://cold", filmDBY, net)
 	warm := newPeer(t, "xrpc://warm", filmDBY, net)
-	warm.server.RespCache = NewRespCache(0, 0)
+	warm.server.RespCache = NewRespCache(0)
 	_ = cold
 
 	read := &client.BulkRequest{
@@ -180,7 +180,7 @@ func TestRespCacheCommitInvalidates(t *testing.T) {
 func TestRespCacheModuleRegistrationInvalidates(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	p := newPeer(t, "xrpc://p", filmDBY, net)
-	p.server.RespCache = NewRespCache(0, 0)
+	p.server.RespCache = NewRespCache(0)
 
 	br := &client.BulkRequest{
 		ModuleURI: "test", Func: "echo", Arity: 1,
@@ -325,7 +325,7 @@ declare function tst:echo($x as item()*) as item()* { ("got", $x) };`); err != n
 func TestRespCacheConcurrentReadsAndWrites(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	p := newPeer(t, "xrpc://p", filmDBY, net)
-	p.server.RespCache = NewRespCache(0, 0)
+	p.server.RespCache = NewRespCache(0)
 
 	const writes = 50
 	actor := "Race Actor"
