@@ -54,7 +54,10 @@ bench-cluster:
 # NextItem's items). The targets share one corpus directory; patterns
 # are anchored because `go test -fuzz` requires exactly one match.
 # FuzzWALDecode shakes the write-ahead-log frame parser the same way
-# (truncated, corrupted and torn inputs must never panic).
+# (truncated, corrupted and torn inputs must never panic). FuzzParse
+# shakes the XQuery parser: no input may panic it, and a text that
+# parses must parse to the same AST from its xq.Normalize key, the
+# plan caches' key, so one key never stands for two programs.
 # Run `go test -fuzz 'FuzzDecodeStream$$' ./internal/soap` for longer
 # sessions.
 fuzz-smoke:
@@ -62,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzDecodeStream$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzResponseStreamRaw$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
+	$(GO) test -run=NONE -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xq
 
 # memsmoke is the bounded-memory acceptance check of the streamed
 # scatter-gather: under a 64 MiB GOMEMLIMIT the coordinator must merge

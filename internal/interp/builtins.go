@@ -184,28 +184,64 @@ func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
 	return b.eval(ctx.docs, args)
 }
 
-// castTo is the xs:TYPE(...) constructor function.
+// castTo is the xs:TYPE(...) constructor function: "cast as TYPE?".
 func castTo(typ string) BuiltinFunc {
 	return func(_ DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {
-		return castSingleton(args[0], typ)
+		return CastSingleton(args[0], typ, true)
 	}
 }
 
-// castSingleton is "cast as" and the constructor functions: atomize, ()
-// stays (), a singleton is cast.
-func castSingleton(v xdm.Sequence, typ string) (xdm.Sequence, error) {
+// CastSingleton is "cast as" for both engines, and castable is whether
+// it succeeds: the atomized operand must be one item, or () when the
+// target type is optional ("cast as T?"), which casts to ().
+func CastSingleton(v xdm.Sequence, typ string, optional bool) (xdm.Sequence, error) {
 	v = xdm.Atomize(v)
-	if len(v) == 0 {
+	if len(v) == 0 && optional {
 		return nil, nil
 	}
-	if len(v) > 1 {
-		return nil, xdm.NewError("XPTY0004", "cast source is not a singleton")
+	if len(v) != 1 {
+		return nil, xdm.Errorf("XPTY0004", "cast source is %d items, not one", len(v))
 	}
 	out, err := xdm.CastAtomic(v[0], typ)
 	if err != nil {
 		return nil, err
 	}
 	return xdm.Singleton(out), nil
+}
+
+// Unary is unary minus (neg) or plus for both engines: () stays (), an
+// untyped operand is cast to xs:double, and any other non-numeric one
+// raises XPTY0004. xs:decimal has no negative zero.
+func Unary(neg bool, v xdm.Sequence) (xdm.Sequence, error) {
+	v = xdm.Atomize(v)
+	if len(v) == 0 {
+		return nil, nil
+	}
+	if len(v) > 1 {
+		return nil, xdm.NewError("XPTY0004", "unary operand is not a singleton")
+	}
+	x := v[0]
+	if u, ok := x.(xdm.Untyped); ok {
+		d, err := xdm.CastAtomic(u, "xs:double")
+		if err != nil {
+			return nil, err
+		}
+		x = d
+	}
+	if !xdm.IsNumeric(x) {
+		return nil, xdm.Errorf("XPTY0004", "unary operand is %s, not numeric", x.TypeName())
+	}
+	if neg {
+		switch n := x.(type) {
+		case xdm.Integer:
+			x = -n
+		case xdm.Decimal:
+			x = 0 - n
+		case xdm.Double:
+			x = -n
+		}
+	}
+	return xdm.Singleton(x), nil
 }
 
 func bifDoc(docs DocResolver, args []xdm.Sequence) (xdm.Sequence, error) {

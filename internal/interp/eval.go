@@ -93,7 +93,11 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 	case *xq.Arith:
 		return ctx.evalArith(n)
 	case *xq.Unary:
-		return ctx.evalUnary(n)
+		v, err := ctx.eval(n.X)
+		if err != nil {
+			return nil, err
+		}
+		return Unary(n.Neg, v)
 	case *xq.Comparison:
 		return ctx.evalComparison(n)
 	case *xq.Logic:
@@ -148,7 +152,11 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 		t.Seal()
 		return xdm.Singleton(t), nil
 	case *xq.Cast:
-		return ctx.evalCast(n)
+		v, err := ctx.eval(n.X)
+		if err != nil {
+			return nil, err
+		}
+		return CastSingleton(v, n.Type, n.Optional)
 	case *xq.Typeswitch:
 		return ctx.evalTypeswitch(n)
 	case *xq.Castable:
@@ -156,11 +164,7 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		v = xdm.Atomize(v)
-		if len(v) != 1 {
-			return xdm.Singleton(xdm.Boolean(false)), nil
-		}
-		_, castErr := xdm.CastAtomic(v[0], n.Type)
+		_, castErr := CastSingleton(v, n.Type, n.Optional)
 		return xdm.Singleton(xdm.Boolean(castErr == nil)), nil
 	case *xq.InstanceOf:
 		v, err := ctx.eval(n.X)
@@ -313,38 +317,6 @@ func numSeqDiv(a, b xdm.Item, v float64) xdm.Sequence {
 		return xdm.Singleton(xdm.Double(v))
 	}
 	return xdm.Singleton(xdm.Decimal(v))
-}
-
-func (ctx *dynCtx) evalUnary(n *xq.Unary) (xdm.Sequence, error) {
-	v, err := ctx.eval(n.X)
-	if err != nil {
-		return nil, err
-	}
-	v = xdm.Atomize(v)
-	if len(v) == 0 {
-		return nil, nil
-	}
-	if len(v) > 1 {
-		return nil, xdm.NewError("XPTY0004", "unary operand is not a singleton")
-	}
-	if !n.Neg {
-		return v, nil
-	}
-	switch x := v[0].(type) {
-	case xdm.Integer:
-		return xdm.Singleton(xdm.Integer(-x)), nil
-	case xdm.Decimal:
-		return xdm.Singleton(xdm.Decimal(-x)), nil
-	case xdm.Double:
-		return xdm.Singleton(xdm.Double(-x)), nil
-	case xdm.Untyped:
-		f, ok := xdm.NumericValue(x)
-		if !ok {
-			return nil, xdm.Errorf("FORG0001", "cannot negate %q", x.StringValue())
-		}
-		return xdm.Singleton(xdm.Double(-f)), nil
-	}
-	return nil, xdm.Errorf("XPTY0004", "cannot negate %s", v[0].TypeName())
 }
 
 func (ctx *dynCtx) evalComparison(n *xq.Comparison) (xdm.Sequence, error) {
@@ -932,14 +904,6 @@ func (ctx *dynCtx) evalTypeswitch(n *xq.Typeswitch) (xdm.Sequence, error) {
 		dctx.bind(n.DefaultVar, v)
 	}
 	return dctx.eval(n.Default)
-}
-
-func (ctx *dynCtx) evalCast(n *xq.Cast) (xdm.Sequence, error) {
-	v, err := ctx.eval(n.X)
-	if err != nil {
-		return nil, err
-	}
-	return castSingleton(v, n.Type)
 }
 
 // MatchesSeqType exposes sequence-type matching for the loop-lifting

@@ -170,7 +170,9 @@ func (env *staticEnv) compile(e xq.Expr) (Plan, error) {
 	case *xq.Arith:
 		return env.compileArith(n)
 	case *xq.Unary:
-		return env.compileUnary(n)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return interp.Unary(n.Neg, g[0])
+		})
 	case *xq.Comparison:
 		return env.compileComparison(n)
 	case *xq.Logic:
@@ -194,11 +196,18 @@ func (env *staticEnv) compile(e xq.Expr) (Plan, error) {
 	case *xq.CompText:
 		return env.compileCompText(n)
 	case *xq.Cast:
-		return env.compileCast(n)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return interp.CastSingleton(g[0], n.Type, n.Optional)
+		})
 	case *xq.Castable:
-		return env.compileCastable(n)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			_, err := interp.CastSingleton(g[0], n.Type, n.Optional)
+			return xdm.Singleton(xdm.Boolean(err == nil)), nil
+		})
 	case *xq.InstanceOf:
-		return env.compileInstanceOf(n)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return xdm.Singleton(xdm.Boolean(interp.MatchesSeqType(g[0], n.Type))), nil
+		})
 	case *xq.Typeswitch:
 		return env.compileTypeswitch(n)
 	case *xq.UnionExpr:
@@ -344,20 +353,6 @@ func atomizeItem(it xdm.Item) xdm.Item {
 		return xdm.Untyped(n.StringValue())
 	}
 	return it
-}
-
-func (env *staticEnv) compileUnary(n *xq.Unary) (Plan, error) {
-	x, err := env.compile(n.X)
-	if err != nil {
-		return nil, err
-	}
-	if !n.Neg {
-		return x, nil
-	}
-	zero := constPlan(xdm.Integer(0))
-	return binOpPlan(zero, x, "unary operand", func(a, b xdm.Item) (xdm.Sequence, error) {
-		return interp.Arith("-", a, atomizeItem(b))
-	}), nil
 }
 
 func (env *staticEnv) compileComparison(n *xq.Comparison) (Plan, error) {
@@ -541,73 +536,6 @@ func (env *staticEnv) compileQuantified(n *xq.Quantified) (Plan, error) {
 		})
 	}
 	return env.compile(&xq.FuncCall{Name: "exists", Args: []xq.Expr{inner}})
-}
-
-func (env *staticEnv) compileCast(n *xq.Cast) (Plan, error) {
-	x, err := env.compile(n.X)
-	if err != nil {
-		return nil, err
-	}
-	typ := n.Type
-	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-		t, err := x(ec, sc)
-		if err != nil {
-			return nil, err
-		}
-		out, err := algebra.Map1(t, "cast", algebra.ColItem, func(it xdm.Item) (xdm.Item, error) {
-			return xdm.CastAtomic(it, typ)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Project(out, algebra.ColIter, algebra.ColPos, "item:cast"), nil
-	}, nil
-}
-
-func (env *staticEnv) compileCastable(n *xq.Castable) (Plan, error) {
-	x, err := env.compile(n.X)
-	if err != nil {
-		return nil, err
-	}
-	typ := n.Type
-	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-		t, err := x(ec, sc)
-		if err != nil {
-			return nil, err
-		}
-		groups := groupByIter(t)
-		out := seqTable()
-		for _, it := range itersOf(sc.loop) {
-			g := xdm.Atomize(groups[it])
-			ok := len(g) == 1
-			if ok {
-				_, castErr := xdm.CastAtomic(g[0], typ)
-				ok = castErr == nil
-			}
-			out.AppendSeq(it, 1, xdm.Boolean(ok))
-		}
-		return out, nil
-	}, nil
-}
-
-func (env *staticEnv) compileInstanceOf(n *xq.InstanceOf) (Plan, error) {
-	x, err := env.compile(n.X)
-	if err != nil {
-		return nil, err
-	}
-	typ := n.Type
-	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
-		t, err := x(ec, sc)
-		if err != nil {
-			return nil, err
-		}
-		groups := groupByIter(t)
-		out := seqTable()
-		for _, it := range itersOf(sc.loop) {
-			out.AppendSeq(it, 1, xdm.Boolean(interp.MatchesSeqType(groups[it], typ)))
-		}
-		return out, nil
-	}, nil
 }
 
 // compileTypeswitch translates typeswitch by loop splitting: each case

@@ -136,7 +136,7 @@ func (g *qgen) expr(depth int) string {
 	if depth <= 0 {
 		return g.atom()
 	}
-	switch g.pick(3, 2, 2, 2, 2, 1, 1, 1, 2) {
+	switch g.pick(3, 2, 2, 2, 2, 1, 1, 1, 2, 1) {
 	case 0:
 		return g.atom()
 	case 1: // arithmetic
@@ -154,8 +154,37 @@ func (g *qgen) expr(depth int) string {
 		return g.call(numOfNumseq, func() string { return g.numseq(depth - 1) })
 	case 7: // path over the film db
 		return g.path()
-	default: // string function
+	case 8: // string function
 		return g.call(strOfStr, func() string { return g.str(depth - 1) })
+	default:
+		return g.typed(depth - 1)
+	}
+}
+
+// typed produces a cast, castable or instance of, now and then under a
+// unary + or -, over an empty, a one-item or a two-item operand, and
+// with or without the "?" of the target type.
+func (g *qgen) typed(depth int) string {
+	var operand string
+	switch g.r.Intn(4) {
+	case 0:
+		operand = "()"
+	case 1:
+		operand = fmt.Sprintf("(%s, %s)", g.num(depth), g.num(depth))
+	case 2:
+		operand = g.str(depth)
+	default:
+		operand = g.num(depth)
+	}
+	sign := g.oneOf("", "", "-", "+")
+	typ := g.oneOf("xs:integer", "xs:string", "xs:double", "xs:boolean")
+	switch g.r.Intn(3) {
+	case 0:
+		return fmt.Sprintf("(%s%s cast as %s%s)", sign, operand, typ, g.oneOf("", "?"))
+	case 1:
+		return fmt.Sprintf("(%s%s castable as %s%s)", sign, operand, typ, g.oneOf("", "?"))
+	default:
+		return fmt.Sprintf("(%s%s instance of %s%s)", sign, operand, typ, g.oneOf("", "?", "*", "+"))
 	}
 }
 

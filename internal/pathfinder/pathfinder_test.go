@@ -161,6 +161,36 @@ func TestBasicExpressions(t *testing.T) {
 	for _, q := range queries {
 		f.evalBoth(t, q)
 	}
+	// XQuery 1.0's answers (a result, or an error code) on both engines:
+	// unary binds tighter than cast, castable and instance of; a cast
+	// keeps the "?" of its type and casts one item per iteration; unary
+	// + and - take one atomized number
+	ref := interp.New(f.st, f.reg, nil)
+	for _, tc := range []struct{ query, want string }{
+		{`-3 cast as xs:string`, `-3`},
+		{`let $x := 3 return -$x instance of xs:integer`, `true`},
+		{`-"3" castable as xs:integer`, `XPTY0004`},
+		{`() cast as xs:integer`, `XPTY0004`},
+		{`() cast as xs:integer?`, ``},
+		{`xs:integer(())`, ``},
+		{`() castable as xs:integer?`, `true`},
+		{`() castable as xs:integer`, `false`},
+		{`(1,2) cast as xs:string`, `XPTY0004`},
+		{`(1,2) castable as xs:string?`, `false`},
+		{`for $i in (0, 1) return (1 to $i) cast as xs:string?`, `1`},
+		{`for $i in (1, 2) return (1 to $i) cast as xs:string`, `XPTY0004`},
+		{`-(0.0e0)`, `-0`},
+		{`-(0.0)`, `0`},
+		{`-<a>x</a>`, `FORG0001`},
+		{`+"a"`, `XPTY0004`},
+		{`+<a>3</a>`, `3`},
+		{`for $x in (1, 2.5, <a>4</a>, ()) return -$x`, `-1 -2.5 -4`},
+	} {
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.st})
+		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != tc.want || want != tc.want {
+			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", tc.query, got, want, tc.want)
+		}
+	}
 }
 
 func TestFLWORBoth(t *testing.T) {

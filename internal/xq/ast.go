@@ -42,7 +42,7 @@ type Arith struct {
 	L, R Expr
 }
 
-// Unary is unary minus/plus.
+// Unary is unary minus (Neg) or plus.
 type Unary struct {
 	Neg bool
 	X   Expr
@@ -190,16 +190,18 @@ type Typeswitch struct {
 	Default    Expr
 }
 
-// Cast is "E cast as T".
+// Cast is "E cast as T", or "E cast as T?" when Optional.
 type Cast struct {
-	X    Expr
-	Type string
+	X        Expr
+	Type     string
+	Optional bool
 }
 
-// Castable is "E castable as T".
+// Castable is "E castable as T", or "E castable as T?" when Optional.
 type Castable struct {
-	X    Expr
-	Type string
+	X        Expr
+	Type     string
+	Optional bool
 }
 
 // InstanceOf is "E instance of T" (occurrence-aware, simple types only).

@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -90,4 +91,36 @@ func TestNormalizedSourceStillParses(t *testing.T) {
 	if _, err := Parse(Normalize(src)); err != nil {
 		t.Fatalf("normalized source does not parse: %v\n%q", err, Normalize(src))
 	}
+}
+
+// FuzzParse: any input parses or fails without a panic, and a text that
+// parses parses to the same AST from its Normalize key — the plan
+// caches' bar: one key never stands for two programs.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		`-3 cast as xs:string`, `let $x := 3 return -$x instance of xs:integer`, `() castable as xs:integer?`,
+		`1 or 2 and 3 = 4 to 5 + 6 * 7 | 8 instance of xs:integer* castable as xs:boolean cast as xs:string?`,
+		`for $a at $i in (1, 2) let $b := $a where $a eq 1 order by $b descending return $a div 2`,
+		`some $x in //a[@n = 1]/b satisfies $x/.. is $x << $x`,
+		`typeswitch (1) case $i as xs:integer return $i default return -1`,
+		`module namespace m = "urn:m"; declare updating function m:f($x as node()) { delete node $x };`,
+		`import module namespace b = "urn:b" at "b.xq"; execute at {"xrpc://p"} {b:f(1, "a (: b :)")}`,
+		"if (1 (: c :) <\n2) then <a b=\"{1}\">{2}</a> else element {\"e\"} {text {3}}",
+		`insert node <a/> as last into $d, replace value of node $d with 1, rename node $d as "e"`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := Parse(src) // must not panic
+		if err != nil {
+			return
+		}
+		n, err := Parse(Normalize(src))
+		if err != nil {
+			t.Fatalf("%q parses, its key %q does not: %v", src, Normalize(src), err)
+		}
+		if !reflect.DeepEqual(m, n) {
+			t.Fatalf("%q and its key %q parse to different programs", src, Normalize(src))
+		}
+	})
 }

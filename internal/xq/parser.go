@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -449,6 +450,24 @@ func (p *parser) parseSeqType() (SeqType, error) {
 	return t, nil
 }
 
+// parseSingleType parses the target of cast and castable: an atomic type
+// name and an optional "?". It takes no other occurrence indicator, so
+// "3 cast as xs:integer * 2" multiplies.
+func (p *parser) parseSingleType() (SeqType, error) {
+	if p.tok.Kind != TokName {
+		return SeqType{}, p.errorf("expected type name, found %s", p.tok)
+	}
+	t := SeqType{TypeName: p.tok.Text, Occurrence: '1'}
+	if err := p.advance(); err != nil {
+		return t, err
+	}
+	if p.tok.Is("?") {
+		t.Occurrence = '?'
+		return t, p.advance()
+	}
+	return t, nil
+}
+
 // ------------------------------------------------------------- expressions
 
 func (p *parser) parseExpr() (Expr, error) {
@@ -473,48 +492,40 @@ func (p *parser) parseExpr() (Expr, error) {
 	return &SeqExpr{Items: items}, nil
 }
 
+// A keywordExpr is how a keyword opens an ExprSingle that is not an
+// operator expression: one of next must follow it ("for $", "if ("),
+// else the keyword is a name test.
+type keywordExpr struct {
+	next  []string
+	parse func(*parser) (Expr, error)
+}
+
+var keywordExprs map[string]keywordExpr
+
+func init() {
+	flwor := keywordExpr{[]string{"$"}, (*parser).parseFLWOR}
+	quantified := keywordExpr{[]string{"$"}, (*parser).parseQuantified}
+	update := keywordExpr{[]string{"node", "nodes", "value"}, (*parser).parseUpdateExpr}
+	keywordExprs = map[string]keywordExpr{
+		"for": flwor, "let": flwor, "some": quantified, "every": quantified,
+		"insert": update, "delete": update, "replace": update, "rename": update,
+		"if":         {[]string{"("}, (*parser).parseIf},
+		"typeswitch": {[]string{"("}, (*parser).parseTypeswitch},
+		"execute":    {[]string{"at"}, (*parser).parseExecuteAt},
+	}
+}
+
 func (p *parser) parseExprSingle() (Expr, error) {
-	if p.tok.Kind == TokName {
-		switch p.tok.Text {
-		case "for", "let":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("$") {
-				return p.parseFLWOR()
-			}
-		case "some", "every":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("$") {
-				return p.parseQuantified()
-			}
-		case "if":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("(") {
-				return p.parseIf()
-			}
-		case "typeswitch":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("(") {
-				return p.parseTypeswitch()
-			}
-		case "insert", "delete", "replace", "rename":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("node") || nt.Is("nodes") || nt.Is("value") {
-				return p.parseUpdateExpr()
-			}
-		case "execute":
-			if nt, err := p.peek(); err != nil {
-				return nil, err
-			} else if nt.Is("at") {
-				return p.parseExecuteAt()
-			}
+	if kw, ok := keywordExprs[p.tok.Text]; ok && p.tok.Kind == TokName {
+		nt, err := p.peek()
+		if err != nil {
+			return nil, err
+		}
+		if slices.ContainsFunc(kw.next, nt.Is) {
+			return kw.parse(p)
 		}
 	}
-	return p.parseOr()
+	return p.parseOperand(0)
 }
 
 func (p *parser) parseFLWOR() (Expr, error) {
@@ -947,235 +958,123 @@ func (p *parser) parseUpdateExpr() (Expr, error) {
 	return nil, p.errorf("unknown update expression %q", verb)
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Is("or") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Logic{Op: "or", L: l, R: r}
-	}
-	return l, nil
+// Binding powers of the operator rows, loosest first, in the order of
+// XQuery 1.0 Appendix A.4. A prefix - or + takes its operand at
+// powUnary, so it binds tighter than every infix row, and a path binds
+// tighter still.
+const (
+	powOr = 1 + iota
+	powAnd
+	powCompare
+	powRange
+	powAdd
+	powMul
+	powUnion
+	powInstance
+	powCastable
+	powCast
+	powUnary
+	powPath
+)
+
+// An infixOp is one row of the operator table. A row with a typ reader
+// takes a type after its second keyword kw ("cast as T", "instance of
+// T"); every other row takes an operand of a tighter row, so it
+// associates to the left unless it is nonAssoc: a nonAssoc row may not
+// follow itself ("1 = 2 = 3" is a syntax error, as in XQuery).
+type infixOp struct {
+	pow      int
+	nonAssoc bool
+	kw       string
+	typ      func(*parser) (SeqType, error)
+	node     func(op string, l, r Expr, t SeqType) Expr
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Is("and") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		l = &Logic{Op: "and", L: l, R: r}
-	}
-	return l, nil
+func logic(op string, l, r Expr, _ SeqType) Expr { return &Logic{Op: op, L: l, R: r} }
+func arith(op string, l, r Expr, _ SeqType) Expr { return &Arith{Op: op, L: l, R: r} }
+
+// compare builds a comparison: is, << and >> compare nodes, the named
+// operators (eq … ge) compare values, and the symbols are general.
+func compare(op string, l, r Expr, _ SeqType) Expr {
+	node := op == "is" || op == "<<" || op == ">>"
+	return &Comparison{Op: op, General: !node && !isNameStart(op[0]), Node: node, L: l, R: r}
 }
 
-var valueCompOps = map[string]bool{"eq": true, "ne": true, "lt": true, "le": true, "gt": true, "ge": true}
-var generalCompOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
+var (
+	compareOp = infixOp{pow: powCompare, nonAssoc: true, node: compare}
+	unionOp   = infixOp{pow: powUnion, node: func(_ string, l, r Expr, _ SeqType) Expr { return &UnionExpr{L: l, R: r} }}
+)
 
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseRangeExpr()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case p.tok.Kind == TokName && valueCompOps[p.tok.Text]:
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseRangeExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Comparison{Op: op, L: l, R: r}, nil
-	case p.tok.Kind == TokSymbol && generalCompOps[p.tok.Text]:
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseRangeExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Comparison{Op: op, General: true, L: l, R: r}, nil
-	case p.tok.Is("is"), p.tok.Is("<<"), p.tok.Is(">>"):
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseRangeExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Comparison{Op: op, Node: true, L: l, R: r}, nil
-	}
-	return l, nil
+// infixOps is the operator table: every infix operator, keyed by its
+// first token. intersect, except and treat as are not in it, so they
+// stay syntax errors.
+var infixOps = map[string]infixOp{
+	"or":  {pow: powOr, node: logic},
+	"and": {pow: powAnd, node: logic},
+	"eq":  compareOp, "ne": compareOp, "lt": compareOp, "le": compareOp, "gt": compareOp, "ge": compareOp,
+	"=": compareOp, "!=": compareOp, "<": compareOp, "<=": compareOp, ">": compareOp, ">=": compareOp,
+	"is": compareOp, "<<": compareOp, ">>": compareOp,
+	"to": {pow: powRange, nonAssoc: true, node: func(_ string, l, r Expr, _ SeqType) Expr { return &RangeExpr{Lo: l, Hi: r} }},
+	"+":  {pow: powAdd, node: arith}, "-": {pow: powAdd, node: arith},
+	"*": {pow: powMul, node: arith}, "div": {pow: powMul, node: arith}, "idiv": {pow: powMul, node: arith}, "mod": {pow: powMul, node: arith},
+	"|": unionOp, "union": unionOp,
+	"instance": {pow: powInstance, nonAssoc: true, kw: "of", typ: (*parser).parseSeqType,
+		node: func(_ string, l, _ Expr, t SeqType) Expr { return &InstanceOf{X: l, Type: t} }},
+	"castable": {pow: powCastable, nonAssoc: true, kw: "as", typ: (*parser).parseSingleType,
+		node: func(_ string, l, _ Expr, t SeqType) Expr {
+			return &Castable{X: l, Type: t.TypeName, Optional: t.Occurrence == '?'}
+		}},
+	"cast": {pow: powCast, nonAssoc: true, kw: "as", typ: (*parser).parseSingleType,
+		node: func(_ string, l, _ Expr, t SeqType) Expr {
+			return &Cast{X: l, Type: t.TypeName, Optional: t.Occurrence == '?'}
+		}},
 }
 
-func (p *parser) parseRangeExpr() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.Is("to") {
+// parseOperand parses an operator expression whose infix operators all
+// bind tighter than min (min 0: XQuery's OrExpr) by precedence climbing
+// over infixOps. last is the power of the row that built left. A looser
+// row may follow it, and nothing else may: not a nonAssoc row itself,
+// and not a tighter row, which can only come after a type
+// ("3 castable as xs:integer cast as xs:string").
+func (p *parser) parseOperand(min int) (Expr, error) {
+	var left Expr
+	var err error
+	last := powPath
+	if p.tok.Is("-") || p.tok.Is("+") {
+		neg := p.tok.Is("-")
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		r, err := p.parseAdditive()
-		if err != nil {
+		if left, err = p.parseOperand(powUnary); err != nil {
 			return nil, err
 		}
-		return &RangeExpr{Lo: l, Hi: r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Is("+") || p.tok.Is("-") {
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &Arith{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Is("*") || p.tok.Is("div") || p.tok.Is("idiv") || p.tok.Is("mod") {
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		l = &Arith{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseUnion() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Is("|") || p.tok.Is("union") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &UnionExpr{L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	neg := false
-	for p.tok.Is("-") || p.tok.Is("+") {
-		if p.tok.Is("-") {
-			neg = !neg
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	e, err := p.parseCastable()
-	if err != nil {
-		return nil, err
-	}
-	if neg {
-		return &Unary{Neg: true, X: e}, nil
-	}
-	return e, nil
-}
-
-func (p *parser) parseCastable() (Expr, error) {
-	e, err := p.parsePathExpr()
-	if err != nil {
+		left, last = &Unary{Neg: neg, X: left}, powUnary
+	} else if left, err = p.parsePathExpr(); err != nil {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.tok.Is("cast"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.expect("as"); err != nil {
-				return nil, err
-			}
-			t := p.tok.Text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.Is("?") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			}
-			e = &Cast{X: e, Type: t}
-		case p.tok.Is("castable"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.expect("as"); err != nil {
-				return nil, err
-			}
-			t := p.tok.Text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.Is("?") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			}
-			e = &Castable{X: e, Type: t}
-		case p.tok.Is("instance"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.expect("of"); err != nil {
-				return nil, err
-			}
-			t, err := p.parseSeqType()
-			if err != nil {
-				return nil, err
-			}
-			e = &InstanceOf{X: e, Type: t}
-		default:
-			return e, nil
+		op, ok := infixOps[p.tok.Text]
+		if !ok || p.tok.Kind == TokString || op.pow <= min {
+			return left, nil
 		}
+		if op.pow > last || op.pow == last && op.nonAssoc {
+			return nil, p.errorf("%s needs parentheses around its left operand", p.tok)
+		}
+		text := p.tok.Text
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		var r Expr
+		var t SeqType
+		if op.typ == nil {
+			r, err = p.parseOperand(op.pow)
+		} else if err = p.expect(op.kw); err == nil {
+			t, err = op.typ(p)
+		}
+		if err != nil {
+			return nil, err
+		}
+		left, last = op.node(text, left, r, t), op.pow
 	}
 }
 
@@ -1334,13 +1233,14 @@ func (p *parser) startsPrimary() bool {
 }
 
 // reservedExprName lists names that begin non-path expressions and thus
-// cannot start a step.
+// cannot start a step: the operators of infixOps and the clause keywords.
 func reservedExprName(s string) bool {
+	if _, op := infixOps[s]; op {
+		return true
+	}
 	switch s {
-	case "return", "then", "else", "and", "or", "to", "in", "satisfies",
-		"where", "order", "by", "at", "as", "is", "div", "idiv", "mod",
-		"eq", "ne", "lt", "le", "gt", "ge", "with", "into", "cast",
-		"castable", "instance", "union", "ascending", "descending":
+	case "return", "then", "else", "in", "satisfies", "where", "order", "by", "at", "as",
+		"with", "into", "ascending", "descending":
 		return true
 	}
 	return false

@@ -1,6 +1,8 @@
 package xq
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -192,19 +194,78 @@ declare option xrpc:timeout "30";
 	}
 }
 
+// parens prints an operator expression fully parenthesized, for the
+// precedence table; path operands print as written.
+func parens(e Expr) string {
+	bin := func(l Expr, op string, r Expr) string { return "(" + parens(l) + " " + op + " " + parens(r) + ")" }
+	opt := func(optional bool) string { return map[bool]string{true: "?"}[optional] }
+	switch n := e.(type) {
+	case *IntLit:
+		return strconv.FormatInt(n.Val, 10)
+	case *VarRef:
+		return "$" + n.Name
+	case *EmptySeq:
+		return "()"
+	case *Path:
+		s := parens(n.Root)
+		for _, st := range n.Steps {
+			s += "/" + st.Test.Name
+		}
+		return s
+	case *Logic:
+		return bin(n.L, n.Op, n.R)
+	case *Comparison:
+		return bin(n.L, n.Op, n.R)
+	case *RangeExpr:
+		return bin(n.Lo, "to", n.Hi)
+	case *Arith:
+		return bin(n.L, n.Op, n.R)
+	case *UnionExpr:
+		return bin(n.L, "|", n.R)
+	case *InstanceOf:
+		return "(" + parens(n.X) + " instance of " + n.Type.String() + ")"
+	case *Castable:
+		return "(" + parens(n.X) + " castable as " + n.Type + opt(n.Optional) + ")"
+	case *Cast:
+		return "(" + parens(n.X) + " cast as " + n.Type + opt(n.Optional) + ")"
+	case *Unary:
+		return "(" + map[bool]string{true: "-", false: "+"}[n.Neg] + parens(n.X) + ")"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+// TestParsePrecedence parses one row per adjacent pair of precedence
+// levels (XQuery 1.0 A.4, loosest first), both ways round where both are
+// binary, and the unary rows over the type operators.
 func TestParsePrecedence(t *testing.T) {
-	e := mustParseExpr(t, `1 + 2 * 3`)
-	a := e.(*Arith)
-	if a.Op != "+" {
-		t.Fatalf("top op = %s", a.Op)
-	}
-	if r := a.R.(*Arith); r.Op != "*" {
-		t.Fatalf("right op = %s", r.Op)
-	}
-	e = mustParseExpr(t, `1 < 2 and 3 = 3 or false()`)
-	lg := e.(*Logic)
-	if lg.Op != "or" {
-		t.Fatalf("top = %s", lg.Op)
+	for _, tc := range []struct{ src, want string }{
+		{`1 or 2 and 3`, `(1 or (2 and 3))`},
+		{`1 and 2 or 3`, `((1 and 2) or 3)`},
+		{`1 and 2 = 3`, `(1 and (2 = 3))`},
+		{`1 = 2 and 3`, `((1 = 2) and 3)`},
+		{`1 eq 2 to 3`, `(1 eq (2 to 3))`},
+		{`1 to 2 is 3`, `((1 to 2) is 3)`},
+		{`1 to 2 + 3`, `(1 to (2 + 3))`},
+		{`1 - 2 to 3`, `((1 - 2) to 3)`},
+		{`1 + 2 * 3`, `(1 + (2 * 3))`},
+		{`1 idiv 2 - 3`, `((1 idiv 2) - 3)`},
+		{`1 - 2 - 3`, `((1 - 2) - 3)`},
+		{`$a * $b | $c`, `($a * ($b | $c))`},
+		{`$a union $b mod $c`, `(($a | $b) mod $c)`},
+		{`$a | $b instance of xs:integer`, `($a | ($b instance of xs:integer))`},
+		{`$a instance of xs:integer+ | $b`, `(($a instance of xs:integer+) | $b)`},
+		{`$a castable as xs:integer instance of xs:boolean`, `(($a castable as xs:integer) instance of xs:boolean)`},
+		{`$a cast as xs:string castable as xs:integer?`, `(($a cast as xs:string) castable as xs:integer?)`},
+		{`-$a cast as xs:string`, `((-$a) cast as xs:string)`},
+		{`-$a castable as xs:integer`, `((-$a) castable as xs:integer)`},
+		{`+$a instance of xs:integer`, `((+$a) instance of xs:integer)`},
+		{`-$a/b * 2`, `((-$a/b) * 2)`},
+		{`- + -3`, `(-(+(-3)))`},
+		{`() cast as xs:integer? = 3 cast as xs:integer * 2`, `((() cast as xs:integer?) = ((3 cast as xs:integer) * 2))`},
+	} {
+		if got := parens(mustParseExpr(t, tc.src)); got != tc.want {
+			t.Errorf("%s parsed as %s, want %s", tc.src, got, tc.want)
+		}
 	}
 }
 
@@ -391,6 +452,11 @@ func TestParseErrors(t *testing.T) {
 		`declare bogus thing; 1`,
 		`1 +`,
 		`<a>{1</a>`,
+		`1 = 1 = 1`,
+		`1 to 2 to 3`,
+		`3 cast as xs:string cast as xs:integer`,
+		`3 castable as xs:integer cast as xs:string`,
+		`3 instance of xs:integer instance of xs:boolean`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

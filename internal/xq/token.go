@@ -2,6 +2,8 @@
 // reproduction: a hand-written lexer, an AST, and a recursive-descent
 // parser for the grammar of §2 of the paper, including the `execute at`
 // XRPC extension and the XQuery Update Facility expressions of §2.3.
+// Operator expressions are one precedence-climbing loop over one
+// binding-power table (infixOps) in the order of XQuery 1.0 A.4.
 package xq
 
 import (

@@ -45,8 +45,9 @@
 //	  import module namespace f="films" at "http://x.example.org/film.xq";
 //	  execute at {"xrpc://y.example.org"} {f:filmsByActor("Sean Connery")}`)
 //
-// See the examples/ directory for runnable programs and EXPERIMENTS.md
-// for the reproduction of every table and figure in the paper.
+// See the examples/ directory for runnable programs, and the
+// "Paper-section map" in README.md for the code and the command behind
+// every section, table and figure of the paper.
 package xrpc
 
 import (
