@@ -58,6 +58,11 @@ bench-cluster:
 # shakes the XQuery parser: no input may panic it, and a text that
 # parses must parse to the same AST from its xq.Normalize key, the
 # plan caches' key, so one key never stands for two programs.
+# FuzzParseDocument holds the XML tokenizer every reader shares
+# (xdm.ParseDocument, the envelope decoders) to encoding/xml, kept as a
+# test-only reference: the same accept/reject outcome and, on success,
+# the same tree node for node — but for character references to
+# surrogates, which only the tokenizer rejects.
 # Run `go test -fuzz 'FuzzDecodeStream$$' ./internal/soap` for longer
 # sessions.
 fuzz-smoke:
@@ -66,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzResponseStreamRaw$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/soap
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
 	$(GO) test -run=NONE -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xq
+	$(GO) test -run=NONE -fuzz 'FuzzParseDocument$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
 
 # memsmoke is the bounded-memory acceptance check of the streamed
 # scatter-gather: under a 64 MiB GOMEMLIMIT the coordinator must merge

@@ -192,8 +192,11 @@ func crashRecovery(t *testing.T, bin string, extra []string) {
 	mu.Unlock()
 
 	// restart with the same -wal-dir: -docs must be ignored in favor of
-	// the recovered state
+	// the recovered state. Start to ready covers the recovery's parses:
+	// the snapshot documents and the replayed PULs.
+	restart := time.Now()
 	url2, _ := startXrpcd(t, bin, args...)
+	t.Logf("restarted xrpcd ready in %v", time.Since(restart).Round(time.Millisecond))
 
 	if v2 := versionOf(t, cl, url2); v2 < v0+int64(ackedFinal) {
 		t.Fatalf("recovered version %d < %d: acked commits lost (v0 %d + %d acked)",

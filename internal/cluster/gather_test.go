@@ -506,6 +506,10 @@ func TestProxyValidationBoundary(t *testing.T) {
 			atProxy: "unknown sequence item element"},
 		{name: "result-count mismatch", tail: `</xrpc:sequence><xrpc:sequence></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
 			atProxy: "2 results for 1 calls"},
+		{name: "less-than in a spliced attribute", tail: `<xrpc:element><a b="<"/></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
+			atProxy: "unescaped <"},
+		{name: "invalid UTF-8 in spliced text", tail: "<xrpc:element><a>\xff</a></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>",
+			atClient: "invalid UTF-8"},
 		{name: "lexically invalid atomic", tail: `<xrpc:atomic-value xsi:type="xs:integer">abc</xrpc:atomic-value></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
 			atClient: `soap: bad atomic value "abc" as xs:integer`},
 	} {

@@ -260,19 +260,13 @@ func TestDecodeRequestAllocGuard(t *testing.T) {
 		}
 	})
 	// 64 calls × (2 sequences + ~9 nodes of the person fragment + a
-	// handful of strings): ~25 allocs per call. The DOM decoder sat at
-	// ~120 per call; the guard keeps the 5x gap from eroding.
+	// handful of strings): ~20 allocs per call. The DOM decoder over
+	// encoding/xml sat at ~136 per call (8688 for this message); the
+	// guard keeps the 5x gap to it from eroding. (DecodeDOM reads the
+	// envelope with the same tokenizer, so it cannot be the yardstick.)
 	perCall := got / 64
-	if perCall > 40 {
-		t.Fatalf("streaming request decode allocates %.1f objects per call, want <= 40 (total %.0f)", perCall, got)
-	}
-	dom := allocsPerRun(func() {
-		if _, err := DecodeDOM(msg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got*5 > dom {
-		t.Fatalf("streaming decode (%.0f allocs) is not >= 5x leaner than the DOM decoder (%.0f allocs)", got, dom)
+	if perCall > 136/5 {
+		t.Fatalf("streaming request decode allocates %.1f objects per call, want <= %d (total %.0f)", perCall, 136/5, got)
 	}
 }
 

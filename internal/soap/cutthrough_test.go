@@ -58,7 +58,7 @@ func forward(rs *ResponseStream, raw bool) (*forwarded, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rs.d.sc.pinned {
+			if rs.d.sc.Pinned() {
 				return nil, fmt.Errorf("read window still pinned after an item read")
 			}
 			if b == nil && it == nil {
@@ -89,8 +89,7 @@ func forward(rs *ResponseStream, raw bool) (*forwarded, error) {
 // byteModeStream is a ResponseStream over a whole message in memory
 // (the scanner's byte mode, which never refills or compacts).
 func byteModeStream(msg []byte) (*ResponseStream, error) {
-	rs := &ResponseStream{}
-	rs.d.sc.data = msg
+	rs := &ResponseStream{d: decoder{sc: xdm.NewScanner(msg, nil, internTable)}}
 	if err := rs.header(); err != nil {
 		return nil, err
 	}
@@ -385,16 +384,9 @@ func TestNextItemRawWindowBounded(t *testing.T) {
 		if got.spliced != 4000 || !bytes.Equal(got.env, msg) {
 			t.Fatalf("chunk=%d: %d wrappers spliced, envelope equal: %v", size, got.spliced, bytes.Equal(got.env, msg))
 		}
-		if bound := windowBound(got.largest, size); cap(rs.d.sc.data) > bound {
+		if bound := xdm.WindowBound(got.largest, size); rs.d.sc.Window() > bound {
 			t.Fatalf("chunk=%d: read window grew to %d bytes for %d-byte wrappers in a %d-byte response (bound %d)",
-				size, cap(rs.d.sc.data), got.largest, len(msg), bound)
+				size, rs.d.sc.Window(), got.largest, len(msg), bound)
 		}
 	}
-}
-
-// windowBound is the scanner's window bound for a longest held span
-// (token or pinned wrapper) and read size: the unconsumed prefix compact
-// tolerates, the span, one read — and the doubling that got there.
-func windowBound(span, read int) int {
-	return 2*(compactThreshold+span+read+minRead) + initialStreamBuf
 }

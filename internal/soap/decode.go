@@ -10,7 +10,7 @@ import (
 )
 
 // decode.go is the streaming envelope decoder: it drives the
-// pull-tokenizer (scan.go) through the XRPC envelope grammar and builds
+// pull-tokenizer (xdm.Scanner) through the XRPC envelope grammar and builds
 // the Message directly — no DOM of the envelope is ever materialized.
 // xdm trees are constructed only for actual node-typed parameters and
 // results. The semantics are pinned to the DOM reference decoder
@@ -34,7 +34,7 @@ import (
 
 // Decode parses a SOAP XRPC message of any kind.
 func Decode(data []byte) (*Message, error) {
-	d := &decoder{sc: scanner{data: data}}
+	d := &decoder{sc: xdm.NewScanner(data, nil, internTable)}
 	return d.decodeMessage()
 }
 
@@ -66,8 +66,36 @@ func DecodeResponse(data []byte) (*Response, error) {
 	return m.Response, nil
 }
 
+// internTable holds the names the XRPC envelope grammar uses with the
+// prefixes our encoder emits, plus the common xsi:type values — the
+// strings a well-formed message repeats per call. The scanner returns
+// these instead of allocating, and takes the names as well formed.
+var internTable = map[string]string{}
+
+func init() {
+	for _, s := range []string{
+		"env:Envelope", "env:Body", "env:Fault", "env:Code", "env:Value",
+		"env:Reason", "env:Text",
+		"xrpc:request", "xrpc:response", "xrpc:call", "xrpc:sequence",
+		"xrpc:atomic-value", "xrpc:element", "xrpc:document",
+		"xrpc:attribute", "xrpc:text", "xrpc:comment", "xrpc:pi",
+		"xrpc:queryID", "xrpc:participatingPeers", "xrpc:peer",
+		"xrpc:module", "xrpc:method", "xrpc:arity", "xrpc:location",
+		"xrpc:updCall", "xrpc:seqNr", "xrpc:host", "xrpc:timestamp",
+		"xrpc:timeout", "xrpc:nodeid", "xrpc:target",
+		"xsi:type", "xsi:schemaLocation",
+		"xmlns:xrpc", "xmlns:env", "xmlns:xs", "xmlns:xsi", "xml:lang",
+		"uri", "en", "true", "false",
+		"xs:string", "xs:integer", "xs:decimal", "xs:double",
+		"xs:boolean", "xs:untypedAtomic",
+		NSEnv, NSXRPC, NSXS, NSXSI, SchemaLoc,
+	} {
+		internTable[s] = s
+	}
+}
+
 type decoder struct {
-	sc scanner
+	sc xdm.Scanner
 	// arena slab-allocates the xdm nodes of decoded node-typed values:
 	// one allocation per 64 nodes instead of one each.
 	arena xdm.Arena
@@ -78,9 +106,9 @@ type decoder struct {
 // attrLocalScan reads an attribute of the current start tag by local
 // name, any prefix (the streaming counterpart of attrLocal).
 func (d *decoder) attrLocalScan(local string) string {
-	for _, a := range d.sc.attrs {
-		if localName(a.name) == local {
-			return a.value
+	for _, a := range d.sc.Attrs {
+		if localName(a.Name) == local {
+			return a.Value
 		}
 	}
 	return ""
@@ -90,9 +118,9 @@ func (d *decoder) attrLocalScan(local string) string {
 // DOM decoder matched xsi:type and uri exactly, so the streaming decoder
 // does too.
 func (d *decoder) attrExactScan(name string) (string, bool) {
-	for _, a := range d.sc.attrs {
-		if a.name == name {
-			return a.value, true
+	for _, a := range d.sc.Attrs {
+		if a.Name == name {
+			return a.Value, true
 		}
 	}
 	return "", false
@@ -110,10 +138,10 @@ const (
 // enter returns the target that makes child walk the children of the
 // element whose start tag is the current token.
 func (d *decoder) enter() int {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return selfClosed
 	}
-	return d.sc.depth - 1
+	return d.sc.Depth() - 1
 }
 
 // child advances to the next child start tag of the element that ends
@@ -126,18 +154,18 @@ func (d *decoder) child(target int) (bool, error) {
 		return false, nil
 	}
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return false, err
 		}
 		switch tok {
-		case tokStart:
+		case xdm.TokStart:
 			return true, nil
-		case tokEnd:
-			if d.sc.depth == target {
+		case xdm.TokEnd:
+			if d.sc.Depth() == target {
 				return false, nil
 			}
-		case tokEOF:
+		case xdm.TokEOF:
 			return false, nil
 		}
 	}
@@ -148,7 +176,7 @@ func (d *decoder) child(target int) (bool, error) {
 func (d *decoder) childNamed(target int, local string) (bool, error) {
 	for {
 		ok, err := d.child(target)
-		if !ok || localName(d.sc.name) == local {
+		if !ok || localName(d.sc.Name) == local {
 			return ok, err
 		}
 		if err := d.skipElement(); err != nil {
@@ -202,7 +230,7 @@ func (d *decoder) nextResult(respTgt int, peers *[]string) (bool, error) {
 		if !ok {
 			return false, err
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "sequence":
 			return true, nil
 		case "participatingPeers":
@@ -238,7 +266,7 @@ func (d *decoder) decodeMessage() (*Message, error) {
 		if !ok {
 			break
 		}
-		switch local := localName(d.sc.name); {
+		switch local := localName(d.sc.Name); {
 		case local == "Fault" && fault == nil:
 			fault, err = d.decodeFault()
 		case local == "request" && req == nil:
@@ -286,7 +314,7 @@ func (d *decoder) decodeRequest() (*Request, error) {
 		if !ok {
 			break
 		}
-		switch local := localName(d.sc.name); {
+		switch local := localName(d.sc.Name); {
 		case local == "queryID" && req.QueryID == nil:
 			qid := &QueryID{Host: d.attrLocalScan("host")}
 			if ts, err := time.Parse(time.RFC3339Nano, d.attrLocalScan("timestamp")); err == nil {
@@ -376,7 +404,7 @@ func (d *decoder) decodeSequence() (xdm.Sequence, error) {
 // items are appended rather than returned singly. Shared by the
 // buffered decoder (decodeSequence) and the incremental ResponseStream.
 func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
-	switch localName(d.sc.name) {
+	switch localName(d.sc.Name) {
 	case "atomic-value":
 		typ, _ := d.attrExactScan("xsi:type")
 		if typ == "" {
@@ -415,8 +443,8 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		}
 		out = append(out, doc)
 	case "attribute":
-		for _, a := range d.sc.attrs {
-			attr := d.arena.Attribute(a.name, a.value)
+		for _, a := range d.sc.Attrs {
+			attr := d.arena.Attribute(a.Name, a.Value)
 			attr.Seal()
 			out = append(out, attr)
 		}
@@ -449,7 +477,7 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		pi.Seal()
 		out = append(out, pi)
 	default:
-		return nil, unknownItemWrapper(d.sc.name)
+		return nil, unknownItemWrapper(d.sc.Name)
 	}
 	return out, nil
 }
@@ -523,7 +551,7 @@ func (d *decoder) decodeFault() (*Fault, error) {
 		if !ok {
 			return fault, nil
 		}
-		switch local := localName(d.sc.name); {
+		switch local := localName(d.sc.Name); {
 		case local == "Code" && !seenCode:
 			seenCode = true
 			err = d.decodeFaultCode(fault)
@@ -550,7 +578,7 @@ func (d *decoder) decodeFaultCode(fault *Fault) error {
 		if !ok {
 			return err
 		}
-		if localName(d.sc.name) != "Value" || seenValue {
+		if localName(d.sc.Name) != "Value" || seenValue {
 			if err := d.skipElement(); err != nil {
 				return err
 			}
@@ -580,7 +608,7 @@ func (d *decoder) childElements() ([]*xdm.Node, error) {
 		if !ok {
 			return out, nil
 		}
-		n, err := d.buildElement()
+		n, err := d.sc.BuildElement(&d.arena)
 		if err != nil {
 			return nil, err
 		}
@@ -594,91 +622,11 @@ func (d *decoder) childElements() ([]*xdm.Node, error) {
 // matching the DOM decoder's clone of v.Children.
 func (d *decoder) buildDocument() (*xdm.Node, error) {
 	doc := d.arena.Document("")
-	if d.sc.selfClose {
-		doc.Seal()
-		return doc, nil
-	}
-	target := d.sc.depth - 1
-	if err := d.buildChildren(doc, target); err != nil {
+	if err := d.sc.BuildChildren(&d.arena, doc); err != nil {
 		return nil, err
 	}
 	doc.Seal()
 	return doc, nil
-}
-
-// buildElement builds the element at the current start token (with its
-// whole subtree) into a fresh, unsealed tree.
-func (d *decoder) buildElement() (*xdm.Node, error) {
-	el := d.arena.Element(d.sc.name)
-	for _, a := range d.sc.attrs {
-		el.SetAttr(d.arena.Attribute(a.name, a.value))
-	}
-	if d.sc.selfClose {
-		return el, nil
-	}
-	if err := d.buildChildren(el, d.sc.depth-1); err != nil {
-		return nil, err
-	}
-	return el, nil
-}
-
-// buildChildren appends the token stream to parent until the scanner
-// depth returns to target. Iterative (explicit stack), so arbitrarily
-// deep documents cannot overflow the Go stack.
-func (d *decoder) buildChildren(parent *xdm.Node, target int) error {
-	cur := parent
-	var stack []*xdm.Node
-	for {
-		tok, err := d.sc.next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case tokStart:
-			child := d.arena.Element(d.sc.name)
-			for _, a := range d.sc.attrs {
-				child.SetAttr(d.arena.Attribute(a.name, a.value))
-			}
-			cur.AppendChild(child)
-			if !d.sc.selfClose {
-				stack = append(stack, cur)
-				cur = child
-			}
-		case tokEnd:
-			if d.sc.depth == target {
-				return nil
-			}
-			cur = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case tokText:
-			v, err := d.sc.textValue()
-			if err != nil {
-				return err
-			}
-			// merge adjacent text (CDATA boundaries), like the reference
-			// parser
-			if n := len(cur.Children); n > 0 && cur.Children[n-1].Kind == xdm.TextNode {
-				cur.Children[n-1].Value += v
-				continue
-			}
-			cur.AppendChild(d.arena.Text(v))
-		case tokComment:
-			v, err := d.sc.textValue()
-			if err != nil {
-				return err
-			}
-			cur.AppendChild(d.arena.Comment(v))
-		case tokPI:
-			if d.sc.name == "xml" {
-				continue // XML declaration
-			}
-			v, err := d.sc.textValue()
-			if err != nil {
-				return err
-			}
-			cur.AppendChild(d.arena.PI(d.sc.name, v))
-		}
-	}
 }
 
 // ------------------------------------------------------------- traversal
@@ -686,16 +634,16 @@ func (d *decoder) buildChildren(parent *xdm.Node, target int) error {
 // skipElement consumes the rest of the element whose start tag is the
 // current token, ignoring all content.
 func (d *decoder) skipElement() error {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth() - 1
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEnd && d.sc.depth == target {
+		if tok == xdm.TokEnd && d.sc.Depth() == target {
 			return nil
 		}
 	}
@@ -705,27 +653,27 @@ func (d *decoder) skipElement() error {
 // concatenation of all descendant text — fn:string of the element, the
 // value the DOM decoder read via StringValue.
 func (d *decoder) elementText() (string, error) {
-	if d.sc.selfClose {
+	if d.sc.SelfClose {
 		return "", nil
 	}
-	target := d.sc.depth - 1
+	target := d.sc.Depth() - 1
 	first := ""
 	var buf []byte
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return "", err
 		}
 		switch tok {
-		case tokEnd:
-			if d.sc.depth == target {
+		case xdm.TokEnd:
+			if d.sc.Depth() == target {
 				if buf != nil {
 					return string(buf), nil
 				}
 				return first, nil
 			}
-		case tokText:
-			v, err := d.sc.textValue()
+		case xdm.TokText:
+			v, err := d.sc.TextValue()
 			if err != nil {
 				return "", err
 			}
@@ -746,11 +694,11 @@ func (d *decoder) elementText() (string, error) {
 // performed.
 func (d *decoder) drain() error {
 	for {
-		tok, err := d.sc.next()
+		tok, err := d.sc.Next()
 		if err != nil {
 			return err
 		}
-		if tok == tokEOF {
+		if tok == xdm.TokEOF {
 			return nil
 		}
 	}

@@ -596,8 +596,9 @@ newline`,
 		if norm := strings.ReplaceAll(h, "\r", "\n"); back.QueryID.ID != "id-"+norm {
 			t.Errorf("hostile %q: queryID id = %q", h, back.QueryID.ID)
 		}
-		// the DOM decoder (encoding/xml) must accept the message too:
-		// proof the XML is well-formed
+		// the DOM decoder must accept the message too: proof the XML is
+		// well-formed (its document reader is held to encoding/xml by
+		// xdm's FuzzParseDocument)
 		if _, err := DecodeDOM(EncodeRequest(req)); err != nil {
 			t.Errorf("hostile %q: message is not well-formed XML: %v", h, err)
 		}

@@ -3,6 +3,8 @@ package soap
 import (
 	"bytes"
 	"testing"
+
+	"xrpc/internal/xdm"
 )
 
 // FuzzDecode feeds arbitrary bytes to the streaming decoder. Properties:
@@ -132,22 +134,22 @@ func FuzzResponseStreamRaw(f *testing.F) {
 		// the longest token of the input, found in byte mode (one that
 		// does not end is looked for to the end of the input)
 		span := 0
-		for sc := (scanner{data: data}); ; {
-			tok, err := sc.next()
+		for sc := xdm.NewScanner(data, nil, internTable); ; {
+			tok, err := sc.Next()
 			if err != nil {
-				span = max(span, len(data)-sc.tok)
+				span = max(span, len(data)-sc.Offset())
 			}
-			if err != nil || tok == tokEOF {
+			if err != nil || tok == xdm.TokEOF {
 				break
 			}
-			span = max(span, sc.pos-sc.tok)
+			span = max(span, len(sc.Token()))
 		}
 		if got != nil {
 			span = max(span, got.largest)
 		}
-		if bound := windowBound(span, chunk); cap(rs.d.sc.data) > bound {
+		if bound := xdm.WindowBound(span, chunk); rs.d.sc.Window() > bound {
 			t.Fatalf("read window grew to %d bytes, bound %d for a longest span of %d (chunk=%d)\ninput: %q",
-				cap(rs.d.sc.data), bound, span, chunk, data)
+				rs.d.sc.Window(), bound, span, chunk, data)
 		}
 		if err != nil || errDecoded != nil {
 			return

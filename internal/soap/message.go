@@ -6,11 +6,12 @@
 // piggyback used by distributed commit (§2.3), and SOAP Fault errors.
 //
 // The wire path is streaming and allocation-lean: encoding goes through
-// the pooled Encoder (encoder.go), decoding through a pull-tokenizer
-// specialized for the XRPC envelope grammar (scan.go, decode.go). The
-// seed's DOM-based implementations survive as executable references
-// (refenc.go, DecodeDOM below) that differential tests pin against the
-// streaming paths.
+// the pooled Encoder (encoder.go), decoding through xdm's pull-tokenizer
+// (xdm.Scanner, which ParseDocument reads documents with too) driven
+// through the XRPC envelope grammar (decode.go). The seed's DOM-based
+// implementations survive as executable references (refenc.go,
+// DecodeDOM below) that differential tests pin against the streaming
+// paths.
 package soap
 
 import (

@@ -316,15 +316,39 @@ func TestEscaping(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
+	// item wraps one sequence item in an otherwise valid response
+	item := func(x string) string {
+		return `<env:Envelope xmlns:env="e" xmlns:xrpc="x"><env:Body><xrpc:response xrpc:module="m" xrpc:method="f"><xrpc:sequence>` +
+			x + `</xrpc:sequence></xrpc:response></env:Body></env:Envelope>`
+	}
 	bad := []string{
 		``,
 		`<not-soap/>`,
 		`<env:Envelope xmlns:env="x"></env:Envelope>`,
 		`<env:Envelope xmlns:env="x"><env:Body><xrpc:other/></env:Body></env:Envelope>`,
+		// what XML does not allow, one row per class
+		item("<xrpc:atomic-value>a\x00b</xrpc:atomic-value>"),
+		item(`<xrpc:atomic-value>&#0;</xrpc:atomic-value>`),
+		item("<xrpc:text>\xff</xrpc:text>"),
+		item(`<xrpc:element><a b="<"/></xrpc:element>`),
+		item(`<xrpc:element><a><!--a--b--></a></xrpc:element>`),
+		item(`<xrpc:element><a><!-----></a></xrpc:element>`),
+		item(`<xrpc:atomic-value>]]></xrpc:atomic-value>`),
+		item(`<xrpc:element><1a/></xrpc:element>`),
+		item(`<xrpc:element><a:b:c/></xrpc:element>`),
+		item(`<xrpc:element><a\b/></xrpc:element>`),
+		`<?xml version="1.0" encoding="latin1"?>` + item(""),
+		`<?xml version="1.1"?>` + item(""),
+		`<!>` + item(""),
+		`<!-x>` + item(""),
+		`<![x]>` + item(""),
 	}
 	for _, msg := range bad {
 		if _, err := Decode([]byte(msg)); err == nil {
 			t.Errorf("%q: expected decode error", msg)
+		}
+		if _, err := DecodeStream(strings.NewReader(msg)); err == nil {
+			t.Errorf("%q: expected stream decode error", msg)
 		}
 	}
 }

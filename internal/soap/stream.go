@@ -22,7 +22,7 @@ import (
 // decoding incrementally as bytes arrive. It accepts and produces
 // exactly what Decode does.
 func DecodeStream(r io.Reader) (*Message, error) {
-	d := &decoder{sc: scanner{src: r}}
+	d := &decoder{sc: xdm.NewScanner(nil, r, internTable)}
 	return d.decodeMessage()
 }
 
@@ -74,10 +74,12 @@ func DecodeResponseStream(r io.Reader) (*Response, error) {
 // well formed, a wrapper with an unknown local name — and, one level up,
 // a result count that does not match the call count. What a forwarder no
 // longer checks is what only building the value checks: the lexical form
-// of a typed atomic (xsi:type="xs:integer" over "abc") and the entity
-// references in character data. Those surface, as the same "soap: bad
-// atomic value" or "malformed envelope" error, at the peer that decodes
-// the forwarded bytes — an error there, never a shortened result.
+// of a typed atomic (xsi:type="xs:integer" over "abc"), and the entity
+// references and characters (a NUL, invalid UTF-8) of character data.
+// Those surface, as the same "soap: bad atomic value" or "xml: …" error,
+// at the peer that decodes the forwarded bytes — an error there, never a
+// shortened result. Attribute values are checked as the tag is read, so
+// the forwarder rejects a bad one itself.
 type ResponseStream struct {
 	d      decoder
 	module string
@@ -110,8 +112,7 @@ type ResponseStream struct {
 // response element. A Fault message is returned as a *Fault error; a
 // request makes it a not-a-response error.
 func NewResponseStream(r io.Reader) (*ResponseStream, error) {
-	rs := &ResponseStream{}
-	rs.d.sc.src = r
+	rs := &ResponseStream{d: decoder{sc: xdm.NewScanner(nil, r, internTable)}}
 	if err := rs.header(); err != nil {
 		return nil, err
 	}
@@ -122,14 +123,13 @@ func NewResponseStream(r io.Reader) (*ResponseStream, error) {
 // current token — sits where Encoder.BeginResponse puts it, right after
 // envelopeHeader, and is the bytes it writes for this module and method.
 func (rs *ResponseStream) responseTagOurs() bool {
-	sc := &rs.d.sc
-	if sc.base+sc.tok != len(envelopeHeader) {
+	if rs.d.sc.Offset() != len(envelopeHeader) {
 		return false
 	}
 	e := NewEncoder()
 	defer e.Release()
 	e.responseStartTag(rs.module, rs.method)
-	return bytes.Equal(sc.data[sc.tok:sc.pos], e.Bytes())
+	return bytes.Equal(rs.d.sc.Token(), e.Bytes())
 }
 
 // Module returns the xrpc:module attribute of the response.
@@ -141,14 +141,8 @@ func (rs *ResponseStream) Method() string { return rs.method }
 func (rs *ResponseStream) header() error {
 	d := &rs.d
 	// peek at the prolog before any token is consumed (and compacted
-	// away); a read error met here is held and surfaces from next
-	for len(d.sc.data) < len(envelopeHeader) {
-		if ok, _ := d.sc.grow(); !ok {
-			break
-		}
-	}
-	rs.ours = len(d.sc.data) >= len(envelopeHeader) &&
-		string(d.sc.data[:len(envelopeHeader)]) == envelopeHeader
+	// away)
+	rs.ours = string(d.sc.Peek(len(envelopeHeader))) == envelopeHeader
 	var err error
 	if rs.bodyTgt, err = d.openBody(); err != nil {
 		return err
@@ -179,7 +173,7 @@ func (rs *ResponseStream) bodyChild() (bool, error) {
 		if !ok {
 			return false, err
 		}
-		switch localName(d.sc.name) {
+		switch localName(d.sc.Name) {
 		case "Fault":
 			f, err := d.decodeFault()
 			if err != nil {
@@ -219,7 +213,7 @@ func (rs *ResponseStream) NextSequence() (bool, error) {
 		rs.done = err == nil
 		return false, err
 	}
-	if string(d.sc.data[d.sc.tok:d.sc.pos]) != sequenceStartTag {
+	if string(d.sc.Token()) != sequenceStartTag {
 		rs.ours = false
 	}
 	rs.inSeq = true
@@ -286,17 +280,16 @@ func (rs *ResponseStream) NextItemRaw() (raw []byte, ok bool, err error) {
 		return nil, true, err
 	}
 	sc := &rs.d.sc
-	if !isItemWrapper(localName(sc.name)) {
-		return nil, true, unknownItemWrapper(sc.name)
+	if !isItemWrapper(localName(sc.Name)) {
+		return nil, true, unknownItemWrapper(sc.Name)
 	}
-	start := sc.tok
-	sc.pinned = true
+	sc.Pin()
 	err = rs.d.skipElement()
-	sc.pinned = false
+	raw = sc.Unpin()
 	if err != nil {
 		return nil, true, err
 	}
-	return sc.data[start:sc.pos], true, nil
+	return raw, true, nil
 }
 
 // Finish drains and validates the rest of the document — unread

@@ -1,10 +1,8 @@
 package xdm
 
 import (
-	"encoding/xml"
-	"fmt"
-	"io"
 	"strings"
+	"unsafe"
 )
 
 // ParseDocument parses XML text into a sealed document node with the
@@ -12,8 +10,9 @@ import (
 // reproduction treats QNames lexically, which suffices for the paper's
 // workloads and the XRPC envelope).
 func ParseDocument(uri, text string) (*Node, error) {
-	doc := NewDocument(uri)
-	if err := parseInto(doc, strings.NewReader(text)); err != nil {
+	var a Arena
+	doc := a.Document(uri)
+	if err := parseInto(&a, doc, text); err != nil {
 		return nil, err
 	}
 	doc.Seal()
@@ -23,8 +22,9 @@ func ParseDocument(uri, text string) (*Node, error) {
 // ParseFragment parses XML text that may lack a single root and returns
 // the parsed top-level nodes (each sealed as its own fragment tree).
 func ParseFragment(text string) ([]*Node, error) {
-	doc := NewDocument("")
-	if err := parseInto(doc, strings.NewReader(text)); err != nil {
+	var a Arena
+	doc := a.Document("")
+	if err := parseInto(&a, doc, text); err != nil {
 		return nil, err
 	}
 	for _, c := range doc.Children {
@@ -34,65 +34,92 @@ func ParseFragment(text string) ([]*Node, error) {
 	return doc.Children, nil
 }
 
-func parseInto(doc *Node, r io.Reader) error {
-	dec := xml.NewDecoder(r)
-	// Keep prefixes: the stdlib decoder resolves namespaces; we re-attach
-	// a prefix when the token carried one by inspecting Name.Space.
+// parseInto builds all of text under doc. A byte-mode scanner only reads
+// its input, so it scans the string's bytes in place.
+func parseInto(a *Arena, doc *Node, text string) error {
+	s := NewScanner(unsafe.Slice(unsafe.StringData(text), len(text)), nil, nil)
+	return s.build(a, doc, -1)
+}
+
+// BuildElement builds the element whose start tag is the scanner's
+// current token, with its whole subtree, as a fresh unsealed tree.
+func (s *Scanner) BuildElement(a *Arena) (*Node, error) {
+	el := s.element(a)
+	if err := s.BuildChildren(a, el); err != nil {
+		return nil, err
+	}
+	return el, nil
+}
+
+// BuildChildren appends the content of the element whose start tag is
+// the scanner's current token to parent, through the element's end tag.
+func (s *Scanner) BuildChildren(a *Arena, parent *Node) error {
+	if s.SelfClose {
+		return nil
+	}
+	return s.build(a, parent, s.depth-1)
+}
+
+func (s *Scanner) element(a *Arena) *Node {
+	el := a.Element(s.Name)
+	for _, at := range s.Attrs {
+		el.SetAttr(a.Attribute(at.Name, at.Value))
+	}
+	return el
+}
+
+// build appends the tokens to parent until an end tag takes the depth
+// back to target (-1: until the input ends). Adjacent text merges
+// (across CDATA sections), whitespace-only text outside every element
+// is dropped, and so is the XML declaration. Iterative (explicit stack),
+// so arbitrarily deep documents cannot overflow the Go stack.
+func (s *Scanner) build(a *Arena, parent *Node, target int) error {
+	cur := parent
 	var stack []*Node
-	cur := doc
 	for {
-		tok, err := dec.RawToken()
-		if err == io.EOF {
-			break
-		}
+		tok, err := s.Next()
 		if err != nil {
-			return fmt.Errorf("xml parse: %w", err)
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := NewElement(rawName(t.Name))
-			for _, a := range t.Attr {
-				el.SetAttr(NewAttribute(rawName(a.Name), a.Value))
+		switch tok {
+		case TokEOF:
+			return nil
+		case TokStart:
+			child := s.element(a)
+			cur.AppendChild(child)
+			if !s.SelfClose {
+				stack = append(stack, cur)
+				cur = child
 			}
-			cur.AppendChild(el)
-			stack = append(stack, cur)
-			cur = el
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("xml parse: unbalanced end tag </%s>", rawName(t.Name))
+		case TokEnd:
+			if s.depth == target {
+				return nil
 			}
 			cur = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if cur == doc && strings.TrimSpace(s) == "" {
-				continue // ignore whitespace outside the root
+		case TokText:
+			v, err := s.TextValue()
+			if err != nil {
+				return err
 			}
-			if len(cur.Children) > 0 && cur.Children[len(cur.Children)-1].Kind == TextNode {
-				cur.Children[len(cur.Children)-1].Value += s
+			if s.depth == 0 && strings.TrimSpace(v) == "" {
 				continue
 			}
-			cur.AppendChild(NewText(s))
-		case xml.Comment:
-			cur.AppendChild(NewComment(string(t)))
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				continue // XML declaration
+			if n := len(cur.Children); n > 0 && cur.Children[n-1].Kind == TextNode {
+				cur.Children[n-1].Value += v
+				continue
 			}
-			cur.AppendChild(NewPI(t.Target, string(t.Inst)))
-		case xml.Directive:
-			// DOCTYPE etc: ignored.
+			cur.AppendChild(a.Text(v))
+		// comments and PIs are taken verbatim: TextValue cannot fail on
+		// them
+		case TokComment:
+			v, _ := s.TextValue()
+			cur.AppendChild(a.Comment(v))
+		case TokPI:
+			if s.Name != "xml" {
+				v, _ := s.TextValue()
+				cur.AppendChild(a.PI(s.Name, v))
+			}
 		}
 	}
-	if len(stack) != 0 {
-		return fmt.Errorf("xml parse: %d unclosed element(s)", len(stack))
-	}
-	return nil
-}
-
-func rawName(n xml.Name) string {
-	if n.Space != "" {
-		return n.Space + ":" + n.Local
-	}
-	return n.Local
 }

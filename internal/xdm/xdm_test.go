@@ -30,30 +30,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseWhitespaceOutsideRoot(t *testing.T) {
-	doc := mustParse(t, "\n  <a/>\n")
-	if len(doc.Children) != 1 || doc.Children[0].Name != "a" {
-		t.Fatalf("children = %v", doc.Children)
-	}
-}
-
-func TestParseUnbalanced(t *testing.T) {
-	if _, err := ParseDocument("x", "<a><b></a>"); err == nil {
-		t.Fatal("expected error for unbalanced XML")
-	}
-}
-
-func TestParseNamespacePrefixKept(t *testing.T) {
-	doc := mustParse(t, `<xrpc:request xmlns:xrpc="http://monetdb.cwi.nl/XQuery" xrpc:module="films"/>`)
-	el := doc.Children[0]
-	if el.Name != "xrpc:request" {
-		t.Errorf("element name = %q, want xrpc:request", el.Name)
-	}
-	if v, ok := el.Attr("xrpc:module"); !ok || v != "films" {
-		t.Errorf("attr = %q, %v", v, ok)
-	}
-}
-
 func TestStringValueConcatenation(t *testing.T) {
 	doc := mustParse(t, `<p>a<b>b</b>c</p>`)
 	if got := doc.StringValue(); got != "abc" {
@@ -426,15 +402,5 @@ func TestQuickDocOrderTotal(t *testing.T) {
 				t.Fatalf("order not antisymmetric for %d,%d", i, j)
 			}
 		}
-	}
-}
-
-func TestEmptyTextMerging(t *testing.T) {
-	doc := mustParse(t, "<a>one&amp;two</a>")
-	if n := len(doc.Children[0].Children); n != 1 {
-		t.Fatalf("adjacent text not merged: %d children", n)
-	}
-	if got := doc.StringValue(); got != "one&two" {
-		t.Errorf("entity decode = %q", got)
 	}
 }
