@@ -26,22 +26,26 @@ bench:
 # bench-smoke compiles and runs every benchmark exactly once so that
 # benchmark code can never rot uncompiled (it is part of ci). This
 # covers the algebra microbenchmarks, the cluster scatter-gather
-# benchmarks — buffered (BenchmarkClusterScatter_*) and streamed
-# (BenchmarkClusterScatterStream_*, the shard-order merge writing the
-# merged envelope to a sink) — BenchmarkClusterShardedSemiJoin_*, the
-# writable-cluster benchmarks (BenchmarkClusterRoutedUpdate_*,
-# BenchmarkClusterPrunedProbe_*), the SOAP wire-path benchmarks incl.
-# the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
+# benchmarks over 1/2/4/8 shard peers — buffered
+# (BenchmarkClusterScatter/peers=N), streamed
+# (BenchmarkClusterScatterStream/peers=N, the shard-order merge writing
+# the merged envelope to a sink) and warm-cached
+# (BenchmarkClusterCachedScatter/peers=N) — BenchmarkClusterShardedSemiJoin_*,
+# the writable-cluster benchmarks (BenchmarkClusterRoutedUpdate_*,
+# BenchmarkClusterPrunedProbe_*), the SOAP wire-path benchmarks, streaming
+# vs reference (BenchmarkSoap{Encode,Decode}{Request,Response}{,Ref,DOM}),
+# incl. the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
 # BenchmarkSoapResponseStreamWalk), the query peer's join of Q7_1
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
 # before/after of the join rule: go test -run NONE -bench LiftedJoin
 # -benchmem ./internal/pathfinder), and the paper-table benchmarks.
-# Full sweep with peak-heap columns: xrpcbench -table cluster.
+# The streamed gather's memory bound is make memsmoke's.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench-cluster reproduces the scatter-gather sweep of
-# `xrpcbench -table cluster` as go benchmarks.
+# bench-cluster times the cluster go benchmarks: scatter-gather (cold,
+# streamed, warm-cached) over 1/2/4/8 shard peers, routed writes and
+# pruned probes.
 bench-cluster:
 	$(GO) test -run XXX -bench 'BenchmarkCluster' -benchtime 3x .
 
@@ -62,7 +66,11 @@ bench-cluster:
 # (xdm.ParseDocument, the envelope decoders) to encoding/xml, kept as a
 # test-only reference: the same accept/reject outcome and, on success,
 # the same tree node for node — but for character references to
-# surrogates, which only the tokenizer rejects.
+# surrogates, which only the tokenizer rejects. FuzzDecodePUL shakes the
+# pending-update-list reader that replica adoption, WAL replay and
+# resync feed: no input may panic it or the ApplyUpdates that follows,
+# and an accepted list must re-encode to a node that decodes to the
+# same list.
 # Run `go test -fuzz 'FuzzDecodeStream$$' ./internal/soap` for longer
 # sessions.
 fuzz-smoke:
@@ -72,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
 	$(GO) test -run=NONE -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xq
 	$(GO) test -run=NONE -fuzz 'FuzzParseDocument$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
+	$(GO) test -run=NONE -fuzz 'FuzzDecodePUL$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 
 # memsmoke is the bounded-memory acceptance check of the streamed
 # scatter-gather: under a 64 MiB GOMEMLIMIT the coordinator must merge
@@ -90,8 +99,9 @@ memsmoke:
 # compiled-text cache (interp.PlanCache) has no invalidation call to
 # forget, so the gate also re-registers modules: on a shard executor,
 # through Deploy, and under a query peer, the next request must run the
-# new text, and only the plans importing the module may recompile. The
-# full sweep with latency columns: xrpcbench -table cache.
+# new text, and only the plans importing the module may recompile.
+# Timing: BenchmarkClusterCachedScatter (warm) vs BenchmarkClusterScatter
+# (cold).
 cachesmoke:
 	$(GO) test -run 'TestCacheSmoke|TestDeployInvalidatesImporterPlans|Reregist' -v ./internal/cluster/
 	$(GO) test -run 'Reregist|TestCachedQueryMintsFreshQueryID|TestPlanCacheInvalidatesOnRegistration' -v \

@@ -10,6 +10,7 @@
 package xrpc
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -188,74 +189,63 @@ func BenchmarkBulkExecParallel_WMax(b *testing.B) {
 	benchBulkExec(b, runtime.GOMAXPROCS(0))
 }
 
-// runClusterScatter benches the scatter-gather hot path in isolation:
-// deployment, baseline, and identity verification happen once outside
-// the timer; each iteration is one bulk of Q_B3 probes fanned out over
-// n shard peers and merged.
-func runClusterScatter(b *testing.B, peers int) {
+// benchClusterScatter deploys the Q_B3 auctions cluster over 1, 2, 4
+// and 8 shard peers, primes each with one untimed op, and times op as a
+// b.Run("peers=N") sub-benchmark. Identity against an unsharded peer
+// at every peer count is TestScatterGatherMatchesSinglePeer's.
+func benchClusterScatter(b *testing.B, cacheBytes int64,
+	op func(co *cluster.Coordinator, br *client.BulkRequest) error) {
 	b.Helper()
 	cfg := xmark.PaperConfig(0.1)
 	reg := modules.NewRegistry()
 	if err := reg.Register(strategies.FunctionsB, "http://example.org/b.xq"); err != nil {
 		b.Fatal(err)
 	}
-	net := netsim.NewNetwork(0, 0)
-	dep, err := cluster.Deploy(net, reg,
-		map[string]string{"auctions.xml": xmark.GenerateAuctions(cfg)},
-		cluster.DeployConfig{Shards: peers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := dep.Coordinator()
+	auctions := xmark.GenerateAuctions(cfg)
 	br := bench.ClusterProbeRequest(cfg)
-	if _, err := co.Scatter(br); err != nil { // warm the function caches
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := co.Scatter(br); err != nil {
-			b.Fatal(err)
-		}
+	for _, peers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			dep, err := cluster.Deploy(netsim.NewNetwork(0, 0), reg,
+				map[string]string{"auctions.xml": auctions},
+				cluster.DeployConfig{Shards: peers, RespCacheBytes: cacheBytes, ResultCacheBytes: cacheBytes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			co := dep.Coordinator()
+			if err := op(co, br); err != nil { // warm the function caches
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(co, br); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkClusterScatter_P1(b *testing.B) { runClusterScatter(b, 1) }
-func BenchmarkClusterScatter_P4(b *testing.B) { runClusterScatter(b, 4) }
-
-// runClusterScatterStream benches the streamed wire path end to end:
-// each iteration scatters the Q_B3 probe bulk over n shard peers and
-// writes the merged response envelope to a discarded sink — shard
-// responses are pull-decoded and re-encoded in shard order without the
-// coordinator ever holding the merged result (the proxy serving path).
-func runClusterScatterStream(b *testing.B, peers int) {
-	b.Helper()
-	cfg := xmark.PaperConfig(0.1)
-	reg := modules.NewRegistry()
-	if err := reg.Register(strategies.FunctionsB, "http://example.org/b.xq"); err != nil {
-		b.Fatal(err)
-	}
-	net := netsim.NewNetwork(0, 0)
-	dep, err := cluster.Deploy(net, reg,
-		map[string]string{"auctions.xml": xmark.GenerateAuctions(cfg)},
-		cluster.DeployConfig{Shards: peers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := dep.Coordinator()
-	br := bench.ClusterProbeRequest(cfg)
-	if err := co.ScatterStream(br, io.Discard); err != nil { // warm the function caches
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := co.ScatterStream(br, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+func scatterOp(co *cluster.Coordinator, br *client.BulkRequest) error {
+	_, err := co.Scatter(br)
+	return err
 }
 
-func BenchmarkClusterScatterStream_P1(b *testing.B) { runClusterScatterStream(b, 1) }
-func BenchmarkClusterScatterStream_P4(b *testing.B) { runClusterScatterStream(b, 4) }
+// BenchmarkClusterScatter benches the scatter-gather hot path in
+// isolation: each iteration is one bulk of Q_B3 probes fanned out over
+// the shard peers and merged.
+func BenchmarkClusterScatter(b *testing.B) { benchClusterScatter(b, 0, scatterOp) }
+
+// BenchmarkClusterScatterStream benches the streamed wire path end to
+// end: each iteration scatters the Q_B3 probe bulk and writes the merged
+// response envelope to a discarded sink — shard responses are
+// pull-decoded and re-encoded in shard order without the coordinator
+// ever holding the merged result (the proxy serving path). Its memory
+// bound is make memsmoke's.
+func BenchmarkClusterScatterStream(b *testing.B) {
+	benchClusterScatter(b, 0, func(co *cluster.Coordinator, br *client.BulkRequest) error {
+		return co.ScatterStream(br, io.Discard)
+	})
+}
 
 func BenchmarkClusterShardedSemiJoin_P4(b *testing.B) {
 	env, err := strategies.NewShardedEnv(xmark.PaperConfig(0.1), 4, 1, netsim.NewNetwork(benchRTT, 0))
@@ -274,7 +264,7 @@ func BenchmarkClusterShardedSemiJoin_P4(b *testing.B) {
 // (8 keys spread across shards) routed shard-by-shard and committed via
 // 2PC with replica PUL replication, per iteration. Deployment happens
 // outside the timer; identity vs the unsharded baseline is pinned by
-// bench.RunClusterUpdateBench and the cluster tests.
+// the cluster's TestRoutedUpdateCommitsVia2PCWithReadYourWrites.
 func runClusterUpdate(b *testing.B, peers, replication int) {
 	runClusterUpdateWAL(b, peers, replication, "")
 }
@@ -447,39 +437,12 @@ func BenchmarkClusterPrunedProbe_P4(b *testing.B) {
 	}
 }
 
-// runClusterCachedScatter benches the warm three-tier read path: the
-// deployment enables the shard response caches and the coordinator
-// merged-result cache, one untimed scatter populates them, and each
+// BenchmarkClusterCachedScatter benches the warm three-tier read path:
+// the deployment enables the shard response caches and the coordinator
+// merged-result cache, the untimed op populates them, and each
 // iteration is then a version-revalidated cache hit (one shardInfo
 // probe round, merged result from coordinator memory). Contrast with
-// BenchmarkClusterScatter_*, which re-executes every probe per
-// iteration.
-func runClusterCachedScatter(b *testing.B, peers int) {
-	b.Helper()
-	cfg := xmark.PaperConfig(0.1)
-	reg := modules.NewRegistry()
-	if err := reg.Register(strategies.FunctionsB, "http://example.org/b.xq"); err != nil {
-		b.Fatal(err)
-	}
-	net := netsim.NewNetwork(0, 0)
-	dep, err := cluster.Deploy(net, reg,
-		map[string]string{"auctions.xml": xmark.GenerateAuctions(cfg)},
-		cluster.DeployConfig{Shards: peers, RespCacheBytes: 32 << 20, ResultCacheBytes: 32 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := dep.Coordinator()
-	br := bench.ClusterProbeRequest(cfg)
-	if _, err := co.Scatter(br); err != nil { // populate every tier
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := co.Scatter(br); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClusterCachedScatter_P1(b *testing.B) { runClusterCachedScatter(b, 1) }
-func BenchmarkClusterCachedScatter_P4(b *testing.B) { runClusterCachedScatter(b, 4) }
+// BenchmarkClusterScatter, which re-executes every probe per iteration;
+// make cachesmoke pins the cold, warm and post-write answers to an
+// unsharded peer.
+func BenchmarkClusterCachedScatter(b *testing.B) { benchClusterScatter(b, 32<<20, scatterOp) }

@@ -8,18 +8,13 @@
 //	xrpcbench -table fig1        Figure 1 (Bulk RPC intermediate tables)
 //	xrpcbench -table bulkexec    server-side bulk execution: cost by bulk size, sequential vs parallel
 //	xrpcbench -table algebra     columnar vs row-store relational operators
-//	xrpcbench -table cluster     scatter-gather Bulk RPC over 1/2/4/8 shard peers
-//	xrpcbench -table cluster-update  routed vs broadcast writes, pruned vs full probes
-//	xrpcbench -table cache       three-tier cache: cold vs warm vs post-invalidation
 //	xrpcbench -table planner     self-driving planner: derived routes + cost model vs broadcast
-//	xrpcbench -table wire        SOAP encode/decode: streaming vs reference path
 //	xrpcbench -table all         everything
 //
 // The -scale flag scales the XMark data (1.0 = the paper's 250 persons /
 // 4875 auctions); -rtt sets the simulated round-trip latency; -parallel
 // and -calls bound the worker pool sizes and the bulk sizes swept by the
-// bulkexec experiment; -gzip adds gzip content-coding sizes to the wire
-// experiment.
+// bulkexec experiment. An unknown -table name exits 2.
 package main
 
 import (
@@ -38,7 +33,7 @@ import (
 
 func main() {
 	table := flag.String("table", "all",
-		"which experiment(s), comma-separated: 2, 3, 4, throughput, fig1, bulkexec, algebra, cluster, cluster-update, cache, planner, wire, all")
+		"which experiment(s), comma-separated: 2, 3, 4, throughput, fig1, bulkexec, algebra, planner, all")
 	scale := flag.Float64("scale", 0.2, "XMark scale (1.0 = paper size: 250 persons, 4875 auctions)")
 	rtt := flag.Duration("rtt", 200*time.Microsecond, "simulated network round-trip latency")
 	x := flag.Int("x", 1000, "loop iterations for Table 2/3 ($x)")
@@ -46,72 +41,54 @@ func main() {
 		"largest worker pool size for the bulkexec experiment")
 	calls := flag.Int("calls", 512, "largest bulk request size of the bulkexec sweep (1, 8, 64, 512)")
 	rows := flag.Int("rows", 16384, "input rows for the algebra experiment")
-	useGzip := flag.Bool("gzip", false, "measure gzip content-coding sizes in the wire experiment")
 	flag.Parse()
 
-	run := func(name string, f func() error) {
-		fmt.Printf("=== %s ===\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	// experiments in the order -table all runs them
+	experiments := []struct {
+		name, title string
+		run         func() error
+	}{
+		{"2", "Table 2", func() error { return runTable2(*rtt, *x) }},
+		{"throughput", "Throughput (§3.3)", runThroughput},
+		{"3", "Table 3", func() error { return runTable3(*scale, *x) }},
+		{"4", "Table 4", func() error { return runTable4(*scale) }},
+		{"fig1", "Figure 1", runFigure1},
+		{"bulkexec", "Bulk execution (sequential vs parallel)", func() error {
+			return runBulkExec(*calls, *parallel, *scale)
+		}},
+		{"algebra", "Algebra operators (columnar vs row-store)", func() error {
+			return runAlgebra(*rows)
+		}},
+		{"planner", "Self-driving planner (derived routes + cost model vs broadcast)", func() error {
+			return runPlanner(*scale, *rtt)
+		}},
+	}
+
+	valid := map[string]bool{"all": true}
+	names := []string{}
+	for _, e := range experiments {
+		valid[e.name] = true
+		names = append(names, e.name)
+	}
+	selected := map[string]bool{}
+	for _, t := range strings.Split(*table, ",") {
+		t = strings.TrimSpace(t)
+		if !valid[t] {
+			fmt.Fprintf(os.Stderr, "xrpcbench: unknown -table %q; valid: %s, all\n", t, strings.Join(names, ", "))
+			os.Exit(2)
+		}
+		selected[t] = true
+	}
+	for _, e := range experiments {
+		if !selected["all"] && !selected[e.name] {
+			continue
+		}
+		fmt.Printf("=== %s ===\n", e.title)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.title, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-
-	selected := map[string]bool{}
-	for _, t := range strings.Split(*table, ",") {
-		selected[strings.TrimSpace(t)] = true
-	}
-	all := selected["all"]
-	if all || selected["2"] {
-		run("Table 2", func() error { return runTable2(*rtt, *x) })
-	}
-	if all || selected["throughput"] {
-		run("Throughput (§3.3)", runThroughput)
-	}
-	if all || selected["3"] {
-		run("Table 3", func() error { return runTable3(*scale, *x) })
-	}
-	if all || selected["4"] {
-		run("Table 4", func() error { return runTable4(*scale) })
-	}
-	if all || selected["fig1"] {
-		run("Figure 1", runFigure1)
-	}
-	if all || selected["bulkexec"] {
-		run("Bulk execution (sequential vs parallel)", func() error {
-			return runBulkExec(*calls, *parallel, *scale)
-		})
-	}
-	if all || selected["algebra"] {
-		run("Algebra operators (columnar vs row-store)", func() error {
-			return runAlgebra(*rows)
-		})
-	}
-	if all || selected["cluster"] {
-		run("Cluster scatter-gather (1/2/4/8 shard peers)", func() error {
-			return runCluster(*scale, *rtt)
-		})
-	}
-	if all || selected["cluster-update"] {
-		run("Cluster writes & pruned probes (routed vs broadcast)", func() error {
-			return runClusterUpdate(*scale, *rtt)
-		})
-	}
-	if all || selected["cache"] {
-		run("Three-tier cache (cold vs warm vs post-invalidation)", func() error {
-			return runCache(*scale, *rtt)
-		})
-	}
-	if all || selected["planner"] {
-		run("Self-driving planner (derived routes + cost model vs broadcast)", func() error {
-			return runPlanner(*scale, *rtt)
-		})
-	}
-	if all || selected["wire"] {
-		run("SOAP wire path (streaming vs reference)", func() error {
-			return runWire(*useGzip)
-		})
 	}
 }
 
@@ -131,79 +108,6 @@ func runPlanner(scale float64, rtt time.Duration) error {
 	}
 	fmt.Print(bench.FormatPlannerBench(rows))
 	fmt.Println("\nzero hand-written route specs; every response verified byte-identical to the unsharded baseline before timing")
-	return nil
-}
-
-// runCache sweeps the version-fenced cache tiers over 1/2/4/8 shard
-// peers: the same key-predicate probe bulk timed on a fresh deployment
-// (cold), repeated (warm: one shardInfo revalidation round, results
-// from coordinator memory), and right after a routed single-shard
-// commit (the fence redoes exactly the invalidated work). Every timed
-// response is byte-compared against an unsharded single-peer execution.
-func runCache(scale float64, rtt time.Duration) error {
-	cfg := xmark.PaperConfig(scale)
-	fmt.Printf("XMark: %d persons; rtt %v, %d MB/s links\n",
-		cfg.Persons, rtt, bench.ClusterBandwidth/(1024*1024))
-	rows, err := bench.RunCacheBench(cfg, []int{1, 2, 4, 8}, rtt, 5)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatCacheBench(rows))
-	fmt.Println("\nevery timed response (cold, warm, post-write) verified byte-identical to the unsharded single-peer baseline")
-	return nil
-}
-
-// runClusterUpdate contrasts the range-aware cluster with its broadcast
-// predecessor: updating bulks routed to the owning shards (2PC over the
-// touched primaries) vs broadcast to every primary, and key-predicate
-// probes pruned by range metadata vs scattered to all shards. Every
-// mode's results are verified byte-identical to an unsharded
-// single-peer execution before timing.
-func runClusterUpdate(scale float64, rtt time.Duration) error {
-	cfg := xmark.PaperConfig(scale)
-	fmt.Printf("XMark: %d persons; rtt %v, %d MB/s links\n",
-		cfg.Persons, rtt, bench.ClusterBandwidth/(1024*1024))
-	rows, err := bench.RunClusterUpdateBench(cfg, []int{2, 4, 8}, rtt, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatClusterUpdateBench(rows))
-	fmt.Println("\nall modes verified byte-identical to the unsharded single-peer baseline before timing")
-	return nil
-}
-
-// runWire contrasts the streaming wire path (pooled encoder + envelope
-// pull-decoder) with the seed's reference path (strings.Builder encoder
-// + DOM decoder) across message shapes. Outputs are verified identical
-// before timing: both encoders must emit the same bytes, and both
-// decoders' results must re-encode identically.
-func runWire(gzipSizes bool) error {
-	rows, err := bench.RunWireBench(3, gzipSizes)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatWireBench(rows))
-	fmt.Println("\noutputs verified identical between streaming and reference paths before timing")
-	return nil
-}
-
-// runCluster sweeps the scatter-gather coordinator over 1, 2, 4, and 8
-// shard peers for the probe and scan workloads. At every peer count the
-// merged response is verified byte-identical to the unsharded
-// single-peer response before any timing happens; the per-shard byte
-// columns show the partitioner splitting traffic across the cluster;
-// the peak-heap columns contrast the streamed shard-order merge with
-// the buffered collect-then-encode reference.
-func runCluster(scale float64, rtt time.Duration) error {
-	cfg := xmark.PaperConfig(scale)
-	fmt.Printf("XMark: %d persons, %d closed auctions; rtt %v, %d MB/s links\n",
-		cfg.Persons, cfg.ClosedAuctions, rtt, bench.ClusterBandwidth/(1024*1024))
-	results, err := bench.RunClusterBench(cfg, []int{1, 2, 4, 8}, rtt, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatClusterBench(results))
-	fmt.Println("\nmerged responses verified byte-identical to the unsharded single-peer response at every peer count")
 	return nil
 }
 

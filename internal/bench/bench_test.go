@@ -235,40 +235,3 @@ func TestFigure1Trace(t *testing.T) {
 		}
 	}
 }
-
-func TestClusterBenchVerifiesAndSplitsBytes(t *testing.T) {
-	cfg := xmark.Config{Persons: 20, ClosedAuctions: 60, Matches: 6, AnnotationWords: 5, Seed: 42}
-	results, err := RunClusterBench(cfg, []int{1, 2, 3}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("workloads = %d, want 2 (probe + scan)", len(results))
-	}
-	for _, res := range results {
-		if len(res.Rows) != 3 {
-			t.Fatalf("%s: rows = %d, want 3", res.Workload, len(res.Rows))
-		}
-		for _, r := range res.Rows {
-			if !r.Verified {
-				t.Fatalf("%s peers=%d: merged response was not verified", res.Workload, r.Peers)
-			}
-			if len(r.PerShard) != r.Peers {
-				t.Fatalf("%s peers=%d: per-shard stats for %d peers", res.Workload, r.Peers, len(r.PerShard))
-			}
-		}
-		// the scan's response bytes must actually split across shards:
-		// at 3 peers every shard ships a non-empty share
-		if strings.Contains(res.Workload, "scan") {
-			last := res.Rows[len(res.Rows)-1]
-			for s, bytes := range last.PerShard {
-				if bytes == 0 {
-					t.Fatalf("scan shard %d shipped 0 bytes", s)
-				}
-			}
-		}
-	}
-	if out := FormatClusterBench(results); !strings.Contains(out, "peers") {
-		t.Fatalf("format lost the header: %q", out)
-	}
-}

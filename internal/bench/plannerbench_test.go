@@ -26,7 +26,7 @@ func deriveBenchKeys(t *testing.T, source, hint string) ([]pathfinder.RouteKey, 
 
 // TestDerivedRouteKeysMatchHandWrittenBenchSpecs is the bench half of
 // the differential check: the compiler-derived route keys for the
-// cluster-update workload module must equal the hand-written
+// routed-cluster workload module must equal the hand-written
 // PersonRoutes() specs the benchmarks used before the planner existed —
 // the hand-written specs stay in the tree as the executable reference.
 func TestDerivedRouteKeysMatchHandWrittenBenchSpecs(t *testing.T) {

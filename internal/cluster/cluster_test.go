@@ -177,7 +177,7 @@ func TestScatterGatherMatchesSinglePeer(t *testing.T) {
 
 	for _, br := range []*client.BulkRequest{probeRequest(cfg.Persons), scanRequest()} {
 		want := singlePeerBaseline(t, reg, auctions, br)
-		for _, shards := range []int{1, 2, 3, 4} {
+		for _, shards := range []int{1, 2, 3, 4, 8} {
 			net := netsim.NewNetwork(0, 0)
 			dep, err := Deploy(net, reg, map[string]string{"auctions.xml": auctions},
 				DeployConfig{Shards: shards})
@@ -193,10 +193,21 @@ func TestScatterGatherMatchesSinglePeer(t *testing.T) {
 				t.Fatalf("%s: merged response over %d shards differs from single-peer response",
 					br.Func, shards)
 			}
-			// every shard must have been contacted exactly once
-			for s := 0; s < shards; s++ {
-				if reqs, _, _ := net.PeerStats(dep.Table.Primary(s)); reqs != 1 {
+			// every shard must have been contacted exactly once, and the
+			// scan's response bytes split across the shards: none ships
+			// less than a quarter of an even share
+			recv := make([]int64, shards)
+			var total int64
+			for s := range recv {
+				reqs, _, r := net.PeerStats(dep.Table.Primary(s))
+				if reqs != 1 {
 					t.Fatalf("shard %d served %d requests, want 1", s, reqs)
+				}
+				recv[s], total = r, total+r
+			}
+			for s, r := range recv {
+				if br.Func == "Q_B1" && r*int64(4*shards) < total {
+					t.Fatalf("scan over %d shards: shard %d shipped %d of %d bytes", shards, s, r, total)
 				}
 			}
 		}

@@ -31,8 +31,8 @@ const txnTimeout = 30
 // sound. A function whose result on a non-owning shard is not empty
 // (string() of an absent node is "", count() is 0) needs its spec:
 // broadcast would concatenate those non-owning answers into the result,
-// and the unsharded peer has none of them. The cluster-update benchmark
-// and tests verify the identity for every spec they register.
+// and the unsharded peer has none of them. The cluster tests verify
+// the identity for every spec they register.
 type RouteSpec struct {
 	// ModuleURI and Func name the function the spec routes.
 	ModuleURI, Func string

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -589,6 +591,74 @@ func TestUpdatePut(t *testing.T) {
 	}
 	if got := evalStr(t, e, `count(doc("backup.xml")//name)`); got != "3" {
 		t.Fatalf("put = %q", got)
+	}
+}
+
+// illKindedUpdates are inserts and replaces whose target and source
+// kinds XQUF forbids, on illKindedDoc. Each row is the query and the
+// same primitive built by hand, the way a PUL decoded from the wire or
+// the log reaches ApplyUpdates without evalUpdate's check.
+const illKindedDoc = `<r><p id="1">t</p></r>`
+
+var illKindedUpdates = []struct {
+	query          string
+	kind           PrimitiveKind
+	target, source string
+	code           string
+}{
+	{`replace node doc("a.xml")/r/p/@id with <x/>`,
+		PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0011"},
+	{`replace node doc("a.xml")/r/p with doc("a.xml")/r/p/@id`,
+		PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`, "XUTY0010"},
+	{`insert node <x/> into doc("a.xml")/r/p/@id`,
+		PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0005"},
+	{`insert node <x/> as first into doc("a.xml")/r/p/text()`,
+		PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`, "XUTY0005"},
+	{`insert node <x/> before doc("a.xml")/r/p/@id`,
+		PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0006"},
+	{`insert node attribute {"a"} {"v"} into doc("a.xml")`,
+		PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`, "XUTY0022"},
+	{`insert node attribute {"a"} {"v"} after doc("a.xml")/r`,
+		PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`, "XUDY0030"},
+}
+
+// TestIllKindedUpdatesRejected holds both checks: evaluation raises the
+// row's code, and so does ApplyUpdates on the hand-built primitive (an
+// attribute target has no index among its parent's children), and
+// neither changes the document.
+func TestIllKindedUpdatesRejected(t *testing.T) {
+	codeOf := func(err error) string {
+		var xe *xdm.Error
+		if errors.As(err, &xe) {
+			return xe.Code
+		}
+		return fmt.Sprint(err)
+	}
+	for _, row := range illKindedUpdates {
+		e, st := newTestEngine(t)
+		if err := st.LoadXML("a.xml", illKindedDoc); err != nil {
+			t.Fatal(err)
+		}
+		c, err := e.Compile(row.query)
+		if err != nil {
+			t.Fatalf("%s: %v", row.query, err)
+		}
+		if _, _, err := c.Eval(&EvalOptions{CollectUpdates: true}); codeOf(err) != row.code {
+			t.Errorf("%s: eval error %v, want %s", row.query, err, row.code)
+		}
+		target := evalQuery(t, e, row.target)[0].(*xdm.Node)
+		var src []*xdm.Node
+		for _, it := range evalQuery(t, e, row.source) {
+			src = append(src, it.(*xdm.Node).Clone())
+		}
+		ul := &UpdateList{}
+		ul.Add(Primitive{Kind: row.kind, Target: target, Source: src})
+		if err := ApplyUpdates(st, ul); codeOf(err) != row.code {
+			t.Errorf("%s: ApplyUpdates error %v, want %s", row.query, err, row.code)
+		}
+		if got := evalStr(t, e, `doc("a.xml")`); got != illKindedDoc {
+			t.Errorf("%s: document changed to %s", row.query, got)
+		}
 	}
 }
 

@@ -150,6 +150,9 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 		if (kind == PrimInsertBefore || kind == PrimInsertAfter) && tgt.Parent == nil {
 			return nil, xdm.NewError("XUDY0029", "insert before/after target has no parent")
 		}
+		if err := checkKinds(kind, tgt, srcNodes); err != nil {
+			return nil, err
+		}
 		ctx.pul.Add(Primitive{Kind: kind, Target: tgt, Source: srcNodes})
 		return nil, nil
 	case *xq.Delete:
@@ -189,6 +192,9 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 		if tgt.Parent == nil {
 			return nil, xdm.NewError("XUDY0029", "replace target has no parent")
 		}
+		if err := checkKinds(PrimReplaceNode, tgt, srcNodes); err != nil {
+			return nil, err
+		}
 		ctx.pul.Add(Primitive{Kind: PrimReplaceNode, Target: tgt, Source: srcNodes})
 		return nil, nil
 	case *xq.Rename:
@@ -207,6 +213,47 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 		return nil, nil
 	}
 	return nil, xdm.Errorf("XPST0003", "unknown update expression %T", e)
+}
+
+// checkKinds is XQUF's rule on which node kinds an insert or replace
+// may combine: only elements and documents take content inside
+// (XUTY0005), only a node with siblings takes it beside (XUTY0006),
+// and attributes replace only attributes (XUTY0010, XUTY0011). An
+// attribute may be inserted only onto an element: into a document is
+// XUTY0022, beside a child of a document XUDY0030. evalUpdate checks a
+// primitive it builds; applyPrimitive checks again because a PUL
+// adopted from the wire or replayed from the log is outside input.
+func checkKinds(kind PrimitiveKind, target *xdm.Node, src []*xdm.Node) error {
+	attrs := 0
+	for _, s := range src {
+		if s.Kind == xdm.AttributeNode {
+			attrs++
+		}
+	}
+	switch kind {
+	case PrimInsertInto, PrimInsertFirst, PrimInsertLast:
+		switch {
+		case target.Kind != xdm.ElementNode && target.Kind != xdm.DocumentNode:
+			return xdm.Errorf("XUTY0005", "cannot insert into %s", target.Kind)
+		case target.Kind == xdm.DocumentNode && attrs > 0:
+			return xdm.NewError("XUTY0022", "insert of an attribute into a document node")
+		}
+	case PrimInsertBefore, PrimInsertAfter:
+		switch {
+		case target.Kind == xdm.AttributeNode || target.Kind == xdm.DocumentNode:
+			return xdm.Errorf("XUTY0006", "cannot insert before or after %s", target.Kind)
+		case attrs > 0 && (target.Parent == nil || target.Parent.Kind != xdm.ElementNode):
+			return xdm.NewError("XUDY0030", "insert of an attribute beside a node whose parent is not an element")
+		}
+	case PrimReplaceNode:
+		switch {
+		case target.Kind == xdm.AttributeNode && attrs < len(src):
+			return xdm.NewError("XUTY0011", "an attribute is replaced only by attributes")
+		case target.Kind != xdm.AttributeNode && attrs > 0:
+			return xdm.Errorf("XUTY0010", "%s is not replaced by attributes", target.Kind)
+		}
+	}
+	return nil
 }
 
 func (ctx *dynCtx) evalSingleNode(e xq.Expr) (*xdm.Node, error) {
@@ -354,6 +401,9 @@ func applyPrimitive(target *xdm.Node, p Primitive) error {
 			out[i] = s.Clone()
 		}
 		return out
+	}
+	if err := checkKinds(p.Kind, target, p.Source); err != nil {
+		return err
 	}
 	switch p.Kind {
 	case PrimInsertInto, PrimInsertLast:

@@ -8,8 +8,8 @@ import (
 )
 
 // the routed-workload module shared by the cluster tests and the
-// cluster-update benchmark, verbatim (keep in sync with
-// internal/cluster/routed_test.go and internal/bench/clusterupdate.go).
+// cluster benchmarks, verbatim (keep in sync with
+// internal/cluster/routed_test.go and bench.FunctionsP).
 const personsModuleSrc = `
 module namespace p = "functions_p";
 declare function p:getPerson($pid as xs:string) as node()*

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"xrpc/internal/client"
+	"xrpc/internal/interp"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
@@ -192,5 +194,51 @@ func TestResyncFromPrimary(t *testing.T) {
 	}
 	if v != prim.store.Version() || filmDoc(t, blank.store) != filmDoc(t, prim.store) {
 		t.Fatal("snapshot resync did not converge to the primary's state")
+	}
+}
+
+// An ill-kinded primitive — a replace node of an attribute by an
+// element — is rejected under the commit lock, and the lock is free
+// again for the next commit. A panic inside applyDurable would leave
+// the lock held: net/http recovers the handler, and every later write
+// on the peer blocks.
+func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
+	p := newPeer(t, "xrpc://w.example.org", filmDB, netsim.NewNetwork(0, 0))
+	enableWAL(t, p, t.TempDir(), WALConfig{})
+	if err := p.store.LoadXML("a.xml", `<r><p id="1">t</p></r>`); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := p.store.Get("a.xml")
+	id := doc.Children[0].Children[0].Attrs[0]
+	bad := &interp.UpdateList{}
+	bad.Add(interp.Primitive{Kind: interp.PrimReplaceNode, Target: id,
+		Source: []*xdm.Node{xdm.NewElement("x").Seal()}})
+	err := func() (err error) {
+		defer func() { // what net/http does with a handler's panic
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return p.server.Apply(bad)
+	}()
+	var xe *xdm.Error
+	if !errors.As(err, &xe) || xe.Code != "XUTY0011" {
+		t.Errorf("ill-kinded commit: %v, want XUTY0011", err)
+	}
+
+	good := &interp.UpdateList{}
+	good.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: "2"})
+	done := make(chan error, 1)
+	go func() { done <- p.server.Apply(good) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a valid commit is still blocked after the rejected one")
+	}
+	if doc, _ := p.store.Get("a.xml"); xdm.SerializeNode(doc) != `<r><p id="2">t</p></r>` {
+		t.Fatalf("a.xml = %s", xdm.SerializeNode(doc))
 	}
 }

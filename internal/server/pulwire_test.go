@@ -17,7 +17,7 @@ const filmDB = `<films>
 
 // collectPUL runs an updating query against a fresh store and returns
 // the pending update list it produced (plus the store).
-func collectPUL(t *testing.T, query string) (*interp.UpdateList, *store.Store) {
+func collectPUL(t testing.TB, query string) (*interp.UpdateList, *store.Store) {
 	t.Helper()
 	st := store.New()
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
@@ -35,21 +35,24 @@ func collectPUL(t *testing.T, query string) (*interp.UpdateList, *store.Store) {
 	return pul, st
 }
 
+// pulFixtures are updating queries over filmDB whose pending update
+// lists the wire tests encode.
+var pulFixtures = []string{
+	`insert node <film><name>Dr. No</name><actor>Sean Connery</actor></film>
+	 into doc("filmDB.xml")/films`,
+	`delete node doc("filmDB.xml")//film[name="The Rock"]`,
+	`replace value of node doc("filmDB.xml")//film[1]/name with "Renamed <Film> 2"`,
+	`rename node doc("filmDB.xml")//film[2]/actor as "star"`,
+	`(insert node <film><name>A</name><actor>B</actor></film> into doc("filmDB.xml")/films,
+	  replace value of node doc("filmDB.xml")//film[1]/name with "")`,
+}
+
 // TestPULWireRoundTrip pins the replica-replication contract: a PUL
 // encoded at the primary and decoded against an identical tree (the
 // replica's snapshot) applies to the same effect — byte-identical
 // documents on both sides.
 func TestPULWireRoundTrip(t *testing.T) {
-	queries := []string{
-		`insert node <film><name>Dr. No</name><actor>Sean Connery</actor></film>
-		 into doc("filmDB.xml")/films`,
-		`delete node doc("filmDB.xml")//film[name="The Rock"]`,
-		`replace value of node doc("filmDB.xml")//film[1]/name with "Renamed <Film> 2"`,
-		`rename node doc("filmDB.xml")//film[2]/actor as "star"`,
-		`(insert node <film><name>A</name><actor>B</actor></film> into doc("filmDB.xml")/films,
-		  replace value of node doc("filmDB.xml")//film[1]/name with "")`,
-	}
-	for _, q := range queries {
+	for _, q := range pulFixtures {
 		pul, primary := collectPUL(t, q)
 		if pul.Empty() {
 			t.Fatalf("query produced no pending updates: %s", q)
@@ -127,4 +130,91 @@ func TestDecodePULRejectsMisaimedTargets(t *testing.T) {
 	if _, err := DecodePUL(junk, empty.Snapshot()); err == nil {
 		t.Fatal("accepted a non-PUL element")
 	}
+}
+
+// fuzzPULStore is the fixed store FuzzDecodePUL decodes against:
+// filmDB plus a document with an attribute and a text node to aim
+// ill-kinded primitives at.
+func fuzzPULStore(t testing.TB) *store.Store {
+	st := store.New()
+	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LoadXML("a.xml", `<r><p id="1">t</p></r>`); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// FuzzDecodePUL shakes the pending-update-list reader that replicas
+// (AdoptPUL), WAL replay and resync feed with bytes from the wire or
+// the disk: no input may panic parsePUL or the ApplyUpdates that
+// follows it, and a list it accepts re-encodes to a node that decodes
+// to the same list — the same kinds, targets and order, and the same
+// encoding again.
+func FuzzDecodePUL(f *testing.F) {
+	for _, q := range pulFixtures {
+		pul, _ := collectPUL(f, q)
+		pul.SetSeqBase(3)
+		f.Add([]byte(xdm.SerializeNode(EncodePUL(pul))))
+	}
+	// ill-kinded primitives, as only a foreign or corrupt PUL carries
+	// them: evalUpdate refuses to build these
+	st := fuzzPULStore(f)
+	eng := interp.New(st, modules.NewRegistry(), nil)
+	node := func(q string) *xdm.Node {
+		c, err := eng.Compile(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seq, _, err := c.Eval(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return seq[0].(*xdm.Node)
+	}
+	for _, row := range []struct {
+		kind           interp.PrimitiveKind
+		target, source string
+	}{
+		{interp.PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{interp.PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`},
+		{interp.PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{interp.PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`},
+		{interp.PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{interp.PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`},
+		{interp.PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`},
+	} {
+		ul := &interp.UpdateList{}
+		ul.Add(interp.Primitive{Kind: row.kind, Target: node(row.target),
+			Source: []*xdm.Node{node(row.source)}})
+		f.Add([]byte(xdm.SerializeNode(EncodePUL(ul))))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := fuzzPULStore(t)
+		ul, err := parsePUL(data, st)
+		if err != nil {
+			return
+		}
+		wire := xdm.SerializeNode(EncodePUL(ul))
+		again, err := parsePUL([]byte(wire), st)
+		if err != nil {
+			t.Fatalf("re-encoded list does not decode: %v\n%s", err, wire)
+		}
+		if len(again.Prims) != len(ul.Prims) {
+			t.Fatalf("%d primitives decode to %d", len(ul.Prims), len(again.Prims))
+		}
+		for i, p := range ul.Prims {
+			q := again.Prims[i]
+			if p.Kind != q.Kind || p.Target != q.Target || p.Seq != q.Seq {
+				t.Fatalf("primitive %d: %v #%v seq %d decodes to %v #%v seq %d",
+					i, p.Kind, p.Target, p.Seq, q.Kind, q.Target, q.Seq)
+			}
+		}
+		if rewire := xdm.SerializeNode(EncodePUL(again)); rewire != wire {
+			t.Fatalf("re-encoding differs:\n%s\n%s", wire, rewire)
+		}
+		interp.ApplyUpdates(st, ul) // an error is an answer; a panic is not
+	})
 }

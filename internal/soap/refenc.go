@@ -11,7 +11,7 @@ import (
 // executable reference, the same way internal/algebra keeps its
 // row-store (rowref.go). The pooled Encoder (encoder.go) is the
 // production wire path; differential tests pin the two byte-identical on
-// every message, and `xrpcbench -table wire` measures the difference.
+// every message, and BenchmarkSoapEncode*Ref measures the difference.
 //
 // Known historical quirk kept on purpose: header attributes are written
 // with %q, which backslash-escapes quotes and newlines instead of using
