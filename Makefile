@@ -14,7 +14,9 @@ vet:
 	$(GO) vet ./...
 
 # race catches data races in the parallel bulk-execution pipeline, the
-# cluster scatter-gather coordinator, and store snapshot isolation.
+# cluster scatter-gather coordinator, and store snapshot isolation —
+# readers pinning snapshots beside commits that write in place
+# (TestReadersBesideInPlaceCommits).
 race:
 	$(GO) test -race -shuffle=on ./...
 
@@ -38,7 +40,11 @@ bench:
 # BenchmarkSoapResponseStreamWalk), the query peer's join of Q7_1
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
 # before/after of the join rule: go test -run NONE -bench LiftedJoin
-# -benchmem ./internal/pathfinder), and the paper-table benchmarks.
+# -benchmem ./internal/pathfinder), one `replace value of` commit
+# through interp.ApplyUpdates at 1000 and 8000 persons
+# (BenchmarkCommitReplaceValue/persons=N — the layer-level before/after
+# of copy on pin: go test -run NONE -bench CommitReplaceValue -benchmem
+# ./internal/interp), and the paper-table benchmarks.
 # The streamed gather's memory bound is make memsmoke's.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

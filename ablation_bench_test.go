@@ -26,7 +26,7 @@ import module namespace f="films" at "http://x.example.org/film.xq";
 for $p in (1 to 50)
 return count(execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")})`
 
-func dedupEnv(b *testing.B) (*pathfinder.Compiled, *netsim.Network, *store.Store) {
+func dedupEnv(b *testing.B) (*pathfinder.Compiled, *netsim.Network, *store.Snapshot) {
 	b.Helper()
 	net := netsim.NewNetwork(0, 0)
 	reg := modules.NewRegistry()
@@ -41,13 +41,13 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 	if err := st.LoadXML("filmDB.xml", xmark.GenerateFilmDB(200, nil)); err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
 	net.Register("xrpc://y", srv)
 	compiled, err := pathfinder.Compile(invariantCallQuery, reg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return compiled, net, store.New()
+	return compiled, net, store.New().Snapshot()
 }
 
 func benchDedup(b *testing.B, noDedup bool) {
@@ -72,7 +72,9 @@ func benchPredIndex(b *testing.B, disabled bool) {
 	if err := st.LoadXML("persons.xml", xmark.GeneratePersons(cfg)); err != nil {
 		b.Fatal(err)
 	}
-	eng := interp.New(st, nil, nil)
+	snap := st.Snapshot()
+	defer snap.Release()
+	eng := interp.New(snap, nil, nil)
 	eng.DisablePredIndex = disabled
 	compiled, err := eng.Compile(`
 for $i in (0 to 199)

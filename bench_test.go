@@ -375,6 +375,26 @@ func runClusterUpdateConc(b *testing.B, peers, replication int, walRoot string) 
 			}
 		}
 	})
+	b.StopTimer()
+	// the concurrent transactions overlap: every person one of them
+	// updated must read the write, none lost to another's commit
+	read := &client.BulkRequest{
+		ModuleURI: "functions_p", AtHint: "http://example.org/p.xq",
+		Func: "getPerson", Arity: 1,
+	}
+	for i := 0; i <= int(ctr.Load()) && i < cfg.Persons; i++ {
+		read.Calls = append(read.Calls, []xdm.Sequence{{xdm.String(xmark.PersonID(i))}})
+	}
+	res, err := co.Scatter(read)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, seq := range res {
+		cities := xdm.Step(seq[0].(*xdm.Node), xdm.AxisDescendant, xdm.NodeTest{Name: "city"})
+		if len(cities) != 1 || cities[0].StringValue() != "Benchtown" {
+			b.Fatalf("%s after its update: %s, want Benchtown", xmark.PersonID(i), xdm.SerializeNode(seq[0].(*xdm.Node)))
+		}
+	}
 }
 
 func BenchmarkClusterRoutedUpdateConc_P4(b *testing.B) { runClusterUpdateConc(b, 4, 1, "") }

@@ -73,7 +73,7 @@ const DefaultRTT = 200 * time.Microsecond
 type Table2Env struct {
 	Net      *netsim.Network
 	Registry *modules.Registry
-	Local    *store.Store
+	Local    *store.Snapshot // an empty store's documents: no commit reaches them
 	YServer  *server.Server
 	YExec    *server.NativeExecutor
 	compiled *pathfinder.Compiled
@@ -90,13 +90,12 @@ func NewTable2Env(rtt time.Duration) (*Table2Env, error) {
 		return nil, err
 	}
 	ySt := store.New()
-	yEng := interp.New(ySt, reg, nil)
+	yEng := interp.New(nil, reg, nil)
 	yExec := server.NewNativeExecutor(yEng, reg)
 	ySrv := server.New(ySt, reg, yExec)
 	ySrv.Self = "xrpc://y.example.org"
 	net.Register("xrpc://y.example.org", ySrv)
 
-	localSt := store.New()
 	compiled, err := pathfinder.Compile(`
 import module namespace t="test" at "http://x.example.org/test.xq";
 for $i in (1 to $x)
@@ -104,7 +103,7 @@ return execute at {"xrpc://y.example.org"} {t:echoVoid()}`, reg)
 	if err != nil {
 		return nil, err
 	}
-	return &Table2Env{Net: net, Registry: reg, Local: localSt, YServer: ySrv, YExec: yExec, compiled: compiled}, nil
+	return &Table2Env{Net: net, Registry: reg, Local: store.New().Snapshot(), YServer: ySrv, YExec: yExec, compiled: compiled}, nil
 }
 
 // RunEchoVoid executes the Table 2 echoVoid query for x iterations.
@@ -234,7 +233,7 @@ func RunThroughput(payloadKB int, response bool) (*ThroughputResult, error) {
 		return nil, err
 	}
 	ySt := store.New()
-	yExec := server.NewNativeExecutor(interp.New(ySt, reg, nil), reg)
+	yExec := server.NewNativeExecutor(interp.New(nil, reg, nil), reg)
 	ySrv := server.New(ySt, reg, yExec)
 	net.Register("xrpc://y", ySrv)
 
@@ -267,7 +266,7 @@ execute at {"xrpc://y"} {big:fetch()}`
 		return nil, err
 	}
 	start := time.Now()
-	if _, err := compiled.Eval(&pathfinder.ExecCtx{Docs: store.New(), Bulk: cl}, vars); err != nil {
+	if _, err := compiled.Eval(&pathfinder.ExecCtx{Docs: store.New().Snapshot(), Bulk: cl}, vars); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
@@ -403,7 +402,7 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 	mk := func(uri, xml string) {
 		st := store.New()
 		st.LoadXML("filmDB.xml", xml)
-		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
+		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
 		net.Register(uri, srv)
 	}
 	mk("xrpc://y.example.org", xmark.PaperFilmDB)
@@ -422,7 +421,7 @@ return execute at {$dst} {f:filmsByActor($actor)}`, reg)
 	trace := &pathfinder.Trace{}
 	// the trace's order is fixed while the requests are built, so the
 	// concurrent dispatch leaves it deterministic
-	ec := &pathfinder.ExecCtx{Docs: store.New(), Bulk: client.New(net), Trace: trace}
+	ec := &pathfinder.ExecCtx{Docs: store.New().Snapshot(), Bulk: client.New(net), Trace: trace}
 	if _, err := compiled.Eval(ec, nil); err != nil {
 		return nil, err
 	}
@@ -624,7 +623,7 @@ func newBulkExecEnv(module, docName, docXML string, req *soap.Request) (*BulkExe
 	if err := st.LoadXML(docName, docXML); err != nil {
 		return nil, err
 	}
-	exec := server.NewNativeExecutor(interp.New(st, reg, nil), reg)
+	exec := server.NewNativeExecutor(interp.New(nil, reg, nil), reg)
 	srv := server.New(st, reg, exec)
 	srv.Self = "xrpc://y.example.org"
 	return &BulkExecEnv{Server: srv, Exec: exec, Body: soap.EncodeRequest(req)}, nil

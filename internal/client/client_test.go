@@ -38,7 +38,7 @@ func newServer(t *testing.T) *server.Server {
 	if err := reg.Register(filmModule, "http://x.example.org/film.xq"); err != nil {
 		t.Fatal(err)
 	}
-	return server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
+	return server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
 }
 
 func TestCallSingle(t *testing.T) {
@@ -236,7 +236,9 @@ func TestDocResolverLocalFallback(t *testing.T) {
 	if err := st.LoadXML("local.xml", "<a/>"); err != nil {
 		t.Fatal(err)
 	}
-	r := &DocResolver{Local: st, Client: New(netsim.NewNetwork(0, 0))}
+	snap := st.Snapshot()
+	defer snap.Release()
+	r := &DocResolver{Local: snap, Client: New(netsim.NewNetwork(0, 0))}
 	if _, err := r.Doc("local.xml"); err != nil {
 		t.Fatal(err)
 	}

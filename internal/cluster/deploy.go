@@ -143,7 +143,7 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 					return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
 				}
 			}
-			exec := server.NewNativeExecutor(interp.New(st, reg, nil), reg)
+			exec := server.NewNativeExecutor(interp.New(nil, reg, nil), reg)
 			srv := server.New(st, reg, exec)
 			srv.Self = uri
 			srv.Shard, srv.Shards = s, cfg.Shards

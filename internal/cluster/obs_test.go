@@ -141,6 +141,18 @@ func TestObsSmoke(t *testing.T) {
 	if n := reg.MustGather("xrpc_txn_commits_total"); n != 1 {
 		t.Fatalf("2PC commits = %v, want 1", n)
 	}
+	// no reader pinned the document while the update committed, so the
+	// primary wrote it in place instead of copying it
+	storeCommits := func(path string) (n float64) {
+		for s := 0; s < 2; s++ {
+			n += reg.MustGather("xrpc_store_commits_total",
+				obs.Label{Key: "shard", Value: strconv.Itoa(s)}, obs.Label{Key: "path", Value: path})
+		}
+		return n
+	}
+	if in, cl := storeCommits("in_place"), storeCommits("clone"); in != 1 || cl != 0 {
+		t.Fatalf("primary store commits: in place %v, cloned %v, want 1 and 0", in, cl)
+	}
 	// the commit hit every touched replica's WAL: an fsync'd commit
 	// record on the primary and the adopted copy on its replica
 	if n := reg.MustGather("xrpc_wal_appends_total", obs.Label{Key: "kind", Value: "commit"}); n < 2 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"xrpc/internal/store/storetest"
 
 	"xrpc/internal/client"
 	"xrpc/internal/netsim"
@@ -139,8 +140,8 @@ func TestRejoinAfterLogTruncation(t *testing.T) {
 	if err := co.Rejoin(shard, replica); err != nil {
 		t.Fatalf("Rejoin after truncation: %v", err)
 	}
-	primDoc, _ := dep.Stores[shard][0].Get("persons.xml")
-	repDoc, _ := dep.Stores[shard][1].Get("persons.xml")
+	primDoc := storetest.Doc(t, dep.Stores[shard][0], "persons.xml")
+	repDoc := storetest.Doc(t, dep.Stores[shard][1], "persons.xml")
 	if xdm.SerializeNode(primDoc) != xdm.SerializeNode(repDoc) {
 		t.Fatal("snapshot-transfer rejoin left the replica differing from its primary")
 	}
@@ -152,7 +153,7 @@ func TestRejoinAfterLogTruncation(t *testing.T) {
 	if _, err := co.Update(setCityRequest("AfterRejoin", pid)); err != nil {
 		t.Fatal(err)
 	}
-	repDoc, _ = dep.Stores[shard][1].Get("persons.xml")
+	repDoc = storetest.Doc(t, dep.Stores[shard][1], "persons.xml")
 	if !strings.Contains(xdm.SerializeNode(repDoc), "AfterRejoin") {
 		t.Fatal("post-rejoin commit was not replicated to the rejoined replica")
 	}
@@ -183,7 +184,7 @@ func TestTransientBurstDoesNotEvictHealthyReplica(t *testing.T) {
 	if got := len(dep.Table.Replicas(0)); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
-	repDoc, _ := dep.Stores[0][1].Get("persons.xml")
+	repDoc := storetest.Doc(t, dep.Stores[0][1], "persons.xml")
 	if !strings.Contains(xdm.SerializeNode(repDoc), "Burstville") {
 		t.Fatal("replica missed the commit despite surviving the burst")
 	}

@@ -111,7 +111,7 @@ func singleDocBaseline(t *testing.T, reg *modules.Registry, doc, xml string, br,
 	if err := st.LoadXML(doc, xml); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
 	net.Register("xrpc://single", srv)
 	cl := client.New(net)
 	if after != nil {
@@ -673,7 +673,7 @@ func TestHTTPStatusFailoverClassification(t *testing.T) {
 	if err := st.LoadXML("persons.xml", xml); err != nil {
 		t.Fatal(err)
 	}
-	good := httptest.NewServer(server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg)))
+	good := httptest.NewServer(server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg)))
 	defer good.Close()
 
 	status := func(code int) *httptest.Server {

@@ -85,7 +85,7 @@ type Peer struct {
 func NewPeer(self string, transport netsim.Transport) *Peer {
 	st := store.New()
 	reg := modules.NewRegistry()
-	eng := interp.New(st, reg, nil)
+	eng := interp.New(nil, reg, nil)
 	exec := server.NewNativeExecutor(eng, reg)
 	srv := server.New(st, reg, exec)
 	srv.Self = self
@@ -130,7 +130,7 @@ func NewWrapperPeer(self string, transport netsim.Transport) (*Peer, *wrapper.Wr
 		Server:         srv,
 		Transport:      transport,
 		DefaultTimeout: 30,
-		eng:            interp.New(st, reg, nil),
+		eng:            interp.New(nil, reg, nil),
 	}
 	return p, w
 }
@@ -253,7 +253,10 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 		}
 		cl.QueryID = txn.NewQueryID(p.Self, timeout)
 	}
-	docs := &client.DocResolver{Local: p.Store, Client: cl}
+	// the query reads one pinned version of the local documents
+	snap := p.Store.Snapshot()
+	defer snap.Release()
+	docs := &client.DocResolver{Local: snap, Client: cl}
 
 	var seq xdm.Sequence
 	var pul *interp.UpdateList
@@ -280,7 +283,7 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 		return nil, err
 	}
 
-	res := &Result{Sequence: seq, Peers: cl.Peers(), Requests: cl.Requests.Load(), Updating: updating}
+	res := &Result{Sequence: copyStored(seq, snap), Peers: cl.Peers(), Requests: cl.Requests.Load(), Updating: updating}
 	if !updating {
 		return res, nil
 	}
@@ -292,10 +295,38 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 			return nil, err
 		}
 	}
-	if err := p.Server.Apply(pul); err != nil {
+	if err := p.Server.Apply(pul, snap); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// copyStored returns seq with every node of snap's stored documents
+// replaced by a copy: a result outlives the query's pin, and a later
+// commit may write those documents in place.
+func copyStored(seq xdm.Sequence, snap *store.Snapshot) xdm.Sequence {
+	var out xdm.Sequence
+	for i, it := range seq {
+		n, ok := it.(*xdm.Node)
+		if ok {
+			root := n.Root()
+			doc, stored := snap.Get(root.DocURI())
+			ok = stored && doc == root
+		}
+		if ok && out == nil {
+			out = append(make(xdm.Sequence, 0, len(seq)), seq[:i]...)
+		}
+		switch {
+		case ok:
+			out = append(out, n.Clone())
+		case out != nil:
+			out = append(out, it)
+		}
+	}
+	if out == nil {
+		return seq
+	}
+	return out
 }
 
 // compile returns the static context of a query text: a hit in Plans

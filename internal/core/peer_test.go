@@ -450,3 +450,33 @@ func BenchmarkPeerQueryWarm(b *testing.B) {
 		}
 	}
 }
+
+// A query's result outlives the pin on the peer's documents: nodes of a
+// stored document come back as copies, so a later commit that writes the
+// document in place leaves the result as the query read it.
+func TestQueryResultOutlivesLaterCommit(t *testing.T) {
+	for _, engine := range []EngineKind{EngineLoopLifted, EngineInterpreted} {
+		p := NewPeer("xrpc://p", nil)
+		p.Engine = engine
+		if err := p.LoadDocument("filmDB.xml", xmark.PaperFilmDB); err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Query(`(doc("filmDB.xml")//film)[1]/name`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := res.Serialize()
+		if _, err := p.Query(`replace value of node (doc("filmDB.xml")//film)[1]/name with "Renamed"`); err != nil {
+			t.Fatal(err)
+		}
+		if in, _ := p.Store.Commits(); in != 1 {
+			t.Fatalf("engine %v: the update did not commit in place", engine)
+		}
+		if got := res.Serialize(); got != before {
+			t.Errorf("engine %v: an earlier result reads %s after the commit, %s before", engine, got, before)
+		}
+		if got := mustQuery(t, p, `string((doc("filmDB.xml")//film)[1]/name)`); got != "Renamed" {
+			t.Errorf("engine %v: the document reads %q after the commit", engine, got)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"xrpc/internal/modules"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 )
 
@@ -32,7 +33,7 @@ func newTestEngine(t *testing.T) (*Engine, *store.Store) {
 	if err := reg.Register(filmModule, "http://x.example.org/film.xq"); err != nil {
 		t.Fatal(err)
 	}
-	return New(st, reg, nil), st
+	return New(storetest.Latest(t, st), reg, nil), st
 }
 
 func evalQuery(t *testing.T, e *Engine, src string) xdm.Sequence {
@@ -157,7 +158,7 @@ func TestEvalAttributes(t *testing.T) {
 	if err := st.LoadXML("p.xml", `<people><person id="p1" age="30"/><person id="p2" age="40"/></people>`); err != nil {
 		t.Fatal(err)
 	}
-	e := New(st, nil, nil)
+	e := New(storetest.Latest(t, st), nil, nil)
 	cases := map[string]string{
 		`string(doc("p.xml")//person[1]/@id)`:       "p1",
 		`count(doc("p.xml")//person[@id="p2"])`:     "1",
@@ -492,7 +493,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "3" {
 		t.Fatalf("pre-apply count = %s", got)
 	}
-	if err := ApplyUpdates(st, pul); err != nil {
+	if err := ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "4" {
@@ -504,7 +505,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul); err != nil {
+	if err := ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "3" {
@@ -524,7 +525,7 @@ func TestUpdateInsertPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ApplyUpdates(st, pul); err != nil {
+		if err := ApplyUpdates(st, pul, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -558,7 +559,7 @@ func TestUpdateReplaceRename(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ApplyUpdates(st, pul); err != nil {
+		if err := ApplyUpdates(st, pul, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -586,7 +587,7 @@ func TestUpdatePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul); err != nil {
+	if err := ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("backup.xml")//name)`); got != "3" {
@@ -653,7 +654,7 @@ func TestIllKindedUpdatesRejected(t *testing.T) {
 		}
 		ul := &UpdateList{}
 		ul.Add(Primitive{Kind: row.kind, Target: target, Source: src})
-		if err := ApplyUpdates(st, ul); codeOf(err) != row.code {
+		if err := ApplyUpdates(st, ul, nil); codeOf(err) != row.code {
 			t.Errorf("%s: ApplyUpdates error %v, want %s", row.query, err, row.code)
 		}
 		if got := evalStr(t, e, `doc("a.xml")`); got != illKindedDoc {
@@ -751,7 +752,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul); err != nil {
+	if err := ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	// query against the snapshot still sees 3 (repeatable read, rule R'_Fr)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
 )
@@ -43,7 +44,7 @@ func TestPredIndexMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(query string, disable bool) string {
-		e := New(st, nil, nil)
+		e := New(storetest.Latest(t, st), nil, nil)
 		e.DisablePredIndex = disable
 		c, err := e.Compile(query)
 		if err != nil {
@@ -139,7 +140,7 @@ type bulkOutcome struct {
 // engine without the index, stopping at the first error.
 func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence) bulkOutcome {
 	t.Helper()
-	e := New(st, nil, nil)
+	e := New(storetest.Latest(t, st), nil, nil)
 	e.DisablePredIndex = true
 	c, err := e.CompileModule(module)
 	if err != nil {
@@ -159,7 +160,7 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 
 func bulk(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence, workers int) (bulkOutcome, Stats) {
 	t.Helper()
-	c, err := New(st, nil, nil).CompileModule(module)
+	c, err := New(storetest.Latest(t, st), nil, nil).CompileModule(module)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ declare function s:f($v as item()*) as node()* { ` + tc.body + ` };`
 // of a function that constructs and navigates a tree per call must not
 // grow it per call.
 func TestEvalMemoRetainsOnlyResolverDocuments(t *testing.T) {
-	c, err := New(bulkStore(t), nil, nil).CompileModule(`module namespace s = "shapes";
+	c, err := New(storetest.Latest(t, bulkStore(t)), nil, nil).CompileModule(`module namespace s = "shapes";
 declare function s:f($v as xs:string) as node()*
 { (<r>{doc("persons.xml")//person}</r>)//person[@id = $v]/address/city };`)
 	if err != nil {
@@ -349,7 +350,7 @@ func TestPredIndexNumericFallback(t *testing.T) {
 	if err := st.LoadXML("r.xml", b.String()); err != nil {
 		t.Fatal(err)
 	}
-	e := New(st, nil, nil)
+	e := New(storetest.Latest(t, st), nil, nil)
 	c, err := e.Compile(`
 for $i in (1 to 20)
 return count(doc("r.xml")//e[@k=$i])`)
@@ -373,7 +374,7 @@ return count(doc("r.xml")//e[@k=$i])`)
 // Predicates that consult position() or the context must not be indexed.
 func TestPredIndexSkipsContextDependent(t *testing.T) {
 	st := bigPersonStore(t, 30)
-	e := New(st, nil, nil)
+	e := New(storetest.Latest(t, st), nil, nil)
 	c, err := e.Compile(`count(doc("people.xml")//person[position() = last()])`)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,7 +59,7 @@ func (k PrimitiveKind) String() string {
 // Primitive is one pending update. Targets are identified by the
 // document they live in plus the node's stable preorder ordinal, so a
 // pending update list can be serialized (for the 2PC Prepare log) and
-// applied to a cloned tree.
+// applied to a cloned or newer tree of the same shape.
 type Primitive struct {
 	Kind    PrimitiveKind
 	Target  *xdm.Node   // node in the snapshot tree (nil for Put)
@@ -150,7 +151,7 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 		if (kind == PrimInsertBefore || kind == PrimInsertAfter) && tgt.Parent == nil {
 			return nil, xdm.NewError("XUDY0029", "insert before/after target has no parent")
 		}
-		if err := checkKinds(kind, tgt, srcNodes); err != nil {
+		if err := checkKinds(kind, tgt, tgt.Parent, srcNodes); err != nil {
 			return nil, err
 		}
 		ctx.pul.Add(Primitive{Kind: kind, Target: tgt, Source: srcNodes})
@@ -192,7 +193,7 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 		if tgt.Parent == nil {
 			return nil, xdm.NewError("XUDY0029", "replace target has no parent")
 		}
-		if err := checkKinds(PrimReplaceNode, tgt, srcNodes); err != nil {
+		if err := checkKinds(PrimReplaceNode, tgt, tgt.Parent, srcNodes); err != nil {
 			return nil, err
 		}
 		ctx.pul.Add(Primitive{Kind: PrimReplaceNode, Target: tgt, Source: srcNodes})
@@ -220,10 +221,11 @@ func (ctx *dynCtx) evalUpdate(e xq.Expr) (xdm.Sequence, error) {
 // (XUTY0005), only a node with siblings takes it beside (XUTY0006),
 // and attributes replace only attributes (XUTY0010, XUTY0011). An
 // attribute may be inserted only onto an element: into a document is
-// XUTY0022, beside a child of a document XUDY0030. evalUpdate checks a
-// primitive it builds; applyPrimitive checks again because a PUL
+// XUTY0022, beside a child of a document XUDY0030. parent is the
+// target's parent at the point the primitive applies. evalUpdate checks
+// a primitive it builds; checkPrimitives checks again because a PUL
 // adopted from the wire or replayed from the log is outside input.
-func checkKinds(kind PrimitiveKind, target *xdm.Node, src []*xdm.Node) error {
+func checkKinds(kind PrimitiveKind, target, parent *xdm.Node, src []*xdm.Node) error {
 	attrs := 0
 	for _, s := range src {
 		if s.Kind == xdm.AttributeNode {
@@ -242,7 +244,7 @@ func checkKinds(kind PrimitiveKind, target *xdm.Node, src []*xdm.Node) error {
 		switch {
 		case target.Kind == xdm.AttributeNode || target.Kind == xdm.DocumentNode:
 			return xdm.Errorf("XUTY0006", "cannot insert before or after %s", target.Kind)
-		case attrs > 0 && (target.Parent == nil || target.Parent.Kind != xdm.ElementNode):
+		case attrs > 0 && (parent == nil || parent.Kind != xdm.ElementNode):
 			return xdm.NewError("XUDY0030", "insert of an attribute beside a node whose parent is not an element")
 		}
 	case PrimReplaceNode:
@@ -325,85 +327,174 @@ func (ul *UpdateList) SetSeqBase(base int64) {
 }
 
 // ApplyUpdates is the XQUF applyUpdates() function from rules R_Fu/R'_Fu:
-// it carries through a pending update list against a store, producing new
-// document versions. Each affected document is cloned (shadow paging),
-// mutated, resealed and swapped in. Primitives apply in Seq order
-// (stable, so untagged lists keep arrival order — the XQUF's
-// "non-deterministic" union is then simply arrival order).
-func ApplyUpdates(st *store.Store, ul *UpdateList) error {
+// it carries a pending update list through against a store as one
+// store.Commit, one version step. own is the snapshot the list was
+// computed against (nil if none); its pin does not keep the commit off
+// a tree. So each target document is written in place when no other
+// snapshot pins it, and as a clone swapped in otherwise (copy on pin).
+//
+// A target in the tree being written is used as it is. A target in
+// another tree of the same Shape — the transaction's snapshot was
+// overtaken by a commit that changed no structure — is found there by
+// its ordinal, so both commits' writes survive. A target in a tree of
+// another shape fails with XRPC0010: its ordinal no longer names the
+// node the transaction saw, and writing it would overwrite a change the
+// transaction never read. Every primitive is checked before the first
+// write, so a failing list leaves the store as it was, and a tree is
+// resealed only when a primitive changed its structure (`replace value
+// of` an element with one text child changes none, unless the list also
+// targets that child). Primitives apply in Seq order (stable, so
+// untagged lists keep arrival order — the XQUF's "non-deterministic"
+// union is then simply arrival order).
+func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 	if ul.Empty() {
 		return nil
 	}
 	sort.SliceStable(ul.Prims, func(i, j int) bool {
 		return ul.Prims[i].Seq < ul.Prims[j].Seq
 	})
-	// group primitives by the tree their target lives in
-	type docGroup struct {
-		name  string
-		root  *xdm.Node
-		prims []Primitive
-	}
-	groups := map[*xdm.Node]*docGroup{} // keyed by snapshot root
-	var order []*docGroup
-	var puts []Primitive
-	for _, p := range ul.Prims {
-		if p.Kind == PrimPut {
-			puts = append(puts, p)
-			continue
-		}
-		root := p.Target.Root()
-		g, ok := groups[root]
-		if !ok {
-			g = &docGroup{name: p.DocName, root: root}
-			groups[root] = g
-			order = append(order, g)
-		}
-		g.prims = append(g.prims, p)
-	}
-	// stage every new document version, then swap them in atomically:
-	// one applyUpdates is one version step, which keeps primary and
-	// replica store versions comparable for replication fencing
-	batch := make(map[string]*xdm.Node, len(order)+len(puts))
-	for _, g := range order {
-		if g.name == "" {
-			return xdm.NewError("XUDY0014", "update target is not in a stored document")
-		}
-		clone := g.root.Clone()
-		for _, p := range g.prims {
-			target := clone.FindByOrd(p.Target.Ord())
-			if target == nil {
-				return xdm.Errorf("XUDY0014", "update target #%d vanished from %q", p.Target.Ord(), g.name)
+	return st.Commit(own, func(tx *store.Tx) error {
+		targets := make([]*xdm.Node, len(ul.Prims))
+		targeted := make(map[*xdm.Node]bool, len(ul.Prims))
+		for i, p := range ul.Prims {
+			if p.Kind == PrimPut {
+				continue
 			}
-			if err := applyPrimitive(target, p); err != nil {
+			t, err := resolveTarget(tx, p)
+			if err != nil {
 				return err
 			}
+			targets[i] = t
+			targeted[t] = true
 		}
-		clone.Seal()
-		clone.SetDocURI(g.name)
-		batch[g.name] = clone
-	}
-	for _, p := range puts {
-		doc := xdm.NewDocument(p.PutURI)
-		for _, n := range p.Source {
-			doc.AppendChild(n.Clone())
+		if err := checkPrimitives(ul.Prims, targets); err != nil {
+			return err
 		}
-		doc.Seal()
-		batch[p.PutURI] = doc
+		var reseal []*xdm.Node
+		for i, p := range ul.Prims {
+			if p.Kind == PrimPut || !applyPrimitive(targets[i], p, targeted) {
+				continue
+			}
+			if doc := tx.Writable(p.DocName); !slices.Contains(reseal, doc) {
+				reseal = append(reseal, doc)
+			}
+		}
+		for _, doc := range reseal {
+			doc.Seal()
+		}
+		for _, p := range ul.Prims {
+			if p.Kind != PrimPut {
+				continue
+			}
+			doc := xdm.NewDocument(p.PutURI)
+			for _, n := range p.Source {
+				doc.AppendChild(n.Clone())
+			}
+			tx.Put(p.PutURI, doc.Seal())
+		}
+		return nil
+	})
+}
+
+// resolveTarget finds p's target in the tree of its document that tx
+// writes (see ApplyUpdates).
+func resolveTarget(tx *store.Tx, p Primitive) (*xdm.Node, error) {
+	if p.DocName == "" {
+		return nil, xdm.NewError("XUDY0014", "update target is not in a stored document")
 	}
-	st.PutBatch(batch)
+	doc := tx.Writable(p.DocName)
+	if doc == nil {
+		return nil, xdm.Errorf("XUDY0014", "update target's document %q is no longer stored", p.DocName)
+	}
+	root := p.Target.Root()
+	if root == doc {
+		return p.Target, nil
+	}
+	if root.Shape() != doc.Shape() {
+		return nil, xdm.Errorf("XRPC0010", "update of %q: the document changed structure after this transaction's snapshot", p.DocName)
+	}
+	t := doc.FindByOrd(p.Target.Ord())
+	if t == nil {
+		return nil, xdm.Errorf("XUDY0014", "update target #%d vanished from %q", p.Target.Ord(), p.DocName)
+	}
+	return t, nil
+}
+
+// checkPrimitives raises the error applying the list would raise, before
+// anything is written. A target's parent counts as gone once an earlier
+// primitive deleted or replaced the target, or replaced the value of
+// its parent element (detach leaves an attribute's parent set).
+func checkPrimitives(prims []Primitive, targets []*xdm.Node) error {
+	var gone map[*xdm.Node]bool
+	for i, p := range prims {
+		t := targets[i]
+		if p.Kind == PrimPut {
+			continue
+		}
+		parent := t.Parent
+		if gone[t] {
+			parent = nil
+		}
+		if err := checkKinds(p.Kind, t, parent, p.Source); err != nil {
+			return err
+		}
+		switch p.Kind {
+		case PrimInsertBefore, PrimInsertAfter:
+			if parent == nil || childIndex(parent, t) < 0 {
+				return xdm.NewError("XUDY0029", "insert before/after target has no parent")
+			}
+		case PrimDelete:
+			if parent == nil {
+				return xdm.NewError("XUDY0029", "cannot delete a root node")
+			}
+		case PrimReplaceNode:
+			if parent == nil || t.Kind != xdm.AttributeNode && childIndex(parent, t) < 0 {
+				return xdm.NewError("XUDY0029", "replace target has no parent")
+			}
+		case PrimReplaceValue:
+			if t.Kind == xdm.DocumentNode {
+				return xdm.NewError("XUTY0008", "cannot replace value of a document node")
+			}
+			if t.Kind == xdm.ElementNode {
+				// the element's children leave it, save a one text child
+				// no primitive targets (see applyPrimitive)
+				for _, c := range t.Children {
+					gone = markGone(gone, c)
+				}
+			}
+		case PrimRename:
+			if t.Kind != xdm.ElementNode && t.Kind != xdm.AttributeNode && t.Kind != xdm.PINode {
+				return xdm.NewError("XUTY0012", "rename target must be element, attribute or PI")
+			}
+		case PrimInsertInto, PrimInsertFirst, PrimInsertLast:
+		default:
+			return xdm.Errorf("XUST0001", "unsupported primitive %v", p.Kind)
+		}
+		if (p.Kind == PrimDelete || p.Kind == PrimReplaceNode) && t.Kind != xdm.AttributeNode {
+			gone = markGone(gone, t)
+		}
+	}
 	return nil
 }
 
-func applyPrimitive(target *xdm.Node, p Primitive) error {
+func markGone(gone map[*xdm.Node]bool, n *xdm.Node) map[*xdm.Node]bool {
+	if gone == nil {
+		gone = map[*xdm.Node]bool{}
+	}
+	gone[n] = true
+	return gone
+}
+
+// applyPrimitive writes one checked primitive (see checkPrimitives) and
+// reports whether it changed the tree's structure, i.e. its ordinals.
+// targeted holds every target of the list.
+func applyPrimitive(target *xdm.Node, p Primitive, targeted map[*xdm.Node]bool) (structural bool) {
 	cloneSources := func() []*xdm.Node {
 		out := make([]*xdm.Node, len(p.Source))
 		for i, s := range p.Source {
 			out[i] = s.Clone()
 		}
 		return out
-	}
-	if err := checkKinds(p.Kind, target, p.Source); err != nil {
-		return err
 	}
 	switch p.Kind {
 	case PrimInsertInto, PrimInsertLast:
@@ -416,13 +507,7 @@ func applyPrimitive(target *xdm.Node, p Primitive) error {
 		}
 	case PrimInsertBefore, PrimInsertAfter:
 		parent := target.Parent
-		if parent == nil {
-			return xdm.NewError("XUDY0029", "insert before/after target has no parent")
-		}
 		idx := childIndex(parent, target)
-		if idx < 0 {
-			return xdm.NewError("XUDY0029", "target not found under parent")
-		}
 		if p.Kind == PrimInsertAfter {
 			idx++
 		}
@@ -430,41 +515,35 @@ func applyPrimitive(target *xdm.Node, p Primitive) error {
 			attach(parent, s, idx+i)
 		}
 	case PrimDelete:
-		if target.Parent == nil {
-			return xdm.NewError("XUDY0029", "cannot delete a root node")
-		}
 		detach(target)
 	case PrimReplaceNode:
 		parent := target.Parent
-		if parent == nil {
-			return xdm.NewError("XUDY0029", "replace target has no parent")
-		}
 		idx := childIndex(parent, target)
 		detach(target)
 		for i, s := range cloneSources() {
 			attach(parent, s, idx+i)
 		}
 	case PrimReplaceValue:
-		switch target.Kind {
-		case xdm.ElementNode:
-			target.Children = nil
-			if p.Value != "" {
-				target.AppendChild(xdm.NewText(p.Value))
-			}
-		case xdm.AttributeNode, xdm.TextNode, xdm.CommentNode, xdm.PINode:
+		if target.Kind != xdm.ElementNode {
 			target.Value = p.Value
-		default:
-			return xdm.NewError("XUTY0008", "cannot replace value of a document node")
+			return false
+		}
+		// an element's one text child takes the new value where it is,
+		// unless a primitive targets that child: it must see the child
+		// replaced, as checkPrimitives did
+		if len(target.Children) == 1 && target.Children[0].Kind == xdm.TextNode && p.Value != "" && !targeted[target.Children[0]] {
+			target.Children[0].Value = p.Value
+			return false
+		}
+		target.Children = nil
+		if p.Value != "" {
+			target.AppendChild(xdm.NewText(p.Value))
 		}
 	case PrimRename:
-		if target.Kind != xdm.ElementNode && target.Kind != xdm.AttributeNode && target.Kind != xdm.PINode {
-			return xdm.NewError("XUTY0012", "rename target must be element, attribute or PI")
-		}
 		target.Name = p.Value
-	default:
-		return xdm.Errorf("XUST0001", "unsupported primitive %v", p.Kind)
+		return false
 	}
-	return nil
+	return true
 }
 
 func attach(parent, child *xdm.Node, idx int) {

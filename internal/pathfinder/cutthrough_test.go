@@ -25,7 +25,7 @@ func TestCutThroughOnGeneratedResults(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		res, err := c.Eval(&ExecCtx{Docs: f.st}, nil)
+		res, err := c.Eval(&ExecCtx{Docs: f.docs}, nil)
 		if err != nil {
 			continue
 		}

@@ -2,6 +2,7 @@ package pathfinder
 
 import (
 	"testing"
+	"xrpc/internal/store/storetest"
 
 	"xrpc/internal/client"
 	"xrpc/internal/soap"
@@ -43,7 +44,7 @@ return (
 	if f.ySrv.ServedRequests != 2 {
 		t.Fatalf("y served %d requests, want 2 (one bulk per site)", f.ySrv.ServedRequests)
 	}
-	doc, _ := f.yStore().Get("filmDB.xml")
+	doc := storetest.Doc(t, f.yStore(), "filmDB.xml")
 	entries := xdm.Step(doc, xdm.AxisDescendant, xdm.NodeTest{Name: "e"})
 	if len(entries) != 4 {
 		t.Fatalf("entries = %d", len(entries))
@@ -82,7 +83,7 @@ declare updating function lg:append($v as xs:string)
 			t.Fatal(err)
 		}
 	}
-	doc, _ := f.yStore().Get("filmDB.xml")
+	doc := storetest.Doc(t, f.yStore(), "filmDB.xml")
 	entries := xdm.Step(doc, xdm.AxisDescendant, xdm.NodeTest{Name: "e"})
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d", len(entries))

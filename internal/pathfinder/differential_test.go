@@ -435,7 +435,7 @@ func (g *qgen) dropVar() {
 // one of them (same result or both erroring).
 func TestDifferentialEngines(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
+	refEngine := interp.New(f.docs, f.reg, nil)
 	const n = 400
 	skipped, bothErr := 0, 0
 	var joins JoinStats
@@ -443,7 +443,7 @@ func TestDifferentialEngines(t *testing.T) {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
 		query := g.expr(4)
 
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st, Joins: &joins})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs, Joins: &joins})
 		if pfErr != nil && strings.Contains(pfErr.Error(), "not supported") {
 			skipped++
 			continue
@@ -479,13 +479,13 @@ func TestDifferentialEngines(t *testing.T) {
 // refused must be among the predicates drawn.
 func TestDifferentialPredicates(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
+	refEngine := interp.New(f.docs, f.reg, nil)
 	drawn := map[string]int{}
 	bothErr := 0
 	for seed := 0; seed < 300; seed++ {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed))), drawn: drawn}
 		query := g.focusPath(3)
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs})
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != want {
 			t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s", seed, query, got, want)
 		}
@@ -650,7 +650,7 @@ func TestStaticContextAgreement(t *testing.T) {
 // and checks on JoinStats which way the loop-lifted engine went.
 func TestJoinShapes(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
+	refEngine := interp.New(f.docs, f.reg, nil)
 	const (
 		hash     = "hash"
 		fallback = "fallback"
@@ -743,7 +743,7 @@ func TestJoinShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var js JoinStats
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.st, Joins: &js})
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.docs, Joins: &js})
 			ref, got := outcome(iSeq, iErr), outcome(pfSeq, pfErr)
 			if got != ref {
 				t.Errorf("engines disagree\n  pathfinder: %s\n  interp:     %s", got, ref)
@@ -815,7 +815,7 @@ for $p in `+tc.e1+`, $ca in execute at {"xrpc://p"} {a:f()} where $p = $ca retur
 // serialization or the same error code.
 func TestSharedLibraryPerIteration(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.st, f.reg, nil)
+	refEngine := interp.New(f.docs, f.reg, nil)
 	samples := []string{`()`, `(1, 2, 3, 4)`, `(doc("filmDB.xml")//name)[1]`, `1.5`, `"hello"`, `$i`}
 	lib := servedLib()
 	for _, typ := range []string{"xs:integer", "xs:double", "xs:string", "xs:boolean"} {
@@ -833,7 +833,7 @@ func TestSharedLibraryPerIteration(t *testing.T) {
 				return
 			}
 			query := fmt.Sprintf("for $i in (1, 2, 3) return %s(%s)", fn.name, strings.Join(args, ", "))
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.st})
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs})
 			if errCode(pfErr) != errCode(iErr) {
 				t.Errorf("%s\npathfinder err: %v\ninterp err:     %v", query, pfErr, iErr)
 			} else if got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq); got != want {
@@ -909,7 +909,7 @@ func TestLibraryClassification(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "needs the context") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
 			t.Errorf("%s outside a predicate: err = %v", q, err)
 		}
-		if _, _, _, iErr := bothEngines(f, interp.New(f.st, f.reg, nil), q, &ExecCtx{Docs: f.st}); errCode(iErr) != "XPDY0002" {
+		if _, _, _, iErr := bothEngines(f, interp.New(f.docs, f.reg, nil), q, &ExecCtx{Docs: f.docs}); errCode(iErr) != "XPDY0002" {
 			t.Errorf("%s on the interpreter: err = %v, want XPDY0002", q, iErr)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"xrpc/internal/server"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -39,6 +40,7 @@ declare function tst:echo($x as item()*) as item()* { $x };`
 type fixture struct {
 	net    *netsim.Network
 	st     *store.Store
+	docs   *storetest.Resolver // st's latest state
 	reg    *modules.Registry
 	ySrv   *server.Server
 	zSrv   *server.Server
@@ -60,7 +62,7 @@ func newFixture(t *testing.T) *fixture {
 		if err := st.LoadXML("filmDB.xml", xml); err != nil {
 			t.Fatal(err)
 		}
-		eng := interp.New(st, reg, nil)
+		eng := interp.New(nil, reg, nil)
 		exec := server.NewNativeExecutor(eng, reg)
 		srv := server.New(st, reg, exec)
 		net.Register(uri, srv)
@@ -73,14 +75,14 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	return &fixture{
-		net: net, st: localStore, reg: reg, ySrv: ySrv, zSrv: zSrv, yExec: yExec,
+		net: net, st: localStore, docs: storetest.Latest(t, localStore), reg: reg, ySrv: ySrv, zSrv: zSrv, yExec: yExec,
 		yStore: func() *store.Store { return ySt },
 	}
 }
 
 func (f *fixture) eval(t *testing.T, query string, vars map[string]xdm.Sequence) xdm.Sequence {
 	t.Helper()
-	return f.evalCtx(t, query, vars, &ExecCtx{Docs: f.st, Bulk: client.New(f.net)})
+	return f.evalCtx(t, query, vars, &ExecCtx{Docs: f.docs, Bulk: client.New(f.net)})
 }
 
 func (f *fixture) evalCtx(t *testing.T, query string, vars map[string]xdm.Sequence, ec *ExecCtx) xdm.Sequence {
@@ -102,7 +104,7 @@ func (f *fixture) evalCtx(t *testing.T, query string, vars map[string]xdm.Sequen
 func (f *fixture) evalBoth(t *testing.T, query string) string {
 	t.Helper()
 	pf := f.eval(t, query, nil)
-	eng := interp.New(f.st, f.reg, client.New(f.net))
+	eng := interp.New(f.docs, f.reg, client.New(f.net))
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatalf("interp compile: %v", err)
@@ -165,7 +167,7 @@ func TestBasicExpressions(t *testing.T) {
 	// unary binds tighter than cast, castable and instance of; a cast
 	// keeps the "?" of its type and casts one item per iteration; unary
 	// + and - take one atomized number
-	ref := interp.New(f.st, f.reg, nil)
+	ref := interp.New(f.docs, f.reg, nil)
 	for _, tc := range []struct{ query, want string }{
 		{`-3 cast as xs:string`, `-3`},
 		{`let $x := 3 return -$x instance of xs:integer`, `true`},
@@ -186,7 +188,7 @@ func TestBasicExpressions(t *testing.T) {
 		{`+<a>3</a>`, `3`},
 		{`for $x in (1, 2.5, <a>4</a>, ()) return -$x`, `-1 -2.5 -4`},
 	} {
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.st})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.docs})
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != tc.want || want != tc.want {
 			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", tc.query, got, want, tc.want)
 		}
@@ -474,7 +476,7 @@ func TestFigure1Tables(t *testing.T) {
 	f := newFixture(t)
 	run := func() (*Trace, string) {
 		trace := &Trace{}
-		ec := &ExecCtx{Docs: f.st, Bulk: client.New(f.net), Trace: trace}
+		ec := &ExecCtx{Docs: f.docs, Bulk: client.New(f.net), Trace: trace}
 		f.evalCtx(t, `
 import module namespace fm="films" at "http://x.example.org/film.xq";
 for $actor in ("Julie Andrews", "Sean Connery")
@@ -577,7 +579,7 @@ return (
 // comparison mechanism).
 func TestOneAtATimeMode(t *testing.T) {
 	f := newFixture(t)
-	ec := &ExecCtx{Docs: f.st, Bulk: client.New(f.net), OneAtATime: true}
+	ec := &ExecCtx{Docs: f.docs, Bulk: client.New(f.net), OneAtATime: true}
 	seq := f.evalCtx(t, `
 import module namespace tst="test" at "http://x.example.org/film.xq";
 for $i in (1 to 10)
@@ -601,7 +603,7 @@ return count(execute at {"xrpc://y.example.org"} {fm:filmsByActor($actor)})`, ni
 	}
 	// bulk mode: 1 request
 	f2 := newFixture(t)
-	ec2 := &ExecCtx{Docs: f2.st, Bulk: client.New(f2.net)}
+	ec2 := &ExecCtx{Docs: f2.docs, Bulk: client.New(f2.net)}
 	f2.evalCtx(t, `
 import module namespace tst="test" at "http://x.example.org/film.xq";
 for $i in (1 to 10)
@@ -651,7 +653,7 @@ func TestCompileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("external-variable compile: %v", err)
 	}
-	if _, err := c.Eval(&ExecCtx{Docs: f.st}, nil); err == nil {
+	if _, err := c.Eval(&ExecCtx{Docs: f.docs}, nil); err == nil {
 		t.Error("$undefined: expected runtime error")
 	}
 }
@@ -664,7 +666,7 @@ func TestFunctionCacheReuse(t *testing.T) {
 	}
 	// a compiled plan is reusable (the function cache stores these)
 	for i := 0; i < 3; i++ {
-		seq, err := c.Eval(&ExecCtx{Docs: f.st}, nil)
+		seq, err := c.Eval(&ExecCtx{Docs: f.docs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -780,13 +782,13 @@ declare function b:Q_B1() as node()* { doc("auctions.xml")//closed_auction };`, 
 		tb.Fatal(err)
 	}
 	net := netsim.NewNetwork(0, 0)
-	net.Register("xrpc://B", server.New(stB, reg, server.NewNativeExecutor(interp.New(stB, reg, nil), reg)))
+	net.Register("xrpc://B", server.New(stB, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg)))
 	c, err := Compile(q71, reg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return func(ec *ExecCtx) int {
-		ec.Docs, ec.Bulk = stA, client.New(net)
+		ec.Docs, ec.Bulk = storetest.Latest(tb, stA), client.New(net)
 		seq, err := c.Eval(ec, nil)
 		if err != nil {
 			tb.Fatal(err)
@@ -844,8 +846,8 @@ let $ca := $all[buyer/@person = string($p/@id)]
 return if(empty($ca)) then ()
        else <result>{$p, $ca/annotation}</result>`},
 	} {
-		ec := &ExecCtx{Docs: st, Bulk: &callRecorder{reply: shipped(t, closed)}}
-		ref := interp.New(st, f.reg, &callRecorder{reply: shipped(t, closed)})
+		ec := &ExecCtx{Docs: storetest.Latest(t, st), Bulk: &callRecorder{reply: shipped(t, closed)}}
+		ref := interp.New(storetest.Latest(t, st), f.reg, &callRecorder{reply: shipped(t, closed)})
 		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, ec)
 		if pfErr != nil || iErr != nil {
 			t.Fatalf("%s: pathfinder err %v, interp err %v", tc.name, pfErr, iErr)

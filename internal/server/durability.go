@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"xrpc/internal/interp"
+	"xrpc/internal/store"
 	"xrpc/internal/wal"
 	"xrpc/internal/xdm"
 )
@@ -85,11 +86,7 @@ func (s *Server) EnableWAL(cfg WALConfig) (recovered bool, err error) {
 			if rec.Kind != wal.RecCommit || rec.Version <= snap.Version {
 				return nil
 			}
-			ul, derr := parsePUL(rec.PUL, s.Store)
-			if derr != nil {
-				return fmt.Errorf("wal: replaying commit v%d: %w", rec.Version, derr)
-			}
-			if aerr := interp.ApplyUpdates(s.Store, ul); aerr != nil {
+			if aerr := s.applyLogged(rec.PUL); aerr != nil {
 				return fmt.Errorf("wal: replaying commit v%d: %w", rec.Version, aerr)
 			}
 			if got := s.Store.Version(); got != rec.Version {
@@ -146,46 +143,57 @@ func (s *Server) CloseWAL() error {
 	return s.wal.Close()
 }
 
-// applyDurable applies one transaction's pending updates and makes them
-// durable before returning: apply to memory and enqueue the commit
-// record — carrying the exact post-apply version, the same value the
-// coordinator's replica fence compares — under the commit lock (so the
-// log is in apply order), then wait for the covering group-commit fsync
-// outside it (so concurrent transactions share one flush).
-func (s *Server) applyDurable(qid string, pul *interp.UpdateList) (int64, error) {
-	s.iso.commitMu.Lock()
-	if pul.Empty() {
-		v := s.Store.Version()
-		s.iso.commitMu.Unlock()
-		return v, nil
+// applyDurable applies one transaction's pending updates (computed
+// against own, see interp.ApplyUpdates) and makes them durable before
+// returning: apply to memory and enqueue the commit record — carrying
+// the exact post-apply version, the same value the coordinator's
+// replica fence compares — under the commit lock (so the log is in apply
+// order), then wait for the covering group-commit fsync outside it (so
+// concurrent transactions share one flush).
+func (s *Server) applyDurable(qid string, pul *interp.UpdateList, own *store.Snapshot) (int64, error) {
+	v, seq, err := s.applyAndEnqueue(qid, pul, own)
+	if err != nil || pul.Empty() || s.wal == nil {
+		return v, err
 	}
-	if err := interp.ApplyUpdates(s.Store, pul); err != nil {
-		s.iso.commitMu.Unlock()
+	if err := s.wal.WaitDurable(seq); err != nil {
 		return 0, err
 	}
-	v := s.Store.Version()
-	var seq uint64
-	if s.wal != nil {
-		var err error
-		seq, err = s.wal.Enqueue(&wal.Record{
-			Kind: wal.RecCommit, Version: v, QID: qid,
-			PUL: []byte(xdm.SerializeNode(EncodePUL(pul))),
-		})
-		if err != nil {
-			// applied in memory but not loggable: the sticky log error
-			// fails this and every later commit (fail closed)
-			s.iso.commitMu.Unlock()
-			return 0, err
-		}
-	}
-	s.iso.commitMu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.WaitDurable(seq); err != nil {
-			return 0, err
-		}
-		s.maybeSnapshot()
-	}
+	s.maybeSnapshot()
 	return v, nil
+}
+
+// applyAndEnqueue is applyDurable's part under the commit lock: apply,
+// then enqueue the commit record. It returns the post-apply version and
+// the record's log sequence number.
+func (s *Server) applyAndEnqueue(qid string, pul *interp.UpdateList, own *store.Snapshot) (int64, uint64, error) {
+	s.iso.commitMu.Lock()
+	defer s.iso.commitMu.Unlock()
+	if pul.Empty() {
+		return s.Store.Version(), 0, nil
+	}
+	// the record is encoded before the apply: a structural commit in
+	// place reseals the targets' tree, and with it the ordinals the
+	// record must name
+	var rec []byte
+	if s.wal != nil {
+		rec = []byte(xdm.SerializeNode(EncodePUL(pul)))
+	}
+	if err := interp.ApplyUpdates(s.Store, pul, own); err != nil {
+		return 0, 0, err
+	}
+	v := s.Store.Version()
+	if s.wal == nil {
+		return v, 0, nil
+	}
+	// applied in memory but not loggable: the sticky log error fails
+	// this and every later commit (fail closed)
+	seq, err := s.wal.Enqueue(&wal.Record{
+		Kind: wal.RecCommit, Version: v, QID: qid, PUL: rec,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return v, seq, nil
 }
 
 // logPrepare records a prepared transaction's PUL before the Prepare
@@ -254,6 +262,7 @@ func (s *Server) SnapshotWAL() error {
 // identity that must survive a restart.
 func (s *Server) buildSnapshot() *wal.Snapshot {
 	sn := s.Store.Snapshot()
+	defer sn.Release()
 	out := &wal.Snapshot{
 		Version: sn.Version(),
 		Shard:   s.Shard, Shards: s.Shards, Ranges: s.ShardRanges,
@@ -264,6 +273,19 @@ func (s *Server) buildSnapshot() *wal.Snapshot {
 		out.Docs[name] = xdm.SerializeNode(doc)
 	}
 	return out
+}
+
+// applyLogged commits a logged <xrpc:pending-updates> payload (a WAL
+// record on replay, or one a primary shipped) against the current
+// state, as one version step.
+func (s *Server) applyLogged(pulXML []byte) error {
+	sn := s.Store.Snapshot()
+	defer sn.Release()
+	ul, err := parsePUL(pulXML, sn)
+	if err != nil {
+		return err
+	}
+	return interp.ApplyUpdates(s.Store, ul, sn)
 }
 
 // parsePUL decodes a logged <xrpc:pending-updates> payload, resolving
@@ -297,6 +319,7 @@ func (s *Server) serveSyncFrom(since int64) (xdm.Sequence, error) {
 	// between reading the version and listing the records through it
 	s.iso.commitMu.Lock()
 	sn := s.Store.Snapshot()
+	defer sn.Release()
 	var recs []*wal.Record
 	complete := false
 	if s.wal != nil && since >= 0 {
@@ -432,10 +455,7 @@ func (s *Server) applyShipped(pairs xdm.Sequence) error {
 			s.iso.commitMu.Unlock()
 			continue
 		}
-		ul, err := parsePUL([]byte(pulXML), s.Store)
-		if err == nil {
-			err = interp.ApplyUpdates(s.Store, ul)
-		}
+		err := s.applyLogged([]byte(pulXML))
 		if err == nil {
 			if got := s.Store.Version(); got != version {
 				err = xdm.Errorf("XRPC0009", "resync fence: store at v%d after shipped commit v%d", got, version)

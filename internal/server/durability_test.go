@@ -12,6 +12,7 @@ import (
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/wal"
 	"xrpc/internal/xdm"
 )
@@ -41,8 +42,8 @@ func addFilm(t *testing.T, net *netsim.Network, dest, name, actor string) {
 
 func filmDoc(t *testing.T, st *store.Store) string {
 	t.Helper()
-	doc, ok := st.Get("filmDB.xml")
-	if !ok {
+	doc := storetest.Doc(t, st, "filmDB.xml")
+	if doc == nil {
 		t.Fatal("filmDB.xml missing")
 	}
 	return xdm.SerializeNode(doc)
@@ -208,7 +209,7 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 	if err := p.store.LoadXML("a.xml", `<r><p id="1">t</p></r>`); err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := p.store.Get("a.xml")
+	doc := storetest.Doc(t, p.store, "a.xml")
 	id := doc.Children[0].Children[0].Attrs[0]
 	bad := &interp.UpdateList{}
 	bad.Add(interp.Primitive{Kind: interp.PrimReplaceNode, Target: id,
@@ -219,7 +220,7 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		return p.server.Apply(bad)
+		return p.server.Apply(bad, nil)
 	}()
 	var xe *xdm.Error
 	if !errors.As(err, &xe) || xe.Code != "XUTY0011" {
@@ -229,7 +230,7 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 	good := &interp.UpdateList{}
 	good.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: "2"})
 	done := make(chan error, 1)
-	go func() { done <- p.server.Apply(good) }()
+	go func() { done <- p.server.Apply(good, nil) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -238,7 +239,7 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("a valid commit is still blocked after the rejected one")
 	}
-	if doc, _ := p.store.Get("a.xml"); xdm.SerializeNode(doc) != `<r><p id="2">t</p></r>` {
+	if doc := storetest.Doc(t, p.store, "a.xml"); xdm.SerializeNode(doc) != `<r><p id="2">t</p></r>` {
 		t.Fatalf("a.xml = %s", xdm.SerializeNode(doc))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"xrpc/internal/interp"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
+	"xrpc/internal/store"
 )
 
 // Metrics is the server request path's registry view. Every method is
@@ -86,6 +87,14 @@ func (s *Server) RegisterCacheMetrics(reg *obs.Registry, labels ...obs.Label) {
 		reg.GaugeFunc("xrpc_store_version",
 			"Store commit version (the cache fence).",
 			func() float64 { return float64(st.Version()) }, labels...)
+		const commitsHelp = "Store commits: written in place, or cloned because a reader pinned the document."
+		path := func(p string) []obs.Label {
+			return append(labels[:len(labels):len(labels)], obs.Label{Key: "path", Value: p})
+		}
+		reg.CounterFunc("xrpc_store_commits_total", commitsHelp,
+			func() int64 { n, _ := st.Commits(); return n }, path("in_place")...)
+		reg.CounterFunc("xrpc_store_commits_total", commitsHelp,
+			func() int64 { _, n := st.Commits(); return n }, path("clone")...)
 	}
 }
 
@@ -94,9 +103,10 @@ func (s *Server) RegisterCacheMetrics(reg *obs.Registry, labels ...obs.Label) {
 // the fast path stays alloc-free).
 type reqMeta struct {
 	req       *soap.Request
-	exec      interp.Stats // what Execute reported (zero when nothing executed)
-	cacheHits int          // respcache calls served from stored bytes
-	cacheMiss int          // respcache calls that executed
+	snap      *store.Snapshot // the request's pinned documents (nil if none)
+	exec      interp.Stats    // what Execute reported (zero when nothing executed)
+	cacheHits int             // respcache calls served from stored bytes
+	cacheMiss int             // respcache calls that executed
 	usedCache bool
 }
 

@@ -7,6 +7,7 @@ import (
 	"xrpc/internal/modules"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 )
 
@@ -23,7 +24,7 @@ func collectPUL(t testing.TB, query string) (*interp.UpdateList, *store.Store) {
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
 		t.Fatal(err)
 	}
-	eng := interp.New(st, modules.NewRegistry(), nil)
+	eng := interp.New(storetest.Latest(t, st), modules.NewRegistry(), nil)
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +87,15 @@ func TestPULWireRoundTrip(t *testing.T) {
 			t.Fatalf("DecodePUL(%s): %v", q, err)
 		}
 
-		if err := interp.ApplyUpdates(primary, pul); err != nil {
+		if err := interp.ApplyUpdates(primary, pul, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := interp.ApplyUpdates(replica, got); err != nil {
+		if err := interp.ApplyUpdates(replica, got, snap); err != nil {
 			t.Fatal(err)
 		}
-		pd, _ := primary.Get("filmDB.xml")
-		rd, _ := replica.Get("filmDB.xml")
+		snap.Release()
+		pd := storetest.Doc(t, primary, "filmDB.xml")
+		rd := storetest.Doc(t, replica, "filmDB.xml")
 		if xdm.SerializeNode(pd) != xdm.SerializeNode(rd) {
 			t.Fatalf("replica diverged from primary after PUL round trip\nquery: %s\nprimary: %s\nreplica: %s",
 				q, xdm.SerializeNode(pd), xdm.SerializeNode(rd))
@@ -160,8 +162,7 @@ func FuzzDecodePUL(f *testing.F) {
 	}
 	// ill-kinded primitives, as only a foreign or corrupt PUL carries
 	// them: evalUpdate refuses to build these
-	st := fuzzPULStore(f)
-	eng := interp.New(st, modules.NewRegistry(), nil)
+	eng := interp.New(storetest.Latest(f, fuzzPULStore(f)), modules.NewRegistry(), nil)
 	node := func(q string) *xdm.Node {
 		c, err := eng.Compile(q)
 		if err != nil {
@@ -193,12 +194,14 @@ func FuzzDecodePUL(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := fuzzPULStore(t)
-		ul, err := parsePUL(data, st)
+		snap := st.Snapshot()
+		defer snap.Release()
+		ul, err := parsePUL(data, snap)
 		if err != nil {
 			return
 		}
 		wire := xdm.SerializeNode(EncodePUL(ul))
-		again, err := parsePUL([]byte(wire), st)
+		again, err := parsePUL([]byte(wire), snap)
 		if err != nil {
 			t.Fatalf("re-encoded list does not decode: %v\n%s", err, wire)
 		}
@@ -215,6 +218,6 @@ func FuzzDecodePUL(f *testing.F) {
 		if rewire := xdm.SerializeNode(EncodePUL(again)); rewire != wire {
 			t.Fatalf("re-encoding differs:\n%s\n%s", wire, rewire)
 		}
-		interp.ApplyUpdates(st, ul) // an error is an answer; a panic is not
+		interp.ApplyUpdates(st, ul, snap) // an error is an answer; a panic is not
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"xrpc/internal/cache"
 	"xrpc/internal/interp"
 	"xrpc/internal/soap"
-	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 )
 
@@ -141,21 +140,21 @@ func (c *countingRPC) Call(dest string, req *interp.CallRequest) (xdm.Sequence, 
 // are still to execute. The zero value means the cache was not
 // consulted.
 type cachedCalls struct {
-	// snap pins both the data and the version the served (and
-	// populated) results are valid at; a commit landing mid-request
-	// steps the live version but not this snapshot, so entries written
-	// under ver stay consistent with the data they were computed from
-	snap     *store.Snapshot
+	// ver is the version of the request's pinned snapshot, which the
+	// served (and populated) results are valid at; a commit landing
+	// mid-request steps the live version but not this snapshot, so
+	// entries written under ver stay consistent with the data they were
+	// computed from
 	ver, gen int64
 	raw      [][]byte // per call: the stored <xrpc:sequence> bytes, nil if missing
 	missing  []int    // indices of the calls to execute
 	counter  *countingRPC
 }
 
-// lookupCached looks every call of req up in the response cache.
+// lookupCached looks every call of req up in the response cache, at
+// the version of the request's snapshot (meta.snap).
 func (s *Server) lookupCached(req *soap.Request, meta *reqMeta) cachedCalls {
-	c := cachedCalls{snap: s.Store.Snapshot(), raw: make([][]byte, len(req.Calls))}
-	c.ver = c.snap.Version()
+	c := cachedCalls{ver: meta.snap.Version(), raw: make([][]byte, len(req.Calls))}
 	if s.Registry != nil {
 		c.gen = s.Registry.Generation()
 	}

@@ -188,6 +188,9 @@ func (s *Server) handleInto(enc *soap.Encoder, body []byte) {
 	var meta reqMeta
 	var fault *soap.Fault
 	defer func() {
+		// the request's documents are read until its response is
+		// encoded, here; unpinned, a commit may write them in place
+		meta.snap.Release()
 		d := time.Since(start)
 		s.mu.Lock()
 		s.HandleTime += d
@@ -313,31 +316,26 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 	case WSATModule:
 		return s.handleWSAT(req)
 	case SystemModule:
-		return s.handleSystem(req)
+		return s.handleSystem(req, meta)
 	}
 
-	// pick the database state: the queryID's pinned snapshot (rule
-	// R'_Fr), or the latest (rule R_Fr). Requests outside an isolation
-	// scope are first looked up in the version-fenced response cache;
-	// queryID'd requests bypass it (their repeatable-read state is
-	// per-query, not per-version)
-	var docs interp.DocResolver = s.Store
-	var entry *isoEntry
+	// pick the database state: the queryID's snapshot (rule R'_Fr), or
+	// the latest (rule R_Fr), pinned in meta.snap for the whole request.
+	// Requests outside an isolation scope are first looked up in the
+	// version-fenced response cache; queryID'd requests bypass it (their
+	// repeatable-read state is per-query, not per-version)
 	var cached cachedCalls
 	exec := req
-	switch {
-	case req.QueryID != nil:
-		entry, err = s.iso.entryFor(req.QueryID, s.Store)
-		if err != nil {
-			return nil, err
-		}
-		docs = entry.snap
-	case s.RespCache != nil:
+	entry, err := s.pin(req, meta)
+	if err != nil {
+		return nil, err
+	}
+	if entry == nil && s.RespCache != nil {
 		cached = s.lookupCached(req, meta)
 		if len(cached.missing) == 0 {
 			return &soap.Response{Module: req.Module, Method: req.Method, Raw: cached.raw}, nil
 		}
-		docs, exec = cached.snap, cached.missingCalls(req)
+		exec = cached.missingCalls(req)
 	}
 
 	var rpc interp.RPCCaller
@@ -347,7 +345,7 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		rpc = cached.watch(rpc)
 	}
 
-	results, pul, stats, err := s.Exec.Execute(exec, body, docs, rpc)
+	results, pul, stats, err := s.Exec.Execute(exec, body, meta.snap, rpc)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +359,7 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		if entry != nil {
 			// deferred: accumulate ∆ per query, applied at Commit (R'_Fu)
 			entry.addPUL(pul)
-		} else if err := s.Apply(pul); err != nil {
+		} else if err := s.Apply(pul, meta.snap); err != nil {
 			return nil, err
 		}
 	}
@@ -380,31 +378,40 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 // Apply commits pending updates immediately (rule R_Fu) — a served
 // request's outside an isolation scope, or those of a query this peer
 // originated: under the commit lock, and durable before it returns when
-// a WAL is enabled.
-func (s *Server) Apply(pul *interp.UpdateList) error {
-	_, err := s.applyDurable("", pul)
+// a WAL is enabled. own is the snapshot the updates were computed
+// against (nil if none; see interp.ApplyUpdates).
+func (s *Server) Apply(pul *interp.UpdateList, own *store.Snapshot) error {
+	_, err := s.applyDurable("", pul, own)
 	return err
+}
+
+// pin gives the request its snapshot in meta.snap, released once the
+// response is encoded: the queryID's (rule R'_Fr), whose entry it
+// returns, or the latest (rule R_Fr).
+func (s *Server) pin(req *soap.Request, meta *reqMeta) (*isoEntry, error) {
+	if req.QueryID == nil {
+		meta.snap = s.Store.Snapshot()
+		return nil, nil
+	}
+	e, sn, err := s.iso.entryFor(req.QueryID, s.Store)
+	meta.snap = sn
+	return e, err
 }
 
 // handleSystem serves the reserved system calls (getDocument for data
 // shipping).
-func (s *Server) handleSystem(req *soap.Request) (*soap.Response, error) {
-	var docs interp.DocResolver = s.Store
-	if req.QueryID != nil {
-		entry, err := s.iso.entryFor(req.QueryID, s.Store)
-		if err != nil {
-			return nil, err
-		}
-		docs = entry.snap
-	}
+func (s *Server) handleSystem(req *soap.Request, meta *reqMeta) (*soap.Response, error) {
 	switch req.Method {
 	case "getDocument":
+		if _, err := s.pin(req, meta); err != nil {
+			return nil, err
+		}
 		var results []xdm.Sequence
 		for _, call := range req.Calls {
 			if len(call) != 1 || len(call[0]) != 1 {
 				return nil, xdm.NewError("XRPC0004", "getDocument takes one string")
 			}
-			doc, err := docs.Doc(call[0][0].StringValue())
+			doc, err := meta.snap.Doc(call[0][0].StringValue())
 			if err != nil {
 				return nil, err
 			}
@@ -538,7 +545,8 @@ func (s *Server) handleWSAT(req *soap.Request) (*soap.Response, error) {
 		var entry *isoEntry
 		entry, err = s.iso.take(req.QueryID.ID)
 		if err == nil {
-			version, err = s.applyDurable(req.QueryID.ID, entry.pul)
+			version, err = s.applyDurable(req.QueryID.ID, entry.pul, entry.snap)
+			entry.snap.Release()
 		}
 		result = xdm.Sequence{xdm.String("committed"), xdm.Integer(version)}
 	case "Abort":
@@ -595,7 +603,12 @@ type isoManager struct {
 	commitMu sync.Mutex
 }
 
-func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, error) {
+// entryFor returns the queryID's entry, creating it (and pinning its
+// snapshot) on first use, and a second pin on that snapshot for the
+// caller, which releases it when done reading. Taken under m.mu, the
+// caller's pin is either in place before a Commit takes the entry, so
+// that commit clones, or it is a new entry's.
+func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, *store.Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {
@@ -604,12 +617,12 @@ func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, er
 	}
 	m.gcLocked()
 	if e, ok := m.entries[qid.ID]; ok {
-		return e, nil
+		return e, e.snap.Retain(), nil
 	}
 	// a request whose originating timestamp is not newer than the last
 	// expired timestamp from that host arrived too late
 	if last, seen := m.expiredByHost[qid.Host]; seen && !qid.Timestamp.After(last) {
-		return nil, xdm.Errorf("XRPC0006", "queryID %s expired (host %s)", qid.ID, qid.Host)
+		return nil, nil, xdm.Errorf("XRPC0006", "queryID %s expired (host %s)", qid.ID, qid.Host)
 	}
 	timeout := qid.Timeout
 	if timeout <= 0 {
@@ -622,7 +635,7 @@ func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, er
 		expires: m.now().Add(time.Duration(timeout) * time.Second),
 	}
 	m.entries[qid.ID] = e
-	return e, nil
+	return e, e.snap.Retain(), nil
 }
 
 func (m *isoManager) gcLocked() {
@@ -650,6 +663,7 @@ func (m *isoManager) gcLocked() {
 			m.expiredByHost[e.qid.Host] = e.qid.Timestamp
 		}
 		delete(m.entries, id)
+		e.snap.Release()
 	}
 }
 
@@ -682,11 +696,12 @@ func (m *isoManager) prepare(id string) (*xdm.Node, error) {
 // queryID, resolve the serialized pending update list against it, and
 // enter prepared state so the coordinator's Commit applies it here too.
 func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store) error {
-	e, err := m.entryFor(qid, st)
+	e, sn, err := m.entryFor(qid, st)
 	if err != nil {
 		return err
 	}
-	ul, err := DecodePUL(pulNode, e.snap)
+	defer sn.Release()
+	ul, err := DecodePUL(pulNode, sn)
 	if err != nil {
 		return err
 	}
@@ -699,7 +714,8 @@ func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store
 
 // take removes and returns the entry for a committing queryID; the
 // server applies its accumulated pending update lists through the
-// durable commit path (applyDurable), whose commitMu serialization
+// durable commit path (applyDurable) and then releases the entry's
+// snapshot. applyDurable's commitMu serialization
 // guarantees the version it reports is the one this commit produced —
 // concurrent transactions cannot slide a commit in between the apply
 // and the version read, which would make the coordinator's replica
@@ -718,7 +734,10 @@ func (m *isoManager) take(id string) (*isoEntry, error) {
 func (m *isoManager) abort(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.entries, id)
+	if e, ok := m.entries[id]; ok {
+		delete(m.entries, id)
+		e.snap.Release()
+	}
 }
 
 func (m *isoManager) count() int {

@@ -20,6 +20,7 @@ import (
 	"xrpc/internal/pathfinder"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -73,7 +74,7 @@ func newPeer(t testing.TB, uri, filmXML string, net *netsim.Network) *peer {
 			t.Fatal(err)
 		}
 	}
-	eng := interp.New(st, reg, nil)
+	eng := interp.New(storetest.Latest(t, st), reg, nil)
 	exec := NewNativeExecutor(eng, reg)
 	srv := New(st, reg, exec)
 	srv.Self = uri
@@ -100,7 +101,7 @@ func newCluster(t *testing.T) (*netsim.Network, *peer, *peer, *peer) {
 func evalOn(t *testing.T, p *peer, net *netsim.Network, query string) xdm.Sequence {
 	t.Helper()
 	cl := client.New(net)
-	eng := interp.New(p.store, p.reg, cl)
+	eng := interp.New(storetest.Latest(t, p.store), p.reg, cl)
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -309,7 +310,7 @@ func TestUpdateImmediateApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := y.store.Get("filmDB.xml")
+	doc := storetest.Doc(t, y.store, "filmDB.xml")
 	films := xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
 	if len(films) != 4 {
 		t.Errorf("films after update = %d, want 4", len(films))
@@ -330,7 +331,7 @@ func TestUpdateDeferredUntilCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	countFilms := func() int {
-		doc, _ := y.store.Get("filmDB.xml")
+		doc := storetest.Doc(t, y.store, "filmDB.xml")
 		return len(xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"}))
 	}
 	if got := countFilms(); got != 3 {
@@ -384,7 +385,7 @@ func TestUpdateAbortDiscards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := y.store.Get("filmDB.xml")
+	doc := storetest.Doc(t, y.store, "filmDB.xml")
 	films := xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
 	if len(films) != 3 {
 		t.Errorf("films after abort = %d, want 3", len(films))
@@ -501,7 +502,7 @@ func TestGetDocumentSystemCall(t *testing.T) {
 func TestClientDocResolverDataShipping(t *testing.T) {
 	net, local, _, _ := newCluster(t)
 	cl := client.New(net)
-	resolver := &client.DocResolver{Local: local.store, Client: cl}
+	resolver := &client.DocResolver{Local: storetest.Latest(t, local.store), Client: cl}
 	eng := interp.New(resolver, local.reg, cl)
 	c, err := eng.Compile(`count(doc("xrpc://y.example.org/filmDB.xml")//film)`)
 	if err != nil {
@@ -584,7 +585,7 @@ return count(execute at {$dst} {f:filmsByActor($actor)})`, local.reg)
 		t.Fatal(err)
 	}
 	eval := func() (xdm.Sequence, error) {
-		return compiled.Eval(&pathfinder.ExecCtx{Docs: local.store, Bulk: client.New(net)}, nil)
+		return compiled.Eval(&pathfinder.ExecCtx{Docs: storetest.Latest(t, local.store), Bulk: client.New(net)}, nil)
 	}
 	seq, err := eval()
 	if err != nil {
@@ -657,7 +658,7 @@ return execute at {"xrpc://y.example.org"} {rel:isInside($film, $name)}`
 
 	run := func(byFragment bool) string {
 		cl := client.New(net)
-		eng := interp.New(local.store, local.reg, cl)
+		eng := interp.New(storetest.Latest(t, local.store), local.reg, cl)
 		eng.ByFragment = byFragment
 		c, err := eng.Compile(query)
 		if err != nil {
@@ -749,7 +750,9 @@ type executed struct {
 
 func execute(p *peer, req *soap.Request, parallelism int) (executed, *interp.Stats) {
 	p.exec.SetParallelism(parallelism)
-	results, pul, stats, err := p.exec.Execute(req, nil, p.store, nil)
+	snap := p.store.Snapshot()
+	defer snap.Release()
+	results, pul, stats, err := p.exec.Execute(req, nil, snap, nil)
 	if err != nil {
 		return executed{err: err.Error()}, stats
 	}
@@ -766,7 +769,7 @@ func execute(p *peer, req *soap.Request, parallelism int) (executed, *interp.Sta
 func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	t.Helper()
 	src, _ := p.reg.Source(req.Module)
-	ref := interp.New(p.store, p.reg, nil)
+	ref := interp.New(storetest.Latest(t, p.store), p.reg, nil)
 	ref.DisablePredIndex = true
 	c, err := ref.CompileModule(src)
 	if err != nil {
@@ -881,8 +884,10 @@ func TestBulkAllocationsDoNotScaleWithCalls(t *testing.T) {
 	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
 	allocs := func(calls int) float64 {
 		req := bulkRequest("Q_B3", probeCalls(calls))
+		snap := p.store.Snapshot()
+		defer snap.Release()
 		return testing.AllocsPerRun(10, func() {
-			if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil {
+			if _, _, _, err := p.exec.Execute(req, nil, snap, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -896,13 +901,15 @@ func TestBulkAllocationsDoNotScaleWithCalls(t *testing.T) {
 func benchBulkProbe(b *testing.B, calls int) {
 	p := newBulkPeer(b, netsim.NewNetwork(0, 0))
 	req := bulkRequest("Q_B3", probeCalls(calls))
-	if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil { // compile outside the timer
+	snap := p.store.Snapshot()
+	defer snap.Release()
+	if _, _, _, err := p.exec.Execute(req, nil, snap, nil); err != nil { // compile outside the timer
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := p.exec.Execute(req, nil, p.store, nil); err != nil {
+		if _, _, _, err := p.exec.Execute(req, nil, snap, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -991,15 +998,17 @@ func TestParallelUpdatingKeepsPendingUpdateOrder(t *testing.T) {
 				// evaluation order
 				req.SeqNrs = append(req.SeqNrs, int64(len(req.Calls)-i))
 			}
-			_, pul, _, err := y.exec.Execute(req, nil, y.store, nil)
+			snap := y.store.Snapshot()
+			_, pul, _, err := y.exec.Execute(req, nil, snap, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			order := pul.Describe()
-			if err := interp.ApplyUpdates(y.store, pul); err != nil {
+			if err := interp.ApplyUpdates(y.store, pul, snap); err != nil {
 				t.Fatal(err)
 			}
-			root, _ := y.store.Get(doc)
+			snap.Release()
+			root := storetest.Doc(t, y.store, doc)
 			return order, xdm.SerializeSequence(xdm.Sequence{root})
 		}
 		seqOrder, seqDoc := run(1)

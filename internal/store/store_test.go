@@ -13,17 +13,21 @@ func TestLoadGetDelete(t *testing.T) {
 	if err := s.LoadXML("a.xml", "<a/>"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("a.xml"); !ok {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if _, ok := sn.Get("a.xml"); !ok {
 		t.Fatal("a.xml missing")
 	}
-	if _, ok := s.Get("b.xml"); ok {
+	if _, ok := sn.Get("b.xml"); ok {
 		t.Fatal("phantom document")
 	}
 	if err := s.LoadXML("bad.xml", "<a><b></a>"); err == nil {
 		t.Fatal("malformed XML accepted")
 	}
 	s.Delete("a.xml")
-	if _, ok := s.Get("a.xml"); ok {
+	after := s.Snapshot()
+	defer after.Release()
+	if _, ok := after.Get("a.xml"); ok {
 		t.Fatal("delete did not remove")
 	}
 }
@@ -31,10 +35,12 @@ func TestLoadGetDelete(t *testing.T) {
 func TestDocResolver(t *testing.T) {
 	s := New()
 	s.LoadXML("a.xml", "<a/>")
-	if _, err := s.Doc("a.xml"); err != nil {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if _, err := sn.Doc("a.xml"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Doc("nope.xml"); err == nil {
+	if _, err := sn.Doc("nope.xml"); err == nil {
 		t.Fatal("missing doc should error")
 	}
 }
@@ -74,7 +80,9 @@ func TestSnapshotImmutability(t *testing.T) {
 		t.Error("snapshot Doc resolves later document")
 	}
 	// latest state sees the new version
-	cur, _ := s.Get("a.xml")
+	latest := s.Snapshot()
+	defer latest.Release()
+	cur, _ := latest.Get("a.xml")
 	if got := len(xdm.Step(cur, xdm.AxisDescendant, xdm.NodeTest{Name: "new"})); got != 1 {
 		t.Error("store does not see the new version")
 	}
@@ -104,8 +112,9 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				name := fmt.Sprintf("doc%d.xml", i)
 				s.LoadXML(name, "<x/>")
-				s.Get(name)
-				s.Snapshot()
+				sn := s.Snapshot()
+				sn.Get(name)
+				sn.Release()
 				s.Names()
 			}
 		}(i)
@@ -202,6 +211,7 @@ func TestSnapshotRepeatableReadUnderConcurrentUpdates(t *testing.T) {
 					errs <- fmt.Errorf("snapshot version moved %d -> %d", version, snap.Version())
 					return
 				}
+				snap.Release()
 			}
 		}()
 	}

@@ -336,8 +336,10 @@ func (env *ShardedEnv) runSharded(label, query string) (*Result, xdm.Sequence, e
 	if err != nil {
 		return nil, nil, fmt.Errorf("sharded semi-join: %w", err)
 	}
+	snap := env.StoreA.Snapshot()
+	defer snap.Release()
 	ec := &pathfinder.ExecCtx{
-		Docs: &client.DocResolver{Local: env.StoreA, Client: cl},
+		Docs: &client.DocResolver{Local: snap, Client: cl},
 		Bulk: co,
 	}
 	start := time.Now()
@@ -389,8 +391,10 @@ func (env *Env) Run(name, query string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("strategy %s: %w", name, err)
 	}
+	snap := env.StoreA.Snapshot()
+	defer snap.Release()
 	ec := &pathfinder.ExecCtx{
-		Docs: &client.DocResolver{Local: env.StoreA, Client: cl},
+		Docs: &client.DocResolver{Local: snap, Client: cl},
 		Bulk: cl,
 	}
 	start := time.Now()
@@ -418,8 +422,10 @@ func (env *Env) RunSeq(name, query string) (*Result, xdm.Sequence, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	snap := env.StoreA.Snapshot()
+	defer snap.Release()
 	ec := &pathfinder.ExecCtx{
-		Docs: &client.DocResolver{Local: env.StoreA, Client: cl},
+		Docs: &client.DocResolver{Local: snap, Client: cl},
 		Bulk: cl,
 	}
 	start := time.Now()

@@ -11,6 +11,7 @@ import (
 	"xrpc/internal/netsim"
 	"xrpc/internal/server"
 	"xrpc/internal/store"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -34,7 +35,7 @@ func newCluster(t *testing.T, peers ...string) (*netsim.Network, map[string]*sto
 		if err := st.LoadXML("filmDB.xml", xmark.PaperFilmDB); err != nil {
 			t.Fatal(err)
 		}
-		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(st, reg, nil), reg))
+		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
 		srv.Self = uri
 		net.Register(uri, srv)
 		stores[uri] = st
@@ -45,8 +46,8 @@ func newCluster(t *testing.T, peers ...string) (*netsim.Network, map[string]*sto
 
 func countFilms(t *testing.T, st *store.Store) int {
 	t.Helper()
-	doc, ok := st.Get("filmDB.xml")
-	if !ok {
+	doc := storetest.Doc(t, st, "filmDB.xml")
+	if doc == nil {
 		t.Fatal("filmDB.xml missing")
 	}
 	return len(xdm.Step(doc, xdm.AxisDescendant, xdm.NodeTest{Name: "film"}))

@@ -46,6 +46,10 @@ var docSeq atomic.Int64
 type treeInfo struct {
 	id  int64
 	uri string
+	// shape stamps the ordinal layout: Clone of a root copies it and
+	// every Seal renews it, so two trees share a shape exactly when
+	// one is a copy of the other with no structural change since
+	shape int64
 }
 
 // Node is an XDM node. Nodes have identity: two nodes are the same node
@@ -123,6 +127,16 @@ func (n *Node) TreeID() int64 {
 // are assigned by Seal and are stable across Clone, which makes them
 // usable as node ids in pending update lists.
 func (n *Node) Ord() int { return n.ord }
+
+// Shape returns the stamp of the tree's ordinal layout (0 for an
+// unsealed node). Two trees with equal stamps map every ordinal to the
+// same position, so a node of one is found in the other by Ord.
+func (n *Node) Shape() int64 {
+	if n.tree == nil {
+		return 0
+	}
+	return n.tree.shape
+}
 
 // NewDocument creates a document node with the given URI.
 func NewDocument(uri string) *Node {
@@ -209,7 +223,10 @@ func (n *Node) SetAttr(attr *Node) {
 func (n *Node) Seal() *Node {
 	root := n.Root()
 	if root.tree == nil {
-		root.tree = &treeInfo{id: docSeq.Add(1)}
+		id := docSeq.Add(1)
+		root.tree = &treeInfo{id: id, shape: id}
+	} else {
+		root.tree.shape = docSeq.Add(1)
 	}
 	ord := 0
 	var walk func(*Node)
@@ -241,11 +258,15 @@ func (n *Node) Root() *Node {
 
 // Clone deep-copies the subtree rooted at n into a fresh tree with new
 // identity but identical ordinals — this is the call-by-value copy that
-// XRPC parameter marshaling performs (§2.2, "Call-by-Value").
+// XRPC parameter marshaling performs (§2.2, "Call-by-Value"). The copy
+// of a sealed root keeps its Shape.
 func (n *Node) Clone() *Node {
 	c := n.cloneRec()
 	c.Parent = nil
 	c.Seal()
+	if n.Parent == nil && n.tree != nil {
+		c.tree.shape = n.tree.shape
+	}
 	return c
 }
 
