@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# vet also fails when gofmt would reformat a file, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # race catches data races in the parallel bulk-execution pipeline, the
 # cluster scatter-gather coordinator, and store snapshot isolation —
@@ -120,7 +123,9 @@ cachesmoke:
 # the scatter, cache-tier and 2PC counters move at each stage, that a
 # part stream counts as forward="decoded" when Scatter or the result
 # cache takes its items as trees and as forward="raw" when the proxy only
-# passes them on (xrpc_cluster_gather_streams_total), and that one trace
+# passes them on (xrpc_cluster_gather_streams_total), that single-call
+# getPerson reads probe the index their shard's store version already
+# built (xrpc_exec_index_builds_total < _probes_total), and that one trace
 # ID appears in both shards' slow-query logs; a query peer in
 # front runs one text cold then warm and its compiled-text cache's hit
 # counter (cache="query") must move, then one two-for join over string

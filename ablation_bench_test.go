@@ -41,7 +41,7 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 	if err := st.LoadXML("filmDB.xml", xmark.GenerateFilmDB(200, nil)); err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(nil, reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
 	net.Register("xrpc://y", srv)
 	compiled, err := pathfinder.Compile(invariantCallQuery, reg)
 	if err != nil {
@@ -74,7 +74,7 @@ func benchPredIndex(b *testing.B, disabled bool) {
 	}
 	snap := st.Snapshot()
 	defer snap.Release()
-	eng := interp.New(snap, nil, nil)
+	eng := interp.New(nil, nil)
 	eng.DisablePredIndex = disabled
 	compiled, err := eng.Compile(`
 for $i in (0 to 199)
@@ -85,7 +85,7 @@ return count(doc("persons.xml")//person[@id=$pid])`)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := compiled.Eval(nil); err != nil {
+		if _, _, err := compiled.Eval(&interp.EvalOptions{Docs: snap}); err != nil {
 			b.Fatal(err)
 		}
 	}

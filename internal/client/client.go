@@ -327,3 +327,25 @@ func (r *DocResolver) Doc(uri string) (*xdm.Node, error) {
 	r.mu.Unlock()
 	return doc, nil
 }
+
+var _ interp.VersionedResolver = (*DocResolver)(nil)
+
+// Names implements interp.VersionedResolver: the documents of Local's
+// version, none when Local is not one.
+func (r *DocResolver) Names() []string {
+	if v, ok := r.Local.(interp.VersionedResolver); ok {
+		return v.Names()
+	}
+	return nil
+}
+
+// Derived implements interp.VersionedResolver: the value derived from
+// Local's version, nil when Local is not one. The documents fetched from
+// other peers are not the version's; an evaluation keeps what it
+// derives from them to itself.
+func (r *DocResolver) Derived(build func() any) any {
+	if v, ok := r.Local.(interp.VersionedResolver); ok {
+		return v.Derived(build)
+	}
+	return nil
+}

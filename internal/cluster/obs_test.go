@@ -175,8 +175,8 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("post-write read did not re-query: partial+misses = %v", n)
 	}
 
-	// --- multi-call bulk: a shard scans and hash-indexes its persons
-	// once per request and answers every call by probe
+	// --- multi-call bulk: a shard answers every call by probe from the
+	// index of its store version, which the reads before built
 	indexed := func(name string) (n float64) {
 		for s := 0; s < 2; s++ {
 			n += reg.MustGather(name, obs.Label{Key: "shard", Value: strconv.Itoa(s)})
@@ -193,8 +193,25 @@ func TestObsSmoke(t *testing.T) {
 	}
 	builds := indexed("xrpc_exec_index_builds_total") - builds0
 	probes := indexed("xrpc_exec_index_probes_total") - probes0
-	if builds < 1 || builds >= probes {
-		t.Fatalf("multi-call bulk: index builds = %v, probes = %v, want 1 <= builds < probes", builds, probes)
+	if builds != 0 || probes != float64(len(bulkIDs)) {
+		t.Fatalf("multi-call bulk: index builds = %v, probes = %v, want 0 and %d", builds, probes, len(bulkIDs))
+	}
+
+	// --- single-call traffic: each routed read is a one-call request, and
+	// the index of the shard's version, built once, answers them all
+	builds0, probes0 = indexed("xrpc_exec_index_builds_total"), indexed("xrpc_exec_index_probes_total")
+	for i := 10; i < 16; i++ {
+		if _, err := co.Scatter(getPersonRequest(xmark.PersonID(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	builds = indexed("xrpc_exec_index_builds_total") - builds0
+	probes = indexed("xrpc_exec_index_probes_total") - probes0
+	if probes != 6 || builds >= probes {
+		t.Fatalf("single-call reads: index builds = %v, probes = %v, want builds < probes = 6", builds, probes)
+	}
+	if b, p := indexed("xrpc_exec_index_builds_total"), indexed("xrpc_exec_index_probes_total"); b >= p {
+		t.Fatalf("xrpc_exec_index_builds_total = %v, want < xrpc_exec_index_probes_total = %v", b, p)
 	}
 	if n := indexed("xrpc_exec_index_fallbacks_total"); n != 0 {
 		t.Fatalf("index fallbacks = %v, want 0 (getPerson's predicate is indexable)", n)
@@ -313,8 +330,8 @@ return string($p/@id)`)
 		if !strings.Contains(logged, "query_hash=") {
 			t.Fatalf("shard %d slow-query log has no query hash:\n%s", s, logged)
 		}
-		if !strings.Contains(logged, "calls=4 index_builds=1 index_probes=4") {
-			t.Fatalf("shard %d slow-query log has no 4-call bulk answered from one index build:\n%s", s, logged)
+		if !strings.Contains(logged, "calls=4 index_builds=0 index_probes=4") {
+			t.Fatalf("shard %d slow-query log has no 4-call bulk answered from its version's index:\n%s", s, logged)
 		}
 	}
 

@@ -16,11 +16,11 @@ import (
 // pending update list.
 func collect(t testing.TB, snap *store.Snapshot, query string) *UpdateList {
 	t.Helper()
-	c, err := New(snap, nil, nil).Compile(query)
+	c, err := New(nil, nil).Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&EvalOptions{Docs: snap, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +185,28 @@ func TestFailingListWritesNothingInPlace(t *testing.T) {
 		}
 		if in, cl := st.Commits(); in+cl != 0 {
 			t.Errorf("%s: a failed commit counted: in place %d, cloned %d", tc.query, in, cl)
+		}
+	}
+}
+
+// A list applies in XQUF's phase order whatever order its expressions
+// came in: inserts beside a node before the replace or delete of that
+// node (in Seq order the delete detached p first, and the insert failed
+// with XUDY0029).
+func TestListAppliesInPhaseOrder(t *testing.T) {
+	for _, tc := range []struct{ query, want string }{
+		{`(delete node doc("d.xml")/r/p, insert node <n/> before doc("d.xml")/r/p)`, `<r><n/><q/></r>`},
+		{`(delete node doc("d.xml")/r/p, insert node <n/> after doc("d.xml")/r/p)`, `<r><n/><q/></r>`},
+		{`(replace node doc("d.xml")/r/p with <x/>, insert node <n/> after doc("d.xml")/r/p)`, `<r><x/><n/><q/></r>`},
+	} {
+		st := loaded(t, "d.xml", `<r><p/><q/></r>`)
+		own := st.Snapshot()
+		if err := ApplyUpdates(st, collect(t, own, tc.query), own); err != nil {
+			t.Errorf("%s: %v", tc.query, err)
+		}
+		own.Release()
+		if got := serialized(st, "d.xml"); got != tc.want {
+			t.Errorf("%s: committed %s, want %s", tc.query, got, tc.want)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 )
 
 // DocResolver resolves fn:doc URIs to document nodes. Implementations
-// include store.Store (latest state), store.Snapshot (repeatable read)
+// include store.Snapshot (one pinned version, see VersionedResolver)
 // and client-side resolvers that fetch xrpc:// documents (data shipping).
 type DocResolver interface {
 	Doc(uri string) (*xdm.Node, error)
@@ -83,9 +83,9 @@ func (s Stats) Total() time.Duration { return s.Compile + s.TreeBuild + s.Exec }
 // implementation may have its own internal mechanisms").
 type ExtFunc func(args []xdm.Sequence) (xdm.Sequence, error)
 
-// Engine evaluates XQuery against a document store.
+// Engine compiles and evaluates XQuery; each evaluation names the
+// documents it reads (EvalOptions.Docs).
 type Engine struct {
-	Docs    DocResolver
 	Modules ModuleResolver
 	RPC     RPCCaller
 	// ExtFuncs maps prefixed names (e.g. "xrpcw:n2s") to host functions.
@@ -102,8 +102,8 @@ type Engine struct {
 
 // New creates an engine over the given resolvers. rpc may be nil, in
 // which case execute at raises an error.
-func New(docs DocResolver, modules ModuleResolver, rpc RPCCaller) *Engine {
-	return &Engine{Docs: docs, Modules: modules, RPC: rpc}
+func New(modules ModuleResolver, rpc RPCCaller) *Engine {
+	return &Engine{Modules: modules, RPC: rpc}
 }
 
 // funcKey identifies a function by namespace URI, local name and arity.
@@ -356,7 +356,9 @@ func (c *Compiled) lookupFunc(m *xq.Module, name string, arity int) (*boundFunc,
 type EvalOptions struct {
 	// Vars binds external variables ($x etc.).
 	Vars map[string]xdm.Sequence
-	// Docs overrides the engine's document resolver (e.g. a snapshot).
+	// Docs resolves fn:doc: a store.Snapshot on every server and peer
+	// path, whose version then keeps the evaluation's steps and indexes
+	// (VersionedResolver). Nil means no documents.
 	Docs DocResolver
 	// RPC overrides the engine's RPC caller (e.g. a per-query client
 	// carrying the queryID of the request being served).
@@ -382,7 +384,7 @@ func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *UpdateList, error) {
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
-	ctx := c.newDynCtx(opts, c.newEvalMemo(opts), &indexCounters{})
+	ctx := c.newDynCtx(opts, newEvalMemo(opts.Docs), &indexCounters{})
 	// prolog variables
 	for _, v := range c.globals {
 		if v.Val == nil {
@@ -446,12 +448,17 @@ func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *Ev
 // lowest failing call raises, whatever opts.Workers is.
 //
 // The function is resolved once and all calls share one evalMemo, so the
-// request scans a document and builds a predicate hash index once and
-// answers each call by probe (§3.2: a Bulk RPC lets the callee turn N
-// selections into one join). Sharing is sound because every tree the
-// memo is keyed on is immutable for the whole request: the server pins
-// one snapshot, and pending updates are collected, not applied. Each
-// call keeps its own dynamic context, variable frame and UpdateList.
+// request scans a document and builds a predicate hash index at most
+// once and answers each call by probe (§3.2: a Bulk RPC lets the callee
+// turn N selections into one join). Over a pinned store version (every
+// server and peer request, see VersionedResolver) the scan and the index
+// belong to the version, so a later request at the same version — a
+// single call too — only probes. Sharing is sound because every tree
+// the tables are keyed on is immutable while they can be read: the
+// request pins its snapshot, pending updates are collected, not
+// applied, and a commit that writes a tree in place drops the tables
+// that held it. Each call keeps its own dynamic context, variable frame
+// and UpdateList.
 func (c *Compiled) CallBulk(uri, local string, calls [][]xdm.Sequence, opts *EvalOptions) ([]xdm.Sequence, []*UpdateList, error) {
 	if len(calls) == 0 {
 		return nil, nil, nil
@@ -470,7 +477,7 @@ func (c *Compiled) CallBulk(uri, local string, calls [][]xdm.Sequence, opts *Eva
 		}
 	}
 
-	memo := c.newEvalMemo(opts)
+	memo := newEvalMemo(opts.Docs)
 	results := make([]xdm.Sequence, len(calls))
 	puls := make([]*UpdateList, len(calls))
 	counts := make([]indexCounters, len(calls))
@@ -548,21 +555,6 @@ func runPool(workers, n int, run func(i int) error) error {
 		return errs[ff]
 	}
 	return nil
-}
-
-// newEvalMemo starts the memo of one Eval or CallBulk over the document
-// resolver that evaluation reads from.
-func (c *Compiled) newEvalMemo(opts *EvalOptions) *evalMemo {
-	docs := c.engine.Docs
-	if opts.Docs != nil {
-		docs = opts.Docs
-	}
-	return &evalMemo{
-		docs:  docs,
-		trees: map[int64]bool{},
-		steps: map[*xq.Step]map[*xdm.Node][]*xdm.Node{},
-		preds: map[predKey]*predIndex{},
-	}
 }
 
 // newDynCtx starts one evaluation (the main module body, or one call of

@@ -673,7 +673,7 @@ func (ctx *dynCtx) evalPath(p *xq.Path) (xdm.Sequence, error) {
 			preds := st.Preds
 			// hash-index fast path for a join-shaped first predicate (§4)
 			if len(preds) > 0 {
-				if hits, ok := ctx.tryIndexedPredicate(cn, stepOut, preds[0]); ok {
+				if hits, ok := ctx.tryIndexedPredicate(st, cn, stepOut, preds[0]); ok {
 					stepOut, preds = hits, preds[1:]
 				}
 			}

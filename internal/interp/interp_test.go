@@ -23,7 +23,14 @@ module namespace film="films";
 declare function film:filmsByActor($actor as xs:string) as node()*
 { doc("filmDB.xml")//name[../actor=$actor] };`
 
-func newTestEngine(t *testing.T) (*Engine, *store.Store) {
+// testEngine is an Engine and the documents its test evaluations read;
+// each evaluation passes them as EvalOptions.Docs.
+type testEngine struct {
+	*Engine
+	docs DocResolver
+}
+
+func newTestEngine(t *testing.T) (*testEngine, *store.Store) {
 	t.Helper()
 	st := store.New()
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
@@ -33,23 +40,23 @@ func newTestEngine(t *testing.T) (*Engine, *store.Store) {
 	if err := reg.Register(filmModule, "http://x.example.org/film.xq"); err != nil {
 		t.Fatal(err)
 	}
-	return New(storetest.Latest(t, st), reg, nil), st
+	return &testEngine{Engine: New(reg, nil), docs: storetest.Latest(t, st)}, st
 }
 
-func evalQuery(t *testing.T, e *Engine, src string) xdm.Sequence {
+func evalQuery(t *testing.T, e *testEngine, src string) xdm.Sequence {
 	t.Helper()
 	c, err := e.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v\nquery: %s", err, src)
 	}
-	seq, _, err := c.Eval(nil)
+	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatalf("eval: %v\nquery: %s", err, src)
 	}
 	return seq
 }
 
-func evalStr(t *testing.T, e *Engine, src string) string {
+func evalStr(t *testing.T, e *testEngine, src string) string {
 	t.Helper()
 	return xdm.SerializeSequence(evalQuery(t, e, src))
 }
@@ -97,7 +104,7 @@ func TestEvalDivisionByZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("expected FOAR0001")
 	} else if !strings.Contains(err.Error(), "FOAR0001") {
 		t.Fatalf("error = %v", err)
@@ -158,7 +165,7 @@ func TestEvalAttributes(t *testing.T) {
 	if err := st.LoadXML("p.xml", `<people><person id="p1" age="30"/><person id="p2" age="40"/></people>`); err != nil {
 		t.Fatal(err)
 	}
-	e := New(storetest.Latest(t, st), nil, nil)
+	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
 	cases := map[string]string{
 		`string(doc("p.xml")//person[1]/@id)`:       "p1",
 		`count(doc("p.xml")//person[@id="p2"])`:     "1",
@@ -283,7 +290,7 @@ local:one(("a","b"))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("expected cardinality error")
 	}
 }
@@ -298,7 +305,7 @@ local:loop(0)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("expected recursion limit error")
 	}
 }
@@ -375,11 +382,11 @@ func TestEvalCardinalityFunctions(t *testing.T) {
 		t.Errorf("exactly-one(5) = %q", got)
 	}
 	c, _ := e.Compile(`zero-or-one((1,2))`)
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("zero-or-one((1,2)) should fail")
 	}
 	c, _ = e.Compile(`one-or-more(())`)
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("one-or-more(()) should fail")
 	}
 }
@@ -468,7 +475,7 @@ func TestEvalErrors(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, _, err := c.Eval(nil); err == nil {
+		if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 			t.Errorf("%s: expected error", q)
 		}
 	}
@@ -482,7 +489,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +508,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	}
 	// delete it again
 	c, _ = e.Compile(`delete nodes doc("filmDB.xml")//film[name="New"]`)
-	_, pul, err = c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err = c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +528,7 @@ func TestUpdateInsertPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+		_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +562,7 @@ func TestUpdateReplaceRename(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+		_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +590,7 @@ func TestUpdatePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +651,7 @@ func TestIllKindedUpdatesRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.query, err)
 		}
-		if _, _, err := c.Eval(&EvalOptions{CollectUpdates: true}); codeOf(err) != row.code {
+		if _, _, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true}); codeOf(err) != row.code {
 			t.Errorf("%s: eval error %v, want %s", row.query, err, row.code)
 		}
 		target := evalQuery(t, e, row.target)[0].(*xdm.Node)
@@ -738,7 +745,7 @@ func TestUpdateRejectedOutsideUpdatingContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(nil); err == nil {
+	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("update without CollectUpdates should be rejected")
 	}
 }
@@ -748,7 +755,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap := st.Snapshot()
 	// concurrent update commits a 4th film
 	c, _ := e.Compile(`insert node <film><name>X</name></film> into doc("filmDB.xml")/films`)
-	_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +784,7 @@ func TestCallFunctionDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, _, err := c.CallFunction("films", "filmsByActor",
-		[]xdm.Sequence{{xdm.String("Sean Connery")}}, nil)
+		[]xdm.Sequence{{xdm.String("Sean Connery")}}, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,7 +822,7 @@ import module namespace a = "mod_a" at "http://x.example.org/mod_a.xq";
 	}
 	// map iteration order is drawn per range statement, so a resolver
 	// that ranges per call would split this bulk between the two
-	results, puls, err := c.CallBulk("mod_renamed", "pick", calls, nil)
+	results, puls, err := c.CallBulk("mod_renamed", "pick", calls, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,10 +837,10 @@ import module namespace a = "mod_a" at "http://x.example.org/mod_a.xq";
 	if !c.FunctionUpdating("mod_b", "pick", 1) || c.FunctionUpdating("mod_a", "pick", 1) {
 		t.Error("an exact module URI must win over the fallback")
 	}
-	if seq, pul, err := c.CallFunction("mod_b", "pick", calls[0], nil); err != nil || len(seq) != 0 || pul.Empty() {
+	if seq, pul, err := c.CallFunction("mod_b", "pick", calls[0], &EvalOptions{Docs: e.docs}); err != nil || len(seq) != 0 || pul.Empty() {
 		t.Errorf("exact match b:pick: %v, %d items, pending updates empty=%v", err, len(seq), pul.Empty())
 	}
-	if _, _, err := c.CallFunction("mod_renamed", "pick", nil, nil); err == nil || !strings.Contains(err.Error(), "XPST0017") {
+	if _, _, err := c.CallFunction("mod_renamed", "pick", nil, &EvalOptions{Docs: e.docs}); err == nil || !strings.Contains(err.Error(), "XPST0017") {
 		t.Errorf("pick#0 does not exist: err = %v", err)
 	}
 }

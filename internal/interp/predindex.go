@@ -3,6 +3,7 @@ package interp
 import (
 	"sync"
 
+	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
 )
@@ -16,19 +17,22 @@ import (
 //
 //	step[ <key path> = <probe> ]        step[ <probe> = <key path> ]
 //
-// with <key path> a predicate-free path over downward/attribute axes,
-// relative or rooted at "." (@id, buyer/@person, ./buyer/@person), and
-// <probe> an expression that never consults the context item (typically
-// the function's parameter), hashes the step's candidates by the key
-// path's string values once and answers every later application — every
-// call of a CallBulk request, every iteration of a loop — by lookup.
+// with <key path> a predicate-free path of at most maxKeySteps steps
+// over downward/attribute axes, relative or rooted at "." (@id,
+// buyer/@person, ./buyer/@person), and <probe> an expression that never
+// consults the context item (typically the function's parameter),
+// hashes the step's candidates by the key path's string values once and
+// answers every later application by lookup: every call of a CallBulk
+// request, every iteration of a loop and — when the evaluation reads a
+// pinned store version (VersionedResolver) — every later request that
+// reads the same version.
 //
 // Everything else is evaluated row-at-a-time, and so is any application
 // the index cannot answer exactly as "=" would: a probe value that is
 // not a string or untypedAtomic (numeric comparison of "07" and 7), a
 // probe expression that raises, fewer than minIndexedCandidates
 // candidates, candidates outside the documents the evaluation's
-// resolver handed out (constructed or parameter trees, which the memo
+// resolver handed out (constructed or parameter trees, which the tables
 // must not retain), and second or later predicates and filter
 // expressions (their candidate list depends on what was filtered
 // before). Slow, never wrong: Engine.DisablePredIndex forces the
@@ -39,69 +43,69 @@ import (
 // building a hash table.
 const minIndexedCandidates = 16
 
-// evalMemo is the state shared by every dynamic context of one Eval or
-// one CallBulk request — for a bulk, by all its calls and workers. Trees
-// do not change during an evaluation, so a step from a node and an index
-// over that step's output are computed once. The memo retains them only
-// for nodes of documents its resolver handed out: a bulk of a
-// constructing function must not grow it by a tree per call. mu guards
-// the maps and is held while a step is scanned, which is what makes
-// concurrent calls wait for one scan instead of repeating it; an index
-// is built under its own sync.Once and is read-only afterwards.
-type evalMemo struct {
-	docs DocResolver // where the evaluation reads documents from
+// maxKeySteps bounds the steps of an indexed key path, so that a key
+// path fits a comparable array and a probe builds no key.
+const maxKeySteps = 4
 
+// VersionedResolver is a DocResolver over one pinned store version
+// (store.Snapshot): its documents do not change while it is pinned, and
+// it carries a value derived from them for as long as the version
+// lives. An evaluation over one keeps its steps and indexes there.
+type VersionedResolver interface {
+	DocResolver
+	// Names lists the version's documents.
+	Names() []string
+	// Derived returns the version's derived value, calling build on
+	// the version's first use only; nil once the version dropped it.
+	Derived(build func() any) any
+}
+
+var _ VersionedResolver = (*store.Snapshot)(nil)
+
+// memoTables are the steps and predicate indexes computed from one set
+// of trees. A version's tables (see VersionedResolver) hold the trees
+// of its documents and are shared by every evaluation that reads the
+// version; an evaluation's own tables hold the other trees its resolver
+// hands out and live as long as it does. Sharing needs no invalidation:
+// an evaluation collects its pending updates instead of applying them,
+// and a commit writes a tree in place only when no snapshot but the
+// committer's own pins it — and then drops the tables of the versions
+// that held the tree (store.Commit) — so a table is never read after
+// its nodes change.
+//
+// Keys are structural, never AST nodes, so every query text or plan
+// that spells the same step reuses the entry. mu guards the maps only;
+// an entry is computed under its own sync.Once, so a request waits for
+// the scan or build of the entry it needs and for no other.
+type memoTables struct {
 	mu    sync.Mutex
-	trees map[int64]bool // tree ids of the documents docs returned
-	steps map[*xq.Step]map[*xdm.Node][]*xdm.Node
+	trees map[int64]bool // the trees whose steps and indexes are kept
+	steps map[stepKey]*stepEntry
 	preds map[predKey]*predIndex
 }
 
-// Doc implements DocResolver for the evaluation's contexts, noting the
-// returned tree as one whose steps and indexes may be retained.
-func (m *evalMemo) Doc(uri string) (*xdm.Node, error) {
-	doc, err := m.docs.Doc(uri)
-	if err != nil || doc == nil {
-		return doc, err
-	}
-	if id := doc.TreeID(); id != 0 {
-		m.mu.Lock()
-		m.trees[id] = true
-		m.mu.Unlock()
-	}
-	return doc, nil
-}
-
-// memoStep is xdm.Step memoized per (step AST node, context node): this
-// is what keeps a bulk linear — //person is scanned once, not once per
-// call. The returned slice is shared and must not be modified.
-func (ctx *dynCtx) memoStep(st *xq.Step, n *xdm.Node) []*xdm.Node {
-	m := ctx.memo
-	m.mu.Lock()
-	if !m.trees[n.TreeID()] {
-		m.mu.Unlock()
-		return xdm.Step(n, st.Axis, st.Test)
-	}
-	inner, ok := m.steps[st]
-	if !ok {
-		inner = map[*xdm.Node][]*xdm.Node{}
-		m.steps[st] = inner
-	}
-	out, hit := inner[n]
-	if !hit {
-		out = xdm.Step(n, st.Axis, st.Test)
-		inner[n] = out
-	}
-	m.mu.Unlock()
-	return out
-}
-
-// predKey names a candidate list that cannot differ between two
-// applications: the unfiltered output of the step that pred is the first
-// predicate of, taken from node from.
-type predKey struct {
-	pred xq.Expr // predicate AST identity
+// stepKey names the output of one axis step from one node.
+type stepKey struct {
 	from *xdm.Node
+	axis xdm.Axis
+	test xdm.NodeTest
+}
+
+type stepEntry struct {
+	once sync.Once
+	out  []*xdm.Node
+}
+
+// predKey names an index: the candidates are the output of step, keyed
+// by the string values of keyPath's nodes.
+type predKey struct {
+	step    stepKey
+	keyPath [maxKeySteps]keyStep
+}
+
+type keyStep struct {
+	axis xdm.Axis
+	test xdm.NodeTest
 }
 
 // predIndex maps a key string value to the ascending, duplicate-free
@@ -111,35 +115,136 @@ type predIndex struct {
 	byValue map[string][]int
 }
 
+// versionTables builds the tables of r's version: empty, keeping the
+// trees of the version's documents.
+func versionTables(r VersionedResolver) any {
+	t := &memoTables{trees: map[int64]bool{}}
+	for _, name := range r.Names() {
+		if doc, err := r.Doc(name); err == nil && doc.TreeID() != 0 {
+			t.trees[doc.TreeID()] = true
+		}
+	}
+	return t
+}
+
+func (t *memoTables) holds(tree int64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.trees[tree]
+}
+
+func (t *memoTables) note(tree int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.trees == nil {
+		t.trees = map[int64]bool{}
+	}
+	t.trees[tree] = true
+}
+
+// entry returns the entry *m holds under k, adding an empty one if there
+// is none; mu covers the map and nothing else.
+func entry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
+	mu.Lock()
+	defer mu.Unlock()
+	v := (*m)[k]
+	if v == nil {
+		if *m == nil {
+			*m = map[K]*V{}
+		}
+		v = new(V)
+		(*m)[k] = v
+	}
+	return v
+}
+
+// evalMemo is what the dynamic contexts of one Eval or one CallBulk
+// request — for a bulk, all its calls and workers — read and keep their
+// steps and indexes through.
+type evalMemo struct {
+	docs   DocResolver // where the evaluation reads documents from
+	shared *memoTables // the tables of docs' version, or nil
+	own    memoTables  // the evaluation's own tables
+}
+
+// newEvalMemo starts the memo of one evaluation over docs: with the
+// tables of docs' version when docs is a VersionedResolver that still
+// carries them, and with its own tables only otherwise.
+func newEvalMemo(docs DocResolver) *evalMemo {
+	m := &evalMemo{docs: docs}
+	if vr, ok := docs.(VersionedResolver); ok {
+		m.shared, _ = vr.Derived(func() any { return versionTables(vr) }).(*memoTables)
+	}
+	return m
+}
+
+// Doc implements DocResolver for the evaluation's contexts, noting a
+// returned tree that is not the version's as one whose steps and
+// indexes the evaluation's own tables may keep.
+func (m *evalMemo) Doc(uri string) (*xdm.Node, error) {
+	doc, err := m.docs.Doc(uri)
+	if err != nil || doc == nil {
+		return doc, err
+	}
+	if id := doc.TreeID(); id != 0 && (m.shared == nil || !m.shared.holds(id)) {
+		m.own.note(id)
+	}
+	return doc, nil
+}
+
+// tables returns the tables that keep what is computed from n, or nil
+// for a tree no resolver handed out.
+func (m *evalMemo) tables(n *xdm.Node) *memoTables {
+	id := n.TreeID()
+	if m.shared != nil && m.shared.holds(id) {
+		return m.shared
+	}
+	if m.own.holds(id) {
+		return &m.own
+	}
+	return nil
+}
+
+// memoStep is xdm.Step memoized per (context node, axis, node test):
+// this is what keeps a bulk linear — //person is scanned once, not once
+// per call — and, over a version, once for all the requests reading it.
+// The returned slice is shared and must not be modified.
+func (ctx *dynCtx) memoStep(st *xq.Step, n *xdm.Node) []*xdm.Node {
+	t := ctx.memo.tables(n)
+	if t == nil {
+		return xdm.Step(n, st.Axis, st.Test)
+	}
+	e := entry(&t.mu, &t.steps, stepKey{from: n, axis: st.Axis, test: st.Test})
+	e.once.Do(func() { e.out = xdm.Step(n, st.Axis, st.Test) })
+	return e.out
+}
+
 // indexCounters is one call's share of Stats.Index*.
 type indexCounters struct {
 	builds, probes, fallbacks int
 }
 
-// tryIndexedPredicate filters cands — the output of the step pred is the
-// first predicate of, taken from node from — by probing the hash index;
-// ok is false when the application must be evaluated row-at-a-time.
-func (ctx *dynCtx) tryIndexedPredicate(from *xdm.Node, cands []*xdm.Node, pred xq.Expr) (out []*xdm.Node, ok bool) {
+// tryIndexedPredicate filters cands — the output of step st, whose
+// first predicate is pred, taken from node from (memoStep) — by probing
+// the hash index; ok is false when the application must be evaluated
+// row-at-a-time. Once the index exists an application is one probe.
+func (ctx *dynCtx) tryIndexedPredicate(st *xq.Step, from *xdm.Node, cands []*xdm.Node, pred xq.Expr) (out []*xdm.Node, ok bool) {
 	if len(cands) < minIndexedCandidates || ctx.c.engine.DisablePredIndex {
 		return nil, false
 	}
 	keyPath, probe := indexableShape(pred)
-	if keyPath == nil {
+	if keyPath == nil || len(keyPath.Steps) > maxKeySteps {
 		return nil, false
 	}
-	m := ctx.memo
-	m.mu.Lock()
-	if !m.trees[from.TreeID()] {
-		m.mu.Unlock()
+	t := ctx.memo.tables(from)
+	if t == nil {
 		return nil, false
 	}
-	key := predKey{pred: pred, from: from}
-	idx := m.preds[key]
-	if idx == nil {
-		idx = &predIndex{}
-		m.preds[key] = idx
+	key := predKey{step: stepKey{from: from, axis: st.Axis, test: st.Test}}
+	for i, ks := range keyPath.Steps {
+		key.keyPath[i] = keyStep{axis: ks.Axis, test: ks.Test}
 	}
-	m.mu.Unlock()
+	idx := entry(&t.mu, &t.preds, key)
 
 	// the probe side does not depend on the candidate: evaluate it once
 	pv, err := ctx.eval(probe)

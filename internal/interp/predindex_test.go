@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xrpc/internal/store"
@@ -44,13 +46,13 @@ func TestPredIndexMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(query string, disable bool) string {
-		e := New(storetest.Latest(t, st), nil, nil)
+		e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
 		e.DisablePredIndex = disable
 		c, err := e.Compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := c.Eval(nil)
+		seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +142,7 @@ type bulkOutcome struct {
 // engine without the index, stopping at the first error.
 func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence) bulkOutcome {
 	t.Helper()
-	e := New(storetest.Latest(t, st), nil, nil)
+	e := New(nil, nil)
 	e.DisablePredIndex = true
 	c, err := e.CompileModule(module)
 	if err != nil {
@@ -148,7 +150,7 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 	}
 	var out bulkOutcome
 	for _, args := range calls {
-		seq, pul, err := c.CallFunction(uri, local, args, nil)
+		seq, pul, err := c.CallFunction(uri, local, args, &EvalOptions{Docs: storetest.Latest(t, st)})
 		if err != nil {
 			return bulkOutcome{err: err.Error()}
 		}
@@ -160,12 +162,12 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 
 func bulk(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence, workers int) (bulkOutcome, Stats) {
 	t.Helper()
-	c, err := New(storetest.Latest(t, st), nil, nil).CompileModule(module)
+	c, err := New(nil, nil).CompileModule(module)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats Stats
-	seqs, puls, err := c.CallBulk(uri, local, calls, &EvalOptions{Workers: workers, Stats: &stats})
+	seqs, puls, err := c.CallBulk(uri, local, calls, &EvalOptions{Docs: storetest.Latest(t, st), Workers: workers, Stats: &stats})
 	if err != nil {
 		return bulkOutcome{err: err.Error()}, stats
 	}
@@ -309,32 +311,34 @@ declare function s:f($v as item()*) as node()* { ` + tc.body + ` };`
 	}
 }
 
-// The memo keeps nothing for trees its resolver did not hand out: a bulk
-// of a function that constructs and navigates a tree per call must not
-// grow it per call.
+// The tables keep nothing for trees the resolver did not hand out: a
+// bulk of a function that constructs and navigates a tree per call must
+// not grow them per call, neither an evaluation's own tables nor, over
+// a snapshot, its version's.
 func TestEvalMemoRetainsOnlyResolverDocuments(t *testing.T) {
-	c, err := New(storetest.Latest(t, bulkStore(t)), nil, nil).CompileModule(`module namespace s = "shapes";
+	st := bulkStore(t)
+	c, err := New(nil, nil).CompileModule(`module namespace s = "shapes";
 declare function s:f($v as xs:string) as node()*
 { (<r>{doc("persons.xml")//person}</r>)//person[@id = $v]/address/city };`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := c.newEvalMemo(&EvalOptions{})
-	f := c.resolveFunc("shapes", "f", 1)
-	sizes := map[int]int{}
-	for i := 0; i < 32; i++ {
-		ctx := c.newDynCtx(&EvalOptions{}, memo, &indexCounters{})
-		if seq, err := ctx.callBound(f, []xdm.Sequence{{xdm.String("person3")}}); err != nil || len(seq) != 1 {
-			t.Fatalf("call %d: %v, %d items", i, err, len(seq))
+	snap := st.Snapshot()
+	defer snap.Release()
+	for name, docs := range map[string]DocResolver{"own": storetest.Latest(t, st), "version": snap} {
+		memo := newEvalMemo(docs)
+		f := c.resolveFunc("shapes", "f", 1)
+		sizes := map[int]int{}
+		for i := 0; i < 32; i++ {
+			ctx := c.newDynCtx(&EvalOptions{}, memo, &indexCounters{})
+			if seq, err := ctx.callBound(f, []xdm.Sequence{{xdm.String("person3")}}); err != nil || len(seq) != 1 {
+				t.Fatalf("%s, call %d: %v, %d items", name, i, err, len(seq))
+			}
+			sizes[memo.own.size()+memo.shared.size()]++
 		}
-		n := len(memo.preds)
-		for _, inner := range memo.steps {
-			n += len(inner)
+		if len(sizes) != 1 {
+			t.Errorf("%s tables grew with the call count: entries after each of 32 calls %v", name, sizes)
 		}
-		sizes[n]++
-	}
-	if len(sizes) != 1 {
-		t.Errorf("memo grew with the call count: entries after each of 32 calls %v", sizes)
 	}
 }
 
@@ -350,14 +354,14 @@ func TestPredIndexNumericFallback(t *testing.T) {
 	if err := st.LoadXML("r.xml", b.String()); err != nil {
 		t.Fatal(err)
 	}
-	e := New(storetest.Latest(t, st), nil, nil)
+	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
 	c, err := e.Compile(`
 for $i in (1 to 20)
 return count(doc("r.xml")//e[@k=$i])`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(nil)
+	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,12 +378,12 @@ return count(doc("r.xml")//e[@k=$i])`)
 // Predicates that consult position() or the context must not be indexed.
 func TestPredIndexSkipsContextDependent(t *testing.T) {
 	st := bigPersonStore(t, 30)
-	e := New(storetest.Latest(t, st), nil, nil)
+	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
 	c, err := e.Compile(`count(doc("people.xml")//person[position() = last()])`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(nil)
+	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +551,7 @@ func TestUpdateListDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,5 +593,255 @@ func TestEvalTypeswitch(t *testing.T) {
 		if got := evalStr(t, e, q); got != want {
 			t.Errorf("%s = %q, want %q", q, got, want)
 		}
+	}
+}
+
+// size is the number of steps and indexes t keeps (0 for nil).
+func (t *memoTables) size() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.steps) + len(t.preds)
+}
+
+// ------------------------------------------- tables of a store version
+
+const personsModule = `module namespace p = "persons";
+declare function p:getPerson($id as xs:string) as node()*
+{ doc("people.xml")//person[@id = $id] };`
+
+// getPerson calls p:getPerson once over snap, returning the serialized
+// result and the call's index counters.
+func getPerson(t *testing.T, c *Compiled, snap *store.Snapshot, id string) (string, Stats) {
+	t.Helper()
+	var stats Stats
+	seq, _, err := c.CallFunction("persons", "getPerson", []xdm.Sequence{{xdm.String(id)}}, &EvalOptions{Docs: snap, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xdm.SerializeSequence(seq), stats
+}
+
+func compilePersons(t *testing.T) *Compiled {
+	t.Helper()
+	c, err := New(nil, nil).CompileModule(personsModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Requests at one version share its scan and index: the first builds,
+// every later one, from any compilation of the text, only probes.
+func TestVersionTablesServeLaterRequests(t *testing.T) {
+	st := bigPersonStore(t, 40)
+	c := compilePersons(t)
+	for i := 0; i < 3; i++ {
+		snap := st.Snapshot()
+		got, stats := getPerson(t, c, snap, "p7")
+		snap.Release()
+		if want := `<person id="p7"><age>27</age></person>`; got != want {
+			t.Fatalf("request %d: %s, want %s", i, got, want)
+		}
+		builds := 0
+		if i == 0 {
+			builds = 1
+		}
+		if stats.IndexBuilds != builds || stats.IndexProbes != 1 {
+			t.Errorf("request %d: builds/probes = %d/%d, want %d/1", i, stats.IndexBuilds, stats.IndexProbes, builds)
+		}
+	}
+}
+
+// A version step starts with no tables: after an in-place commit that
+// inserts a person with a new id, the next request finds it. An index
+// carried over from the version before would answer the old rows.
+func TestInPlaceCommitIsSeenByTheNextIndex(t *testing.T) {
+	st := bigPersonStore(t, 40)
+	c := compilePersons(t)
+	snap := st.Snapshot()
+	if got, _ := getPerson(t, c, snap, "p99"); got != "" {
+		t.Fatalf("p99 before the insert: %s", got)
+	}
+	snap.Release()
+
+	own := st.Snapshot()
+	pul := collect(t, own, `insert node <person id="p99"><age>1</age></person> into doc("people.xml")/people`)
+	if err := ApplyUpdates(st, pul, own); err != nil {
+		t.Fatal(err)
+	}
+	own.Release()
+	if in, cl := st.Commits(); in != 1 || cl != 0 {
+		t.Fatalf("commits in place %d, cloned %d, want 1 and 0", in, cl)
+	}
+
+	snap = st.Snapshot()
+	defer snap.Release()
+	got, stats := getPerson(t, c, snap, "p99")
+	if want := `<person id="p99"><age>1</age></person>`; got != want {
+		t.Errorf("p99 after the insert: %q, want %s", got, want)
+	}
+	if stats.IndexBuilds != 1 {
+		t.Errorf("the new version built %d indexes, want 1", stats.IndexBuilds)
+	}
+}
+
+// A snapshot held across a commit keeps answering from its own
+// version's index, and the commit's version from its own.
+func TestHeldSnapshotKeepsItsIndex(t *testing.T) {
+	st := bigPersonStore(t, 40)
+	c := compilePersons(t)
+	held := st.Snapshot()
+	defer held.Release()
+	old := `<person id="p3"><age>23</age></person>`
+	if got, _ := getPerson(t, c, held, "p3"); got != old {
+		t.Fatalf("p3: %s, want %s", got, old)
+	}
+
+	own := st.Snapshot()
+	pul := collect(t, own, `replace value of node doc("people.xml")//person[@id = "p3"]/@id with "p3x"`)
+	if err := ApplyUpdates(st, pul, own); err != nil {
+		t.Fatal(err)
+	}
+	own.Release()
+
+	if got, stats := getPerson(t, c, held, "p3"); got != old || stats.IndexBuilds != 0 {
+		t.Errorf("held snapshot after the commit: %q with %d builds, want %s from its index", got, stats.IndexBuilds, old)
+	}
+	snap := st.Snapshot()
+	defer snap.Release()
+	if got, _ := getPerson(t, c, snap, "p3"); got != "" {
+		t.Errorf("p3 at the new version: %s, want none", got)
+	}
+	if got, _ := getPerson(t, c, snap, "p3x"); got != `<person id="p3x"><age>23</age></person>` {
+		t.Errorf("p3x at the new version: %q", got)
+	}
+}
+
+// A version's tables are keyed by what a step reads, not by the AST that
+// spelled it: recompiling the module (a plan-cache eviction, a module
+// re-registration) and calling again adds no entry.
+func TestRecompiledModuleReusesVersionTables(t *testing.T) {
+	st := bigPersonStore(t, 40)
+	snap := st.Snapshot()
+	defer snap.Release()
+	size := func() int {
+		return newEvalMemo(snap).shared.size()
+	}
+	getPerson(t, compilePersons(t), snap, "p1")
+	want := size()
+	if want == 0 {
+		t.Fatal("the version's tables are empty after a request")
+	}
+	for i := 0; i < 100; i++ {
+		if _, stats := getPerson(t, compilePersons(t), snap, fmt.Sprintf("p%d", i%40)); stats.IndexBuilds != 0 {
+			t.Fatalf("compilation %d built an index", i)
+		}
+	}
+	if got := size(); got != want {
+		t.Errorf("100 recompilations grew the version's tables from %d to %d entries", want, got)
+	}
+}
+
+// Concurrent readers at one version (run with -race) build its index
+// exactly once between them, and all read the same answers.
+func TestConcurrentReadersBuildOneIndex(t *testing.T) {
+	const readers, calls = 8, 16
+	st := bigPersonStore(t, 200)
+	c := compilePersons(t)
+	var builds atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap := st.Snapshot()
+			defer snap.Release()
+			var stats Stats
+			var args [][]xdm.Sequence
+			for i := 0; i < calls; i++ {
+				args = append(args, []xdm.Sequence{{xdm.String(fmt.Sprintf("p%d", (r*calls+i)%200))}})
+			}
+			seqs, _, err := c.CallBulk("persons", "getPerson", args, &EvalOptions{Docs: snap, Workers: 2, Stats: &stats})
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i, seq := range seqs {
+				if len(seq) != 1 || seq[0].(*xdm.Node).Attrs[0].Value != args[i][0][0].StringValue() {
+					errs <- fmt.Errorf("reader %d call %d: %s", r, i, xdm.SerializeSequence(seq))
+					return
+				}
+			}
+			builds.Add(int64(stats.IndexBuilds))
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d concurrent readers built %d indexes, want 1", readers, n)
+	}
+}
+
+// Indexed readers beside in-place commits (run with -race): every commit
+// sets person p5's age to its version's number through the index of the
+// committer's own version, and every reader, probing its version's
+// index, finds exactly that number.
+func TestIndexedReadersBesideInPlaceCommits(t *testing.T) {
+	const commits, readers = 200, 3
+	st := bigPersonStore(t, 40)
+	base := st.Version()
+	c := compilePersons(t)
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := st.Snapshot()
+				age := "25"
+				if n := snap.Version() - base; n > 0 {
+					age = fmt.Sprint(n)
+				}
+				seq, _, err := c.CallFunction("persons", "getPerson", []xdm.Sequence{{xdm.String("p5")}}, &EvalOptions{Docs: snap})
+				got := xdm.SerializeSequence(seq)
+				snap.Release()
+				if want := `<person id="p5"><age>` + age + `</age></person>`; err != nil || got != want {
+					errs <- fmt.Errorf("version %d: %s (%v), want %s", snap.Version(), got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= commits; i++ {
+		own := st.Snapshot()
+		pul := collect(t, own, fmt.Sprintf(`replace value of node doc("people.xml")//person[@id = "p5"]/age with "%d"`, i))
+		if err := ApplyUpdates(st, pul, own); err != nil {
+			t.Fatal(err)
+		}
+		own.Release()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if in, _ := st.Commits(); in == 0 {
+		t.Error("no commit wrote in place")
 	}
 }

@@ -343,7 +343,8 @@ func (ul *UpdateList) SetSeqBase(base int64) {
 // write, so a failing list leaves the store as it was, and a tree is
 // resealed only when a primitive changed its structure (`replace value
 // of` an element with one text child changes none, unless the list also
-// targets that child). Primitives apply in Seq order (stable, so
+// targets that child). Primitives are checked and applied in XQUF's
+// phase order (see phase), and within a phase in Seq order (stable, so
 // untagged lists keep arrival order — the XQUF's "non-deterministic"
 // union is then simply arrival order).
 func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
@@ -351,7 +352,8 @@ func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 		return nil
 	}
 	sort.SliceStable(ul.Prims, func(i, j int) bool {
-		return ul.Prims[i].Seq < ul.Prims[j].Seq
+		pi, pj := phase(ul.Prims[i].Kind), phase(ul.Prims[j].Kind)
+		return pi < pj || pi == pj && ul.Prims[i].Seq < ul.Prims[j].Seq
 	})
 	return st.Commit(own, func(tx *store.Tx) error {
 		targets := make([]*xdm.Node, len(ul.Prims))
@@ -394,6 +396,22 @@ func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 		}
 		return nil
 	})
+}
+
+// phase is the step of XQUF's upd:applyUpdates a primitive belongs to:
+// inserts, replace value and rename first, then replace node, then
+// delete, so a list that inserts beside a node and deletes it applies
+// whatever order its expressions came in. fn:put comes last.
+func phase(k PrimitiveKind) int {
+	switch k {
+	case PrimReplaceNode:
+		return 1
+	case PrimDelete:
+		return 2
+	case PrimPut:
+		return 3
+	}
+	return 0
 }
 
 // resolveTarget finds p's target in the tree of its document that tx

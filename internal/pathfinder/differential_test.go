@@ -435,7 +435,7 @@ func (g *qgen) dropVar() {
 // one of them (same result or both erroring).
 func TestDifferentialEngines(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.docs, f.reg, nil)
+	refEngine := interp.New(f.reg, nil)
 	const n = 400
 	skipped, bothErr := 0, 0
 	var joins JoinStats
@@ -479,7 +479,7 @@ func TestDifferentialEngines(t *testing.T) {
 // refused must be among the predicates drawn.
 func TestDifferentialPredicates(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.docs, f.reg, nil)
+	refEngine := interp.New(f.reg, nil)
 	drawn := map[string]int{}
 	bothErr := 0
 	for seed := 0; seed < 300; seed++ {
@@ -523,7 +523,7 @@ func outcome(seq xdm.Sequence, err error) string {
 }
 
 // bothEngines runs a query on the loop-lifted engine, under ec, and on
-// the reference interpreter.
+// the reference interpreter over ec's documents.
 func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
 	pfc, pfErr := Compile(query, f.reg)
 	if pfErr == nil {
@@ -531,7 +531,7 @@ func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx) (pfS
 	}
 	ic, iErr := ref.Compile(query)
 	if iErr == nil {
-		iSeq, _, iErr = ic.Eval(nil)
+		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs})
 	}
 	return pfSeq, pfErr, iSeq, iErr
 }
@@ -620,7 +620,7 @@ func TestStaticContextAgreement(t *testing.T) {
 			}
 			var iRec, pfRec callRecorder
 			var iSeq, pfSeq xdm.Sequence
-			ic, iErr := interp.New(nil, resolver, &iRec).Compile(tc.query)
+			ic, iErr := interp.New(resolver, &iRec).Compile(tc.query)
 			if iErr == nil {
 				iSeq, _, iErr = ic.Eval(nil)
 			}
@@ -650,7 +650,7 @@ func TestStaticContextAgreement(t *testing.T) {
 // and checks on JoinStats which way the loop-lifted engine went.
 func TestJoinShapes(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.docs, f.reg, nil)
+	refEngine := interp.New(f.reg, nil)
 	const (
 		hash     = "hash"
 		fallback = "fallback"
@@ -815,7 +815,7 @@ for $p in `+tc.e1+`, $ca in execute at {"xrpc://p"} {a:f()} where $p = $ca retur
 // serialization or the same error code.
 func TestSharedLibraryPerIteration(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.docs, f.reg, nil)
+	refEngine := interp.New(f.reg, nil)
 	samples := []string{`()`, `(1, 2, 3, 4)`, `(doc("filmDB.xml")//name)[1]`, `1.5`, `"hello"`, `$i`}
 	lib := servedLib()
 	for _, typ := range []string{"xs:integer", "xs:double", "xs:string", "xs:boolean"} {
@@ -909,7 +909,7 @@ func TestLibraryClassification(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "needs the context") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
 			t.Errorf("%s outside a predicate: err = %v", q, err)
 		}
-		if _, _, _, iErr := bothEngines(f, interp.New(f.docs, f.reg, nil), q, &ExecCtx{Docs: f.docs}); errCode(iErr) != "XPDY0002" {
+		if _, _, _, iErr := bothEngines(f, interp.New(f.reg, nil), q, &ExecCtx{Docs: f.docs}); errCode(iErr) != "XPDY0002" {
 			t.Errorf("%s on the interpreter: err = %v, want XPDY0002", q, iErr)
 		}
 	}

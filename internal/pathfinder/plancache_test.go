@@ -23,7 +23,7 @@ func newPlanCacheFixture() *planCacheFixture {
 	reg := modules.NewRegistry()
 	return &planCacheFixture{
 		reg: reg,
-		eng: interp.New(nil, reg, nil),
+		eng: interp.New(reg, nil),
 		pc:  interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
 	}
 }

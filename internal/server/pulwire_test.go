@@ -24,12 +24,12 @@ func collectPUL(t testing.TB, query string) (*interp.UpdateList, *store.Store) {
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
 		t.Fatal(err)
 	}
-	eng := interp.New(storetest.Latest(t, st), modules.NewRegistry(), nil)
+	eng := interp.New(modules.NewRegistry(), nil)
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&interp.EvalOptions{CollectUpdates: true})
+	_, pul, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, st), CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +162,14 @@ func FuzzDecodePUL(f *testing.F) {
 	}
 	// ill-kinded primitives, as only a foreign or corrupt PUL carries
 	// them: evalUpdate refuses to build these
-	eng := interp.New(storetest.Latest(f, fuzzPULStore(f)), modules.NewRegistry(), nil)
+	eng := interp.New(modules.NewRegistry(), nil)
+	docs := storetest.Latest(f, fuzzPULStore(f))
 	node := func(q string) *xdm.Node {
 		c, err := eng.Compile(q)
 		if err != nil {
 			f.Fatal(err)
 		}
-		seq, _, err := c.Eval(nil)
+		seq, _, err := c.Eval(&interp.EvalOptions{Docs: docs})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func TestRespCacheByteIdentity(t *testing.T) {
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 		Func: "filmsByActor", Arity: 1,
 		Calls: [][]xdm.Sequence{
-			{{xdm.String("Sean Connery")}}, // cached above
+			{{xdm.String("Sean Connery")}},  // cached above
 			{{xdm.String("Julie Andrews")}}, // never asked before
 		},
 	}

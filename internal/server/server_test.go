@@ -74,7 +74,7 @@ func newPeer(t testing.TB, uri, filmXML string, net *netsim.Network) *peer {
 			t.Fatal(err)
 		}
 	}
-	eng := interp.New(storetest.Latest(t, st), reg, nil)
+	eng := interp.New(reg, nil)
 	exec := NewNativeExecutor(eng, reg)
 	srv := New(st, reg, exec)
 	srv.Self = uri
@@ -101,12 +101,12 @@ func newCluster(t *testing.T) (*netsim.Network, *peer, *peer, *peer) {
 func evalOn(t *testing.T, p *peer, net *netsim.Network, query string) xdm.Sequence {
 	t.Helper()
 	cl := client.New(net)
-	eng := interp.New(storetest.Latest(t, p.store), p.reg, cl)
+	eng := interp.New(p.reg, cl)
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	seq, _, err := c.Eval(nil)
+	seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -503,12 +503,12 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	net, local, _, _ := newCluster(t)
 	cl := client.New(net)
 	resolver := &client.DocResolver{Local: storetest.Latest(t, local.store), Client: cl}
-	eng := interp.New(resolver, local.reg, cl)
+	eng := interp.New(local.reg, cl)
 	c, err := eng.Compile(`count(doc("xrpc://y.example.org/filmDB.xml")//film)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(nil)
+	seq, _, err := c.Eval(&interp.EvalOptions{Docs: resolver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	}
 	// local docs still resolve locally
 	c2, _ := eng.Compile(`count(doc("filmDB.xml")//film)`)
-	seq2, _, err := c2.Eval(nil)
+	seq2, _, err := c2.Eval(&interp.EvalOptions{Docs: resolver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,13 +658,13 @@ return execute at {"xrpc://y.example.org"} {rel:isInside($film, $name)}`
 
 	run := func(byFragment bool) string {
 		cl := client.New(net)
-		eng := interp.New(storetest.Latest(t, local.store), local.reg, cl)
+		eng := interp.New(local.reg, cl)
 		eng.ByFragment = byFragment
 		c, err := eng.Compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := c.Eval(nil)
+		seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, local.store)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -769,7 +769,7 @@ func execute(p *peer, req *soap.Request, parallelism int) (executed, *interp.Sta
 func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	t.Helper()
 	src, _ := p.reg.Source(req.Module)
-	ref := interp.New(storetest.Latest(t, p.store), p.reg, nil)
+	ref := interp.New(p.reg, nil)
 	ref.DisablePredIndex = true
 	c, err := ref.CompileModule(src)
 	if err != nil {
@@ -778,7 +778,7 @@ func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	merged := &interp.UpdateList{}
 	var out executed
 	for ci, args := range req.Calls {
-		seq, pul, err := c.CallFunction(req.Module, req.Method, args, nil)
+		seq, pul, err := c.CallFunction(req.Module, req.Method, args, &interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
 		if err != nil {
 			return executed{err: err.Error()}
 		}
@@ -856,15 +856,28 @@ func TestExecuteBulkMatchesOneAtATime(t *testing.T) {
 }
 
 // The paper's headline query on the callee: a 64-call Q_B3 bulk scans
-// and hash-indexes the auctions once and answers every call by probe.
-func TestBulkBuildsOneIndexPerRequest(t *testing.T) {
+// and hash-indexes the auctions once per store version — the first
+// request at a version, whose four workers share the build — and answers
+// every call by probe; a later request at the same version only probes,
+// and a version step starts over.
+func TestBulkBuildsOneIndexPerVersion(t *testing.T) {
 	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
-	for _, parallelism := range []int{1, 4} {
+	for i, parallelism := range []int{4, 1, 4} {
 		_, stats := execute(p, bulkRequest("Q_B3", probeCalls(64)), parallelism)
-		if stats.IndexBuilds != 1 || stats.IndexProbes != 64 || stats.IndexFallbacks != 0 {
-			t.Errorf("parallelism=%d: builds/probes/fallbacks = %d/%d/%d, want 1/64/0", parallelism,
-				stats.IndexBuilds, stats.IndexProbes, stats.IndexFallbacks)
+		builds := 0
+		if i == 0 {
+			builds = 1
 		}
+		if stats.IndexBuilds != builds || stats.IndexProbes != 64 || stats.IndexFallbacks != 0 {
+			t.Errorf("request %d, parallelism=%d: builds/probes/fallbacks = %d/%d/%d, want %d/64/0", i, parallelism,
+				stats.IndexBuilds, stats.IndexProbes, stats.IndexFallbacks, builds)
+		}
+	}
+	if err := p.store.LoadXML("other.xml", "<x/>"); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := execute(p, bulkRequest("Q_B3", probeCalls(8)), 1); stats.IndexBuilds != 1 || stats.IndexProbes != 8 {
+		t.Errorf("after a version step: builds/probes = %d/%d, want 1/8", stats.IndexBuilds, stats.IndexProbes)
 	}
 	// filmsByActor's key path climbs to the parent: every call falls back
 	req := &soap.Request{Module: "films", Method: "filmsByActor", Arity: 1, Location: "http://x.example.org/film.xq"}
@@ -877,24 +890,25 @@ func TestBulkBuildsOneIndexPerRequest(t *testing.T) {
 	}
 }
 
-// A request's allocations must not grow with its call count the way N
-// evaluations do: the 64-call bulk shares one scan and one index, so it
-// may cost at most 8x the single call (at the parent commit: ~64x).
+// Warm requests at one version pay per call for a probe and a result,
+// never for a scan: the 64-call bulk allocates no more per call than
+// the one-call request, and that request allocates no more than 64 times
+// (a scan of the auctions and an index build allocate ~2 000).
 func TestBulkAllocationsDoNotScaleWithCalls(t *testing.T) {
 	p := newBulkPeer(t, netsim.NewNetwork(0, 0))
+	snap := p.store.Snapshot()
+	defer snap.Release()
 	allocs := func(calls int) float64 {
 		req := bulkRequest("Q_B3", probeCalls(calls))
-		snap := p.store.Snapshot()
-		defer snap.Release()
-		return testing.AllocsPerRun(10, func() {
+		return testing.AllocsPerRun(10, func() { // AllocsPerRun warms up with one run
 			if _, _, _, err := p.exec.Execute(req, nil, snap, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	x1, x64 := allocs(1), allocs(64)
-	if x64 > 8*x1 {
-		t.Errorf("64-call bulk allocates %.0f, 1-call request %.0f: more than 8x", x64, x1)
+	if x64 > 64*x1 || x1 > 64 {
+		t.Errorf("64-call bulk allocates %.0f, 1-call request %.0f: want <= 64x and <= 64", x64, x1)
 	}
 }
 

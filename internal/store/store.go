@@ -14,6 +14,15 @@
 // behaviour the paper ascribes to MonetDB/XQuery, paid only when a
 // reader is there to see the old state. A commit never waits for a
 // reader.
+//
+// A version also carries what readers derive from its documents (see
+// Snapshot.Derived): interp's step and predicate-index tables are built
+// once per version and shared by every request that pins it. They need
+// no invalidation rule of their own, because the version is the fence:
+// every version step starts with none, and a commit that writes a tree
+// in place, which it does only when no snapshot but the committer's own
+// pins that tree, drops what the versions holding it derived. So no
+// table is read after the nodes it was built from change.
 package store
 
 import (
@@ -37,17 +46,35 @@ type Store struct {
 	inPlace, cloned atomic.Int64
 }
 
-// version is one db(t): the document map of one store version and the
-// count of snapshots pinning it.
+// version is one db(t): the document map of one store version, the
+// count of snapshots pinning it and what readers derived from it.
 type version struct {
 	docs map[string]*xdm.Node
 	n    int64
 	pins atomic.Int64
+	// derived is nil once the version is dropped (see drop)
+	derived atomic.Pointer[derived]
 }
+
+// derived is a version's side value, built at most once.
+type derived struct {
+	once sync.Once
+	val  any
+}
+
+func newVersion(docs map[string]*xdm.Node, n int64) *version {
+	v := &version{docs: docs, n: n}
+	v.derived.Store(&derived{})
+	return v
+}
+
+// drop lets go of the version's derived value: it is superseded and
+// unpinned, or a commit wrote its trees in place.
+func (v *version) drop() { v.derived.Store(nil) }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{cur: &version{docs: map[string]*xdm.Node{}}}
+	return &Store{cur: newVersion(map[string]*xdm.Node{}, 0)}
 }
 
 // LoadXML parses text and stores it under name.
@@ -96,20 +123,25 @@ func (s *Store) Delete(name string) {
 }
 
 // stepLocked makes docs the current version n, keeping the superseded
-// one while it is pinned.
+// one while it is pinned. A version no snapshot pins any more drops its
+// derived value here.
 func (s *Store) stepLocked(docs map[string]*xdm.Node, n int64) {
 	held := s.held[:0]
 	for _, v := range s.held {
 		if v.pins.Load() > 0 {
 			held = append(held, v)
+		} else {
+			v.drop()
 		}
 	}
 	clear(s.held[len(held):])
 	if s.cur.pins.Load() > 0 {
 		held = append(held, s.cur)
+	} else {
+		s.cur.drop()
 	}
 	s.held = held
-	s.cur = &version{docs: docs, n: n}
+	s.cur = newVersion(docs, n)
 }
 
 func (v *version) copyDocs() map[string]*xdm.Node {
@@ -148,6 +180,14 @@ func (s *Store) Commit(own *Snapshot, apply func(tx *Tx) error) error {
 	} else {
 		s.inPlace.Add(1)
 	}
+	if tx.wroteLive {
+		// the only pin left on the written trees is the committer's own:
+		// its tables describe trees that are no longer as they were
+		s.cur.drop()
+		if tx.own != nil {
+			tx.own.drop()
+		}
+	}
 	s.stepLocked(tx.docs, s.cur.n+1)
 	return nil
 }
@@ -161,10 +201,11 @@ func (s *Store) Commits() (inPlace, cloned int64) {
 // Tx is one commit's access to the documents (see Commit). It is valid
 // only inside apply.
 type Tx struct {
-	s      *Store
-	own    *version
-	docs   map[string]*xdm.Node // the version being built
-	cloned bool
+	s         *Store
+	own       *version
+	docs      map[string]*xdm.Node // the version being built
+	cloned    bool
+	wroteLive bool // Writable handed out a live tree
 }
 
 // Writable returns a tree of the named document that the commit may
@@ -179,6 +220,7 @@ func (tx *Tx) Writable(name string) *xdm.Node {
 	}
 	live := tx.s.cur.docs[name]
 	if doc != live || !tx.pinned(name, live) {
+		tx.wroteLive = tx.wroteLive || doc == live
 		return doc
 	}
 	c := live.Clone()
@@ -259,6 +301,22 @@ func (sn *Snapshot) Release() {
 	if sn != nil && sn.released.CompareAndSwap(false, true) {
 		sn.v.pins.Add(-1)
 	}
+}
+
+// Derived returns the value derived from the snapshot's version,
+// calling build on the version's first use only, so every snapshot of
+// one version shares it. The store never reads the value: it drops it
+// when the version is superseded and unpinned, or when a commit writes
+// the version's trees in place (possible only while the committer's own
+// snapshot is the one pinning them), and Derived returns nil from then
+// on. Every version step starts with none.
+func (sn *Snapshot) Derived(build func() any) any {
+	d := sn.v.derived.Load()
+	if d == nil {
+		return nil
+	}
+	d.once.Do(func() { d.val = build() })
+	return d.val
 }
 
 // Get returns the named document in the snapshot.

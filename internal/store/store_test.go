@@ -225,3 +225,61 @@ func TestSnapshotRepeatableReadUnderConcurrentUpdates(t *testing.T) {
 	default:
 	}
 }
+
+// A version's derived value is built once for all its snapshots, every
+// version step starts without one, and a version drops it once it is
+// superseded and unpinned, or once a commit wrote its trees in place.
+func TestDerivedBelongsToTheVersion(t *testing.T) {
+	s := New()
+	if err := s.LoadXML("a.xml", "<a/>"); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	build := func() any { builds++; return builds }
+	s1, s2 := s.Snapshot(), s.Snapshot()
+	if a, b := s1.Derived(build), s2.Derived(build); a != 1 || b != 1 || builds != 1 {
+		t.Fatalf("two snapshots of one version: %v and %v after %d builds, want 1, 1, 1", a, b, builds)
+	}
+	s2.Release()
+
+	for step, next := range map[string]func(){
+		"Put":     func() { s.Put("b.xml", xdm.NewDocument("b.xml").Seal()) },
+		"Delete":  func() { s.Delete("b.xml") },
+		"Restore": func() { s.Restore(map[string]*xdm.Node{"a.xml": xdm.NewDocument("a.xml").Seal()}, 9) },
+		"Commit":  func() { _ = s.Commit(nil, func(tx *Tx) error { return nil }) },
+	} {
+		before := builds
+		next()
+		sn := s.Snapshot()
+		if v := sn.Derived(build); v != before+1 {
+			t.Errorf("%s: the new version derived %v, want a fresh build %d", step, v, before+1)
+		}
+		sn.Release()
+	}
+	if v := s1.Derived(build); v != 1 {
+		t.Errorf("a pinned superseded version derived %v, want its own 1", v)
+	}
+	v1 := s1.v
+	s1.Release()
+	s.Put("c.xml", xdm.NewDocument("c.xml").Seal())
+	if v1.derived.Load() != nil {
+		t.Error("a superseded version kept its derived value after its last pin went")
+	}
+
+	// an in-place commit: the committer's own version lets go of it
+	own := s.Snapshot()
+	own.Derived(build)
+	if err := s.Commit(own, func(tx *Tx) error {
+		tx.Writable("a.xml").AppendChild(xdm.NewElement("x"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if in, _ := s.Commits(); in == 0 {
+		t.Fatal("the commit did not write in place")
+	}
+	if v := own.Derived(build); v != nil {
+		t.Errorf("the committer's own version still derives %v after an in-place commit", v)
+	}
+	own.Release()
+}

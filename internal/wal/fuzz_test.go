@@ -16,8 +16,8 @@ func FuzzWALDecode(f *testing.F) {
 	good = appendFrame(good, &Record{Kind: RecCommit, Version: 7, QID: "q1", PUL: []byte("<p/>")})
 	good = appendFrame(good, &Record{Kind: RecAbort, QID: "q2"})
 	f.Add(good)
-	f.Add(good[:len(good)-3])          // torn tail
-	f.Add([]byte{})                    // empty body
+	f.Add(good[:len(good)-3])                         // torn tail
+	f.Add([]byte{})                                   // empty body
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length header
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0x40 // CRC mismatch mid-stream

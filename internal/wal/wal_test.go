@@ -32,7 +32,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{RecCommit},                      // too short
+		{RecCommit},                       // too short
 		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // kind 0
 		{RecPrepare, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, // qid overruns
 	}

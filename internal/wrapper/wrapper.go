@@ -133,7 +133,6 @@ func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ interp.DocResolver, _
 		treeBuild: &stats.TreeBuild,
 	}
 	engine := &interp.Engine{
-		Docs:    docs,
 		Modules: w.Registry,
 		ExtFuncs: map[string]interp.ExtFunc{
 			"xrpcw:n2s": extN2S,
@@ -154,7 +153,7 @@ func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ interp.DocResolver, _
 	stats.Compile = time.Since(compileStart)
 
 	execStart := time.Now()
-	seq, pul, err := compiled.Eval(&interp.EvalOptions{CollectUpdates: true})
+	seq, pul, err := compiled.Eval(&interp.EvalOptions{Docs: docs, CollectUpdates: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}
