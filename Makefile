@@ -76,8 +76,8 @@ bench-cluster:
 # test-only reference: the same accept/reject outcome and, on success,
 # the same tree node for node — but for character references to
 # surrogates, which only the tokenizer rejects. FuzzDecodePUL shakes the
-# pending-update-list reader that replica adoption, WAL replay and
-# resync feed: no input may panic it or the ApplyUpdates that follows,
+# pending-update-list reader that replica adoption and WAL replay
+# feed: no input may panic it or the ApplyUpdates that follows,
 # and an accepted list must re-encode to a node that decodes to the
 # same list.
 # Run `go test -fuzz 'FuzzDecodeStream$$' ./internal/soap` for longer
@@ -130,7 +130,9 @@ cachesmoke:
 # front runs one text cold then warm and its compiled-text cache's hit
 # counter (cache="query") must move, then one two-for join over string
 # keys, which must count as xrpc_query_joins_total{kind="hash"} and not
-# as kind="fallback".
+# as kind="fallback"; last, a replica that fails its AdoptPUL is evicted
+# for good (xrpc_cluster_evictions_total = 1, gone from the routing
+# table) while the update still commits.
 obssmoke:
 	$(GO) test -run 'TestObsSmoke' -v ./internal/cluster/
 

@@ -277,6 +277,9 @@ func runProxy(addr, peers string, rpcTimeout time.Duration, useGzip bool, shardB
 	transport.Gzip = useGzip
 	transport.Metrics = client.NewTransportMetrics(reg)
 	co := cluster.NewCoordinator(rt, client.New(transport))
+	// a transient burst at a replica is retried in place before it can
+	// evict the replica, and an eviction lasts for the proxy's life
+	co.Client.Retry = client.DefaultRetryPolicy()
 	co.MaxShardBuffer = shardBuffer
 	co.Client.RegisterMetrics(reg)
 	co.Metrics = cluster.NewMetrics(reg, rt.NumShards())

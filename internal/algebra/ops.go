@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -22,28 +21,6 @@ func Select(t *Table, col string) *Table {
 		}
 	}
 	// a dense column holds only integers: no row matches
-	return t.gatherRows(sel)
-}
-
-// SelectEq keeps rows where column col equals the given item.
-func SelectEq(t *Table, col string, val xdm.Item) *Table {
-	v := t.vecs[t.mustCol(col)]
-	var sel []int32
-	if n, ok := val.(xdm.Integer); ok && v.dense() {
-		want := int64(n)
-		for i, x := range v.ints {
-			if x == want {
-				sel = append(sel, int32(i))
-			}
-		}
-		return t.gatherRows(sel)
-	}
-	key := itemKey(val)
-	for i := 0; i < v.len(); i++ {
-		if v.key(i) == key {
-			sel = append(sel, int32(i))
-		}
-	}
 	return t.gatherRows(sel)
 }
 
@@ -295,80 +272,4 @@ func SortBy(t *Table, cols ...string) *Table {
 		keyVecs[i] = t.vecs[t.mustCol(c)]
 	}
 	return t.gatherRows(sortPerm(t.n, keyVecs))
-}
-
-// Map1 appends a new column computed from one input column; the input's
-// columns are shared, not copied.
-func Map1(t *Table, newCol, in string, f func(xdm.Item) (xdm.Item, error)) (*Table, error) {
-	iv := t.vecs[t.mustCol(in)]
-	nv := &vec{}
-	for i := 0; i < t.n; i++ {
-		v, err := f(iv.item(i))
-		if err != nil {
-			return nil, err
-		}
-		nv.appendItem(v)
-	}
-	cols := append(append([]string(nil), t.cols...), newCol)
-	vecs := append(append([]*vec(nil), t.vecs...), nv)
-	return derived(cols, vecs, t.n), nil
-}
-
-// Map2 appends a new column computed from two input columns.
-func Map2(t *Table, newCol, inA, inB string, f func(a, b xdm.Item) (xdm.Item, error)) (*Table, error) {
-	av, bv := t.vecs[t.mustCol(inA)], t.vecs[t.mustCol(inB)]
-	nv := &vec{}
-	for i := 0; i < t.n; i++ {
-		v, err := f(av.item(i), bv.item(i))
-		if err != nil {
-			return nil, err
-		}
-		nv.appendItem(v)
-	}
-	cols := append(append([]string(nil), t.cols...), newCol)
-	vecs := append(append([]*vec(nil), t.vecs...), nv)
-	return derived(cols, vecs, t.n), nil
-}
-
-// GroupCount counts rows per distinct value of groupCol, producing
-// groupCol|count. Groups absent from the input simply do not appear.
-func GroupCount(t *Table, groupCol string) *Table {
-	gv := t.vecs[t.mustCol(groupCol)]
-	counts := make(map[any]int64, t.n)
-	var order []xdm.Item
-	for i := 0; i < t.n; i++ {
-		k := gv.key(i)
-		if _, seen := counts[k]; !seen {
-			order = append(order, gv.item(i))
-		}
-		counts[k]++
-	}
-	out := NewTable(groupCol, "count")
-	for _, g := range order {
-		out.Append(g, xdm.Integer(counts[itemKey(g)]))
-	}
-	return out
-}
-
-// GroupSum sums a numeric column per group value.
-func GroupSum(t *Table, groupCol, valCol string) (*Table, error) {
-	gv, vv := t.vecs[t.mustCol(groupCol)], t.vecs[t.mustCol(valCol)]
-	sums := make(map[any]float64, t.n)
-	var order []xdm.Item
-	for i := 0; i < t.n; i++ {
-		k := gv.key(i)
-		if _, seen := sums[k]; !seen {
-			order = append(order, gv.item(i))
-		}
-		v, ok := xdm.NumericValue(vv.item(i))
-		if !ok {
-			return nil, fmt.Errorf("algebra: non-numeric value in sum: %v", vv.item(i))
-		}
-		sums[k] += v
-	}
-	out := NewTable(groupCol, "sum")
-	for _, g := range order {
-		out.Append(g, xdm.Double(sums[itemKey(g)]))
-	}
-	return out, nil
 }

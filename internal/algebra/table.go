@@ -61,9 +61,6 @@ func derived(cols []string, vecs []*vec, n int) *Table {
 // Cols returns the column names (callers must not modify the slice).
 func (t *Table) Cols() []string { return t.cols }
 
-// NumCols returns the number of columns.
-func (t *Table) NumCols() int { return len(t.cols) }
-
 // ColIdx returns the index of a column, or -1.
 func (t *Table) ColIdx(name string) int {
 	for i, c := range t.cols {

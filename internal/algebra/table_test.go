@@ -22,7 +22,7 @@ func sampleTable() *Table {
 func TestProjectRename(t *testing.T) {
 	tb := sampleTable()
 	p := Project(tb, "x:item", "iter")
-	if p.NumCols() != 2 || p.Cols()[0] != "x" || p.Cols()[1] != "iter" {
+	if len(p.Cols()) != 2 || p.Cols()[0] != "x" || p.Cols()[1] != "iter" {
 		t.Fatalf("cols = %v", p.Cols())
 	}
 	if p.Item(0, 0).StringValue() != "a" {
@@ -38,7 +38,7 @@ func TestProjectRename(t *testing.T) {
 	}
 }
 
-func TestSelectAndSelectEq(t *testing.T) {
+func TestSelect(t *testing.T) {
 	tb := Lit([]string{"v", "keep"},
 		[]xdm.Item{i(1), b(true)},
 		[]xdm.Item{i(2), b(false)},
@@ -46,13 +46,6 @@ func TestSelectAndSelectEq(t *testing.T) {
 	)
 	if got := Select(tb, "keep").Len(); got != 2 {
 		t.Errorf("select = %d rows", got)
-	}
-	if got := SelectEq(sampleTable(), "iter", i(1)).Len(); got != 2 {
-		t.Errorf("selectEq = %d rows", got)
-	}
-	// SelectEq on a generic (non-dense) column
-	if got := SelectEq(sampleTable(), "item", s("b")).Len(); got != 1 {
-		t.Errorf("selectEq item = %d rows", got)
 	}
 }
 
@@ -139,50 +132,6 @@ func TestSortBy(t *testing.T) {
 	// original untouched
 	if tb.Int(0, 0) != 3 {
 		t.Error("SortBy mutated its input")
-	}
-}
-
-func TestMap12(t *testing.T) {
-	tb := Lit([]string{"a", "b"},
-		[]xdm.Item{i(2), i(3)},
-		[]xdm.Item{i(4), i(5)},
-	)
-	m, err := Map2(tb, "sum", "a", "b", func(x, y xdm.Item) (xdm.Item, error) {
-		return xdm.Integer(int64(x.(xdm.Integer)) + int64(y.(xdm.Integer))), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Int(0, m.ColIdx("sum")) != 5 || m.Int(1, m.ColIdx("sum")) != 9 {
-		t.Errorf("map2 = %s", m)
-	}
-	m1, err := Map1(tb, "neg", "a", func(x xdm.Item) (xdm.Item, error) {
-		return xdm.Integer(-int64(x.(xdm.Integer))), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Int(0, m1.ColIdx("neg")) != -2 {
-		t.Errorf("map1 = %s", m1)
-	}
-}
-
-func TestGroupCountSum(t *testing.T) {
-	tb := Lit([]string{"g", "v"},
-		[]xdm.Item{s("a"), i(1)},
-		[]xdm.Item{s("b"), i(2)},
-		[]xdm.Item{s("a"), i(3)},
-	)
-	gc := GroupCount(tb, "g")
-	if gc.Len() != 2 || gc.Int(0, 1) != 2 {
-		t.Errorf("groupCount = %s", gc)
-	}
-	gs, err := GroupSum(tb, "g", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := xdm.NumericValue(gs.Item(0, 1)); v != 4 {
-		t.Errorf("groupSum = %s", gs)
 	}
 }
 

@@ -141,10 +141,6 @@ type Coordinator struct {
 
 	mu     sync.RWMutex
 	routes []RouteSpec
-
-	// demoted remembers evicted replicas so Rejoin can bring them back
-	// (see rejoin.go).
-	demoted demotions
 }
 
 // NewCoordinator builds a coordinator over a routing table and client.
@@ -370,10 +366,6 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 	// the snapshot, the deferred PULs, and the 2PC verbs
 	txCl := client.New(co.Client.Transport)
 	txCl.QueryID = txn.NewQueryID(DefaultClusterURI, txnTimeout)
-	// the 2PC verbs inherit the coordinator client's retry policy: a
-	// transient burst at a replica during AdoptPUL/Commit is retried in
-	// place instead of demoting a healthy peer
-	txCl.Retry = co.Client.Retry
 	tc := &txn.Coordinator{Client: txCl}
 	if m := co.Metrics; m != nil {
 		m.Updates.Inc()
@@ -397,6 +389,12 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 		tc.AbortAll(primaries)
 		return nil, fmt.Errorf("cluster: shard %d: %w", parts[failed].shard, err)
 	}
+	// the 2PC verbs inherit the coordinator client's retry policy: a
+	// transient burst at a replica during AdoptPUL/Commit is retried in
+	// place instead of evicting a healthy peer. The apply phase above
+	// runs without it: a lost reply leaves the apply ambiguous, and a
+	// re-sent one would add its updates twice.
+	txCl.Retry = co.Client.Retry
 
 	// 2PC phase 1 over the touched primaries; the Prepare acks carry the
 	// serialized PULs (aborts everywhere on failure)
@@ -471,14 +469,11 @@ func (co *Coordinator) Update(br *client.BulkRequest) ([]xdm.Sequence, error) {
 	return merged, commitErr
 }
 
-// evict demotes a replica: removed from the routing table (so it stops
-// serving stale reads) but remembered for Rejoin (see rejoin.go) —
-// eviction is a demotion awaiting resync, not an execution.
+// evict removes a replica from the routing table so it stops serving
+// stale reads. Eviction is final for this coordinator: nothing re-adds
+// the replica, so it gets no further reads or writes from it.
 func (co *Coordinator) evict(shard int, uri string, reason error) {
 	if co.Table.Evict(shard, uri) {
-		co.demoted.add(DemotedReplica{
-			Shard: shard, URI: uri, Reason: reason.Error(), When: time.Now(),
-		})
 		if m := co.Metrics; m != nil {
 			m.Evictions.Inc()
 		}

@@ -148,8 +148,8 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 			srv.Self = uri
 			srv.Shard, srv.Shards = s, cfg.Shards
 			srv.ShardRanges = descriptors
-			// every replica gets a nested-call client factory: a demoted
-			// replica resyncs by calling its primary's syncFrom verb
+			// every replica gets a nested-call client factory: an
+			// `execute at` inside a shard's query calls out through it
 			srv.NewRPC = func(qid *soap.QueryID) (interp.RPCCaller, func() []string) {
 				cl := client.New(net)
 				cl.QueryID = qid
@@ -211,13 +211,4 @@ func (d *Deployment) Close() error {
 		}
 	}
 	return first
-}
-
-// ShardURIs returns the primary URI of every shard, in shard order.
-func (d *Deployment) ShardURIs() []string {
-	out := make([]string, d.Table.NumShards())
-	for s := range out {
-		out[s] = d.Table.Primary(s)
-	}
-	return out
 }

@@ -26,9 +26,7 @@ type Metrics struct {
 	Latency   *obs.Histogram  // whole-scatter wall clock
 	Merge     *obs.Histogram  // shard-order merge wall clock
 	Failovers *obs.Counter    // replica-list walks past the primary
-	Evictions *obs.Counter    // replicas evicted (demoted) from the routing table
-	Resyncs   *obs.Counter    // resyncFrom rounds driven against demoted replicas
-	Rejoins   *obs.Counter    // demoted replicas re-added after catching up
+	Evictions *obs.Counter    // replicas evicted from the routing table
 
 	// Open[s]: time from posting shard s's request to its response
 	// stream being open (header parsed — the first response bytes).
@@ -67,11 +65,7 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		Failovers: reg.NewCounter("xrpc_cluster_failovers_total",
 			"Replica failover attempts (walks past a failed replica)."),
 		Evictions: reg.NewCounter("xrpc_cluster_evictions_total",
-			"Replicas evicted (demoted) from the routing table."),
-		Resyncs: reg.NewCounter("xrpc_cluster_resyncs_total",
-			"Resync rounds driven against demoted replicas."),
-		Rejoins: reg.NewCounter("xrpc_cluster_rejoins_total",
-			"Demoted replicas rejoined after resync."),
+			"Replicas evicted from the routing table."),
 	}
 	m.Open = make([]*obs.Histogram, shards)
 	m.FirstItem = make([]*obs.Histogram, shards)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -30,8 +29,8 @@ import (
 // registry over shard servers, coordinator, result cache, client,
 // netsim and the per-replica write-ahead logs — driven cold → warm →
 // routed update → post-write → a read through the proxy → a query peer's
-// cold and warm run of one text and one hashed two-for join →
-// demote/resync/rejoin, then scraped through the debug endpoints. Asserts
+// cold and warm run of one text and one hashed two-for join → a
+// replica eviction, then scraped through the debug endpoints. Asserts
 // the counters that must move at each stage, and that one trace ID
 // minted at the coordinator's front door appears in BOTH shards'
 // slow-query logs.
@@ -63,7 +62,7 @@ func TestObsSmoke(t *testing.T) {
 	co.Planner.Metrics = planner.NewMetrics(reg)
 
 	// one shared WAL metric family across every replica's log: fsync
-	// latency, appends by kind, and the resync/replay counters
+	// latency, appends by kind, and the snapshot/replay counters
 	walM := wal.NewMetrics(reg)
 	for s := range dep.Servers {
 		for _, srv := range dep.Servers[s] {
@@ -282,26 +281,21 @@ return string($p/@id)`)
 		t.Fatalf("shard 0 function cache hits = %v, want >= 1 over the stages above", n)
 	}
 
-	// --- demote → resync → rejoin: the durability counters move
+	// --- eviction: a replica that fails its AdoptPUL leaves the
+	// routing table for good and the update still commits
 	shard := ownerShard(t, dep, xmark.PersonID(2))
 	replica := dep.Table.Replicas(shard)[1]
-	co.evict(shard, replica, errors.New("injected demotion"))
-	write2 := setCityRequest("Resyncville", xmark.PersonID(2))
+	net.FailNext(replica, 1)
+	write2 := setCityRequest("Evictville", xmark.PersonID(2))
 	write2.TraceID = trace
-	if _, err := co.Update(write2); err != nil { // missed by the demoted replica
+	if _, err := co.Update(write2); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Rejoin(shard, replica); err != nil {
-		t.Fatal(err)
+	if reps := dep.Table.Replicas(shard); len(reps) != 1 || slices.Contains(reps, replica) {
+		t.Fatalf("replicas after the failed AdoptPUL = %v, want %s gone", reps, replica)
 	}
-	if n := reg.MustGather("xrpc_wal_resyncs_total"); n < 1 {
-		t.Fatalf("WAL resyncs = %v, want >= 1", n)
-	}
-	if n := reg.MustGather("xrpc_wal_replayed_records_total"); n < 1 {
-		t.Fatalf("WAL replayed records = %v, want >= 1 (the missed commit shipped back)", n)
-	}
-	if n := reg.MustGather("xrpc_cluster_rejoins_total"); n != 1 {
-		t.Fatalf("cluster rejoins = %v, want 1", n)
+	if n := reg.MustGather("xrpc_cluster_evictions_total"); n != 1 {
+		t.Fatalf("cluster evictions = %v, want 1", n)
 	}
 
 	// --- per-shard request metrics and latency histograms moved
@@ -369,8 +363,7 @@ return string($p/@id)`)
 		`xrpc_wal_appends_total{kind="commit"}`,
 		`xrpc_planner_derivations_total{outcome="derived"}`,
 		"# TYPE xrpc_wal_fsync_seconds histogram",
-		"xrpc_wal_resyncs_total",
-		"xrpc_cluster_rejoins_total 1",
+		"xrpc_cluster_evictions_total 1",
 		`xrpc_plancache_hits_total{peer="q",cache="query"} 1`,
 		`xrpc_query_joins_total{peer="q",kind="hash"} 1`,
 		`xrpc_plancache_evictions_total{shard="0",cache="module"} 0`,

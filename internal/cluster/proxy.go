@@ -102,7 +102,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// a request inside an isolation scope reads through a client pinned to
 	// its queryID (repeatable read at every shard); everything else about
-	// the coordinator — planner, routes, table, demotion records — is the
+	// the coordinator — planner, routes, table — is the
 	// one shared instance, for reads and for Update alike
 	cl := p.Co.Client
 	if req.QueryID != nil {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"xrpc/internal/interp"
 	"xrpc/internal/store"
@@ -18,10 +16,7 @@ import (
 // memory under the commit lock, writes the commit record in apply order
 // (wal.Enqueue, still under the lock), and waits for the group-commit
 // fsync outside it. Recovery (EnableWAL) loads the newest snapshot and
-// replays the commit records past it; resync (syncFrom/resyncFrom
-// system verbs) ships the same records — or a full snapshot when the
-// log was truncated past the follower's version — to a demoted replica
-// catching back up.
+// replays the commit records past it.
 
 // DefaultSnapshotBytes triggers a store snapshot (and log truncation)
 // after this many bytes of appended records.
@@ -78,9 +73,7 @@ func (s *Server) EnableWAL(cfg WALConfig) (recovered bool, err error) {
 	if cfg.SegmentBytes > 0 {
 		lg.SegmentBytes = cfg.SegmentBytes
 	}
-	base := s.Store.Version()
 	if hasSnap {
-		base = snap.Version
 		replayed := int64(0)
 		err := lg.Replay(func(rec *wal.Record) error {
 			if rec.Kind != wal.RecCommit || rec.Version <= snap.Version {
@@ -101,7 +94,7 @@ func (s *Server) EnableWAL(cfg WALConfig) (recovered bool, err error) {
 		}
 		cfg.Metrics.CountReplayed(replayed)
 	} else {
-		if lg.Newest() > base {
+		if lg.Newest() > s.Store.Version() {
 			lg.Close()
 			return false, fmt.Errorf("wal: %s holds commits through v%d but no snapshot", cfg.Dir, lg.Newest())
 		}
@@ -113,7 +106,6 @@ func (s *Server) EnableWAL(cfg WALConfig) (recovered bool, err error) {
 		}
 		cfg.Metrics.CountSnapshot()
 	}
-	lg.SetBase(base)
 	s.wal = lg
 	s.walMetrics = cfg.Metrics
 	s.snapBytes = cfg.SnapshotBytes
@@ -276,7 +268,7 @@ func (s *Server) buildSnapshot() *wal.Snapshot {
 }
 
 // applyLogged commits a logged <xrpc:pending-updates> payload (a WAL
-// record on replay, or one a primary shipped) against the current
+// record on replay) against the current
 // state, as one version step.
 func (s *Server) applyLogged(pulXML []byte) error {
 	sn := s.Store.Snapshot()
@@ -304,206 +296,4 @@ func parsePUL(pulXML []byte, docs interp.DocResolver) (*interp.UpdateList, error
 		}
 	}
 	return nil, fmt.Errorf("payload holds no <%s> element", pulRootName)
-}
-
-// ---------------------------------------------------------------- resync
-
-// serveSyncFrom answers the syncFrom system verb on a primary: ship
-// every commit record after the follower's version, or — when the log
-// was truncated past it, the follower diverged (since = -1), or this
-// peer has no log — one full snapshot of the current state. The reply
-// is a flat sequence: mode, current version, then (version, pulXML)
-// pairs for "log" or (name, docXML) pairs for "snap".
-func (s *Server) serveSyncFrom(since int64) (xdm.Sequence, error) {
-	// the commit lock freezes the (version, log) pair: nothing commits
-	// between reading the version and listing the records through it
-	s.iso.commitMu.Lock()
-	sn := s.Store.Snapshot()
-	defer sn.Release()
-	var recs []*wal.Record
-	complete := false
-	if s.wal != nil && since >= 0 {
-		var err error
-		recs, complete, err = s.wal.CommitsSince(since)
-		if err != nil {
-			s.iso.commitMu.Unlock()
-			return nil, err
-		}
-	}
-	s.iso.commitMu.Unlock()
-	s.walMetrics.CountResync()
-	if complete {
-		seq := xdm.Sequence{xdm.String("log"), xdm.Integer(sn.Version())}
-		for _, rec := range recs {
-			seq = append(seq, xdm.Integer(rec.Version), xdm.String(string(rec.PUL)))
-		}
-		return seq, nil
-	}
-	seq := xdm.Sequence{xdm.String("snap"), xdm.Integer(sn.Version())}
-	for _, name := range sn.Names() {
-		doc, _ := sn.Get(name)
-		seq = append(seq, xdm.String(name), xdm.String(xdm.SerializeNode(doc)))
-	}
-	return seq, nil
-}
-
-// ResyncFrom catches this (demoted) replica up to primary: rounds of
-// syncFrom, applying shipped commit records durably through the local
-// log, falling back to a full snapshot transfer when the primary's log
-// no longer covers our version or the shipped records do not fence
-// cleanly (divergence). It returns the final store version once it has
-// caught up to a version the primary reported.
-func (s *Server) ResyncFrom(primary string) (int64, error) {
-	if s.NewRPC == nil {
-		return 0, xdm.NewError("XRPC0009", "resyncFrom: peer has no RPC factory")
-	}
-	rpc, _ := s.NewRPC(nil)
-	forceSnap := false
-	const maxRounds = 8
-	for round := 0; round < maxRounds; round++ {
-		since := s.Store.Version()
-		if forceSnap {
-			since = -1
-		}
-		res, err := rpc.Call(primary, &interp.CallRequest{
-			ModuleURI: SystemModule, Func: "syncFrom", Arity: 1,
-			Args: []xdm.Sequence{{xdm.Integer(since)}},
-		})
-		if err != nil {
-			return 0, err
-		}
-		mode, curV, pairs, err := parseSyncReply(res)
-		if err != nil {
-			return 0, err
-		}
-		s.walMetrics.CountResync()
-		switch mode {
-		case "snap":
-			if err := s.adoptSnapshot(pairs, curV); err != nil {
-				return 0, err
-			}
-			forceSnap = false
-		case "log":
-			if err := s.applyShipped(pairs); err != nil {
-				// a record that does not decode or fence against our state
-				// proves divergence: adopt a full snapshot instead
-				forceSnap = true
-				continue
-			}
-		default:
-			return 0, xdm.Errorf("XRPC0009", "syncFrom: unknown mode %q", mode)
-		}
-		if v := s.Store.Version(); v >= curV {
-			return v, nil
-		}
-		// the primary committed more while we transferred: next round
-		// ships the remainder
-	}
-	return 0, xdm.Errorf("XRPC0009", "resyncFrom %s: not converged after %d rounds", primary, maxRounds)
-}
-
-// adoptSnapshot replaces the local state with a transferred snapshot at
-// version. The local log restarts empty (Reset) before the durable
-// snapshot is written: a crash between the two recovers the previous
-// snapshot with nothing to replay — stale but consistent, and the next
-// resync repairs it.
-func (s *Server) adoptSnapshot(pairs xdm.Sequence, version int64) error {
-	docs := make(map[string]*xdm.Node, len(pairs)/2)
-	raw := make(map[string]string, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		name := pairs[i].StringValue()
-		xml := pairs[i+1].StringValue()
-		doc, err := xdm.ParseDocument(name, xml)
-		if err != nil {
-			return xdm.Errorf("XRPC0009", "snapshot transfer doc %s: %v", name, err)
-		}
-		docs[name] = doc
-		raw[name] = xml
-	}
-	s.iso.commitMu.Lock()
-	defer s.iso.commitMu.Unlock()
-	s.Store.Restore(docs, version)
-	if s.wal != nil {
-		if err := s.wal.Reset(version); err != nil {
-			return err
-		}
-		if err := wal.WriteSnapshot(s.wal.Dir(), &wal.Snapshot{
-			Version: version,
-			Shard:   s.Shard, Shards: s.Shards, Ranges: s.ShardRanges,
-			Docs: raw,
-		}); err != nil {
-			return err
-		}
-		s.walMetrics.CountSnapshot()
-	}
-	return nil
-}
-
-// applyShipped applies (version, pulXML) pairs from a log transfer in
-// order, each through the durable commit path with its version fence
-// checked; records at or below our version are skipped (overlap from a
-// racing round).
-func (s *Server) applyShipped(pairs xdm.Sequence) error {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		version, ok := itemInt(pairs[i])
-		if !ok {
-			return xdm.Errorf("XRPC0009", "log transfer: bad version item %q", pairs[i].StringValue())
-		}
-		pulXML := pairs[i+1].StringValue()
-		s.iso.commitMu.Lock()
-		if s.Store.Version() >= version {
-			s.iso.commitMu.Unlock()
-			continue
-		}
-		err := s.applyLogged([]byte(pulXML))
-		if err == nil {
-			if got := s.Store.Version(); got != version {
-				err = xdm.Errorf("XRPC0009", "resync fence: store at v%d after shipped commit v%d", got, version)
-			}
-		}
-		if err != nil {
-			s.iso.commitMu.Unlock()
-			return err
-		}
-		var seq uint64
-		if s.wal != nil {
-			seq, err = s.wal.Enqueue(&wal.Record{
-				Kind: wal.RecCommit, Version: version, PUL: []byte(pulXML),
-			})
-		}
-		s.iso.commitMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if s.wal != nil {
-			if err := s.wal.WaitDurable(seq); err != nil {
-				return err
-			}
-		}
-		s.walMetrics.CountReplayed(1)
-	}
-	return nil
-}
-
-// parseSyncReply splits a syncFrom reply into mode, current version,
-// and the payload pairs.
-func parseSyncReply(res xdm.Sequence) (mode string, curV int64, pairs xdm.Sequence, err error) {
-	if len(res) < 2 {
-		return "", 0, nil, xdm.Errorf("XRPC0009", "syncFrom reply too short (%d items)", len(res))
-	}
-	mode = res[0].StringValue()
-	v, ok := itemInt(res[1])
-	if !ok {
-		return "", 0, nil, xdm.Errorf("XRPC0009", "syncFrom reply: bad version item %q", res[1].StringValue())
-	}
-	return mode, v, res[2:], nil
-}
-
-// itemInt extracts an integer item (tolerating string-typed transport).
-func itemInt(it xdm.Item) (int64, bool) {
-	if n, ok := it.(xdm.Integer); ok {
-		return int64(n), true
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(it.StringValue()), 10, 64)
-	return v, err == nil
 }

@@ -149,11 +149,10 @@ func fuzzPULStore(t testing.TB) *store.Store {
 }
 
 // FuzzDecodePUL shakes the pending-update-list reader that replicas
-// (AdoptPUL), WAL replay and resync feed with bytes from the wire or
-// the disk: no input may panic parsePUL or the ApplyUpdates that
-// follows it, and a list it accepts re-encodes to a node that decodes
-// to the same list — the same kinds, targets and order, and the same
-// encoding again.
+// (AdoptPUL) and WAL replay feed with bytes from the wire or the disk:
+// no input may panic parsePUL or the ApplyUpdates that follows it, and
+// a list it accepts re-encodes to a node that decodes to the same list
+// — the same kinds, targets and order, and the same encoding again.
 func FuzzDecodePUL(f *testing.F) {
 	for _, q := range pulFixtures {
 		pul, _ := collectPUL(f, q)

@@ -463,37 +463,6 @@ func (s *Server) handleSystem(req *soap.Request, meta *reqMeta) (*soap.Response,
 		return &soap.Response{
 			Module: req.Module, Method: req.Method, Results: []xdm.Sequence{seq},
 		}, nil
-	case "syncFrom":
-		// primary side of replica resync: ship commits after the
-		// follower's version, or a full snapshot (see durability.go)
-		if len(req.Calls) != 1 || len(req.Calls[0]) != 1 || len(req.Calls[0][0]) != 1 {
-			return nil, xdm.NewError("XRPC0004", "syncFrom takes one integer (the follower's version)")
-		}
-		since, ok := itemInt(req.Calls[0][0][0])
-		if !ok {
-			return nil, xdm.Errorf("XRPC0004", "syncFrom: bad version %q", req.Calls[0][0][0].StringValue())
-		}
-		seq, err := s.serveSyncFrom(since)
-		if err != nil {
-			return nil, err
-		}
-		return &soap.Response{
-			Module: req.Module, Method: req.Method, Results: []xdm.Sequence{seq},
-		}, nil
-	case "resyncFrom":
-		// follower side: catch up from the named primary, then report the
-		// caught-up version for the coordinator's rejoin probe
-		if len(req.Calls) != 1 || len(req.Calls[0]) != 1 || len(req.Calls[0][0]) != 1 {
-			return nil, xdm.NewError("XRPC0004", "resyncFrom takes one string (the primary URI)")
-		}
-		v, err := s.ResyncFrom(req.Calls[0][0][0].StringValue())
-		if err != nil {
-			return nil, err
-		}
-		seq := xdm.Sequence{xdm.String("resynced"), xdm.Integer(v)}
-		return &soap.Response{
-			Module: req.Module, Method: req.Method, Results: []xdm.Sequence{seq},
-		}, nil
 	default:
 		return nil, xdm.Errorf("XRPC0004", "unknown system method %q", req.Method)
 	}
@@ -701,6 +670,14 @@ func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store
 		return err
 	}
 	defer sn.Release()
+	m.mu.Lock()
+	adopted := e.prepared
+	m.mu.Unlock()
+	if adopted {
+		// a re-sent AdoptPUL (its first reply was lost) must not merge
+		// the list twice: the coordinator forwards one per transaction
+		return nil
+	}
 	ul, err := DecodePUL(pulNode, sn)
 	if err != nil {
 		return err

@@ -238,6 +238,34 @@ func TestUnknownFunctionFaults(t *testing.T) {
 	}
 }
 
+// The system module answers only the verbs it serves: anything else,
+// including the retired replica catch-up verbs syncFrom and
+// resyncFrom, gets the XRPC0004 "unknown system method" fault.
+func TestUnknownSystemVerbsFault(t *testing.T) {
+	net, _, _, _ := newCluster(t)
+	cl := client.New(net)
+	for _, tc := range []struct {
+		verb string
+		arg  xdm.Item
+	}{
+		{"syncFrom", xdm.Integer(0)},
+		{"resyncFrom", xdm.String("xrpc://x.example.org")},
+		{"noSuchVerb", xdm.String("")},
+	} {
+		_, err := cl.CallBulk("xrpc://y.example.org", &client.BulkRequest{
+			ModuleURI: client.SystemModule, Func: tc.verb, Arity: 1,
+			Calls: [][]xdm.Sequence{{{tc.arg}}},
+		})
+		f, ok := err.(*soap.Fault)
+		if !ok {
+			t.Fatalf("%s: error = %v (%T), want a fault", tc.verb, err, err)
+		}
+		if !strings.Contains(f.Reason, "XRPC0004") || !strings.Contains(f.Reason, "unknown system method") {
+			t.Errorf("%s: fault reason = %q, want XRPC0004 unknown system method", tc.verb, f.Reason)
+		}
+	}
+}
+
 func TestBulkRequestSingleRoundTrip(t *testing.T) {
 	net, _, y, _ := newCluster(t)
 	cl := client.New(net)

@@ -99,10 +99,9 @@ func (s *Store) Put(name string, doc *xdm.Node) {
 
 // Restore replaces the entire store contents and sets the version
 // exactly — no bump. It is the recovery entry point: a peer restoring a
-// durable snapshot (or adopting one during resync) must come back at
-// the version the snapshot was taken at, so the version keeps working
-// as a replication fence across restarts. The caller must not mutate
-// the documents afterwards.
+// durable snapshot must come back at the version the snapshot was taken
+// at, so the version keeps working as a replication fence across
+// restarts. The caller must not mutate the documents afterwards.
 func (s *Store) Restore(docs map[string]*xdm.Node, version int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

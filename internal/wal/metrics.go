@@ -25,7 +25,6 @@ type Metrics struct {
 	Replayed      *obs.Counter // commit records applied during recovery
 	TornRecords   *obs.Counter // torn/corrupt tails discarded at Open
 	Snapshots     *obs.Counter // store snapshots written
-	Resyncs       *obs.Counter // resyncFrom rounds served or performed
 }
 
 // NewMetrics registers the WAL instrument family on reg (nil registry
@@ -45,13 +44,11 @@ func NewMetrics(reg *obs.Registry, labels ...obs.Label) *Metrics {
 		FsyncBatches: reg.NewCounter("xrpc_wal_fsync_batches_total",
 			"Group-commit fsync batches (appends/batches = amortization).", labels...),
 		Replayed: reg.NewCounter("xrpc_wal_replayed_records_total",
-			"Commit records replayed during crash recovery or resync.", labels...),
+			"Commit records replayed during crash recovery.", labels...),
 		TornRecords: reg.NewCounter("xrpc_wal_torn_tails_total",
 			"Torn or corrupt log tails discarded at open.", labels...),
 		Snapshots: reg.NewCounter("xrpc_wal_snapshots_total",
 			"Store snapshots written (each bounds replay and truncates segments).", labels...),
-		Resyncs: reg.NewCounter("xrpc_wal_resyncs_total",
-			"Replica resync rounds (syncFrom transfers served or applied).", labels...),
 	}
 }
 
@@ -107,13 +104,6 @@ func (m *Metrics) CountSnapshot() {
 	}
 }
 
-// CountReplayed records n replayed commit records (recovery and
-// resync application live in the server package).
+// CountReplayed records n replayed commit records (recovery lives in
+// the server package).
 func (m *Metrics) CountReplayed(n int64) { m.countReplayed(n) }
-
-// CountResync records one resync round.
-func (m *Metrics) CountResync() {
-	if m != nil {
-		m.Resyncs.Inc()
-	}
-}

@@ -180,9 +180,6 @@ type Log struct {
 	syncing   bool
 	err       error // sticky fsync/write failure
 
-	// base: every commit with Version > base is present in the log —
-	// the lower bound of what CommitsSince can serve from records.
-	base int64
 	// newest is the highest commit version appended or scanned.
 	newest int64
 	// segMax[i] is the highest commit version in segment i (rotation
@@ -196,7 +193,7 @@ type Log struct {
 // Open opens (or creates) the log in dir. Existing segments are
 // scanned: the valid record prefix is kept, a torn tail on the last
 // segment is truncated away so appends resume on a frame boundary, and
-// the commit-version bookkeeping (base, newest, per-segment maxima) is
+// the commit-version bookkeeping (newest, per-segment maxima) is
 // rebuilt. Metrics may be nil.
 func Open(dir string, m *Metrics) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -424,24 +421,6 @@ func (l *Log) rotateLocked() error {
 	return l.createSegment(l.seg + 1)
 }
 
-// SetBase records the durability floor: the caller guarantees state up
-// to and including version v is persisted elsewhere (the snapshot), so
-// the log only needs to serve commits after v.
-func (l *Log) SetBase(v int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if v > l.base {
-		l.base = v
-	}
-}
-
-// Base returns the durability floor (see SetBase).
-func (l *Log) Base() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
-}
-
 // Newest returns the highest commit version the log holds (0 when it
 // holds none).
 func (l *Log) Newest() int64 {
@@ -479,32 +458,9 @@ func (l *Log) Replay(fn func(*Record) error) error {
 	return nil
 }
 
-// CommitsSince returns every commit record with Version > v, in commit
-// order. ok is false when the log cannot prove completeness — v is
-// below the durability floor (the records were truncated away after a
-// snapshot), so the caller must fall back to a full snapshot transfer.
-func (l *Log) CommitsSince(v int64) (recs []*Record, ok bool, err error) {
-	l.mu.Lock()
-	base := l.base
-	l.mu.Unlock()
-	if v < base {
-		return nil, false, nil
-	}
-	err = l.Replay(func(rec *Record) error {
-		if rec.Kind == RecCommit && rec.Version > v {
-			recs = append(recs, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return recs, true, nil
-}
-
 // TruncateThrough removes closed segments whose commits are all covered
-// by a snapshot at version v, and raises the durability floor to v. The
-// active segment is never removed (rotation, not truncation, seals it).
+// by a snapshot at version v. The active segment is never removed
+// (rotation, not truncation, seals it).
 func (l *Log) TruncateThrough(v int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -523,51 +479,8 @@ func (l *Log) TruncateThrough(v int64) error {
 			delete(l.segMax, seg)
 		}
 	}
-	if v > l.base {
-		l.base = v
-	}
 	l.appended = 0
 	return nil
-}
-
-// Reset discards every record and restarts an empty log whose
-// durability floor and newest version are v. A replica that adopts a
-// full snapshot at version v calls this: its old records — stale at
-// best, divergent at worst — must never replay over the adopted state.
-func (l *Log) Reset(v int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	// wait out any in-flight group-commit fsync before closing its file
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if err := os.Remove(l.segPath(seg)); err != nil {
-			return fmt.Errorf("wal: reset: %w", err)
-		}
-	}
-	l.segMax = map[int]int64{}
-	l.base, l.newest, l.appended = v, v, 0
-	l.syncedSeq = l.nextSeq // nothing outstanding: the log is empty
-	if err := l.createSegment(0); err != nil {
-		l.err = err
-		return err
-	}
-	return syncDir(l.dir)
 }
 
 // Sync flushes the active segment (used by snapshot writes that must
