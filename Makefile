@@ -47,6 +47,10 @@ bench:
 # through interp.ApplyUpdates at 1000 and 8000 persons
 # (BenchmarkCommitReplaceValue/persons=N — the layer-level before/after
 # of copy on pin: go test -run NONE -bench CommitReplaceValue -benchmem
+# ./internal/interp), that commit followed by one getPerson probe at the
+# version it made, over 1000 persons (BenchmarkCommitThenProbe — the
+# layer-level before/after of carrying a version's tables over a
+# value-only commit: go test -run NONE -bench CommitThenProbe -benchmem
 # ./internal/interp), and the paper-table benchmarks.
 # The streamed gather's memory bound is make memsmoke's.
 bench-smoke:

@@ -157,9 +157,11 @@ func (l *loseReply) Send(dest, path string, body []byte) ([]byte, error) {
 }
 
 // Under the retry policy a lost reply must not apply an update twice:
-// the apply phase is not re-sent (the transaction aborts instead), and
-// a re-sent AdoptPUL leaves the replica with the list adopted once —
-// the version fence cannot see a list merged twice.
+// the apply phase is not re-sent (the transaction aborts instead), a
+// re-sent AdoptPUL leaves the replica with the list adopted once — the
+// version fence cannot see a list merged twice — and a re-sent Commit
+// is answered with the version the first one produced, so the update
+// succeeds and no replica is evicted.
 func TestRetriedUpdateAppliesOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name, marker string
@@ -169,6 +171,7 @@ func TestRetriedUpdateAppliesOnce(t *testing.T) {
 	}{
 		{"apply at the primary", "addLabel", false, true, 0},
 		{"AdoptPUL at the replica", "AdoptPUL", true, false, 1},
+		{"Commit at the primary", "Commit", false, false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.NewNetwork(0, 0)

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync"
 
 	"xrpc/internal/store"
@@ -25,7 +26,8 @@ import (
 // answers every later application by lookup: every call of a CallBulk
 // request, every iteration of a loop and — when the evaluation reads a
 // pinned store version (VersionedResolver) — every later request that
-// reads the same version.
+// reads the same version, and the versions after it that value-only
+// commits make (see memoTables for the carry rule and the bound).
 //
 // Everything else is evaluated row-at-a-time, and so is any application
 // the index cannot answer exactly as "=" would: a probe value that is
@@ -66,12 +68,27 @@ var _ VersionedResolver = (*store.Snapshot)(nil)
 // of trees. A version's tables (see VersionedResolver) hold the trees
 // of its documents and are shared by every evaluation that reads the
 // version; an evaluation's own tables hold the other trees its resolver
-// hands out and live as long as it does. Sharing needs no invalidation:
-// an evaluation collects its pending updates instead of applying them,
-// and a commit writes a tree in place only when no snapshot but the
-// committer's own pins it — and then drops the tables of the versions
-// that held the tree (store.Commit) — so a table is never read after
-// its nodes change.
+// hands out and live as long as it does.
+//
+// Sharing is sound because an evaluation collects its pending updates
+// instead of applying them, and a commit writes a tree in place only
+// when no snapshot but the committer's own pins it. Such a commit drops
+// the tables of the versions that held the tree (store.Commit), with
+// one exception: a commit whose every primitive is a `replace value of`
+// that changes no structure hands the superseded version's tables to
+// the next version (carryTables). Structure and names are unchanged,
+// and a node test reads only kind and name, so every step entry stays
+// true; an index is dropped where a changed node lies at or below a key
+// node of one of its candidates. The hand-over runs under the store's
+// write lock while the committer's is the only pin, so no reader sees a
+// table being edited, and no table is read after its nodes change.
+//
+// The tables are bounded by what a step costs to recompute (memoStep):
+// steps from a document node and steps with at least
+// minIndexedCandidates output nodes, which include every index's
+// candidate step, are kept; any other step is recomputed. A lineage of
+// carried versions so keeps what its readers' scans and indexes need,
+// not a step from every row a request ever touched.
 //
 // Keys are structural, never AST nodes, so every query text or plan
 // that spells the same step reuses the entry. mu guards the maps only;
@@ -97,9 +114,10 @@ type stepEntry struct {
 }
 
 // predKey names an index: the candidates are the output of step, keyed
-// by the string values of keyPath's nodes.
+// by the string values of the nodes of keyPath's first keyLen steps.
 type predKey struct {
 	step    stepKey
+	keyLen  int
 	keyPath [maxKeySteps]keyStep
 }
 
@@ -209,14 +227,81 @@ func (m *evalMemo) tables(n *xdm.Node) *memoTables {
 // this is what keeps a bulk linear — //person is scanned once, not once
 // per call — and, over a version, once for all the requests reading it.
 // The returned slice is shared and must not be modified.
+//
+// Only what is worth holding is kept (see memoTables): a step from a
+// document node, such as the //person scan, and a step whose output
+// reaches minIndexedCandidates, which is every step an index is built
+// on. Any other step, such as a per-row $p/address or $p//city, is
+// recomputed.
 func (ctx *dynCtx) memoStep(st *xq.Step, n *xdm.Node) []*xdm.Node {
 	t := ctx.memo.tables(n)
 	if t == nil {
 		return xdm.Step(n, st.Axis, st.Test)
 	}
-	e := entry(&t.mu, &t.steps, stepKey{from: n, axis: st.Axis, test: st.Test})
+	k := stepKey{from: n, axis: st.Axis, test: st.Test}
+	t.mu.Lock()
+	e := t.steps[k]
+	t.mu.Unlock()
+	if e == nil && n.Kind != xdm.DocumentNode {
+		out := xdm.Step(n, st.Axis, st.Test)
+		if len(out) < minIndexedCandidates {
+			return out
+		}
+		e = entry(&t.mu, &t.steps, k)
+		e.once.Do(func() { e.out = out })
+		return e.out
+	}
+	if e == nil {
+		e = entry(&t.mu, &t.steps, k)
+	}
 	e.once.Do(func() { e.out = xdm.Step(n, st.Axis, st.Test) })
 	return e.out
+}
+
+// carryTables edits the tables of a version that a commit superseded
+// into the next version's: changed are the nodes whose value the commit
+// replaced, and it changed no structure and no name (ApplyUpdates). Every
+// step entry stays. An index goes when a changed node lies at or below a
+// key node of a candidate containing it: the key's string value may have
+// changed. It runs under the store's write lock (store.Tx.Carry), so no
+// reader holds t.
+func carryTables(t *memoTables, changed []*xdm.Node) *memoTables {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k := range t.preds {
+		if e := t.steps[k.step]; e == nil || keyChanged(k, e.out, changed) {
+			delete(t.preds, k)
+		}
+	}
+	return t
+}
+
+// keyChanged reports whether a changed node lies at or below a key node
+// of the index k over the candidates cands.
+func keyChanged(k predKey, cands, changed []*xdm.Node) bool {
+	for _, c := range changed {
+		for a := c; a != nil; a = a.Parent {
+			if !slices.Contains(cands, a) {
+				continue
+			}
+			keys := []*xdm.Node{a}
+			for _, ks := range k.keyPath[:k.keyLen] {
+				var next []*xdm.Node
+				for _, n := range keys {
+					next = append(next, xdm.Step(n, ks.axis, ks.test)...)
+				}
+				keys = next
+			}
+			for _, key := range keys {
+				for b := c; b != nil; b = b.Parent {
+					if b == key {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // indexCounters is one call's share of Stats.Index*.
@@ -240,7 +325,7 @@ func (ctx *dynCtx) tryIndexedPredicate(st *xq.Step, from *xdm.Node, cands []*xdm
 	if t == nil {
 		return nil, false
 	}
-	key := predKey{step: stepKey{from: from, axis: st.Axis, test: st.Test}}
+	key := predKey{step: stepKey{from: from, axis: st.Axis, test: st.Test}, keyLen: len(keyPath.Steps)}
 	for i, ks := range keyPath.Steps {
 		key.keyPath[i] = keyStep{axis: ks.Axis, test: ks.Test}
 	}

@@ -655,9 +655,10 @@ func TestVersionTablesServeLaterRequests(t *testing.T) {
 	}
 }
 
-// A version step starts with no tables: after an in-place commit that
-// inserts a person with a new id, the next request finds it. An index
-// carried over from the version before would answer the old rows.
+// A structural commit starts the next version with no tables: after an
+// in-place commit that inserts a person with a new id, the next request
+// finds it. An index carried over from the version before would answer
+// the old rows.
 func TestInPlaceCommitIsSeenByTheNextIndex(t *testing.T) {
 	st := bigPersonStore(t, 40)
 	c := compilePersons(t)

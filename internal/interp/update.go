@@ -80,6 +80,12 @@ type Primitive struct {
 // non-deterministic; Merge therefore just concatenates.
 type UpdateList struct {
 	Prims []Primitive
+	// Replay marks a list read back from a commit log. It committed
+	// once already, so primitives that conflict on one node (XUDY0015,
+	// XUDY0016, XUDY0017), which a log written before that check may
+	// hold, are applied in order, the last write winning, as they were
+	// then.
+	Replay bool
 }
 
 // Add appends a primitive, recording the target's document name.
@@ -346,7 +352,10 @@ func (ul *UpdateList) SetSeqBase(base int64) {
 // targets that child). Primitives are checked and applied in XQUF's
 // phase order (see phase), and within a phase in Seq order (stable, so
 // untagged lists keep arrival order — the XQUF's "non-deterministic"
-// union is then simply arrival order).
+// union is then simply arrival order). A list of `replace value of`
+// primitives that change no structure hands the superseded version's
+// steps and indexes to the next version (store.Tx.Carry, carryTables);
+// every other commit starts the next version with none.
 func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 	if ul.Empty() {
 		return nil
@@ -369,12 +378,19 @@ func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 			targets[i] = t
 			targeted[t] = true
 		}
-		if err := checkPrimitives(ul.Prims, targets); err != nil {
+		if err := checkPrimitives(ul.Prims, targets, !ul.Replay); err != nil {
 			return err
 		}
-		var reseal []*xdm.Node
+		var reseal, changed []*xdm.Node
 		for i, p := range ul.Prims {
 			if p.Kind == PrimPut || !applyPrimitive(targets[i], p, targeted) {
+				if p.Kind == PrimReplaceValue {
+					c := targets[i]
+					if c.Kind == xdm.ElementNode {
+						c = c.Children[0] // the text child took the value
+					}
+					changed = append(changed, c)
+				}
 				continue
 			}
 			if doc := tx.Writable(p.DocName); !slices.Contains(reseal, doc) {
@@ -383,6 +399,15 @@ func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 		}
 		for _, doc := range reseal {
 			doc.Seal()
+		}
+		if len(changed) == len(ul.Prims) {
+			// only values changed: the version's tables outlive the commit
+			tx.Carry(func(old any) any {
+				if t, ok := old.(*memoTables); ok {
+					return carryTables(t, changed)
+				}
+				return nil
+			})
 		}
 		for _, p := range ul.Prims {
 			if p.Kind != PrimPut {
@@ -439,15 +464,33 @@ func resolveTarget(tx *store.Tx, p Primitive) (*xdm.Node, error) {
 }
 
 // checkPrimitives raises the error applying the list would raise, before
-// anything is written. A target's parent counts as gone once an earlier
-// primitive deleted or replaced the target, or replaced the value of
-// its parent element (detach leaves an attribute's parent set).
-func checkPrimitives(prims []Primitive, targets []*xdm.Node) error {
+// anything is written. With conflicts, two primitives that XQUF's
+// upd:applyUpdates forbids on one node raise: two renames (XUDY0015),
+// two replace node (XUDY0016), two replace value of (XUDY0017). A
+// target's parent counts as gone once an earlier primitive deleted or
+// replaced the target, or replaced the value of its parent element
+// (detach leaves an attribute's parent set).
+func checkPrimitives(prims []Primitive, targets []*xdm.Node, conflicts bool) error {
+	type use struct {
+		kind   PrimitiveKind
+		target *xdm.Node
+	}
 	var gone map[*xdm.Node]bool
+	var used map[use]bool
 	for i, p := range prims {
 		t := targets[i]
 		if p.Kind == PrimPut {
 			continue
+		}
+		if code := conflictCode(p.Kind); conflicts && code != "" {
+			u := use{p.Kind, t}
+			if used[u] {
+				return xdm.Errorf(code, "two %s primitives target node #%d", p.Kind, t.Ord())
+			}
+			if used == nil {
+				used = map[use]bool{}
+			}
+			used[u] = true
 		}
 		parent := t.Parent
 		if gone[t] {
@@ -493,6 +536,20 @@ func checkPrimitives(prims []Primitive, targets []*xdm.Node) error {
 		}
 	}
 	return nil
+}
+
+// conflictCode is the XQUF error two primitives of kind k on one node
+// raise, or "" if they may share it.
+func conflictCode(k PrimitiveKind) string {
+	switch k {
+	case PrimRename:
+		return "XUDY0015"
+	case PrimReplaceNode:
+		return "XUDY0016"
+	case PrimReplaceValue:
+		return "XUDY0017"
+	}
+	return ""
 }
 
 func markGone(gone map[*xdm.Node]bool, n *xdm.Node) map[*xdm.Node]bool {

@@ -6,9 +6,12 @@ import (
 	"time"
 
 	"xrpc/internal/client"
+	"xrpc/internal/interp"
+	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
+	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -138,13 +141,15 @@ declare updating function s:addPerson($id as xs:string)
 // update_mix's script, sequentially: a 2PC setCity, the read-back that
 // must see it, then two reads. Nothing pins the document when a commit
 // lands, so every commit writes in place — counted by
-// xrpc_store_commits_total{path="in_place"}.
+// xrpc_store_commits_total{path="in_place"} — and hands the version's
+// getPerson index to the next: xrpc_exec_index_builds_total reads 1.
 func TestUpdateMixScriptCommitsInPlace(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	p := newBulkPeer(t, net)
 	p.server.RespCache = NewRespCache(0)
 	reg := obs.NewRegistry()
 	p.server.RegisterCacheMetrics(reg)
+	p.server.Metrics = NewMetrics(reg)
 	const rounds = 12
 	for i := 0; i < rounds; i++ {
 		pid, city := xmark.PersonID(i%shardXMark.Persons), "Town"+string(rune('A'+i))
@@ -166,6 +171,11 @@ func TestUpdateMixScriptCommitsInPlace(t *testing.T) {
 	}
 	if in, cl := path("in_place"), path("clone"); in != rounds || cl != 0 {
 		t.Errorf("commits in place %v, cloned %v, want %d and 0", in, cl, rounds)
+	}
+	// every commit replaced a city's value in place, so each version
+	// took over its predecessor's @id index
+	if builds := reg.MustGather("xrpc_exec_index_builds_total"); builds != 1 {
+		t.Errorf("%d rounds built %v indexes, want 1", rounds, builds)
 	}
 }
 
@@ -204,5 +214,74 @@ declare updating function sh:shift()
 	}
 	if got := filmDoc(t, p2.store); got != want {
 		t.Fatalf("replayed document differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// Two primitives that XQUF's upd:applyUpdates forbids on one node fail
+// the whole list before anything is written: through a local commit
+// (ApplyUpdates) and through a replica's AdoptPUL and Commit, the error
+// is the XQUF code and the document, version and commit counters are
+// as they were.
+func TestConflictingUpdatesFailBeforeWriting(t *testing.T) {
+	const ax = `<r><p id="1">t</p></r>`
+	for _, tc := range []struct{ name, query, code string }{
+		{"two renames", `let $f := doc("filmDB.xml")/films/film[1]
+			return (rename node $f as "a", rename node $f as "b")`, "XUDY0015"},
+		{"two replace node", `let $f := doc("filmDB.xml")/films/film[1]
+			return (replace node $f with <a/>, replace node $f with <b/>)`, "XUDY0016"},
+		{"two replace value of an element", `let $n := doc("filmDB.xml")/films/film[1]/name
+			return (replace value of node $n with "a", replace value of node $n with "b")`, "XUDY0017"},
+		{"two replace value of an attribute", `let $i := doc("a.xml")/r/p/@id
+			return (replace value of node $i with "2", replace value of node $i with "3")`, "XUDY0017"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := netsim.NewNetwork(0, 0)
+			p := newPeer(t, "xrpc://y.example.org", filmDBY, net)
+			if err := p.store.LoadXML("a.xml", ax); err != nil {
+				t.Fatal(err)
+			}
+			films := xdm.SerializeNode(storetest.Doc(t, p.store, "filmDB.xml"))
+			unchanged := func(route string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.code) {
+					t.Errorf("%s: err = %v, want %s", route, err, tc.code)
+				}
+				if v := p.store.Version(); v != 2 {
+					t.Errorf("%s: version %d, want 2", route, v)
+				}
+				if in, cl := p.store.Commits(); in+cl != 0 {
+					t.Errorf("%s: %d commits in place, %d cloned, want none", route, in, cl)
+				}
+				if got := xdm.SerializeNode(storetest.Doc(t, p.store, "filmDB.xml")); got != films {
+					t.Errorf("%s: filmDB.xml changed: %s", route, got)
+				}
+				if got := xdm.SerializeNode(storetest.Doc(t, p.store, "a.xml")); got != ax {
+					t.Errorf("%s: a.xml changed: %s", route, got)
+				}
+			}
+
+			eng := interp.New(modules.NewRegistry(), nil)
+			c, err := eng.Compile(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := p.store.Snapshot()
+			_, pul, err := c.Eval(&interp.EvalOptions{Docs: own, CollectUpdates: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := EncodePUL(pul)
+			unchanged("ApplyUpdates", interp.ApplyUpdates(p.store, pul, own))
+			own.Release()
+
+			tx := txnClient(net, "q-conflict")
+			if _, err := tx.CallBulk(p.uri, &client.BulkRequest{
+				ModuleURI: WSATModule, Func: "AdoptPUL", Arity: 1,
+				Calls: [][]xdm.Sequence{{xdm.Singleton(wire)}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			unchanged("AdoptPUL, Commit", wsatVerb(tx, p.uri, "Commit"))
+		})
 	}
 }

@@ -268,8 +268,9 @@ func (s *Server) buildSnapshot() *wal.Snapshot {
 }
 
 // applyLogged commits a logged <xrpc:pending-updates> payload (a WAL
-// record on replay) against the current
-// state, as one version step.
+// record on replay) against the current state, as one version step. It
+// committed once already, so it is applied as it was then, even where
+// its primitives conflict (interp.UpdateList.Replay).
 func (s *Server) applyLogged(pulXML []byte) error {
 	sn := s.Store.Snapshot()
 	defer sn.Release()
@@ -277,6 +278,7 @@ func (s *Server) applyLogged(pulXML []byte) error {
 	if err != nil {
 		return err
 	}
+	ul.Replay = true
 	return interp.ApplyUpdates(s.Store, ul, sn)
 }
 

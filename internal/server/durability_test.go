@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,5 +202,193 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 	}
 	if doc := storetest.Doc(t, p.store, "a.xml"); xdm.SerializeNode(doc) != `<r><p id="2">t</p></r>` {
 		t.Fatalf("a.xml = %s", xdm.SerializeNode(doc))
+	}
+}
+
+// A re-sent Commit (its first reply was lost) answers the version the
+// first one produced, with no second apply and no second log record,
+// for at least the queryID's isolation timeout; once the record has
+// rotated out twice, the queryID is unknown again (XRPC0006).
+func TestResentCommitAnswersItsVersion(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	p := newPeer(t, "xrpc://durable-resent", filmDBY, net)
+	enableWAL(t, p, t.TempDir(), WALConfig{})
+	now := time.Now()
+	p.server.Now = func() time.Time { return now }
+	cl := client.New(net)
+	cl.QueryID = &soap.QueryID{ID: "q-resent", Host: "xrpc://local", Timestamp: now, Timeout: 10}
+	if _, err := cl.CallBulk(p.uri, &client.BulkRequest{
+		ModuleURI: "upd", Func: "addFilm", Arity: 2, Updating: true,
+		Calls: [][]xdm.Sequence{{{xdm.String("Once")}, {xdm.String("A")}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	verb := func(name string) (xdm.Sequence, error) {
+		res, err := cl.CallBulk(p.uri, &client.BulkRequest{ModuleURI: WSATModule, Func: name, Calls: [][]xdm.Sequence{{}}})
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
+	}
+	if _, err := verb("Prepare"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := verb("Commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, logged := p.store.Version(), p.server.wal.AppendedBytes()
+	// a later transaction's read rotates the records once, 11 s on
+	now = now.Add(11 * time.Second)
+	read := func(id string) {
+		other := client.New(net)
+		other.QueryID = &soap.QueryID{ID: id, Host: "xrpc://local", Timestamp: now, Timeout: 10}
+		if _, err := other.CallBulk(p.uri, &client.BulkRequest{
+			ModuleURI: "films", AtHint: "http://x.example.org/film.xq", Func: "filmsByActor", Arity: 1,
+			Calls: [][]xdm.Sequence{{{xdm.String("A")}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read("q-later-1")
+	again, err := verb("Commit")
+	if err != nil {
+		t.Fatalf("re-sent Commit: %v", err)
+	}
+	if xdm.SerializeSequence(again) != xdm.SerializeSequence(first) {
+		t.Errorf("re-sent Commit answered %s, the first %s", xdm.SerializeSequence(again), xdm.SerializeSequence(first))
+	}
+	if p.store.Version() != version || p.server.wal.AppendedBytes() != logged {
+		t.Errorf("re-sent Commit applied again: version %d -> %d, log %d -> %d bytes",
+			version, p.store.Version(), logged, p.server.wal.AppendedBytes())
+	}
+	if n := strings.Count(filmDoc(t, p.store), "<name>Once</name>"); n != 1 {
+		t.Errorf("the film was added %d times", n)
+	}
+	now = now.Add(11 * time.Second)
+	read("q-later-2")
+	if _, err := verb("Commit"); err == nil || !strings.Contains(err.Error(), "XRPC0006") {
+		t.Errorf("Commit after the record expired: %v, want XRPC0006", err)
+	}
+}
+
+// A Commit re-sent while the first one still applies (the connection
+// broke before the first reply) waits for it and answers the same
+// version: it neither applies again nor finds the queryID unknown.
+func TestResentCommitDuringTheFirstWaitsForIt(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	p := newPeer(t, "xrpc://durable-inflight", filmDBY, net)
+	enableWAL(t, p, t.TempDir(), WALConfig{})
+	qid := &soap.QueryID{ID: "q-inflight", Host: "xrpc://local", Timestamp: time.Now(), Timeout: 10}
+	verb := func(name string) (xdm.Sequence, error) {
+		cl := client.New(net)
+		cl.QueryID = qid
+		res, err := cl.CallBulk(p.uri, &client.BulkRequest{ModuleURI: WSATModule, Func: name, Calls: [][]xdm.Sequence{{}}})
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
+	}
+	cl := client.New(net)
+	cl.QueryID = qid
+	if _, err := cl.CallBulk(p.uri, &client.BulkRequest{
+		ModuleURI: "upd", Func: "addFilm", Arity: 2, Updating: true,
+		Calls: [][]xdm.Sequence{{{xdm.String("Once")}, {xdm.String("A")}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verb("Prepare"); err != nil {
+		t.Fatal(err)
+	}
+	before := p.store.Version()
+
+	type reply struct {
+		res xdm.Sequence
+		err error
+	}
+	commit := func() <-chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			res, err := verb("Commit")
+			ch <- reply{res, err}
+		}()
+		return ch
+	}
+	// hold the first Commit inside its apply
+	p.server.iso.commitMu.Lock()
+	first := commit()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.server.iso.mu.Lock()
+		applying := p.server.iso.committing[qid.ID] != nil
+		p.server.iso.mu.Unlock()
+		if applying {
+			break
+		}
+		if time.Now().After(deadline) {
+			p.server.iso.commitMu.Unlock()
+			t.Fatal("the first Commit never started applying")
+		}
+	}
+	second := commit()
+	select {
+	case r := <-second:
+		p.server.iso.commitMu.Unlock()
+		t.Fatalf("the re-sent Commit answered before the first finished: %v, %v", xdm.SerializeSequence(r.res), r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.server.iso.commitMu.Unlock()
+	a, b := <-first, <-second
+	if a.err != nil || b.err != nil {
+		t.Fatalf("first Commit: %v; re-sent Commit: %v", a.err, b.err)
+	}
+	if xdm.SerializeSequence(a.res) != xdm.SerializeSequence(b.res) {
+		t.Errorf("re-sent Commit answered %s, the first %s", xdm.SerializeSequence(b.res), xdm.SerializeSequence(a.res))
+	}
+	if got := p.store.Version(); got != before+1 {
+		t.Errorf("version %d -> %d, want one commit", before, got)
+	}
+	if n := strings.Count(filmDoc(t, p.store), "<name>Once</name>"); n != 1 {
+		t.Errorf("the film was added %d times", n)
+	}
+}
+
+// A log written before conflicting primitives were rejected may hold a
+// commit with two replace value of one node, committed last-wins.
+// Recovery replays it as it committed, and the peer starts.
+func TestReplayAppliesALoggedConflictAsItCommitted(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	dir := t.TempDir()
+	p := newPeer(t, "xrpc://durable-conflict", filmDB, net)
+	if err := p.store.LoadXML("a.xml", `<r><p id="1">t</p></r>`); err != nil {
+		t.Fatal(err)
+	}
+	enableWAL(t, p, dir, WALConfig{})
+	id := storetest.Doc(t, p.store, "a.xml").Children[0].Children[0].Attrs[0]
+	ul := &interp.UpdateList{}
+	for _, v := range []string{"2", "3"} {
+		ul.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: v})
+	}
+	if err := p.server.Apply(ul, nil); err == nil || !strings.Contains(err.Error(), "XUDY0017") {
+		t.Fatalf("conflicting commit: %v, want XUDY0017", err)
+	}
+	want := p.store.Version() + 1
+	seq, err := p.server.wal.Enqueue(&wal.Record{Kind: wal.RecCommit, Version: want, QID: "q-old",
+		PUL: []byte(xdm.SerializeNode(EncodePUL(ul)))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.server.wal.WaitDurable(seq); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := newPeer(t, "xrpc://durable-conflict-2", "", net)
+	if recovered := enableWAL(t, p2, dir, WALConfig{}); !recovered {
+		t.Fatal("existing dir did not recover")
+	}
+	if got := p2.store.Version(); got != want {
+		t.Errorf("recovered version = %d, want %d", got, want)
+	}
+	if got := xdm.SerializeNode(storetest.Doc(t, p2.store, "a.xml")); got != `<r><p id="3">t</p></r>` {
+		t.Errorf("a.xml = %s, want the last value", got)
 	}
 }

@@ -480,6 +480,8 @@ func (s *Server) handleSystem(req *soap.Request, meta *reqMeta) (*soap.Response,
 //   - Commit applies the pending updates and reports the post-commit
 //     store.Version — the replication fence: a replica whose reported
 //     version differs from its primary's diverged and must stop serving.
+//     A re-sent Commit of a committed queryID reports that version
+//     again and applies nothing.
 func (s *Server) handleWSAT(req *soap.Request) (*soap.Response, error) {
 	if req.QueryID == nil {
 		return nil, xdm.NewError("XRPC0005", "WS-AT verb without queryID")
@@ -511,12 +513,9 @@ func (s *Server) handleWSAT(req *soap.Request) (*soap.Response, error) {
 		result = xdm.Singleton(xdm.String("adopted"))
 	case "Commit":
 		var version int64
-		var entry *isoEntry
-		entry, err = s.iso.take(req.QueryID.ID)
-		if err == nil {
-			version, err = s.applyDurable(req.QueryID.ID, entry.pul, entry.snap)
-			entry.snap.Release()
-		}
+		version, err = s.iso.commit(req.QueryID.ID, func(e *isoEntry) (int64, error) {
+			return s.applyDurable(req.QueryID.ID, e.pul, e.snap)
+		})
 		result = xdm.Sequence{xdm.String("committed"), xdm.Integer(version)}
 	case "Abort":
 		s.iso.abort(req.QueryID.ID)
@@ -566,10 +565,29 @@ type isoManager struct {
 	mu            sync.Mutex
 	entries       map[string]*isoEntry
 	expiredByHost map[string]time.Time
-	now           func() time.Time
+	// committing holds the Commits being applied, and committed and
+	// committedBefore remember the version each committed queryID
+	// produced, so a re-sent Commit (its first reply was lost) is
+	// answered, not applied again. The records rotate every keepCommitted,
+	// the longest isolation timeout committed so far: a record lives at
+	// least its queryID's timeout and at most twice the longest, and
+	// expiring records costs no scan.
+	committing                 map[string]*commitCall
+	committed, committedBefore map[string]int64
+	rotated                    time.Time
+	keepCommitted              time.Duration
+	now                        func() time.Time
 	// commitMu serializes commit applies with their version reads (see
 	// commit).
 	commitMu sync.Mutex
+}
+
+// commitCall is a queryID's Commit while it applies: done is closed
+// once version and err hold its outcome.
+type commitCall struct {
+	done    chan struct{}
+	version int64
+	err     error
 }
 
 // entryFor returns the queryID's entry, creating it (and pinning its
@@ -593,22 +611,29 @@ func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, *s
 	if last, seen := m.expiredByHost[qid.Host]; seen && !qid.Timestamp.After(last) {
 		return nil, nil, xdm.Errorf("XRPC0006", "queryID %s expired (host %s)", qid.ID, qid.Host)
 	}
-	timeout := qid.Timeout
-	if timeout <= 0 {
-		timeout = 30
-	}
 	e := &isoEntry{
 		qid:     *qid,
 		snap:    st.Snapshot(),
 		pul:     &interp.UpdateList{},
-		expires: m.now().Add(time.Duration(timeout) * time.Second),
+		expires: m.now().Add(isoTimeout(qid)),
 	}
 	m.entries[qid.ID] = e
 	return e, e.snap.Retain(), nil
 }
 
+// isoTimeout is the queryID's isolation timeout (30 s if it names none).
+func isoTimeout(qid *soap.QueryID) time.Duration {
+	if qid.Timeout <= 0 {
+		return 30 * time.Second
+	}
+	return time.Duration(qid.Timeout) * time.Second
+}
+
 func (m *isoManager) gcLocked() {
 	now := m.now()
+	if now.Sub(m.rotated) >= m.keepCommitted {
+		m.committedBefore, m.committed, m.rotated = m.committed, nil, now
+	}
 	for id, e := range m.entries {
 		limit := e.expires
 		if e.prepared {
@@ -619,11 +644,7 @@ func (m *isoManager) gcLocked() {
 			// lifetime). §2.2's "a timeout mechanism is inevitable" is
 			// the pragmatic answer to 2PC's blocking window: grant ten
 			// extra timeout periods, then presume abort.
-			timeout := e.qid.Timeout
-			if timeout <= 0 {
-				timeout = 30
-			}
-			limit = limit.Add(10 * time.Duration(timeout) * time.Second)
+			limit = limit.Add(10 * isoTimeout(&e.qid))
 		}
 		if !now.After(limit) {
 			continue
@@ -689,23 +710,60 @@ func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store
 	return nil
 }
 
-// take removes and returns the entry for a committing queryID; the
-// server applies its accumulated pending update lists through the
-// durable commit path (applyDurable) and then releases the entry's
-// snapshot. applyDurable's commitMu serialization
-// guarantees the version it reports is the one this commit produced —
-// concurrent transactions cannot slide a commit in between the apply
-// and the version read, which would make the coordinator's replica
-// version fence evict healthy replicas.
-func (m *isoManager) take(id string) (*isoEntry, error) {
+// commit applies the queryID's accumulated pending update lists once,
+// through apply (the server's durable commit path, applyDurable),
+// releases the entry's snapshot and returns the version the apply
+// produced. applyDurable's commitMu serialization guarantees that
+// version is the one this commit produced — concurrent transactions
+// cannot slide a commit in between the apply and the version read,
+// which would make the coordinator's replica version fence evict
+// healthy replicas. A Commit is re-sent when its first reply was lost:
+// one that arrives while the first applies waits for it and returns its
+// outcome, one that arrives after it committed returns the recorded
+// version, and neither applies again.
+func (m *isoManager) commit(id string, apply func(*isoEntry) (int64, error)) (int64, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	if c := m.committing[id]; c != nil {
+		m.mu.Unlock()
+		<-c.done
+		return c.version, c.err
+	}
+	for _, recs := range []map[string]int64{m.committed, m.committedBefore} {
+		if v, ok := recs[id]; ok {
+			m.mu.Unlock()
+			return v, nil
+		}
+	}
 	e, ok := m.entries[id]
 	if !ok {
-		return nil, xdm.Errorf("XRPC0006", "Commit: unknown queryID %s", id)
+		m.mu.Unlock()
+		return 0, xdm.Errorf("XRPC0006", "Commit: unknown queryID %s", id)
 	}
 	delete(m.entries, id)
-	return e, nil
+	if m.committing == nil {
+		m.committing = map[string]*commitCall{}
+	}
+	// the error stands if apply panics (net/http recovers the handler):
+	// a waiter is answered, and nothing is recorded as committed
+	c := &commitCall{done: make(chan struct{}), err: xdm.Errorf("XRPC0006", "Commit of queryID %s did not finish", id)}
+	m.committing[id] = c
+	m.mu.Unlock()
+	defer func() {
+		e.snap.Release()
+		m.mu.Lock()
+		delete(m.committing, id)
+		if c.err == nil {
+			if m.committed == nil {
+				m.committed = map[string]int64{}
+			}
+			m.committed[id] = c.version
+			m.keepCommitted = max(m.keepCommitted, isoTimeout(&e.qid))
+		}
+		m.mu.Unlock()
+		close(c.done)
+	}()
+	c.version, c.err = apply(e)
+	return c.version, c.err
 }
 
 func (m *isoManager) abort(id string) {

@@ -1023,9 +1023,11 @@ func TestParallelUpdatingKeepsPendingUpdateOrder(t *testing.T) {
 	}
 	setCity := func() (*soap.Request, string) {
 		var calls [][]xdm.Sequence
-		for i := 0; i < 24; i++ { // 24 calls over 8 persons: later calls overwrite earlier ones
+		// one call per person: two `replace value of` one city conflict
+		// (XUDY0017), so the list's order shows in Describe only
+		for i := 0; i < 24; i++ {
 			calls = append(calls, []xdm.Sequence{
-				{xdm.String(xmark.PersonID(i % 8))}, {xdm.String(fmt.Sprintf("Town %d", i))}})
+				{xdm.String(xmark.PersonID(i))}, {xdm.String(fmt.Sprintf("Town %d", i))}})
 		}
 		return bulkRequest("setCity", calls), "persons.xml"
 	}

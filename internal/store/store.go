@@ -17,12 +17,16 @@
 //
 // A version also carries what readers derive from its documents (see
 // Snapshot.Derived): interp's step and predicate-index tables are built
-// once per version and shared by every request that pins it. They need
-// no invalidation rule of their own, because the version is the fence:
-// every version step starts with none, and a commit that writes a tree
-// in place, which it does only when no snapshot but the committer's own
-// pins that tree, drops what the versions holding it derived. So no
-// table is read after the nodes it was built from change.
+// once per version and shared by every request that pins it. The
+// version is the fence: a version step starts with none, save one case,
+// and a commit that writes a tree in place, which it does only when no
+// snapshot but the committer's own pins that tree, drops what the
+// versions holding it derived. The one case is a commit that wrote in
+// place, cloned nothing, put nothing and registered a carry (Tx.Carry):
+// its callback edits the superseded version's value into the new
+// version's, under the write lock, while no reader but the committer
+// can hold that value. So no table is read after the nodes it was
+// built from change, unless the committer's callback vouched for it.
 package store
 
 import (
@@ -179,6 +183,17 @@ func (s *Store) Commit(own *Snapshot, apply func(tx *Tx) error) error {
 	} else {
 		s.inPlace.Add(1)
 	}
+	var carried any
+	if tx.carry != nil && tx.wroteLive && !tx.cloned && !tx.put {
+		// in place and nothing cloned: no snapshot but the committer's
+		// own pins the superseded version, so nobody reads its value
+		if d := s.cur.derived.Load(); d != nil {
+			d.once.Do(func() {}) // a value not built by now never is
+			if d.val != nil {
+				carried = tx.carry(d.val)
+			}
+		}
+	}
 	if tx.wroteLive {
 		// the only pin left on the written trees is the committer's own:
 		// its tables describe trees that are no longer as they were
@@ -188,6 +203,10 @@ func (s *Store) Commit(own *Snapshot, apply func(tx *Tx) error) error {
 		}
 	}
 	s.stepLocked(tx.docs, s.cur.n+1)
+	if carried != nil {
+		d := s.cur.derived.Load()
+		d.once.Do(func() { d.val = carried })
+	}
 	return nil
 }
 
@@ -205,7 +224,17 @@ type Tx struct {
 	docs      map[string]*xdm.Node // the version being built
 	cloned    bool
 	wroteLive bool // Writable handed out a live tree
+	put       bool
+	carry     func(old any) any
 }
+
+// Carry registers the commit's hand-over of derived values: when the
+// commit wrote in place, cloned nothing and put nothing, carry receives
+// the superseded version's derived value, if it was built, and returns
+// the new version's (nil for none). It runs under the write lock, after
+// apply succeeded. Without a Carry, or when any condition fails, the
+// new version starts with no derived value.
+func (tx *Tx) Carry(carry func(old any) any) { tx.carry = carry }
 
 // Writable returns a tree of the named document that the commit may
 // mutate, or nil if no such document is stored: the live tree itself
@@ -254,7 +283,10 @@ func (tx *Tx) pinned(name string, doc *xdm.Node) bool {
 }
 
 // Put stores (or replaces) a whole document in the new version (fn:put).
-func (tx *Tx) Put(name string, doc *xdm.Node) { tx.docs[name] = doc }
+func (tx *Tx) Put(name string, doc *xdm.Node) {
+	tx.docs[name] = doc
+	tx.put = true
+}
 
 // Version returns the current store version (monotonically increasing).
 func (s *Store) Version() int64 {
@@ -308,7 +340,8 @@ func (sn *Snapshot) Release() {
 // when the version is superseded and unpinned, or when a commit writes
 // the version's trees in place (possible only while the committer's own
 // snapshot is the one pinning them), and Derived returns nil from then
-// on. Every version step starts with none.
+// on. A version step starts with none, unless the commit carried the
+// superseded version's value over (Tx.Carry).
 func (sn *Snapshot) Derived(build func() any) any {
 	d := sn.v.derived.Load()
 	if d == nil {
