@@ -98,7 +98,9 @@ fuzz-smoke:
 # memsmoke is the bounded-memory acceptance check of the streamed
 # scatter-gather: under a 64 MiB GOMEMLIMIT the coordinator must merge
 # a 256 MiB synthetic scan — 4x the memory cap — with its peak heap
-# flat relative to the result size (O(shards × window), not O(result)).
+# flat relative to the result size (O(shards × scanner window), not
+# O(result)): each shard stream holds one scanner window, and a shard
+# the merge has not reached yet waits on its transport.
 memsmoke:
 	GOMEMLIMIT=64MiB XRPC_MEMSMOKE_BYTES=268435456 \
 		$(GO) test -run 'TestScatterStreamBoundedMemory' -v ./internal/cluster/

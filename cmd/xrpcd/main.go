@@ -18,8 +18,9 @@
 // streaming scatter-gather coordinator over the listed shard peers and
 // answers POST /xrpc like an ordinary peer holding the unsharded
 // documents — shard responses are merged in shard order and forwarded
-// to the client as they arrive, so the proxy's memory stays bounded by
-// -shard-buffer per shard regardless of result size:
+// to the client as they arrive, so the proxy holds one scanner window
+// per shard (at most the largest item plus a read) regardless of result
+// size; a shard the merge has not reached yet waits on its socket:
 //
 //	xrpcd -addr :8080 -proxy xrpc://s0:8081,xrpc://s1:8082
 //
@@ -105,8 +106,6 @@ func main() {
 		"negotiate gzip content-coding: compress outgoing requests and gzip responses for clients that accept it")
 	proxyPeers := flag.String("proxy", "",
 		"serve as a streaming scatter-gather proxy over these shard peers instead of a local peer: comma-separated xrpc:// URIs in shard order, '|'-separated replicas within a shard")
-	shardBuffer := flag.Int("shard-buffer", 0,
-		"proxy mode: per-shard read-ahead window in bytes of the streamed gather (0 = 1 MiB)")
 	respCacheMiB := flag.Int("respcache", 0,
 		"peer mode: version-fenced response cache size in MiB (0 = off); read-only bulk calls outside an isolation scope are answered from cached result bytes until a commit steps the store version")
 	resultCacheMiB := flag.Int("resultcache", 0,
@@ -128,7 +127,7 @@ func main() {
 		if *respCacheMiB != 0 {
 			fatalf("-respcache is a peer-mode flag; the proxy caches merged results with -resultcache")
 		}
-		runProxy(*addr, *proxyPeers, *rpcTimeout, *useGzip, *shardBuffer, *resultCacheMiB,
+		runProxy(*addr, *proxyPeers, *rpcTimeout, *useGzip, *resultCacheMiB,
 			*debugAddr, *slowQuery)
 		return
 	}
@@ -250,8 +249,8 @@ func main() {
 // runProxy serves a streaming scatter-gather coordinator over the
 // given shard peers: POST /xrpc scatters a bulk request to every shard
 // and streams the shard-order merge back to the client, chunk by
-// chunk, holding at most window bytes per shard.
-func runProxy(addr, peers string, rpcTimeout time.Duration, useGzip bool, shardBuffer, resultCacheMiB int,
+// chunk, holding one scanner window per shard.
+func runProxy(addr, peers string, rpcTimeout time.Duration, useGzip bool, resultCacheMiB int,
 	debugAddr string, slowQuery time.Duration) {
 	shards := strings.Split(peers, ",")
 	rt, err := cluster.NewRoutingTable(len(shards))
@@ -280,7 +279,6 @@ func runProxy(addr, peers string, rpcTimeout time.Duration, useGzip bool, shardB
 	// a transient burst at a replica is retried in place before it can
 	// evict the replica, and an eviction lasts for the proxy's life
 	co.Client.Retry = client.DefaultRetryPolicy()
-	co.MaxShardBuffer = shardBuffer
 	co.Client.RegisterMetrics(reg)
 	co.Metrics = cluster.NewMetrics(reg, rt.NumShards())
 	co.SlowLog = obs.NewSlowLog(logger, slowQuery)

@@ -41,7 +41,6 @@ func TestGoldenEmptyTables(t *testing.T) {
 	re := empty.RowStore()
 	assertGolden(t, "σ empty", Select(NewTable("b"), "b"), RowSelect(NewRowTable("b"), "b"))
 	assertGolden(t, "π empty", Project(empty, "pos", "x:item"), &RowTable{Cols: []string{"pos", "x"}})
-	assertGolden(t, "δ empty", Distinct(empty), RowDistinct(re))
 	assertGolden(t, "∪ empty", Union(empty, empty), RowUnion(re, re))
 	assertGolden(t, "⋈ empty", Join(empty, empty, ColIter, ColIter), RowJoin(re, re, ColIter, ColIter))
 	assertGolden(t, "ρ empty", RowNum(empty, "n", []string{ColPos}, ColIter),
@@ -106,25 +105,6 @@ func TestGoldenRowNumEmptyAndPartitions(t *testing.T) {
 	)
 	assertGolden(t, "ρ generic partition", RowNum(g, "n", []string{"v"}, "p"),
 		RowRowNum(g.RowStore(), "n", []string{"v"}, "p"))
-}
-
-func TestGoldenDistinctAllDuplicates(t *testing.T) {
-	tb := NewTable("a", "b")
-	for r := 0; r < 8; r++ {
-		tb.Append(i(7), s("same"))
-	}
-	got := Distinct(tb)
-	if got.Len() != 1 {
-		t.Fatalf("δ on all-duplicates = %d rows, want 1", got.Len())
-	}
-	assertGolden(t, "δ all-dup", got, RowDistinct(tb.RowStore()))
-	// multi-column duplicates differing in one column only
-	mix := Lit([]string{"a", "b"},
-		[]xdm.Item{i(1), s("x")},
-		[]xdm.Item{i(1), s("y")},
-		[]xdm.Item{i(1), s("x")},
-	)
-	assertGolden(t, "δ near-dup", Distinct(mix), RowDistinct(mix.RowStore()))
 }
 
 func TestGoldenPipeline(t *testing.T) {

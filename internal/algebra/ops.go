@@ -41,21 +41,6 @@ func Project(t *Table, specs ...string) *Table {
 	return derived(cols, vecs, t.n)
 }
 
-// Distinct (δ) removes duplicate rows, keeping first occurrences.
-func Distinct(t *Table) *Table {
-	seen := make(map[string]bool, t.n)
-	sel := make([]int32, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		k := rowKeyOf(t.vecs, i)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		sel = append(sel, int32(i))
-	}
-	return t.gatherRows(sel)
-}
-
 // Union (∪) is disjoint union: schemas must match.
 func Union(a, b *Table) *Table {
 	return UnionAll(a, b)

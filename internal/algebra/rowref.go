@@ -81,15 +81,6 @@ func (rt *RowTable) String() string {
 	return b.String()
 }
 
-// rowKey builds a comparable composite key over the given columns.
-func rowKey(row []xdm.Item, idx []int) string {
-	parts := make([]string, len(idx))
-	for i, c := range idx {
-		parts[i] = fmt.Sprintf("%v", itemKey(row[c]))
-	}
-	return strings.Join(parts, "\x00")
-}
-
 // RowSelect is the row-at-a-time σ.
 func RowSelect(t *RowTable, col string) *RowTable {
 	c := t.mustCol(col)
@@ -98,25 +89,6 @@ func RowSelect(t *RowTable, col string) *RowTable {
 		if b, ok := r[c].(xdm.Boolean); ok && bool(b) {
 			out.Rows = append(out.Rows, r)
 		}
-	}
-	return out
-}
-
-// RowDistinct is the row-at-a-time δ.
-func RowDistinct(t *RowTable) *RowTable {
-	idx := make([]int, len(t.Cols))
-	for i := range idx {
-		idx[i] = i
-	}
-	seen := map[string]bool{}
-	out := NewRowTable(t.Cols...)
-	for _, r := range t.Rows {
-		k := rowKey(r, idx)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Rows = append(out.Rows, r)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 // Package algebra implements the vanilla relational algebra that the
-// Pathfinder compiler targets — exactly the operator set of Table 1 of
-// the paper: selection σ, projection π (with renaming, no duplicate
-// removal), duplicate elimination δ, disjoint union ∪, equi-join ⋈,
-// row numbering ρ (DENSE_RANK), and literal tables.
+// Pathfinder compiler targets — the operators of Table 1 of the paper
+// that its plans build: selection σ, projection π (with renaming, no
+// duplicate removal), disjoint union ∪, equi-join ⋈, row numbering ρ
+// (DENSE_RANK), and literal tables. Table 1's duplicate elimination δ
+// has no operator here: the one δ a plan needs, over remote calls, is
+// folded by the execute-at lowering itself.
 //
 // XQuery sequences are represented as tables with schema iter|pos|item
 // (§3.1): iter is the loop iteration, pos the position within the

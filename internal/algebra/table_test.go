@@ -49,15 +49,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	tb := Lit([]string{"a"},
-		[]xdm.Item{s("x")}, []xdm.Item{s("y")}, []xdm.Item{s("x")},
-	)
-	if got := Distinct(tb).Len(); got != 2 {
-		t.Errorf("distinct = %d rows", got)
-	}
-}
-
 func TestUnion(t *testing.T) {
 	a := Lit([]string{"v"}, []xdm.Item{i(1)})
 	bt := Lit([]string{"v"}, []xdm.Item{i(2)}, []xdm.Item{i(3)})
@@ -183,22 +174,6 @@ func TestFrozenAppendPanics(t *testing.T) {
 		}
 	}()
 	Project(sampleTable(), "iter").Append(i(9))
-}
-
-// Property: δ is idempotent and never increases cardinality.
-func TestQuickDistinctIdempotent(t *testing.T) {
-	f := func(vals []int8) bool {
-		tb := NewTable("v")
-		for _, v := range vals {
-			tb.Append(i(int64(v)))
-		}
-		d1 := Distinct(tb)
-		d2 := Distinct(d1)
-		return d1.Len() <= tb.Len() && d1.Len() == d2.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: join with an empty side is empty; union length adds.

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"strings"
 
 	"xrpc/internal/xdm"
@@ -198,14 +197,4 @@ func compareItems(a, b xdm.Item) int {
 		}
 	}
 	return strings.Compare(a.StringValue(), b.StringValue())
-}
-
-// rowKeyOf builds a comparable composite key over the given column
-// vectors for row i (same format the row-store reference uses).
-func rowKeyOf(vecs []*vec, i int) string {
-	parts := make([]string, len(vecs))
-	for c, v := range vecs {
-		parts[c] = fmt.Sprintf("%v", v.key(i))
-	}
-	return strings.Join(parts, "\x00")
 }

@@ -56,10 +56,6 @@ type Client struct {
 	Encodes atomic.Int64
 	// Retries counts in-place re-sends under the Retry policy.
 	Retries atomic.Int64
-	// WindowStalls counts producer stalls of streamed responses: the
-	// per-shard prefetch window filled up and the socket reader had to
-	// wait for the consumer. Nil (the default) disables counting.
-	WindowStalls *obs.Counter
 }
 
 // New creates a client over a transport.
@@ -69,8 +65,7 @@ func New(t netsim.Transport) *Client {
 
 // RegisterMetrics promotes the client's ad-hoc stat counters onto a
 // registry — the /metrics view of the same atomics experiments read
-// in-process, so there is one source of truth. It also attaches the
-// window-stall counter used by streamed responses.
+// in-process, so there is one source of truth.
 func (c *Client) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
@@ -88,8 +83,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("xrpc_client_retries_total",
 		"In-place re-sends of transiently failed requests.",
 		c.Retries.Load, labels...)
-	c.WindowStalls = reg.NewCounter("xrpc_client_window_stalls_total",
-		"Streamed-response producer stalls: the prefetch window was full.", labels...)
 }
 
 // Peers returns all destination peers this client has contacted,

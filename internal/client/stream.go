@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"xrpc/internal/netsim"
-	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 )
@@ -39,13 +37,12 @@ type StreamedResponse struct {
 // SendStreamed posts a pre-encoded request body to dest and returns the
 // response as a stream. Transports that implement netsim.StreamTransport
 // deliver bytes incrementally; for others the buffered response is
-// wrapped, so callers can stream unconditionally. window > 0 adds a
-// prefetch buffer of about that many bytes between the socket and the
-// decoder: a background reader keeps pulling while the consumer is busy
-// downstream, overlapping transfer with processing while keeping memory
-// bounded by the window. Safe to call concurrently with the same body:
-// the bytes are only read.
-func (c *Client) SendStreamed(dest string, body []byte, calls, window int) (*StreamedResponse, error) {
+// wrapped, so callers can stream unconditionally. The decoder reads
+// straight off the transport: the read-ahead is the transport's own
+// (socket buffers over HTTP, a pipe on netsim), so a consumer that falls
+// behind stalls the producer through it. Safe to call concurrently with
+// the same body: the bytes are only read.
+func (c *Client) SendStreamed(dest string, body []byte, calls int) (*StreamedResponse, error) {
 	c.Requests.Add(1)
 	c.Sent.Add(int64(len(body)))
 	var rc io.ReadCloser
@@ -62,9 +59,6 @@ func (c *Client) SendStreamed(dest string, body []byte, calls, window int) (*Str
 			return nil, fmt.Errorf("xrpc: send to %s: %w", dest, err)
 		}
 		rc = io.NopCloser(bytes.NewReader(respBody))
-	}
-	if window > 0 {
-		rc = newPrefetchReader(rc, window, c.WindowStalls)
 	}
 	rs, err := soap.NewResponseStream(rc)
 	if err != nil {
@@ -159,92 +153,3 @@ func (b *countingBody) Read(p []byte) (int, error) {
 }
 
 func (b *countingBody) Close() error { return b.rc.Close() }
-
-// prefetchChunk is the read granularity of the prefetch buffer.
-const prefetchChunk = 32 << 10
-
-// prefetchReader decouples the producer (socket) from the consumer
-// (decoder) with a bounded channel of chunks: the background goroutine
-// reads ahead up to the window while the consumer processes items, and
-// blocks once the window is full — bounded memory, no unbounded
-// buffering of a fast producer.
-type prefetchReader struct {
-	ch     chan []byte
-	err    error // set before ch is closed; read only after ch closes
-	done   chan struct{}
-	once   sync.Once
-	closed bool
-	cur    []byte
-	stalls *obs.Counter
-}
-
-func newPrefetchReader(rc io.ReadCloser, window int, stalls *obs.Counter) *prefetchReader {
-	depth := window / prefetchChunk
-	if depth < 1 {
-		depth = 1
-	}
-	pr := &prefetchReader{
-		ch:     make(chan []byte, depth),
-		done:   make(chan struct{}),
-		stalls: stalls,
-	}
-	go func() {
-		defer rc.Close()
-		for {
-			buf := make([]byte, prefetchChunk)
-			n, err := rc.Read(buf)
-			if n > 0 {
-				select {
-				case pr.ch <- buf[:n]:
-				default:
-					// window full: the consumer is the bottleneck and the
-					// producer blocks until a slot frees — worth counting,
-					// it is the signal MaxShardBuffer is sized too small
-					// (or the merge too slow) for this workload
-					pr.stalls.Inc()
-					select {
-					case pr.ch <- buf[:n]:
-					case <-pr.done:
-						return
-					}
-				}
-			}
-			if err != nil {
-				if err != io.EOF {
-					pr.err = err
-				}
-				close(pr.ch)
-				return
-			}
-		}
-	}()
-	return pr
-}
-
-func (pr *prefetchReader) Read(p []byte) (int, error) {
-	if pr.closed {
-		return 0, fmt.Errorf("xrpc: read from closed response stream")
-	}
-	for len(pr.cur) == 0 {
-		chunk, ok := <-pr.ch
-		if !ok {
-			if pr.err != nil {
-				return 0, pr.err
-			}
-			return 0, io.EOF
-		}
-		pr.cur = chunk
-	}
-	n := copy(p, pr.cur)
-	pr.cur = pr.cur[n:]
-	return n, nil
-}
-
-// Close stops the background reader, which closes the underlying
-// stream on its way out. A reader mid-Read drains its chunk into the
-// void (the done channel) before exiting.
-func (pr *prefetchReader) Close() error {
-	pr.closed = true
-	pr.once.Do(func() { close(pr.done) })
-	return nil
-}

@@ -58,8 +58,7 @@ func collectStreamed(t *testing.T, sr *StreamedResponse) []xdm.Sequence {
 
 // TestSendStreamedMatchesSendEncoded pins the streamed send against the
 // buffered reference: same request bytes, same results, over both a
-// stream-capable transport and a buffered-only one, with and without a
-// prefetch window.
+// stream-capable transport and a buffered-only one.
 func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	net.Register("xrpc://y", newServer(t))
@@ -81,16 +80,14 @@ func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		tr     netsim.Transport
-		window int
+		name string
+		tr   netsim.Transport
 	}{
-		{"streaming transport", net, 0},
-		{"streaming transport with prefetch", net, 64 << 10},
-		{"buffered-only transport", bufferedOnly{net}, 0},
+		{"streaming transport", net},
+		{"buffered-only transport", bufferedOnly{net}},
 	} {
 		cl := New(tc.tr)
-		sr, err := cl.SendStreamed("xrpc://y", enc.Bytes(), len(br.Calls), tc.window)
+		sr, err := cl.SendStreamed("xrpc://y", enc.Bytes(), len(br.Calls))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -131,7 +128,7 @@ func TestSendStreamedResultCountMismatch(t *testing.T) {
 			Results: []xdm.Sequence{{xdm.Integer(1)}},
 		}), nil
 	}))
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2, 0)
+	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestSendStreamedFault(t *testing.T) {
 	net.Register("xrpc://y", netsim.HandlerFunc(func(_ string, _ []byte) ([]byte, error) {
 		return soap.EncodeFault(&soap.Fault{Code: "env:Sender", Reason: "no such module"}), nil
 	}))
-	_, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1, 0)
+	_, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
 	var fault *soap.Fault
 	if !errors.As(err, &fault) || fault.Reason != "no such module" {
 		t.Fatalf("err = %v, want the peer's fault", err)
@@ -193,7 +190,7 @@ func TestSendStreamedDeliversBeforeHandlerFinishes(t *testing.T) {
 		return pr, nil
 	}))
 
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2, 0)
+	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +246,7 @@ func TestStreamedResponseCloseReleasesProducer(t *testing.T) {
 		}()
 		return pr, nil
 	}))
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1, 32<<10)
+	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

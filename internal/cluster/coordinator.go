@@ -108,14 +108,6 @@ type Coordinator struct {
 	Table *RoutingTable
 	// Client performs the actual sends (and keeps the traffic stats).
 	Client *client.Client
-	// MaxShardBuffer bounds the per-shard read-ahead window of the
-	// streamed gather, in bytes (0 = DefaultMaxShardBuffer) — the only
-	// read-path setting. While the merge copies shard k's results
-	// forward, shards k+1..N keep producing into windows of at most
-	// this size; coordinator memory during a read is therefore
-	// O(shards × MaxShardBuffer + largest item), independent of total
-	// result size, for every plan shape.
-	MaxShardBuffer int
 	// OnEvict, when set, observes replica evictions (shard, uri, cause).
 	OnEvict func(shard int, uri string, reason error)
 	// ResultCache, when non-nil, serves repeat reads from the

@@ -42,17 +42,13 @@ type DeployConfig struct {
 	// the response incrementally and retains a copy to populate the
 	// cache only while the bytes written stay within this bound (the
 	// cache would refuse a larger entry), so coordinator memory is
-	// O(shards × MaxShardBuffer + largest item + min(result,
+	// O(shards × scanner window + largest item + min(result,
 	// ResultCacheBytes)).
 	ResultCacheBytes int64
 	// WALRoot, when non-empty, makes every replica durable: shard s
 	// replica j logs to <WALRoot>/s<s>r<j> (commit WAL + snapshots) and
 	// recovers from it when the directory already holds state.
 	WALRoot string
-	// WALSegmentBytes/WALSnapshotBytes override the per-replica log
-	// rotation and snapshot thresholds (0 = defaults).
-	WALSegmentBytes  int64
-	WALSnapshotBytes int64
 }
 
 // Deployment is a set of shard peers registered on one netsim.Network,
@@ -157,9 +153,7 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 			}
 			if cfg.WALRoot != "" {
 				if _, err := srv.EnableWAL(server.WALConfig{
-					Dir:           filepath.Join(cfg.WALRoot, fmt.Sprintf("s%dr%d", s, j)),
-					SegmentBytes:  cfg.WALSegmentBytes,
-					SnapshotBytes: cfg.WALSnapshotBytes,
+					Dir: filepath.Join(cfg.WALRoot, fmt.Sprintf("s%dr%d", s, j)),
 				}); err != nil {
 					return nil, fmt.Errorf("cluster: shard %d replica %d: %w", s, j, err)
 				}

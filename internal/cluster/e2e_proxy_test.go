@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -93,7 +92,7 @@ func TestXrpcdProxyStreamsCluster(t *testing.T) {
 
 	shard0 := start("shard 0", "-shard", "0", "-of", "2", "-docs", docs, "-modules", mods)
 	shard1 := start("shard 1", "-shard", "1", "-of", "2", "-docs", docs, "-modules", mods)
-	proxy := start("proxy", "-proxy", shard0+","+shard1, "-shard-buffer", fmt.Sprint(64<<10))
+	proxy := start("proxy", "-proxy", shard0+","+shard1)
 
 	br := getPersonRequest("person2", "person7", "nosuch")
 	want := singlePersonsBaseline(t, persons, br, nil)
@@ -111,7 +110,7 @@ func TestXrpcdProxyStreamsCluster(t *testing.T) {
 	// streaming client path: pull-decode the proxy's chunked merge
 	enc := cl.EncodeBulk(br)
 	defer enc.Release()
-	sr, err := cl.SendStreamed(proxy, enc.Bytes(), len(br.Calls), 0)
+	sr, err := cl.SendStreamed(proxy, enc.Bytes(), len(br.Calls))
 	if err != nil {
 		t.Fatalf("streamed bulk through proxy: %v", err)
 	}

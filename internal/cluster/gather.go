@@ -21,15 +21,14 @@ import (
 // indices of its calls; a broadcast is simply the plan whose parts are
 // every shard, all calls, one shared encoded body. The merge walks the
 // open streams one result sequence at a time — shard k's items for call
-// i are forwarded while shards k+1..N are still producing theirs into
-// bounded read-ahead windows — so for every plan shape the coordinator's
-// footprint is O(shards × MaxShardBuffer + largest item), not O(result),
-// and the output is byte-identical to ScatterBuffered's collect-then-
-// concat (the merge order is exactly the concatenation order).
-
-// DefaultMaxShardBuffer is the default per-shard read-ahead window of
-// the streamed gather (see Coordinator.MaxShardBuffer).
-const DefaultMaxShardBuffer = 1 << 20
+// i are forwarded while shards k+1..N wait in their transports' own
+// read-ahead (socket buffers over HTTP, a pipe on netsim), which stalls
+// a shard the merge has not reached yet — so for every plan shape the
+// coordinator holds one scanner window per shard, each at most
+// xdm.WindowBound of the largest item wrapper: O(shards × scanner
+// window + largest item), not O(result). The output is byte-identical
+// to ScatterBuffered's collect-then-concat (the merge order is exactly
+// the concatenation order).
 
 // readOp is one read's state: the client its sends go through (the
 // coordinator's own, or one pinned to a proxied request's queryID), the
@@ -160,10 +159,6 @@ func (co *Coordinator) walkReplicas(shard int, send func(uri string) error) erro
 // reads.
 func (r *readOp) open(parts []*shardPart) ([]*partStream, error) {
 	co := r.co
-	window := co.MaxShardBuffer
-	if window <= 0 {
-		window = DefaultMaxShardBuffer
-	}
 	streams := make([]*partStream, len(parts))
 	backing := make([]partStream, len(parts))
 	bodies := make([][]byte, len(parts))
@@ -176,7 +171,7 @@ func (r *readOp) open(parts []*shardPart) ([]*partStream, error) {
 		ps, shard := streams[i], parts[i].shard
 		t0 := time.Now()
 		err := co.walkReplicas(shard, func(uri string) (err error) {
-			ps.sr, err = r.cl.SendStreamed(uri, bodies[i], len(parts[i].br.Calls), window)
+			ps.sr, err = r.cl.SendStreamed(uri, bodies[i], len(parts[i].br.Calls))
 			return err
 		})
 		ps.openDur = time.Since(t0)

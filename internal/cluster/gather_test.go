@@ -420,6 +420,34 @@ func TestProxyStreamsMergedResponse(t *testing.T) {
 	}
 }
 
+// TestProxyAcceptsGzipRequests: the proxy takes requests in as a peer
+// does, so a client with gzip on gets through it the answer an
+// unsharded peer gives.
+func TestProxyAcceptsGzipRequests(t *testing.T) {
+	cfg := xmark.PaperConfig(0.05)
+	auctions := xmark.GenerateAuctions(cfg)
+	reg := testRegistry(t)
+	br := probeRequest(cfg.Persons)
+	want := singlePeerBaseline(t, reg, auctions, br)
+
+	dep, err := Deploy(netsim.NewNetwork(0, 0), reg, map[string]string{"auctions.xml": auctions}, DeployConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(&Proxy{Co: dep.Coordinator()})
+	defer hs.Close()
+
+	tr := client.NewHTTPTransport()
+	tr.Gzip = true
+	res, err := client.New(tr).CallBulk(hs.URL, br)
+	if err != nil {
+		t.Fatalf("gzip request through the proxy: %v", err)
+	}
+	if !bytes.Equal(encodeResults(br, res), want) {
+		t.Fatal("proxied gzip response differs from the single-peer baseline")
+	}
+}
+
 // TestProxyAbortsOnMidStreamFailure: once merged bytes are on the wire
 // a shard failure must terminate the connection abnormally, so the
 // client sees truncation instead of a complete-looking partial result —
@@ -427,7 +455,6 @@ func TestProxyStreamsMergedResponse(t *testing.T) {
 func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
 	nearEnd := func(n int) int { return n - 200 }
 	check := func(t *testing.T, co *Coordinator, br *client.BulkRequest) {
-		co.MaxShardBuffer = 4 << 10 // small window so the merge starts before the crash is buffered
 		hs := httptest.NewServer(&Proxy{Co: co})
 		defer hs.Close()
 		resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml",
@@ -656,7 +683,11 @@ func TestScatterStreamBoundedMemory(t *testing.T) {
 		total = v
 	}
 	const shards = 4
-	const window = 256 << 10
+	// each shard stream holds one scanner window in coordinator memory:
+	// the longest span it holds whole is one item wrapper (a 1 KiB
+	// string, under 2 KiB wrapped) and a read returns at most one
+	// encoder chunk
+	scanner := uint64(xdm.WindowBound(2<<10, soap.DefaultStreamChunk))
 
 	for _, c := range []struct {
 		name       string
@@ -694,7 +725,6 @@ func TestScatterStreamBoundedMemory(t *testing.T) {
 					}
 				}
 				co := NewCoordinator(rt, client.New(net))
-				co.MaxShardBuffer = window
 				br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
 				if c.pruned {
 					co.Route(RouteSpec{ModuleURI: "m", Func: "scan", KeyArg: 0, Doc: "d.xml", Path: "/r/e"})
@@ -731,13 +761,50 @@ func TestScatterStreamBoundedMemory(t *testing.T) {
 				t.Fatalf("merged response only %d bytes, want >= %d", streamed, total)
 			}
 			// flat: quadrupling the response must not move the peak by more
-			// than a generous constant — O(shards×window), not O(result)
-			flatBudget := peakSmall + shards*window*4 + (16 << 20)
+			// than the scanner windows and a generous constant —
+			// O(shards × scanner window), not O(result)
+			flatBudget := peakSmall + shards*scanner + (16 << 20)
 			if peakFull > flatBudget {
 				t.Fatalf("peak heap grows with result size: %d at %d bytes vs %d at %d bytes",
 					peakFull, total, peakSmall, total/4)
 			}
 		})
+	}
+}
+
+// TestScatterStreamAllocBytes: a shard stream is read straight off its
+// transport, so a small single-call read allocates per op what its
+// decoders, envelopes and the shards' own execution need — no read-ahead
+// buffer per shard on top.
+func TestScatterStreamAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's pool drops inflate allocation")
+	}
+	net := netsim.NewNetwork(0, 0)
+	dep, err := Deploy(net, testRegistry(t), map[string]string{"auctions.xml": "<site><closed_auctions><closed_auction/><closed_auction/><closed_auction/></closed_auctions></site>"},
+		DeployConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := dep.Coordinator()
+	br := scanRequest()
+	read := func() {
+		if err := co.ScatterStream(br, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the shards' plans and the pools
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d B allocated per single-call read over 2 shards", perOp)
+	if perOp >= 32<<10 {
+		t.Fatalf("a single-call read over 2 shards allocates %d B, want < 32 KiB", perOp)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"xrpc/internal/client"
 	"xrpc/internal/obs"
+	"xrpc/internal/server"
 	"xrpc/internal/soap"
 )
 
@@ -22,35 +23,18 @@ import (
 // sequence per call, is small by construction).
 type Proxy struct {
 	Co *Coordinator
-	// MaxRequestBytes bounds one request body (0 = 256 MiB, matching
-	// server.DefaultMaxRequestBytes).
-	MaxRequestBytes int64
 	// Log, when non-nil, receives structured records for proxy-level
 	// failures (malformed requests, scatter faults, mid-stream aborts),
 	// each carrying the request's trace ID. Nil disables logging.
 	Log *slog.Logger
 }
 
-const proxyMaxRequestBytes = 256 << 20
-
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It takes requests in as a peer
+// does (server.ReadRequest): a client that gzips its requests for a
+// peer may send them to the proxy too.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "XRPC requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	maxBytes := p.MaxRequestBytes
-	if maxBytes <= 0 {
-		maxBytes = proxyMaxRequestBytes
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > maxBytes {
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBytes),
-			http.StatusRequestEntityTooLarge)
+	body, status := server.ReadRequest(w, r, 0)
+	if status != 0 {
 		return
 	}
 	w.Header().Set("Content-Type", "application/soap+xml; charset=utf-8")

@@ -679,8 +679,3 @@ func (rt *RoutingTable) validateRangesLocked() error {
 	}
 	return nil
 }
-
-// Complete reports whether the table is valid and fully routable (see
-// Validate for what that means — it is much stronger than "every shard
-// has a peer").
-func (rt *RoutingTable) Complete() bool { return rt.Validate() == nil }

@@ -215,35 +215,11 @@ func (s *Server) handleInto(enc *soap.Encoder, body []byte) {
 // gzip-encoded request bodies unconditionally and gzips the response
 // when s.Gzip is set and the client advertised Accept-Encoding: gzip.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "XRPC requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	maxBytes := s.MaxRequestBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxRequestBytes
-	}
-	var rd io.Reader = r.Body
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		defer gz.Close()
-		rd = gz
-	}
-	body, err := io.ReadAll(io.LimitReader(rd, maxBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > maxBytes {
-		if s.Metrics != nil {
+	body, status := ReadRequest(w, r, s.MaxRequestBytes)
+	if status != 0 {
+		if status == http.StatusRequestEntityTooLarge && s.Metrics != nil {
 			s.Metrics.Rejections.Inc()
 		}
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBytes),
-			http.StatusRequestEntityTooLarge)
 		return
 	}
 	w.Header().Set("Content-Type", "application/soap+xml; charset=utf-8")
@@ -271,6 +247,43 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	enc.Flush()
 	// a late write error means the client went away mid-response;
 	// there is no one left to report it to
+}
+
+// ReadRequest is the request intake every XRPC HTTP handler shares (a
+// peer's and a cluster proxy's): POST only, a gzip Content-Encoding
+// undone, the decoded body bounded by maxBytes (0 =
+// DefaultMaxRequestBytes). It returns the body and status 0, or, when
+// it has already answered the request with an HTTP error (405, 400 or
+// 413), that error's status.
+func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, int) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "XRPC requires POST", http.StatusMethodNotAllowed)
+		return nil, http.StatusMethodNotAllowed
+	}
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxRequestBytes
+	}
+	var rd io.Reader = r.Body
+	if r.Header.Get("Content-Encoding") == "gzip" {
+		gz, err := gzip.NewReader(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return nil, http.StatusBadRequest
+		}
+		defer gz.Close()
+		rd = gz
+	}
+	body, err := io.ReadAll(io.LimitReader(rd, maxBytes+1))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, http.StatusBadRequest
+	}
+	if int64(len(body)) > maxBytes {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBytes),
+			http.StatusRequestEntityTooLarge)
+		return nil, http.StatusRequestEntityTooLarge
+	}
+	return body, 0
 }
 
 // flushWriter pushes every encoder chunk through to the socket: a

@@ -113,10 +113,6 @@ func EncodeFaultRef(f *Fault) []byte {
 	return []byte(b.String())
 }
 
-// WriteSequence exposes the s2n marshaling (sequence -> <xrpc:sequence>
-// XML) for generated queries and tests.
-func WriteSequence(b *strings.Builder, seq xdm.Sequence) { writeSequence(b, seq) }
-
 // writeSequence is s2n (§2.2): the SOAP representation of an XDM
 // sequence.
 func writeSequence(b *strings.Builder, seq xdm.Sequence) {
