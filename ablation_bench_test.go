@@ -41,7 +41,7 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 	if err := st.LoadXML("filmDB.xml", xmark.GenerateFilmDB(200, nil)); err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 	net.Register("xrpc://y", srv)
 	compiled, err := pathfinder.Compile(invariantCallQuery, reg)
 	if err != nil {
@@ -74,7 +74,7 @@ func benchPredIndex(b *testing.B, disabled bool) {
 	}
 	snap := st.Snapshot()
 	defer snap.Release()
-	eng := interp.New(nil, nil)
+	eng := interp.New(nil)
 	eng.DisablePredIndex = disabled
 	compiled, err := eng.Compile(`
 for $i in (0 to 199)

@@ -25,7 +25,10 @@
 //	xrpcd -addr :8080 -proxy xrpc://s0:8081,xrpc://s1:8082
 //
 // Each comma-separated entry is one shard, in shard order; replicas of
-// a shard are separated by '|' (first entry is the primary).
+// a shard are separated by '|' (first entry is the primary). The proxy
+// answers through the peer's own response path: with -gzip it gzips its
+// answers for clients that accept it, and a failure reaches the client
+// with the fault code a single peer would give.
 //
 // Version-fenced caching: -respcache N gives a peer an N MiB response
 // cache (read-only bulk calls outside an isolation scope are served
@@ -296,7 +299,7 @@ func runProxy(addr, peers string, rpcTimeout time.Duration, useGzip bool, result
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/xrpc", &cluster.Proxy{Co: co, Log: logger})
+	mux.Handle("/xrpc", &cluster.Proxy{Co: co, Gzip: useGzip, Log: logger})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "XRPC scatter-gather proxy over %d shard(s)\n", rt.NumShards())
 		for i := 0; i < rt.NumShards(); i++ {

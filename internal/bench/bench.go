@@ -90,7 +90,7 @@ func NewTable2Env(rtt time.Duration) (*Table2Env, error) {
 		return nil, err
 	}
 	ySt := store.New()
-	yEng := interp.New(reg, nil)
+	yEng := interp.New(reg)
 	yExec := server.NewNativeExecutor(yEng, reg)
 	ySrv := server.New(ySt, reg, yExec)
 	ySrv.Self = "xrpc://y.example.org"
@@ -233,7 +233,7 @@ func RunThroughput(payloadKB int, response bool) (*ThroughputResult, error) {
 		return nil, err
 	}
 	ySt := store.New()
-	yExec := server.NewNativeExecutor(interp.New(reg, nil), reg)
+	yExec := server.NewNativeExecutor(interp.New(reg), reg)
 	ySrv := server.New(ySt, reg, yExec)
 	net.Register("xrpc://y", ySrv)
 
@@ -402,7 +402,7 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 	mk := func(uri, xml string) {
 		st := store.New()
 		st.LoadXML("filmDB.xml", xml)
-		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 		net.Register(uri, srv)
 	}
 	mk("xrpc://y.example.org", xmark.PaperFilmDB)
@@ -623,7 +623,7 @@ func newBulkExecEnv(module, docName, docXML string, req *soap.Request) (*BulkExe
 	if err := st.LoadXML(docName, docXML); err != nil {
 		return nil, err
 	}
-	exec := server.NewNativeExecutor(interp.New(reg, nil), reg)
+	exec := server.NewNativeExecutor(interp.New(reg), reg)
 	srv := server.New(st, reg, exec)
 	srv.Self = "xrpc://y.example.org"
 	return &BulkExecEnv{Server: srv, Exec: exec, Body: soap.EncodeRequest(req)}, nil

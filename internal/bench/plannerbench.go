@@ -126,7 +126,7 @@ func plannerBaseline(personsXML, itemsXML string, br *client.BulkRequest, rtt ti
 	if err := st.LoadXML("items.xml", itemsXML); err != nil {
 		return nil, err
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 	net.Register("xrpc://single", srv)
 	res, err := client.New(net).CallBulk("xrpc://single", br)
 	if err != nil {

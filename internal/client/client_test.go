@@ -38,7 +38,7 @@ func newServer(t *testing.T) *server.Server {
 	if err := reg.Register(filmModule, "http://x.example.org/film.xq"); err != nil {
 		t.Fatal(err)
 	}
-	return server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	return server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 }
 
 func TestCallSingle(t *testing.T) {

@@ -298,25 +298,33 @@ func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadClose
 // streamBody is an HTTP response body with a per-read idle watchdog:
 // the timer is armed only while a Read is in flight, so time the
 // consumer spends processing between reads does not count against the
-// deadline.
+// deadline. The stream has one timer, made by its first Read and
+// re-armed by every later one.
 type streamBody struct {
 	body     io.ReadCloser // decoded stream (gzip reader or raw body)
 	raw      io.ReadCloser // the underlying resp.Body
 	cancel   context.CancelFunc
 	idle     time.Duration
+	timer    *time.Timer
 	timedOut atomic.Bool
 	metrics  *TransportMetrics
 }
 
 func (b *streamBody) Read(p []byte) (int, error) {
 	if b.idle > 0 {
-		timer := time.AfterFunc(b.idle, func() {
-			b.timedOut.Store(true)
-			b.cancel()
-		})
-		defer timer.Stop()
+		if b.timer == nil {
+			b.timer = time.AfterFunc(b.idle, func() {
+				b.timedOut.Store(true)
+				b.cancel()
+			})
+		} else {
+			b.timer.Reset(b.idle)
+		}
 	}
 	n, err := b.body.Read(p)
+	if b.timer != nil {
+		b.timer.Stop()
+	}
 	if err != nil && err != io.EOF && b.timedOut.Load() {
 		if b.metrics != nil {
 			b.metrics.Timeouts.With("idle_read").Inc()

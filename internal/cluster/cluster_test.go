@@ -71,7 +71,7 @@ func singlePeerBaseline(t *testing.T, reg *modules.Registry, auctions string, br
 	if err := st.LoadXML("auctions.xml", auctions); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 	net.Register("xrpc://single", srv)
 	res, err := client.New(net).CallBulk("xrpc://single", br)
 	if err != nil {
@@ -261,7 +261,7 @@ for $pid in $pids return execute at {"xrpc://cluster"} {b:Q_B3($pid)}`, reg)
 	if err := single.LoadXML("auctions.xml", auctions); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(single, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	srv := server.New(single, reg, server.NewNativeExecutor(interp.New(reg), reg))
 	net.Register("xrpc://direct", srv)
 	direct, err := co.CallBulk("xrpc://direct", br)
 	if err != nil {
@@ -496,7 +496,7 @@ func TestCoordinatorOverHTTP(t *testing.T) {
 		if err := st.LoadXML("auctions.xml", parts[s]); err != nil {
 			t.Fatal(err)
 		}
-		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 		srv.Shard, srv.Shards = s, shards
 		hs := httptest.NewServer(srv)
 		defer hs.Close()

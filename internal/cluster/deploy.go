@@ -139,7 +139,7 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 					return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
 				}
 			}
-			exec := server.NewNativeExecutor(interp.New(reg, nil), reg)
+			exec := server.NewNativeExecutor(interp.New(reg), reg)
 			srv := server.New(st, reg, exec)
 			srv.Self = uri
 			srv.Shard, srv.Shards = s, cfg.Shards

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,7 +22,8 @@ import (
 // as it would to a single peer; the streamed shard-order merge it
 // receives must be byte-identical to a single unsharded peer's
 // response, both through the buffered client path and through the
-// streaming pull-decoder.
+// streaming pull-decoder — from a plain proxy to a plain client, and
+// from a `-gzip` proxy to a gzip client, which it answers gzipped.
 func TestXrpcdProxyStreamsCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -49,9 +51,9 @@ func TestXrpcdProxyStreamsCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// start launches one daemon and returns its actual listen address,
-	// parsed from the startup log line
-	start := func(name string, args ...string) string {
+	// start launches one daemon, stopped when t ends, and returns its
+	// actual listen address, parsed from the startup log line
+	start := func(t *testing.T, name string, args ...string) string {
 		t.Helper()
 		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 		stderr, err := cmd.StderrPipe()
@@ -90,57 +92,70 @@ func TestXrpcdProxyStreamsCluster(t *testing.T) {
 		return ""
 	}
 
-	shard0 := start("shard 0", "-shard", "0", "-of", "2", "-docs", docs, "-modules", mods)
-	shard1 := start("shard 1", "-shard", "1", "-of", "2", "-docs", docs, "-modules", mods)
-	proxy := start("proxy", "-proxy", shard0+","+shard1)
-
+	shard0 := start(t, "shard 0", "-shard", "0", "-of", "2", "-docs", docs, "-modules", mods)
+	shard1 := start(t, "shard 1", "-shard", "1", "-of", "2", "-docs", docs, "-modules", mods)
 	br := getPersonRequest("person2", "person7", "nosuch")
 	want := singlePersonsBaseline(t, persons, br, nil)
 
-	// buffered client path: the proxy answers like one unsharded peer
-	cl := client.New(client.NewHTTPTransportTimeout(10 * time.Second))
-	res, err := cl.CallBulk(proxy, br)
-	if err != nil {
-		t.Fatalf("bulk through proxy: %v", err)
-	}
-	if !bytes.Equal(encodeResults(br, res), want) {
-		t.Fatal("proxy response differs from the unsharded single-peer response")
-	}
+	for _, gz := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gzip %v", gz), func(t *testing.T) {
+			args := []string{"-proxy", shard0 + "," + shard1}
+			if gz {
+				args = append(args, "-gzip")
+			}
+			proxy := start(t, "proxy", args...)
+			tr, encoding := encodingRecorder()
+			tr.Gzip = gz
+			cl := client.New(tr)
 
-	// streaming client path: pull-decode the proxy's chunked merge
-	enc := cl.EncodeBulk(br)
-	defer enc.Release()
-	sr, err := cl.SendStreamed(proxy, enc.Bytes(), len(br.Calls))
-	if err != nil {
-		t.Fatalf("streamed bulk through proxy: %v", err)
-	}
-	defer sr.Close()
-	var streamed []xdm.Sequence
-	for {
-		ok, err := sr.NextSequence()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		var seq xdm.Sequence
-		for {
-			it, err := sr.NextItem()
+			// buffered client path: the proxy answers like one unsharded peer
+			res, err := cl.CallBulk(proxy, br)
 			if err != nil {
+				t.Fatalf("bulk through proxy: %v", err)
+			}
+			if !bytes.Equal(encodeResults(br, res), want) {
+				t.Fatal("proxy response differs from the unsharded single-peer response")
+			}
+			if gz != (*encoding == "gzip") {
+				t.Fatalf("proxy answered with Content-Encoding %q", *encoding)
+			}
+
+			// streaming client path: pull-decode the proxy's chunked merge
+			enc := cl.EncodeBulk(br)
+			defer enc.Release()
+			sr, err := cl.SendStreamed(proxy, enc.Bytes(), len(br.Calls))
+			if err != nil {
+				t.Fatalf("streamed bulk through proxy: %v", err)
+			}
+			defer sr.Close()
+			var streamed []xdm.Sequence
+			for {
+				ok, err := sr.NextSequence()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				var seq xdm.Sequence
+				for {
+					it, err := sr.NextItem()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if it == nil {
+						break
+					}
+					seq = append(seq, it)
+				}
+				streamed = append(streamed, seq)
+			}
+			if _, err := sr.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			if it == nil {
-				break
+			if !bytes.Equal(encodeResults(br, streamed), want) {
+				t.Fatal("streamed proxy response differs from the unsharded single-peer response")
 			}
-			seq = append(seq, it)
-		}
-		streamed = append(streamed, seq)
-	}
-	if _, err := sr.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeResults(br, streamed), want) {
-		t.Fatal("streamed proxy response differs from the unsharded single-peer response")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -17,10 +18,12 @@ import (
 	"time"
 
 	"xrpc/internal/client"
+	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
 	"xrpc/internal/server"
 	"xrpc/internal/soap"
+	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
 )
@@ -300,7 +303,7 @@ func TestScatterStreamPrunedRoute(t *testing.T) {
 func encodeSOAPRequest(br *client.BulkRequest) []byte {
 	return soap.EncodeRequest(&soap.Request{
 		Module: br.ModuleURI, Method: br.Func, Arity: br.Arity,
-		Location: br.AtHint, Calls: br.Calls,
+		Location: br.AtHint, Calls: br.Calls, Updating: br.Updating,
 	})
 }
 
@@ -420,9 +423,10 @@ func TestProxyStreamsMergedResponse(t *testing.T) {
 	}
 }
 
-// TestProxyAcceptsGzipRequests: the proxy takes requests in as a peer
-// does, so a client with gzip on gets through it the answer an
-// unsharded peer gives.
+// TestProxyAcceptsGzipRequests: the proxy takes requests in and answers
+// them as a peer does, so a client with gzip on gets through it the
+// answer an unsharded peer gives, and the answer is gzipped exactly when
+// the proxy is configured for it and the client accepts it.
 func TestProxyAcceptsGzipRequests(t *testing.T) {
 	cfg := xmark.PaperConfig(0.05)
 	auctions := xmark.GenerateAuctions(cfg)
@@ -434,37 +438,160 @@ func TestProxyAcceptsGzipRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(&Proxy{Co: dep.Coordinator()})
-	defer hs.Close()
-
-	tr := client.NewHTTPTransport()
-	tr.Gzip = true
-	res, err := client.New(tr).CallBulk(hs.URL, br)
-	if err != nil {
-		t.Fatalf("gzip request through the proxy: %v", err)
+	for _, c := range []struct{ proxyGzip, clientGzip bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+	} {
+		t.Run(fmt.Sprintf("proxy gzip %v client gzip %v", c.proxyGzip, c.clientGzip), func(t *testing.T) {
+			hs := httptest.NewServer(&Proxy{Co: dep.Coordinator(), Gzip: c.proxyGzip})
+			defer hs.Close()
+			tr, encoding := encodingRecorder()
+			tr.Gzip = c.clientGzip
+			res, err := client.New(tr).CallBulk(hs.URL, br)
+			if err != nil {
+				t.Fatalf("request through the proxy: %v", err)
+			}
+			if !bytes.Equal(encodeResults(br, res), want) {
+				t.Fatal("proxied response differs from the single-peer baseline")
+			}
+			wantEnc := ""
+			if c.proxyGzip && c.clientGzip {
+				wantEnc = "gzip"
+			}
+			if *encoding != wantEnc {
+				t.Fatalf("response Content-Encoding %q, want %q", *encoding, wantEnc)
+			}
+		})
 	}
-	if !bytes.Equal(encodeResults(br, res), want) {
-		t.Fatal("proxied gzip response differs from the single-peer baseline")
+}
+
+// encodingRecorder returns an HTTP transport that asks for no
+// compression of its own and the place where it notes the
+// Content-Encoding of the last response it received.
+func encodingRecorder() (*client.HTTPTransport, *string) {
+	var enc string
+	inner := &http.Transport{DisableCompression: true}
+	tr := client.NewHTTPTransport()
+	tr.Client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := inner.RoundTrip(r)
+		if err == nil {
+			enc = resp.Header.Get("Content-Encoding")
+		}
+		return resp, err
+	})}
+	return tr, &enc
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestProxyFaultsLikeAPeer: the proxy answers a failure with the fault
+// a peer would give. Over one unsharded peer, a request the peer faults
+// faults identically through the proxy, code and reason; a failure the
+// proxy raises itself is classed by the peer's rule (an XRPC error is
+// the sender's).
+func TestProxyFaultsLikeAPeer(t *testing.T) {
+	st := store.New()
+	if err := st.LoadXML("persons.xml", xmark.GeneratePersons(xmark.Config{Persons: 10, Seed: 11})); err != nil {
+		t.Fatal(err)
+	}
+	reg := personsRegistry(t)
+	peer := httptest.NewServer(server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg)))
+	defer peer.Close()
+	rt, err := NewRoutingTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Add(0, peer.URL); err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(&Proxy{Co: NewCoordinator(rt, client.New(client.NewHTTPTransport()))})
+	defer proxy.Close()
+
+	fault := func(t *testing.T, url string, body []byte) *soap.Fault {
+		t.Helper()
+		resp, err := http.Post(url+client.XRPCPath, "application/soap+xml", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, err = soap.DecodeResponseStream(resp.Body)
+		var f *soap.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("%s answered %v, want a Fault", url, err)
+		}
+		return f
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		// peerFaults: the peer answers body with a fault of its own,
+		// which the proxy's must equal
+		peerFaults bool
+		code, xrpc string
+	}{
+		{"unknown module", encodeSOAPRequest(&client.BulkRequest{ModuleURI: "no-such-module", Func: "f", Calls: [][]xdm.Sequence{{}}}),
+			true, "env:Sender", "XRPC0007"},
+		{"updating function with no route", encodeSOAPRequest(setCityRequest("Oslo", "person1")),
+			false, "env:Sender", "XRPC0007"},
+		{"malformed envelope", []byte("<env:Envelope><env:Body>"),
+			true, "env:Sender", "XRPC0003"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := fault(t, proxy.URL, c.body)
+			if got.Code != c.code || !strings.Contains(got.Reason, c.xrpc) {
+				t.Fatalf("proxy fault %s %q, want %s naming %s", got.Code, got.Reason, c.code, c.xrpc)
+			}
+			if c.peerFaults {
+				if want := fault(t, peer.URL, c.body); *got != *want {
+					t.Fatalf("proxy fault %s %q, the peer's %s %q", got.Code, got.Reason, want.Code, want.Reason)
+				}
+			}
+		})
 	}
 }
 
 // TestProxyAbortsOnMidStreamFailure: once merged bytes are on the wire
 // a shard failure must terminate the connection abnormally, so the
 // client sees truncation instead of a complete-looking partial result —
-// whether the plan is a broadcast or routed to the one failing shard.
+// whether the plan is a broadcast or routed to the one failing shard,
+// and whether the answer is plain or gzipped (no gzip trailer may close
+// a cut stream).
 func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
 	nearEnd := func(n int) int { return n - 200 }
 	check := func(t *testing.T, co *Coordinator, br *client.BulkRequest) {
-		hs := httptest.NewServer(&Proxy{Co: co})
-		defer hs.Close()
-		resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml",
-			bytes.NewReader(encodeSOAPRequest(br)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if _, err := io.ReadAll(resp.Body); err == nil {
-			t.Fatal("mid-stream shard failure delivered a clean (truncated) response body")
+		for _, gz := range []bool{false, true} {
+			t.Run(fmt.Sprintf("gzip %v", gz), func(t *testing.T) {
+				hs := httptest.NewServer(&Proxy{Co: co, Gzip: gz})
+				defer hs.Close()
+				req, err := http.NewRequest(http.MethodPost, hs.URL+client.XRPCPath, bytes.NewReader(encodeSOAPRequest(br)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Accept-Encoding", "gzip")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if enc := resp.Header.Get("Content-Encoding"); gz != (enc == "gzip") {
+					t.Fatalf("Gzip %v proxy answered with Content-Encoding %q", gz, enc)
+				}
+				read := func() error {
+					if !gz {
+						_, err := io.ReadAll(resp.Body)
+						return err
+					}
+					zr, err := gzip.NewReader(resp.Body)
+					if err == nil {
+						_, err = io.ReadAll(zr)
+					}
+					return err
+				}
+				if read() == nil {
+					t.Fatal("mid-stream shard failure delivered a clean (truncated) response body")
+				}
+			})
 		}
 	}
 	t.Run("broadcast", func(t *testing.T) {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 
@@ -10,41 +8,45 @@ import (
 	"xrpc/internal/obs"
 	"xrpc/internal/server"
 	"xrpc/internal/soap"
+	"xrpc/internal/xdm"
 )
 
 // Proxy exposes a Coordinator as an ordinary XRPC peer over HTTP: a
 // client posts a bulk request to /xrpc exactly as it would to a single
-// server, and receives the merged cluster response — streamed. Read
-// requests flow through the read pipeline into a writer sink (what
-// ScatterStream does, through a client pinned to the request's queryID
-// when it carries one), so the proxy forwards shard results to the
-// client as they arrive and never materializes the merged response;
-// updating requests route through Update (whose result, one status
-// sequence per call, is small by construction).
+// server, and receives the merged cluster response — streamed. It takes
+// requests in and answers them as a peer does (server.ReadRequest and
+// server.Reply), so it accepts gzip requests, gzips its answers when
+// Gzip is set, and faults with the codes a peer would. Read requests
+// flow through the read pipeline into a writer sink (what ScatterStream
+// does, through a client pinned to the request's queryID when it
+// carries one), so the proxy forwards shard results to the client as
+// they arrive and never materializes the merged response; updating
+// requests route through Update (whose result, one status sequence per
+// call, is small by construction).
 type Proxy struct {
 	Co *Coordinator
+	// Gzip enables gzip Content-Encoding on responses for clients that
+	// advertise Accept-Encoding: gzip, as Server.Gzip does for a peer.
+	Gzip bool
 	// Log, when non-nil, receives structured records for proxy-level
 	// failures (malformed requests, scatter faults, mid-stream aborts),
 	// each carrying the request's trace ID. Nil disables logging.
 	Log *slog.Logger
 }
 
-// ServeHTTP implements http.Handler. It takes requests in as a peer
-// does (server.ReadRequest): a client that gzips its requests for a
-// peer may send them to the proxy too.
+// ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, status := server.ReadRequest(w, r, 0)
 	if status != 0 {
 		return
 	}
-	w.Header().Set("Content-Type", "application/soap+xml; charset=utf-8")
+	rp := server.NewReply(w, r, p.Gzip, nil)
 	req, err := soap.DecodeRequest(body)
 	if err != nil {
 		if p.Log != nil {
 			p.Log.Error("malformed request", "remote", r.RemoteAddr, "err", err)
 		}
-		soap.EncodeFaultTo(w, &soap.Fault{Code: "env:Sender",
-			Reason: fmt.Sprintf("malformed request: %v", err)})
+		rp.Finish(xdm.Errorf("XRPC0003", "malformed request: %v", err))
 		return
 	}
 	// the proxy is the cluster's front door: a request arriving without a
@@ -67,22 +69,16 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Updating {
 		results, err := p.Co.Update(br)
-		if err != nil {
-			if p.Log != nil {
-				p.Log.Error("update failed", "trace_id", trace,
-					"module", req.Module, "method", req.Method, "err", err)
-			}
-			soap.EncodeFaultTo(w, proxyFault(err))
-			return
+		if err == nil {
+			err = rp.Send(func(enc *soap.Encoder) {
+				enc.EncodeResponse(&soap.Response{Module: req.Module, Method: req.Method, Results: results})
+			})
+		} else if p.Log != nil {
+			p.Log.Error("update failed", "trace_id", trace,
+				"module", req.Module, "method", req.Method, "err", err)
 		}
-		soap.EncodeResponseTo(w, &soap.Response{
-			Module: req.Module, Method: req.Method, Results: results,
-		})
+		rp.Finish(err)
 		return
-	}
-	sink := &proxySink{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		sink.f = f
 	}
 	// a request inside an isolation scope reads through a client pinned to
 	// its queryID (repeatable read at every shard); everything else about
@@ -93,53 +89,16 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		cl = client.New(cl.Transport)
 		cl.QueryID = req.QueryID
 	}
-	if err := p.Co.scatterStream(cl, br, sink); err != nil {
-		if sink.wrote == 0 {
-			// nothing left the process yet: a clean fault envelope
-			if p.Log != nil {
-				p.Log.Error("scatter failed", "trace_id", trace,
-					"module", req.Module, "method", req.Method, "err", err)
-			}
-			soap.EncodeFaultTo(w, proxyFault(err))
-			return
-		}
-		// mid-stream failure with merged bytes already on the wire: the
-		// partial envelope must not arrive looking complete, so abort
-		// the connection — the client's decoder sees truncation, not a
-		// silently shortened result
-		if p.Log != nil {
+	err = p.Co.scatterStream(cl, br, rp)
+	if err != nil && p.Log != nil {
+		if rp.Written() == 0 {
+			p.Log.Error("scatter failed", "trace_id", trace,
+				"module", req.Module, "method", req.Method, "err", err)
+		} else {
 			p.Log.Error("scatter aborted mid-stream", "trace_id", trace,
 				"module", req.Module, "method", req.Method,
-				"bytes_written", sink.wrote, "err", err)
+				"bytes_written", rp.Written(), "err", err)
 		}
-		panic(http.ErrAbortHandler)
 	}
-}
-
-func proxyFault(err error) *soap.Fault {
-	if f, ok := err.(*soap.Fault); ok {
-		return f
-	}
-	return &soap.Fault{Code: "env:Receiver", Reason: err.Error()}
-}
-
-// proxySink forwards encoder chunks to the client immediately and
-// remembers whether anything was written (the fault-vs-abort decision
-// above).
-type proxySink struct {
-	w     io.Writer
-	f     http.Flusher
-	wrote int64
-}
-
-func (s *proxySink) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	s.wrote += int64(n)
-	if err != nil {
-		return n, err
-	}
-	if s.f != nil {
-		s.f.Flush()
-	}
-	return n, nil
+	rp.Finish(err)
 }

@@ -111,7 +111,7 @@ func singleDocBaseline(t *testing.T, reg *modules.Registry, doc, xml string, br,
 	if err := st.LoadXML(doc, xml); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+	srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 	net.Register("xrpc://single", srv)
 	cl := client.New(net)
 	if after != nil {
@@ -667,7 +667,7 @@ func TestHTTPStatusFailoverClassification(t *testing.T) {
 	if err := st.LoadXML("persons.xml", xml); err != nil {
 		t.Fatal(err)
 	}
-	good := httptest.NewServer(server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg)))
+	good := httptest.NewServer(server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg)))
 	defer good.Close()
 
 	status := func(code int) *httptest.Server {

@@ -85,7 +85,7 @@ type Peer struct {
 func NewPeer(self string, transport netsim.Transport) *Peer {
 	st := store.New()
 	reg := modules.NewRegistry()
-	eng := interp.New(reg, nil)
+	eng := interp.New(reg)
 	exec := server.NewNativeExecutor(eng, reg)
 	srv := server.New(st, reg, exec)
 	srv.Self = self
@@ -130,7 +130,7 @@ func NewWrapperPeer(self string, transport netsim.Transport) (*Peer, *wrapper.Wr
 		Server:         srv,
 		Transport:      transport,
 		DefaultTimeout: 30,
-		eng:            interp.New(reg, nil),
+		eng:            interp.New(reg),
 	}
 	return p, w
 }

@@ -24,7 +24,7 @@ declare function p:cityOf($pid as xs:string) as node()*
 // the module over it.
 func xmarkPersons(t testing.TB, n int) (*store.Store, *Compiled) {
 	t.Helper()
-	c, err := New(nil, nil).CompileModule(carryModule)
+	c, err := New(nil).CompileModule(carryModule)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // pending update list.
 func collect(t testing.TB, snap *store.Snapshot, query string) *UpdateList {
 	t.Helper()
-	c, err := New(nil, nil).Compile(query)
+	c, err := New(nil).Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}

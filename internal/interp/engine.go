@@ -87,7 +87,6 @@ type ExtFunc func(args []xdm.Sequence) (xdm.Sequence, error)
 // documents it reads (EvalOptions.Docs).
 type Engine struct {
 	Modules ModuleResolver
-	RPC     RPCCaller
 	// ExtFuncs maps prefixed names (e.g. "xrpcw:n2s") to host functions.
 	ExtFuncs map[string]ExtFunc
 	// ByFragment enables the call-by-fragment protocol extension for
@@ -100,10 +99,9 @@ type Engine struct {
 	MaxRecursion int
 }
 
-// New creates an engine over the given resolvers. rpc may be nil, in
-// which case execute at raises an error.
-func New(modules ModuleResolver, rpc RPCCaller) *Engine {
-	return &Engine{Modules: modules, RPC: rpc}
+// New creates an engine over the given module resolver.
+func New(modules ModuleResolver) *Engine {
+	return &Engine{Modules: modules}
 }
 
 // funcKey identifies a function by namespace URI, local name and arity.
@@ -360,8 +358,9 @@ type EvalOptions struct {
 	// path, whose version then keeps the evaluation's steps and indexes
 	// (VersionedResolver). Nil means no documents.
 	Docs DocResolver
-	// RPC overrides the engine's RPC caller (e.g. a per-query client
-	// carrying the queryID of the request being served).
+	// RPC performs the evaluation's execute-at calls (e.g. a per-query
+	// client carrying the queryID of the request being served). Nil
+	// means execute at raises XRPC0001.
 	RPC RPCCaller
 	// CollectUpdates, when true, permits update expressions; their
 	// pending update list is returned instead of applied.
@@ -564,14 +563,10 @@ func (c *Compiled) newDynCtx(opts *EvalOptions, memo *evalMemo, cnt *indexCounte
 	if maxRec <= 0 {
 		maxRec = 4096
 	}
-	rpc := c.engine.RPC
-	if opts.RPC != nil {
-		rpc = opts.RPC
-	}
 	ctx := &dynCtx{
 		c:      c,
 		module: c.main,
-		rpc:    rpc,
+		rpc:    opts.RPC,
 		pul:    &UpdateList{},
 		cnt:    cnt,
 		memo:   memo,

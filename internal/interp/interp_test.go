@@ -40,7 +40,7 @@ func newTestEngine(t *testing.T) (*testEngine, *store.Store) {
 	if err := reg.Register(filmModule, "http://x.example.org/film.xq"); err != nil {
 		t.Fatal(err)
 	}
-	return &testEngine{Engine: New(reg, nil), docs: storetest.Latest(t, st)}, st
+	return &testEngine{Engine: New(reg), docs: storetest.Latest(t, st)}, st
 }
 
 func evalQuery(t *testing.T, e *testEngine, src string) xdm.Sequence {
@@ -165,7 +165,7 @@ func TestEvalAttributes(t *testing.T) {
 	if err := st.LoadXML("p.xml", `<people><person id="p1" age="30"/><person id="p2" age="40"/></people>`); err != nil {
 		t.Fatal(err)
 	}
-	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
+	e := &testEngine{Engine: New(nil), docs: storetest.Latest(t, st)}
 	cases := map[string]string{
 		`string(doc("p.xml")//person[1]/@id)`:       "p1",
 		`count(doc("p.xml")//person[@id="p2"])`:     "1",

@@ -46,7 +46,7 @@ func TestPredIndexMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(query string, disable bool) string {
-		e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
+		e := &testEngine{Engine: New(nil), docs: storetest.Latest(t, st)}
 		e.DisablePredIndex = disable
 		c, err := e.Compile(query)
 		if err != nil {
@@ -142,7 +142,7 @@ type bulkOutcome struct {
 // engine without the index, stopping at the first error.
 func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence) bulkOutcome {
 	t.Helper()
-	e := New(nil, nil)
+	e := New(nil)
 	e.DisablePredIndex = true
 	c, err := e.CompileModule(module)
 	if err != nil {
@@ -162,7 +162,7 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 
 func bulk(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence, workers int) (bulkOutcome, Stats) {
 	t.Helper()
-	c, err := New(nil, nil).CompileModule(module)
+	c, err := New(nil).CompileModule(module)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ declare function s:f($v as item()*) as node()* { ` + tc.body + ` };`
 // a snapshot, its version's.
 func TestEvalMemoRetainsOnlyResolverDocuments(t *testing.T) {
 	st := bulkStore(t)
-	c, err := New(nil, nil).CompileModule(`module namespace s = "shapes";
+	c, err := New(nil).CompileModule(`module namespace s = "shapes";
 declare function s:f($v as xs:string) as node()*
 { (<r>{doc("persons.xml")//person}</r>)//person[@id = $v]/address/city };`)
 	if err != nil {
@@ -354,7 +354,7 @@ func TestPredIndexNumericFallback(t *testing.T) {
 	if err := st.LoadXML("r.xml", b.String()); err != nil {
 		t.Fatal(err)
 	}
-	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
+	e := &testEngine{Engine: New(nil), docs: storetest.Latest(t, st)}
 	c, err := e.Compile(`
 for $i in (1 to 20)
 return count(doc("r.xml")//e[@k=$i])`)
@@ -378,7 +378,7 @@ return count(doc("r.xml")//e[@k=$i])`)
 // Predicates that consult position() or the context must not be indexed.
 func TestPredIndexSkipsContextDependent(t *testing.T) {
 	st := bigPersonStore(t, 30)
-	e := &testEngine{Engine: New(nil, nil), docs: storetest.Latest(t, st)}
+	e := &testEngine{Engine: New(nil), docs: storetest.Latest(t, st)}
 	c, err := e.Compile(`count(doc("people.xml")//person[position() = last()])`)
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +626,7 @@ func getPerson(t *testing.T, c *Compiled, snap *store.Snapshot, id string) (stri
 
 func compilePersons(t *testing.T) *Compiled {
 	t.Helper()
-	c, err := New(nil, nil).CompileModule(personsModule)
+	c, err := New(nil).CompileModule(personsModule)
 	if err != nil {
 		t.Fatal(err)
 	}

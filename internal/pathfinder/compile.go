@@ -27,7 +27,7 @@ func Compile(src string, reg *modules.Registry) (*Compiled, error) {
 	if reg != nil {
 		resolver = reg
 	}
-	static, err := interp.New(resolver, nil).Compile(src)
+	static, err := interp.New(resolver).Compile(src)
 	if err != nil {
 		return nil, err
 	}

@@ -435,7 +435,7 @@ func (g *qgen) dropVar() {
 // one of them (same result or both erroring).
 func TestDifferentialEngines(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.reg, nil)
+	refEngine := interp.New(f.reg)
 	const n = 400
 	skipped, bothErr := 0, 0
 	var joins JoinStats
@@ -443,7 +443,7 @@ func TestDifferentialEngines(t *testing.T) {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
 		query := g.expr(4)
 
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs, Joins: &joins})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs, Joins: &joins}, nil)
 		if pfErr != nil && strings.Contains(pfErr.Error(), "not supported") {
 			skipped++
 			continue
@@ -479,13 +479,13 @@ func TestDifferentialEngines(t *testing.T) {
 // refused must be among the predicates drawn.
 func TestDifferentialPredicates(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.reg, nil)
+	refEngine := interp.New(f.reg)
 	drawn := map[string]int{}
 	bothErr := 0
 	for seed := 0; seed < 300; seed++ {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed))), drawn: drawn}
 		query := g.focusPath(3)
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != want {
 			t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s", seed, query, got, want)
 		}
@@ -523,15 +523,16 @@ func outcome(seq xdm.Sequence, err error) string {
 }
 
 // bothEngines runs a query on the loop-lifted engine, under ec, and on
-// the reference interpreter over ec's documents.
-func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
+// the reference interpreter over ec's documents with rpc as its
+// execute-at caller.
+func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx, rpc interp.RPCCaller) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
 	pfc, pfErr := Compile(query, f.reg)
 	if pfErr == nil {
 		pfSeq, pfErr = pfc.Eval(ec, nil)
 	}
 	ic, iErr := ref.Compile(query)
 	if iErr == nil {
-		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs})
+		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs, RPC: rpc})
 	}
 	return pfSeq, pfErr, iSeq, iErr
 }
@@ -620,9 +621,9 @@ func TestStaticContextAgreement(t *testing.T) {
 			}
 			var iRec, pfRec callRecorder
 			var iSeq, pfSeq xdm.Sequence
-			ic, iErr := interp.New(resolver, &iRec).Compile(tc.query)
+			ic, iErr := interp.New(resolver).Compile(tc.query)
 			if iErr == nil {
-				iSeq, _, iErr = ic.Eval(nil)
+				iSeq, _, iErr = ic.Eval(&interp.EvalOptions{RPC: &iRec})
 			}
 			pfc, pfErr := Compile(tc.query, pfReg)
 			if pfErr == nil {
@@ -650,7 +651,7 @@ func TestStaticContextAgreement(t *testing.T) {
 // and checks on JoinStats which way the loop-lifted engine went.
 func TestJoinShapes(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.reg, nil)
+	refEngine := interp.New(f.reg)
 	const (
 		hash     = "hash"
 		fallback = "fallback"
@@ -743,7 +744,7 @@ func TestJoinShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var js JoinStats
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.docs, Joins: &js})
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.docs, Joins: &js}, nil)
 			ref, got := outcome(iSeq, iErr), outcome(pfSeq, pfErr)
 			if got != ref {
 				t.Errorf("engines disagree\n  pathfinder: %s\n  interp:     %s", got, ref)
@@ -815,7 +816,7 @@ for $p in `+tc.e1+`, $ca in execute at {"xrpc://p"} {a:f()} where $p = $ca retur
 // serialization or the same error code.
 func TestSharedLibraryPerIteration(t *testing.T) {
 	f := newFixture(t)
-	refEngine := interp.New(f.reg, nil)
+	refEngine := interp.New(f.reg)
 	samples := []string{`()`, `(1, 2, 3, 4)`, `(doc("filmDB.xml")//name)[1]`, `1.5`, `"hello"`, `$i`}
 	lib := servedLib()
 	for _, typ := range []string{"xs:integer", "xs:double", "xs:string", "xs:boolean"} {
@@ -833,7 +834,7 @@ func TestSharedLibraryPerIteration(t *testing.T) {
 				return
 			}
 			query := fmt.Sprintf("for $i in (1, 2, 3) return %s(%s)", fn.name, strings.Join(args, ", "))
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs})
+			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
 			if errCode(pfErr) != errCode(iErr) {
 				t.Errorf("%s\npathfinder err: %v\ninterp err:     %v", query, pfErr, iErr)
 			} else if got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq); got != want {
@@ -909,7 +910,7 @@ func TestLibraryClassification(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "needs the context") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
 			t.Errorf("%s outside a predicate: err = %v", q, err)
 		}
-		if _, _, _, iErr := bothEngines(f, interp.New(f.reg, nil), q, &ExecCtx{Docs: f.docs}); errCode(iErr) != "XPDY0002" {
+		if _, _, _, iErr := bothEngines(f, interp.New(f.reg), q, &ExecCtx{Docs: f.docs}, nil); errCode(iErr) != "XPDY0002" {
 			t.Errorf("%s on the interpreter: err = %v, want XPDY0002", q, iErr)
 		}
 	}

@@ -62,7 +62,7 @@ func newFixture(t *testing.T) *fixture {
 		if err := st.LoadXML("filmDB.xml", xml); err != nil {
 			t.Fatal(err)
 		}
-		eng := interp.New(reg, nil)
+		eng := interp.New(reg)
 		exec := server.NewNativeExecutor(eng, reg)
 		srv := server.New(st, reg, exec)
 		net.Register(uri, srv)
@@ -104,12 +104,11 @@ func (f *fixture) evalCtx(t *testing.T, query string, vars map[string]xdm.Sequen
 func (f *fixture) evalBoth(t *testing.T, query string) string {
 	t.Helper()
 	pf := f.eval(t, query, nil)
-	eng := interp.New(f.reg, client.New(f.net))
-	c, err := eng.Compile(query)
+	c, err := interp.New(f.reg).Compile(query)
 	if err != nil {
 		t.Fatalf("interp compile: %v", err)
 	}
-	ref, _, err := c.Eval(&interp.EvalOptions{Docs: f.docs})
+	ref, _, err := c.Eval(&interp.EvalOptions{Docs: f.docs, RPC: client.New(f.net)})
 	if err != nil {
 		t.Fatalf("interp eval: %v", err)
 	}
@@ -167,7 +166,7 @@ func TestBasicExpressions(t *testing.T) {
 	// unary binds tighter than cast, castable and instance of; a cast
 	// keeps the "?" of its type and casts one item per iteration; unary
 	// + and - take one atomized number
-	ref := interp.New(f.reg, nil)
+	ref := interp.New(f.reg)
 	for _, tc := range []struct{ query, want string }{
 		{`-3 cast as xs:string`, `-3`},
 		{`let $x := 3 return -$x instance of xs:integer`, `true`},
@@ -188,7 +187,7 @@ func TestBasicExpressions(t *testing.T) {
 		{`+<a>3</a>`, `3`},
 		{`for $x in (1, 2.5, <a>4</a>, ()) return -$x`, `-1 -2.5 -4`},
 	} {
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.docs})
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.docs}, nil)
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != tc.want || want != tc.want {
 			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", tc.query, got, want, tc.want)
 		}
@@ -782,7 +781,7 @@ declare function b:Q_B1() as node()* { doc("auctions.xml")//closed_auction };`, 
 		tb.Fatal(err)
 	}
 	net := netsim.NewNetwork(0, 0)
-	net.Register("xrpc://B", server.New(stB, reg, server.NewNativeExecutor(interp.New(reg, nil), reg)))
+	net.Register("xrpc://B", server.New(stB, reg, server.NewNativeExecutor(interp.New(reg), reg)))
 	c, err := Compile(q71, reg)
 	if err != nil {
 		tb.Fatal(err)
@@ -847,8 +846,7 @@ return if(empty($ca)) then ()
        else <result>{$p, $ca/annotation}</result>`},
 	} {
 		ec := &ExecCtx{Docs: storetest.Latest(t, st), Bulk: &callRecorder{reply: shipped(t, closed)}}
-		ref := interp.New(f.reg, &callRecorder{reply: shipped(t, closed)})
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, ec)
+		pfSeq, pfErr, iSeq, iErr := bothEngines(f, interp.New(f.reg), tc.query, ec, &callRecorder{reply: shipped(t, closed)})
 		if pfErr != nil || iErr != nil {
 			t.Fatalf("%s: pathfinder err %v, interp err %v", tc.name, pfErr, iErr)
 		}

@@ -23,7 +23,7 @@ func newPlanCacheFixture() *planCacheFixture {
 	reg := modules.NewRegistry()
 	return &planCacheFixture{
 		reg: reg,
-		eng: interp.New(reg, nil),
+		eng: interp.New(reg),
 		pc:  interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
 	}
 }

@@ -260,7 +260,7 @@ func TestConflictingUpdatesFailBeforeWriting(t *testing.T) {
 				}
 			}
 
-			eng := interp.New(modules.NewRegistry(), nil)
+			eng := interp.New(modules.NewRegistry())
 			c, err := eng.Compile(tc.query)
 			if err != nil {
 				t.Fatal(err)

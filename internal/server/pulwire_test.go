@@ -24,7 +24,7 @@ func collectPUL(t testing.TB, query string) (*interp.UpdateList, *store.Store) {
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
 		t.Fatal(err)
 	}
-	eng := interp.New(modules.NewRegistry(), nil)
+	eng := interp.New(modules.NewRegistry())
 	c, err := eng.Compile(query)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func FuzzDecodePUL(f *testing.F) {
 	}
 	// ill-kinded primitives, as only a foreign or corrupt PUL carries
 	// them: evalUpdate refuses to build these
-	eng := interp.New(modules.NewRegistry(), nil)
+	eng := interp.New(modules.NewRegistry())
 	docs := storetest.Latest(f, fuzzPULStore(f))
 	node := func(q string) *xdm.Node {
 		c, err := eng.Compile(q)

@@ -9,6 +9,7 @@ package server
 
 import (
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,7 +82,8 @@ type Server struct {
 	// Gzip enables gzip Content-Encoding on HTTP responses for clients
 	// that advertise Accept-Encoding: gzip (off by default; gzip-encoded
 	// request bodies are always accepted). The paper's §3.3 message-size
-	// concern: SOAP envelopes compress well.
+	// concern: SOAP envelopes compress well. The switch belongs to Reply,
+	// so a cluster.Proxy with Gzip set compresses the same way.
 	Gzip bool
 	// MaxRequestBytes bounds the decoded size of one HTTP request body
 	// (0 = DefaultMaxRequestBytes). It caps decompression-bomb
@@ -199,21 +201,16 @@ func (s *Server) handleInto(enc *soap.Encoder, body []byte) {
 	}()
 	resp, err := s.handle(body, &meta)
 	if err != nil {
-		code := "env:Receiver"
-		if _, isXQ := err.(*xdm.Error); isXQ {
-			code = "env:Sender"
-		}
-		fault = &soap.Fault{Code: code, Reason: err.Error()}
+		fault = FaultOf(err)
 		enc.EncodeFault(fault)
 		return
 	}
 	enc.EncodeResponse(resp)
 }
 
-// ServeHTTP exposes the handler over real HTTP (POST /xrpc), writing the
-// response straight from the pooled encoder's buffer. It accepts
-// gzip-encoded request bodies unconditionally and gzips the response
-// when s.Gzip is set and the client advertised Accept-Encoding: gzip.
+// ServeHTTP exposes the handler over real HTTP (POST /xrpc): the request
+// comes in through ReadRequest and the answer goes out through Reply,
+// the two halves every XRPC HTTP handler shares.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, status := ReadRequest(w, r, s.MaxRequestBytes)
 	if status != 0 {
@@ -222,31 +219,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/soap+xml; charset=utf-8")
-	// serve through the chunked stream encoder: each encoder chunk is
-	// written and flushed to the wire immediately, so a client that
-	// consumes the response as a stream sees the first results while the
-	// rest of the envelope is still being rendered, and the response
-	// bytes never accumulate server-side
-	sink := &flushWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		sink.f = f
-	}
+	var n *obs.Counter
 	if s.Metrics != nil {
-		sink.n = s.Metrics.ResponseBytes
+		n = s.Metrics.ResponseBytes
 	}
-	if s.Gzip && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
-		sink.w, sink.gz = gz, gz
-	}
-	enc := soap.NewStreamEncoder(sink, 0)
-	defer enc.Release()
-	s.handleInto(enc, body)
-	enc.Flush()
-	// a late write error means the client went away mid-response;
-	// there is no one left to report it to
+	rp := NewReply(w, r, s.Gzip, n)
+	// the fault-or-response decision is made before the first byte; what
+	// can fail after it is the socket (the client went away)
+	rp.Finish(rp.Send(func(enc *soap.Encoder) { s.handleInto(enc, body) }))
 }
 
 // ReadRequest is the request intake every XRPC HTTP handler shares (a
@@ -286,32 +266,102 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte
 	return body, 0
 }
 
-// flushWriter pushes every encoder chunk through to the socket: a
-// sync-flush of the gzip stream (so compressed chunks are decodable as
-// they arrive) followed by an http.Flusher flush (so the chunked
-// transfer encoding emits the bytes instead of buffering them).
-type flushWriter struct {
-	w  io.Writer
-	gz *gzip.Writer
-	f  http.Flusher
-	n  *obs.Counter // pre-compression response bytes (nil-safe)
+// Reply is the answer half every XRPC HTTP handler shares, ReadRequest's
+// counterpart: the one response writer, with FaultOf and Finish the one
+// fault rule and the one abort rule. Every encoder chunk written to it
+// is pushed through to the socket: a sync-flush of the gzip stream (so
+// compressed chunks are decodable as they arrive) followed by an
+// http.Flusher flush (so the chunked transfer encoding emits the bytes
+// instead of buffering them).
+type Reply struct {
+	w     io.Writer // the response, or the gzip stream over it
+	gz    *gzip.Writer
+	f     http.Flusher
+	n     *obs.Counter // pre-compression response bytes (nil-safe)
+	wrote int64
 }
 
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	fw.n.Add(int64(n))
+// NewReply starts the answer to r on w: a SOAP Content-Type, and gzip
+// content-coding when gz is set and the client sent Accept-Encoding:
+// gzip. n, when non-nil, counts the bytes written before compression.
+func NewReply(w http.ResponseWriter, r *http.Request, gz bool, n *obs.Counter) *Reply {
+	w.Header().Set("Content-Type", "application/soap+xml; charset=utf-8")
+	rp := &Reply{w: w, n: n}
+	if f, ok := w.(http.Flusher); ok {
+		rp.f = f
+	}
+	if gz && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+		w.Header().Set("Content-Encoding", "gzip")
+		rp.gz = gzip.NewWriter(w)
+		rp.w = rp.gz
+	}
+	return rp
+}
+
+func (rp *Reply) Write(p []byte) (int, error) {
+	n, err := rp.w.Write(p)
+	rp.wrote += int64(n)
+	rp.n.Add(int64(n))
 	if err != nil {
 		return n, err
 	}
-	if fw.gz != nil {
-		if err := fw.gz.Flush(); err != nil {
+	if rp.gz != nil {
+		if err := rp.gz.Flush(); err != nil {
 			return n, err
 		}
 	}
-	if fw.f != nil {
-		fw.f.Flush()
+	if rp.f != nil {
+		rp.f.Flush()
 	}
 	return n, nil
+}
+
+// Written reports how many bytes, before compression, have been written.
+func (rp *Reply) Written() int64 { return rp.wrote }
+
+// Send writes one envelope, which encode renders, through a stream
+// encoder on the reply, and reports the first write error.
+func (rp *Reply) Send(encode func(*soap.Encoder)) error {
+	enc := soap.NewStreamEncoder(rp, 0)
+	defer enc.Release()
+	encode(enc)
+	return enc.Flush()
+}
+
+// Finish ends the answer. With err nil it closes the gzip stream. A
+// failure before the first byte is written is answered with its Fault
+// envelope (FaultOf). A failure after it must not arrive looking
+// complete, so the handler panics with http.ErrAbortHandler: the
+// connection is cut, the client's decoder sees truncation, and the gzip
+// stream is left unclosed, so no trailer vouches for a partial body.
+func (rp *Reply) Finish(err error) {
+	if err != nil {
+		if rp.wrote > 0 {
+			panic(http.ErrAbortHandler)
+		}
+		rp.Send(func(enc *soap.Encoder) { enc.EncodeFault(FaultOf(err)) })
+	}
+	// a write error from here on means the client went away; there is no
+	// one left to report it to
+	if rp.gz != nil {
+		rp.gz.Close()
+	}
+}
+
+// FaultOf is the fault rule every XRPC endpoint answers by: a
+// *soap.Fault anywhere in err's chain (a remote peer's, passed on)
+// keeps its code, an *xdm.Error — the query or the request is at fault —
+// is env:Sender, and anything else is env:Receiver.
+func FaultOf(err error) *soap.Fault {
+	var f *soap.Fault
+	if errors.As(err, &f) {
+		return f
+	}
+	var xe *xdm.Error
+	if errors.As(err, &xe) {
+		return &soap.Fault{Code: "env:Sender", Reason: err.Error()}
+	}
+	return &soap.Fault{Code: "env:Receiver", Reason: err.Error()}
 }
 
 func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {

@@ -74,7 +74,7 @@ func newPeer(t testing.TB, uri, filmXML string, net *netsim.Network) *peer {
 			t.Fatal(err)
 		}
 	}
-	eng := interp.New(reg, nil)
+	eng := interp.New(reg)
 	exec := NewNativeExecutor(eng, reg)
 	srv := New(st, reg, exec)
 	srv.Self = uri
@@ -101,12 +101,11 @@ func newCluster(t *testing.T) (*netsim.Network, *peer, *peer, *peer) {
 func evalOn(t *testing.T, p *peer, net *netsim.Network, query string) xdm.Sequence {
 	t.Helper()
 	cl := client.New(net)
-	eng := interp.New(p.reg, cl)
-	c, err := eng.Compile(query)
+	c, err := interp.New(p.reg).Compile(query)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
+	seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, p.store), RPC: cl})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -531,12 +530,12 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	net, local, _, _ := newCluster(t)
 	cl := client.New(net)
 	resolver := &client.DocResolver{Local: storetest.Latest(t, local.store), Client: cl}
-	eng := interp.New(local.reg, cl)
+	eng := interp.New(local.reg)
 	c, err := eng.Compile(`count(doc("xrpc://y.example.org/filmDB.xml")//film)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(&interp.EvalOptions{Docs: resolver})
+	seq, _, err := c.Eval(&interp.EvalOptions{Docs: resolver, RPC: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	}
 	// local docs still resolve locally
 	c2, _ := eng.Compile(`count(doc("filmDB.xml")//film)`)
-	seq2, _, err := c2.Eval(&interp.EvalOptions{Docs: resolver})
+	seq2, _, err := c2.Eval(&interp.EvalOptions{Docs: resolver, RPC: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,13 +685,13 @@ return execute at {"xrpc://y.example.org"} {rel:isInside($film, $name)}`
 
 	run := func(byFragment bool) string {
 		cl := client.New(net)
-		eng := interp.New(local.reg, cl)
+		eng := interp.New(local.reg)
 		eng.ByFragment = byFragment
 		c, err := eng.Compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, local.store)})
+		seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, local.store), RPC: cl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -797,7 +796,7 @@ func execute(p *peer, req *soap.Request, parallelism int) (executed, *interp.Sta
 func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	t.Helper()
 	src, _ := p.reg.Source(req.Module)
-	ref := interp.New(p.reg, nil)
+	ref := interp.New(p.reg)
 	ref.DisablePredIndex = true
 	c, err := ref.CompileModule(src)
 	if err != nil {

@@ -197,15 +197,18 @@ func benchStreamWalk(b *testing.B, raw bool) {
 	}
 }
 
-// BenchmarkSoapEncodeResponseTo streams the encode to a sink in chunks
+// BenchmarkSoapEncodeResponseStream streams the encode to a sink in chunks
 // instead of accumulating the envelope.
-func BenchmarkSoapEncodeResponseTo(b *testing.B) {
+func BenchmarkSoapEncodeResponseStream(b *testing.B) {
 	resp := benchResponse(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := EncodeResponseTo(io.Discard, resp); err != nil {
+		e := NewStreamEncoder(io.Discard, 0)
+		e.EncodeResponse(resp)
+		if err := e.Flush(); err != nil {
 			b.Fatal(err)
 		}
+		e.Release()
 	}
 }
 

@@ -449,22 +449,3 @@ func EncodeFault(f *Fault) []byte {
 	e.Release()
 	return out
 }
-
-// EncodeResponseTo streams the response envelope to w in chunks: the
-// same bytes EncodeResponse produces, without ever materializing them.
-func EncodeResponseTo(w io.Writer, r *Response) error {
-	e := NewStreamEncoder(w, 0)
-	e.EncodeResponse(r)
-	err := e.Flush()
-	e.Release()
-	return err
-}
-
-// EncodeFaultTo streams a SOAP Fault envelope to w.
-func EncodeFaultTo(w io.Writer, f *Fault) error {
-	e := NewStreamEncoder(w, 0)
-	e.EncodeFault(f)
-	err := e.Flush()
-	e.Release()
-	return err
-}

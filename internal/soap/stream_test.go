@@ -345,9 +345,12 @@ func TestStreamEncoderMatchesBuffered(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := EncodeFaultTo(&buf, fault); err != nil {
+		e := NewStreamEncoder(&buf, chunk)
+		e.EncodeFault(fault)
+		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		e.Release()
 		if want := EncodeFault(fault); !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("fault chunk=%d: streamed encode differs", chunk)
 		}

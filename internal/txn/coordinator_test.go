@@ -35,7 +35,7 @@ func newCluster(t *testing.T, peers ...string) (*netsim.Network, map[string]*sto
 		if err := st.LoadXML("filmDB.xml", xmark.PaperFilmDB); err != nil {
 			t.Fatal(err)
 		}
-		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg, nil), reg))
+		srv := server.New(st, reg, server.NewNativeExecutor(interp.New(reg), reg))
 		srv.Self = uri
 		net.Register(uri, srv)
 		stores[uri] = st
