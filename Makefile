@@ -157,10 +157,14 @@ bench-wal:
 # same -wal-dir; every acknowledged commit must survive and a pre-crash
 # committed read must come back byte-identical. XRPC_CRASHSMOKE_DIR
 # points the WAL at a tmpfs (e.g. /dev/shm) so the fsync-heavy storm
-# stays fast on CI runners.
+# stays fast on CI runners. Beside it, the known window: a participant
+# restarted between its Prepare ack and the Commit has lost the prepared
+# update (recovery replays only commit records), so that Commit answers
+# XRPC0006 over an unchanged store (TestPreparedUpdateLostOnRestart).
 crashsmoke:
 	XRPC_CRASHSMOKE_DIR=$${XRPC_CRASHSMOKE_DIR:-/dev/shm} \
-		$(GO) test -run 'TestXrpcdCrashRecovery' -count=1 -v ./internal/cluster/
+		$(GO) test -run 'TestXrpcdCrashRecovery|TestPreparedUpdateLostOnRestart' -count=1 -v \
+		./internal/cluster/ ./internal/server/
 
 # plansmoke is the self-driving-planner acceptance check: with ZERO
 # hand-written RouteSpecs the coordinator must derive routes from the

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -635,7 +636,12 @@ func newBulkExecEnv(module, docName, docXML string, req *soap.Request) (*BulkExe
 func (env *BulkExecEnv) Run(parallelism int) (time.Duration, []byte, error) {
 	env.Exec.Parallelism = parallelism
 	start := time.Now()
-	resp, err := env.Server.HandleXRPC(client.XRPCPath, env.Body)
+	rc, err := env.Server.HandleXRPC(client.XRPCPath, env.Body)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := io.ReadAll(rc)
+	rc.Close()
 	if err != nil {
 		return 0, nil, err
 	}

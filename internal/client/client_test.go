@@ -212,7 +212,7 @@ func TestDocResolverCachesFetches(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	srv := newServer(t)
 	var fetches atomic.Int64
-	net.Register("xrpc://y", netsim.HandlerFunc(func(path string, body []byte) ([]byte, error) {
+	net.Register("xrpc://y", netsim.StreamHandlerFunc(func(path string, body []byte) (io.ReadCloser, error) {
 		fetches.Add(1)
 		return srv.HandleXRPC(path, body)
 	}))

@@ -101,6 +101,10 @@ func newPooledTransport(timeout time.Duration) *http.Transport {
 		MaxIdleConns:          256,
 		MaxIdleConnsPerHost:   64,
 		IdleConnTimeout:       90 * time.Second,
+		// a plain client gets plain answers: net/http would otherwise
+		// advertise Accept-Encoding: gzip itself and inflate behind
+		// HTTPTransport.Gzip's back
+		DisableCompression: true,
 	}
 }
 
@@ -195,7 +199,7 @@ func (t *HTTPTransport) Send(dest, path string, body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// SendStream implements netsim.StreamTransport over HTTP: the response
+// SendStream implements netsim.Transport over HTTP: the response
 // body is returned as a stream, decompressed if the peer answered with
 // gzip. The caller must Close the reader; reading it to EOF first lets
 // the keep-alive connection return to the pool. Each read is bounded by

@@ -1,22 +1,21 @@
 package client
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
 
-	"xrpc/internal/netsim"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 )
 
-// stream.go is the streaming counterpart of SendEncoded: instead of
+// stream.go is the one shape of a response on the client: instead of
 // buffering the whole response envelope and shredding it in one go,
 // SendStreamed hands back a pull-style view over the response as its
 // bytes arrive, so a consumer (the scatter-gather merge, a result
 // forwarder) holds one item at a time rather than one response at a
-// time. SendEncoded remains the buffered reference path.
+// time. Every transport streams; SendEncoded is the same exchange read
+// to its end and decoded at once.
 
 // StreamedResponse is an in-flight bulk response: result sequences and
 // their items are decoded on demand as the peer produces them. The
@@ -35,31 +34,19 @@ type StreamedResponse struct {
 }
 
 // SendStreamed posts a pre-encoded request body to dest and returns the
-// response as a stream. Transports that implement netsim.StreamTransport
-// deliver bytes incrementally; for others the buffered response is
-// wrapped, so callers can stream unconditionally. The decoder reads
-// straight off the transport: the read-ahead is the transport's own
-// (socket buffers over HTTP, a pipe on netsim), so a consumer that falls
-// behind stalls the producer through it. Safe to call concurrently with
-// the same body: the bytes are only read.
+// response as a stream. The decoder reads straight off the transport:
+// the read-ahead is the transport's own (socket buffers over HTTP, a
+// pipe on netsim), so a consumer that falls behind stalls the producer
+// through it. Safe to call concurrently with the same body: the bytes
+// are only read.
 func (c *Client) SendStreamed(dest string, body []byte, calls int) (*StreamedResponse, error) {
 	c.Requests.Add(1)
 	c.Sent.Add(int64(len(body)))
-	var rc io.ReadCloser
-	if st, ok := c.Transport.(netsim.StreamTransport); ok {
-		r, err := st.SendStream(dest, XRPCPath, body)
-		if err != nil {
-			return nil, fmt.Errorf("xrpc: send to %s: %w", dest, err)
-		}
-		rc = &countingBody{rc: r, n: &c.Received}
-	} else {
-		respBody, err := c.Transport.Send(dest, XRPCPath, body)
-		c.Received.Add(int64(len(respBody)))
-		if err != nil {
-			return nil, fmt.Errorf("xrpc: send to %s: %w", dest, err)
-		}
-		rc = io.NopCloser(bytes.NewReader(respBody))
+	r, err := c.Transport.SendStream(dest, XRPCPath, body)
+	if err != nil {
+		return nil, fmt.Errorf("xrpc: send to %s: %w", dest, err)
 	}
+	rc := &countingBody{rc: r, n: &c.Received}
 	rs, err := soap.NewResponseStream(rc)
 	if err != nil {
 		rc.Close()

@@ -15,14 +15,7 @@ import (
 	"xrpc/internal/xdm"
 )
 
-var _ netsim.StreamTransport = (*HTTPTransport)(nil)
-
-// bufferedOnly hides SendStream, forcing the fallback path.
-type bufferedOnly struct{ t netsim.Transport }
-
-func (b bufferedOnly) Send(dest, path string, body []byte) ([]byte, error) {
-	return b.t.Send(dest, path, body)
-}
+var _ netsim.Transport = (*HTTPTransport)(nil)
 
 // collectStreamed walks a StreamedResponse to completion, returning one
 // sequence per call.
@@ -57,8 +50,7 @@ func collectStreamed(t *testing.T, sr *StreamedResponse) []xdm.Sequence {
 }
 
 // TestSendStreamedMatchesSendEncoded pins the streamed send against the
-// buffered reference: same request bytes, same results, over both a
-// stream-capable transport and a buffered-only one.
+// buffered reference: same request bytes, same results.
 func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	net.Register("xrpc://y", newServer(t))
@@ -79,33 +71,24 @@ func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name string
-		tr   netsim.Transport
-	}{
-		{"streaming transport", net},
-		{"buffered-only transport", bufferedOnly{net}},
-	} {
-		cl := New(tc.tr)
-		sr, err := cl.SendStreamed("xrpc://y", enc.Bytes(), len(br.Calls))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if sr.Module() != "films" || sr.Method() != "filmsByActor" {
-			t.Fatalf("%s: header = %s/%s", tc.name, sr.Module(), sr.Method())
-		}
-		got := collectStreamed(t, sr)
-		assertSameResults(t, tc.name, got, want)
-		if cl.Requests.Load() != 1 || cl.Sent.Load() != int64(len(enc.Bytes())) {
-			t.Errorf("%s: stats = %d requests / %d sent", tc.name, cl.Requests.Load(), cl.Sent.Load())
-		}
-		if cl.Received.Load() == 0 {
-			t.Errorf("%s: received bytes not counted", tc.name)
-		}
-		peers := cl.Peers()
-		if len(peers) != 1 || peers[0] != "xrpc://y" {
-			t.Errorf("%s: peers = %v", tc.name, peers)
-		}
+	cl := New(net)
+	sr, err := cl.SendStreamed("xrpc://y", enc.Bytes(), len(br.Calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Module() != "films" || sr.Method() != "filmsByActor" {
+		t.Fatalf("header = %s/%s", sr.Module(), sr.Method())
+	}
+	got := collectStreamed(t, sr)
+	assertSameResults(t, "SendStreamed", got, want)
+	if cl.Requests.Load() != 1 || cl.Sent.Load() != int64(len(enc.Bytes())) {
+		t.Errorf("stats = %d requests / %d sent", cl.Requests.Load(), cl.Sent.Load())
+	}
+	if cl.Received.Load() == 0 {
+		t.Error("received bytes not counted")
+	}
+	if peers := cl.Peers(); len(peers) != 1 || peers[0] != "xrpc://y" {
+		t.Errorf("peers = %v", peers)
 	}
 }
 

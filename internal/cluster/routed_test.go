@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -757,7 +758,7 @@ func TestPrimaryCommitFailureDoesNotCommitReplica(t *testing.T) {
 
 	// the shard 0 primary answers everything except the Commit verb
 	primary := dep.Servers[0][0]
-	net.Register(dep.Table.Primary(0), netsim.HandlerFunc(func(path string, body []byte) ([]byte, error) {
+	net.Register(dep.Table.Primary(0), netsim.StreamHandlerFunc(func(path string, body []byte) (io.ReadCloser, error) {
 		if bytes.Contains(body, []byte(`xrpc:method="Commit"`)) {
 			return nil, fmt.Errorf("primary crashed at commit")
 		}

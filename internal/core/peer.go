@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -349,6 +350,11 @@ type noopTransport struct{}
 
 func (noopTransport) Send(dest, path string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("xrpc: peer has no transport; cannot reach %s", dest)
+}
+
+func (t noopTransport) SendStream(dest, path string, body []byte) (io.ReadCloser, error) {
+	_, err := t.Send(dest, path, body)
+	return nil, err
 }
 
 // Stats summarizes a peer's served traffic.

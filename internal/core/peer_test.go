@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -219,12 +220,21 @@ type queryIDRecorder struct {
 	timeouts []int
 }
 
-func (r *queryIDRecorder) Send(dest, path string, body []byte) ([]byte, error) {
+func (r *queryIDRecorder) note(body []byte) {
 	if req, err := soap.DecodeRequest(body); err == nil && req.QueryID != nil {
 		r.ids = append(r.ids, req.QueryID.ID)
 		r.timeouts = append(r.timeouts, req.QueryID.Timeout)
 	}
+}
+
+func (r *queryIDRecorder) Send(dest, path string, body []byte) ([]byte, error) {
+	r.note(body)
 	return r.inner.Send(dest, path, body)
+}
+
+func (r *queryIDRecorder) SendStream(dest, path string, body []byte) (io.ReadCloser, error) {
+	r.note(body)
+	return r.inner.SendStream(dest, path, body)
 }
 
 // filmPeers wires a film peer y and a query peer whose outgoing requests

@@ -9,6 +9,10 @@
 // The same Transport interface is implemented by a real HTTP transport in
 // the client package, so every experiment can also run over localhost
 // TCP.
+//
+// An exchange has one shape: a peer's Handler answers with a stream, and
+// a buffered Send is that stream read to its end, so fault injection,
+// delay and stats live in SendStream alone.
 package netsim
 
 import (
@@ -24,34 +28,26 @@ import (
 )
 
 // Handler is a peer endpoint: it receives an XRPC (or WS-AT) message
-// body posted to a path and returns the response body.
+// body posted to a path and returns the response as a stream, so a
+// consumer can start decoding before the peer has finished. The caller
+// must Close the stream.
 type Handler interface {
-	HandleXRPC(path string, body []byte) ([]byte, error)
+	HandleXRPC(path string, body []byte) (io.ReadCloser, error)
 }
 
-// StreamHandler is a peer endpoint that produces its response
-// incrementally: the returned reader yields response bytes as the peer
-// computes them, so a consumer can start decoding before the peer has
-// finished. Handlers that also implement StreamHandler are dispatched
-// through it by SendStream.
-type StreamHandler interface {
-	HandleXRPCStream(path string, body []byte) (io.ReadCloser, error)
-}
-
-// Transport delivers a message to a destination peer URI and returns the
-// response bytes. Implementations: *Network (simulated), client.HTTPTransport.
+// Transport delivers a message to a destination peer URI. SendStream
+// returns the response as a byte stream the caller must Close (after
+// draining it, if the connection is to be reused); Send is SendStream
+// read to its end. Implementations: *Network (simulated),
+// client.HTTPTransport.
 type Transport interface {
 	Send(dest, path string, body []byte) ([]byte, error)
-}
-
-// StreamTransport is a Transport that can additionally deliver the
-// response as a byte stream instead of one buffered slice. The caller
-// must Close the returned reader (after draining it, if the connection
-// is to be reused). Implementations: *Network, client.HTTPTransport.
-type StreamTransport interface {
-	Transport
 	SendStream(dest, path string, body []byte) (io.ReadCloser, error)
 }
+
+// StreamTransport is Transport under the name it had while streaming
+// was optional.
+type StreamTransport = Transport
 
 // Stats counts traffic through a network.
 type Stats struct {
@@ -109,48 +105,24 @@ func (n *Network) Peer(uri string) (Handler, bool) {
 	return h, ok
 }
 
-// Send implements Transport: it delivers the message to the registered
-// peer after the simulated network delay.
+// Send implements Transport: SendStream read to its end and closed.
 func (n *Network) Send(dest, path string, body []byte) ([]byte, error) {
-	n.mu.RLock()
-	h, ok := n.peers[dest]
-	n.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("netsim: no peer registered at %q", dest)
-	}
-	if err := n.injectFault(dest); err != nil {
-		return nil, err
-	}
-	resp, err := h.HandleXRPC(path, body)
+	rc, err := n.SendStream(dest, path, body)
 	if err != nil {
 		return nil, err
 	}
-	delay := n.RTT
-	if n.Bandwidth > 0 {
-		transfer := float64(len(body)+len(resp)) / n.Bandwidth
-		delay += time.Duration(transfer * float64(time.Second))
-	}
-	if delay > 0 && n.Sleep != nil {
-		n.Sleep(delay)
-	}
-	n.Stats.Requests.Add(1)
-	n.Stats.BytesSent.Add(int64(len(body)))
-	n.Stats.BytesReceived.Add(int64(len(resp)))
-	ps := n.peerStats(dest)
-	ps.Requests.Add(1)
-	ps.BytesSent.Add(int64(len(body)))
-	ps.BytesReceived.Add(int64(len(resp)))
-	return resp, nil
+	defer rc.Close()
+	return io.ReadAll(rc)
 }
 
-// SendStream implements StreamTransport. The request's share of the
-// simulated delay (RTT plus request transfer time) is paid when the
-// stream opens; response bytes are then paced per Read at the configured
-// bandwidth, so a consumer overlaps decode time with transfer time just
-// as it would on a real socket. Peers implementing StreamHandler stream
-// natively; buffered handlers are wrapped, preserving their semantics.
-// Stats are counted only for streams that open successfully, with
-// received bytes metered as they are read.
+// SendStream implements Transport: it delivers the message to the
+// registered peer, unless an injected fault fires first. The request's
+// share of the simulated delay (RTT plus request transfer time) is paid
+// when the stream opens; response bytes are then paced per Read at the
+// configured bandwidth, so a consumer overlaps decode time with
+// transfer time just as it would on a real socket. Stats are counted
+// only for streams that open successfully, with received bytes metered
+// as they are read.
 func (n *Network) SendStream(dest, path string, body []byte) (io.ReadCloser, error) {
 	n.mu.RLock()
 	h, ok := n.peers[dest]
@@ -161,18 +133,9 @@ func (n *Network) SendStream(dest, path string, body []byte) (io.ReadCloser, err
 	if err := n.injectFault(dest); err != nil {
 		return nil, err
 	}
-	var rc io.ReadCloser
-	if sh, ok := h.(StreamHandler); ok {
-		var err error
-		if rc, err = sh.HandleXRPCStream(path, body); err != nil {
-			return nil, err
-		}
-	} else {
-		resp, err := h.HandleXRPC(path, body)
-		if err != nil {
-			return nil, err
-		}
-		rc = io.NopCloser(bytes.NewReader(resp))
+	rc, err := h.HandleXRPC(path, body)
+	if err != nil {
+		return nil, err
 	}
 	delay := n.RTT
 	if n.Bandwidth > 0 {
@@ -291,29 +254,24 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function that builds its whole response to the
+// Handler interface.
 type HandlerFunc func(path string, body []byte) ([]byte, error)
 
 // HandleXRPC implements Handler.
-func (f HandlerFunc) HandleXRPC(path string, body []byte) ([]byte, error) {
-	return f(path, body)
-}
-
-// StreamHandlerFunc adapts a function to both Handler and StreamHandler:
-// buffered callers read the stream to completion.
-type StreamHandlerFunc func(path string, body []byte) (io.ReadCloser, error)
-
-// HandleXRPCStream implements StreamHandler.
-func (f StreamHandlerFunc) HandleXRPCStream(path string, body []byte) (io.ReadCloser, error) {
-	return f(path, body)
-}
-
-// HandleXRPC implements Handler by draining the stream.
-func (f StreamHandlerFunc) HandleXRPC(path string, body []byte) ([]byte, error) {
-	rc, err := f(path, body)
+func (f HandlerFunc) HandleXRPC(path string, body []byte) (io.ReadCloser, error) {
+	resp, err := f(path, body)
 	if err != nil {
 		return nil, err
 	}
-	defer rc.Close()
-	return io.ReadAll(rc)
+	return io.NopCloser(bytes.NewReader(resp)), nil
+}
+
+// StreamHandlerFunc adapts a function that streams its response to the
+// Handler interface.
+type StreamHandlerFunc func(path string, body []byte) (io.ReadCloser, error)
+
+// HandleXRPC implements Handler.
+func (f StreamHandlerFunc) HandleXRPC(path string, body []byte) (io.ReadCloser, error) {
+	return f(path, body)
 }

@@ -10,8 +10,10 @@ import (
 	"time"
 )
 
-var _ StreamTransport = (*Network)(nil)
+var _ Transport = (*Network)(nil)
 
+// A HandlerFunc builds its whole response; SendStream serves it as a
+// stream like any other peer's.
 func TestSendStreamBufferedHandlerFallback(t *testing.T) {
 	net := NewNetwork(0, 0)
 	net.Register("xrpc://a", HandlerFunc(func(path string, body []byte) ([]byte, error) {
@@ -117,7 +119,7 @@ func TestSendStreamPacesPerRead(t *testing.T) {
 	if want := atOpen + 500*time.Millisecond; total != want {
 		t.Fatalf("delay after drain = %v, want %v", total, want)
 	}
-	// matches what the buffered path would have charged in one sleep
+	// Send drains the same stream, so it charges the same delay
 	slept.Store(0)
 	if _, err := net.Send("xrpc://a", "/xrpc", bytes.Repeat([]byte("q"), 250)); err != nil {
 		t.Fatal(err)

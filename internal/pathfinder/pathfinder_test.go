@@ -1,6 +1,7 @@
 package pathfinder
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -722,7 +723,12 @@ return execute at {"xrpc://y.example.org"} {u:addFilm($n, "X")}`, nil)
 
 func mustHandle(t *testing.T, s *server.Server, req *soap.Request) []byte {
 	t.Helper()
-	out, err := s.HandleXRPC("/xrpc", soap.EncodeRequest(req))
+	rc, err := s.HandleXRPC("/xrpc", soap.EncodeRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	out, err := io.ReadAll(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,56 @@ func TestWALRecoveryAfterWSATCommit(t *testing.T) {
 	}
 }
 
+// The known loss window of a 2PC participant: the Prepare record is
+// enqueued, not fsync'd, and recovery replays only commit records, so a
+// peer restarted on the same log directory between its Prepare ack and
+// the Commit has forgotten the prepared update. The Commit answers
+// XRPC0006 and the store stays as it was before the update. Even a
+// clean shutdown, which flushes the prepare record to disk, loses it.
+// Making the prepare promise durable turns this test around.
+func TestPreparedUpdateLostOnRestart(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	dir := t.TempDir()
+	p := newPeer(t, "xrpc://durable-prepared", filmDBY, net)
+	enableWAL(t, p, dir, WALConfig{})
+	wantVersion, wantDoc := p.store.Version(), filmDoc(t, p.store)
+
+	qid := &soap.QueryID{ID: "q-prepared", Host: "xrpc://local", Timestamp: time.Now(), Timeout: 60}
+	verb := func(uri, name string) error {
+		cl := client.New(net)
+		cl.QueryID = qid
+		_, err := cl.CallBulk(uri, &client.BulkRequest{ModuleURI: WSATModule, Func: name, Calls: [][]xdm.Sequence{{}}})
+		return err
+	}
+	cl := client.New(net)
+	cl.QueryID = qid
+	if _, err := cl.CallBulk(p.uri, &client.BulkRequest{
+		ModuleURI: "upd", Func: "addFilm", Arity: 2, Updating: true,
+		Calls: [][]xdm.Sequence{{{xdm.String("Prepared Film")}, {xdm.String("P")}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := verb(p.uri, "Prepare"); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	if err := p.server.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := newPeer(t, "xrpc://durable-prepared-r", "", net)
+	if !enableWAL(t, p2, dir, WALConfig{}) {
+		t.Fatal("no recovery")
+	}
+	err := verb(p2.uri, "Commit")
+	if err == nil || !strings.Contains(err.Error(), "XRPC0006") {
+		t.Fatalf("Commit after the restart: %v, want XRPC0006", err)
+	}
+	if p2.store.Version() != wantVersion || filmDoc(t, p2.store) != wantDoc {
+		t.Fatalf("store after the restart and Commit is v%d (want v%d) or its document changed",
+			p2.store.Version(), wantVersion)
+	}
+}
+
 // The snapshot policy keeps recovery exact: with a tiny snapshot
 // threshold the log is repeatedly snapshotted and truncated, and a
 // restart still lands on the precise final state.

@@ -152,26 +152,16 @@ func New(st *store.Store, reg *modules.Registry, exec Executor) *Server {
 	return s
 }
 
-// HandleXRPC implements netsim.Handler: it decodes one message, executes
-// it, and encodes the response; any error becomes a SOAP Fault ("any
-// error will cause a run-time error at the site that originated the
-// query"). The response is built in a pooled encoder; one copy hands it
-// to the caller (the HTTP path in ServeHTTP skips even that copy).
-func (s *Server) HandleXRPC(path string, body []byte) ([]byte, error) {
-	enc := soap.NewEncoder()
-	s.handleInto(enc, body)
-	out := enc.Copy()
-	enc.Release()
-	return out, nil
-}
-
-// HandleXRPCStream implements netsim.StreamHandler: the response
-// envelope is encoded into a pipe in chunks while the caller reads,
-// so the serialized response never materializes as one buffer. The
-// execution itself (and the fault-or-response decision) completes
-// before the first byte is written; what streams is the envelope,
-// which for bulk results dwarfs everything else.
-func (s *Server) HandleXRPCStream(path string, body []byte) (io.ReadCloser, error) {
+// HandleXRPC implements netsim.Handler: it decodes one message,
+// executes it, and encodes the response; any error becomes a SOAP Fault
+// ("any error will cause a run-time error at the site that originated
+// the query"). The response envelope is encoded into a pipe in chunks
+// while the caller reads, so the serialized response never
+// materializes as one buffer. The execution itself (and the
+// fault-or-response decision) completes before the first byte is
+// written; what streams is the envelope, which for bulk results dwarfs
+// everything else.
+func (s *Server) HandleXRPC(path string, body []byte) (io.ReadCloser, error) {
 	pr, pw := io.Pipe()
 	go func() {
 		enc := soap.NewStreamEncoder(pw, 0)
@@ -483,15 +473,6 @@ func (s *Server) handleSystem(req *soap.Request, meta *reqMeta) (*soap.Response,
 		return &soap.Response{
 			Module: req.Module, Method: req.Method, Results: results,
 		}, nil
-	case "listDocuments":
-		names := s.Store.Names()
-		seq := make(xdm.Sequence, len(names))
-		for i, n := range names {
-			seq[i] = xdm.String(n)
-		}
-		return &soap.Response{
-			Module: req.Module, Method: req.Method, Results: []xdm.Sequence{seq},
-		}, nil
 	case "shardInfo":
 		seq := xdm.Sequence{xdm.Integer(int64(s.Shard)), xdm.Integer(int64(s.Shards))}
 		for _, n := range s.Store.Names() {
@@ -556,8 +537,11 @@ func (s *Server) handleWSAT(req *soap.Request) (*soap.Response, error) {
 		var pul *xdm.Node
 		pul, err = s.iso.prepare(req.QueryID.ID)
 		if err == nil {
-			// the prepared PUL hits disk before the ack leaves: the
-			// participant's 2PC promise survives a crash
+			// the prepare record is enqueued, not fsync'd, and recovery
+			// replays only commit records: a participant that restarts
+			// between this ack and the Commit has lost the prepared
+			// PUL, and the Commit answers XRPC0006
+			// (TestPreparedUpdateLostOnRestart)
 			err = s.logPrepare(req.QueryID.ID, pul)
 		}
 		result = xdm.Singleton(xdm.String("prepared"))

@@ -651,7 +651,7 @@ func TestHTTPServing(t *testing.T) {
 		Location: "http://x.example.org/film.xq",
 		Calls:    [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
 	}
-	respBody, err := y.server.HandleXRPC(client.XRPCPath, soap.EncodeRequest(req))
+	respBody, err := serve(y.server, soap.EncodeRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -980,7 +980,7 @@ func TestParallelBulkByteIdenticalToSequential(t *testing.T) {
 	for _, req := range []*soap.Request{films, bulkRequest("Q_B3", probeCalls(48))} {
 		body := soap.EncodeRequest(req)
 		y.server.SetParallelism(1)
-		want, err := y.server.HandleXRPC("/xrpc", body)
+		want, err := serve(y.server, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -989,7 +989,7 @@ func TestParallelBulkByteIdenticalToSequential(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 16, 64} {
 			y.server.SetParallelism(workers)
-			got, err := y.server.HandleXRPC("/xrpc", body)
+			got, err := serve(y.server, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1074,7 +1074,7 @@ func TestParallelBulkConcurrentRequests(t *testing.T) {
 	y := newBulkPeer(t, netsim.NewNetwork(0, 0))
 	body := soap.EncodeRequest(bulkRequest("Q_B3", probeCalls(32)))
 	y.server.SetParallelism(1)
-	want, err := y.server.HandleXRPC("/xrpc", body)
+	want, err := serve(y.server, body)
 	if err != nil || strings.Contains(string(want), "Fault") {
 		t.Fatalf("sequential run: %v %s", err, want)
 	}
@@ -1086,7 +1086,7 @@ func TestParallelBulkConcurrentRequests(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				resp, err := y.server.HandleXRPC("/xrpc", body)
+				resp, err := serve(y.server, body)
 				if err == nil && !bytes.Equal(resp, want) {
 					err = fmt.Errorf("response differs from sequential: %.200s", resp)
 				}

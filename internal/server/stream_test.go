@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,15 +15,37 @@ import (
 	"xrpc/internal/xdm"
 )
 
-var _ netsim.StreamHandler = (*Server)(nil)
+var _ netsim.Handler = (*Server)(nil)
 
-// TestHandleXRPCStreamByteIdentical pins the streamed handler against
-// the buffered reference for both outcomes a request can have: a
-// response envelope and a fault envelope.
+// handleBuffered is the buffered reference the answer paths are held
+// to: one request's response encoded whole into a pooled encoder.
+func handleBuffered(s *Server, body []byte) []byte {
+	enc := soap.NewEncoder()
+	defer enc.Release()
+	s.handleInto(enc, body)
+	return enc.Copy()
+}
+
+// serve posts body to s through its netsim entry and reads the answer
+// to its end.
+func serve(s *Server, body []byte) ([]byte, error) {
+	rc, err := s.HandleXRPC(client.XRPCPath, body)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
+}
+
+// TestHandleXRPCStreamByteIdentical pins both answer paths — the netsim
+// handler's stream and the HTTP response — against the buffered
+// reference for every outcome a request can have: a response envelope,
+// a fault envelope, and the fault a malformed body gets.
 func TestHandleXRPCStreamByteIdentical(t *testing.T) {
-	net, _, y, _ := newCluster(t)
-	_ = net
-	cases := map[string][]byte{
+	_, _, y, _ := newCluster(t)
+	hs := httptest.NewServer(y.server)
+	defer hs.Close()
+	bodies := map[string][]byte{
 		"response": soap.EncodeRequest(&soap.Request{
 			Module: "films", Method: "filmsByActor", Arity: 1,
 			Location: "http://x.example.org/film.xq",
@@ -34,22 +57,27 @@ func TestHandleXRPCStreamByteIdentical(t *testing.T) {
 		"fault":     soap.EncodeRequest(&soap.Request{Module: "no-such-module", Method: "f", Arity: 0}),
 		"malformed": []byte("this is not soap"),
 	}
-	for name, body := range cases {
-		want, err := y.server.HandleXRPC(client.XRPCPath, body)
+	overHTTP := func(body []byte) ([]byte, error) {
+		resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("%s: buffered: %v", name, err)
+			return nil, err
 		}
-		rc, err := y.server.HandleXRPCStream(client.XRPCPath, body)
-		if err != nil {
-			t.Fatalf("%s: stream open: %v", name, err)
-		}
-		got, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			t.Fatalf("%s: stream read: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: streamed handler differs from buffered\nstreamed: %s\nbuffered: %s", name, got, want)
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	for name, body := range bodies {
+		want := handleBuffered(y.server, body)
+		for path, send := range map[string]func([]byte) ([]byte, error){
+			"netsim": func(body []byte) ([]byte, error) { return serve(y.server, body) },
+			"http":   overHTTP,
+		} {
+			got, err := send(body)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", name, path, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s over %s differs from the buffered reference\n got: %s\nwant: %s", name, path, got, want)
+			}
 		}
 	}
 }
@@ -57,8 +85,7 @@ func TestHandleXRPCStreamByteIdentical(t *testing.T) {
 // TestHandleXRPCStreamAbandonedReader: a client that closes the stream
 // early must not wedge the encoding goroutine.
 func TestHandleXRPCStreamAbandonedReader(t *testing.T) {
-	net, _, y, _ := newCluster(t)
-	_ = net
+	_, _, y, _ := newCluster(t)
 	// a bulk request big enough that the response cannot fit in the
 	// pipe's unread window
 	calls := make([][]xdm.Sequence, 512)
@@ -70,7 +97,7 @@ func TestHandleXRPCStreamAbandonedReader(t *testing.T) {
 		Location: "http://x.example.org/film.xq",
 		Calls:    calls,
 	})
-	rc, err := y.server.HandleXRPCStream(client.XRPCPath, body)
+	rc, err := y.server.HandleXRPC(client.XRPCPath, body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -159,7 +160,7 @@ func TestCommitFailureHeuristic(t *testing.T) {
 	sendUpdate(t, cl, "xrpc://b", "F2")
 	// peer b answers Prepare but dies on Commit
 	real := servers["xrpc://b"]
-	net.Register("xrpc://b", netsim.HandlerFunc(func(path string, body []byte) ([]byte, error) {
+	net.Register("xrpc://b", netsim.StreamHandlerFunc(func(path string, body []byte) (io.ReadCloser, error) {
 		if strings.Contains(string(body), `xrpc:method="Commit"`) {
 			return nil, errDown
 		}

@@ -79,10 +79,11 @@ const (
 // standing in for the paper's 1 Gb/s testbed.
 type Network = netsim.Network
 
-// Transport delivers XRPC messages to peers.
+// Transport delivers XRPC messages to peers: SendStream returns the
+// response as a stream, and Send is that stream read to its end.
 type Transport = netsim.Transport
 
-// Handler is a peer network endpoint.
+// Handler is a peer network endpoint; it answers with a stream.
 type Handler = netsim.Handler
 
 // Sequence is an XQuery Data Model sequence; Item is one of its items;
