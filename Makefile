@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke loc ci
+.PHONY: build test vet race bench bench-smoke bench-codec bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke loc ci
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,10 @@ bench:
 # BenchmarkClusterPrunedProbe_*), the SOAP wire-path benchmarks, streaming
 # vs reference (BenchmarkSoap{Encode,Decode}{Request,Response}{,Ref,DOM}),
 # incl. the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
-# BenchmarkSoapResponseStreamWalk), the query peer's join of Q7_1
+# BenchmarkSoapResponseStreamWalk), the codec on the answer pushdown_scan
+# ships (BenchmarkSoapDecodeResponseXMark,
+# BenchmarkSoapResponseStreamWalkRawXMark, BenchmarkParseDocumentXMark in
+# internal/xdm — make bench-codec times them), the query peer's join of Q7_1
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
 # before/after of the join rule: go test -run NONE -bench LiftedJoin
 # -benchmem ./internal/pathfinder), one `replace value of` commit
@@ -55,6 +58,15 @@ bench:
 # The streamed gather's memory bound is make memsmoke's.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-codec is the received-message layer's before/after: the query
+# peer's decode of the answer pushdown_scan ships (XMark closed auctions
+# with annotations, about 0.6 MB, every item built), the proxy's raw
+# forward of it (every item taken as bytes), and the same XML parsed as
+# one document.
+bench-codec:
+	$(GO) test -run NONE -bench 'BenchmarkSoap(DecodeResponse|ResponseStreamWalkRaw)XMark$$' -benchmem ./internal/soap
+	$(GO) test -run NONE -bench 'BenchmarkParseDocumentXMark$$' -benchmem ./internal/xdm
 
 # bench-cluster times the cluster go benchmarks: scatter-gather (cold,
 # streamed, warm-cached) over 1/2/4/8 shard peers, routed writes and

@@ -1,7 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// call deduplication (δ) in the Figure 2 rule, the §4 predicate hash
-// index, and call-by-fragment message compression. Each Benchmark pair
-// measures the system with the mechanism on and off.
+// Ablation benchmarks for design choices README.md's "Architecture"
+// section describes: call deduplication (δ) in the Figure 2 rule, the
+// §4 predicate hash index, and call-by-fragment message compression.
+// Each Benchmark pair measures the system with the mechanism on and off.
 package xrpc
 
 import (

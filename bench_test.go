@@ -1,6 +1,7 @@
 // Benchmarks reproducing the paper's evaluation. Each Benchmark* maps to
-// a table or figure of the paper (see EXPERIMENTS.md for the index and
-// the measured-vs-paper comparison):
+// a table or figure of the paper (see the paper-section map in README.md,
+// "Streaming end-to-end", for the index; cmd/xrpcbench prints the
+// measured tables):
 //
 //	BenchmarkTable2_*      — Table 2 (bulk vs one-at-a-time × cache)
 //	BenchmarkThroughput_*  — §3.3 throughput (request/response payloads)
@@ -29,7 +30,8 @@ import (
 )
 
 // benchRTT is the simulated round-trip latency (stands in for the
-// paper's 1 Gb/s LAN; see DESIGN.md substitutions).
+// paper's 1 Gb/s LAN; see the in-process network simulator in README.md's
+// introduction and the internal/netsim package doc).
 const benchRTT = 100 * time.Microsecond
 
 func runTable2Cell(b *testing.B, x int, bulk, warm bool) {

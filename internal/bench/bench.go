@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -640,7 +639,7 @@ func (env *BulkExecEnv) Run(parallelism int) (time.Duration, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	resp, err := io.ReadAll(rc)
+	resp, err := netsim.ReadBody(rc, -1)
 	rc.Close()
 	if err != nil {
 		return 0, nil, err

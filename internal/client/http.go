@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 )
@@ -183,16 +184,18 @@ func Retriable(err error) bool {
 // HTTPError.
 const errBodyLimit = 512
 
-// Send implements netsim.Transport over HTTP: SendStream drained into
-// one buffer. Non-2xx responses are errors carrying the status and a
-// truncated body — never a success payload.
+// Send implements netsim.Transport over HTTP: the response body read to
+// its end by netsim.ReadBody, in one buffer of the size the peer
+// announced, or copied once out of pooled chunks when it announced none
+// (a streamed answer). Non-2xx responses are errors carrying the status
+// and a truncated body — never a success payload.
 func (t *HTTPTransport) Send(dest, path string, body []byte) ([]byte, error) {
-	rc, err := t.SendStream(dest, path, body)
+	sb, err := t.open(dest, path, body)
 	if err != nil {
 		return nil, err
 	}
-	out, err := io.ReadAll(rc)
-	rc.Close()
+	out, err := netsim.ReadBody(sb, sb.size)
+	sb.Close()
 	if err != nil {
 		return nil, fmt.Errorf("xrpc http: reading response: %w", err)
 	}
@@ -206,6 +209,15 @@ func (t *HTTPTransport) Send(dest, path string, body []byte) ([]byte, error) {
 // IdleTimeout — a stalled peer aborts the request, a slow-but-flowing
 // response does not.
 func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadCloser, error) {
+	sb, err := t.open(dest, path, body)
+	if err != nil {
+		return nil, err
+	}
+	return sb, nil
+}
+
+// open posts body and returns the 2xx response's body as a stream.
+func (t *HTTPTransport) open(dest, path string, body []byte) (*streamBody, error) {
 	url := dest
 	if strings.HasPrefix(url, "xrpc://") {
 		url = "http://" + strings.TrimPrefix(url, "xrpc://")
@@ -263,7 +275,7 @@ func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadClose
 		}
 		return nil, fmt.Errorf("xrpc http: %w", err)
 	}
-	respBody := io.ReadCloser(resp.Body)
+	respBody, size := io.ReadCloser(resp.Body), resp.ContentLength
 	if resp.Header.Get("Content-Encoding") == "gzip" {
 		gz, err := gzip.NewReader(resp.Body)
 		if err != nil {
@@ -271,7 +283,7 @@ func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadClose
 			cancel()
 			return nil, fmt.Errorf("xrpc http: gzip response: %w", err)
 		}
-		respBody = gz
+		respBody, size = gz, -1
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		trunc, _ := io.ReadAll(io.LimitReader(respBody, errBodyLimit))
@@ -296,7 +308,7 @@ func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadClose
 			Body:       strings.TrimSpace(string(trunc)),
 		}
 	}
-	return &streamBody{body: respBody, raw: resp.Body, cancel: cancel, idle: idle, metrics: t.Metrics}, nil
+	return &streamBody{body: respBody, raw: resp.Body, size: size, cancel: cancel, idle: idle, metrics: t.Metrics}, nil
 }
 
 // streamBody is an HTTP response body with a per-read idle watchdog:
@@ -307,6 +319,7 @@ func (t *HTTPTransport) SendStream(dest, path string, body []byte) (io.ReadClose
 type streamBody struct {
 	body     io.ReadCloser // decoded stream (gzip reader or raw body)
 	raw      io.ReadCloser // the underlying resp.Body
+	size     int64         // the decoded body's length, -1 if unknown
 	cancel   context.CancelFunc
 	idle     time.Duration
 	timer    *time.Timer

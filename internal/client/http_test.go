@@ -1,11 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -194,3 +196,55 @@ func TestHTTPTransportStatusErrorsAreClassified(t *testing.T) {
 		}
 	}
 }
+
+// Send reads an answer to its end once: a 1 MiB answer streamed in
+// chunks (no Content-Length) costs little more than one buffer of its
+// size, where regrowing a buffer allocated about three times that, and
+// a 1 KiB answer (Content-Length known) allocates no more than it did
+// then.
+func TestSendReadsBodyOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's pool drops inflate allocation")
+	}
+	big, small := bytes.Repeat([]byte("<x/>"), 256<<10), bytes.Repeat([]byte("<x/>"), 256)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/small" {
+			w.Write(small)
+			return
+		}
+		for b := big; len(b) > 0; b = b[64<<10:] {
+			w.Write(b[:64<<10])
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer hs.Close()
+	tr := NewHTTPTransport()
+	send := func(path string, want []byte) {
+		out, err := tr.Send(hs.URL, path, []byte("<req/>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%s: read %d bytes, want %d", path, len(out), len(want))
+		}
+	}
+	send("/big", big)
+	const runs = 4
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		send("/big", big)
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; per > uint64(len(big))*5/4 {
+		t.Errorf("a %d-byte streamed answer allocated %d bytes per Send, want at most 1.25x its size", len(big), per)
+	}
+	if n := testing.AllocsPerRun(50, func() { send("/small", small) }); n > smallSendAllocs {
+		t.Errorf("a %d-byte answer took %.0f allocations per Send, want at most %d", len(small), n, smallSendAllocs)
+	}
+}
+
+// smallSendAllocs is what one Send of a 1 KiB answer allocated, client
+// and httptest server together, when Send read the body with
+// io.ReadAll.
+const smallSendAllocs = 91

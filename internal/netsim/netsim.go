@@ -105,14 +105,86 @@ func (n *Network) Peer(uri string) (Handler, bool) {
 	return h, ok
 }
 
-// Send implements Transport: SendStream read to its end and closed.
+// Send implements Transport: SendStream read to its end by ReadBody,
+// and closed.
 func (n *Network) Send(dest, path string, body []byte) ([]byte, error) {
 	rc, err := n.SendStream(dest, path, body)
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Close()
-	return io.ReadAll(rc)
+	return ReadBody(rc, -1)
+}
+
+// bodyChunk is the size of the pooled chunks ReadBody reads a body of
+// unknown length into.
+const bodyChunk = 32 << 10
+
+// maxPresize bounds the announced length ReadBody allocates up front: a
+// peer that announces more is read in chunks like one that announces
+// nothing, so a short message claiming a huge length cannot make its
+// reader allocate that length.
+const maxPresize = 16 << 20
+
+var chunkPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+
+// ReadBody reads r to its end: the one way a message body becomes one
+// buffer (a buffered Send, a peer's request intake). size is the body's
+// announced length (Content-Length), or -1 when unknown. A known size
+// is read into one buffer of that size; otherwise the body is read into
+// pooled fixed-size chunks and copied once into a buffer of its final
+// size. Either way the bytes cost one allocation of their own size and
+// are copied at most once; chunks go back to the pool, which the
+// garbage collector empties.
+func ReadBody(r io.Reader, size int64) ([]byte, error) {
+	var buf []byte
+	if size >= 0 && size < maxPresize {
+		buf = make([]byte, size)
+		for n := 0; n < len(buf); {
+			m, err := r.Read(buf[n:])
+			n += m
+			if err == io.EOF {
+				return buf[:n], nil
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		// full, and the EOF not seen yet: the chunks read it, or what
+		// follows if the body is longer than announced
+	}
+	var held [32]*[bodyChunk]byte
+	chunks := held[:0]
+	defer func() {
+		for _, c := range chunks {
+			chunkPool.Put(c)
+		}
+	}()
+	total, fill := 0, bodyChunk
+	for {
+		if fill == bodyChunk {
+			chunks = append(chunks, chunkPool.Get().(*[bodyChunk]byte))
+			fill = 0
+		}
+		n, err := r.Read(chunks[len(chunks)-1][fill:])
+		fill += n
+		total += n
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if total == 0 && len(buf) > 0 {
+		return buf, nil
+	}
+	out := make([]byte, len(buf)+total)
+	at := copy(out, buf)
+	for _, c := range chunks {
+		at += copy(out[at:], c[:min(bodyChunk, len(out)-at)])
+	}
+	return out, nil
 }
 
 // SendStream implements Transport: it delivers the message to the

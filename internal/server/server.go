@@ -19,6 +19,7 @@ import (
 
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
+	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
@@ -88,7 +89,7 @@ type Server struct {
 	// MaxRequestBytes bounds the decoded size of one HTTP request body
 	// (0 = DefaultMaxRequestBytes). It caps decompression-bomb
 	// amplification: a small gzip body may expand ~1000x, and without a
-	// bound io.ReadAll would materialize all of it.
+	// bound the body read would materialize all of it.
 	MaxRequestBytes int64
 	// RespCache, when non-nil, serves repeat read-only traffic from the
 	// per-shard response cache (see respcache.go). Only meaningful for
@@ -155,17 +156,33 @@ func New(st *store.Store, reg *modules.Registry, exec Executor) *Server {
 // HandleXRPC implements netsim.Handler: it decodes one message,
 // executes it, and encodes the response; any error becomes a SOAP Fault
 // ("any error will cause a run-time error at the site that originated
-// the query"). The response envelope is encoded into a pipe in chunks
-// while the caller reads, so the serialized response never
-// materializes as one buffer. The execution itself (and the
-// fault-or-response decision) completes before the first byte is
-// written; what streams is the envelope, which for bulk results dwarfs
-// everything else.
+// the query"). The request runs on the caller's goroutine, and so does
+// the encode of an answer that fits one encoder chunk, which is then
+// read from the encoder's buffer. A longer answer, which for bulk
+// results dwarfs everything else, is encoded again from its start into
+// a pipe by a goroutine, in chunks while the caller reads, so it never
+// materializes as one buffer.
 func (s *Server) HandleXRPC(path string, body []byte) (io.ReadCloser, error) {
+	var x exchange
+	s.run(&x, body)
+	streamed := false
+	defer func() {
+		if !streamed {
+			s.finish(&x)
+		}
+	}()
+	enc := soap.NewStreamEncoder(overflow{}, 0)
+	x.write(enc)
+	if enc.Err() == nil {
+		return &encodedBody{enc: enc}, nil
+	}
+	enc.Release()
+	streamed = true
+	long := x
 	pr, pw := io.Pipe()
 	go func() {
 		enc := soap.NewStreamEncoder(pw, 0)
-		s.handleInto(enc, body)
+		s.encode(&long, enc)
 		err := enc.Flush()
 		enc.Release()
 		pw.CloseWithError(err)
@@ -173,29 +190,100 @@ func (s *Server) HandleXRPC(path string, body []byte) (io.ReadCloser, error) {
 	return pr, nil
 }
 
+// overflow is the sink of HandleXRPC's first encode: the encoder writes
+// to it only once the answer outgrows one chunk, and the error it
+// returns stops the encode.
+type overflow struct{}
+
+var errOverflow = errors.New("server: answer exceeds one encoder chunk")
+
+func (overflow) Write([]byte) (int, error) { return 0, errOverflow }
+
+// encodedBody serves an answer encoded whole from its pooled encoder,
+// which Close returns to the pool.
+type encodedBody struct {
+	enc *soap.Encoder
+	off int
+}
+
+func (b *encodedBody) Read(p []byte) (int, error) {
+	if b.enc == nil || b.off == len(b.enc.Bytes()) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.enc.Bytes()[b.off:])
+	b.off += n
+	return n, nil
+}
+
+func (b *encodedBody) Close() error {
+	if b.enc != nil {
+		b.enc.Release()
+		b.enc = nil
+	}
+	return nil
+}
+
 // handleInto runs one request and encodes the response (or fault) into
 // enc.
 func (s *Server) handleInto(enc *soap.Encoder, body []byte) {
-	start := s.Now()
-	var meta reqMeta
-	var fault *soap.Fault
+	var x exchange
+	s.run(&x, body)
+	s.encode(&x, enc)
+}
+
+// exchange is one request between run, which executes it, and encode,
+// which writes its answer and ends it.
+type exchange struct {
+	start time.Time
+	body  []byte
+	meta  reqMeta
+	resp  *soap.Response
+	fault *soap.Fault
+}
+
+// run executes body to its response or fault. The documents it pins
+// stay pinned for encode; if handle panics they are released (and the
+// request observed) before the panic goes on.
+func (s *Server) run(x *exchange, body []byte) {
+	x.start, x.body = s.Now(), body
+	done := false
 	defer func() {
-		// the request's documents are read until its response is
-		// encoded, here; unpinned, a commit may write them in place
-		meta.snap.Release()
-		d := time.Since(start)
-		s.mu.Lock()
-		s.HandleTime += d
-		s.mu.Unlock()
-		s.observe(&meta, body, d, fault)
+		if !done {
+			s.finish(x)
+		}
 	}()
-	resp, err := s.handle(body, &meta)
+	resp, err := s.handle(body, &x.meta)
 	if err != nil {
-		fault = FaultOf(err)
-		enc.EncodeFault(fault)
+		x.fault = FaultOf(err)
+	}
+	x.resp, done = resp, true
+}
+
+// encode writes x's answer into enc and ends the request.
+func (s *Server) encode(x *exchange, enc *soap.Encoder) {
+	defer s.finish(x)
+	x.write(enc)
+}
+
+// write writes the answer: the fault, or the response.
+func (x *exchange) write(enc *soap.Encoder) {
+	if x.fault != nil {
+		enc.EncodeFault(x.fault)
 		return
 	}
-	enc.EncodeResponse(resp)
+	enc.EncodeResponse(x.resp)
+}
+
+// finish ends a request: the documents it read are released (read until
+// its response is encoded; unpinned, a commit may write them in place),
+// and its time and outcome are recorded.
+func (s *Server) finish(x *exchange) {
+	x.meta.snap.Release()
+	d := time.Since(x.start)
+	s.mu.Lock()
+	s.HandleTime += d
+	s.mu.Unlock()
+	s.observe(&x.meta, x.body, d, x.fault)
 }
 
 // ServeHTTP exposes the handler over real HTTP (POST /xrpc): the request
@@ -222,7 +310,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ReadRequest is the request intake every XRPC HTTP handler shares (a
 // peer's and a cluster proxy's): POST only, a gzip Content-Encoding
 // undone, the decoded body bounded by maxBytes (0 =
-// DefaultMaxRequestBytes). It returns the body and status 0, or, when
+// DefaultMaxRequestBytes) and read by netsim.ReadBody, presized from
+// Content-Length. It returns the body and status 0, or, when
 // it has already answered the request with an HTTP error (405, 400 or
 // 413), that error's status.
 func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, int) {
@@ -234,6 +323,7 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte
 		maxBytes = DefaultMaxRequestBytes
 	}
 	var rd io.Reader = r.Body
+	size := min(r.ContentLength, maxBytes+1)
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		gz, err := gzip.NewReader(r.Body)
 		if err != nil {
@@ -241,9 +331,9 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte
 			return nil, http.StatusBadRequest
 		}
 		defer gz.Close()
-		rd = gz
+		rd, size = gz, -1
 	}
-	body, err := io.ReadAll(io.LimitReader(rd, maxBytes+1))
+	body, err := netsim.ReadBody(io.LimitReader(rd, maxBytes+1), size)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, http.StatusBadRequest

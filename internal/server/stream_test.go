@@ -6,12 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"xrpc/internal/client"
+	"xrpc/internal/interp"
+	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
 	"xrpc/internal/soap"
+	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 )
 
@@ -57,6 +61,16 @@ func TestHandleXRPCStreamByteIdentical(t *testing.T) {
 		"fault":     soap.EncodeRequest(&soap.Request{Module: "no-such-module", Method: "f", Arity: 0}),
 		"malformed": []byte("this is not soap"),
 	}
+	// an answer of several encoder chunks: the netsim handler streams it
+	// through its pipe instead of serving it from one chunk
+	long := make([][]xdm.Sequence, 512)
+	for i := range long {
+		long[i] = []xdm.Sequence{{xdm.String("Sean Connery")}}
+	}
+	bodies["long response"] = soap.EncodeRequest(&soap.Request{
+		Module: "films", Method: "filmsByActor", Arity: 1,
+		Location: "http://x.example.org/film.xq", Calls: long,
+	})
 	overHTTP := func(body []byte) ([]byte, error) {
 		resp, err := http.Post(hs.URL+client.XRPCPath, "application/soap+xml", bytes.NewReader(body))
 		if err != nil {
@@ -79,6 +93,86 @@ func TestHandleXRPCStreamByteIdentical(t *testing.T) {
 				t.Fatalf("%s over %s differs from the buffered reference\n got: %s\nwant: %s", name, path, got, want)
 			}
 		}
+		if name == "long response" && len(want) <= soap.DefaultStreamChunk {
+			t.Fatalf("the long response is %d bytes, not more than one chunk", len(want))
+		}
+	}
+}
+
+// panicExec is an executor whose every request panics.
+type panicExec struct{}
+
+func (panicExec) Execute(*soap.Request, []byte, interp.DocResolver, interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
+	panic("executor failed")
+}
+
+// A request whose handling panics has the panic reach the caller of
+// HandleXRPC, which runs it, and leaves no snapshot pinned behind: the
+// next commit writes the document in place instead of cloning it for
+// a reader that is gone.
+func TestPanickingRequestReleasesSnapshot(t *testing.T) {
+	st := store.New()
+	if err := st.LoadXML("filmDB.xml", filmDBY); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, modules.NewRegistry(), panicExec{})
+	body := soap.EncodeRequest(&soap.Request{
+		Module: "films", Method: "filmsByActor", Arity: 1,
+		Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "executor failed" {
+				t.Fatalf("recovered %v, want the executor's panic", r)
+			}
+		}()
+		srv.HandleXRPC(client.XRPCPath, body)
+		t.Fatal("HandleXRPC returned")
+	}()
+	if err := st.Commit(nil, func(tx *store.Tx) error {
+		tx.Writable("filmDB.xml").Children[0].Name = "movies"
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if in, cl := st.Commits(); in != 1 || cl != 0 {
+		t.Fatalf("commit paths: in place %d, cloned %d, want 1 and 0: the panicking request kept its snapshot", in, cl)
+	}
+}
+
+// ReadRequest reads a body whose Content-Length is announced into one
+// buffer of that size: no regrowth, no second copy.
+func TestReadRequestPresized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's pool drops inflate allocation")
+	}
+	body := bytes.Repeat([]byte("<x/>"), 64<<10)
+	const runs = 4
+	reqs := make([]*http.Request, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, client.XRPCPath, bytes.NewReader(body))
+	}
+	w := httptest.NewRecorder()
+	read := func(r *http.Request) []byte {
+		got, status := ReadRequest(w, r, 0)
+		if status != 0 {
+			t.Fatalf("status %d", status)
+		}
+		return got
+	}
+	read(reqs[runs])
+	var got []byte
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for _, r := range reqs[:runs] {
+		got = read(r)
+	}
+	runtime.ReadMemStats(&ms1)
+	if !bytes.Equal(got, body) {
+		t.Fatal("the body read differs from the body sent")
+	}
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; per > uint64(len(body))+1<<10 {
+		t.Fatalf("reading a %d-byte body allocated %d bytes, want one body-sized buffer", len(body), per)
 	}
 }
 

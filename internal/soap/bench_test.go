@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xrpc/internal/xdm"
+	"xrpc/internal/xmark"
 )
 
 // benchRequest is a realistic bulk request: calls getPerson-style string
@@ -49,6 +50,23 @@ func benchResponse(results int) *Response {
 	}
 	resp.Peers = []string{"xrpc://y.example.org"}
 	return resp
+}
+
+// xmarkResponse is an answer with the shape pushdown_scan ships: every
+// closed_auction of an XMark auctions document at scale 0.12, with its
+// annotation, as the items of one sequence — about 0.6 MB encoded.
+func xmarkResponse() *Response {
+	doc, err := xdm.ParseDocument("auctions.xml", xmark.GenerateAuctions(xmark.PaperConfig(0.12)))
+	if err != nil {
+		panic(err)
+	}
+	var items xdm.Sequence
+	for _, n := range doc.Children[0].Children[0].Children {
+		if n.Kind == xdm.ElementNode {
+			items = append(items, n)
+		}
+	}
+	return &Response{Module: "functions_b", Method: "Q_B1", Results: []xdm.Sequence{items}}
 }
 
 func BenchmarkSoapEncodeRequest(b *testing.B) {
@@ -120,6 +138,20 @@ func BenchmarkSoapDecodeResponse(b *testing.B) {
 	}
 }
 
+// BenchmarkSoapDecodeResponseXMark decodes what the query peer of
+// pushdown_scan decodes per op: the whole shipped answer, every item
+// built as a tree.
+func BenchmarkSoapDecodeResponseXMark(b *testing.B) {
+	msg := EncodeResponse(xmarkResponse())
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeResponse(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSoapDecodeResponseDOM(b *testing.B) {
 	msg := EncodeResponse(benchResponse(64))
 	b.SetBytes(int64(len(msg)))
@@ -148,14 +180,23 @@ func BenchmarkSoapDecodeResponseStream(b *testing.B) {
 // BenchmarkSoapResponseStreamWalk measures item-at-a-time consumption:
 // header, every sequence, every item, Finish — without retaining the
 // response.
-func BenchmarkSoapResponseStreamWalk(b *testing.B) { benchStreamWalk(b, false) }
+func BenchmarkSoapResponseStreamWalk(b *testing.B) {
+	benchStreamWalk(b, EncodeResponse(benchResponse(64)), false)
+}
 
 // BenchmarkSoapResponseStreamWalkRaw is the same walk by a consumer that
 // forwards: every item wrapper taken as bytes (NextItemRaw), none built.
-func BenchmarkSoapResponseStreamWalkRaw(b *testing.B) { benchStreamWalk(b, true) }
+func BenchmarkSoapResponseStreamWalkRaw(b *testing.B) {
+	benchStreamWalk(b, EncodeResponse(benchResponse(64)), true)
+}
 
-func benchStreamWalk(b *testing.B, raw bool) {
-	msg := EncodeResponse(benchResponse(64))
+// BenchmarkSoapResponseStreamWalkRawXMark is the proxy's forward of the
+// pushdown_scan answer: every item taken as bytes, none built.
+func BenchmarkSoapResponseStreamWalkRawXMark(b *testing.B) {
+	benchStreamWalk(b, EncodeResponse(xmarkResponse()), true)
+}
+
+func benchStreamWalk(b *testing.B, msg []byte, raw bool) {
 	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -421,20 +421,17 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 		out = append(out, item)
 	case "element":
 		ref := d.attrLocalScan("nodeid")
-		elems, err := d.childElements()
-		if err != nil {
+		n := len(out)
+		var err error
+		if out, err = d.childElements(out); err != nil {
 			return nil, err
 		}
-		if ref != "" && len(elems) == 0 {
+		if ref != "" && len(out) == n {
 			// call-by-fragment placeholder, resolved after all
 			// parameters of the call are decoded
 			ph := d.arena.Element(nodeRefPlaceholder)
 			ph.Value = ref
 			out = append(out, ph)
-			return out, nil
-		}
-		for _, el := range elems {
-			out = append(out, el)
 		}
 	case "document":
 		doc, err := d.buildDocument()
@@ -595,11 +592,10 @@ func (d *decoder) decodeFaultCode(fault *Fault) error {
 
 // ------------------------------------------------------------ tree build
 
-// childElements builds the element children of the current element as
-// fresh sealed trees (text and other non-element content between them is
-// dropped, as the DOM decoder's ChildElements did).
-func (d *decoder) childElements() ([]*xdm.Node, error) {
-	var out []*xdm.Node
+// childElements appends the element children of the current element to
+// out as fresh sealed trees (text and other non-element content between
+// them is dropped, as the DOM decoder's ChildElements did).
+func (d *decoder) childElements(out xdm.Sequence) (xdm.Sequence, error) {
 	for tgt := d.enter(); ; {
 		ok, err := d.child(tgt)
 		if err != nil {

@@ -364,6 +364,10 @@ func (e *Encoder) sequence(seq xdm.Sequence) {
 }
 
 func (e *Encoder) item(it xdm.Item) {
+	if e.err != nil {
+		// the sink failed: nothing more reaches it
+		return
+	}
 	switch v := it.(type) {
 	case *xdm.Node:
 		switch v.Kind {

@@ -161,16 +161,33 @@ func NewAttribute(name, value string) *Node {
 }
 
 // Arena batch-allocates nodes in slabs, for decoders that build many
-// small trees: one allocation per slab instead of one per node. Arena
-// nodes are ordinary nodes in every respect (identity is still the
-// pointer); an arena is not safe for concurrent use and is typically
-// scoped to one decoded message.
+// small trees: one allocation per slab instead of one per node. The
+// Children and Attrs slices of the trees a Scanner builds are carved
+// from slabs too, at exact length. Arena nodes are ordinary nodes in
+// every respect (identity is still the pointer); an arena is not safe
+// for concurrent use and is typically scoped to one decoded message.
 type Arena struct {
 	slab []Node
+	ptrs []*Node
+	// open and kids are Scanner.build's scratch, reused across the
+	// trees one arena builds: the open elements, each with where its
+	// children start in kids, and the children of all of them.
+	open []openElem
+	kids []*Node
 }
 
-// arenaSlab is the nodes-per-allocation batch size.
-const arenaSlab = 64
+type openElem struct {
+	node *Node
+	kids int
+}
+
+const (
+	// arenaSlab is the nodes-per-allocation batch size.
+	arenaSlab = 64
+	// ptrSlab is the slice-slab size in pointers; a slice of more than
+	// a quarter of it gets its own allocation.
+	ptrSlab = 128
+)
 
 func (a *Arena) node(kind NodeKind, name, value string) *Node {
 	if len(a.slab) == 0 {
@@ -180,6 +197,25 @@ func (a *Arena) node(kind NodeKind, name, value string) *Node {
 	a.slab = a.slab[1:]
 	n.Kind, n.Name, n.Value = kind, name, value
 	return n
+}
+
+// slots returns n node pointers (nil for none) carved from the arena.
+// The full slice expression makes cap == len, so an append to the slice
+// (AppendChild, SetAttr) copies it out instead of writing over the next
+// slice carved from the slab.
+func (a *Arena) slots(n int) []*Node {
+	if n == 0 {
+		return nil
+	}
+	if n > len(a.ptrs) {
+		if n > ptrSlab/4 {
+			return make([]*Node, n)
+		}
+		a.ptrs = make([]*Node, ptrSlab)
+	}
+	p := a.ptrs[:n:n]
+	a.ptrs = a.ptrs[n:]
+	return p
 }
 
 // Element creates an element node from the arena.

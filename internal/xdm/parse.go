@@ -52,7 +52,8 @@ func (s *Scanner) BuildElement(a *Arena) (*Node, error) {
 }
 
 // BuildChildren appends the content of the element whose start tag is
-// the scanner's current token to parent, through the element's end tag.
+// the scanner's current token to parent, through the element's end tag;
+// parent's Children are then one exact-length slice.
 func (s *Scanner) BuildChildren(a *Arena, parent *Node) error {
 	if s.SelfClose {
 		return nil
@@ -62,8 +63,11 @@ func (s *Scanner) BuildChildren(a *Arena, parent *Node) error {
 
 func (s *Scanner) element(a *Arena) *Node {
 	el := a.Element(s.Name)
-	for _, at := range s.Attrs {
-		el.SetAttr(a.Attribute(at.Name, at.Value))
+	el.Attrs = a.slots(len(s.Attrs))
+	for i, at := range s.Attrs {
+		attr := a.Attribute(at.Name, at.Value)
+		attr.Parent = el
+		el.Attrs[i] = attr
 	}
 	return el
 }
@@ -71,11 +75,15 @@ func (s *Scanner) element(a *Arena) *Node {
 // build appends the tokens to parent until an end tag takes the depth
 // back to target (-1: until the input ends). Adjacent text merges
 // (across CDATA sections), whitespace-only text outside every element
-// is dropped, and so is the XML declaration. Iterative (explicit stack),
-// so arbitrarily deep documents cannot overflow the Go stack.
+// is dropped, and so is the XML declaration. The children of the open
+// elements wait in the arena's scratch until their element's end, which
+// carves them an exact-length slice. Iterative (explicit stack), so
+// arbitrarily deep documents cannot overflow the Go stack.
 func (s *Scanner) build(a *Arena, parent *Node, target int) error {
-	cur := parent
-	var stack []*Node
+	open, kids := len(a.open), len(a.kids)
+	defer func() { a.open, a.kids = a.open[:open], a.kids[:kids] }()
+	a.open = append(a.open, openElem{parent, kids})
+	a.kids = append(a.kids, parent.Children...)
 	for {
 		tok, err := s.Next()
 		if err != nil {
@@ -83,20 +91,19 @@ func (s *Scanner) build(a *Arena, parent *Node, target int) error {
 		}
 		switch tok {
 		case TokEOF:
+			a.close()
 			return nil
 		case TokStart:
 			child := s.element(a)
-			cur.AppendChild(child)
+			a.add(child)
 			if !s.SelfClose {
-				stack = append(stack, cur)
-				cur = child
+				a.open = append(a.open, openElem{child, len(a.kids)})
 			}
 		case TokEnd:
+			a.close()
 			if s.depth == target {
 				return nil
 			}
-			cur = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
 		case TokText:
 			v, err := s.TextValue()
 			if err != nil {
@@ -105,21 +112,37 @@ func (s *Scanner) build(a *Arena, parent *Node, target int) error {
 			if s.depth == 0 && strings.TrimSpace(v) == "" {
 				continue
 			}
-			if n := len(cur.Children); n > 0 && cur.Children[n-1].Kind == TextNode {
-				cur.Children[n-1].Value += v
+			if k := len(a.kids); k > a.open[len(a.open)-1].kids && a.kids[k-1].Kind == TextNode {
+				a.kids[k-1].Value += v
 				continue
 			}
-			cur.AppendChild(a.Text(v))
+			a.add(a.Text(v))
 		// comments and PIs are taken verbatim: TextValue cannot fail on
 		// them
 		case TokComment:
 			v, _ := s.TextValue()
-			cur.AppendChild(a.Comment(v))
+			a.add(a.Comment(v))
 		case TokPI:
 			if s.Name != "xml" {
 				v, _ := s.TextValue()
-				cur.AppendChild(a.PI(s.Name, v))
+				a.add(a.PI(s.Name, v))
 			}
 		}
 	}
+}
+
+// add makes n the next child of the innermost open element.
+func (a *Arena) add(n *Node) {
+	n.Parent = a.open[len(a.open)-1].node
+	a.kids = append(a.kids, n)
+}
+
+// close ends the innermost open element: its children move from the
+// scratch into a slice of their own.
+func (a *Arena) close() {
+	top := a.open[len(a.open)-1]
+	a.open = a.open[:len(a.open)-1]
+	top.node.Children = a.slots(len(a.kids) - top.kids)
+	copy(top.node.Children, a.kids[top.kids:])
+	a.kids = a.kids[:top.kids]
 }

@@ -1,11 +1,15 @@
 package xdm
 
 import (
+	"encoding/xml"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"xrpc/internal/xmark"
 )
 
 // parseRows is every rule of the tree ParseDocument builds and every
@@ -56,7 +60,36 @@ var parseRows = []struct {
 	{name: "<![ without CDATA[", text: "<![x]><a/>", err: "invalid markup"},
 	{name: "uppercase X in a character reference", text: "<a>&#X41;</a>", err: "invalid character reference"},
 	{name: "surrogate reference", text: "<a>&#xD800;</a>", err: "invalid character reference"},
+	{name: "mismatched end tag", text: "<a></b>", want: "a()"},
+	{name: "name first met in an end tag", text: "<r><a></c><c/></r>", want: "r(a() c())"},
+	{name: "invalid name in an end tag", text: "<a></1a>", err: "invalid XML name"},
+	{name: "end tag name with two colons", text: "<a></a:b:c>", err: "invalid XML name"},
+	{name: "200 names", text: manyNamesText, want: manyNamesTree},
 }
+
+// manyNamesText nests 200 differently named elements, each with its
+// own attribute, then repeats them as empty siblings: more names, and
+// deeper nesting, than any fixed table of recent names holds.
+var manyNamesText, manyNamesTree = func() (string, string) {
+	var text, tree strings.Builder
+	text.WriteString("<r>")
+	tree.WriteString("r(")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&text, `<n%d a%d="v">`, i, i)
+		fmt.Fprintf(&tree, `n%d[a%d="v"](`, i, i)
+	}
+	for i := 199; i >= 0; i-- {
+		fmt.Fprintf(&text, "</n%d>", i)
+		tree.WriteString(")")
+	}
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&text, `<n%d a%d="w"/>`, i, i)
+		fmt.Fprintf(&tree, ` n%d[a%d="w"]()`, i, i)
+	}
+	text.WriteString("</r>")
+	tree.WriteString(")")
+	return text.String(), tree.String()
+}()
 
 // surrogateRef is the one place the tokenizer may reject what
 // encoding/xml accepts: a character reference to a surrogate, which
@@ -137,7 +170,49 @@ func agree(text string) string {
 	case dump(got) != dump(want):
 		return fmt.Sprintf("tokenizer tree %s\nreference tree %s", dump(got), dump(want))
 	}
+	if got, want := tagNames(text), refTagNames(text); !slices.Equal(got, want) {
+		return fmt.Sprintf("tokenizer tags %q\nreference tags %q", got, want)
+	}
 	return ""
+}
+
+// tagNames lists the tags of a text the tokenizer accepts as it names
+// them: "<a" for a start tag, "/a" for an end tag, both for a
+// self-closing one.
+func tagNames(text string) []string {
+	var tags []string
+	for s := NewScanner([]byte(text), nil, nil); ; {
+		tok, err := s.Next()
+		switch {
+		case err != nil || tok == TokEOF:
+			return tags
+		case tok == TokStart:
+			tags = append(tags, "<"+s.Name)
+			if s.SelfClose {
+				tags = append(tags, "/"+s.Name)
+			}
+		case tok == TokEnd:
+			tags = append(tags, "/"+s.Name)
+		}
+	}
+}
+
+// refTagNames is tagNames read by encoding/xml's RawToken, which names
+// an end tag by its own text, unmatched against its start tag.
+func refTagNames(text string) []string {
+	var tags []string
+	for dec := xml.NewDecoder(strings.NewReader(text)); ; {
+		tok, err := dec.RawToken()
+		if err != nil {
+			return tags
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			tags = append(tags, "<"+rawName(t.Name))
+		case xml.EndElement:
+			tags = append(tags, "/"+rawName(t.Name))
+		}
+	}
 }
 
 func TestParseShapes(t *testing.T) {
@@ -178,11 +253,85 @@ func TestParseShapes(t *testing.T) {
 	}
 }
 
+// TestEndTagNames: an end tag is named by its own text, whether or not
+// it spells the start tag it closes.
+func TestEndTagNames(t *testing.T) {
+	for text, want := range map[string][]string{
+		"<a></b>":                   {"<a", "/b"},
+		"<r><a></c><c/></r>":        {"<r", "<a", "/c", "<c", "/c", "/r"},
+		"<a><a><b/></a><b></c></a>": {"<a", "<a", "<b", "/b", "/a", "<b", "/c", "/a"},
+	} {
+		if got := tagNames(text); !slices.Equal(got, want) {
+			t.Errorf("%s: tags %q, want %q", text, got, want)
+		}
+	}
+}
+
+// TestBuildSlicesExact: every Children and Attrs slice of a built tree
+// has cap == len, so appending to one node's slice copies it out and
+// leaves the slices carved next to it alone.
+func TestBuildSlicesExact(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<r a="1" b="2"><x>t<y/><z c="3" d="4"/></x><x/>`)
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&b, `<w n="%d"><v/>s<v/><v k="1"/></w>`, i)
+	}
+	b.WriteString("<big>" + strings.Repeat("<u/>", 100) + "</big></r>")
+	text := b.String()
+	parse := func() []*Node {
+		doc, err := ParseDocument("t", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []*Node
+		var walk func(*Node)
+		walk = func(n *Node) {
+			nodes = append(nodes, n)
+			nodes = append(nodes, n.Attrs...)
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(doc)
+		return nodes
+	}
+	nodes := parse()
+	for _, n := range nodes {
+		if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
+			t.Fatalf("%s: Children len %d cap %d, Attrs len %d cap %d", dump(n),
+				len(n.Children), cap(n.Children), len(n.Attrs), cap(n.Attrs))
+		}
+	}
+	for i := range nodes {
+		if nodes[i].Kind != ElementNode {
+			continue
+		}
+		nodes := parse()
+		kids := make([][]*Node, len(nodes))
+		attrs := make([][]*Node, len(nodes))
+		for j, n := range nodes {
+			kids[j], attrs[j] = slices.Clone(n.Children), slices.Clone(n.Attrs)
+		}
+		nodes[i].AppendChild(NewElement("added"))
+		nodes[i].SetAttr(NewAttribute("added", "1"))
+		for j, n := range nodes {
+			if j != i && (!slices.Equal(n.Children, kids[j]) || !slices.Equal(n.Attrs, attrs[j])) {
+				t.Fatalf("appending to %s changed the slices of %s", dump(nodes[i]), dump(n))
+			}
+		}
+		if got := dump(nodes[i]); !strings.HasSuffix(got, "added())") {
+			t.Fatalf("appended child missing: %s", got)
+		}
+	}
+}
+
 // FuzzParseDocument holds the tokenizer to the encoding/xml reference
 // on arbitrary text: both accept or both reject (but for surrogateRef),
 // and what both accept is the same tree, node for node — kind, name,
 // value, attributes in order — comments and PIs included, which
-// fn:deep-equal would pass over.
+// fn:deep-equal would pass over, and the same tags by the same names,
+// an end tag's name its own (only balance is checked, not that it
+// matches its start tag's).
 func FuzzParseDocument(f *testing.F) {
 	for _, r := range parseRows {
 		f.Add(r.text)
@@ -193,4 +342,18 @@ func FuzzParseDocument(f *testing.F) {
 			t.Fatalf("%s\ninput: %q", d, text)
 		}
 	})
+}
+
+// BenchmarkParseDocumentXMark parses an XMark auctions document at
+// scale 0.12: the closed_auction items pushdown_scan ships, about
+// 0.6 MB, read as one document.
+func BenchmarkParseDocumentXMark(b *testing.B) {
+	text := xmark.GenerateAuctions(xmark.PaperConfig(0.12))
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseDocument("auctions.xml", text); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

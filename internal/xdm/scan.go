@@ -8,14 +8,19 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // scan.go is the module's one XML tokenizer: ParseDocument and
 // ParseFragment (parse.go) read documents with it, and package soap
 // walks envelopes with it. It works directly on the input []byte — no
-// reflection, no DOM — interns element and attribute names (an envelope
-// repeats the same two dozen thousands of times; a document its element
-// names), and only unescapes text that a caller actually keeps.
+// reflection, no DOM — and makes a repeated name cheap, returning one
+// interned string for it (an envelope repeats the same two dozen
+// thousands of times; a document its element names): an end tag that
+// closes the innermost element by its name, or a name that follows the
+// name before it as it did last time, costs one compare, and any other
+// name met before one map lookup. It only unescapes text that a caller
+// actually keeps.
 //
 // It accepts exactly the well-formed input encoding/xml's RawToken
 // accepts (the test-only reference in parse_ref_test.go, pinned by
@@ -25,7 +30,8 @@ import (
 // checks run where text becomes a Go string (TextValue) and on
 // attribute values, never in the scan that finds a token's end, so a
 // reader that passes text on as bytes (soap's raw forward) pays nothing
-// for them; name checks run once per distinct name.
+// for them; name checks run once per distinct name (a PI target's on
+// each PI: targets are rare and not interned).
 //
 // The tokenizer has two input modes sharing every scan routine:
 //
@@ -82,6 +88,17 @@ type Scanner struct {
 	// depth is the current element nesting depth; Next maintains it and
 	// rejects underflow and unclosed elements at EOF.
 	depth int
+	// opened[d%len] is the name of the element last opened at depth d:
+	// while it is open, the innermost one's (unless 16 or more levels
+	// opened inside it since). An end tag that spells it takes it with
+	// one compare.
+	opened [16]string
+	// follows[followSlot(p)] is the start-tag or attribute name last
+	// read after the name p, and prev the last one read: input that
+	// repeats a structure (the items of a sequence, the calls of a bulk
+	// request) names the next one with one compare.
+	follows [64]string
+	prev    string
 
 	// src, when non-nil, refills data from an incremental reader. It is
 	// cleared at EOF; a non-EOF read error is held in srcErr and
@@ -97,8 +114,10 @@ type Scanner struct {
 	cdata bool
 
 	// static holds the caller's well-formed names and common attribute
-	// values; names and texts intern the names and short text values
-	// met beyond it (apart, so a text never passes for a checked name).
+	// values. names interns the element and attribute names met beyond
+	// static, each checked the first time (and, once it exists, the
+	// static names met too); texts interns short text values, apart, so
+	// a text never passes for a checked name.
 	static       map[string]string
 	names, texts map[string]string
 }
@@ -227,20 +246,23 @@ func (s *Scanner) compact() {
 	}
 }
 
-// name returns the element or attribute name (qualified: at most one
-// ':') or PI target in b, checking it the first time it is met.
-func (s *Scanner) name(b []byte, qualified bool) (string, error) {
+// name returns the element or attribute name in b (qualified: at most
+// one ':'), checking it the first time it is met: a name met before
+// costs one lookup in the names this scanner has interned. A name not
+// there is taken from static (once the scanner has names of its own, a
+// static name joins them) or checked and interned.
+func (s *Scanner) name(b []byte) (string, error) {
+	if v, ok := s.names[string(b)]; ok {
+		return v, nil
+	}
 	if v, ok := s.static[string(b)]; ok {
+		if s.names != nil {
+			s.names[v] = v
+		}
 		return v, nil
 	}
-	if v, ok := s.names[string(b)]; ok && qualified {
-		return v, nil
-	}
-	if !isName(b) || qualified && bytes.Count(b, []byte{':'}) > 1 {
+	if !isName(b) || bytes.Count(b, []byte{':'}) > 1 {
 		return "", s.errf("invalid XML name %q", b)
-	}
-	if !qualified {
-		return string(b), nil
 	}
 	if s.names == nil {
 		s.names = make(map[string]string, 8)
@@ -248,6 +270,29 @@ func (s *Scanner) name(b []byte, qualified bool) (string, error) {
 	v := string(b)
 	s.names[v] = v
 	return v, nil
+}
+
+// nextName is name for a start-tag or attribute name b: the name that
+// followed the previous one last time, when b spells it again, costs
+// one compare.
+func (s *Scanner) nextName(b []byte) (string, error) {
+	slot := &s.follows[followSlot(s.prev)]
+	if v := *slot; string(b) == v {
+		s.prev = v
+		return v, nil
+	}
+	v, err := s.name(b)
+	if err != nil {
+		return "", err
+	}
+	*slot, s.prev = v, v
+	return v, nil
+}
+
+// followSlot hashes an interned name by its address: one string per
+// name, so no byte of it is read.
+func followSlot(name string) uintptr {
+	return uintptr(unsafe.Pointer(unsafe.StringData(name))) * 0x9E3779B97F4A7C15 >> 58
 }
 
 func (s *Scanner) errf(format string, args ...any) error {
@@ -385,7 +430,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 	if i == start {
 		return TokEOF, s.errf("malformed start tag at offset %d", s.base+s.pos)
 	}
-	if s.Name, err = s.name(s.data[start:i], true); err != nil {
+	if s.Name, err = s.nextName(s.data[start:i]); err != nil {
 		return TokEOF, err
 	}
 	s.kind = TokStart
@@ -401,6 +446,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		switch s.data[i] {
 		case '>':
 			s.pos = i + 1
+			s.opened[s.depth%len(s.opened)] = s.Name
 			s.depth++
 			return TokStart, nil
 		case '/':
@@ -421,7 +467,7 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 		if i == as {
 			return TokEOF, s.errf("malformed attribute in <%s>", s.Name)
 		}
-		aname, err := s.name(s.data[as:i], true)
+		aname, err := s.nextName(s.data[as:i])
 		if err != nil {
 			return TokEOF, err
 		}
@@ -483,7 +529,12 @@ func (s *Scanner) scanEndTag() (TokenKind, error) {
 	if i == start {
 		return TokEOF, s.errf("malformed end tag at offset %d", s.base+s.pos)
 	}
-	if s.Name, err = s.name(s.data[start:i], true); err != nil {
+	// an end tag's name is not matched against its start tag's, only
+	// read: the innermost open element's, when it spells it, was checked
+	// at its start tag
+	if d := max(s.depth-1, 0) % len(s.opened); string(s.data[start:i]) == s.opened[d] {
+		s.Name = s.opened[d]
+	} else if s.Name, err = s.name(s.data[start:i]); err != nil {
 		return TokEOF, err
 	}
 	if i, err = s.skip(i, &spaceBytes); err != nil {
@@ -542,8 +593,14 @@ func (s *Scanner) scanPI() (TokenKind, error) {
 	if i == start {
 		return TokEOF, s.errf("processing instruction without a target")
 	}
-	if s.Name, err = s.name(s.data[start:i], false); err != nil {
-		return TokEOF, err
+	switch target := s.data[start:i]; {
+	case string(target) == "xml":
+		// every message's declaration: no string to make
+		s.Name = "xml"
+	case !isName(target):
+		return TokEOF, s.errf("invalid XML name %q", target)
+	default:
+		s.Name = string(target)
 	}
 	if i, err = s.skip(i, &spaceBytes); err != nil {
 		return TokEOF, err
