@@ -41,7 +41,8 @@ bench:
 # vs reference (BenchmarkSoap{Encode,Decode}{Request,Response}{,Ref,DOM}),
 # incl. the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
 # BenchmarkSoapResponseStreamWalk), the codec on the answer pushdown_scan
-# ships (BenchmarkSoapDecodeResponseXMark,
+# ships (BenchmarkSoapDecodeResponseXMark, BenchmarkSoapDecodeResponseXMarkQ71 —
+# the decode with the reads Q7_1 makes of its items —
 # BenchmarkSoapResponseStreamWalkRawXMark, BenchmarkParseDocumentXMark in
 # internal/xdm — make bench-codec times them), the query peer's join of Q7_1
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
@@ -61,11 +62,12 @@ bench-smoke:
 
 # bench-codec is the received-message layer's before/after: the query
 # peer's decode of the answer pushdown_scan ships (XMark closed auctions
-# with annotations, about 0.6 MB, every item built), the proxy's raw
-# forward of it (every item taken as bytes), and the same XML parsed as
-# one document.
+# with annotations, about 0.6 MB, every item checked, none built), that
+# decode followed by Q7_1's reads of its items (buyer/@person of each, the
+# annotation of six copied and written), the proxy's raw forward of it
+# (every item taken as bytes), and the same XML parsed as one document.
 bench-codec:
-	$(GO) test -run NONE -bench 'BenchmarkSoap(DecodeResponse|ResponseStreamWalkRaw)XMark$$' -benchmem ./internal/soap
+	$(GO) test -run NONE -bench 'BenchmarkSoap(DecodeResponseXMark(Q71)?|ResponseStreamWalkRawXMark)$$' -benchmem ./internal/soap
 	$(GO) test -run NONE -bench 'BenchmarkParseDocumentXMark$$' -benchmem ./internal/xdm
 
 # bench-cluster times the cluster go benchmarks: scatter-gather (cold,
@@ -91,7 +93,12 @@ bench-cluster:
 # (xdm.ParseDocument, the envelope decoders) to encoding/xml, kept as a
 # test-only reference: the same accept/reject outcome and, on success,
 # the same tree node for node — but for character references to
-# surrogates, which only the tokenizer rejects. FuzzDecodePUL shakes the
+# surrogates, which only the tokenizer rejects. FuzzLazyElement holds the
+# lazy build of a received item (xdm's lazy.go) to the eager one: the same
+# accept/reject, the same tree node for node with the same ordinals
+# however far it is built, and every span it marks canonical is what
+# WriteNode writes for it (FuzzResponseStreamRaw checks the same of
+# DecodeResponse's lazy items). FuzzDecodePUL shakes the
 # pending-update-list reader that replica adoption and WAL replay
 # feed: no input may panic it or the ApplyUpdates that follows,
 # and an accepted list must re-encode to a node that decodes to the
@@ -105,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzWALDecode$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/wal
 	$(GO) test -run=NONE -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xq
 	$(GO) test -run=NONE -fuzz 'FuzzParseDocument$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
+	$(GO) test -run=NONE -fuzz 'FuzzLazyElement$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
 	$(GO) test -run=NONE -fuzz 'FuzzDecodePUL$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 
 # memsmoke is the bounded-memory acceptance check of the streamed

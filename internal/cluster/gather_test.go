@@ -636,8 +636,12 @@ func TestProxyAbortsOnMidStreamFailure(t *testing.T) {
 // a wrapper of unknown name, more results than calls — is rejected by
 // the proxy as before: a clean Fault while nothing has been written, a
 // connection abort once merged bytes are out. What only building the
-// value checks — the lexical form of a typed atomic — reaches the client,
-// whose decoder reports it; never a silently shortened result.
+// value checks — the lexical form of a typed atomic, the characters of
+// spliced text — reaches the client, whose decoder reports it; never a
+// silently shortened result. The client is the query peer's: its
+// decoder's node items are lazy, and still every such row fails inside
+// CallBulk, at decode time — also for a fault deep inside an item the
+// query would never step into — not later, when the item is read.
 func TestProxyValidationBoundary(t *testing.T) {
 	good := soap.NewEncoder()
 	good.EncodeItem(xdm.String(strings.Repeat("x", 1024)))
@@ -663,6 +667,9 @@ func TestProxyValidationBoundary(t *testing.T) {
 		{name: "less-than in a spliced attribute", tail: `<xrpc:element><a b="<"/></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
 			atProxy: "unescaped <"},
 		{name: "invalid UTF-8 in spliced text", tail: "<xrpc:element><a>\xff</a></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>",
+			atClient: "invalid UTF-8"},
+		{name: "invalid UTF-8 deep in an item never stepped into", tail: `<xrpc:element><closed_auction><buyer person="p1"/>` +
+			"<annotation><description><text>ok \xff</text></description></annotation></closed_auction></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>",
 			atClient: "invalid UTF-8"},
 		{name: "lexically invalid atomic", tail: `<xrpc:atomic-value xsi:type="xs:integer">abc</xrpc:atomic-value></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`,
 			atClient: `soap: bad atomic value "abc" as xs:integer`},
@@ -690,7 +697,8 @@ func TestProxyValidationBoundary(t *testing.T) {
 				defer hs.Close()
 
 				br := &client.BulkRequest{ModuleURI: "m", Func: "scan", Arity: 0, Calls: [][]xdm.Sequence{{}}}
-				res, err := client.New(client.NewHTTPTransport()).CallBulk(hs.URL, br)
+				tr := &replyRecorder{Transport: client.NewHTTPTransport()}
+				res, err := client.New(tr).CallBulk(hs.URL, br)
 				if err == nil {
 					t.Fatalf("client got %d item(s) and no error from a malformed shard stream", len(res[0]))
 				}
@@ -700,6 +708,9 @@ func TestProxyValidationBoundary(t *testing.T) {
 					// passed through whole; the client's decoder rejects it
 					if errors.As(err, &fault) || !strings.Contains(err.Error(), c.atClient) {
 						t.Fatalf("client err = %v, want its own decoder's %q", err, c.atClient)
+					}
+					if _, derr := soap.DecodeResponse(tr.reply); derr == nil || derr.Error() != err.Error() {
+						t.Fatalf("client err = %v, but decoding the reply it got says %v", err, derr)
 					}
 				case items == 0:
 					// nothing written yet: a clean Fault naming the cause
@@ -716,6 +727,18 @@ func TestProxyValidationBoundary(t *testing.T) {
 			})
 		}
 	}
+}
+
+// replyRecorder keeps the last buffered reply its transport received.
+type replyRecorder struct {
+	netsim.Transport
+	reply []byte
+}
+
+func (r *replyRecorder) Send(dest, path string, body []byte) ([]byte, error) {
+	reply, err := r.Transport.Send(dest, path, body)
+	r.reply = reply
+	return reply, err
 }
 
 // ------------------------------------------------- bounded-memory smoke

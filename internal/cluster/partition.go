@@ -90,7 +90,7 @@ func PartitionShardWithMeta(name, xml string, k, n int) (string, []KeyRange, []E
 func isContainer(n *xdm.Node) bool {
 	name := ""
 	elems := 0
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		switch c.Kind {
 		case xdm.ElementNode:
 			if elems == 0 {
@@ -186,7 +186,7 @@ func shardTree(n *xdm.Node, k, shards int, doc, path string, ranges *[]KeyRange)
 		}
 		return c
 	}
-	for _, ch := range n.Children {
+	for _, ch := range n.Children() {
 		c.AppendChild(shardTree(ch, k, shards, doc, path, ranges))
 	}
 	return c
@@ -214,7 +214,7 @@ func docElemLocs(doc *xdm.Node, name string) []ElemLoc {
 	}
 	var markOutside func(n *xdm.Node)
 	markOutside = func(n *xdm.Node) {
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			if c.Kind == xdm.ElementNode {
 				get(c.Name).Outside = true
 				markOutside(c)
@@ -236,7 +236,7 @@ func docElemLocs(doc *xdm.Node, name string) []ElemLoc {
 			}
 			return
 		}
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			if c.Kind == xdm.ElementNode {
 				get(c.Name).Outside = true
 				walk(c, path)

@@ -143,7 +143,7 @@ func TestFailingListWritesNothingInPlace(t *testing.T) {
 		query: `(replace value of node doc("d.xml")/r/q with "x",
 			delete node doc("d.xml")/r/p/text())`,
 		extra: func(d *xdm.Node) Primitive {
-			id := d.Children[0].Children[0].Attrs[0]
+			id := d.Children()[0].Children()[0].Attrs[0]
 			return Primitive{Kind: PrimReplaceNode, Target: id, Source: []*xdm.Node{xdm.NewElement("x").Seal()}}
 		},
 		code: "XUTY0011",
@@ -258,7 +258,7 @@ func TestInPlaceStructuralCommitReseals(t *testing.T) {
 		for _, a := range n.Attrs {
 			out = append(out, a.Ord())
 		}
-		for _, c := range n.Children {
+		for _, c := range n.Children() {
 			out = ords(c, out)
 		}
 		return out
@@ -341,8 +341,8 @@ func TestReadersBesideInPlaceCommits(t *testing.T) {
 				want := fmt.Sprint(snap.Version() - base)
 				for reread := 0; reread < 3; reread++ {
 					doc, _ := snap.Get("d.xml")
-					r := doc.Children[0]
-					if v, w := r.Children[0].StringValue(), r.Children[1].StringValue(); v != want || w != want {
+					r := doc.Children()[0]
+					if v, w := r.Children()[0].StringValue(), r.Children()[1].StringValue(); v != want || w != want {
 						errs <- fmt.Errorf("snapshot v%d reads v=%s w=%s, want %s", snap.Version(), v, w, want)
 						snap.Release()
 						return

@@ -822,7 +822,7 @@ func appendContent(el *xdm.Node, v xdm.Sequence) error {
 			case xdm.AttributeNode:
 				el.SetAttr(xdm.NewAttribute(x.Name, x.Value))
 			case xdm.DocumentNode:
-				for _, c := range x.Children {
+				for _, c := range x.Children() {
 					el.AppendChild(c.Clone())
 				}
 			default:
@@ -834,8 +834,8 @@ func appendContent(el *xdm.Node, v xdm.Sequence) error {
 			if prevAtomic {
 				s = " " + s
 			}
-			if len(el.Children) > 0 && el.Children[len(el.Children)-1].Kind == xdm.TextNode {
-				el.Children[len(el.Children)-1].Value += s
+			if kids := el.Children(); len(kids) > 0 && kids[len(kids)-1].Kind == xdm.TextNode {
+				kids[len(kids)-1].Value += s
 			} else if s != "" {
 				el.AppendChild(xdm.NewText(s))
 			}

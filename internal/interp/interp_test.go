@@ -242,7 +242,7 @@ func TestConstructorCopiesNodes(t *testing.T) {
 	// ends at the new element, not the source document.
 	seq := evalQuery(t, e, `<wrap>{doc("filmDB.xml")//name[1]}</wrap>`)
 	wrap := seq[0].(*xdm.Node)
-	inner := wrap.Children[0]
+	inner := wrap.Children()[0]
 	if inner.Parent != wrap {
 		t.Error("inner node's parent should be the new element")
 	}

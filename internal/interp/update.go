@@ -287,7 +287,7 @@ func contentNodes(v xdm.Sequence) ([]*xdm.Node, error) {
 		switch x := it.(type) {
 		case *xdm.Node:
 			if x.Kind == xdm.DocumentNode {
-				for _, c := range x.Children {
+				for _, c := range x.Children() {
 					out = append(out, c.Clone())
 				}
 				continue
@@ -387,7 +387,7 @@ func ApplyUpdates(st *store.Store, ul *UpdateList, own *store.Snapshot) error {
 				if p.Kind == PrimReplaceValue {
 					c := targets[i]
 					if c.Kind == xdm.ElementNode {
-						c = c.Children[0] // the text child took the value
+						c = c.Children()[0] // the text child took the value
 					}
 					changed = append(changed, c)
 				}
@@ -519,7 +519,7 @@ func checkPrimitives(prims []Primitive, targets []*xdm.Node, conflicts bool) err
 			if t.Kind == xdm.ElementNode {
 				// the element's children leave it, save a one text child
 				// no primitive targets (see applyPrimitive)
-				for _, c := range t.Children {
+				for _, c := range t.Children() {
 					gone = markGone(gone, c)
 				}
 			}
@@ -574,7 +574,7 @@ func applyPrimitive(target *xdm.Node, p Primitive, targeted map[*xdm.Node]bool) 
 	switch p.Kind {
 	case PrimInsertInto, PrimInsertLast:
 		for _, s := range cloneSources() {
-			attach(target, s, len(target.Children))
+			attach(target, s, len(target.Children()))
 		}
 	case PrimInsertFirst:
 		for i, s := range cloneSources() {
@@ -606,11 +606,11 @@ func applyPrimitive(target *xdm.Node, p Primitive, targeted map[*xdm.Node]bool) 
 		// an element's one text child takes the new value where it is,
 		// unless a primitive targets that child: it must see the child
 		// replaced, as checkPrimitives did
-		if len(target.Children) == 1 && target.Children[0].Kind == xdm.TextNode && p.Value != "" && !targeted[target.Children[0]] {
-			target.Children[0].Value = p.Value
+		if kids := target.Children(); len(kids) == 1 && kids[0].Kind == xdm.TextNode && p.Value != "" && !targeted[kids[0]] {
+			kids[0].Value = p.Value
 			return false
 		}
-		target.Children = nil
+		target.SetChildren(nil)
 		if p.Value != "" {
 			target.AppendChild(xdm.NewText(p.Value))
 		}
@@ -627,9 +627,7 @@ func attach(parent, child *xdm.Node, idx int) {
 		return
 	}
 	child.Parent = parent
-	parent.Children = append(parent.Children, nil)
-	copy(parent.Children[idx+1:], parent.Children[idx:])
-	parent.Children[idx] = child
+	parent.SetChildren(slices.Insert(parent.Children(), idx, child))
 }
 
 func detach(n *xdm.Node) {
@@ -647,13 +645,13 @@ func detach(n *xdm.Node) {
 		return
 	}
 	if i := childIndex(parent, n); i >= 0 {
-		parent.Children = append(parent.Children[:i], parent.Children[i+1:]...)
+		parent.SetChildren(slices.Delete(parent.Children(), i, i+1))
 	}
 	n.Parent = nil
 }
 
 func childIndex(parent, child *xdm.Node) int {
-	for i, c := range parent.Children {
+	for i, c := range parent.Children() {
 		if c == child {
 			return i
 		}

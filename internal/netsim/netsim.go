@@ -128,10 +128,15 @@ const maxPresize = 16 << 20
 
 var chunkPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
 
+// probePool holds the small buffers the read past an announced length
+// goes into, so a body of exactly that length takes no chunk.
+var probePool = sync.Pool{New: func() any { return new([512]byte) }}
+
 // ReadBody reads r to its end: the one way a message body becomes one
 // buffer (a buffered Send, a peer's request intake). size is the body's
 // announced length (Content-Length), or -1 when unknown. A known size
-// is read into one buffer of that size; otherwise the body is read into
+// is read into one buffer of that size, and the read that finds its end
+// into a small pooled probe; otherwise the body is read into
 // pooled fixed-size chunks and copied once into a buffer of its final
 // size. Either way the bytes cost one allocation of their own size and
 // are copied at most once; chunks go back to the pool, which the
@@ -150,8 +155,6 @@ func ReadBody(r io.Reader, size int64) ([]byte, error) {
 				return nil, err
 			}
 		}
-		// full, and the EOF not seen yet: the chunks read it, or what
-		// follows if the body is longer than announced
 	}
 	var held [32]*[bodyChunk]byte
 	chunks := held[:0]
@@ -161,6 +164,30 @@ func ReadBody(r io.Reader, size int64) ([]byte, error) {
 		}
 	}()
 	total, fill := 0, bodyChunk
+	if buf != nil {
+		// full, and the EOF not seen yet: a probe reads it, or the
+		// start of what follows if the body is longer than announced,
+		// which the chunks read on from
+		p := probePool.Get().(*[512]byte)
+		defer probePool.Put(p)
+		var n int
+		var err error
+		for n == 0 && err == nil {
+			n, err = r.Read(p[:])
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if n == 0 {
+			return buf, nil
+		}
+		chunks = append(chunks, chunkPool.Get().(*[bodyChunk]byte))
+		fill = copy(chunks[0][:], p[:n])
+		total = n
+		if err == io.EOF {
+			return assemble(buf, chunks, total), nil
+		}
+	}
 	for {
 		if fill == bodyChunk {
 			chunks = append(chunks, chunkPool.Get().(*[bodyChunk]byte))
@@ -176,15 +203,18 @@ func ReadBody(r io.Reader, size int64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if total == 0 && len(buf) > 0 {
-		return buf, nil
-	}
+	return assemble(buf, chunks, total), nil
+}
+
+// assemble copies buf and then total bytes of chunks into one buffer of
+// their length.
+func assemble(buf []byte, chunks []*[bodyChunk]byte, total int) []byte {
 	out := make([]byte, len(buf)+total)
 	at := copy(out, buf)
 	for _, c := range chunks {
 		at += copy(out[at:], c[:min(bodyChunk, len(out)-at)])
 	}
-	return out, nil
+	return out
 }
 
 // SendStream implements Transport: it delivers the message to the

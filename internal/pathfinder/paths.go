@@ -126,21 +126,24 @@ func execStep(ec *ExecCtx, sc *scope, ctx *algebra.Table, st xq.Step, preds []pr
 			return nil, err
 		}
 	}
-	// doc order + dedup per iteration, then emit with fresh pos
+	// doc order + dedup per iteration, then emit with fresh pos: the
+	// groups are in iteration order, so each iteration's are one run
 	out := seqTable()
-	perIter := map[int64][]*xdm.Node{}
-	var iterOrder []int64
-	for _, g := range groups {
-		if _, seen := perIter[g.outer]; !seen {
-			iterOrder = append(iterOrder, g.outer)
+	var run []*xdm.Node
+	for i := 0; i < len(groups); {
+		it, nodes := groups[i].outer, groups[i].items
+		j := i + 1
+		if j < len(groups) && groups[j].outer == it {
+			run = append(run[:0], nodes...)
+			for ; j < len(groups) && groups[j].outer == it; j++ {
+				run = append(run, groups[j].items...)
+			}
+			nodes = run
 		}
-		perIter[g.outer] = append(perIter[g.outer], g.items...)
-	}
-	for _, it := range iterOrder {
-		nodes := xdm.SortDocOrderDedup(perIter[it])
-		for p, n := range nodes {
+		for p, n := range xdm.SortDocOrderDedup(nodes) {
 			out.AppendSeq(it, int64(p+1), n)
 		}
+		i = j
 	}
 	return out, nil
 }

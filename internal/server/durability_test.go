@@ -221,7 +221,7 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := storetest.Doc(t, p.store, "a.xml")
-	id := doc.Children[0].Children[0].Attrs[0]
+	id := doc.Children()[0].Children()[0].Attrs[0]
 	bad := &interp.UpdateList{}
 	bad.Add(interp.Primitive{Kind: interp.PrimReplaceNode, Target: id,
 		Source: []*xdm.Node{xdm.NewElement("x").Seal()}})
@@ -413,7 +413,7 @@ func TestReplayAppliesALoggedConflictAsItCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	enableWAL(t, p, dir, WALConfig{})
-	id := storetest.Doc(t, p.store, "a.xml").Children[0].Children[0].Attrs[0]
+	id := storetest.Doc(t, p.store, "a.xml").Children()[0].Children()[0].Attrs[0]
 	ul := &interp.UpdateList{}
 	for _, v := range []string{"2", "3"} {
 		ul.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: v})

@@ -338,7 +338,7 @@ func TestUpdateImmediateApplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := storetest.Doc(t, y.store, "filmDB.xml")
-	films := xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
+	films := xdm.Step(doc.Children()[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
 	if len(films) != 4 {
 		t.Errorf("films after update = %d, want 4", len(films))
 	}
@@ -359,7 +359,7 @@ func TestUpdateDeferredUntilCommit(t *testing.T) {
 	}
 	countFilms := func() int {
 		doc := storetest.Doc(t, y.store, "filmDB.xml")
-		return len(xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"}))
+		return len(xdm.Step(doc.Children()[0], xdm.AxisChild, xdm.NodeTest{Name: "film"}))
 	}
 	if got := countFilms(); got != 3 {
 		t.Fatalf("update visible before commit: %d films", got)
@@ -413,7 +413,7 @@ func TestUpdateAbortDiscards(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := storetest.Doc(t, y.store, "filmDB.xml")
-	films := xdm.Step(doc.Children[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
+	films := xdm.Step(doc.Children()[0], xdm.AxisChild, xdm.NodeTest{Name: "film"})
 	if len(films) != 3 {
 		t.Errorf("films after abort = %d, want 3", len(films))
 	}

@@ -130,7 +130,7 @@ func TestPanickingRequestReleasesSnapshot(t *testing.T) {
 		t.Fatal("HandleXRPC returned")
 	}()
 	if err := st.Commit(nil, func(tx *store.Tx) error {
-		tx.Writable("filmDB.xml").Children[0].Name = "movies"
+		tx.Writable("filmDB.xml").Children()[0].Name = "movies"
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -51,9 +51,14 @@ func DecodeRequest(data []byte) (*Request, error) {
 }
 
 // DecodeResponse parses a response message, converting faults into *Fault
-// errors.
+// errors. It accepts and rejects what Decode does, but it keeps data:
+// each xrpc:element and xrpc:document item comes back as a lazy node
+// (xdm's lazy.go) whose content is built from data as far as a reader
+// steps into it — or never, when it is only copied and serialized — so
+// data must not change while the items live, and they keep it alive.
 func DecodeResponse(data []byte) (*Response, error) {
-	m, err := Decode(data)
+	d := &decoder{sc: xdm.NewScanner(data, nil, internTable), lazy: true}
+	m, err := d.decodeMessage()
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +106,9 @@ type decoder struct {
 	arena xdm.Arena
 	// envTgt is the Envelope's target, set by openBody for closeEnvelope.
 	envTgt int
+	// lazy: node items are built lazily from the input, which the
+	// decoded message keeps (DecodeResponse)
+	lazy bool
 }
 
 // attrLocalScan reads an attribute of the current start tag by local
@@ -604,7 +612,12 @@ func (d *decoder) childElements(out xdm.Sequence) (xdm.Sequence, error) {
 		if !ok {
 			return out, nil
 		}
-		n, err := d.sc.BuildElement(&d.arena)
+		var n *xdm.Node
+		if d.lazy {
+			n, err = d.sc.LazyElement(&d.arena)
+		} else {
+			n, err = d.sc.BuildElement(&d.arena)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -615,10 +628,16 @@ func (d *decoder) childElements(out xdm.Sequence) (xdm.Sequence, error) {
 
 // buildDocument rebuilds an <xrpc:document> wrapper's content as a fresh
 // document node: all children (elements, text, comments, PIs) are kept,
-// matching the DOM decoder's clone of v.Children.
+// matching the DOM decoder's clone of v.Children().
 func (d *decoder) buildDocument() (*xdm.Node, error) {
 	doc := d.arena.Document("")
-	if err := d.sc.BuildChildren(&d.arena, doc); err != nil {
+	var err error
+	if d.lazy {
+		err = d.sc.LazyChildren(doc)
+	} else {
+		err = d.sc.BuildChildren(&d.arena, doc)
+	}
+	if err != nil {
 		return nil, err
 	}
 	doc.Seal()

@@ -69,7 +69,7 @@ func fixtureRequests(t testing.TB) []*Request {
 		},
 	}
 	// call-by-fragment: the second parameter is a descendant of the first
-	desc := person.Children[0]
+	desc := person.Children()[0]
 	reqs = append(reqs, &Request{
 		Module: "m", Method: "f", Arity: 2, Location: "l",
 		ByFragment: true,
@@ -502,8 +502,8 @@ func TestDecoderAgreesWithDOMOnRandomRequests(t *testing.T) {
 			tree := randomTree(r, 2)
 			tree.Seal()
 			desc := tree
-			for len(desc.Children) > 0 && r.Intn(2) == 0 {
-				desc = desc.Children[r.Intn(len(desc.Children))]
+			for len(desc.Children()) > 0 && r.Intn(2) == 0 {
+				desc = desc.Children()[r.Intn(len(desc.Children()))]
 			}
 			if desc.Kind == xdm.ElementNode {
 				req.ByFragment = true

@@ -101,6 +101,12 @@ func FuzzDecodeStream(f *testing.F) {
 //  3. It rejects nothing the decoded walk accepts, and whenever both
 //     accept, decoding the envelope a forwarder built from the raw reads
 //     gives exactly the items NextItem delivered.
+//
+// The same input also drives the buffered decode whose node items are
+// lazy (lazyAgainstEager): it accepts exactly what the eager decode
+// accepts, and its items — unbuilt, copied, stepped into, built in full —
+// encode and order as the eager items, node for node, ordinals included;
+// so a span marked canonical writes itself.
 func FuzzResponseStreamRaw(f *testing.F) {
 	for _, resp := range fixtureResponses(f) {
 		f.Add(EncodeResponse(resp), uint8(3))
@@ -112,8 +118,14 @@ func FuzzResponseStreamRaw(f *testing.F) {
 	f.Add(oursFramed(`<xrpc:sequence><xrpc:text>cr&#13;lf&nope;</xrpc:text><xrpc:bogus/></xrpc:sequence>`), uint8(1))
 	f.Add([]byte(`<env:Envelope><env:Body><xrpc:response xrpc:module="m" xrpc:method="f"><xrpc:sequence><xrpc:element><a b="&#65;"><![CDATA[<raw>]]></a></xrpc:element></xrpc:sequence></xrpc:response></env:Body></env:Envelope>`), uint8(7))
 	f.Add(EncodeFault(&Fault{Code: "env:Sender", Reason: "could not load module!"}), uint8(0))
+	for i, env := range lazyEnvelopes {
+		f.Add(oursFramed(env), uint8(i))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		if d := lazyAgainstEager(data); d != "" {
+			t.Fatalf("%s\ninput: %q", d, data)
+		}
 		chunk := int(size)%64 + 1
 		var want *Response
 		rs, errDecoded := NewResponseStream(&chunkReader{data: data, size: chunk})

@@ -126,7 +126,7 @@ func SequenceToNode(seq xdm.Sequence) *xdm.Node {
 				root.AppendChild(wrap)
 			case xdm.DocumentNode:
 				wrap := xdm.NewElement("xrpc:document")
-				for _, c := range v.Children {
+				for _, c := range v.Children() {
 					wrap.AppendChild(c.Clone())
 				}
 				root.AppendChild(wrap)
@@ -340,7 +340,7 @@ func DecodeSequence(seqEl *xdm.Node) (xdm.Sequence, error) {
 			}
 		case "document":
 			doc := xdm.NewDocument("")
-			for _, c := range v.Children {
+			for _, c := range v.Children() {
 				doc.AppendChild(c.Clone())
 			}
 			doc.Seal()

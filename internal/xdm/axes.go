@@ -101,7 +101,14 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 	}
 	switch axis {
 	case AxisChild:
-		for _, c := range ctx.Children {
+		if l := ctx.lazy; l != nil && l.kids != nil && !test.KindTest && test.Name != "*" {
+			// a named step into a lazy item root builds what it names
+			var ok bool
+			if out, ok = ctx.kidsNamed(l, test.Name, out); ok {
+				break
+			}
+		}
+		for _, c := range ctx.Children() {
 			add(c)
 		}
 	case AxisDescendant:
@@ -130,7 +137,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 	case AxisFollowingSibling:
 		if ctx.Parent != nil {
 			past := false
-			for _, s := range ctx.Parent.Children {
+			for _, s := range ctx.Parent.Children() {
 				if past {
 					add(s)
 				}
@@ -143,7 +150,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 		// an attribute is not among its owner's Children: no siblings
 		if ctx.Parent != nil && ctx.Kind != AttributeNode {
 			var before []*Node
-			for _, s := range ctx.Parent.Children {
+			for _, s := range ctx.Parent.Children() {
 				if s == ctx {
 					break
 				}
@@ -164,7 +171,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 				break
 			}
 			past := false
-			for _, s := range p.Parent.Children {
+			for _, s := range p.Parent.Children() {
 				if past {
 					add(s)
 					walkDescendants(s, add)
@@ -195,7 +202,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 			if !anc[n] {
 				pre = append(pre, n)
 			}
-			for _, c := range n.Children {
+			for _, c := range n.Children() {
 				if walk(c) {
 					return true
 				}
@@ -211,7 +218,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 }
 
 func walkDescendants(n *Node, visit func(*Node)) {
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		visit(c)
 		walkDescendants(c, visit)
 	}

@@ -71,7 +71,7 @@ func TestAxesPartitionTree(t *testing.T) {
 		collect = func(n *xdm.Node) {
 			all, content = append(all, n), append(content, n)
 			all = append(all, n.Attrs...)
-			for _, c := range n.Children {
+			for _, c := range n.Children() {
 				collect(c)
 			}
 		}

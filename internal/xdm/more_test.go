@@ -66,7 +66,7 @@ func TestCastEdgeCases(t *testing.T) {
 	}
 	// node atomization inside cast
 	doc := mustParse(t, "<n>12</n>")
-	if v, err := CastAtomic(doc.Children[0], "xs:integer"); err != nil || v.(Integer) != 12 {
+	if v, err := CastAtomic(doc.Children()[0], "xs:integer"); err != nil || v.(Integer) != 12 {
 		t.Errorf("node->integer = %v, %v", v, err)
 	}
 }
@@ -146,7 +146,7 @@ func TestDeepEqualMixedKinds(t *testing.T) {
 	a := mustParse(t, `<x><!--c--><y/></x>`)
 	b := mustParse(t, `<x><y/></x>`)
 	// comments are ignored at element level
-	if !DeepEqual(Sequence{a.Children[0]}, Sequence{b.Children[0]}) {
+	if !DeepEqual(Sequence{a.Children()[0]}, Sequence{b.Children()[0]}) {
 		t.Error("comments should be ignored by deep-equal")
 	}
 	// kind mismatch
@@ -182,7 +182,7 @@ func TestErrorFormatting(t *testing.T) {
 
 func TestSequenceString(t *testing.T) {
 	doc := mustParse(t, "<a/>")
-	s := Sequence{String("x"), Integer(3), doc.Children[0]}
+	s := Sequence{String("x"), Integer(3), doc.Children()[0]}
 	out := s.String()
 	if !strings.Contains(out, `"x"`) || !strings.Contains(out, "3") || !strings.Contains(out, "<a>") {
 		t.Errorf("debug string = %q", out)
@@ -218,7 +218,7 @@ func TestSetDocURI(t *testing.T) {
 	if clone.DocURI() != "new.xml" {
 		t.Errorf("set uri = %q", clone.DocURI())
 	}
-	if clone.Children[0].DocURI() != "new.xml" {
+	if clone.Children()[0].DocURI() != "new.xml" {
 		t.Error("children must share the tree uri")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // NodeKind identifies one of the six XDM node kinds supported by XRPC
 // parameter marshaling (§2.1 of the paper).
-type NodeKind int
+type NodeKind uint8
 
 // Node kinds.
 const (
@@ -56,17 +56,30 @@ type treeInfo struct {
 // iff they are the same *Node pointer. Document order is (tree id,
 // preorder ordinal); a consistent (arbitrary but stable) order is imposed
 // across trees via the tree id, as the XDM requires.
+//
+// A node's children are read through Children, and changed through
+// SetChildren and AppendChild. A document or element node may be lazy
+// (lazy.go): its start tag (Kind, Name, Attrs) is built, its content is
+// still the bytes of a received message, with its node count known, so
+// its ordinals are reserved. Reading the children builds them (a named
+// child step on a received item root only the ones it names); copying
+// the node and writing it out do not. Nothing else tells a lazy node
+// from a built one.
 type Node struct {
-	Kind     NodeKind
-	Name     string // element/attribute QName, PI target
-	Value    string // text/comment/PI content, attribute value
-	TypeAnn  string // xsi:type annotation carried through XRPC marshaling
-	Parent   *Node
-	Children []*Node
-	Attrs    []*Node
+	Kind NodeKind
+	// ord is the preorder ordinal within the tree; stable node id
+	ord     int32
+	Name    string // element/attribute QName, PI target
+	Value   string // text/comment/PI content, attribute value
+	TypeAnn string // xsi:type annotation carried through XRPC marshaling
+	Parent  *Node
+	Attrs   []*Node
 
+	children []*Node
+	// lazy, when set, holds the content bytes children are built from
+	// (lazy.go); it stays set once they are built
+	lazy *lazyContent
 	tree *treeInfo
-	ord  int // preorder ordinal within the tree; stable node id
 }
 
 func (*Node) isItem() {}
@@ -86,7 +99,7 @@ func (n *Node) StringValue() string {
 				out = append(out, c.Value...)
 				return
 			}
-			for _, ch := range c.Children {
+			for _, ch := range c.Children() {
 				walk(ch)
 			}
 		}
@@ -126,7 +139,7 @@ func (n *Node) TreeID() int64 {
 // Ord returns the preorder ordinal of the node within its tree. Ordinals
 // are assigned by Seal and are stable across Clone, which makes them
 // usable as node ids in pending update lists.
-func (n *Node) Ord() int { return n.ord }
+func (n *Node) Ord() int { return int(n.ord) }
 
 // Shape returns the stamp of the tree's ordinal layout (0 for an
 // unsealed node). Two trees with equal stamps map every ordinal to the
@@ -162,13 +175,17 @@ func NewAttribute(name, value string) *Node {
 
 // Arena batch-allocates nodes in slabs, for decoders that build many
 // small trees: one allocation per slab instead of one per node. The
-// Children and Attrs slices of the trees a Scanner builds are carved
+// children and Attrs slices of the trees a Scanner builds are carved
 // from slabs too, at exact length. Arena nodes are ordinary nodes in
 // every respect (identity is still the pointer); an arena is not safe
 // for concurrent use and is typically scoped to one decoded message.
 type Arena struct {
 	slab []Node
 	ptrs []*Node
+	// made and madePtrs count what the slabs so far held: each slab is
+	// as large as all before it, up to arenaSlab and ptrSlab, so a small
+	// message costs small slabs
+	made, madePtrs int
 	// open and kids are Scanner.build's scratch, reused across the
 	// trees one arena builds: the open elements, each with where its
 	// children start in kids, and the children of all of them.
@@ -182,16 +199,24 @@ type openElem struct {
 }
 
 const (
-	// arenaSlab is the nodes-per-allocation batch size.
+	// arenaSlab is the largest nodes-per-allocation batch size.
 	arenaSlab = 64
-	// ptrSlab is the slice-slab size in pointers; a slice of more than
-	// a quarter of it gets its own allocation.
+	// ptrSlab is the largest slice-slab size in pointers; a slice of
+	// more than a quarter of it gets its own allocation.
 	ptrSlab = 128
 )
 
+// slabSize is the size of the next slab when the slabs so far held
+// *made: as many again, at least least and at most most.
+func slabSize(made *int, least, most int) int {
+	n := min(max(*made, least), most)
+	*made += n
+	return n
+}
+
 func (a *Arena) node(kind NodeKind, name, value string) *Node {
 	if len(a.slab) == 0 {
-		a.slab = make([]Node, arenaSlab)
+		a.slab = make([]Node, slabSize(&a.made, 8, arenaSlab))
 	}
 	n := &a.slab[0]
 	a.slab = a.slab[1:]
@@ -211,7 +236,7 @@ func (a *Arena) slots(n int) []*Node {
 		if n > ptrSlab/4 {
 			return make([]*Node, n)
 		}
-		a.ptrs = make([]*Node, ptrSlab)
+		a.ptrs = make([]*Node, max(slabSize(&a.madePtrs, 16, ptrSlab), n))
 	}
 	p := a.ptrs[:n:n]
 	a.ptrs = a.ptrs[n:]
@@ -241,10 +266,25 @@ func (a *Arena) Document(uri string) *Node {
 	return n
 }
 
+// Children returns the children of a document or element node, in
+// document order (nil for other kinds). The slice belongs to the node:
+// change it only through SetChildren or AppendChild. On a lazy node the
+// first call builds the content, once, however many goroutines ask.
+func (n *Node) Children() []*Node {
+	if l := n.lazy; l != nil && l.state.Load() != built {
+		n.expand(l)
+	}
+	return n.children
+}
+
+// SetChildren replaces n's children with kids; the caller links each
+// one's Parent. Like every structural change it is followed by a Seal.
+func (n *Node) SetChildren(kids []*Node) { n.children, n.lazy = kids, nil }
+
 // AppendChild links child under n (for document/element parents).
 func (n *Node) AppendChild(child *Node) {
 	child.Parent = n
-	n.Children = append(n.Children, child)
+	n.SetChildren(append(n.Children(), child))
 }
 
 // SetAttr attaches an attribute node to an element.
@@ -256,6 +296,9 @@ func (n *Node) SetAttr(attr *Node) {
 // Seal assigns tree identity and preorder ordinals to the whole tree
 // rooted at n. Call after construction and after structural updates. If
 // the root has no tree info yet, a fresh tree identity is allocated.
+// Seal builds nothing: the content of a lazy node keeps the run of
+// ordinals its node count reserves, which its build hands out in
+// preorder, so every ordinal is the one an eager tree's Seal gives.
 func (n *Node) Seal() *Node {
 	root := n.Root()
 	if root.tree == nil {
@@ -264,23 +307,35 @@ func (n *Node) Seal() *Node {
 	} else {
 		root.tree.shape = docSeq.Add(1)
 	}
-	ord := 0
-	var walk func(*Node)
-	walk = func(c *Node) {
-		c.tree = root.tree
-		c.ord = ord
-		ord++
-		for _, a := range c.Attrs {
-			a.tree = root.tree
-			a.ord = ord
-			ord++
-		}
-		for _, ch := range c.Children {
-			walk(ch)
-		}
-	}
-	walk(root)
+	number(root, 0, root.tree)
 	return n
+}
+
+// number gives c, its attributes and its content the tree and the
+// preorder ordinals from ord on, and returns the ordinal after them.
+func number(c *Node, ord int32, tree *treeInfo) int32 {
+	c.tree = tree
+	c.ord = ord
+	ord++
+	for _, a := range c.Attrs {
+		a.tree = tree
+		a.ord = ord
+		ord++
+	}
+	if l := c.lazy; l != nil && l.state.Load() != built {
+		if l.built != nil {
+			l.eachKid(c, func(i int, o int32) {
+				if k := l.built[i]; k != nil {
+					number(k, o, tree)
+				}
+			})
+		}
+		return ord + l.count
+	}
+	for _, ch := range c.children {
+		ord = number(ch, ord, tree)
+	}
+	return ord
 }
 
 // Root returns the topmost ancestor of n (the node itself if parentless).
@@ -295,7 +350,9 @@ func (n *Node) Root() *Node {
 // Clone deep-copies the subtree rooted at n into a fresh tree with new
 // identity but identical ordinals — this is the call-by-value copy that
 // XRPC parameter marshaling performs (§2.2, "Call-by-Value"). The copy
-// of a sealed root keeps its Shape.
+// of a sealed root keeps its Shape. The copy of a lazy node of which
+// nothing is built yet is a lazy node over the same bytes: Clone builds
+// only an item root that named child steps have partly built.
 func (n *Node) Clone() *Node {
 	c := n.cloneRec()
 	c.Parent = nil
@@ -312,10 +369,18 @@ func (n *Node) cloneRec() *Node {
 		ac := &Node{Kind: AttributeNode, Name: a.Name, Value: a.Value, Parent: c}
 		c.Attrs = append(c.Attrs, ac)
 	}
-	for _, ch := range n.Children {
+	if l := n.lazy; l != nil && l.state.Load() == unbuilt {
+		c.lazy = l.copy()
+		return c
+	}
+	kids := n.Children()
+	if len(kids) > 0 {
+		c.children = make([]*Node, len(kids))
+	}
+	for i, ch := range kids {
 		cc := ch.cloneRec()
 		cc.Parent = c
-		c.Children = append(c.Children, cc)
+		c.children[i] = cc
 	}
 	return c
 }
@@ -333,7 +398,7 @@ func (n *Node) Attr(name string) (string, bool) {
 // ChildElements returns the element children of n.
 func (n *Node) ChildElements() []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if c.Kind == ElementNode {
 			out = append(out, c)
 		}
@@ -348,17 +413,17 @@ func (n *Node) FindByOrd(ord int) *Node {
 	var found *Node
 	var walk func(*Node) bool
 	walk = func(c *Node) bool {
-		if c.ord == ord {
+		if int(c.ord) == ord {
 			found = c
 			return true
 		}
 		for _, a := range c.Attrs {
-			if a.ord == ord {
+			if int(a.ord) == ord {
 				found = a
 				return true
 			}
 		}
-		for _, ch := range c.Children {
+		for _, ch := range c.Children() {
 			if walk(ch) {
 				return true
 			}

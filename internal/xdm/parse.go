@@ -27,11 +27,11 @@ func ParseFragment(text string) ([]*Node, error) {
 	if err := parseInto(&a, doc, text); err != nil {
 		return nil, err
 	}
-	for _, c := range doc.Children {
+	for _, c := range doc.children {
 		c.Parent = nil
 		c.Seal()
 	}
-	return doc.Children, nil
+	return doc.children, nil
 }
 
 // parseInto builds all of text under doc. A byte-mode scanner only reads
@@ -53,7 +53,7 @@ func (s *Scanner) BuildElement(a *Arena) (*Node, error) {
 
 // BuildChildren appends the content of the element whose start tag is
 // the scanner's current token to parent, through the element's end tag;
-// parent's Children are then one exact-length slice.
+// parent's children are then one exact-length slice.
 func (s *Scanner) BuildChildren(a *Arena, parent *Node) error {
 	if s.SelfClose {
 		return nil
@@ -83,7 +83,7 @@ func (s *Scanner) build(a *Arena, parent *Node, target int) error {
 	open, kids := len(a.open), len(a.kids)
 	defer func() { a.open, a.kids = a.open[:open], a.kids[:kids] }()
 	a.open = append(a.open, openElem{parent, kids})
-	a.kids = append(a.kids, parent.Children...)
+	a.kids = append(a.kids, parent.children...)
 	for {
 		tok, err := s.Next()
 		if err != nil {
@@ -142,7 +142,7 @@ func (a *Arena) add(n *Node) {
 func (a *Arena) close() {
 	top := a.open[len(a.open)-1]
 	a.open = a.open[:len(a.open)-1]
-	top.node.Children = a.slots(len(a.kids) - top.kids)
-	copy(top.node.Children, a.kids[top.kids:])
+	top.node.children = a.slots(len(a.kids) - top.kids)
+	copy(top.node.children, a.kids[top.kids:])
 	a.kids = a.kids[:top.kids]
 }

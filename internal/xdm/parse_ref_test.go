@@ -53,8 +53,8 @@ func refParseInto(doc *Node, r io.Reader) error {
 			if cur == doc && strings.TrimSpace(s) == "" {
 				continue // ignore whitespace outside the root
 			}
-			if len(cur.Children) > 0 && cur.Children[len(cur.Children)-1].Kind == TextNode {
-				cur.Children[len(cur.Children)-1].Value += s
+			if kids := cur.Children(); len(kids) > 0 && kids[len(kids)-1].Kind == TextNode {
+				kids[len(kids)-1].Value += s
 				continue
 			}
 			cur.AppendChild(NewText(s))

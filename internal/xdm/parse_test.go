@@ -140,7 +140,7 @@ func dump(nodes ...*Node) string {
 		case PINode:
 			fmt.Fprintf(&b, "?%s%q", n.Name, n.Value)
 		}
-		for i, c := range n.Children {
+		for i, c := range n.Children() {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
@@ -288,7 +288,7 @@ func TestBuildSlicesExact(t *testing.T) {
 		walk = func(n *Node) {
 			nodes = append(nodes, n)
 			nodes = append(nodes, n.Attrs...)
-			for _, c := range n.Children {
+			for _, c := range n.Children() {
 				walk(c)
 			}
 		}
@@ -297,9 +297,9 @@ func TestBuildSlicesExact(t *testing.T) {
 	}
 	nodes := parse()
 	for _, n := range nodes {
-		if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
+		if cap(n.Children()) != len(n.Children()) || cap(n.Attrs) != len(n.Attrs) {
 			t.Fatalf("%s: Children len %d cap %d, Attrs len %d cap %d", dump(n),
-				len(n.Children), cap(n.Children), len(n.Attrs), cap(n.Attrs))
+				len(n.Children()), cap(n.Children()), len(n.Attrs), cap(n.Attrs))
 		}
 	}
 	for i := range nodes {
@@ -310,12 +310,12 @@ func TestBuildSlicesExact(t *testing.T) {
 		kids := make([][]*Node, len(nodes))
 		attrs := make([][]*Node, len(nodes))
 		for j, n := range nodes {
-			kids[j], attrs[j] = slices.Clone(n.Children), slices.Clone(n.Attrs)
+			kids[j], attrs[j] = slices.Clone(n.Children()), slices.Clone(n.Attrs)
 		}
 		nodes[i].AppendChild(NewElement("added"))
 		nodes[i].SetAttr(NewAttribute("added", "1"))
 		for j, n := range nodes {
-			if j != i && (!slices.Equal(n.Children, kids[j]) || !slices.Equal(n.Attrs, attrs[j])) {
+			if j != i && (!slices.Equal(n.Children(), kids[j]) || !slices.Equal(n.Attrs, attrs[j])) {
 				t.Fatalf("appending to %s changed the slices of %s", dump(nodes[i]), dump(n))
 			}
 		}

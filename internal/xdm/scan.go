@@ -12,9 +12,10 @@ import (
 )
 
 // scan.go is the module's one XML tokenizer: ParseDocument and
-// ParseFragment (parse.go) read documents with it, and package soap
-// walks envelopes with it. It works directly on the input []byte — no
-// reflection, no DOM — and makes a repeated name cheap, returning one
+// ParseFragment (parse.go) read documents with it, package soap walks
+// envelopes with it, and lazy nodes (lazy.go) are built with it. It
+// works directly on the input []byte — no reflection, no DOM — and
+// makes a repeated name cheap, returning one
 // interned string for it (an envelope repeats the same two dozen
 // thousands of times; a document its element names): an end tag that
 // closes the innermost element by its name, or a name that follows the
@@ -27,8 +28,9 @@ import (
 // FuzzParseDocument), with one exception: a character reference to a
 // surrogate (&#xD800;) is an error here, as XML 1.0's "Legal Character"
 // constraint requires, where encoding/xml reads U+FFFD. The character
-// checks run where text becomes a Go string (TextValue) and on
-// attribute values, never in the scan that finds a token's end, so a
+// checks run where text becomes a Go string (TextValue), where a lazy
+// item's first pass checks it (charData), and on attribute values,
+// never in the scan that finds a token's end, so a
 // reader that passes text on as bytes (soap's raw forward) pays nothing
 // for them; name checks run once per distinct name (a PI target's on
 // each PI: targets are rare and not interned).
@@ -66,7 +68,12 @@ const (
 // ScanAttr is one attribute of a start tag.
 type ScanAttr struct{ Name, Value string }
 
-// Scanner is the pull tokenizer state; NewScanner makes one.
+// Scanner is the pull tokenizer state; NewScanner makes one. Besides
+// tokens it builds trees: BuildElement and BuildChildren (parse.go)
+// build what they read, LazyElement and LazyChildren (lazy.go) read an
+// item of byte-mode input in a pass that checks every token as a build
+// would but builds only the item root's start tag, and leave the rest
+// to be built from the input as far as a reader steps into it.
 type Scanner struct {
 	// Name, Attrs and SelfClose describe the current token (Name also
 	// for an end tag or a PI); they are valid until the following Next.
@@ -120,6 +127,14 @@ type Scanner struct {
 	// a text never passes for a checked name.
 	static       map[string]string
 	names, texts map[string]string
+	// scratch holds unescaped character data while it is checked.
+	scratch []byte
+
+	// skimming marks LazyChildren's first pass: attribute values and
+	// character data are checked but kept as no string. skimmer is that
+	// pass's state, kept across the items of one input.
+	skimming bool
+	skimmer  *skimState
 }
 
 // NewScanner returns a scanner over data (byte mode) or, with data nil,
@@ -500,21 +515,25 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 }
 
 // attrValue unescapes and checks an attribute value, interning the
-// common constant values (type names, namespace URIs).
+// common constant values (type names, namespace URIs). While skimming
+// the value is checked only, and comes back empty.
 func (s *Scanner) attrValue(raw []byte) (string, error) {
-	if v, ok := s.static[string(raw)]; ok {
-		return v, nil
+	if !s.skimming {
+		if v, ok := s.static[string(raw)]; ok {
+			return v, nil
+		}
 	}
 	if bytes.IndexByte(raw, '<') >= 0 {
 		return "", s.errf("unescaped <")
 	}
 	if bytes.IndexByte(raw, '&') >= 0 || bytes.IndexByte(raw, '\r') >= 0 {
 		var err error
-		if raw, err = s.unescape(make([]byte, 0, len(raw)), raw, true); err != nil {
+		if raw, err = s.unescape(s.scratch[:0], raw, true); err != nil {
 			return "", err
 		}
+		s.scratch = raw
 	}
-	if err := s.checkChars(raw); err != nil {
+	if err := s.checkChars(raw); err != nil || s.skimming {
 		return "", err
 	}
 	return string(raw), nil
@@ -717,27 +736,33 @@ const maxInternedText = 32
 // are. Short values are interned — a bulk request repeats the same
 // parameter texts across its calls.
 func (s *Scanner) TextValue() (string, error) {
-	raw := s.text
 	if s.kind != TokText {
-		return s.internText(raw), nil
+		return s.internText(s.text), nil
 	}
-	if !s.cdata && bytes.Contains(raw, markCDATAEnd) {
-		return "", s.errf("unescaped ]]> not in CDATA section")
-	}
-	if bytes.IndexByte(raw, '\r') >= 0 || !s.cdata && bytes.IndexByte(raw, '&') >= 0 {
-		out, err := s.unescape(make([]byte, 0, len(raw)), raw, !s.cdata)
-		if err != nil {
-			return "", err
-		}
-		if err := s.checkChars(out); err != nil {
-			return "", err
-		}
-		return string(out), nil
-	}
-	if err := s.checkChars(raw); err != nil {
+	raw, err := s.charData()
+	if err != nil {
 		return "", err
 	}
 	return s.internText(raw), nil
+}
+
+// charData checks the current text token's character data and returns
+// it with its references expanded and its line endings normalized —
+// the token's own bytes when it needs neither, else the scanner's
+// scratch, valid until the next call.
+func (s *Scanner) charData() ([]byte, error) {
+	raw := s.text
+	if !s.cdata && bytes.Contains(raw, markCDATAEnd) {
+		return nil, s.errf("unescaped ]]> not in CDATA section")
+	}
+	if bytes.IndexByte(raw, '\r') >= 0 || !s.cdata && bytes.IndexByte(raw, '&') >= 0 {
+		var err error
+		if raw, err = s.unescape(s.scratch[:0], raw, !s.cdata); err != nil {
+			return nil, err
+		}
+		s.scratch = raw
+	}
+	return raw, s.checkChars(raw)
 }
 
 func (s *Scanner) internText(raw []byte) string {

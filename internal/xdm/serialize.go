@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"strings"
+	"unsafe"
 )
 
 // XMLWriter is the sink WriteNode streams XML text into. Both
@@ -47,10 +48,17 @@ func SerializeSequence(s Sequence) string {
 	return b.String()
 }
 
+// writeNode writes the content of a lazy node that is not built yet as
+// the bytes it arrived in when they are canonical: what the walk over
+// its children would write.
 func writeNode(b XMLWriter, n *Node) {
 	switch n.Kind {
 	case DocumentNode:
-		for _, c := range n.Children {
+		if raw, ok := n.raw(); ok {
+			b.WriteString(unsafe.String(&raw[0], len(raw)))
+			return
+		}
+		for _, c := range n.Children() {
 			writeNode(b, c)
 		}
 	case ElementNode:
@@ -63,12 +71,19 @@ func writeNode(b XMLWriter, n *Node) {
 			escapeAttr(b, a.Value)
 			b.WriteByte('"')
 		}
-		if len(n.Children) == 0 {
-			b.WriteString("/>")
-			return
+		raw, spliced := n.raw()
+		var kids []*Node
+		if !spliced {
+			if kids = n.Children(); len(kids) == 0 {
+				b.WriteString("/>")
+				return
+			}
 		}
 		b.WriteByte('>')
-		for _, c := range n.Children {
+		if spliced {
+			b.WriteString(unsafe.String(&raw[0], len(raw)))
+		}
+		for _, c := range kids {
 			writeNode(b, c)
 		}
 		b.WriteString("</")
@@ -225,7 +240,7 @@ func deepEqualNode(a, b *Node) bool {
 
 func comparableChildren(n *Node) []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if c.Kind == CommentNode || c.Kind == PINode {
 			continue
 		}

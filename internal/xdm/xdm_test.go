@@ -105,7 +105,7 @@ func TestFollowingPrecedingAxes(t *testing.T) {
 
 func TestAttributeAxis(t *testing.T) {
 	doc := mustParse(t, `<person id="p7" name="x"/>`)
-	p := doc.Children[0]
+	p := doc.Children()[0]
 	attrs := Step(p, AxisAttribute, NodeTest{Name: "id"})
 	if len(attrs) != 1 || attrs[0].Value != "p7" {
 		t.Fatalf("@id = %v", attrs)
@@ -162,9 +162,9 @@ func TestFindByOrd(t *testing.T) {
 		}
 	}
 	// clone preserves ords
-	c := doc.Children[0].Clone()
-	orig := Step(doc.Children[0], AxisDescendant, NodeTest{Name: "actor"})[0]
-	cl := c.FindByOrd(orig.Ord() - doc.Children[0].Ord())
+	c := doc.Children()[0].Clone()
+	orig := Step(doc.Children()[0], AxisDescendant, NodeTest{Name: "actor"})[0]
+	cl := c.FindByOrd(orig.Ord() - doc.Children()[0].Ord())
 	_ = cl // ords are root-relative only when cloned from root; check full-doc clone below
 	full := docCloneViaSerialize(t, doc)
 	o2 := Step(full, AxisDescendant, NodeTest{Name: "actor"})[0]
@@ -263,7 +263,7 @@ func TestGeneralCompareExistential(t *testing.T) {
 	}
 	// node atomization in general comparison
 	doc := mustParse(t, "<n>5</n>")
-	ok, err = GeneralCompare(Sequence{doc.Children[0]}, Sequence{Integer(5)}, OpEq)
+	ok, err = GeneralCompare(Sequence{doc.Children()[0]}, Sequence{Integer(5)}, OpEq)
 	if err != nil || !ok {
 		t.Errorf("<n>5</n> = 5: %v, %v", ok, err)
 	}
@@ -275,7 +275,7 @@ func TestSerializeSequenceSpacing(t *testing.T) {
 		t.Errorf("got %q", got)
 	}
 	doc := mustParse(t, "<a/>")
-	s = Sequence{Integer(1), doc.Children[0], Integer(2)}
+	s = Sequence{Integer(1), doc.Children()[0], Integer(2)}
 	if got := SerializeSequence(s); got != "1<a/>2" {
 		t.Errorf("got %q", got)
 	}
@@ -320,7 +320,7 @@ func TestDeepEqual(t *testing.T) {
 
 func TestAtomize(t *testing.T) {
 	doc := mustParse(t, "<a>7</a>")
-	got := Atomize(Sequence{doc.Children[0], Integer(1)})
+	got := Atomize(Sequence{doc.Children()[0], Integer(1)})
 	if len(got) != 2 {
 		t.Fatalf("len = %d", len(got))
 	}
