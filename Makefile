@@ -41,8 +41,10 @@ bench:
 # vs reference (BenchmarkSoap{Encode,Decode}{Request,Response}{,Ref,DOM}),
 # incl. the pull-decoder stream walk (BenchmarkSoapDecodeResponseStream,
 # BenchmarkSoapResponseStreamWalk), the codec on the answer pushdown_scan
-# ships (BenchmarkSoapDecodeResponseXMark, BenchmarkSoapDecodeResponseXMarkQ71 —
-# the decode with the reads Q7_1 makes of its items —
+# ships (BenchmarkSoapEncodeResponseXMark{,Projected} — the shard's encode,
+# whole and pruned — BenchmarkSoapDecodeResponseXMark,
+# BenchmarkSoapDecodeResponseXMarkQ71{,Projected} — the decode with the
+# reads Q7_1 makes of its items —
 # BenchmarkSoapResponseStreamWalkRawXMark, BenchmarkParseDocumentXMark in
 # internal/xdm — make bench-codec times them), the query peer's join of Q7_1
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
@@ -60,14 +62,17 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench-codec is the received-message layer's before/after: the query
-# peer's decode of the answer pushdown_scan ships (XMark closed auctions
-# with annotations, about 0.6 MB, every item checked, none built), that
-# decode followed by Q7_1's reads of its items (buyer/@person of each, the
-# annotation of six copied and written), the proxy's raw forward of it
-# (every item taken as bytes), and the same XML parsed as one document.
+# bench-codec is the wire codec's before/after on the answer
+# pushdown_scan ships (XMark closed auctions with annotations, about
+# 0.6 MB): the shard's encode of it, streamed to a discarding sink, whole
+# and under Q7_1's projection (each item's buyer and annotation only);
+# the query peer's decode of it (every item checked, none built); that
+# decode followed by Q7_1's reads of its items (buyer/@person of each,
+# the annotation of six copied and written), of the whole answer and of
+# the projected one; the proxy's raw forward of it (every item taken as
+# bytes); and the same XML parsed as one document.
 bench-codec:
-	$(GO) test -run NONE -bench 'BenchmarkSoap(DecodeResponseXMark(Q71)?|ResponseStreamWalkRawXMark)$$' -benchmem ./internal/soap
+	$(GO) test -run NONE -bench 'BenchmarkSoap(EncodeResponseXMark(Projected)?|DecodeResponseXMark(Q71(Projected)?)?|ResponseStreamWalkRawXMark)$$' -benchmem ./internal/soap
 	$(GO) test -run NONE -bench 'BenchmarkParseDocumentXMark$$' -benchmem ./internal/xdm
 
 # bench-cluster times the cluster go benchmarks: scatter-gather (cold,
@@ -98,7 +103,10 @@ bench-cluster:
 # accept/reject, the same tree node for node with the same ordinals
 # however far it is built, and every span it marks canonical is what
 # WriteNode writes for it (FuzzResponseStreamRaw checks the same of
-# DecodeResponse's lazy items). FuzzDecodePUL shakes the
+# DecodeResponse's lazy items). FuzzProjection holds call-by-projection's
+# pruned write (xdm's project.go) to a reference that builds the tree,
+# deletes the children the set does not keep and writes the rest, and its
+# set parser to its own wire form. FuzzDecodePUL shakes the
 # pending-update-list reader that replica adoption and WAL replay
 # feed: no input may panic it or the ApplyUpdates that follows,
 # and an accepted list must re-encode to a node that decodes to the
@@ -113,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xq
 	$(GO) test -run=NONE -fuzz 'FuzzParseDocument$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
 	$(GO) test -run=NONE -fuzz 'FuzzLazyElement$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
+	$(GO) test -run=NONE -fuzz 'FuzzProjection$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/xdm
 	$(GO) test -run=NONE -fuzz 'FuzzDecodePUL$$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 
 # memsmoke is the bounded-memory acceptance check of the streamed

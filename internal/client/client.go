@@ -143,6 +143,9 @@ type BulkRequest struct {
 	// TraceID, when set, rides the envelope header so the destination
 	// peer's logs and metrics correlate with the originating request.
 	TraceID string
+	// Projection, when set, is the wire form of the xdm.Projection the
+	// destination prunes each result item by (soap.Request.Projection).
+	Projection string
 }
 
 // CallBulk performs a Bulk RPC: all calls in a single request/response
@@ -168,6 +171,7 @@ func (c *Client) EncodeBulk(br *BulkRequest) *soap.Encoder {
 		Updating:   br.Updating,
 		QueryID:    c.QueryID,
 		TraceID:    br.TraceID,
+		Projection: br.Projection,
 		Calls:      br.Calls,
 		ByFragment: br.ByFragment,
 		SeqNrs:     br.SeqNrs,

@@ -66,6 +66,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ByFragment: req.ByFragment,
 		SeqNrs:     req.SeqNrs,
 		TraceID:    trace,
+		Projection: req.Projection,
 	}
 	if req.Updating {
 		results, err := p.Co.Update(br)

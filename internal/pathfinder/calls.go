@@ -42,7 +42,7 @@ func (env *staticEnv) inlineFunction(call *xq.FuncCall, f *xq.FuncDecl, mod *xq.
 		}
 		argPlans[i] = p
 	}
-	fenv := &staticEnv{static: env.static, module: mod, vars: map[string]bool{}, depth: env.depth + 1}
+	fenv := &staticEnv{static: env.static, module: mod, vars: map[string]bool{}, depth: env.depth + 1, proj: env.proj}
 	for _, prm := range f.Params {
 		fenv.vars[prm.Name] = true
 	}

@@ -62,6 +62,7 @@ func lift(static *interp.Compiled) (any, error) {
 			Return:  body,
 		}
 	}
+	env.proj = env.projections(body)
 	plan, err := env.compile(body)
 	if err != nil {
 		return nil, err
@@ -101,6 +102,9 @@ type staticEnv struct {
 	module *xq.Module
 	vars   map[string]bool
 	depth  int // function inlining depth
+	// proj is the projection each execute at of the query ships
+	// (project.go)
+	proj map[*xq.ExecuteAt]string
 }
 
 func (env *staticEnv) child() *staticEnv {
@@ -108,7 +112,7 @@ func (env *staticEnv) child() *staticEnv {
 	for k := range env.vars {
 		vars[k] = true
 	}
-	return &staticEnv{static: env.static, module: env.module, vars: vars, depth: env.depth}
+	return &staticEnv{static: env.static, module: env.module, vars: vars, depth: env.depth, proj: env.proj}
 }
 
 // withVar adds variables to the static scope ("" — an absent "at $p" —

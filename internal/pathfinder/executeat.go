@@ -61,7 +61,7 @@ func (env *staticEnv) compileExecuteAt(n *xq.ExecuteAt) (Plan, error) {
 		paramPlans[i] = p
 	}
 	decl := f
-	moduleURI := mod.ModuleURI
+	moduleURI, projection := mod.ModuleURI, env.proj[n]
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		if ec.Bulk == nil {
 			return nil, xdm.NewError("XRPC0001", "no RPC transport configured for execute at")
@@ -78,7 +78,7 @@ func (env *staticEnv) compileExecuteAt(n *xq.ExecuteAt) (Plan, error) {
 			}
 			params[i] = t
 		}
-		return execBulkRPC(ec, sc, dst, params, decl, moduleURI, atHint)
+		return execBulkRPC(ec, sc, dst, params, decl, moduleURI, atHint, projection)
 	}, nil
 }
 
@@ -92,7 +92,7 @@ type destPart struct {
 
 // execBulkRPC is the runtime of the Figure 2 rule.
 func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.Table,
-	decl *xq.FuncDecl, moduleURI, atHint string) (*algebra.Table, error) {
+	decl *xq.FuncDecl, moduleURI, atHint, projection string) (*algebra.Table, error) {
 
 	dstByIter, err := singletonByIter(dst, "execute at destination")
 	if err != nil {
@@ -165,11 +165,12 @@ func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.T
 			}
 		}
 		br := &client.BulkRequest{
-			ModuleURI: moduleURI,
-			AtHint:    atHint,
-			Func:      decl.LocalName(),
-			Arity:     decl.Arity(),
-			Updating:  decl.Updating,
+			ModuleURI:  moduleURI,
+			AtHint:     atHint,
+			Func:       decl.LocalName(),
+			Arity:      decl.Arity(),
+			Updating:   decl.Updating,
+			Projection: projection,
 		}
 		var origIdx []int // call index within part -> global call index
 		seenCall := map[string]int{}

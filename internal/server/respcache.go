@@ -68,7 +68,8 @@ const DefaultRespCacheBytes = 32 << 20
 
 // RespCache is the Tier-1 per-shard response cache: each call of a
 // read-only bulk request maps to one entry whose key is
-// (registry generation, moduleURI, method, canonical argument bytes)
+// (registry generation, moduleURI, method, projection, canonical
+// argument bytes)
 // and whose value is the call's result already serialized as the
 // encoder's <xrpc:sequence> bytes — a warm hit skips execution AND
 // re-serialization, splicing the stored bytes into the envelope via
@@ -98,9 +99,11 @@ func (rc *RespCache) Stats() cache.Stats { return rc.lru.Stats() }
 // with the same pooled encoder the response path uses, so two calls
 // have equal keys exactly when the wire form of their arguments is
 // identical. The registry generation is part of the key (module
-// re-registration changes semantics without a store write); the store
-// version is the LRU's fence tag, not part of the key.
-func respKey(gen int64, module, method string, args []xdm.Sequence) string {
+// re-registration changes semantics without a store write), and so is
+// the projection the result is pruned by, which changes the bytes the
+// entry holds; the store version is the LRU's fence tag, not part of
+// the key.
+func respKey(gen int64, module, method, projection string, args []xdm.Sequence) string {
 	enc := soap.NewEncoder()
 	defer enc.Release()
 	for _, seq := range args {
@@ -110,12 +113,14 @@ func respKey(gen int64, module, method string, args []xdm.Sequence) string {
 		}
 		enc.EndSequence()
 	}
-	key := make([]byte, 0, len(module)+len(method)+len(enc.Bytes())+24)
+	key := make([]byte, 0, len(module)+len(method)+len(projection)+len(enc.Bytes())+24)
 	key = strconv.AppendInt(key, gen, 10)
 	key = append(key, 0)
 	key = append(key, module...)
 	key = append(key, 0)
 	key = append(key, method...)
+	key = append(key, 0)
+	key = append(key, projection...)
 	key = append(key, 0)
 	key = append(key, enc.Bytes()...)
 	return string(key)
@@ -159,7 +164,7 @@ func (s *Server) lookupCached(req *soap.Request, meta *reqMeta) cachedCalls {
 		c.gen = s.Registry.Generation()
 	}
 	for ci, call := range req.Calls {
-		if v, ok := s.RespCache.lru.Get(respKey(c.gen, req.Module, req.Method, call), c.ver); ok {
+		if v, ok := s.RespCache.lru.Get(respKey(c.gen, req.Module, req.Method, req.Projection, call), c.ver); ok {
 			c.raw[ci] = v.([]byte)
 		} else {
 			c.missing = append(c.missing, ci)
@@ -209,10 +214,10 @@ func (c *cachedCalls) watch(rpc interp.RPCCaller) interp.RPCCaller {
 func (s *Server) populateCached(c *cachedCalls, req *soap.Request, resp *soap.Response, pul *interp.UpdateList) {
 	cacheable := pul.Empty() && (c.counter == nil || !c.counter.used.Load()) && len(resp.Peers) == 0
 	for i, ci := range c.missing {
-		b := encodeSequence(resp.Results[i])
+		b := encodeSequence(resp.Results[i], resp.Projection)
 		c.raw[ci] = b
 		if cacheable {
-			key := respKey(c.gen, req.Module, req.Method, req.Calls[ci])
+			key := respKey(c.gen, req.Module, req.Method, req.Projection, req.Calls[ci])
 			s.RespCache.lru.Put(key, b, int64(len(key)+len(b)), c.ver)
 		}
 	}
@@ -220,10 +225,12 @@ func (s *Server) populateCached(c *cachedCalls, req *soap.Request, resp *soap.Re
 }
 
 // encodeSequence renders one result sequence exactly as the response
-// encoder would — the bytes RawSequence later splices back verbatim.
-func encodeSequence(seq xdm.Sequence) []byte {
+// encoder would under projection proj — the bytes RawSequence later
+// splices back verbatim.
+func encodeSequence(seq xdm.Sequence, proj *xdm.Projection) []byte {
 	enc := soap.NewEncoder()
 	defer enc.Release()
+	enc.Project(proj)
 	enc.BeginSequence()
 	for _, it := range seq {
 		enc.EncodeItem(it)

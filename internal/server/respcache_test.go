@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -383,4 +384,66 @@ func TestRespCacheConcurrentReadsAndWrites(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestRespCacheKeysProjection: a call with a projection and the same
+// call without one are two entries, in either order — a pruned answer
+// served to a caller that reads everything would be a shorter result.
+// Each answer, cold or warm, is the uncached peer's.
+func TestRespCacheKeysProjection(t *testing.T) {
+	frag, err := xdm.ParseFragment(`<film id="f1"><name>The Rock</name><actor>Sean Connery</actor></film>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := &client.BulkRequest{
+		ModuleURI: "test", Func: "echo", Arity: 1,
+		Calls: [][]xdm.Sequence{{{frag[0]}}},
+	}
+	pruned := *whole
+	pruned.Projection = "name"
+	for _, order := range [][]*client.BulkRequest{{whole, &pruned}, {&pruned, whole}} {
+		net := netsim.NewNetwork(0, 0)
+		newPeer(t, "xrpc://cold", filmDBY, net)
+		warm := newPeer(t, "xrpc://warm", filmDBY, net)
+		warm.server.RespCache = NewRespCache(0)
+		cl := client.New(net)
+		for round := 0; round < 2; round++ {
+			for _, br := range order {
+				enc := cl.EncodeBulk(br)
+				body := enc.Copy()
+				enc.Release()
+				want, err := net.Send("xrpc://cold", "/xrpc", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := bytes.Contains(want, []byte("<actor>")); got != (br.Projection == "") {
+					t.Fatalf("projection %q: the answer holds the pruned child: %v\n%s", br.Projection, got, want)
+				}
+				got, err := net.Send("xrpc://warm", "/xrpc", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("round %d, projection %q: the cached answer differs\ncold: %s\nwarm: %s", round, br.Projection, want, got)
+				}
+			}
+		}
+		if st := warm.server.RespCache.Stats(); st.Misses != 2 || st.Hits != 2 {
+			t.Fatalf("cache %+v, want 2 misses (one per projection) then 2 hits", st)
+		}
+	}
+}
+
+// TestMalformedProjection: a set that does not parse is a malformed
+// request at a native peer.
+func TestMalformedProjection(t *testing.T) {
+	net := netsim.NewNetwork(0, 0)
+	newPeer(t, "xrpc://p", filmDBY, net)
+	_, err := client.New(net).CallBulk("xrpc://p", &client.BulkRequest{
+		ModuleURI: "test", Func: "echo", Arity: 1, Projection: "a//b",
+		Calls: [][]xdm.Sequence{{{xdm.String("x")}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "XRPC0003") {
+		t.Fatalf("err = %v, want an XRPC0003 fault", err)
+	}
 }

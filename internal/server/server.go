@@ -462,6 +462,15 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		return s.handleSystem(req, meta)
 	}
 
+	// call-by-projection: the caller reads only these paths of each
+	// result item
+	var proj *xdm.Projection
+	if req.Projection != "" {
+		if proj, err = xdm.ParseProjection(req.Projection); err != nil {
+			return nil, xdm.Errorf("XRPC0003", "malformed request: %v", err)
+		}
+	}
+
 	// pick the database state: the queryID's snapshot (rule R'_Fr), or
 	// the latest (rule R_Fr), pinned in meta.snap for the whole request.
 	// Requests outside an isolation scope are first looked up in the
@@ -507,10 +516,11 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		}
 	}
 	resp := &soap.Response{
-		Module:  req.Module,
-		Method:  req.Method,
-		Results: results,
-		Peers:   peers(),
+		Module:     req.Module,
+		Method:     req.Method,
+		Results:    results,
+		Peers:      peers(),
+		Projection: proj,
 	}
 	if cached.raw != nil {
 		s.populateCached(&cached, req, resp, pul)

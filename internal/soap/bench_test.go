@@ -158,7 +158,52 @@ func BenchmarkSoapDecodeResponseXMark(b *testing.B) {
 // of six of them, copied into a result element as the return clause
 // copies it.
 func BenchmarkSoapDecodeResponseXMarkQ71(b *testing.B) {
-	msg := EncodeResponse(xmarkResponse())
+	benchQ71(b, EncodeResponse(xmarkResponse()))
+}
+
+// BenchmarkSoapDecodeResponseXMarkQ71Projected is that share on the
+// answer as call-by-projection ships it: each closed_auction with only
+// the buyer and annotation children Q7_1 reads.
+func BenchmarkSoapDecodeResponseXMarkQ71Projected(b *testing.B) {
+	benchQ71(b, EncodeResponse(xmarkProjected()))
+}
+
+// xmarkProjected is xmarkResponse under Q7_1's projection.
+func xmarkProjected() *Response {
+	resp := xmarkResponse()
+	p, err := xdm.ParseProjection("annotation buyer")
+	if err != nil {
+		panic(err)
+	}
+	resp.Projection = p
+	return resp
+}
+
+// BenchmarkSoapEncodeResponseXMark is the shard's half of pushdown_scan:
+// the answer, from the shard's document, streamed to a discarding sink.
+func BenchmarkSoapEncodeResponseXMark(b *testing.B) {
+	benchEncodeStream(b, xmarkResponse())
+}
+
+// BenchmarkSoapEncodeResponseXMarkProjected is that encode under Q7_1's
+// projection: the pruned write.
+func BenchmarkSoapEncodeResponseXMarkProjected(b *testing.B) {
+	benchEncodeStream(b, xmarkProjected())
+}
+
+func benchEncodeStream(b *testing.B, resp *Response) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewStreamEncoder(io.Discard, 0)
+		e.EncodeResponse(resp)
+		if err := e.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		e.Release()
+	}
+}
+
+func benchQ71(b *testing.B, msg []byte) {
 	buyer := xdm.NodeTest{Name: "buyer"}
 	person := xdm.NodeTest{Name: "person"}
 	annotation := xdm.NodeTest{Name: "annotation"}
@@ -288,16 +333,7 @@ func benchStreamWalk(b *testing.B, msg []byte, raw bool) {
 // BenchmarkSoapEncodeResponseStream streams the encode to a sink in chunks
 // instead of accumulating the envelope.
 func BenchmarkSoapEncodeResponseStream(b *testing.B) {
-	resp := benchResponse(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewStreamEncoder(io.Discard, 0)
-		e.EncodeResponse(resp)
-		if err := e.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		e.Release()
-	}
+	benchEncodeStream(b, benchResponse(64))
 }
 
 // ------------------------------------------------------ allocation guards
@@ -371,5 +407,47 @@ func TestDecodeResponseAllocGuard(t *testing.T) {
 	perResult := got / 64
 	if perResult > 40 {
 		t.Fatalf("streaming response decode allocates %.1f objects per result, want <= 40 (total %.0f)", perResult, got)
+	}
+}
+
+// TestResponseStreamRawAllocs pins what the proxy's forward of the
+// pushdown_scan answer allocates: item wrappers are skipped in the
+// check-only mode (xdm.Scanner.SkipElement), so no attribute value
+// becomes a string — about 50 allocations per walk, where keeping the
+// values cost about 2 400.
+func TestResponseStreamRawAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the code's")
+	}
+	msg := EncodeResponse(xmarkResponse())
+	got := allocsPerRun(func() {
+		rs, err := NewResponseStream(bytes.NewReader(msg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ok, err := rs.NextSequence()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			for {
+				raw, ok, err := rs.NextItemRaw()
+				if err != nil || !ok {
+					t.Fatalf("raw read: ok %v, err %v", ok, err)
+				}
+				if raw == nil {
+					break
+				}
+			}
+		}
+		if _, err := rs.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 150 {
+		t.Fatalf("the raw walk of the XMark answer allocates %.0f objects, want <= 150", got)
 	}
 }

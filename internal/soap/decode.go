@@ -87,7 +87,7 @@ func init() {
 		"xrpc:queryID", "xrpc:participatingPeers", "xrpc:peer",
 		"xrpc:module", "xrpc:method", "xrpc:arity", "xrpc:location",
 		"xrpc:updCall", "xrpc:seqNr", "xrpc:host", "xrpc:timestamp",
-		"xrpc:timeout", "xrpc:nodeid", "xrpc:target",
+		"xrpc:timeout", "xrpc:nodeid", "xrpc:target", "xrpc:projection",
 		"xsi:type", "xsi:schemaLocation",
 		"xmlns:xrpc", "xmlns:env", "xmlns:xs", "xmlns:xsi", "xml:lang",
 		"uri", "en", "true", "false",
@@ -155,7 +155,7 @@ func (d *decoder) enter() int {
 // child advances to the next child start tag of the element that ends
 // at depth target and leaves it as the current token; it reports false
 // at that element's end tag, or at EOF for topLevel. The caller consumes
-// each child whole (a decode function, skipElement, elementText) before
+// each child whole (a decode function, SkipElement, elementText) before
 // asking for the next; content between children is passed over.
 func (d *decoder) child(target int) (bool, error) {
 	if target == selfClosed {
@@ -187,7 +187,7 @@ func (d *decoder) childNamed(target int, local string) (bool, error) {
 		if !ok || localName(d.sc.Name) == local {
 			return ok, err
 		}
-		if err := d.skipElement(); err != nil {
+		if err := d.sc.SkipElement(); err != nil {
 			return false, err
 		}
 	}
@@ -223,7 +223,7 @@ func (d *decoder) closeEnvelope() error {
 		if !ok {
 			return d.drain()
 		}
-		if err := d.skipElement(); err != nil {
+		if err := d.sc.SkipElement(); err != nil {
 			return err
 		}
 	}
@@ -244,7 +244,7 @@ func (d *decoder) nextResult(respTgt int, peers *[]string) (bool, error) {
 		case "participatingPeers":
 			*peers, err = d.decodePeers(*peers)
 		default:
-			err = d.skipElement()
+			err = d.sc.SkipElement()
 		}
 		if err != nil {
 			return false, err
@@ -282,7 +282,7 @@ func (d *decoder) decodeMessage() (*Message, error) {
 		case local == "response" && resp == nil:
 			resp, err = d.decodeResponse()
 		default:
-			err = d.skipElement()
+			err = d.sc.SkipElement()
 		}
 		if err != nil {
 			return nil, err
@@ -307,11 +307,12 @@ func (d *decoder) decodeMessage() (*Message, error) {
 
 func (d *decoder) decodeRequest() (*Request, error) {
 	req := &Request{
-		Module:   d.attrLocalScan("module"),
-		Method:   d.attrLocalScan("method"),
-		Location: d.attrLocalScan("location"),
-		Updating: d.attrLocalScan("updCall") == "true",
-		TraceID:  d.attrLocalScan("traceID"),
+		Module:     d.attrLocalScan("module"),
+		Method:     d.attrLocalScan("method"),
+		Location:   d.attrLocalScan("location"),
+		Updating:   d.attrLocalScan("updCall") == "true",
+		TraceID:    d.attrLocalScan("traceID"),
+		Projection: d.attrLocalScan("projection"),
 	}
 	scanIntInto(d.attrLocalScan("arity"), &req.Arity)
 	for tgt := d.enter(); ; {
@@ -334,7 +335,7 @@ func (d *decoder) decodeRequest() (*Request, error) {
 		case local == "call":
 			err = d.decodeCall(req)
 		default:
-			err = d.skipElement()
+			err = d.sc.SkipElement()
 		}
 		if err != nil {
 			return nil, err
@@ -453,7 +454,7 @@ func (d *decoder) decodeSequenceItem(out xdm.Sequence) (xdm.Sequence, error) {
 			attr.Seal()
 			out = append(out, attr)
 		}
-		if err := d.skipElement(); err != nil {
+		if err := d.sc.SkipElement(); err != nil {
 			return nil, err
 		}
 	case "text":
@@ -537,7 +538,7 @@ func (d *decoder) decodePeers(peers []string) ([]string, error) {
 		if uri, ok := d.attrExactScan("uri"); ok {
 			peers = append(peers, uri)
 		}
-		if err := d.skipElement(); err != nil {
+		if err := d.sc.SkipElement(); err != nil {
 			return nil, err
 		}
 	}
@@ -566,7 +567,7 @@ func (d *decoder) decodeFault() (*Fault, error) {
 			sv, err = d.elementText()
 			fault.Reason = strings.TrimSpace(sv)
 		default:
-			err = d.skipElement()
+			err = d.sc.SkipElement()
 		}
 		if err != nil {
 			return nil, err
@@ -584,7 +585,7 @@ func (d *decoder) decodeFaultCode(fault *Fault) error {
 			return err
 		}
 		if localName(d.sc.Name) != "Value" || seenValue {
-			if err := d.skipElement(); err != nil {
+			if err := d.sc.SkipElement(); err != nil {
 				return err
 			}
 			continue
@@ -645,24 +646,6 @@ func (d *decoder) buildDocument() (*xdm.Node, error) {
 }
 
 // ------------------------------------------------------------- traversal
-
-// skipElement consumes the rest of the element whose start tag is the
-// current token, ignoring all content.
-func (d *decoder) skipElement() error {
-	if d.sc.SelfClose {
-		return nil
-	}
-	target := d.sc.Depth() - 1
-	for {
-		tok, err := d.sc.Next()
-		if err != nil {
-			return err
-		}
-		if tok == xdm.TokEnd && d.sc.Depth() == target {
-			return nil
-		}
-	}
-}
 
 // elementText consumes the rest of the current element and returns the
 // concatenation of all descendant text — fn:string of the element, the

@@ -37,9 +37,10 @@ func fixtureRequests(t testing.TB) []*Request {
 		},
 		{
 			Module: "films", Method: "filmsByActor", Arity: 1,
-			Location: "http://x.example.org/film.xq",
-			Updating: true,
-			TraceID:  "t-00c0ffee1badcafe",
+			Location:   "http://x.example.org/film.xq",
+			Updating:   true,
+			TraceID:    "t-00c0ffee1badcafe",
+			Projection: "annotation buyer/name",
 			QueryID: &QueryID{
 				ID:        "q-123",
 				Host:      "xrpc://a.example.org",
@@ -264,7 +265,7 @@ func assertAgree(t *testing.T, msg []byte) {
 	if pr, dr := pull.Request, dom.Request; pr != nil {
 		if pr.Module != dr.Module || pr.Method != dr.Method || pr.Arity != dr.Arity ||
 			pr.Location != dr.Location || pr.Updating != dr.Updating ||
-			pr.TraceID != dr.TraceID {
+			pr.TraceID != dr.TraceID || pr.Projection != dr.Projection {
 			t.Fatalf("request headers disagree: pull %+v, dom %+v", pr, dr)
 		}
 		if (pr.QueryID == nil) != (dr.QueryID == nil) {
@@ -474,6 +475,9 @@ func TestDecoderAgreesWithDOMOnRandomRequests(t *testing.T) {
 		}
 		if r.Intn(2) == 0 {
 			req.TraceID = "t-" + benignText(r)
+		}
+		if r.Intn(2) == 0 {
+			req.Projection = "a/" + benignText(r)
 		}
 		if r.Intn(2) == 0 {
 			req.QueryID = &QueryID{

@@ -58,6 +58,9 @@ type Encoder struct {
 	w     io.Writer
 	chunk int
 	err   error
+
+	// proj prunes the element and document items the encoder writes
+	proj *xdm.Projection
 }
 
 // DefaultStreamChunk is the flush threshold EncodeTo uses when the
@@ -75,6 +78,7 @@ func NewEncoder() *Encoder {
 	e.w = nil
 	e.chunk = 0
 	e.err = nil
+	e.proj = nil
 	return e
 }
 
@@ -226,6 +230,9 @@ func (e *Encoder) EncodeRequest(r *Request) {
 	if r.TraceID != "" {
 		e.attr("xrpc:traceID", r.TraceID)
 	}
+	if r.Projection != "" {
+		e.attr("xrpc:projection", r.Projection)
+	}
 	if r.Updating {
 		e.str(` xrpc:updCall="true"`)
 	}
@@ -276,6 +283,8 @@ func (e *Encoder) EncodeRequest(r *Request) {
 // byte-identical to a buffered encode of the same results by
 // construction.
 func (e *Encoder) EncodeResponse(r *Response) {
+	defer e.Project(e.proj)
+	e.Project(r.Projection)
 	e.BeginResponse(r.Module, r.Method)
 	n := len(r.Results)
 	if len(r.Raw) > n {
@@ -309,6 +318,10 @@ func (e *Encoder) responseStartTag(module, method string) {
 
 // BeginSequence opens one result sequence.
 func (e *Encoder) BeginSequence() { e.str(sequenceStartTag) }
+
+// Project makes the items encoded from now on pruned by p (nil: written
+// whole).
+func (e *Encoder) Project(p *xdm.Projection) { e.proj = p }
 
 // EncodeItem appends one item to the open sequence.
 func (e *Encoder) EncodeItem(it xdm.Item) { e.item(it) }
@@ -373,11 +386,11 @@ func (e *Encoder) item(it xdm.Item) {
 		switch v.Kind {
 		case xdm.ElementNode:
 			e.str("<xrpc:element>")
-			xdm.WriteNode(e, v)
+			xdm.WriteProjected(e, v, e.proj)
 			e.str("</xrpc:element>")
 		case xdm.DocumentNode:
 			e.str("<xrpc:document>")
-			xdm.WriteNode(e, v)
+			xdm.WriteProjected(e, v, e.proj)
 			e.str("</xrpc:document>")
 		case xdm.AttributeNode:
 			// serialized inside the wrapper: <xrpc:attribute x="y"/>

@@ -67,6 +67,12 @@ type Request struct {
 	// untraced — the attribute is omitted, keeping old peers
 	// byte-compatible.
 	TraceID string
+	// Projection, when set, is the wire form of an xdm.Projection: the
+	// child paths the caller reads of each result item
+	// (call-by-projection). It rides the request as xrpc:projection;
+	// empty means the caller reads everything and the attribute is
+	// omitted. A peer that does not know it ships everything.
+	Projection string
 	// Calls holds the actual parameters: Calls[i][j] is parameter j of
 	// call i. len(Calls[i]) == Arity for every i.
 	Calls [][]xdm.Sequence
@@ -98,6 +104,10 @@ type Response struct {
 	// The per-shard response cache stores results in this form so a
 	// warm hit skips both execution and re-serialization.
 	Raw [][]byte
+	// Projection, when non-nil, prunes every element and document item
+	// of Results as it is encoded (xdm.WriteProjected): the callee's
+	// half of call-by-projection.
+	Projection *xdm.Projection
 }
 
 // Fault is a SOAP Fault message; it doubles as the Go error type for
@@ -214,6 +224,8 @@ func decodeRequestDOM(rq *xdm.Node) (*Request, error) {
 		Location: attrLocal(rq, "location"),
 		Updating: attrLocal(rq, "updCall") == "true",
 		TraceID:  attrLocal(rq, "traceID"),
+
+		Projection: attrLocal(rq, "projection"),
 	}
 	fmt.Sscanf(attrLocal(rq, "arity"), "%d", &req.Arity)
 	if q := firstChildLocal(rq, "queryID"); q != nil {

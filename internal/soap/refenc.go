@@ -42,6 +42,9 @@ func EncodeRequestRef(r *Request) []byte {
 	if r.TraceID != "" {
 		fmt.Fprintf(&b, ` xrpc:traceID=%q`, r.TraceID)
 	}
+	if r.Projection != "" {
+		fmt.Fprintf(&b, ` xrpc:projection=%q`, r.Projection)
+	}
 	if r.Updating {
 		b.WriteString(` xrpc:updCall="true"`)
 	}

@@ -185,7 +185,7 @@ func (rs *ResponseStream) bodyChild() (bool, error) {
 		case "response":
 			return true, nil
 		}
-		if err := d.skipElement(); err != nil {
+		if err := d.sc.SkipElement(); err != nil {
 			return false, err
 		}
 	}
@@ -284,7 +284,7 @@ func (rs *ResponseStream) NextItemRaw() (raw []byte, ok bool, err error) {
 		return nil, true, unknownItemWrapper(sc.Name)
 	}
 	sc.Pin()
-	err = rs.d.skipElement()
+	err = rs.d.sc.SkipElement()
 	raw = sc.Unpin()
 	if err != nil {
 		return nil, true, err
@@ -321,7 +321,7 @@ func (rs *ResponseStream) Finish() ([]string, error) {
 		if !ok {
 			break
 		}
-		if err := rs.d.skipElement(); err != nil {
+		if err := rs.d.sc.SkipElement(); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -336,10 +337,13 @@ func (s *Scanner) skim() (*lazyContent, error) {
 		root := len(stack) == 1
 		switch tok {
 		case TokText:
-			if _, err := s.charData(); err != nil {
-				return nil, err
+			// plain text is checked and canonical as it is
+			if s.cdata || !plainText(s.text) {
+				if _, err := s.charData(); err != nil {
+					return nil, err
+				}
+				top.canon = top.canon && !s.cdata && canonText(s.text)
 			}
-			top.canon = top.canon && !s.cdata && canonText(s.text)
 			if top.text {
 				if root {
 					kids[len(kids)-1].to = int32(s.pos)
@@ -471,6 +475,32 @@ var (
 	attrRefs = []string{"&lt;", "&amp;", "&quot;", "&#xA;", "&#xD;", "&#x9;"}
 	textRefs = []string{"&lt;", "&gt;", "&amp;"}
 )
+
+// plainText reports whether raw holds only ASCII from ' ' on, and
+// neither '&' nor '>', sixteen bytes at a time: then raw, as the bytes of
+// a text token, holds no reference, no line ending to normalize, no "]]>"
+// and no character XML leaves out, and is what escapeText writes for it.
+func plainText(raw []byte) bool {
+	i := 0
+	for ; i+16 <= len(raw); i += 16 {
+		w, v := binary.LittleEndian.Uint64(raw[i:]), binary.LittleEndian.Uint64(raw[i+8:])
+		if notPlain(w)|notPlain(v) != 0 {
+			return false
+		}
+	}
+	for ; i < len(raw); i++ {
+		if c := raw[i]; c < 0x20 || c >= 0x80 || c == '&' || c == '>' {
+			return false
+		}
+	}
+	return true
+}
+
+// notPlain is non-zero when a byte of w is below ' ', not ASCII, '&' or
+// '>'.
+func notPlain(w uint64) uint64 {
+	return (w | (w-0x20*lsb64)&^w | eqMask(w, '&') | eqMask(w, '>')) & msb64
+}
 
 // canonText reports whether the raw bytes of a (non-CDATA) text token
 // are what escapeText writes for their value.

@@ -32,6 +32,21 @@ var nonCanonical = []string{
 	`<r><!--only--></r>`,
 }
 
+// plainTextRows put each byte the first pass's plain-text check
+// excludes — and ']', "]]>", DEL and U+0080 — at offsets 0, 7, 8 and 15
+// of a text run, inside an element and directly in the root.
+func plainTextRows() []string {
+	var rows []string
+	for _, bad := range []string{"&amp;", "&", ">", "]", "]]>", "\r", "\r\n", "\u0080", "\x7f", "\x1f", "\t", "\n", "\x00", "\xff"} {
+		for _, off := range []int{0, 7, 8, 15} {
+			text := strings.Repeat("plain tx", 3)
+			text = text[:off] + bad + text[off:]
+			rows = append(rows, "<r><a>"+text+"</a>"+text+"<b>"+text[:off+len(bad)]+"</b></r>")
+		}
+	}
+	return rows
+}
+
 // firstElement returns a byte-mode scanner whose current token is the
 // first start tag of data (ok false when there is none).
 func firstElement(data []byte) (Scanner, bool) {
@@ -176,7 +191,7 @@ func sameTree(want, got *Node) string {
 }
 
 func TestLazyMatchesEager(t *testing.T) {
-	texts := append([]string{filmDB}, nonCanonical...)
+	texts := append(append([]string{filmDB}, nonCanonical...), plainTextRows()...)
 	for _, r := range parseRows {
 		texts = append(texts, r.text)
 	}
@@ -305,7 +320,7 @@ func TestLazyConcurrentReaders(t *testing.T) {
 // WriteNode writes for the nodes built from it.
 func FuzzLazyElement(f *testing.F) {
 	f.Add(filmDB)
-	for _, text := range nonCanonical {
+	for _, text := range append(nonCanonical, plainTextRows()...) {
 		f.Add(text)
 	}
 	for _, r := range parseRows {

@@ -514,6 +514,29 @@ func (s *Scanner) scanStartTag() (TokenKind, error) {
 	}
 }
 
+// SkipElement consumes the rest of the element whose start tag is the
+// current token, through its end tag: every token is read and checked as
+// Next reads it, and no attribute value is kept (an Attrs value read on
+// the way is empty).
+func (s *Scanner) SkipElement() error {
+	if s.SelfClose {
+		return nil
+	}
+	target := s.depth - 1
+	skimming := s.skimming
+	s.skimming = true
+	defer func() { s.skimming = skimming }()
+	for {
+		tok, err := s.Next()
+		if err != nil {
+			return err
+		}
+		if tok == TokEnd && s.depth == target {
+			return nil
+		}
+	}
+}
+
 // attrValue unescapes and checks an attribute value, interning the
 // common constant values (type names, namespace URIs). While skimming
 // the value is checked only, and comes back empty.

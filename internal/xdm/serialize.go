@@ -1,6 +1,8 @@
 package xdm
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"strings"
 	"unsafe"
 )
@@ -62,15 +64,7 @@ func writeNode(b XMLWriter, n *Node) {
 			writeNode(b, c)
 		}
 	case ElementNode:
-		b.WriteByte('<')
-		b.WriteString(n.Name)
-		for _, a := range n.Attrs {
-			b.WriteByte(' ')
-			b.WriteString(a.Name)
-			b.WriteString(`="`)
-			escapeAttr(b, a.Value)
-			b.WriteByte('"')
-		}
+		writeStartTag(b, n)
 		raw, spliced := n.raw()
 		var kids []*Node
 		if !spliced {
@@ -86,9 +80,7 @@ func writeNode(b XMLWriter, n *Node) {
 		for _, c := range kids {
 			writeNode(b, c)
 		}
-		b.WriteString("</")
-		b.WriteString(n.Name)
-		b.WriteByte('>')
+		writeEndTag(b, n)
 	case TextNode:
 		escapeText(b, n.Value)
 	case AttributeNode:
@@ -113,22 +105,41 @@ func writeNode(b XMLWriter, n *Node) {
 	}
 }
 
-// escapeText writes s with text-content escaping. It scans bytes and
-// copies maximal clean chunks in one WriteString; all escaped characters
-// are ASCII, so multi-byte runes pass through inside chunks untouched.
+// writeStartTag writes an element's start tag up to its closing '>' or
+// "/>", which the caller writes.
+func writeStartTag(b XMLWriter, n *Node) {
+	b.WriteByte('<')
+	b.WriteString(n.Name)
+	for _, a := range n.Attrs {
+		b.WriteByte(' ')
+		b.WriteString(a.Name)
+		b.WriteString(`="`)
+		escapeAttr(b, a.Value)
+		b.WriteByte('"')
+	}
+}
+
+func writeEndTag(b XMLWriter, n *Node) {
+	b.WriteString("</")
+	b.WriteString(n.Name)
+	b.WriteByte('>')
+}
+
+// escapeText writes s with text-content escaping. It copies maximal
+// clean chunks in one WriteString, finding the next byte to escape
+// sixteen bytes at a time (nextEscape); all escaped characters are ASCII, so
+// multi-byte runes pass through inside chunks untouched.
 func escapeText(b XMLWriter, s string) {
 	last := 0
-	for i := 0; i < len(s); i++ {
+	for i := nextEscape(s, 0, false); i < len(s); i = nextEscape(s, i+1, false) {
 		var rep string
 		switch s[i] {
 		case '<':
 			rep = "&lt;"
 		case '>':
 			rep = "&gt;"
-		case '&':
-			rep = "&amp;"
 		default:
-			continue
+			rep = "&amp;"
 		}
 		b.WriteString(s[last:i])
 		b.WriteString(rep)
@@ -148,7 +159,7 @@ func EscapeAttr(b XMLWriter, s string) { escapeAttr(b, s) }
 
 func escapeAttr(b XMLWriter, s string) {
 	last := 0
-	for i := 0; i < len(s); i++ {
+	for i := nextEscape(s, 0, true); i < len(s); i = nextEscape(s, i+1, true) {
 		var rep string
 		switch s[i] {
 		case '<':
@@ -164,13 +175,70 @@ func escapeAttr(b XMLWriter, s string) {
 		case '\t':
 			rep = "&#x9;"
 		default:
-			continue
+			continue // another control byte: nextEscape stops at all of them
 		}
 		b.WriteString(s[last:i])
 		b.WriteString(rep)
 		last = i + 1
 	}
 	b.WriteString(s[last:])
+}
+
+// escapeBytes marks the bytes escapeText (false) and escapeAttr (true)
+// replace; nextEscape's word test also stops at every other byte below
+// 0x20 for attributes.
+var escapeBytes = [2][256]bool{
+	{'<': true, '>': true, '&': true},
+	{'<': true, '&': true, '"': true, '\n': true, '\r': true, '\t': true},
+}
+
+const (
+	lsb64 = 0x0101010101010101
+	msb64 = 0x8080808080808080
+)
+
+// nextEscape returns the index of the first byte at or after i that the
+// text (attr false) or attribute escaper looks at, or len(s): sixteen
+// bytes at a time, then byte by byte. For an attribute it may stop at a
+// control byte the escaper leaves as it is.
+func nextEscape(s string, i int, attr bool) int {
+	b := unsafe.Slice(unsafe.StringData(s), len(s))
+	for ; i+16 <= len(b); i += 16 {
+		m := escapeMask(binary.LittleEndian.Uint64(b[i:]), attr)
+		n := escapeMask(binary.LittleEndian.Uint64(b[i+8:]), attr)
+		if m|n != 0 {
+			// the lowest mark is exact: a false one needs a borrow from
+			// a true one below it
+			if m == 0 {
+				return i + 8 + bits.TrailingZeros64(n)/8
+			}
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	set := &escapeBytes[0]
+	if attr {
+		set = &escapeBytes[1]
+	}
+	for ; i < len(b) && !set[b[i]]; i++ {
+	}
+	return i
+}
+
+// escapeMask marks the bytes of w nextEscape stops at (and possibly bytes
+// above the lowest of them).
+func escapeMask(w uint64, attr bool) uint64 {
+	m := eqMask(w, '<') | eqMask(w, '&')
+	if attr {
+		return m | eqMask(w, '"') | (w-0x20*lsb64)&^w&msb64
+	}
+	return m | eqMask(w, '>')
+}
+
+// eqMask sets the high bit of each byte of w that equals c (and
+// possibly of bytes above the lowest such one).
+func eqMask(w uint64, c byte) uint64 {
+	v := w ^ lsb64*uint64(c)
+	return (v - lsb64) &^ v & msb64
 }
 
 // DeepEqual implements fn:deep-equal over two sequences: pairwise equal
