@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-codec bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke loc ci
+.PHONY: build test deps vet race bench bench-smoke bench-codec bench-cluster bench-wal bench-e2e fuzz-smoke memsmoke cachesmoke obssmoke crashsmoke plansmoke loc ci
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,18 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# vet also fails when gofmt would reformat a file, listing the files.
-vet:
+# deps fails when the XRPC client, the 2PC coordinator, the loop-lifting
+# engine or the planner links the tree-walking interpreter
+# (internal/interp). They code against client, docres, xqrt and xquf
+# instead, so the evaluator can leave production (ROADMAP items 5 and
+# 1(b)) without a change to any of them.
+deps:
+	@if $(GO) list -deps ./internal/client ./internal/txn ./internal/pathfinder ./internal/planner | grep -qx xrpc/internal/interp; then \
+		echo "xrpc/internal/interp is in the import closure of client, txn, pathfinder or planner"; exit 1; fi
+
+# vet also fails when gofmt would reformat a file, listing the files,
+# and runs deps.
+vet: deps
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -50,7 +60,7 @@ bench:
 # (BenchmarkLiftedJoin_Q71 in internal/pathfinder — the layer-level
 # before/after of the join rule: go test -run NONE -bench LiftedJoin
 # -benchmem ./internal/pathfinder), one `replace value of` commit
-# through interp.ApplyUpdates at 1000 and 8000 persons
+# through xquf.ApplyUpdates at 1000 and 8000 persons
 # (BenchmarkCommitReplaceValue/persons=N — the layer-level before/after
 # of copy on pin: go test -run NONE -bench CommitReplaceValue -benchmem
 # ./internal/interp), that commit followed by one getPerson probe at the
@@ -140,7 +150,7 @@ memsmoke:
 # coordinator and shard tiers, and a routed single-shard 2PC commit
 # must invalidate exactly the touched shard's entries — with every
 # answer byte-identical to an unsharded single-peer execution. The
-# compiled-text cache (interp.PlanCache) has no invalidation call to
+# compiled-text cache (xqrt.PlanCache) has no invalidation call to
 # forget, so the gate also re-registers modules: on a shard executor,
 # through Deploy, and under a query peer, the next request must run the
 # new text, and only the plans importing the module may recompile.

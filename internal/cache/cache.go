@@ -1,7 +1,7 @@
 // Package cache provides the bounded, version-fenced LRU that backs the
 // three caching tiers of the serving stack: the per-shard response cache
 // (internal/server), the coordinator merged-result cache
-// (internal/cluster), and the compiled-text cache (interp.PlanCache,
+// (internal/cluster), and the compiled-text cache (xqrt.PlanCache,
 // which fences on module identity and so reads through GetAny). One
 // implementation, three policies: entries are bounded both by total
 // byte size and by entry count, evicted least-recently-used first, and

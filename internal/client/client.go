@@ -1,11 +1,12 @@
 // Package client implements the XRPC message sender API of §3: it turns
 // function applications into SOAP XRPC request messages, posts them to
 // destination peers, and shreds response messages back into XDM
-// sequences. It supports single calls (one-at-a-time RPC, used by the
-// interpreter), Bulk RPC (used by the loop-lifting engine), the
-// concurrent fan-out behind parallel multi-destination dispatch (§3.2
-// "Parallel & Out-Of-Order") and every other send to many peers, and the
-// getDocument system call used for data-shipping queries.
+// sequences. Every call goes out as a Bulk RPC (BulkCaller): the
+// loop-lifting engine's, and the interpreter's one-at-a-time RPC, a bulk
+// of one call. It also provides the concurrent fan-out behind parallel
+// multi-destination dispatch (§3.2 "Parallel & Out-Of-Order") and every
+// other send to many peers, and the getDocument system call used for
+// data-shipping queries.
 package client
 
 import (
@@ -13,7 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xrpc/internal/interp"
+	"xrpc/internal/docres"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
@@ -28,7 +29,7 @@ const XRPCPath = "/xrpc"
 const SystemModule = "urn:xrpc-system"
 
 // Client sends XRPC requests on behalf of one query. It implements
-// interp.RPCCaller. A Client records every peer it contacts so the
+// BulkCaller. A Client records every peer it contacts so the
 // originator can register all participants with the WS-Coordination
 // service (§2.3); peers piggybacked on responses are folded in too.
 type Client struct {
@@ -106,24 +107,13 @@ func (c *Client) notePeers(dest string, piggyback []string) {
 	}
 }
 
-// Call implements interp.RPCCaller: a single (non-bulk) XRPC call.
-func (c *Client) Call(dest string, req *interp.CallRequest) (xdm.Sequence, error) {
-	results, err := c.CallBulk(dest, &BulkRequest{
-		ModuleURI:  req.ModuleURI,
-		AtHint:     req.AtHint,
-		Func:       req.Func,
-		Arity:      req.Arity,
-		Updating:   req.Updating,
-		ByFragment: req.ByFragment,
-		Calls:      [][]xdm.Sequence{req.Args},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != 1 {
-		return nil, fmt.Errorf("xrpc: expected 1 result sequence, got %d", len(results))
-	}
-	return results[0], nil
+// BulkCaller sends one Bulk RPC to one destination and returns one
+// result sequence per call: the one call contract of both engines.
+// The loop-lifting engine sends a bulk per destination, the interpreter
+// a bulk of one call per execute at (one-at-a-time RPC). *Client and the
+// cluster coordinator implement it.
+type BulkCaller interface {
+	CallBulk(dest string, br *BulkRequest) ([]xdm.Sequence, error)
 }
 
 // BulkRequest is a set of calls of one function at one destination.
@@ -148,10 +138,11 @@ type BulkRequest struct {
 	Projection string
 }
 
-// CallBulk performs a Bulk RPC: all calls in a single request/response
-// network interaction, returning one result sequence per call. The
-// request body is built in a pooled encoder and released after the send
-// — zero copies of the request on the in-process transport.
+// CallBulk implements BulkCaller: a Bulk RPC, all calls in a single
+// request/response network interaction, returning one result sequence
+// per call. The request body is built in a pooled encoder and released
+// after the send — zero copies of the request on the in-process
+// transport.
 func (c *Client) CallBulk(dest string, br *BulkRequest) ([]xdm.Sequence, error) {
 	enc := c.EncodeBulk(br)
 	defer enc.Release()
@@ -290,16 +281,16 @@ func (c *Client) FetchDocument(dest, path string) (*xdm.Node, error) {
 // without the cache a doc() under a for-loop would re-ship the document
 // once per iteration.
 type DocResolver struct {
-	Local  interp.DocResolver
+	Local  docres.DocResolver
 	Client *Client
 
 	mu      sync.Mutex
 	fetched map[string]*xdm.Node
 }
 
-// Doc implements interp.DocResolver.
+// Doc implements docres.DocResolver.
 func (r *DocResolver) Doc(uri string) (*xdm.Node, error) {
-	host, path := interp.SplitXrpcURL(uri)
+	host, path := docres.SplitXrpcURL(uri)
 	if host == "localhost" {
 		if r.Local == nil {
 			return nil, xdm.Errorf("FODC0002", "document %q not found (no local store)", uri)
@@ -325,23 +316,23 @@ func (r *DocResolver) Doc(uri string) (*xdm.Node, error) {
 	return doc, nil
 }
 
-var _ interp.VersionedResolver = (*DocResolver)(nil)
+var _ docres.VersionedResolver = (*DocResolver)(nil)
 
-// Names implements interp.VersionedResolver: the documents of Local's
+// Names implements docres.VersionedResolver: the documents of Local's
 // version, none when Local is not one.
 func (r *DocResolver) Names() []string {
-	if v, ok := r.Local.(interp.VersionedResolver); ok {
+	if v, ok := r.Local.(docres.VersionedResolver); ok {
 		return v.Names()
 	}
 	return nil
 }
 
-// Derived implements interp.VersionedResolver: the value derived from
+// Derived implements docres.VersionedResolver: the value derived from
 // Local's version, nil when Local is not one. The documents fetched from
 // other peers are not the version's; an evaluation keeps what it
 // derives from them to itself.
 func (r *DocResolver) Derived(build func() any) any {
-	if v, ok := r.Local.(interp.VersionedResolver); ok {
+	if v, ok := r.Local.(docres.VersionedResolver); ok {
 		return v.Derived(build)
 	}
 	return nil

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"xrpc/internal/client"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
@@ -44,15 +45,16 @@ func newServer(t *testing.T) *server.Server {
 func TestCallSingle(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	net.Register("xrpc://y", newServer(t))
-	cl := New(net)
-	seq, err := cl.Call("xrpc://y", &interp.CallRequest{
+	cl := client.New(net)
+	res, err := cl.CallBulk("xrpc://y", &client.BulkRequest{
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 		Func: "filmsByActor", Arity: 1,
-		Args: []xdm.Sequence{{xdm.String("Sean Connery")}},
+		Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := res[0]
 	if len(seq) != 2 {
 		t.Fatalf("films = %d", len(seq))
 	}
@@ -88,7 +90,7 @@ func TestFanout(t *testing.T) {
 				fails[i] = true
 			}
 			ran := make([]atomic.Bool, tc.n)
-			failed, err := Fanout(tc.n, func(i int) error {
+			failed, err := client.Fanout(tc.n, func(i int) error {
 				ran[i].Store(true)
 				if fails[i] {
 					return boom(i)
@@ -114,7 +116,7 @@ func TestFanout(t *testing.T) {
 	}
 
 	// the higher index failing first in time does not change the answer
-	failed, err := Fanout(4, func(i int) error {
+	failed, err := client.Fanout(4, func(i int) error {
 		if i == 1 {
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -130,7 +132,7 @@ func TestFanout(t *testing.T) {
 	// n == 1 runs f on the caller's goroutine
 	caller := goroutineID()
 	var ranOn uint64
-	Fanout(1, func(int) error { ranOn = goroutineID(); return nil })
+	client.Fanout(1, func(int) error { ranOn = goroutineID(); return nil })
 	if ranOn != caller {
 		t.Errorf("n == 1 ran on goroutine %d, caller is %d", ranOn, caller)
 	}
@@ -158,7 +160,7 @@ func TestStatsRaceUnderParallelDispatch(t *testing.T) {
 		net.Register(dest, newServer(t))
 		dests = append(dests, dest)
 	}
-	cl := New(net)
+	cl := client.New(net)
 	done := make(chan struct{})
 	go func() { // concurrent reader, as the experiment harnesses do
 		defer close(done)
@@ -167,8 +169,8 @@ func TestStatsRaceUnderParallelDispatch(t *testing.T) {
 		}
 	}()
 	res := make([][]xdm.Sequence, peers)
-	_, err := Fanout(peers, func(p int) (err error) {
-		res[p], err = cl.CallBulk(dests[p], &BulkRequest{
+	_, err := client.Fanout(peers, func(p int) (err error) {
+		res[p], err = cl.CallBulk(dests[p], &client.BulkRequest{
 			ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 			Func: "filmsByActor", Arity: 1,
 			Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
@@ -198,8 +200,8 @@ func TestResultCountMismatchRejected(t *testing.T) {
 		// respond with zero result sequences for a one-call request
 		return soap.EncodeResponse(&soap.Response{Module: "m", Method: "f"}), nil
 	}))
-	cl := New(net)
-	_, err := cl.CallBulk("xrpc://bad", &BulkRequest{
+	cl := client.New(net)
+	_, err := cl.CallBulk("xrpc://bad", &client.BulkRequest{
 		ModuleURI: "m", Func: "f", Arity: 0,
 		Calls: [][]xdm.Sequence{{}},
 	})
@@ -216,7 +218,7 @@ func TestDocResolverCachesFetches(t *testing.T) {
 		fetches.Add(1)
 		return srv.HandleXRPC(path, body)
 	}))
-	r := &DocResolver{Client: New(net)}
+	r := &client.DocResolver{Client: client.New(net)}
 	for i := 0; i < 5; i++ {
 		doc, err := r.Doc("xrpc://y/filmDB.xml")
 		if err != nil {
@@ -238,14 +240,14 @@ func TestDocResolverLocalFallback(t *testing.T) {
 	}
 	snap := st.Snapshot()
 	defer snap.Release()
-	r := &DocResolver{Local: snap, Client: New(netsim.NewNetwork(0, 0))}
+	r := &client.DocResolver{Local: snap, Client: client.New(netsim.NewNetwork(0, 0))}
 	if _, err := r.Doc("local.xml"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Doc("missing.xml"); err == nil {
 		t.Error("expected error for missing local doc")
 	}
-	r2 := &DocResolver{Client: New(netsim.NewNetwork(0, 0))}
+	r2 := &client.DocResolver{Client: client.New(netsim.NewNetwork(0, 0))}
 	if _, err := r2.Doc("anything.xml"); err == nil {
 		t.Error("expected error with no local store")
 	}
@@ -256,9 +258,9 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	cl := New(NewHTTPTransport())
+	cl := client.New(client.NewHTTPTransport())
 	dest := strings.Replace(ts.URL, "http://", "xrpc://", 1)
-	res, err := cl.CallBulk(dest, &BulkRequest{
+	res, err := cl.CallBulk(dest, &client.BulkRequest{
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 		Func: "filmsByActor", Arity: 1,
 		Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
@@ -284,8 +286,8 @@ func TestGzipContentCoding(t *testing.T) {
 	defer ts.Close()
 	dest := strings.Replace(ts.URL, "http://", "xrpc://", 1)
 
-	br := func() *BulkRequest {
-		b := &BulkRequest{
+	br := func() *client.BulkRequest {
+		b := &client.BulkRequest{
 			ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 			Func: "filmsByActor", Arity: 1,
 		}
@@ -295,16 +297,16 @@ func TestGzipContentCoding(t *testing.T) {
 		return b
 	}
 
-	plain := New(NewHTTPTransport())
+	plain := client.New(client.NewHTTPTransport())
 	want, err := plain.CallBulk(dest, br())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBytes := soap.EncodeResponse(&soap.Response{Module: "films", Method: "filmsByActor", Results: want})
 
-	gzipTr := NewHTTPTransport()
+	gzipTr := client.NewHTTPTransport()
 	gzipTr.Gzip = true
-	zipped := New(gzipTr)
+	zipped := client.New(gzipTr)
 	got, err := zipped.CallBulk(dest, br())
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +352,8 @@ func countingMiddleware(next http.Handler, raw, gz *atomic.Int64) http.Handler {
 }
 
 func TestHTTPTransportBadDest(t *testing.T) {
-	cl := New(NewHTTPTransport())
-	_, err := cl.CallBulk("xrpc://127.0.0.1:1", &BulkRequest{ // closed port
+	cl := client.New(client.NewHTTPTransport())
+	_, err := cl.CallBulk("xrpc://127.0.0.1:1", &client.BulkRequest{ // closed port
 		ModuleURI: "m", Func: "f", Arity: 0, Calls: [][]xdm.Sequence{{}},
 	})
 	if err == nil {

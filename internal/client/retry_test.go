@@ -1,23 +1,27 @@
-package client
+package client_test
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	"xrpc/internal/interp"
+	"xrpc/internal/client"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 )
 
-func retryCall(cl *Client) (xdm.Sequence, error) {
-	return cl.Call("xrpc://y", &interp.CallRequest{
+func retryCall(cl *client.Client) (xdm.Sequence, error) {
+	res, err := cl.CallBulk("xrpc://y", &client.BulkRequest{
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 		Func: "filmsByActor", Arity: 1,
-		Args: []xdm.Sequence{{xdm.String("Sean Connery")}},
+		Calls: [][]xdm.Sequence{{{xdm.String("Sean Connery")}}},
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 func TestRetryAbsorbsTransientBurst(t *testing.T) {
@@ -25,9 +29,9 @@ func TestRetryAbsorbsTransientBurst(t *testing.T) {
 	net.Register("xrpc://y", newServer(t))
 	net.FailNext("xrpc://y", 2)
 
-	cl := New(net)
+	cl := client.New(net)
 	var slept []time.Duration
-	cl.Retry = &RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 8 * time.Millisecond,
+	cl.Retry = &client.RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 8 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) }}
 	reg := obs.NewRegistry()
 	cl.RegisterMetrics(reg)
@@ -64,8 +68,8 @@ func TestRetryGivesUpPastMax(t *testing.T) {
 	net.Register("xrpc://y", newServer(t))
 	net.FailNext("xrpc://y", 5)
 
-	cl := New(net)
-	cl.Retry = &RetryPolicy{Max: 2, Base: time.Microsecond, Sleep: func(time.Duration) {}}
+	cl := client.New(net)
+	cl.Retry = &client.RetryPolicy{Max: 2, Base: time.Microsecond, Sleep: func(time.Duration) {}}
 	_, err := retryCall(cl)
 	var inj *netsim.InjectedFault
 	if !errors.As(err, &inj) {
@@ -85,8 +89,8 @@ func TestRetrySkipsDefinitiveFailures(t *testing.T) {
 		calls++
 		return soap.EncodeFault(&soap.Fault{Code: "XPTY0004", Reason: "type error"}), nil
 	}))
-	cl := New(net)
-	cl.Retry = &RetryPolicy{Max: 3, Sleep: func(time.Duration) {}}
+	cl := client.New(net)
+	cl.Retry = &client.RetryPolicy{Max: 3, Sleep: func(time.Duration) {}}
 	if _, err := retryCall(cl); err == nil {
 		t.Fatal("fault did not surface")
 	}
@@ -102,7 +106,7 @@ func TestNoPolicyMeansSingleAttempt(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	net.Register("xrpc://y", newServer(t))
 	net.FailNext("xrpc://y", 1)
-	cl := New(net)
+	cl := client.New(net)
 	if _, err := retryCall(cl); err == nil {
 		t.Fatal("transient failure did not surface without a retry policy")
 	}

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"errors"
@@ -10,16 +10,17 @@ import (
 	"testing"
 	"time"
 
+	"xrpc/internal/client"
 	"xrpc/internal/netsim"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 )
 
-var _ netsim.Transport = (*HTTPTransport)(nil)
+var _ netsim.Transport = (*client.HTTPTransport)(nil)
 
 // collectStreamed walks a StreamedResponse to completion, returning one
 // sequence per call.
-func collectStreamed(t *testing.T, sr *StreamedResponse) []xdm.Sequence {
+func collectStreamed(t *testing.T, sr *client.StreamedResponse) []xdm.Sequence {
 	t.Helper()
 	var out []xdm.Sequence
 	for {
@@ -54,7 +55,7 @@ func collectStreamed(t *testing.T, sr *StreamedResponse) []xdm.Sequence {
 func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	net.Register("xrpc://y", newServer(t))
-	br := &BulkRequest{
+	br := &client.BulkRequest{
 		ModuleURI: "films", AtHint: "http://x.example.org/film.xq",
 		Func: "filmsByActor", Arity: 1,
 		Calls: [][]xdm.Sequence{
@@ -63,7 +64,7 @@ func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 			{{xdm.String("Gerard Depardieu")}},
 		},
 	}
-	ref := New(net)
+	ref := client.New(net)
 	enc := ref.EncodeBulk(br)
 	defer enc.Release()
 	want, err := ref.SendEncoded("xrpc://y", enc.Bytes(), len(br.Calls))
@@ -71,7 +72,7 @@ func TestSendStreamedMatchesSendEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl := New(net)
+	cl := client.New(net)
 	sr, err := cl.SendStreamed("xrpc://y", enc.Bytes(), len(br.Calls))
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestSendStreamedResultCountMismatch(t *testing.T) {
 			Results: []xdm.Sequence{{xdm.Integer(1)}},
 		}), nil
 	}))
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
+	sr, err := client.New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestSendStreamedFault(t *testing.T) {
 	net.Register("xrpc://y", netsim.HandlerFunc(func(_ string, _ []byte) ([]byte, error) {
 		return soap.EncodeFault(&soap.Fault{Code: "env:Sender", Reason: "no such module"}), nil
 	}))
-	_, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
+	_, err := client.New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
 	var fault *soap.Fault
 	if !errors.As(err, &fault) || fault.Reason != "no such module" {
 		t.Fatalf("err = %v, want the peer's fault", err)
 	}
-	if Retriable(err) {
+	if client.Retriable(err) {
 		t.Error("a SOAP fault must not be classified retriable")
 	}
 }
@@ -173,7 +174,7 @@ func TestSendStreamedDeliversBeforeHandlerFinishes(t *testing.T) {
 		return pr, nil
 	}))
 
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
+	sr, err := client.New(net).SendStreamed("xrpc://y", []byte("<req/>"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestStreamedResponseCloseReleasesProducer(t *testing.T) {
 		}()
 		return pr, nil
 	}))
-	sr, err := New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
+	sr, err := client.New(net).SendStreamed("xrpc://y", []byte("<req/>"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestHTTPTransportIdleDeadlineAborts(t *testing.T) {
 	defer hs.Close()
 	defer close(release) // unblock the handler before hs.Close waits on it
 
-	tr := NewHTTPTransportTimeout(100 * time.Millisecond)
+	tr := client.NewHTTPTransportTimeout(100 * time.Millisecond)
 	rc, err := tr.SendStream(hs.URL, "/xrpc", []byte("<req/>"))
 	if err != nil {
 		t.Fatal(err)
@@ -272,35 +273,6 @@ func TestHTTPTransportIdleDeadlineAborts(t *testing.T) {
 	if !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("err = %v, want an idle-deadline error", err)
 	}
-}
-
-// TestStreamBodyReadAllocatesNothing: the idle watchdog is one timer
-// per response stream, re-armed by each Read, so a Read after the first
-// allocates nothing — the proxy reads every shard body in scanner-sized
-// reads.
-func TestStreamBodyReadAllocatesNothing(t *testing.T) {
-	b := &streamBody{body: io.NopCloser(zeros{}), cancel: func() {}, idle: time.Minute}
-	b.raw = b.body
-	defer b.Close()
-	buf := make([]byte, 512)
-	if _, err := b.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := b.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("a Read after the first allocates %.1f objects, want 0", n)
-	}
-}
-
-// zeros is an endless stream of zero bytes.
-type zeros struct{}
-
-func (zeros) Read(p []byte) (int, error) {
-	clear(p)
-	return len(p), nil
 }
 
 // TestHTTPTransportSlowButFlowingResponseSurvives pins the timeout
@@ -320,7 +292,7 @@ func TestHTTPTransportSlowButFlowingResponseSurvives(t *testing.T) {
 	defer hs.Close()
 
 	// total transfer ~300ms, deadline 150ms: a whole-request timeout fails
-	tr := NewHTTPTransportTimeout(150 * time.Millisecond)
+	tr := client.NewHTTPTransportTimeout(150 * time.Millisecond)
 	out, err := tr.Send(hs.URL, "/xrpc", []byte("<req/>"))
 	if err != nil {
 		t.Fatalf("flowing response aborted: %v", err)

@@ -274,7 +274,7 @@ for $pid in $pids return execute at {"xrpc://cluster"} {b:Q_B3($pid)}`, reg)
 
 // countingCaller counts the Bulk RPCs an evaluation sends.
 type countingCaller struct {
-	pathfinder.BulkCaller
+	client.BulkCaller
 	requests int
 }
 

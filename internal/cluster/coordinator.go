@@ -57,7 +57,7 @@ func (s *RouteSpec) op() string {
 }
 
 // Coordinator fans Bulk RPC requests out across the shards of a routing
-// table and merges the responses. It implements pathfinder.BulkCaller:
+// table and merges the responses. It implements client.BulkCaller:
 // requests addressed to DefaultClusterURI are scattered (reads) or routed
 // (updates), any other destination passes through to the underlying
 // client unchanged — so a query can mix sharded and direct execute-at
@@ -168,7 +168,7 @@ func (co *Coordinator) registeredSpec(br *client.BulkRequest) (*RouteSpec, strin
 	return nil, reason
 }
 
-// CallBulk implements pathfinder.BulkCaller. The cluster URI scatters
+// CallBulk implements client.BulkCaller. The cluster URI scatters
 // read-only requests and routes updating ones; everything else passes
 // through.
 func (co *Coordinator) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {

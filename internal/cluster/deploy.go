@@ -146,7 +146,7 @@ func Deploy(net *netsim.Network, reg *modules.Registry, docs map[string]string, 
 			srv.ShardRanges = descriptors
 			// every replica gets a nested-call client factory: an
 			// `execute at` inside a shard's query calls out through it
-			srv.NewRPC = func(qid *soap.QueryID) (interp.RPCCaller, func() []string) {
+			srv.NewRPC = func(qid *soap.QueryID) (client.BulkCaller, func() []string) {
 				cl := client.New(net)
 				cl.QueryID = qid
 				return cl, cl.Peers

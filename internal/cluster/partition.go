@@ -14,7 +14,7 @@
 // the coordinator ships 1/N of the result bytes per link, and shard
 // responses travel concurrently.
 //
-// The coordinator implements pathfinder.BulkCaller, so the whole
+// The coordinator implements client.BulkCaller, so the whole
 // loop-lifting pipeline is cluster-transparent: an `execute at
 // {"xrpc://cluster"}` inside a for-loop loop-lifts into ONE bulk
 // request, which the coordinator scatters to all shards.

@@ -7,7 +7,7 @@
 // the declare option xrpc:isolation / xrpc:timeout prolog options, and
 // driving WS-AtomicTransaction 2PC for distributed updating queries.
 //
-// A query text has one compiled form, its interp.Compiled static context
+// A query text has one compiled form, its xqrt.Compiled static context
 // (parsed, imports resolved, classified), which both engines run from and
 // which Peer.Plans caches; everything that belongs to one run — the
 // client, its queryID, the document resolver — is made per query and
@@ -34,6 +34,8 @@ import (
 	"xrpc/internal/wrapper"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
+	"xrpc/internal/xquf"
 )
 
 // EngineKind selects the local execution engine.
@@ -70,10 +72,11 @@ type Peer struct {
 	// Plans caches the static context of each query text, and with it
 	// the loop-lifted plan, keyed on normalized query text (nil = compile
 	// every query). NewPeer enables it.
-	Plans *interp.PlanCache
+	Plans *xqrt.PlanCache
 
-	// eng compiles query texts against Registry; it holds no per-query
-	// state (documents and the RPC caller are passed to each evaluation).
+	// eng resolves query texts' imports against Registry and evaluates
+	// the interpreted ones; it holds no per-query state (documents and
+	// the RPC caller are passed to each evaluation).
 	eng  *interp.Engine
 	exec *server.NativeExecutor
 
@@ -97,11 +100,11 @@ func NewPeer(self string, transport netsim.Transport) *Peer {
 		Server:         srv,
 		Transport:      transport,
 		DefaultTimeout: 30,
-		Plans:          interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
+		Plans:          xqrt.NewPlanCache(xqrt.DefaultPlanCacheBytes, xqrt.DefaultPlanCacheEntries),
 		eng:            eng,
 		exec:           exec,
 	}
-	srv.NewRPC = func(qid *soap.QueryID) (interp.RPCCaller, func() []string) {
+	srv.NewRPC = func(qid *soap.QueryID) (client.BulkCaller, func() []string) {
 		if transport == nil {
 			return nil, func() []string { return nil }
 		}
@@ -260,11 +263,11 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 	docs := &client.DocResolver{Local: snap, Client: cl}
 
 	var seq xdm.Sequence
-	var pul *interp.UpdateList
+	var pul *xquf.UpdateList
 	if p.Engine == EngineInterpreted || updating {
 		// local update expressions need the interpreter, whichever engine
 		// the peer runs
-		seq, pul, err = static.Eval(&interp.EvalOptions{
+		seq, pul, err = p.eng.Bind(static).Eval(&interp.EvalOptions{
 			Vars:           vars,
 			Docs:           docs,
 			RPC:            cl,
@@ -332,11 +335,11 @@ func copyStored(seq xdm.Sequence, snap *store.Snapshot) xdm.Sequence {
 
 // compile returns the static context of a query text: a hit in Plans
 // costs the key's normalization and nothing else — no parse.
-func (p *Peer) compile(q string) (*interp.Compiled, error) {
+func (p *Peer) compile(q string) (*xqrt.Compiled, error) {
 	if p.Plans == nil {
-		return p.eng.Compile(q)
+		return xqrt.Compile(q, p.eng.Modules)
 	}
-	return p.Plans.Compile(p.eng, xq.Normalize(q), q)
+	return p.Plans.Compile(p.eng.Modules, xq.Normalize(q), q)
 }
 
 func (p *Peer) transportOrNoop() netsim.Transport {

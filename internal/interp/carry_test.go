@@ -9,6 +9,7 @@ import (
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
+	"xrpc/internal/xquf"
 )
 
 // Tables carried across value-only commits (store.Tx.Carry,
@@ -51,7 +52,7 @@ func commitQuery(t testing.TB, st *store.Store, query string) {
 	t.Helper()
 	own := st.Snapshot()
 	defer own.Release()
-	if err := ApplyUpdates(st, collect(t, own, query), own); err != nil {
+	if err := xquf.ApplyUpdates(st, collect(t, own, query), own); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,7 +69,7 @@ func setCityAt(t testing.TB, c *Compiled, st *store.Store, pid, city string) int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	return stats.IndexBuilds
@@ -292,7 +293,7 @@ func BenchmarkCommitThenProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ApplyUpdates(st, pul, nil); err != nil {
+		if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 			b.Fatal(err)
 		}
 		snap := st.Snapshot()

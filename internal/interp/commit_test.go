@@ -10,11 +10,12 @@ import (
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
+	"xrpc/internal/xquf"
 )
 
 // collect evaluates an updating query against snap and returns its
 // pending update list.
-func collect(t testing.TB, snap *store.Snapshot, query string) *UpdateList {
+func collect(t testing.TB, snap *store.Snapshot, query string) *xquf.UpdateList {
 	t.Helper()
 	c, err := New(nil).Compile(query)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestPinnedSnapshotForcesClone(t *testing.T) {
 	st := loaded(t, "a.xml", `<r><p>old</p></r>`)
 	own := st.Snapshot()
 	pul := collect(t, own, `replace value of node doc("a.xml")/r/p with "mid"`)
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	own.Release()
@@ -62,7 +63,7 @@ func TestPinnedSnapshotForcesClone(t *testing.T) {
 	before, _ := reader.Get("a.xml")
 	own = st.Snapshot()
 	pul = collect(t, own, `replace value of node doc("a.xml")/r/p with "new"`)
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	own.Release()
@@ -89,11 +90,11 @@ func TestOverlappingCommitsKeepBothWrites(t *testing.T) {
 	s1, s2 := st.Snapshot(), st.Snapshot()
 	a := collect(t, s1, `replace value of node doc("d.xml")/r/p[@id="a"]/city with "A1"`)
 	b := collect(t, s2, `replace value of node doc("d.xml")/r/p[@id="b"]/city with "B1"`)
-	if err := ApplyUpdates(st, a, s1); err != nil {
+	if err := xquf.ApplyUpdates(st, a, s1); err != nil {
 		t.Fatal(err)
 	}
 	s1.Release()
-	if err := ApplyUpdates(st, b, s2); err != nil {
+	if err := xquf.ApplyUpdates(st, b, s2); err != nil {
 		t.Fatal(err)
 	}
 	s2.Release()
@@ -111,13 +112,13 @@ func TestStructuralCommitFailsOvertakenTransaction(t *testing.T) {
 	s1, s2 := st.Snapshot(), st.Snapshot()
 	ins := collect(t, s1, `insert node <p id="z"/> as first into doc("d.xml")/r`)
 	upd := collect(t, s2, `replace value of node doc("d.xml")/r/p[@id="a"]/city with "A1"`)
-	if err := ApplyUpdates(st, ins, s1); err != nil {
+	if err := xquf.ApplyUpdates(st, ins, s1); err != nil {
 		t.Fatal(err)
 	}
 	s1.Release()
 	v := st.Version()
 	var xe *xdm.Error
-	if err := ApplyUpdates(st, upd, s2); !errors.As(err, &xe) || xe.Code != "XRPC0010" {
+	if err := xquf.ApplyUpdates(st, upd, s2); !errors.As(err, &xe) || xe.Code != "XRPC0010" {
 		t.Fatalf("overtaken commit: %v, want XRPC0010", err)
 	}
 	s2.Release()
@@ -136,15 +137,15 @@ func TestStructuralCommitFailsOvertakenTransaction(t *testing.T) {
 func TestFailingListWritesNothingInPlace(t *testing.T) {
 	for _, tc := range []struct {
 		doc, query string
-		extra      func(d *xdm.Node) Primitive
+		extra      func(d *xdm.Node) xquf.Primitive
 		code       string
 	}{{
 		doc: `<r><p id="1">1</p><q>2</q></r>`,
 		query: `(replace value of node doc("d.xml")/r/q with "x",
 			delete node doc("d.xml")/r/p/text())`,
-		extra: func(d *xdm.Node) Primitive {
+		extra: func(d *xdm.Node) xquf.Primitive {
 			id := d.Children()[0].Children()[0].Attrs[0]
-			return Primitive{Kind: PrimReplaceNode, Target: id, Source: []*xdm.Node{xdm.NewElement("x").Seal()}}
+			return xquf.Primitive{Kind: xquf.PrimReplaceNode, Target: id, Source: []*xdm.Node{xdm.NewElement("x").Seal()}}
 		},
 		code: "XUTY0011",
 	}, {
@@ -176,7 +177,7 @@ func TestFailingListWritesNothingInPlace(t *testing.T) {
 			pul.Add(tc.extra(d))
 		}
 		var xe *xdm.Error
-		if err := ApplyUpdates(st, pul, own); !errors.As(err, &xe) || xe.Code != tc.code {
+		if err := xquf.ApplyUpdates(st, pul, own); !errors.As(err, &xe) || xe.Code != tc.code {
 			t.Errorf("%s: %v, want %s", tc.query, err, tc.code)
 		}
 		own.Release()
@@ -201,7 +202,7 @@ func TestListAppliesInPhaseOrder(t *testing.T) {
 	} {
 		st := loaded(t, "d.xml", `<r><p/><q/></r>`)
 		own := st.Snapshot()
-		if err := ApplyUpdates(st, collect(t, own, tc.query), own); err != nil {
+		if err := xquf.ApplyUpdates(st, collect(t, own, tc.query), own); err != nil {
 			t.Errorf("%s: %v", tc.query, err)
 		}
 		own.Release()
@@ -223,7 +224,7 @@ func TestReplaceValueOfTargetedTextChild(t *testing.T) {
 	} {
 		st := loaded(t, "d.xml", `<r><p>t</p></r>`)
 		own := st.Snapshot()
-		if err := ApplyUpdates(st, collect(t, own, query), own); err != nil {
+		if err := xquf.ApplyUpdates(st, collect(t, own, query), own); err != nil {
 			t.Fatal(err)
 		}
 		own.Release()
@@ -240,7 +241,7 @@ func TestInPlaceStructuralCommitReseals(t *testing.T) {
 	own := st.Snapshot()
 	pul := collect(t, own, `(insert node <x><y/></x> as first into doc("d.xml")/r,
 		replace value of node doc("d.xml")/r/b with "u")`)
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	if in, _ := st.Commits(); in != 1 {
@@ -271,7 +272,7 @@ func TestInPlaceStructuralCommitReseals(t *testing.T) {
 // replaceCity is one `replace value of` commit against persons.xml: the
 // pending update list of setting person0's city, whose target stays the
 // live node when the commit writes in place.
-func replaceCity(t testing.TB, persons int) (*store.Store, *UpdateList) {
+func replaceCity(t testing.TB, persons int) (*store.Store, *xquf.UpdateList) {
 	t.Helper()
 	st := loaded(t, "persons.xml", xmark.GeneratePersons(xmark.Config{Persons: persons, Seed: 7}))
 	snap := st.Snapshot()
@@ -286,7 +287,7 @@ func TestCommitAllocsDoNotGrowWithDocument(t *testing.T) {
 	allocs := func(persons int) float64 {
 		st, pul := replaceCity(t, persons)
 		return testing.AllocsPerRun(20, func() {
-			if err := ApplyUpdates(st, pul, nil); err != nil {
+			if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -298,7 +299,7 @@ func TestCommitAllocsDoNotGrowWithDocument(t *testing.T) {
 }
 
 // BenchmarkCommitReplaceValue is the layer-level row of a commit: one
-// `replace value of` through ApplyUpdates, no reader pinning the
+// `replace value of` through xquf.ApplyUpdates, no reader pinning the
 // document (go test -run NONE -bench CommitReplaceValue -benchmem
 // ./internal/interp).
 func BenchmarkCommitReplaceValue(b *testing.B) {
@@ -308,7 +309,7 @@ func BenchmarkCommitReplaceValue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ApplyUpdates(st, pul, nil); err != nil {
+				if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -357,7 +358,7 @@ func TestReadersBesideInPlaceCommits(t *testing.T) {
 		own := st.Snapshot()
 		pul := collect(t, own, fmt.Sprintf(`(replace value of node doc("d.xml")/r/v with "%d",
 			replace value of node doc("d.xml")/r/w with "%d")`, i, i))
-		if err := ApplyUpdates(st, pul, own); err != nil {
+		if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 			t.Fatal(err)
 		}
 		own.Release()

@@ -1,12 +1,15 @@
 package interp
 
 import (
-	"math"
 	"sort"
 	"strings"
 
+	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
+	"xrpc/internal/xquf"
 )
 
 // varFrame is a linked-list variable environment (cheap shadowing).
@@ -22,13 +25,13 @@ type varFrame struct {
 type dynCtx struct {
 	c      *Compiled
 	module *xq.Module
-	docs   DocResolver
-	rpc    RPCCaller
+	docs   docres.DocResolver
+	rpc    client.BulkCaller
 	vars   *varFrame
 	item   xdm.Item
 	pos    int
 	size   int
-	pul    *UpdateList
+	pul    *xquf.UpdateList
 	cnt    *indexCounters // this evaluation's index use; shared by child contexts
 	memo   *evalMemo
 	depth  int
@@ -97,7 +100,7 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Unary(n.Neg, v)
+		return xqrt.Unary(n.Neg, v)
 	case *xq.Comparison:
 		return ctx.evalComparison(n)
 	case *xq.Logic:
@@ -156,7 +159,7 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return CastSingleton(v, n.Type, n.Optional)
+		return xqrt.CastSingleton(v, n.Type, n.Optional)
 	case *xq.Typeswitch:
 		return ctx.evalTypeswitch(n)
 	case *xq.Castable:
@@ -164,14 +167,14 @@ func (ctx *dynCtx) eval(e xq.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, castErr := CastSingleton(v, n.Type, n.Optional)
+		_, castErr := xqrt.CastSingleton(v, n.Type, n.Optional)
 		return xdm.Singleton(xdm.Boolean(castErr == nil)), nil
 	case *xq.InstanceOf:
 		v, err := ctx.eval(n.X)
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Boolean(matchesSeqType(v, n.Type))), nil
+		return xdm.Singleton(xdm.Boolean(xqrt.MatchesSeqType(v, n.Type))), nil
 	case *xq.Insert, *xq.Delete, *xq.Replace, *xq.Rename:
 		return ctx.evalUpdate(e)
 	default:
@@ -233,90 +236,7 @@ func (ctx *dynCtx) evalArith(n *xq.Arith) (xdm.Sequence, error) {
 	if len(l) > 1 || len(r) > 1 {
 		return nil, xdm.NewError("XPTY0004", "arithmetic operand is not a singleton")
 	}
-	return arith(n.Op, l[0], r[0])
-}
-
-// Arith exposes the arithmetic kernel for the loop-lifting engine (both
-// engines must agree on numeric semantics).
-func Arith(op string, a, b xdm.Item) (xdm.Sequence, error) { return arith(op, a, b) }
-
-// ValueOp maps a value-comparison keyword (eq, ne, ...) to its operator.
-func ValueOp(op string) (xdm.CompareOp, error) { return valueOp(op) }
-
-// GeneralOp maps a general-comparison symbol (=, !=, ...) to its
-// operator.
-func GeneralOp(op string) (xdm.CompareOp, error) { return generalOp(op) }
-
-func arith(op string, a, b xdm.Item) (xdm.Sequence, error) {
-	fa, okA := xdm.NumericValue(a)
-	fb, okB := xdm.NumericValue(b)
-	if !okA || !okB {
-		return nil, xdm.Errorf("XPTY0004", "cannot apply %s to %s and %s", op, a.TypeName(), b.TypeName())
-	}
-	_, aInt := a.(xdm.Integer)
-	_, bInt := b.(xdm.Integer)
-	bothInt := aInt && bInt
-	switch op {
-	case "+":
-		if bothInt {
-			return xdm.Singleton(xdm.Integer(int64(fa) + int64(fb))), nil
-		}
-		return numSeq(a, b, fa+fb), nil
-	case "-":
-		if bothInt {
-			return xdm.Singleton(xdm.Integer(int64(fa) - int64(fb))), nil
-		}
-		return numSeq(a, b, fa-fb), nil
-	case "*":
-		if bothInt {
-			return xdm.Singleton(xdm.Integer(int64(fa) * int64(fb))), nil
-		}
-		return numSeq(a, b, fa*fb), nil
-	case "div":
-		if fb == 0 && !isDouble(a) && !isDouble(b) {
-			return nil, xdm.NewError("FOAR0001", "division by zero")
-		}
-		return numSeqDiv(a, b, fa/fb), nil
-	case "idiv":
-		if fb == 0 {
-			return nil, xdm.NewError("FOAR0001", "integer division by zero")
-		}
-		return xdm.Singleton(xdm.Integer(int64(fa / fb))), nil
-	case "mod":
-		if fb == 0 {
-			return nil, xdm.NewError("FOAR0001", "modulus by zero")
-		}
-		if bothInt {
-			return xdm.Singleton(xdm.Integer(int64(fa) % int64(fb))), nil
-		}
-		return numSeq(a, b, math.Mod(fa, fb)), nil
-	}
-	return nil, xdm.Errorf("XPST0003", "unknown arithmetic operator %q", op)
-}
-
-func isDouble(it xdm.Item) bool {
-	switch it.(type) {
-	case xdm.Double, xdm.Untyped:
-		return true
-	}
-	return false
-}
-
-// numSeq picks the result type by the usual promotion ladder
-// (integer < decimal < double; untyped promotes to double).
-func numSeq(a, b xdm.Item, v float64) xdm.Sequence {
-	if isDouble(a) || isDouble(b) {
-		return xdm.Singleton(xdm.Double(v))
-	}
-	return xdm.Singleton(xdm.Decimal(v))
-}
-
-// numSeqDiv: integer div integer is xs:decimal per spec.
-func numSeqDiv(a, b xdm.Item, v float64) xdm.Sequence {
-	if isDouble(a) || isDouble(b) {
-		return xdm.Singleton(xdm.Double(v))
-	}
-	return xdm.Singleton(xdm.Decimal(v))
+	return xqrt.Arith(n.Op, l[0], r[0])
 }
 
 func (ctx *dynCtx) evalComparison(n *xq.Comparison) (xdm.Sequence, error) {
@@ -332,7 +252,7 @@ func (ctx *dynCtx) evalComparison(n *xq.Comparison) (xdm.Sequence, error) {
 		return nodeComparison(n.Op, l, r)
 	}
 	if n.General {
-		op, err := generalOp(n.Op)
+		op, err := xqrt.GeneralOp(n.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -350,7 +270,7 @@ func (ctx *dynCtx) evalComparison(n *xq.Comparison) (xdm.Sequence, error) {
 	if len(la) > 1 || len(ra) > 1 {
 		return nil, xdm.NewError("XPTY0004", "value comparison operand is not a singleton")
 	}
-	op, err := valueOp(n.Op)
+	op, err := xqrt.ValueOp(n.Op)
 	if err != nil {
 		return nil, err
 	}
@@ -365,56 +285,10 @@ func nodeComparison(op string, l, r xdm.Sequence) (xdm.Sequence, error) {
 	if len(l) == 0 || len(r) == 0 {
 		return nil, nil
 	}
-	ln, okL := l[0].(*xdm.Node)
-	rn, okR := r[0].(*xdm.Node)
-	if len(l) > 1 || len(r) > 1 || !okL || !okR {
+	if len(l) > 1 || len(r) > 1 {
 		return nil, xdm.NewError("XPTY0004", "node comparison requires single nodes")
 	}
-	switch op {
-	case "is":
-		return xdm.Singleton(xdm.Boolean(ln == rn)), nil
-	case "<<":
-		return xdm.Singleton(xdm.Boolean(xdm.DocOrderLess(ln, rn))), nil
-	case ">>":
-		return xdm.Singleton(xdm.Boolean(xdm.DocOrderLess(rn, ln))), nil
-	}
-	return nil, xdm.Errorf("XPST0003", "unknown node comparison %q", op)
-}
-
-func generalOp(op string) (xdm.CompareOp, error) {
-	switch op {
-	case "=":
-		return xdm.OpEq, nil
-	case "!=":
-		return xdm.OpNe, nil
-	case "<":
-		return xdm.OpLt, nil
-	case "<=":
-		return xdm.OpLe, nil
-	case ">":
-		return xdm.OpGt, nil
-	case ">=":
-		return xdm.OpGe, nil
-	}
-	return 0, xdm.Errorf("XPST0003", "unknown comparison %q", op)
-}
-
-func valueOp(op string) (xdm.CompareOp, error) {
-	switch op {
-	case "eq":
-		return xdm.OpEq, nil
-	case "ne":
-		return xdm.OpNe, nil
-	case "lt":
-		return xdm.OpLt, nil
-	case "le":
-		return xdm.OpLe, nil
-	case "gt":
-		return xdm.OpGt, nil
-	case "ge":
-		return xdm.OpGe, nil
-	}
-	return 0, xdm.Errorf("XPST0003", "unknown comparison %q", op)
+	return xqrt.NodeCompare(op, l[0], r[0])
 }
 
 func (ctx *dynCtx) evalLogic(n *xq.Logic) (xdm.Sequence, error) {
@@ -789,60 +663,17 @@ func (ctx *dynCtx) constructElem(n *xq.DirElem) (*xdm.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := appendContent(el, v); err != nil {
-				return nil, err
-			}
+			xqrt.AppendContent(el, v)
 		default:
 			v, err := ctx.eval(c)
 			if err != nil {
 				return nil, err
 			}
-			if err := appendContent(el, v); err != nil {
-				return nil, err
-			}
+			xqrt.AppendContent(el, v)
 		}
 	}
 	el.Seal()
 	return el, nil
-}
-
-// AppendContent exposes constructor content assembly for the
-// loop-lifting engine (both engines must build identical elements).
-func AppendContent(el *xdm.Node, v xdm.Sequence) error { return appendContent(el, v) }
-
-// appendContent inserts a sequence into constructed element content:
-// nodes are deep-copied (constructors copy, per XQuery), adjacent
-// atomics join with single spaces into text nodes.
-func appendContent(el *xdm.Node, v xdm.Sequence) error {
-	prevAtomic := false
-	for _, it := range v {
-		switch x := it.(type) {
-		case *xdm.Node:
-			switch x.Kind {
-			case xdm.AttributeNode:
-				el.SetAttr(xdm.NewAttribute(x.Name, x.Value))
-			case xdm.DocumentNode:
-				for _, c := range x.Children() {
-					el.AppendChild(c.Clone())
-				}
-			default:
-				el.AppendChild(x.Clone())
-			}
-			prevAtomic = false
-		default:
-			s := it.StringValue()
-			if prevAtomic {
-				s = " " + s
-			}
-			if kids := el.Children(); len(kids) > 0 && kids[len(kids)-1].Kind == xdm.TextNode {
-				kids[len(kids)-1].Value += s
-			} else if s != "" {
-				el.AppendChild(xdm.NewText(s))
-			}
-			prevAtomic = true
-		}
-	}
-	return nil
 }
 
 func (ctx *dynCtx) evalCompElem(n *xq.CompElem) (xdm.Sequence, error) {
@@ -858,9 +689,7 @@ func (ctx *dynCtx) evalCompElem(n *xq.CompElem) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := appendContent(el, content); err != nil {
-		return nil, err
-	}
+	xqrt.AppendContent(el, content)
 	el.Seal()
 	return xdm.Singleton(el), nil
 }
@@ -891,7 +720,7 @@ func (ctx *dynCtx) evalTypeswitch(n *xq.Typeswitch) (xdm.Sequence, error) {
 		return nil, err
 	}
 	for _, c := range n.Cases {
-		if matchesSeqType(v, c.Type) {
+		if xqrt.MatchesSeqType(v, c.Type) {
 			cctx := ctx.child()
 			if c.Var != "" {
 				cctx.bind(c.Var, v)
@@ -906,98 +735,12 @@ func (ctx *dynCtx) evalTypeswitch(n *xq.Typeswitch) (xdm.Sequence, error) {
 	return dctx.eval(n.Default)
 }
 
-// MatchesSeqType exposes sequence-type matching for the loop-lifting
-// engine (typeswitch/instance-of must agree across engines).
-func MatchesSeqType(v xdm.Sequence, t xq.SeqType) bool { return matchesSeqType(v, t) }
-
-// matchesSeqType implements "instance of" for the supported types.
-func matchesSeqType(v xdm.Sequence, t xq.SeqType) bool {
-	if t.Empty {
-		return len(v) == 0
-	}
-	switch t.Occurrence {
-	case '1', 0:
-		if len(v) != 1 {
-			return false
-		}
-	case '?':
-		if len(v) > 1 {
-			return false
-		}
-	case '+':
-		if len(v) < 1 {
-			return false
-		}
-	}
-	for _, it := range v {
-		if !matchesItemType(it, t.TypeName) {
-			return false
-		}
-	}
-	return true
-}
-
-func matchesItemType(it xdm.Item, typeName string) bool {
-	switch typeName {
-	case "item()":
-		return true
-	case "node()":
-		_, ok := it.(*xdm.Node)
-		return ok
-	case "element()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.ElementNode
-	case "attribute()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.AttributeNode
-	case "text()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.TextNode
-	case "document-node()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.DocumentNode
-	case "comment()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.CommentNode
-	case "processing-instruction()":
-		n, ok := it.(*xdm.Node)
-		return ok && n.Kind == xdm.PINode
-	case "xs:anyAtomicType":
-		_, isNode := it.(*xdm.Node)
-		return !isNode
-	case "xs:string":
-		_, ok := it.(xdm.String)
-		return ok
-	case "xs:integer":
-		_, ok := it.(xdm.Integer)
-		return ok
-	case "xs:decimal":
-		switch it.(type) {
-		case xdm.Decimal, xdm.Integer:
-			return true
-		}
-		return false
-	case "xs:double":
-		_, ok := it.(xdm.Double)
-		return ok
-	case "xs:boolean":
-		_, ok := it.(xdm.Boolean)
-		return ok
-	case "xs:untypedAtomic":
-		_, ok := it.(xdm.Untyped)
-		return ok
-	case "numeric":
-		return xdm.IsNumeric(it)
-	}
-	return false
-}
-
 // ------------------------------------------------------ function calls
 
 func (ctx *dynCtx) evalCall(call *xq.FuncCall) (xdm.Sequence, error) {
 	// user-defined functions first (they shadow nothing builtin by
 	// namespace, but our builtins are fn:/xs:/xrpc: names)
-	if f, ok := ctx.c.lookupFunc(ctx.module, call.Name, len(call.Args)); ok {
+	if f, ok := ctx.c.LookupFunc(ctx.module, call.Name, len(call.Args)); ok {
 		args := make([]xdm.Sequence, len(call.Args))
 		for i, a := range call.Args {
 			v, err := ctx.eval(a)
@@ -1014,110 +757,33 @@ func (ctx *dynCtx) evalCall(call *xq.FuncCall) (xdm.Sequence, error) {
 // callBound applies a user-defined function: converts arguments per the
 // signature (function conversion rules), binds parameters, evaluates the
 // body in the defining module's static context.
-func (ctx *dynCtx) callBound(f *boundFunc, args []xdm.Sequence) (xdm.Sequence, error) {
+func (ctx *dynCtx) callBound(f *xqrt.Func, args []xdm.Sequence) (xdm.Sequence, error) {
 	if ctx.depth >= ctx.maxRec {
 		return nil, xdm.NewError("FOER0000", "recursion limit exceeded")
 	}
-	if f.decl.External {
-		return nil, xdm.Errorf("XPST0017", "external function %s has no implementation", f.decl.Name)
+	if f.Decl.External {
+		return nil, xdm.Errorf("XPST0017", "external function %s has no implementation", f.Decl.Name)
 	}
 	fctx := ctx.child()
-	fctx.module = f.module
+	fctx.module = f.Module
 	// functions see only their parameters (and globals via rebinding
 	// below), and none of the caller's focus
 	fctx.vars = nil
 	fctx.item, fctx.pos, fctx.size = nil, 0, 0
 	fctx.depth = ctx.depth + 1
-	for i, p := range f.decl.Params {
-		conv, err := convertParam(args[i], p.Type)
+	for i, p := range f.Decl.Params {
+		conv, err := xqrt.ConvertParam(args[i], p.Type)
 		if err != nil {
-			return nil, xdm.Errorf("XPTY0004", "argument %d of %s: %v", i+1, f.decl.Name, err)
+			return nil, xdm.Errorf("XPTY0004", "argument %d of %s: %v", i+1, f.Decl.Name, err)
 		}
 		fctx.bind(p.Name, conv)
 	}
-	res, err := fctx.eval(f.decl.Body)
+	res, err := fctx.eval(f.Decl.Body)
 	if err != nil {
 		return nil, err
 	}
 	// propagate updates collected by updating functions
-	return res, checkCardinality(res, f.decl.Return, f.decl.Name)
-}
-
-// ConvertParam applies the XQuery function conversion rules (§2.2
-// requires the XRPC caller to perform parameter up-casting); exported
-// for the loop-lifting engine, which must up-cast Bulk RPC parameters
-// the same way.
-func ConvertParam(v xdm.Sequence, t xq.SeqType) (xdm.Sequence, error) {
-	return convertParam(v, t)
-}
-
-// convertParam applies the XQuery function conversion rules for the
-// supported types: atomization + untyped casting for atomic expected
-// types, cardinality checks for all.
-func convertParam(v xdm.Sequence, t xq.SeqType) (xdm.Sequence, error) {
-	out := v
-	if strings.HasPrefix(t.TypeName, "xs:") {
-		atomized := xdm.Atomize(v)
-		out = make(xdm.Sequence, len(atomized))
-		for i, it := range atomized {
-			if u, isU := it.(xdm.Untyped); isU {
-				cast, err := xdm.CastAtomic(u, t.TypeName)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = cast
-				continue
-			}
-			// numeric promotion
-			if t.TypeName == "xs:double" && xdm.IsNumeric(it) {
-				f, _ := xdm.NumericValue(it)
-				out[i] = xdm.Double(f)
-				continue
-			}
-			if t.TypeName == "xs:decimal" {
-				if n, isInt := it.(xdm.Integer); isInt {
-					out[i] = xdm.Decimal(float64(n))
-					continue
-				}
-			}
-			if !matchesItemType(it, t.TypeName) {
-				return nil, xdm.Errorf("XPTY0004", "%s does not match %s", it.TypeName(), t.TypeName)
-			}
-			out[i] = it
-		}
-	} else {
-		for _, it := range out {
-			if !matchesItemType(it, t.TypeName) {
-				return nil, xdm.Errorf("XPTY0004", "%s does not match %s", it.TypeName(), t.TypeName)
-			}
-		}
-	}
-	return out, checkCardinality(out, t, "")
-}
-
-func checkCardinality(v xdm.Sequence, t xq.SeqType, what string) error {
-	prefix := ""
-	if what != "" {
-		prefix = "result of " + what + ": "
-	}
-	if t.Empty && len(v) > 0 {
-		return xdm.Errorf("XPTY0004", "%sexpected empty-sequence()", prefix)
-	}
-	switch t.Occurrence {
-	case '1':
-		if len(v) != 1 {
-			return xdm.Errorf("XPTY0004", "%sexpected exactly one item, got %d", prefix, len(v))
-		}
-	case '?':
-		if len(v) > 1 {
-			return xdm.Errorf("XPTY0004", "%sexpected at most one item, got %d", prefix, len(v))
-		}
-	case '+':
-		if len(v) == 0 {
-			return xdm.Errorf("XPTY0004", "%sexpected at least one item", prefix)
-		}
-	}
-	return nil
+	return res, xqrt.CheckCardinality(res, f.Decl.Return, f.Decl.Name)
 }
 
 // --------------------------------------------------------- execute at
@@ -1135,7 +801,7 @@ func (ctx *dynCtx) evalExecuteAt(n *xq.ExecuteAt) (xdm.Sequence, error) {
 	}
 	dest := destSeq[0].StringValue()
 
-	f, ok := ctx.c.lookupFunc(ctx.module, n.Call.Name, len(n.Call.Args))
+	f, ok := ctx.c.LookupFunc(ctx.module, n.Call.Name, len(n.Call.Args))
 	if !ok {
 		return nil, xdm.Errorf("XPST0017", "unknown function %s#%d in execute at", n.Call.Name, len(n.Call.Args))
 	}
@@ -1147,20 +813,24 @@ func (ctx *dynCtx) evalExecuteAt(n *xq.ExecuteAt) (xdm.Sequence, error) {
 		}
 		// XRPC requires the *caller* to perform parameter up-casting
 		// (§2.2 "Parameter Marshaling").
-		conv, err := convertParam(v, f.decl.Params[i].Type)
+		conv, err := xqrt.ConvertParam(v, f.Decl.Params[i].Type)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = conv
 	}
-	req := &CallRequest{
-		ModuleURI:  f.module.ModuleURI,
-		AtHint:     f.atHint,
-		Func:       f.decl.LocalName(),
-		Arity:      f.decl.Arity(),
-		Args:       args,
-		Updating:   f.decl.Updating,
+	// one-at-a-time RPC is a Bulk RPC of one call
+	results, err := ctx.rpc.CallBulk(dest, &client.BulkRequest{
+		ModuleURI:  f.Module.ModuleURI,
+		AtHint:     f.AtHint,
+		Func:       f.Decl.LocalName(),
+		Arity:      f.Decl.Arity(),
+		Updating:   f.Decl.Updating,
 		ByFragment: ctx.c.engine.ByFragment,
+		Calls:      [][]xdm.Sequence{args},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ctx.rpc.Call(dest, req)
+	return results[0], nil
 }

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"xrpc/internal/docres"
 	"xrpc/internal/modules"
 	"xrpc/internal/store"
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 const filmDB = `<films>
@@ -27,7 +29,7 @@ declare function film:filmsByActor($actor as xs:string) as node()*
 // each evaluation passes them as EvalOptions.Docs.
 type testEngine struct {
 	*Engine
-	docs DocResolver
+	docs docres.DocResolver
 }
 
 func newTestEngine(t *testing.T) (*testEngine, *store.Store) {
@@ -500,7 +502,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "3" {
 		t.Fatalf("pre-apply count = %s", got)
 	}
-	if err := ApplyUpdates(st, pul, nil); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "4" {
@@ -512,7 +514,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul, nil); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("filmDB.xml")//film)`); got != "3" {
@@ -532,7 +534,7 @@ func TestUpdateInsertPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ApplyUpdates(st, pul, nil); err != nil {
+		if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -566,7 +568,7 @@ func TestUpdateReplaceRename(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ApplyUpdates(st, pul, nil); err != nil {
+		if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -594,7 +596,7 @@ func TestUpdatePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul, nil); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalStr(t, e, `count(doc("backup.xml")//name)`); got != "3" {
@@ -605,33 +607,33 @@ func TestUpdatePut(t *testing.T) {
 // illKindedUpdates are inserts and replaces whose target and source
 // kinds XQUF forbids, on illKindedDoc. Each row is the query and the
 // same primitive built by hand, the way a PUL decoded from the wire or
-// the log reaches ApplyUpdates without evalUpdate's check.
+// the log reaches xquf.ApplyUpdates without evalUpdate's check.
 const illKindedDoc = `<r><p id="1">t</p></r>`
 
 var illKindedUpdates = []struct {
 	query          string
-	kind           PrimitiveKind
+	kind           xquf.PrimitiveKind
 	target, source string
 	code           string
 }{
 	{`replace node doc("a.xml")/r/p/@id with <x/>`,
-		PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0011"},
+		xquf.PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0011"},
 	{`replace node doc("a.xml")/r/p with doc("a.xml")/r/p/@id`,
-		PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`, "XUTY0010"},
+		xquf.PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`, "XUTY0010"},
 	{`insert node <x/> into doc("a.xml")/r/p/@id`,
-		PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0005"},
+		xquf.PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0005"},
 	{`insert node <x/> as first into doc("a.xml")/r/p/text()`,
-		PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`, "XUTY0005"},
+		xquf.PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`, "XUTY0005"},
 	{`insert node <x/> before doc("a.xml")/r/p/@id`,
-		PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0006"},
+		xquf.PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`, "XUTY0006"},
 	{`insert node attribute {"a"} {"v"} into doc("a.xml")`,
-		PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`, "XUTY0022"},
+		xquf.PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`, "XUTY0022"},
 	{`insert node attribute {"a"} {"v"} after doc("a.xml")/r`,
-		PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`, "XUDY0030"},
+		xquf.PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`, "XUDY0030"},
 }
 
 // TestIllKindedUpdatesRejected holds both checks: evaluation raises the
-// row's code, and so does ApplyUpdates on the hand-built primitive (an
+// row's code, and so does xquf.ApplyUpdates on the hand-built primitive (an
 // attribute target has no index among its parent's children), and
 // neither changes the document.
 func TestIllKindedUpdatesRejected(t *testing.T) {
@@ -659,10 +661,10 @@ func TestIllKindedUpdatesRejected(t *testing.T) {
 		for _, it := range evalQuery(t, e, row.source) {
 			src = append(src, it.(*xdm.Node).Clone())
 		}
-		ul := &UpdateList{}
-		ul.Add(Primitive{Kind: row.kind, Target: target, Source: src})
-		if err := ApplyUpdates(st, ul, nil); codeOf(err) != row.code {
-			t.Errorf("%s: ApplyUpdates error %v, want %s", row.query, err, row.code)
+		ul := &xquf.UpdateList{}
+		ul.Add(xquf.Primitive{Kind: row.kind, Target: target, Source: src})
+		if err := xquf.ApplyUpdates(st, ul, nil); codeOf(err) != row.code {
+			t.Errorf("%s: xquf.ApplyUpdates error %v, want %s", row.query, err, row.code)
 		}
 		if got := evalStr(t, e, `doc("a.xml")`); got != illKindedDoc {
 			t.Errorf("%s: document changed to %s", row.query, got)
@@ -759,7 +761,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyUpdates(st, pul, nil); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, nil); err != nil {
 		t.Fatal(err)
 	}
 	// query against the snapshot still sees 3 (repeatable read, rule R'_Fr)

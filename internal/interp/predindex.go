@@ -4,9 +4,12 @@ import (
 	"slices"
 	"sync"
 
+	"xrpc/internal/docres"
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
+	"xrpc/internal/xquf"
 )
 
 // Predicate hash indexing: §3.2 of the paper has the callee of a Bulk
@@ -25,7 +28,7 @@ import (
 // hashes the step's candidates by the key path's string values once and
 // answers every later application by lookup: every call of a CallBulk
 // request, every iteration of a loop and — when the evaluation reads a
-// pinned store version (VersionedResolver) — every later request that
+// pinned store version (docres.VersionedResolver) — every later request that
 // reads the same version, and the versions after it that value-only
 // commits make (see memoTables for the carry rule and the bound).
 //
@@ -49,23 +52,10 @@ const minIndexedCandidates = 16
 // path fits a comparable array and a probe builds no key.
 const maxKeySteps = 4
 
-// VersionedResolver is a DocResolver over one pinned store version
-// (store.Snapshot): its documents do not change while it is pinned, and
-// it carries a value derived from them for as long as the version
-// lives. An evaluation over one keeps its steps and indexes there.
-type VersionedResolver interface {
-	DocResolver
-	// Names lists the version's documents.
-	Names() []string
-	// Derived returns the version's derived value, calling build on
-	// the version's first use only; nil once the version dropped it.
-	Derived(build func() any) any
-}
-
-var _ VersionedResolver = (*store.Snapshot)(nil)
+var _ docres.VersionedResolver = (*store.Snapshot)(nil)
 
 // memoTables are the steps and predicate indexes computed from one set
-// of trees. A version's tables (see VersionedResolver) hold the trees
+// of trees. A version's tables (see docres.VersionedResolver) hold the trees
 // of its documents and are shared by every evaluation that reads the
 // version; an evaluation's own tables hold the other trees its resolver
 // hands out and live as long as it does.
@@ -76,7 +66,7 @@ var _ VersionedResolver = (*store.Snapshot)(nil)
 // the tables of the versions that held the tree (store.Commit), with
 // one exception: a commit whose every primitive is a `replace value of`
 // that changes no structure hands the superseded version's tables to
-// the next version (carryTables). Structure and names are unchanged,
+// the next version (CarryValues). Structure and names are unchanged,
 // and a node test reads only kind and name, so every step entry stays
 // true; an index is dropped where a changed node lies at or below a key
 // node of one of its candidates. The hand-over runs under the store's
@@ -135,7 +125,7 @@ type predIndex struct {
 
 // versionTables builds the tables of r's version: empty, keeping the
 // trees of the version's documents.
-func versionTables(r VersionedResolver) any {
+func versionTables(r docres.VersionedResolver) any {
 	t := &memoTables{trees: map[int64]bool{}}
 	for _, name := range r.Names() {
 		if doc, err := r.Doc(name); err == nil && doc.TreeID() != 0 {
@@ -180,23 +170,23 @@ func entry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
 // request — for a bulk, all its calls and workers — read and keep their
 // steps and indexes through.
 type evalMemo struct {
-	docs   DocResolver // where the evaluation reads documents from
-	shared *memoTables // the tables of docs' version, or nil
-	own    memoTables  // the evaluation's own tables
+	docs   docres.DocResolver // where the evaluation reads documents from
+	shared *memoTables        // the tables of docs' version, or nil
+	own    memoTables         // the evaluation's own tables
 }
 
 // newEvalMemo starts the memo of one evaluation over docs: with the
-// tables of docs' version when docs is a VersionedResolver that still
+// tables of docs' version when docs is a docres.VersionedResolver that still
 // carries them, and with its own tables only otherwise.
-func newEvalMemo(docs DocResolver) *evalMemo {
+func newEvalMemo(docs docres.DocResolver) *evalMemo {
 	m := &evalMemo{docs: docs}
-	if vr, ok := docs.(VersionedResolver); ok {
+	if vr, ok := docs.(docres.VersionedResolver); ok {
 		m.shared, _ = vr.Derived(func() any { return versionTables(vr) }).(*memoTables)
 	}
 	return m
 }
 
-// Doc implements DocResolver for the evaluation's contexts, noting a
+// Doc implements docres.DocResolver for the evaluation's contexts, noting a
 // returned tree that is not the version's as one whose steps and
 // indexes the evaluation's own tables may keep.
 func (m *evalMemo) Doc(uri string) (*xdm.Node, error) {
@@ -258,14 +248,16 @@ func (ctx *dynCtx) memoStep(st *xq.Step, n *xdm.Node) []*xdm.Node {
 	return e.out
 }
 
-// carryTables edits the tables of a version that a commit superseded
-// into the next version's: changed are the nodes whose value the commit
-// replaced, and it changed no structure and no name (ApplyUpdates). Every
-// step entry stays. An index goes when a changed node lies at or below a
-// key node of a candidate containing it: the key's string value may have
-// changed. It runs under the store's write lock (store.Tx.Carry), so no
-// reader holds t.
-func carryTables(t *memoTables, changed []*xdm.Node) *memoTables {
+var _ xquf.ValueCarrier = (*memoTables)(nil)
+
+// CarryValues implements xquf.ValueCarrier: it edits the tables of a
+// version that a commit superseded into the next version's. changed are
+// the nodes whose value the commit replaced, and it changed no structure
+// and no name (xquf.ApplyUpdates). Every step entry stays. An index goes
+// when a changed node lies at or below a key node of a candidate
+// containing it: the key's string value may have changed. It runs under
+// the store's write lock (store.Tx.Carry), so no reader holds t.
+func (t *memoTables) CarryValues(changed []*xdm.Node) any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for k := range t.preds {
@@ -470,7 +462,7 @@ func contextFree(e xq.Expr) bool {
 			free = free && n.Root != nil
 		case *xq.FuncCall:
 			// f is nil for exactly the built-ins that read the dynamic context
-			if f, _, err := Builtin(n.Name, len(n.Args)); err == nil && f == nil {
+			if f, _, err := xqrt.Builtin(n.Name, len(n.Args)); err == nil && f == nil {
 				free = false
 			}
 		default:

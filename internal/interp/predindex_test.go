@@ -8,10 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"xrpc/internal/docres"
 	"xrpc/internal/store"
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xquf"
 )
 
 func bigPersonStore(t *testing.T, n int) *store.Store {
@@ -325,9 +327,9 @@ declare function s:f($v as xs:string) as node()*
 	}
 	snap := st.Snapshot()
 	defer snap.Release()
-	for name, docs := range map[string]DocResolver{"own": storetest.Latest(t, st), "version": snap} {
+	for name, docs := range map[string]docres.DocResolver{"own": storetest.Latest(t, st), "version": snap} {
 		memo := newEvalMemo(docs)
-		f := c.resolveFunc("shapes", "f", 1)
+		f := c.ResolveFunc("shapes", "f", 1)
 		sizes := map[int]int{}
 		for i := 0; i < 32; i++ {
 			ctx := c.newDynCtx(&EvalOptions{}, memo, &indexCounters{})
@@ -562,7 +564,7 @@ func TestUpdateListDescribe(t *testing.T) {
 		}
 	}
 	// kind names
-	for k := PrimInsertInto; k <= PrimPut; k++ {
+	for k := xquf.PrimInsertInto; k <= xquf.PrimPut; k++ {
 		if k.String() == "unknown" {
 			t.Errorf("kind %d has no name", k)
 		}
@@ -670,7 +672,7 @@ func TestInPlaceCommitIsSeenByTheNextIndex(t *testing.T) {
 
 	own := st.Snapshot()
 	pul := collect(t, own, `insert node <person id="p99"><age>1</age></person> into doc("people.xml")/people`)
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	own.Release()
@@ -703,7 +705,7 @@ func TestHeldSnapshotKeepsItsIndex(t *testing.T) {
 
 	own := st.Snapshot()
 	pul := collect(t, own, `replace value of node doc("people.xml")//person[@id = "p3"]/@id with "p3x"`)
-	if err := ApplyUpdates(st, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 		t.Fatal(err)
 	}
 	own.Release()
@@ -830,7 +832,7 @@ func TestIndexedReadersBesideInPlaceCommits(t *testing.T) {
 	for i := 1; i <= commits; i++ {
 		own := st.Snapshot()
 		pul := collect(t, own, fmt.Sprintf(`replace value of node doc("people.xml")//person[@id = "p5"]/age with "%d"`, i))
-		if err := ApplyUpdates(st, pul, own); err != nil {
+		if err := xquf.ApplyUpdates(st, pul, own); err != nil {
 			t.Fatal(err)
 		}
 		own.Release()

@@ -6,7 +6,7 @@
 //
 // Every Register parses the source into a new *xq.Module, so the module
 // ResolveModule returns doubles as the version of its text: a cache of
-// compiled text (interp.PlanCache) remembers the modules it was compiled
+// compiled text (xqrt.PlanCache) remembers the modules it was compiled
 // against and is stale exactly when the registry holds a different one.
 // The registry therefore notifies nobody; Generation serves the caches
 // that key on "any module changed" (response cache, planner).
@@ -67,7 +67,7 @@ func (r *Registry) Register(source string, hints ...string) error {
 // version alone cannot see module re-registration.
 func (r *Registry) Generation() int64 { return r.gen.Load() }
 
-// ResolveModule implements interp.ModuleResolver: lookup by namespace
+// ResolveModule implements xqrt.ModuleResolver: lookup by namespace
 // URI first, then by location hint.
 func (r *Registry) ResolveModule(uri string, atHints []string) (*xq.Module, error) {
 	r.mu.RLock()

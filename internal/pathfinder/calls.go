@@ -5,9 +5,10 @@ import (
 	"strings"
 
 	"xrpc/internal/algebra"
-	"xrpc/internal/interp"
+	"xrpc/internal/docres"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 )
 
 const maxInlineDepth = 64
@@ -16,8 +17,8 @@ const maxInlineDepth = 64
 // and maps over iter|pos|item tables) and user-defined functions (which
 // are inlined — MonetDB/XQuery compiles loop-lifted function bodies).
 func (env *staticEnv) compileCall(call *xq.FuncCall) (Plan, error) {
-	if f, mod, _, ok := env.static.LookupFunc(env.module, call.Name, len(call.Args)); ok {
-		return env.inlineFunction(call, f, mod)
+	if f, ok := env.static.LookupFunc(env.module, call.Name, len(call.Args)); ok {
+		return env.inlineFunction(call, f.Decl, f.Module)
 	}
 	return env.compileBuiltin(call)
 }
@@ -75,7 +76,7 @@ func convertTable(t *algebra.Table, typ xq.SeqType, iters []int64) (*algebra.Tab
 	groups := groupByIter(t)
 	out := map[int64]xdm.Sequence{}
 	for _, it := range iters {
-		conv, err := interp.ConvertParam(groups[it], typ)
+		conv, err := xqrt.ConvertParam(groups[it], typ)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +88,7 @@ func convertTable(t *algebra.Table, typ xq.SeqType, iters []int64) (*algebra.Tab
 // aggPlan compiles a per-iteration application: args are grouped by iter
 // and f computes each iteration's result sequence (aligned to the loop,
 // so empty groups still invoke f — needed for count() = 0).
-func (env *staticEnv) aggPlan(args []xq.Expr, f interp.BuiltinFunc) (Plan, error) {
+func (env *staticEnv) aggPlan(args []xq.Expr, f xqrt.BuiltinFunc) (Plan, error) {
 	plans := make([]Plan, len(args))
 	for i, a := range args {
 		p, err := env.compile(a)
@@ -123,20 +124,20 @@ func (env *staticEnv) aggPlan(args []xq.Expr, f interp.BuiltinFunc) (Plan, error
 }
 
 // focusVar names the variable a predicate's scope binds for each part of
-// the focus interp.Builtin can report a function needs.
+// the focus xqrt.Builtin can report a function needs.
 var focusVar = map[string]string{
 	"the context item":     ".",
 	"the context position": "@position",
 	"the context size":     "@last",
 }
 
-// compileBuiltin applies the function library the interpreter defines
-// (interp.Builtin) once per iteration; no function is defined here. A
+// compileBuiltin applies the function library both engines share
+// (xqrt.Builtin) once per iteration; no function is defined here. A
 // function that reads the focus is served where the focus is bound, in a
 // path predicate: position() and last() are the variables "@position"
 // and "@last", and f() is f(.).
 func (env *staticEnv) compileBuiltin(call *xq.FuncCall) (Plan, error) {
-	f, needs, err := interp.Builtin(call.Name, len(call.Args))
+	f, needs, err := xqrt.Builtin(call.Name, len(call.Args))
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +248,7 @@ func (env *staticEnv) compileDirElem(n *xq.DirElem) (Plan, error) {
 					}
 					continue
 				}
-				if err := interp.AppendContent(el, contVals[ci][it]); err != nil {
-					return nil, err
-				}
+				xqrt.AppendContent(el, contVals[ci][it])
 			}
 			el.Seal()
 			out.Append(xdm.Integer(it), xdm.Integer(1), el)
@@ -259,7 +258,7 @@ func (env *staticEnv) compileDirElem(n *xq.DirElem) (Plan, error) {
 }
 
 func (env *staticEnv) compileCompText(n *xq.CompText) (Plan, error) {
-	return env.aggPlan([]xq.Expr{n.Val}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+	return env.aggPlan([]xq.Expr{n.Val}, func(_ docres.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
 		t := xdm.NewText(g[0].StringJoin(" "))
 		t.Seal()
 		return xdm.Singleton(t), nil

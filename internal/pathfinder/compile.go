@@ -6,10 +6,11 @@ import (
 	"time"
 
 	"xrpc/internal/algebra"
-	"xrpc/internal/interp"
+	"xrpc/internal/docres"
 	"xrpc/internal/modules"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 )
 
 // Compiled is a loop-lifted query plan, ready for (repeated) execution —
@@ -21,13 +22,13 @@ type Compiled struct {
 }
 
 // Compile translates a main-module query into a single bulk plan: the
-// interpreter's front end compiles the text, Lift lifts the plan.
+// shared front end (xqrt.Compile) compiles the text, Lift lifts the plan.
 func Compile(src string, reg *modules.Registry) (*Compiled, error) {
-	var resolver interp.ModuleResolver
+	var resolver xqrt.ModuleResolver
 	if reg != nil {
 		resolver = reg
 	}
-	static, err := interp.New(resolver).Compile(src)
+	static, err := xqrt.Compile(src, resolver)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +39,7 @@ func Compile(src string, reg *modules.Registry) (*Compiled, error) {
 // first use and keeping it on the context: whoever caches the context
 // caches its plan. Function names resolve through the context's own
 // table, so the two engines cannot disagree on what a text means.
-func Lift(static *interp.Compiled) (*Compiled, error) {
+func Lift(static *xqrt.Compiled) (*Compiled, error) {
 	c, err := static.Lifted(lift)
 	if err != nil {
 		return nil, err
@@ -46,11 +47,11 @@ func Lift(static *interp.Compiled) (*Compiled, error) {
 	return c.(*Compiled), nil
 }
 
-func lift(static *interp.Compiled) (any, error) {
+func lift(static *xqrt.Compiled) (any, error) {
 	start := time.Now()
 	m := static.Module()
 	if m.IsLibrary {
-		return nil, interp.ErrLibraryModule
+		return nil, xqrt.ErrLibraryModule
 	}
 	env := &staticEnv{static: static, module: m, vars: map[string]bool{}}
 	// prolog variables compile as nested lets around the body
@@ -98,7 +99,7 @@ func (c *Compiled) Eval(ec *ExecCtx, vars map[string]xdm.Sequence) (xdm.Sequence
 
 // staticEnv is the compile-time environment.
 type staticEnv struct {
-	static *interp.Compiled
+	static *xqrt.Compiled
 	module *xq.Module
 	vars   map[string]bool
 	depth  int // function inlining depth
@@ -174,8 +175,8 @@ func (env *staticEnv) compile(e xq.Expr) (Plan, error) {
 	case *xq.Arith:
 		return env.compileArith(n)
 	case *xq.Unary:
-		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
-			return interp.Unary(n.Neg, g[0])
+		return env.aggPlan([]xq.Expr{n.X}, func(_ docres.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return xqrt.Unary(n.Neg, g[0])
 		})
 	case *xq.Comparison:
 		return env.compileComparison(n)
@@ -200,17 +201,17 @@ func (env *staticEnv) compile(e xq.Expr) (Plan, error) {
 	case *xq.CompText:
 		return env.compileCompText(n)
 	case *xq.Cast:
-		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
-			return interp.CastSingleton(g[0], n.Type, n.Optional)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ docres.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return xqrt.CastSingleton(g[0], n.Type, n.Optional)
 		})
 	case *xq.Castable:
-		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
-			_, err := interp.CastSingleton(g[0], n.Type, n.Optional)
+		return env.aggPlan([]xq.Expr{n.X}, func(_ docres.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			_, err := xqrt.CastSingleton(g[0], n.Type, n.Optional)
 			return xdm.Singleton(xdm.Boolean(err == nil)), nil
 		})
 	case *xq.InstanceOf:
-		return env.aggPlan([]xq.Expr{n.X}, func(_ interp.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
-			return xdm.Singleton(xdm.Boolean(interp.MatchesSeqType(g[0], n.Type))), nil
+		return env.aggPlan([]xq.Expr{n.X}, func(_ docres.DocResolver, g []xdm.Sequence) (xdm.Sequence, error) {
+			return xdm.Singleton(xdm.Boolean(xqrt.MatchesSeqType(g[0], n.Type))), nil
 		})
 	case *xq.Typeswitch:
 		return env.compileTypeswitch(n)
@@ -348,7 +349,7 @@ func (env *staticEnv) compileArith(n *xq.Arith) (Plan, error) {
 	}
 	op := n.Op
 	return binOpPlan(l, r, "arithmetic operand", func(a, b xdm.Item) (xdm.Sequence, error) {
-		return interp.Arith(op, atomizeItem(a), atomizeItem(b))
+		return xqrt.Arith(op, atomizeItem(a), atomizeItem(b))
 	}), nil
 }
 
@@ -371,23 +372,11 @@ func (env *staticEnv) compileComparison(n *xq.Comparison) (Plan, error) {
 	if n.Node {
 		op := n.Op
 		return binOpPlan(l, r, "node comparison operand", func(a, b xdm.Item) (xdm.Sequence, error) {
-			an, okA := a.(*xdm.Node)
-			bn, okB := b.(*xdm.Node)
-			if !okA || !okB {
-				return nil, xdm.NewError("XPTY0004", "node comparison requires nodes")
-			}
-			switch op {
-			case "is":
-				return xdm.Singleton(xdm.Boolean(an == bn)), nil
-			case "<<":
-				return xdm.Singleton(xdm.Boolean(xdm.DocOrderLess(an, bn))), nil
-			default:
-				return xdm.Singleton(xdm.Boolean(xdm.DocOrderLess(bn, an))), nil
-			}
+			return xqrt.NodeCompare(op, a, b)
 		}), nil
 	}
 	if !n.General {
-		op, err := interp.ValueOp(n.Op)
+		op, err := xqrt.ValueOp(n.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +388,7 @@ func (env *staticEnv) compileComparison(n *xq.Comparison) (Plan, error) {
 			return xdm.Singleton(xdm.Boolean(ok)), nil
 		}), nil
 	}
-	op, err := interp.GeneralOp(n.Op)
+	op, err := xqrt.GeneralOp(n.Op)
 	if err != nil {
 		return nil, err
 	}
@@ -448,19 +437,22 @@ func (env *staticEnv) compileLogic(n *xq.Logic) (Plan, error) {
 	return logicPlan(l, r, n.Op == "and"), nil
 }
 
-// logicPlan is "l and r" (or "l or r"): both operands are evaluated over
-// the whole loop, then combined per iteration.
+// logicPlan is "l and r" (or "l or r"), short-circuited per iteration as
+// the interpreter's evalLogic is: r runs only in the iterations l leaves
+// undecided — where l is true for and, false for or — so an operand l
+// guards (a castable test, a zero check, an execute at) is not evaluated
+// in the iterations it guards against.
 func logicPlan(l, r Plan, and bool) Plan {
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		lt, err := l(ec, sc)
 		if err != nil {
 			return nil, err
 		}
-		rt, err := r(ec, sc)
+		lb, err := ebvByIter(lt)
 		if err != nil {
 			return nil, err
 		}
-		lb, err := ebvByIter(lt)
+		rt, err := r(ec, sc.restrict(subLoop(sc.loop, lb, and)))
 		if err != nil {
 			return nil, err
 		}
@@ -470,11 +462,9 @@ func logicPlan(l, r Plan, and bool) Plan {
 		}
 		out := seqTable()
 		for _, it := range itersOf(sc.loop) {
-			var v bool
-			if and {
-				v = lb[it] && rb[it]
-			} else {
-				v = lb[it] || rb[it]
+			v := lb[it]
+			if v == and {
+				v = rb[it]
 			}
 			out.AppendSeq(it, 1, xdm.Boolean(v))
 		}
@@ -614,7 +604,7 @@ func (env *staticEnv) compileTypeswitch(n *xq.Typeswitch) (Plan, error) {
 				if claimed[it] {
 					continue
 				}
-				if interp.MatchesSeqType(groups[it], c.typ) {
+				if xqrt.MatchesSeqType(groups[it], c.typ) {
 					claimed[it] = true
 					iters = append(iters, it)
 				}

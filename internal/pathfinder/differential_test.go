@@ -12,10 +12,12 @@ import (
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 )
 
 // libFn is one application of the shared function library: a name and
-// an arity interp.Builtin serves to the loop-lifted engine.
+// an arity xqrt.Builtin serves to the loop-lifted engine.
 type libFn struct {
 	name  string
 	arity int
@@ -28,9 +30,9 @@ const maxLibArity = 3
 // servedLib enumerates the library through the exported accessor.
 func servedLib() []libFn {
 	var out []libFn
-	for _, name := range interp.BuiltinNames() {
+	for _, name := range xqrt.BuiltinNames() {
 		for arity := 0; arity <= maxLibArity; arity++ {
-			if f, _, _ := interp.Builtin(name, arity); f != nil {
+			if f, _, _ := xqrt.Builtin(name, arity); f != nil {
 				out = append(out, libFn{name, arity})
 			}
 		}
@@ -49,7 +51,7 @@ fns:
 		if fn.arity == 0 {
 			continue
 		}
-		f, _, _ := interp.Builtin(fn.name, fn.arity)
+		f, _, _ := xqrt.Builtin(fn.name, fn.arity)
 		for _, sample := range samples {
 			args := make([]xdm.Sequence, fn.arity)
 			for i := range args {
@@ -443,7 +445,7 @@ func TestDifferentialEngines(t *testing.T) {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed)))}
 		query := g.expr(4)
 
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs, Joins: &joins}, nil)
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, refEngine, query, &ExecCtx{Docs: f.docs, Joins: &joins}, nil)
 		if pfErr != nil && strings.Contains(pfErr.Error(), "not supported") {
 			skipped++
 			continue
@@ -485,7 +487,7 @@ func TestDifferentialPredicates(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		g := &qgen{r: rand.New(rand.NewSource(int64(seed))), drawn: drawn}
 		query := g.focusPath(3)
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != want {
 			t.Fatalf("seed %d: engines disagree\nquery: %s\npathfinder: %s\ninterp:     %s", seed, query, got, want)
 		}
@@ -523,26 +525,67 @@ func outcome(seq xdm.Sequence, err error) string {
 }
 
 // bothEngines runs a query on the loop-lifted engine, under ec, and on
-// the reference interpreter over ec's documents with rpc as its
-// execute-at caller.
-func bothEngines(f *fixture, ref *interp.Engine, query string, ec *ExecCtx, rpc interp.RPCCaller) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
+// the reference interpreter over ec's documents. Each engine sends its
+// execute-at calls to a callRecorder of its own, answering each call
+// with what reply returns (7 when reply is nil), and when both engines
+// answer, they must have made the same calls at every destination.
+//
+// The two engines agree on a result or on an error, with one allowed
+// difference: some and every compile to exists(for … where P) on the
+// loop-lifted engine, which evaluates P in every iteration, while the
+// interpreter stops at the first iteration that decides. So where the
+// query quantifies and only the loop-lifted engine raised, the error is
+// one P raised in an iteration the interpreter never reached, and the
+// differential accepts the interpreter's value: it is returned for both.
+func bothEngines(t testing.TB, f *fixture, ref *interp.Engine, query string, ec *ExecCtx, reply func() xdm.Sequence) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
+	t.Helper()
+	pfRec, iRec := &callRecorder{}, &callRecorder{}
+	if reply != nil {
+		pfRec.reply, iRec.reply = reply(), reply()
+	}
+	ec.Bulk = pfRec
 	pfc, pfErr := Compile(query, f.reg)
 	if pfErr == nil {
 		pfSeq, pfErr = pfc.Eval(ec, nil)
 	}
 	ic, iErr := ref.Compile(query)
 	if iErr == nil {
-		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs, RPC: rpc})
+		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs, RPC: iRec})
+	}
+	if pfErr != nil && iErr == nil && quantifies(query) && !strings.Contains(pfErr.Error(), "not supported") {
+		pfSeq, pfErr = iSeq, nil
+	}
+	if pfErr == nil && iErr == nil {
+		if got, want := pfRec.distinct(), iRec.distinct(); got != want {
+			t.Errorf("%s\nthe engines made different calls\npathfinder:\n%s\ninterp:\n%s", query, got, want)
+		}
 	}
 	return pfSeq, pfErr, iSeq, iErr
 }
 
+// quantifies reports whether the query body holds a some or every.
+func quantifies(query string) bool {
+	m, err := xq.Parse(query)
+	if err != nil || m.Body == nil {
+		return false
+	}
+	found := false
+	xq.Walk(m.Body, nil, func(x xq.Expr, _ map[string]bool) {
+		if _, ok := x.(*xq.Quantified); ok {
+			found = true
+		}
+	})
+	return found
+}
+
 // callRecorder stands in for the XRPC client of either engine and notes
-// how each execute at was addressed and how many calls each request
-// carried; every call is answered with reply (7 when nil).
+// how each execute at was addressed, how many calls each request
+// carried, and each distinct call by destination; every call is
+// answered with reply (7 when nil).
 type callRecorder struct {
 	sent  []string
 	calls []int
+	made  map[string]bool
 	reply xdm.Sequence
 }
 
@@ -557,20 +600,75 @@ func (r *callRecorder) note(dest, module, hint, fn string) {
 	r.sent = append(r.sent, fmt.Sprintf("%s %s@%s %s", dest, module, hint, fn))
 }
 
-func (r *callRecorder) Call(dest string, req *interp.CallRequest) (xdm.Sequence, error) {
-	r.note(dest, req.ModuleURI, req.AtHint, req.Func)
-	r.calls = append(r.calls, 1)
-	return r.answer(), nil
-}
-
 func (r *callRecorder) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
 	r.note(dest, br.ModuleURI, br.AtHint, br.Func)
 	r.calls = append(r.calls, len(br.Calls))
+	if r.made == nil {
+		r.made = map[string]bool{}
+	}
 	out := make([]xdm.Sequence, len(br.Calls))
-	for i := range out {
+	for i, args := range br.Calls {
+		call := fmt.Sprintf("%s %s:%s", dest, br.ModuleURI, br.Func)
+		for _, a := range args {
+			call += " (" + xdm.SerializeSequence(a) + ")"
+		}
+		r.made[call] = true
 		out[i] = r.answer()
 	}
 	return out, nil
+}
+
+// distinct lists the distinct calls made, sorted: by destination, then
+// function and arguments. The loop-lifted engine folds identical
+// read-only calls of one request into one (δ), so how often a call was
+// made is not compared, only which calls were.
+func (r *callRecorder) distinct() string {
+	calls := make([]string, 0, len(r.made))
+	for c := range r.made {
+		calls = append(calls, c)
+	}
+	slices.Sort(calls)
+	return strings.Join(calls, "\n")
+}
+
+// TestLogicShortCircuits: "and" evaluates its right operand only in the
+// iterations where the left one is true, and "or" only where it is
+// false, on both engines — so the guard idioms hold, and an execute at
+// under a false guard sends no call.
+func TestLogicShortCircuits(t *testing.T) {
+	f := newFixture(t)
+	if err := f.reg.Register(`module namespace a="A"; declare function a:g($i as xs:integer) { $i };`, "http://h/a.xq"); err != nil {
+		t.Fatal(err)
+	}
+	ref := interp.New(f.reg)
+	for _, tc := range []struct{ query, want string }{
+		{`false() and error()`, `false`},
+		{`true() or error()`, `true`},
+		{`for $x in ("a", "1") return $x castable as xs:integer and xs:integer($x) > 0`, `false true`},
+		{`for $x in (0, 1) return $x ne 0 and 1 idiv $x = 1`, `false true`},
+		{`for $x in (0, 1) return $x eq 0 or 1 idiv $x = 1`, `true true`},
+		{`import module namespace a="A" at "http://h/a.xq";
+for $i in 1 to 10 return $i = 3 and (execute at {"xrpc://p"} {a:g($i)}) = 7`,
+			`false false true false false false false false false false`},
+	} {
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, ref, tc.query, &ExecCtx{Docs: f.docs}, nil)
+		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != tc.want || want != tc.want {
+			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", tc.query, got, want, tc.want)
+		}
+	}
+	// the guarded execute at is one call in one request, not ten
+	rec := &callRecorder{}
+	pfc, err := Compile(`import module namespace a="A" at "http://h/a.xq";
+for $i in 1 to 10 return $i = 3 and (execute at {"xrpc://p"} {a:g($i)}) = 7`, f.reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pfc.Eval(&ExecCtx{Bulk: rec}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rec.calls), "[1]"; got != want {
+		t.Errorf("calls per request %s, want %s", got, want)
+	}
 }
 
 // TestStaticContextAgreement: a loop-lifted plan is lifted from the
@@ -603,7 +701,7 @@ func TestStaticContextAgreement(t *testing.T) {
 		{name: "import with no registry", noRegistry: true,
 			query: `import module namespace a="A" at "http://h/a.xq"; a:f()`, want: "XQST0059"},
 		{name: "library module passed as a query",
-			query: `module namespace a="A"; declare function a:f() { 1 };`, want: interp.ErrLibraryModule.Error()},
+			query: `module namespace a="A"; declare function a:f() { 1 };`, want: xqrt.ErrLibraryModule.Error()},
 		{name: "unprefixed main-module function",
 			query: `declare function inc($x as xs:integer) as xs:integer { $x + 1 }; for $i in (1, 2) return inc($i)`, want: "2 3"},
 		{name: "function reached through a transitive import",
@@ -614,7 +712,7 @@ func TestStaticContextAgreement(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var resolver interp.ModuleResolver = reg
+			var resolver xqrt.ModuleResolver = reg
 			pfReg := reg
 			if tc.noRegistry {
 				resolver, pfReg = nil, nil
@@ -744,7 +842,7 @@ func TestJoinShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var js JoinStats
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, tc.query, &ExecCtx{Docs: f.docs, Joins: &js}, nil)
+			pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, refEngine, tc.query, &ExecCtx{Docs: f.docs, Joins: &js}, nil)
 			ref, got := outcome(iSeq, iErr), outcome(pfSeq, pfErr)
 			if got != ref {
 				t.Errorf("engines disagree\n  pathfinder: %s\n  interp:     %s", got, ref)
@@ -834,7 +932,7 @@ func TestSharedLibraryPerIteration(t *testing.T) {
 				return
 			}
 			query := fmt.Sprintf("for $i in (1, 2, 3) return %s(%s)", fn.name, strings.Join(args, ", "))
-			pfSeq, pfErr, iSeq, iErr := bothEngines(f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
+			pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, refEngine, query, &ExecCtx{Docs: f.docs}, nil)
 			if errCode(pfErr) != errCode(iErr) {
 				t.Errorf("%s\npathfinder err: %v\ninterp err:     %v", query, pfErr, iErr)
 			} else if got, want := xdm.SerializeSequence(pfSeq), xdm.SerializeSequence(iSeq); got != want {
@@ -859,10 +957,10 @@ func TestLibraryClassification(t *testing.T) {
 	// the zero-arity forms that default to the context item: served in a
 	// path predicate, where "." is bound, and refused anywhere else
 	contextItemForms := []string{"string", "number", "string-length", "normalize-space", "name", "local-name", "root"}
-	for _, name := range interp.BuiltinNames() {
+	for _, name := range xqrt.BuiltinNames() {
 		served, needs := false, ""
 		for arity := 0; arity <= maxLibArity; arity++ {
-			f, n, err := interp.Builtin(name, arity)
+			f, n, err := xqrt.Builtin(name, arity)
 			switch {
 			case err != nil:
 			case f != nil:
@@ -879,7 +977,7 @@ func TestLibraryClassification(t *testing.T) {
 	}
 	f := newFixture(t)
 	for _, name := range contextItemForms {
-		if _, n, err := interp.Builtin(name, 0); err != nil || n != "the context item" {
+		if _, n, err := xqrt.Builtin(name, 0); err != nil || n != "the context item" {
 			t.Errorf("%s#0: needs %q, err %v, want the context item", name, n, err)
 		}
 		for _, q := range []string{name + `()`, `for $n in doc("filmDB.xml")//name return ` + name + `()`} {
@@ -910,11 +1008,11 @@ func TestLibraryClassification(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "needs the context") || strings.Count(err.Error(), "loop-lifted engine") != 1 {
 			t.Errorf("%s outside a predicate: err = %v", q, err)
 		}
-		if _, _, _, iErr := bothEngines(f, interp.New(f.reg), q, &ExecCtx{Docs: f.docs}, nil); errCode(iErr) != "XPDY0002" {
+		if _, _, _, iErr := bothEngines(t, f, interp.New(f.reg), q, &ExecCtx{Docs: f.docs}, nil); errCode(iErr) != "XPDY0002" {
 			t.Errorf("%s on the interpreter: err = %v, want XPDY0002", q, iErr)
 		}
 	}
-	if _, _, err := interp.Builtin("no-such-function", 1); errCode(err) != "XPST0017" {
+	if _, _, err := xqrt.Builtin("no-such-function", 1); errCode(err) != "XPST0017" {
 		t.Errorf("unknown function: err = %v, want XPST0017", err)
 	}
 	if _, err := Compile(`no-such-function(1)`, modules.NewRegistry()); errCode(err) != "XPST0017" {

@@ -5,9 +5,9 @@ import (
 
 	"xrpc/internal/algebra"
 	"xrpc/internal/client"
-	"xrpc/internal/interp"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 )
 
 // argKey builds a value-identity key for one call argument. Because XRPC
@@ -48,10 +48,11 @@ func (env *staticEnv) compileExecuteAt(n *xq.ExecuteAt) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, mod, atHint, ok := env.static.LookupFunc(env.module, n.Call.Name, len(n.Call.Args))
+	fn, ok := env.static.LookupFunc(env.module, n.Call.Name, len(n.Call.Args))
 	if !ok {
 		return nil, unsupported("execute at of undeclared function " + n.Call.Name)
 	}
+	f, mod, atHint := fn.Decl, fn.Module, fn.AtHint
 	paramPlans := make([]Plan, len(n.Call.Args))
 	for i, a := range n.Call.Args {
 		p, err := env.compile(a)
@@ -184,7 +185,7 @@ func execBulkRPC(ec *ExecCtx, sc *scope, dst *algebra.Table, params []*algebra.T
 			var keyB strings.Builder
 			for i := range params {
 				// the caller performs parameter up-casting (§2.2)
-				conv, err := interp.ConvertParam(paramGroups[i][it], decl.Params[i].Type)
+				conv, err := xqrt.ConvertParam(paramGroups[i][it], decl.Params[i].Type)
 				if err != nil {
 					return nil, err
 				}

@@ -126,16 +126,17 @@ func (env *staticEnv) pinned(e xq.Expr, seen map[*xq.FuncDecl]bool) bool {
 			*xq.Insert, *xq.Delete, *xq.Replace, *xq.Rename:
 			found = true
 		case *xq.ExecuteAt:
-			if f, _, _, ok := env.static.LookupFunc(env.module, n.Call.Name, len(n.Call.Args)); ok && f.Updating {
+			if f, ok := env.static.LookupFunc(env.module, n.Call.Name, len(n.Call.Args)); ok && f.Decl.Updating {
 				found = true
 			}
 		case *xq.FuncCall:
-			f, mod, _, ok := env.static.LookupFunc(env.module, n.Name, len(n.Args))
-			if !ok || seen[f] {
+			fn, ok := env.static.LookupFunc(env.module, n.Name, len(n.Args))
+			if !ok || seen[fn.Decl] {
 				return
 			}
+			f := fn.Decl
 			seen[f] = true
-			fenv := &staticEnv{static: env.static, module: mod}
+			fenv := &staticEnv{static: env.static, module: fn.Module}
 			if f.Updating || f.Body == nil || fenv.pinned(f.Body, seen) {
 				found = true
 			}

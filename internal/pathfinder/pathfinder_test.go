@@ -188,7 +188,7 @@ func TestBasicExpressions(t *testing.T) {
 		{`+<a>3</a>`, `3`},
 		{`for $x in (1, 2.5, <a>4</a>, ()) return -$x`, `-1 -2.5 -4`},
 	} {
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, ref, tc.query, &ExecCtx{Docs: f.docs}, nil)
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, ref, tc.query, &ExecCtx{Docs: f.docs}, nil)
 		if got, want := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != tc.want || want != tc.want {
 			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", tc.query, got, want, tc.want)
 		}
@@ -851,8 +851,8 @@ let $ca := $all[buyer/@person = string($p/@id)]
 return if(empty($ca)) then ()
        else <result>{$p, $ca/annotation}</result>`},
 	} {
-		ec := &ExecCtx{Docs: storetest.Latest(t, st), Bulk: &callRecorder{reply: shipped(t, closed)}}
-		pfSeq, pfErr, iSeq, iErr := bothEngines(f, interp.New(f.reg), tc.query, ec, &callRecorder{reply: shipped(t, closed)})
+		ec := &ExecCtx{Docs: storetest.Latest(t, st)}
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, interp.New(f.reg), tc.query, ec, func() xdm.Sequence { return shipped(t, closed) })
 		if pfErr != nil || iErr != nil {
 			t.Fatalf("%s: pathfinder err %v, interp err %v", tc.name, pfErr, iErr)
 		}

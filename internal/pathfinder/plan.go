@@ -14,23 +14,18 @@ package pathfinder
 import (
 	"xrpc/internal/algebra"
 	"xrpc/internal/client"
-	"xrpc/internal/interp"
+	"xrpc/internal/docres"
 	"xrpc/internal/xdm"
 )
-
-// BulkCaller sends one Bulk RPC to one destination; the engine owns the
-// one-at-a-time loop and the multi-destination fan-out (executeat.go).
-// *client.Client and the cluster coordinator implement it.
-type BulkCaller interface {
-	CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error)
-}
 
 // ExecCtx carries the runtime services of one evaluation.
 type ExecCtx struct {
 	// Docs resolves fn:doc.
-	Docs interp.DocResolver
-	// Bulk performs XRPC calls (nil disables execute at).
-	Bulk BulkCaller
+	Docs docres.DocResolver
+	// Bulk performs XRPC calls (nil disables execute at); the engine owns
+	// the one-at-a-time loop and the multi-destination fan-out
+	// (executeat.go).
+	Bulk client.BulkCaller
 	// OneAtATime switches execute-at dispatch to one RPC per iteration —
 	// the comparison mechanism of Table 2.
 	OneAtATime bool

@@ -7,16 +7,17 @@ import (
 	"xrpc/internal/modules"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 )
 
-// These tests drive interp.PlanCache the way a query processor does —
+// These tests drive xqrt.PlanCache the way a query processor does —
 // keyed on normalized text, the loop-lifted plan lifted from the cached
 // static context — which needs this package's Lift to evaluate.
 
 type planCacheFixture struct {
 	reg *modules.Registry
 	eng *interp.Engine
-	pc  *interp.PlanCache
+	pc  *xqrt.PlanCache
 }
 
 func newPlanCacheFixture() *planCacheFixture {
@@ -24,14 +25,14 @@ func newPlanCacheFixture() *planCacheFixture {
 	return &planCacheFixture{
 		reg: reg,
 		eng: interp.New(reg),
-		pc:  interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
+		pc:  xqrt.NewPlanCache(xqrt.DefaultPlanCacheBytes, xqrt.DefaultPlanCacheEntries),
 	}
 }
 
 // run compiles src through the cache and evaluates its lifted plan.
 func (f *planCacheFixture) run(tb testing.TB, src string) string {
 	tb.Helper()
-	static, err := f.pc.Compile(f.eng, xq.Normalize(src), src)
+	static, err := f.pc.Compile(f.eng.Modules, xq.Normalize(src), src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPlanCacheSharesNormalizedVariants(t *testing.T) {
 	}
 	f.wantCounts(t, 2, 1, "layout variants share one plan")
 
-	static, _ := f.pc.Compile(f.eng, xq.Normalize(variants[0]), variants[0])
+	static, _ := f.pc.Compile(f.eng.Modules, xq.Normalize(variants[0]), variants[0])
 	first, _ := Lift(static)
 	if again, _ := Lift(static); again != first {
 		t.Fatal("a cached static context was lifted twice")
@@ -132,7 +133,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	f.run(b, src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, err := f.pc.Compile(f.eng, xq.Normalize(src), src)
+		static, err := f.pc.Compile(f.eng.Modules, xq.Normalize(src), src)
 		if err != nil {
 			b.Fatal(err)
 		}

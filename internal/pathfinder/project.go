@@ -73,7 +73,7 @@ func (env *staticEnv) projections(body xq.Expr) map[*xq.ExecuteAt]string {
 				u := uses[n]
 				if u == nil {
 					u = &resultUse{}
-					if f, _, _, ok := env.static.LookupFunc(sc.mod, n.Call.Name, len(n.Call.Args)); ok && f.Updating {
+					if f, ok := env.static.LookupFunc(sc.mod, n.Call.Name, len(n.Call.Args)); ok && f.Decl.Updating {
 						u.updating = true
 					}
 					uses[n] = u
@@ -118,13 +118,13 @@ func (env *staticEnv) projections(body xq.Expr) map[*xq.ExecuteAt]string {
 					keep(n.Root, path)
 				}
 			case *xq.FuncCall:
-				f, mod, _, user := env.static.LookupFunc(sc.mod, n.Name, len(n.Args))
+				fn, user := env.static.LookupFunc(sc.mod, n.Name, len(n.Args))
 				name := strings.TrimPrefix(n.Name, "fn:")
 				switch {
 				case user:
-					if !done[f] && f.Body != nil {
+					if f := fn.Decl; !done[f] && f.Body != nil {
 						done[f] = true
-						todo = append(todo, scope{f.Body, mod})
+						todo = append(todo, scope{f.Body, fn.Module})
 					}
 				case name == "root":
 					refused = true

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
@@ -85,7 +86,7 @@ func projPeers(t testing.TB, src, hint string, docs map[string]string) (*netsim.
 // the interpreter against the native peer; it fails unless all four
 // answer, and answer the same. It returns the projection the native run
 // sent with its first request, and the answer.
-func everyWay(t *testing.T, net *netsim.Network, reg *modules.Registry, docs interp.DocResolver, query string) (projection, answer string) {
+func everyWay(t *testing.T, net *netsim.Network, reg *modules.Registry, docs docres.DocResolver, query string) (projection, answer string) {
 	t.Helper()
 	dests := []string{"xrpc://native", "xrpc://foreign", "xrpc://ignoring"}
 	outs := make([]string, len(dests)+1)

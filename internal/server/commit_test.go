@@ -14,6 +14,7 @@ import (
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
+	"xrpc/internal/xquf"
 )
 
 // txnClient is a client whose requests all carry one queryID.
@@ -270,8 +271,8 @@ func TestConflictingUpdatesFailBeforeWriting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire := EncodePUL(pul)
-			unchanged("ApplyUpdates", interp.ApplyUpdates(p.store, pul, own))
+			wire := xquf.EncodePUL(pul)
+			unchanged("ApplyUpdates", xquf.ApplyUpdates(p.store, pul, own))
 			own.Release()
 
 			tx := txnClient(net, "q-conflict")

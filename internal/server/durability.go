@@ -3,14 +3,14 @@ package server
 import (
 	"fmt"
 
-	"xrpc/internal/interp"
 	"xrpc/internal/store"
 	"xrpc/internal/wal"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 // Durability: the XRPC write path already serializes every commit as a
-// pending update list (pulwire.go) fenced by the post-commit
+// pending update list (xquf.EncodePUL) fenced by the post-commit
 // store.Version — exactly a WAL record. This file routes every state
 // change through one choke point (applyDurable), which applies to
 // memory under the commit lock, writes the commit record in apply order
@@ -26,8 +26,6 @@ const DefaultSnapshotBytes = 8 << 20
 type WALConfig struct {
 	// Dir is the per-replica log directory (segments + snapshots).
 	Dir string
-	// SegmentBytes overrides the log rotation threshold (0 = default).
-	SegmentBytes int64
 	// SnapshotBytes overrides the snapshot trigger (0 = default).
 	SnapshotBytes int64
 	// Metrics records fsync latency and recovery counters (may be nil).
@@ -69,9 +67,6 @@ func (s *Server) EnableWAL(cfg WALConfig) (recovered bool, err error) {
 	lg, err := wal.Open(cfg.Dir, cfg.Metrics)
 	if err != nil {
 		return recovered, err
-	}
-	if cfg.SegmentBytes > 0 {
-		lg.SegmentBytes = cfg.SegmentBytes
 	}
 	if hasSnap {
 		replayed := int64(0)
@@ -136,13 +131,13 @@ func (s *Server) CloseWAL() error {
 }
 
 // applyDurable applies one transaction's pending updates (computed
-// against own, see interp.ApplyUpdates) and makes them durable before
+// against own, see xquf.ApplyUpdates) and makes them durable before
 // returning: apply to memory and enqueue the commit record — carrying
 // the exact post-apply version, the same value the coordinator's
 // replica fence compares — under the commit lock (so the log is in apply
 // order), then wait for the covering group-commit fsync outside it (so
 // concurrent transactions share one flush).
-func (s *Server) applyDurable(qid string, pul *interp.UpdateList, own *store.Snapshot) (int64, error) {
+func (s *Server) applyDurable(qid string, pul *xquf.UpdateList, own *store.Snapshot) (int64, error) {
 	v, seq, err := s.applyAndEnqueue(qid, pul, own)
 	if err != nil || pul.Empty() || s.wal == nil {
 		return v, err
@@ -157,7 +152,7 @@ func (s *Server) applyDurable(qid string, pul *interp.UpdateList, own *store.Sna
 // applyAndEnqueue is applyDurable's part under the commit lock: apply,
 // then enqueue the commit record. It returns the post-apply version and
 // the record's log sequence number.
-func (s *Server) applyAndEnqueue(qid string, pul *interp.UpdateList, own *store.Snapshot) (int64, uint64, error) {
+func (s *Server) applyAndEnqueue(qid string, pul *xquf.UpdateList, own *store.Snapshot) (int64, uint64, error) {
 	s.iso.commitMu.Lock()
 	defer s.iso.commitMu.Unlock()
 	if pul.Empty() {
@@ -168,9 +163,9 @@ func (s *Server) applyAndEnqueue(qid string, pul *interp.UpdateList, own *store.
 	// record must name
 	var rec []byte
 	if s.wal != nil {
-		rec = []byte(xdm.SerializeNode(EncodePUL(pul)))
+		rec = []byte(xdm.SerializeNode(xquf.EncodePUL(pul)))
 	}
-	if err := interp.ApplyUpdates(s.Store, pul, own); err != nil {
+	if err := xquf.ApplyUpdates(s.Store, pul, own); err != nil {
 		return 0, 0, err
 	}
 	v := s.Store.Version()
@@ -270,32 +265,14 @@ func (s *Server) buildSnapshot() *wal.Snapshot {
 // applyLogged commits a logged <xrpc:pending-updates> payload (a WAL
 // record on replay) against the current state, as one version step. It
 // committed once already, so it is applied as it was then, even where
-// its primitives conflict (interp.UpdateList.Replay).
+// its primitives conflict (xquf.UpdateList.Replay).
 func (s *Server) applyLogged(pulXML []byte) error {
 	sn := s.Store.Snapshot()
 	defer sn.Release()
-	ul, err := parsePUL(pulXML, sn)
+	ul, err := xquf.ParsePUL(pulXML, sn)
 	if err != nil {
 		return err
 	}
 	ul.Replay = true
-	return interp.ApplyUpdates(s.Store, ul, sn)
-}
-
-// parsePUL decodes a logged <xrpc:pending-updates> payload, resolving
-// targets against docs (the replaying store's current state).
-func parsePUL(pulXML []byte, docs interp.DocResolver) (*interp.UpdateList, error) {
-	if len(pulXML) == 0 {
-		return nil, fmt.Errorf("empty PUL payload")
-	}
-	nodes, err := xdm.ParseFragment(string(pulXML))
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range nodes {
-		if n.Kind == xdm.ElementNode && n.Name == pulRootName {
-			return DecodePUL(n, docs)
-		}
-	}
-	return nil, fmt.Errorf("payload holds no <%s> element", pulRootName)
+	return xquf.ApplyUpdates(s.Store, ul, sn)
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"xrpc/internal/client"
-	"xrpc/internal/interp"
 	"xrpc/internal/netsim"
 	"xrpc/internal/obs"
 	"xrpc/internal/soap"
@@ -19,6 +18,7 @@ import (
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/wal"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 func enableWAL(t *testing.T, p *peer, dir string, cfg WALConfig) bool {
@@ -189,7 +189,8 @@ func TestWALSnapshotTruncationKeepsRecoveryExact(t *testing.T) {
 	net := netsim.NewNetwork(0, 0)
 	dir := t.TempDir()
 	p := newPeer(t, "xrpc://durable-snap", filmDBY, net)
-	enableWAL(t, p, dir, WALConfig{SegmentBytes: 512, SnapshotBytes: 1024})
+	enableWAL(t, p, dir, WALConfig{SnapshotBytes: 1024})
+	p.server.WAL().SegmentBytes = 512
 	for i := 0; i < 25; i++ {
 		addFilm(t, net, p.uri, fmt.Sprintf("Film %d", i), "Actor")
 	}
@@ -222,8 +223,8 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 	}
 	doc := storetest.Doc(t, p.store, "a.xml")
 	id := doc.Children()[0].Children()[0].Attrs[0]
-	bad := &interp.UpdateList{}
-	bad.Add(interp.Primitive{Kind: interp.PrimReplaceNode, Target: id,
+	bad := &xquf.UpdateList{}
+	bad.Add(xquf.Primitive{Kind: xquf.PrimReplaceNode, Target: id,
 		Source: []*xdm.Node{xdm.NewElement("x").Seal()}})
 	err := func() (err error) {
 		defer func() { // what net/http does with a handler's panic
@@ -238,8 +239,8 @@ func TestRejectedCommitLeavesWritesOpen(t *testing.T) {
 		t.Errorf("ill-kinded commit: %v, want XUTY0011", err)
 	}
 
-	good := &interp.UpdateList{}
-	good.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: "2"})
+	good := &xquf.UpdateList{}
+	good.Add(xquf.Primitive{Kind: xquf.PrimReplaceValue, Target: id, Value: "2"})
 	done := make(chan error, 1)
 	go func() { done <- p.server.Apply(good, nil) }()
 	select {
@@ -414,16 +415,16 @@ func TestReplayAppliesALoggedConflictAsItCommitted(t *testing.T) {
 	}
 	enableWAL(t, p, dir, WALConfig{})
 	id := storetest.Doc(t, p.store, "a.xml").Children()[0].Children()[0].Attrs[0]
-	ul := &interp.UpdateList{}
+	ul := &xquf.UpdateList{}
 	for _, v := range []string{"2", "3"} {
-		ul.Add(interp.Primitive{Kind: interp.PrimReplaceValue, Target: id, Value: v})
+		ul.Add(xquf.Primitive{Kind: xquf.PrimReplaceValue, Target: id, Value: v})
 	}
 	if err := p.server.Apply(ul, nil); err == nil || !strings.Contains(err.Error(), "XUDY0017") {
 		t.Fatalf("conflicting commit: %v, want XUDY0017", err)
 	}
 	want := p.store.Version() + 1
 	seq, err := p.server.wal.Enqueue(&wal.Record{Kind: wal.RecCommit, Version: want, QID: "q-old",
-		PUL: []byte(xdm.SerializeNode(EncodePUL(ul)))})
+		PUL: []byte(xdm.SerializeNode(xquf.EncodePUL(ul)))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,18 +4,22 @@ import (
 	"time"
 
 	"xrpc/internal/cache"
+	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xqrt"
+	"xrpc/internal/xquf"
 )
 
 // NativeExecutor executes XRPC requests the way MonetDB/XQuery does (§3):
 // the requested module is compiled into a prepared plan, kept in the
-// function cache (an interp.PlanCache keyed on the module URI, which
+// function cache (an xqrt.PlanCache keyed on the module URI, which
 // drops a plan by itself once the registry holds a newer text of the
 // module or of one it imports), and the whole request — all calls of a
-// Bulk RPC — is handed to the plan as one evaluation (interp.CallBulk):
+// Bulk RPC — is handed to the plan as one evaluation (interp's CallBulk):
 // the function is resolved once, a document is scanned and a join-shaped
 // selection hash-indexed once, and each call is answered by probe (§3.2).
 // With the cache disabled every request pays module translation time —
@@ -38,7 +42,7 @@ type NativeExecutor struct {
 	// Configure before serving traffic.
 	Parallelism int
 
-	plans *interp.PlanCache
+	plans *xqrt.PlanCache
 }
 
 // NewNativeExecutor builds an executor over an engine; the function
@@ -46,7 +50,7 @@ type NativeExecutor struct {
 func NewNativeExecutor(e *interp.Engine, reg *modules.Registry) *NativeExecutor {
 	return &NativeExecutor{
 		Engine: e, Registry: reg, CacheEnabled: true,
-		plans: interp.NewPlanCache(interp.DefaultPlanCacheBytes, interp.DefaultPlanCacheEntries),
+		plans: xqrt.NewPlanCache(xqrt.DefaultPlanCacheBytes, xqrt.DefaultPlanCacheEntries),
 	}
 }
 
@@ -70,7 +74,7 @@ func (x *NativeExecutor) InvalidateCache() { x.plans.Clear() }
 func (x *NativeExecutor) compiled(moduleURI string, atHint string) (*interp.Compiled, time.Duration, error) {
 	if x.CacheEnabled {
 		if c, ok := x.plans.Get(moduleURI); ok {
-			return c, 0, nil
+			return x.Engine.Bind(c), 0, nil
 		}
 	}
 	// the registry's module before its source: PlanCache.Put says why
@@ -86,13 +90,13 @@ func (x *NativeExecutor) compiled(moduleURI string, atHint string) (*interp.Comp
 	}
 	x.plans.Misses.Add(1)
 	if x.CacheEnabled {
-		x.plans.Put(moduleURI, c, int64(len(src)), self)
+		x.plans.Put(moduleURI, c.Compiled, int64(len(src)), self)
 	}
 	return c, c.CompileTime, nil
 }
 
 // Execute implements Executor.
-func (x *NativeExecutor) Execute(req *soap.Request, _ []byte, docs interp.DocResolver, rpc interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
+func (x *NativeExecutor) Execute(req *soap.Request, _ []byte, docs docres.DocResolver, rpc client.BulkCaller) ([]xdm.Sequence, *xquf.UpdateList, *interp.Stats, error) {
 	c, compileTime, err := x.compiled(req.Module, req.Location)
 	if err != nil {
 		return nil, nil, nil, err
@@ -119,7 +123,7 @@ func (x *NativeExecutor) Execute(req *soap.Request, _ []byte, docs interp.DocRes
 
 	// merge pending updates in call-index order: identical to the
 	// sequential merge regardless of which worker finished first
-	pul := &interp.UpdateList{}
+	pul := &xquf.UpdateList{}
 	for ci, callPUL := range pulByCall {
 		if req.SeqNrs != nil {
 			// deterministic update order: tag this call's pending

@@ -9,6 +9,7 @@ import (
 	"xrpc/internal/store"
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 const filmDB = `<films>
@@ -18,7 +19,7 @@ const filmDB = `<films>
 
 // collectPUL runs an updating query against a fresh store and returns
 // the pending update list it produced (plus the store).
-func collectPUL(t testing.TB, query string) (*interp.UpdateList, *store.Store) {
+func collectPUL(t testing.TB, query string) (*xquf.UpdateList, *store.Store) {
 	t.Helper()
 	st := store.New()
 	if err := st.LoadXML("filmDB.xml", filmDB); err != nil {
@@ -62,7 +63,7 @@ func TestPULWireRoundTrip(t *testing.T) {
 
 		// the wire node survives a SOAP round trip (it travels inside a
 		// Prepare response / AdoptPUL parameter)
-		wire := EncodePUL(pul)
+		wire := xquf.EncodePUL(pul)
 		resp := soap.EncodeResponse(&soap.Response{
 			Module: WSATModule, Method: "Prepare",
 			Results: []xdm.Sequence{{xdm.String("prepared"), wire}},
@@ -82,15 +83,15 @@ func TestPULWireRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := replica.Snapshot()
-		got, err := DecodePUL(shipped, snap)
+		got, err := xquf.DecodePUL(shipped, snap)
 		if err != nil {
-			t.Fatalf("DecodePUL(%s): %v", q, err)
+			t.Fatalf("xquf.DecodePUL(%s): %v", q, err)
 		}
 
-		if err := interp.ApplyUpdates(primary, pul, nil); err != nil {
+		if err := xquf.ApplyUpdates(primary, pul, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := interp.ApplyUpdates(replica, got, snap); err != nil {
+		if err := xquf.ApplyUpdates(replica, got, snap); err != nil {
 			t.Fatal(err)
 		}
 		snap.Release()
@@ -108,11 +109,11 @@ func TestPULWireRoundTrip(t *testing.T) {
 
 func TestDecodePULRejectsMisaimedTargets(t *testing.T) {
 	pul, _ := collectPUL(t, `delete node doc("filmDB.xml")//film[1]`)
-	wire := EncodePUL(pul)
+	wire := xquf.EncodePUL(pul)
 
 	// a replica that never loaded the document must refuse
 	empty := store.New()
-	if _, err := DecodePUL(wire, empty.Snapshot()); err == nil {
+	if _, err := xquf.DecodePUL(wire, empty.Snapshot()); err == nil {
 		t.Fatal("adopted a PUL for a document the replica does not hold")
 	}
 
@@ -122,14 +123,14 @@ func TestDecodePULRejectsMisaimedTargets(t *testing.T) {
 	if err := tiny.LoadXML("filmDB.xml", "<films/>"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodePUL(wire, tiny.Snapshot()); err == nil {
+	if _, err := xquf.DecodePUL(wire, tiny.Snapshot()); err == nil {
 		t.Fatal("adopted a PUL whose target ordinal is absent from the replica tree")
 	}
 
 	// garbage roots are rejected
 	junk := xdm.NewElement("not-a-pul")
 	junk.Seal()
-	if _, err := DecodePUL(junk, empty.Snapshot()); err == nil {
+	if _, err := xquf.DecodePUL(junk, empty.Snapshot()); err == nil {
 		t.Fatal("accepted a non-PUL element")
 	}
 }
@@ -157,7 +158,7 @@ func FuzzDecodePUL(f *testing.F) {
 	for _, q := range pulFixtures {
 		pul, _ := collectPUL(f, q)
 		pul.SetSeqBase(3)
-		f.Add([]byte(xdm.SerializeNode(EncodePUL(pul))))
+		f.Add([]byte(xdm.SerializeNode(xquf.EncodePUL(pul))))
 	}
 	// ill-kinded primitives, as only a foreign or corrupt PUL carries
 	// them: evalUpdate refuses to build these
@@ -175,33 +176,33 @@ func FuzzDecodePUL(f *testing.F) {
 		return seq[0].(*xdm.Node)
 	}
 	for _, row := range []struct {
-		kind           interp.PrimitiveKind
+		kind           xquf.PrimitiveKind
 		target, source string
 	}{
-		{interp.PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`},
-		{interp.PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`},
-		{interp.PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`},
-		{interp.PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`},
-		{interp.PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`},
-		{interp.PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`},
-		{interp.PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`},
+		{xquf.PrimReplaceNode, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{xquf.PrimReplaceNode, `doc("a.xml")/r/p`, `doc("a.xml")/r/p/@id`},
+		{xquf.PrimInsertInto, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{xquf.PrimInsertFirst, `doc("a.xml")/r/p/text()`, `<x/>`},
+		{xquf.PrimInsertBefore, `doc("a.xml")/r/p/@id`, `<x/>`},
+		{xquf.PrimInsertInto, `doc("a.xml")`, `attribute {"a"} {"v"}`},
+		{xquf.PrimInsertAfter, `doc("a.xml")/r`, `attribute {"a"} {"v"}`},
 	} {
-		ul := &interp.UpdateList{}
-		ul.Add(interp.Primitive{Kind: row.kind, Target: node(row.target),
+		ul := &xquf.UpdateList{}
+		ul.Add(xquf.Primitive{Kind: row.kind, Target: node(row.target),
 			Source: []*xdm.Node{node(row.source)}})
-		f.Add([]byte(xdm.SerializeNode(EncodePUL(ul))))
+		f.Add([]byte(xdm.SerializeNode(xquf.EncodePUL(ul))))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := fuzzPULStore(t)
 		snap := st.Snapshot()
 		defer snap.Release()
-		ul, err := parsePUL(data, snap)
+		ul, err := xquf.ParsePUL(data, snap)
 		if err != nil {
 			return
 		}
-		wire := xdm.SerializeNode(EncodePUL(ul))
-		again, err := parsePUL([]byte(wire), snap)
+		wire := xdm.SerializeNode(xquf.EncodePUL(ul))
+		again, err := xquf.ParsePUL([]byte(wire), snap)
 		if err != nil {
 			t.Fatalf("re-encoded list does not decode: %v\n%s", err, wire)
 		}
@@ -215,9 +216,9 @@ func FuzzDecodePUL(f *testing.F) {
 					i, p.Kind, p.Target, p.Seq, q.Kind, q.Target, q.Seq)
 			}
 		}
-		if rewire := xdm.SerializeNode(EncodePUL(again)); rewire != wire {
+		if rewire := xdm.SerializeNode(xquf.EncodePUL(again)); rewire != wire {
 			t.Fatalf("re-encoding differs:\n%s\n%s", wire, rewire)
 		}
-		interp.ApplyUpdates(st, ul, snap) // an error is an answer; a panic is not
+		xquf.ApplyUpdates(st, ul, snap) // an error is an answer; a panic is not
 	})
 }

@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 
 	"xrpc/internal/cache"
-	"xrpc/internal/interp"
+	"xrpc/internal/client"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 // versionPrefix tags the commit-fence version item appended to the
@@ -131,13 +132,13 @@ func respKey(gen int64, module, method, projection string, args []xdm.Sequence) 
 // nested RPC are not a pure function of local state and version, so
 // they are never cached.
 type countingRPC struct {
-	rpc  interp.RPCCaller
+	rpc  client.BulkCaller
 	used atomic.Bool
 }
 
-func (c *countingRPC) Call(dest string, req *interp.CallRequest) (xdm.Sequence, error) {
+func (c *countingRPC) CallBulk(dest string, br *client.BulkRequest) ([]xdm.Sequence, error) {
 	c.used.Store(true)
-	return c.rpc.Call(dest, req)
+	return c.rpc.CallBulk(dest, br)
 }
 
 // cachedCalls is the response cache's view of one no-queryID request
@@ -198,7 +199,7 @@ func (c *cachedCalls) missingCalls(req *soap.Request) *soap.Request {
 
 // watch wraps the nested-call client of a request whose results may be
 // cached, so populateCached can tell whether execution left this peer.
-func (c *cachedCalls) watch(rpc interp.RPCCaller) interp.RPCCaller {
+func (c *cachedCalls) watch(rpc client.BulkCaller) client.BulkCaller {
 	if c.raw == nil || rpc == nil {
 		return rpc
 	}
@@ -211,7 +212,7 @@ func (c *cachedCalls) watch(rpc interp.RPCCaller) interp.RPCCaller {
 // only when it is a pure function of (module generation, local data at
 // ver, arguments): no pending updates, no nested RPC, no
 // participating-peers piggyback.
-func (s *Server) populateCached(c *cachedCalls, req *soap.Request, resp *soap.Response, pul *interp.UpdateList) {
+func (s *Server) populateCached(c *cachedCalls, req *soap.Request, resp *soap.Response, pul *xquf.UpdateList) {
 	cacheable := pul.Empty() && (c.counter == nil || !c.counter.used.Load()) && len(resp.Peers) == 0
 	for i, ci := range c.missing {
 		b := encodeSequence(resp.Results[i], resp.Projection)

@@ -17,6 +17,8 @@ import (
 	"sync"
 	"time"
 
+	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
@@ -25,14 +27,15 @@ import (
 	"xrpc/internal/store"
 	"xrpc/internal/wal"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 // WSATModule is the reserved module URI for WS-AtomicTransaction verbs.
 const WSATModule = "urn:wsat"
 
-// SystemModule mirrors client.SystemModule (kept separate to avoid an
-// import cycle).
-const SystemModule = "urn:xrpc-system"
+// SystemModule is the reserved module URI of XRPC-internal calls
+// (client.SystemModule), answered by handleSystem.
+const SystemModule = client.SystemModule
 
 // DefaultMaxRequestBytes is the default cap on one decoded HTTP request
 // body (see Server.MaxRequestBytes). Generous for XRPC's multi-megabyte
@@ -43,7 +46,7 @@ const DefaultMaxRequestBytes = 256 << 20
 // resolver, returning one result sequence per call, the merged pending
 // update list, and phase timings.
 type Executor interface {
-	Execute(req *soap.Request, raw []byte, docs interp.DocResolver, rpc interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error)
+	Execute(req *soap.Request, raw []byte, docs docres.DocResolver, rpc client.BulkCaller) ([]xdm.Sequence, *xquf.UpdateList, *interp.Stats, error)
 }
 
 // ParallelExecutor is implemented by executors whose bulk-call worker
@@ -58,7 +61,7 @@ type ParallelExecutor interface {
 // performed while serving a request; it also reports which peers were
 // contacted (for the participating-peers piggyback). A nil factory
 // disables nested calls.
-type RPCFactory func(qid *soap.QueryID) (rpc interp.RPCCaller, peers func() []string)
+type RPCFactory func(qid *soap.QueryID) (rpc client.BulkCaller, peers func() []string)
 
 // Server is one XRPC peer endpoint.
 type Server struct {
@@ -490,7 +493,7 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 		exec = cached.missingCalls(req)
 	}
 
-	var rpc interp.RPCCaller
+	var rpc client.BulkCaller
 	peers := func() []string { return nil }
 	if s.NewRPC != nil {
 		rpc, peers = s.NewRPC(req.QueryID)
@@ -532,8 +535,8 @@ func (s *Server) handle(body []byte, meta *reqMeta) (*soap.Response, error) {
 // request's outside an isolation scope, or those of a query this peer
 // originated: under the commit lock, and durable before it returns when
 // a WAL is enabled. own is the snapshot the updates were computed
-// against (nil if none; see interp.ApplyUpdates).
-func (s *Server) Apply(pul *interp.UpdateList, own *store.Snapshot) error {
+// against (nil if none; see xquf.ApplyUpdates).
+func (s *Server) Apply(pul *xquf.UpdateList, own *store.Snapshot) error {
 	_, err := s.applyDurable("", pul, own)
 	return err
 }
@@ -691,14 +694,14 @@ func (s *Server) IsolatedQueries() int { return s.iso.count() }
 type isoEntry struct {
 	qid      soap.QueryID
 	snap     *store.Snapshot
-	pul      *interp.UpdateList
+	pul      *xquf.UpdateList
 	expires  time.Time
 	prepared bool
 
 	mu sync.Mutex
 }
 
-func (e *isoEntry) addPUL(pul *interp.UpdateList) {
+func (e *isoEntry) addPUL(pul *xquf.UpdateList) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pul.Merge(pul)
@@ -761,7 +764,7 @@ func (m *isoManager) entryFor(qid *soap.QueryID, st *store.Store) (*isoEntry, *s
 	e := &isoEntry{
 		qid:     *qid,
 		snap:    st.Snapshot(),
-		pul:     &interp.UpdateList{},
+		pul:     &xquf.UpdateList{},
 		expires: m.now().Add(isoTimeout(qid)),
 	}
 	m.entries[qid.ID] = e
@@ -826,7 +829,7 @@ func (m *isoManager) prepare(id string) (*xdm.Node, error) {
 	if e.pul.Empty() {
 		return nil, nil
 	}
-	return EncodePUL(e.pul), nil
+	return xquf.EncodePUL(e.pul), nil
 }
 
 // adopt is the replica side of PUL replication: pin a snapshot for the
@@ -846,7 +849,7 @@ func (m *isoManager) adopt(qid *soap.QueryID, pulNode *xdm.Node, st *store.Store
 		// the list twice: the coordinator forwards one per transaction
 		return nil
 	}
-	ul, err := DecodePUL(pulNode, sn)
+	ul, err := xquf.DecodePUL(pulNode, sn)
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
+	"xrpc/internal/xquf"
 )
 
 const filmDBY = `<films>
@@ -78,7 +79,7 @@ func newPeer(t testing.TB, uri, filmXML string, net *netsim.Network) *peer {
 	exec := NewNativeExecutor(eng, reg)
 	srv := New(st, reg, exec)
 	srv.Self = uri
-	srv.NewRPC = func(qid *soap.QueryID) (interp.RPCCaller, func() []string) {
+	srv.NewRPC = func(qid *soap.QueryID) (client.BulkCaller, func() []string) {
 		cl := client.New(net)
 		cl.QueryID = qid
 		return cl, cl.Peers
@@ -802,7 +803,7 @@ func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := &interp.UpdateList{}
+	merged := &xquf.UpdateList{}
 	var out executed
 	for ci, args := range req.Calls {
 		seq, pul, err := c.CallFunction(req.Module, req.Method, args, &interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
@@ -1047,7 +1048,7 @@ func TestParallelUpdatingKeepsPendingUpdateOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			order := pul.Describe()
-			if err := interp.ApplyUpdates(y.store, pul, snap); err != nil {
+			if err := xquf.ApplyUpdates(y.store, pul, snap); err != nil {
 				t.Fatal(err)
 			}
 			snap.Release()

@@ -11,12 +11,14 @@ import (
 	"testing"
 
 	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/netsim"
 	"xrpc/internal/soap"
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 var _ netsim.Handler = (*Server)(nil)
@@ -102,7 +104,7 @@ func TestHandleXRPCStreamByteIdentical(t *testing.T) {
 // panicExec is an executor whose every request panics.
 type panicExec struct{}
 
-func (panicExec) Execute(*soap.Request, []byte, interp.DocResolver, interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
+func (panicExec) Execute(*soap.Request, []byte, docres.DocResolver, client.BulkCaller) ([]xdm.Sequence, *xquf.UpdateList, *interp.Stats, error) {
 	panic("executor failed")
 }
 

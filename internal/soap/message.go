@@ -189,25 +189,25 @@ func DecodeDOM(data []byte) (*Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soap: malformed envelope: %w", err)
 	}
-	env := firstChildLocal(doc, "Envelope")
+	env := FirstChildLocal(doc, "Envelope")
 	if env == nil {
 		return nil, fmt.Errorf("soap: missing Envelope")
 	}
-	body := firstChildLocal(env, "Body")
+	body := FirstChildLocal(env, "Body")
 	if body == nil {
 		return nil, fmt.Errorf("soap: missing Body")
 	}
-	if f := firstChildLocal(body, "Fault"); f != nil {
+	if f := FirstChildLocal(body, "Fault"); f != nil {
 		return &Message{Fault: decodeFaultDOM(f)}, nil
 	}
-	if rq := firstChildLocal(body, "request"); rq != nil {
+	if rq := FirstChildLocal(body, "request"); rq != nil {
 		req, err := decodeRequestDOM(rq)
 		if err != nil {
 			return nil, err
 		}
 		return &Message{Request: req}, nil
 	}
-	if rs := firstChildLocal(body, "response"); rs != nil {
+	if rs := FirstChildLocal(body, "response"); rs != nil {
 		resp, err := decodeResponseDOM(rs)
 		if err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ func decodeRequestDOM(rq *xdm.Node) (*Request, error) {
 		Projection: attrLocal(rq, "projection"),
 	}
 	fmt.Sscanf(attrLocal(rq, "arity"), "%d", &req.Arity)
-	if q := firstChildLocal(rq, "queryID"); q != nil {
+	if q := FirstChildLocal(rq, "queryID"); q != nil {
 		qid := &QueryID{
 			ID:   q.StringValue(),
 			Host: attrLocal(q, "host"),
@@ -305,12 +305,12 @@ func decodeResponseDOM(rs *xdm.Node) (*Response, error) {
 
 func decodeFaultDOM(f *xdm.Node) *Fault {
 	fault := &Fault{Code: "env:Receiver"}
-	if code := firstChildLocal(f, "Code"); code != nil {
-		if v := firstChildLocal(code, "Value"); v != nil {
+	if code := FirstChildLocal(f, "Code"); code != nil {
+		if v := FirstChildLocal(code, "Value"); v != nil {
 			fault.Code = strings.TrimSpace(v.StringValue())
 		}
 	}
-	if reason := firstChildLocal(f, "Reason"); reason != nil {
+	if reason := FirstChildLocal(f, "Reason"); reason != nil {
 		fault.Reason = strings.TrimSpace(reason.StringValue())
 	}
 	return fault
@@ -391,10 +391,10 @@ func localName(name string) string {
 	return name
 }
 
-// firstChildLocal finds the first child element with the given local
+// FirstChildLocal finds the first child element with the given local
 // name, tolerating any namespace prefix (interoperability: other
 // implementations may choose different prefixes).
-func firstChildLocal(n *xdm.Node, local string) *xdm.Node {
+func FirstChildLocal(n *xdm.Node, local string) *xdm.Node {
 	for _, c := range n.ChildElements() {
 		if localName(c.Name) == local {
 			return c

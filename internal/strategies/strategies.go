@@ -171,7 +171,7 @@ return if(empty($ca)) then ()
 // scattered. The query text is the distributed semi-join with the
 // destination swapped for the coordinator's virtual cluster URI —
 // loop-lifting turns the per-person probes into ONE bulk request, and
-// the coordinator (which implements pathfinder.BulkCaller) scatters
+// the coordinator (which implements client.BulkCaller) scatters
 // that request to every auctions shard and gathers the matches in
 // shard = document order.
 const QShardedSemiJoin = `

@@ -20,10 +20,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
+	"xrpc/internal/xquf"
 )
 
 // RequestDocURI is the temporary location the incoming request message
@@ -43,7 +46,7 @@ type Wrapper struct {
 	// for xrpc:// data shipping from the wrapped engine (the execution
 	// relocation strategy of §5 needs the Saxon peer to fetch
 	// persons.xml from the MonetDB peer).
-	Remote interp.DocResolver
+	Remote docres.DocResolver
 	// PureXQueryMarshal makes the generated query use the pure-XQuery
 	// n2s/s2n implementations (PureMarshalModule) instead of the native
 	// ones — §4's "can be implemented purely in XQuery".
@@ -120,7 +123,7 @@ func GenerateQueryWith(req *soap.Request, requestDoc string, pureMarshal bool) s
 // Execute implements server.Executor: the full wrapper cycle for one
 // request message (store request doc, generate query, compile, execute,
 // decode response), recording the three latency phases of Table 3.
-func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ interp.DocResolver, _ interp.RPCCaller) ([]xdm.Sequence, *interp.UpdateList, *interp.Stats, error) {
+func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ docres.DocResolver, _ client.BulkCaller) ([]xdm.Sequence, *xquf.UpdateList, *interp.Stats, error) {
 	reqDoc := fmt.Sprintf("/tmp/request%d.xml", w.reqSeq.Add(1))
 	stats := &interp.Stats{}
 
@@ -253,7 +256,7 @@ func extS2N(args []xdm.Sequence) (xdm.Sequence, error) {
 type timingDocSource struct {
 	texts     map[string]string
 	extra     map[string]string
-	remote    interp.DocResolver
+	remote    docres.DocResolver
 	treeBuild *time.Duration
 	// parsed caches trees within one request: fn:doc is stable inside a
 	// query, so a bulk of 1000 calls parses each source document once
@@ -261,7 +264,7 @@ type timingDocSource struct {
 	parsed map[string]*xdm.Node
 }
 
-// Doc implements interp.DocResolver.
+// Doc implements docres.DocResolver.
 func (s *timingDocSource) Doc(uri string) (*xdm.Node, error) {
 	if doc, ok := s.parsed[uri]; ok {
 		return doc, nil

@@ -1,4 +1,4 @@
-package interp
+package xqrt
 
 import (
 	"sync/atomic"
@@ -59,7 +59,7 @@ func (pc *PlanCache) SetLimits(maxBytes int64, maxEntries int) {
 }
 
 // Get returns the static context cached under key if every module it
-// depends on is still the one its engine's resolver holds. A stale entry
+// depends on is still the one its resolver holds. A stale entry
 // is a miss; the Put that follows the recompilation replaces it.
 func (pc *PlanCache) Get(key string) (*Compiled, bool) {
 	v, _, ok := pc.lru.Load().GetAny(key)
@@ -84,14 +84,14 @@ func (pc *PlanCache) Put(key string, c *Compiled, size int64, self *xq.Module) {
 }
 
 // Compile is the query processor's whole use of the cache: the static
-// context cached under key, else src compiled by e and cached. (A shard
-// executor uses Get and Put, because its miss reads the text from the
-// registry and can be told not to cache.)
-func (pc *PlanCache) Compile(e *Engine, key, src string) (*Compiled, error) {
+// context cached under key, else src compiled against modules and
+// cached. (A shard executor uses Get and Put, because its miss reads the
+// text from the registry and can be told not to cache.)
+func (pc *PlanCache) Compile(modules ModuleResolver, key, src string) (*Compiled, error) {
 	if c, ok := pc.Get(key); ok {
 		return c, nil
 	}
-	c, err := e.Compile(src)
+	c, err := Compile(src, modules)
 	if err != nil {
 		return nil, err
 	}

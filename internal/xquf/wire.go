@@ -1,9 +1,10 @@
-package server
+package xquf
 
 import (
+	"fmt"
 	"strconv"
 
-	"xrpc/internal/interp"
+	"xrpc/internal/docres"
 	"xrpc/internal/soap"
 	"xrpc/internal/xdm"
 )
@@ -26,16 +27,16 @@ import (
 // pulRootName is the element name of a serialized pending update list.
 const pulRootName = "xrpc:pending-updates"
 
-var pulKindNames = func() map[string]interp.PrimitiveKind {
-	m := map[string]interp.PrimitiveKind{}
-	for k := interp.PrimInsertInto; k <= interp.PrimPut; k++ {
+var pulKindNames = func() map[string]PrimitiveKind {
+	m := map[string]PrimitiveKind{}
+	for k := PrimInsertInto; k <= PrimPut; k++ {
 		m[k.String()] = k
 	}
 	return m
 }()
 
 // EncodePUL serializes a pending update list.
-func EncodePUL(ul *interp.UpdateList) *xdm.Node {
+func EncodePUL(ul *UpdateList) *xdm.Node {
 	root := xdm.NewElement(pulRootName)
 	for _, p := range ul.Prims {
 		el := xdm.NewElement("xrpc:primitive")
@@ -48,9 +49,9 @@ func EncodePUL(ul *interp.UpdateList) *xdm.Node {
 			el.SetAttr(xdm.NewAttribute("seq", strconv.FormatInt(p.Seq, 10)))
 		}
 		switch p.Kind {
-		case interp.PrimReplaceValue, interp.PrimRename:
+		case PrimReplaceValue, PrimRename:
 			el.SetAttr(xdm.NewAttribute("value", p.Value))
-		case interp.PrimPut:
+		case PrimPut:
 			el.SetAttr(xdm.NewAttribute("uri", p.PutURI))
 		}
 		if len(p.Source) > 0 {
@@ -72,18 +73,18 @@ func EncodePUL(ul *interp.UpdateList) *xdm.Node {
 // target against docs (the adopting peer's pinned snapshot). It fails if
 // a target document or ordinal does not exist there — a replica that
 // diverged from its primary must not silently adopt a misaimed update.
-func DecodePUL(pulNode *xdm.Node, docs interp.DocResolver) (*interp.UpdateList, error) {
+func DecodePUL(pulNode *xdm.Node, docs docres.DocResolver) (*UpdateList, error) {
 	if pulNode.Kind != xdm.ElementNode || pulNode.Name != pulRootName {
 		return nil, xdm.Errorf("XRPC0008", "not a serialized pending update list: <%s>", pulNode.Name)
 	}
-	ul := &interp.UpdateList{}
+	ul := &UpdateList{}
 	for _, el := range pulNode.ChildElements() {
 		kindName, _ := el.Attr("kind")
 		kind, ok := pulKindNames[kindName]
 		if !ok {
 			return nil, xdm.Errorf("XRPC0008", "unknown update primitive kind %q", kindName)
 		}
-		p := interp.Primitive{Kind: kind}
+		p := Primitive{Kind: kind}
 		if s, ok := el.Attr("seq"); ok {
 			v, err := strconv.ParseInt(s, 10, 64)
 			if err != nil {
@@ -112,10 +113,10 @@ func DecodePUL(pulNode *xdm.Node, docs interp.DocResolver) (*interp.UpdateList, 
 				return nil, xdm.Errorf("XRPC0008", "pending update target #%d not in %q", ord, docName)
 			}
 			p.Target = target
-		} else if kind != interp.PrimPut {
+		} else if kind != PrimPut {
 			return nil, xdm.Errorf("XRPC0008", "%s primitive without a target", kindName)
 		}
-		if seqEl := firstChildLocal(el, "sequence"); seqEl != nil {
+		if seqEl := soap.FirstChildLocal(el, "sequence"); seqEl != nil {
 			seq, err := soap.DecodeSequence(seqEl)
 			if err != nil {
 				return nil, err
@@ -132,17 +133,20 @@ func DecodePUL(pulNode *xdm.Node, docs interp.DocResolver) (*interp.UpdateList, 
 	return ul, nil
 }
 
-// firstChildLocal finds the first child element with the given local
-// name (prefix-tolerant, mirroring the soap package's decoding habit).
-func firstChildLocal(n *xdm.Node, local string) *xdm.Node {
-	for _, c := range n.ChildElements() {
-		name := c.Name
-		if i := len(name) - len(local); i > 0 && name[i-1] == ':' && name[i:] == local {
-			return c
-		}
-		if name == local {
-			return c
+// ParsePUL decodes a logged <xrpc:pending-updates> payload, resolving
+// targets against docs (the replaying store's current state).
+func ParsePUL(pulXML []byte, docs docres.DocResolver) (*UpdateList, error) {
+	if len(pulXML) == 0 {
+		return nil, fmt.Errorf("empty PUL payload")
+	}
+	nodes, err := xdm.ParseFragment(string(pulXML))
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range nodes {
+		if n.Kind == xdm.ElementNode && n.Name == pulRootName {
+			return DecodePUL(n, docs)
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("payload holds no <%s> element", pulRootName)
 }
