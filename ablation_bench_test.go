@@ -85,7 +85,7 @@ return count(doc("persons.xml")//person[@id=$pid])`)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := compiled.Eval(&interp.EvalOptions{Docs: snap}); err != nil {
+		if _, _, err := eng.Eval(compiled, &interp.EvalOptions{Docs: snap}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -267,7 +267,7 @@ func (p *Peer) QueryWithVars(q string, vars map[string]xdm.Sequence) (*Result, e
 	if p.Engine == EngineInterpreted || updating {
 		// local update expressions need the interpreter, whichever engine
 		// the peer runs
-		seq, pul, err = p.eng.Bind(static).Eval(&interp.EvalOptions{
+		seq, pul, err = p.eng.Eval(static, &interp.EvalOptions{
 			Vars:           vars,
 			Docs:           docs,
 			RPC:            cl,

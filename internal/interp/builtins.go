@@ -24,7 +24,7 @@ func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
 	f, _, err := xqrt.Builtin(call.Name, len(call.Args))
 	var ext ExtFunc
 	if err != nil {
-		if ext = ctx.c.engine.ExtFuncs[call.Name]; ext == nil {
+		if ext = ctx.eng.ExtFuncs[call.Name]; ext == nil {
 			return nil, err
 		}
 	}
@@ -36,22 +36,22 @@ func (ctx *dynCtx) evalBuiltin(call *xq.FuncCall) (xdm.Sequence, error) {
 		}
 		args[i] = v
 	}
-	dyn := dynBuiltins[strings.TrimPrefix(call.Name, "fn:")]
 	switch {
 	case ext != nil:
 		return ext(args)
-	case dyn != nil:
-		return dyn(ctx, args)
-	case f == nil:
-		// a zero-arity form applied to the context item (fn:string() is
-		// fn:string(.))
-		if ctx.item == nil {
-			return nil, xdm.NewError("XPDY0002", "context item is absent")
-		}
-		f, _, _ = xqrt.Builtin(call.Name, 1)
-		args = []xdm.Sequence{xdm.Singleton(ctx.item)}
+	case f != nil:
+		return f(ctx.docs, args)
 	}
-	return f(ctx.docs, args)
+	if dyn := dynBuiltins[strings.TrimPrefix(call.Name, "fn:")]; dyn != nil {
+		return dyn(ctx, args)
+	}
+	// a zero-arity form applied to the context item (fn:string() is
+	// fn:string(.))
+	if ctx.item == nil {
+		return nil, xdm.NewError("XPDY0002", "context item is absent")
+	}
+	f, _, _ = xqrt.Builtin(call.Name, 1)
+	return f(ctx.docs, []xdm.Sequence{xdm.Singleton(ctx.item)})
 }
 
 // bifPut is XQUF fn:put: registers a "put document" update primitive.

@@ -9,6 +9,7 @@ import (
 	"xrpc/internal/store"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xmark"
+	"xrpc/internal/xqrt"
 	"xrpc/internal/xquf"
 )
 
@@ -23,7 +24,7 @@ declare function p:cityOf($pid as xs:string) as node()*
 
 // xmarkPersons is a store holding n XMark persons as persons.xml, and
 // the module over it.
-func xmarkPersons(t testing.TB, n int) (*store.Store, *Compiled) {
+func xmarkPersons(t testing.TB, n int) (*store.Store, *xqrt.Compiled) {
 	t.Helper()
 	c, err := New(nil).CompileModule(carryModule)
 	if err != nil {
@@ -34,12 +35,12 @@ func xmarkPersons(t testing.TB, n int) (*store.Store, *Compiled) {
 
 // callAt calls p:fn(arg) at st's current version, returning the
 // serialized result and the call's counters.
-func callAt(t testing.TB, c *Compiled, st *store.Store, fn, arg string) (string, Stats) {
+func callAt(t testing.TB, c *xqrt.Compiled, st *store.Store, fn, arg string) (string, Stats) {
 	t.Helper()
 	snap := st.Snapshot()
 	defer snap.Release()
 	var stats Stats
-	seq, _, err := c.CallFunction("functions_p", fn, []xdm.Sequence{{xdm.String(arg)}}, &EvalOptions{Docs: snap, Stats: &stats})
+	seq, _, err := New(nil).CallFunction(c, "functions_p", fn, []xdm.Sequence{{xdm.String(arg)}}, &EvalOptions{Docs: snap, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +60,12 @@ func commitQuery(t testing.TB, st *store.Store, query string) {
 
 // setCityAt commits p:setCity(pid, city) as the update_mix script does,
 // returning the index builds of its evaluation.
-func setCityAt(t testing.TB, c *Compiled, st *store.Store, pid, city string) int {
+func setCityAt(t testing.TB, c *xqrt.Compiled, st *store.Store, pid, city string) int {
 	t.Helper()
 	own := st.Snapshot()
 	defer own.Release()
 	var stats Stats
-	_, pul, err := c.CallFunction("functions_p", "setCity", []xdm.Sequence{{xdm.String(pid)}, {xdm.String(city)}},
+	_, pul, err := New(nil).CallFunction(c, "functions_p", "setCity", []xdm.Sequence{{xdm.String(pid)}, {xdm.String(city)}},
 		&EvalOptions{Docs: own, CollectUpdates: true, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +252,7 @@ func TestReadersBesideCarriedCommits(t *testing.T) {
 					want = fmt.Sprint(n)
 				}
 				for reread := 0; reread < 2; reread++ {
-					seq, _, err := c.CallFunction("functions_p", "getPerson", []xdm.Sequence{{xdm.String("person5")}}, &EvalOptions{Docs: snap})
+					seq, _, err := New(nil).CallFunction(c, "functions_p", "getPerson", []xdm.Sequence{{xdm.String("person5")}}, &EvalOptions{Docs: snap})
 					got := xdm.SerializeSequence(seq)
 					if err != nil || want != "" && !strings.Contains(got, "<city>"+want+"</city>") {
 						errs <- fmt.Errorf("version %d: %s (%v), want city %s", snap.Version(), got, err, want)
@@ -297,7 +298,7 @@ func BenchmarkCommitThenProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 		snap := st.Snapshot()
-		seq, _, err := c.CallFunction("functions_p", "getPerson", args, &EvalOptions{Docs: snap})
+		seq, _, err := New(nil).CallFunction(c, "functions_p", "getPerson", args, &EvalOptions{Docs: snap})
 		snap.Release()
 		if err != nil || len(seq) != 1 {
 			b.Fatalf("getPerson: %v, %d items", err, len(seq))

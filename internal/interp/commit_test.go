@@ -17,11 +17,12 @@ import (
 // pending update list.
 func collect(t testing.TB, snap *store.Snapshot, query string) *xquf.UpdateList {
 	t.Helper()
-	c, err := New(nil).Compile(query)
+	e := New(nil)
+	c, err := e.Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{Docs: snap, CollectUpdates: true})
+	_, pul, err := e.Eval(c, &EvalOptions{Docs: snap, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}

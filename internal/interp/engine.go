@@ -88,30 +88,15 @@ func New(modules xqrt.ModuleResolver) *Engine {
 	return &Engine{Modules: modules}
 }
 
-// Compiled is a static context bound to the engine that evaluates it.
-type Compiled struct {
-	*xqrt.Compiled
-	engine *Engine
-}
-
-// Bind pairs a static context — compiled here, by another engine, or
-// kept by an xqrt.PlanCache — with e, which evaluates it.
-func (e *Engine) Bind(static *xqrt.Compiled) *Compiled {
-	return &Compiled{Compiled: static, engine: e}
-}
-
-// Compile parses src, resolves its module imports and classifies it.
-func (e *Engine) Compile(src string) (*Compiled, error) {
-	static, err := xqrt.Compile(src, e.Modules)
-	if err != nil {
-		return nil, err
-	}
-	return e.Bind(static), nil
+// Compile parses src, resolves its module imports and classifies it:
+// the static context e.Eval and e.CallBulk evaluate.
+func (e *Engine) Compile(src string) (*xqrt.Compiled, error) {
+	return xqrt.Compile(src, e.Modules)
 }
 
 // CompileModule compiles a library module source for direct invocation
 // (used by the XRPC server to execute requested functions).
-func (e *Engine) CompileModule(src string) (*Compiled, error) {
+func (e *Engine) CompileModule(src string) (*xqrt.Compiled, error) {
 	c, err := e.Compile(src)
 	if err != nil {
 		return nil, err
@@ -145,17 +130,18 @@ type EvalOptions struct {
 	Stats *Stats
 }
 
-// Eval evaluates the main module body. For updating queries the pending
+// Eval evaluates the main module body of c — compiled here, by another
+// engine, or kept by an xqrt.PlanCache. For updating queries the pending
 // update list is returned; it is the caller's responsibility to apply it
 // (XQUF semantics: side effects happen after query evaluation).
-func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *xquf.UpdateList, error) {
+func (e *Engine) Eval(c *xqrt.Compiled, opts *EvalOptions) (xdm.Sequence, *xquf.UpdateList, error) {
 	if c.Module().Body == nil {
 		return nil, nil, xqrt.ErrLibraryModule
 	}
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
-	ctx := c.newDynCtx(opts, newEvalMemo(opts.Docs), &indexCounters{})
+	ctx := e.newDynCtx(c, opts, newEvalMemo(opts.Docs), &indexCounters{})
 	// prolog variables
 	for _, v := range c.Globals() {
 		if v.Val == nil {
@@ -178,8 +164,8 @@ func (c *Compiled) Eval(opts *EvalOptions) (xdm.Sequence, *xquf.UpdateList, erro
 }
 
 // CallFunction invokes a declared function once: a CallBulk of one call.
-func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *EvalOptions) (xdm.Sequence, *xquf.UpdateList, error) {
-	results, puls, err := c.CallBulk(uri, local, [][]xdm.Sequence{args}, opts)
+func (e *Engine) CallFunction(c *xqrt.Compiled, uri, local string, args []xdm.Sequence, opts *EvalOptions) (xdm.Sequence, *xquf.UpdateList, error) {
+	results, puls, err := e.CallBulk(c, uri, local, [][]xdm.Sequence{args}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,8 +173,8 @@ func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *Ev
 }
 
 // CallBulk is the server-side entry point for an XRPC request: it applies
-// one function (addressed by local name and arity within module uri, see
-// xqrt.Compiled.ResolveFunc) to every argument tuple of calls and returns the results
+// one function of c (addressed by local name and arity within module
+// uri, see xqrt.Compiled.ResolveFunc) to every argument tuple of calls and returns the results
 // and pending update lists by call index. The error is the one the
 // lowest failing call raises, whatever opts.Workers is.
 //
@@ -204,7 +190,7 @@ func (c *Compiled) CallFunction(uri, local string, args []xdm.Sequence, opts *Ev
 // applied, and a commit that writes a tree in place drops the tables
 // that held it. Each call keeps its own dynamic context, variable frame
 // and UpdateList.
-func (c *Compiled) CallBulk(uri, local string, calls [][]xdm.Sequence, opts *EvalOptions) ([]xdm.Sequence, []*xquf.UpdateList, error) {
+func (e *Engine) CallBulk(c *xqrt.Compiled, uri, local string, calls [][]xdm.Sequence, opts *EvalOptions) ([]xdm.Sequence, []*xquf.UpdateList, error) {
 	if len(calls) == 0 {
 		return nil, nil, nil
 	}
@@ -227,7 +213,7 @@ func (c *Compiled) CallBulk(uri, local string, calls [][]xdm.Sequence, opts *Eva
 	puls := make([]*xquf.UpdateList, len(calls))
 	counts := make([]indexCounters, len(calls))
 	run := func(ci int) error {
-		ctx := c.newDynCtx(opts, memo, &counts[ci])
+		ctx := e.newDynCtx(c, opts, memo, &counts[ci])
 		seq, err := ctx.callBound(f, calls[ci])
 		results[ci], puls[ci] = seq, ctx.pul
 		return err
@@ -302,15 +288,16 @@ func runPool(workers, n int, run func(i int) error) error {
 	return nil
 }
 
-// newDynCtx starts one evaluation (the main module body, or one call of
-// a bulk) over memo, counting its index use in cnt.
-func (c *Compiled) newDynCtx(opts *EvalOptions, memo *evalMemo, cnt *indexCounters) *dynCtx {
-	maxRec := c.engine.MaxRecursion
+// newDynCtx starts one evaluation of c (the main module body, or one
+// call of a bulk) over memo, counting its index use in cnt.
+func (e *Engine) newDynCtx(c *xqrt.Compiled, opts *EvalOptions, memo *evalMemo, cnt *indexCounters) *dynCtx {
+	maxRec := e.MaxRecursion
 	if maxRec <= 0 {
 		maxRec = 4096
 	}
 	ctx := &dynCtx{
 		c:      c,
+		eng:    e,
 		module: c.Module(),
 		rpc:    opts.RPC,
 		pul:    &xquf.UpdateList{},

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -23,7 +24,8 @@ type varFrame struct {
 // size, variable bindings, the current module's static context, and the
 // pending update list accumulator.
 type dynCtx struct {
-	c      *Compiled
+	c      *xqrt.Compiled
+	eng    *Engine
 	module *xq.Module
 	docs   docres.DocResolver
 	rpc    client.BulkCaller
@@ -826,11 +828,14 @@ func (ctx *dynCtx) evalExecuteAt(n *xq.ExecuteAt) (xdm.Sequence, error) {
 		Func:       f.Decl.LocalName(),
 		Arity:      f.Decl.Arity(),
 		Updating:   f.Decl.Updating,
-		ByFragment: ctx.c.engine.ByFragment,
+		ByFragment: ctx.eng.ByFragment,
 		Calls:      [][]xdm.Sequence{args},
 	})
 	if err != nil {
 		return nil, err
+	}
+	if len(results) != 1 {
+		return nil, fmt.Errorf("xrpc: expected 1 result sequence, got %d", len(results))
 	}
 	return results[0], nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xrpc/internal/client"
 	"xrpc/internal/docres"
 	"xrpc/internal/modules"
 	"xrpc/internal/store"
@@ -51,7 +52,7 @@ func evalQuery(t *testing.T, e *testEngine, src string) xdm.Sequence {
 	if err != nil {
 		t.Fatalf("compile: %v\nquery: %s", err, src)
 	}
-	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
+	seq, _, err := e.Eval(c, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatalf("eval: %v\nquery: %s", err, src)
 	}
@@ -106,7 +107,7 @@ func TestEvalDivisionByZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("expected FOAR0001")
 	} else if !strings.Contains(err.Error(), "FOAR0001") {
 		t.Fatalf("error = %v", err)
@@ -292,7 +293,7 @@ local:one(("a","b"))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("expected cardinality error")
 	}
 }
@@ -307,7 +308,7 @@ local:loop(0)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("expected recursion limit error")
 	}
 }
@@ -318,7 +319,7 @@ func TestEvalExternalVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(&EvalOptions{Vars: map[string]xdm.Sequence{
+	seq, _, err := e.Eval(c, &EvalOptions{Vars: map[string]xdm.Sequence{
 		"x": {xdm.Integer(4)},
 	}})
 	if err != nil {
@@ -384,11 +385,11 @@ func TestEvalCardinalityFunctions(t *testing.T) {
 		t.Errorf("exactly-one(5) = %q", got)
 	}
 	c, _ := e.Compile(`zero-or-one((1,2))`)
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("zero-or-one((1,2)) should fail")
 	}
 	c, _ = e.Compile(`one-or-more(())`)
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Error("one-or-more(()) should fail")
 	}
 }
@@ -477,7 +478,7 @@ func TestEvalErrors(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+		if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 			t.Errorf("%s: expected error", q)
 		}
 	}
@@ -491,7 +492,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+	_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ func TestUpdateInsertDelete(t *testing.T) {
 	}
 	// delete it again
 	c, _ = e.Compile(`delete nodes doc("filmDB.xml")//film[name="New"]`)
-	_, pul, err = c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+	_, pul, err = e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestUpdateInsertPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+		_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,7 +565,7 @@ func TestUpdateReplaceRename(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+		_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,7 +593,7 @@ func TestUpdatePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+	_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +654,7 @@ func TestIllKindedUpdatesRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.query, err)
 		}
-		if _, _, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true}); codeOf(err) != row.code {
+		if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true}); codeOf(err) != row.code {
 			t.Errorf("%s: eval error %v, want %s", row.query, err, row.code)
 		}
 		target := evalQuery(t, e, row.target)[0].(*xdm.Node)
@@ -747,7 +748,7 @@ func TestUpdateRejectedOutsideUpdatingContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Eval(&EvalOptions{Docs: e.docs}); err == nil {
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs}); err == nil {
 		t.Fatal("update without CollectUpdates should be rejected")
 	}
 }
@@ -757,7 +758,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	snap := st.Snapshot()
 	// concurrent update commits a 4th film
 	c, _ := e.Compile(`insert node <film><name>X</name></film> into doc("filmDB.xml")/films`)
-	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+	_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +767,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	// query against the snapshot still sees 3 (repeatable read, rule R'_Fr)
 	c2, _ := e.Compile(`count(doc("filmDB.xml")//film)`)
-	seq, _, err := c2.Eval(&EvalOptions{Docs: snap})
+	seq, _, err := e.Eval(c2, &EvalOptions{Docs: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -785,7 +786,7 @@ func TestCallFunctionDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.CallFunction("films", "filmsByActor",
+	seq, _, err := e.CallFunction(c, "films", "filmsByActor",
 		[]xdm.Sequence{{xdm.String("Sean Connery")}}, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
@@ -824,7 +825,7 @@ import module namespace a = "mod_a" at "http://x.example.org/mod_a.xq";
 	}
 	// map iteration order is drawn per range statement, so a resolver
 	// that ranges per call would split this bulk between the two
-	results, puls, err := c.CallBulk("mod_renamed", "pick", calls, &EvalOptions{Docs: e.docs})
+	results, puls, err := e.CallBulk(c, "mod_renamed", "pick", calls, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,10 +840,10 @@ import module namespace a = "mod_a" at "http://x.example.org/mod_a.xq";
 	if !c.FunctionUpdating("mod_b", "pick", 1) || c.FunctionUpdating("mod_a", "pick", 1) {
 		t.Error("an exact module URI must win over the fallback")
 	}
-	if seq, pul, err := c.CallFunction("mod_b", "pick", calls[0], &EvalOptions{Docs: e.docs}); err != nil || len(seq) != 0 || pul.Empty() {
+	if seq, pul, err := e.CallFunction(c, "mod_b", "pick", calls[0], &EvalOptions{Docs: e.docs}); err != nil || len(seq) != 0 || pul.Empty() {
 		t.Errorf("exact match b:pick: %v, %d items, pending updates empty=%v", err, len(seq), pul.Empty())
 	}
-	if _, _, err := c.CallFunction("mod_renamed", "pick", nil, &EvalOptions{Docs: e.docs}); err == nil || !strings.Contains(err.Error(), "XPST0017") {
+	if _, _, err := e.CallFunction(c, "mod_renamed", "pick", nil, &EvalOptions{Docs: e.docs}); err == nil || !strings.Contains(err.Error(), "XPST0017") {
 		t.Errorf("pick#0 does not exist: err = %v", err)
 	}
 }
@@ -855,5 +856,25 @@ func TestStatsCompileTimeRecorded(t *testing.T) {
 	}
 	if c.CompileTime <= 0 {
 		t.Error("compile time not recorded")
+	}
+}
+
+// noResults answers every Bulk RPC with no result sequences.
+type noResults struct{}
+
+func (noResults) CallBulk(string, *client.BulkRequest) ([]xdm.Sequence, error) { return nil, nil }
+
+// An execute at whose Bulk RPC of one call comes back with a result
+// count other than one raises an error instead of reading a missing
+// result.
+func TestExecuteAtExpectsOneResult(t *testing.T) {
+	e, _ := newTestEngine(t)
+	c, err := e.Compile(`import module namespace film="films" at "http://x.example.org/film.xq";
+execute at {"xrpc://y"} {film:filmsByActor("x")}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Eval(c, &EvalOptions{Docs: e.docs, RPC: noResults{}}); err == nil || !strings.Contains(err.Error(), "expected 1 result sequence, got 0") {
+		t.Errorf("err = %v, want the result count", err)
 	}
 }

@@ -306,7 +306,7 @@ type indexCounters struct {
 // the hash index; ok is false when the application must be evaluated
 // row-at-a-time. Once the index exists an application is one probe.
 func (ctx *dynCtx) tryIndexedPredicate(st *xq.Step, from *xdm.Node, cands []*xdm.Node, pred xq.Expr) (out []*xdm.Node, ok bool) {
-	if len(cands) < minIndexedCandidates || ctx.c.engine.DisablePredIndex {
+	if len(cands) < minIndexedCandidates || ctx.eng.DisablePredIndex {
 		return nil, false
 	}
 	keyPath, probe := indexableShape(pred)

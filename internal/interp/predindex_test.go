@@ -13,6 +13,7 @@ import (
 	"xrpc/internal/store/storetest"
 	"xrpc/internal/xdm"
 	"xrpc/internal/xq"
+	"xrpc/internal/xqrt"
 	"xrpc/internal/xquf"
 )
 
@@ -54,7 +55,7 @@ func TestPredIndexMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
+		seq, _, err := e.Eval(c, &EvalOptions{Docs: e.docs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 	}
 	var out bulkOutcome
 	for _, args := range calls {
-		seq, pul, err := c.CallFunction(uri, local, args, &EvalOptions{Docs: storetest.Latest(t, st)})
+		seq, pul, err := e.CallFunction(c, uri, local, args, &EvalOptions{Docs: storetest.Latest(t, st)})
 		if err != nil {
 			return bulkOutcome{err: err.Error()}
 		}
@@ -164,12 +165,13 @@ func oneAtATime(t *testing.T, st *store.Store, module, uri, local string, calls 
 
 func bulk(t *testing.T, st *store.Store, module, uri, local string, calls [][]xdm.Sequence, workers int) (bulkOutcome, Stats) {
 	t.Helper()
-	c, err := New(nil).CompileModule(module)
+	e := New(nil)
+	c, err := e.CompileModule(module)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats Stats
-	seqs, puls, err := c.CallBulk(uri, local, calls, &EvalOptions{Docs: storetest.Latest(t, st), Workers: workers, Stats: &stats})
+	seqs, puls, err := e.CallBulk(c, uri, local, calls, &EvalOptions{Docs: storetest.Latest(t, st), Workers: workers, Stats: &stats})
 	if err != nil {
 		return bulkOutcome{err: err.Error()}, stats
 	}
@@ -319,7 +321,8 @@ declare function s:f($v as item()*) as node()* { ` + tc.body + ` };`
 // a snapshot, its version's.
 func TestEvalMemoRetainsOnlyResolverDocuments(t *testing.T) {
 	st := bulkStore(t)
-	c, err := New(nil).CompileModule(`module namespace s = "shapes";
+	e := New(nil)
+	c, err := e.CompileModule(`module namespace s = "shapes";
 declare function s:f($v as xs:string) as node()*
 { (<r>{doc("persons.xml")//person}</r>)//person[@id = $v]/address/city };`)
 	if err != nil {
@@ -332,7 +335,7 @@ declare function s:f($v as xs:string) as node()*
 		f := c.ResolveFunc("shapes", "f", 1)
 		sizes := map[int]int{}
 		for i := 0; i < 32; i++ {
-			ctx := c.newDynCtx(&EvalOptions{}, memo, &indexCounters{})
+			ctx := e.newDynCtx(c, &EvalOptions{}, memo, &indexCounters{})
 			if seq, err := ctx.callBound(f, []xdm.Sequence{{xdm.String("person3")}}); err != nil || len(seq) != 1 {
 				t.Fatalf("%s, call %d: %v, %d items", name, i, err, len(seq))
 			}
@@ -363,7 +366,7 @@ return count(doc("r.xml")//e[@k=$i])`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
+	seq, _, err := e.Eval(c, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestPredIndexSkipsContextDependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(&EvalOptions{Docs: e.docs})
+	seq, _, err := e.Eval(c, &EvalOptions{Docs: e.docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +556,7 @@ func TestUpdateListDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&EvalOptions{Docs: e.docs, CollectUpdates: true})
+	_, pul, err := e.Eval(c, &EvalOptions{Docs: e.docs, CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,17 +619,17 @@ declare function p:getPerson($id as xs:string) as node()*
 
 // getPerson calls p:getPerson once over snap, returning the serialized
 // result and the call's index counters.
-func getPerson(t *testing.T, c *Compiled, snap *store.Snapshot, id string) (string, Stats) {
+func getPerson(t *testing.T, c *xqrt.Compiled, snap *store.Snapshot, id string) (string, Stats) {
 	t.Helper()
 	var stats Stats
-	seq, _, err := c.CallFunction("persons", "getPerson", []xdm.Sequence{{xdm.String(id)}}, &EvalOptions{Docs: snap, Stats: &stats})
+	seq, _, err := New(nil).CallFunction(c, "persons", "getPerson", []xdm.Sequence{{xdm.String(id)}}, &EvalOptions{Docs: snap, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return xdm.SerializeSequence(seq), stats
 }
 
-func compilePersons(t *testing.T) *Compiled {
+func compilePersons(t *testing.T) *xqrt.Compiled {
 	t.Helper()
 	c, err := New(nil).CompileModule(personsModule)
 	if err != nil {
@@ -768,7 +771,7 @@ func TestConcurrentReadersBuildOneIndex(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				args = append(args, []xdm.Sequence{{xdm.String(fmt.Sprintf("p%d", (r*calls+i)%200))}})
 			}
-			seqs, _, err := c.CallBulk("persons", "getPerson", args, &EvalOptions{Docs: snap, Workers: 2, Stats: &stats})
+			seqs, _, err := New(nil).CallBulk(c, "persons", "getPerson", args, &EvalOptions{Docs: snap, Workers: 2, Stats: &stats})
 			if err != nil {
 				errs <- err
 				return
@@ -819,7 +822,7 @@ func TestIndexedReadersBesideInPlaceCommits(t *testing.T) {
 				if n := snap.Version() - base; n > 0 {
 					age = fmt.Sprint(n)
 				}
-				seq, _, err := c.CallFunction("persons", "getPerson", []xdm.Sequence{{xdm.String("p5")}}, &EvalOptions{Docs: snap})
+				seq, _, err := New(nil).CallFunction(c, "persons", "getPerson", []xdm.Sequence{{xdm.String("p5")}}, &EvalOptions{Docs: snap})
 				got := xdm.SerializeSequence(seq)
 				snap.Release()
 				if want := `<person id="p5"><age>` + age + `</age></person>`; err != nil || got != want {

@@ -441,7 +441,9 @@ func (env *staticEnv) compileLogic(n *xq.Logic) (Plan, error) {
 // the interpreter's evalLogic is: r runs only in the iterations l leaves
 // undecided — where l is true for and, false for or — so an operand l
 // guards (a castable test, a zero check, an execute at) is not evaluated
-// in the iterations it guards against.
+// in the iterations it guards against. The scope is narrowed only when l
+// decides some iterations but not all: when it decides none, r runs
+// over the scope as it is, and when it decides all, r does not run.
 func logicPlan(l, r Plan, and bool) Plan {
 	return func(ec *ExecCtx, sc *scope) (*algebra.Table, error) {
 		lt, err := l(ec, sc)
@@ -452,13 +454,19 @@ func logicPlan(l, r Plan, and bool) Plan {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := r(ec, sc.restrict(subLoop(sc.loop, lb, and)))
-		if err != nil {
-			return nil, err
-		}
-		rb, err := ebvByIter(rt)
-		if err != nil {
-			return nil, err
+		var rb map[int64]bool
+		if keep := subLoop(sc.loop, lb, and); keep.Len() > 0 {
+			rsc := sc
+			if keep.Len() < sc.loop.Len() {
+				rsc = sc.restrict(keep)
+			}
+			rt, err := r(ec, rsc)
+			if err != nil {
+				return nil, err
+			}
+			if rb, err = ebvByIter(rt); err != nil {
+				return nil, err
+			}
 		}
 		out := seqTable()
 		for _, it := range itersOf(sc.loop) {

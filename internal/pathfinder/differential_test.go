@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xrpc/internal/client"
+	"xrpc/internal/docres"
 	"xrpc/internal/interp"
 	"xrpc/internal/modules"
 	"xrpc/internal/xdm"
@@ -533,10 +534,13 @@ func outcome(seq xdm.Sequence, err error) string {
 // The two engines agree on a result or on an error, with one allowed
 // difference: some and every compile to exists(for … where P) on the
 // loop-lifted engine, which evaluates P in every iteration, while the
-// interpreter stops at the first iteration that decides. So where the
-// query quantifies and only the loop-lifted engine raised, the error is
-// one P raised in an iteration the interpreter never reached, and the
-// differential accepts the interpreter's value: it is returned for both.
+// interpreter stops at the first iteration that decides. So where only
+// the loop-lifted engine raised, and the interpreter raises the same
+// error once each quantifier evaluates P in every iteration too, the
+// error is one P raised in an iteration the interpreter
+// never reached (raisedByP): the differential accepts the interpreter's
+// value, and returns it for both. Any other error the loop-lifted engine
+// raises alone stays a disagreement.
 func bothEngines(t testing.TB, f *fixture, ref *interp.Engine, query string, ec *ExecCtx, reply func() xdm.Sequence) (pfSeq xdm.Sequence, pfErr error, iSeq xdm.Sequence, iErr error) {
 	t.Helper()
 	pfRec, iRec := &callRecorder{}, &callRecorder{}
@@ -550,10 +554,10 @@ func bothEngines(t testing.TB, f *fixture, ref *interp.Engine, query string, ec 
 	}
 	ic, iErr := ref.Compile(query)
 	if iErr == nil {
-		iSeq, _, iErr = ic.Eval(&interp.EvalOptions{Docs: ec.Docs, RPC: iRec})
+		iSeq, _, iErr = ref.Eval(ic, &interp.EvalOptions{Docs: ec.Docs, RPC: iRec})
 	}
-	if pfErr != nil && iErr == nil && quantifies(query) && !strings.Contains(pfErr.Error(), "not supported") {
-		pfSeq, pfErr = iSeq, nil
+	if pfErr != nil && iErr == nil && raisedByP(ref, query, ec.Docs, iRec.reply, pfErr) {
+		return iSeq, nil, iSeq, nil
 	}
 	if pfErr == nil && iErr == nil {
 		if got, want := pfRec.distinct(), iRec.distinct(); got != want {
@@ -563,19 +567,37 @@ func bothEngines(t testing.TB, f *fixture, ref *interp.Engine, query string, ec 
 	return pfSeq, pfErr, iSeq, iErr
 }
 
-// quantifies reports whether the query body holds a some or every.
-func quantifies(query string) bool {
-	m, err := xq.Parse(query)
-	if err != nil || m.Body == nil {
+// raisedByP reports whether err is the error the interpreter raises on
+// query once every some and every in its body evaluates P in each
+// iteration, as the loop-lifted engine does: "some $v in E satisfies P"
+// is evaluated as "some $v in (for $v in E where P return 1) satisfies
+// true()", and "every $v in E satisfies P" as "every $v in (for $v in E
+// where not(P) return 1) satisfies false()". A query that does not
+// quantify is evaluated as it is, and raises no error where the
+// interpreter answered.
+func raisedByP(ref *interp.Engine, query string, docs docres.DocResolver, reply xdm.Sequence, err error) bool {
+	c, cErr := ref.Compile(query)
+	if cErr != nil {
 		return false
 	}
-	found := false
-	xq.Walk(m.Body, nil, func(x xq.Expr, _ map[string]bool) {
-		if _, ok := x.(*xq.Quantified); ok {
-			found = true
+	xq.Walk(c.Module().Body, nil, func(x xq.Expr, _ map[string]bool) {
+		q, ok := x.(*xq.Quantified)
+		if !ok {
+			return
 		}
+		where, holds := q.Satisfies, "true"
+		if q.Every {
+			where, holds = &xq.FuncCall{Name: "not", Args: []xq.Expr{q.Satisfies}}, "false"
+		}
+		q.In = &xq.FLWOR{
+			Clauses: []xq.FLWORClause{&xq.ForClause{Var: q.Var, In: q.In}},
+			Where:   where,
+			Return:  &xq.IntLit{Val: 1},
+		}
+		q.Satisfies = &xq.FuncCall{Name: holds}
 	})
-	return found
+	_, _, pErr := ref.Eval(c, &interp.EvalOptions{Docs: docs, RPC: &callRecorder{reply: reply}})
+	return pErr != nil && errCode(pErr) == errCode(err)
 }
 
 // callRecorder stands in for the XRPC client of either engine and notes
@@ -671,6 +693,38 @@ for $i in 1 to 10 return $i = 3 and (execute at {"xrpc://p"} {a:g($i)}) = 7`, f.
 	}
 }
 
+// TestQuantifierErrorRule: bothEngines lets the loop-lifted engine's
+// error stand for the interpreter's value only when P raised it, in an
+// iteration the interpreter never reached; an error raised outside P, in
+// a query that also quantifies, is still a disagreement.
+func TestQuantifierErrorRule(t *testing.T) {
+	f := newFixture(t)
+	ref := interp.New(f.reg)
+	// P raises FOAR0001 in an iteration after the one that decides
+	some := `some $x in (1, 0) satisfies 1 idiv $x = 1`
+	every := `every $x in (1, 2, 0) satisfies 1 idiv $x = 1`
+	for query, want := range map[string]string{some: "true", every: "false"} {
+		pfSeq, pfErr, iSeq, iErr := bothEngines(t, f, ref, query, &ExecCtx{Docs: f.docs}, nil)
+		if got, iGot := outcome(pfSeq, pfErr), outcome(iSeq, iErr); got != want || iGot != want {
+			t.Errorf("%s\n  pathfinder: %s\n  interp:     %s\n  want:       %s", query, got, iGot, want)
+		}
+	}
+	for _, tc := range []struct {
+		query, code string
+		byP         bool
+	}{
+		{some, "FOAR0001", true},
+		{every, "FOAR0001", true},
+		{some, "XPTY0004", false},
+		{`(some $x in (1, 2) satisfies $x = 1), 1 idiv 1`, "FOAR0001", false},
+		{`1 idiv 1`, "FOAR0001", false},
+	} {
+		if got := raisedByP(ref, tc.query, f.docs, nil, xdm.NewError(tc.code, "raised by the loop-lifted engine")); got != tc.byP {
+			t.Errorf("%s raising %s: raised by P = %v, want %v", tc.query, tc.code, got, tc.byP)
+		}
+	}
+}
+
 // TestStaticContextAgreement: a loop-lifted plan is lifted from the
 // interpreter's static context, so on everything a prolog can say — which
 // module an import resolves to, which declaration a name means, how an
@@ -719,9 +773,10 @@ func TestStaticContextAgreement(t *testing.T) {
 			}
 			var iRec, pfRec callRecorder
 			var iSeq, pfSeq xdm.Sequence
-			ic, iErr := interp.New(resolver).Compile(tc.query)
+			ie := interp.New(resolver)
+			ic, iErr := ie.Compile(tc.query)
 			if iErr == nil {
-				iSeq, _, iErr = ic.Eval(&interp.EvalOptions{RPC: &iRec})
+				iSeq, _, iErr = ie.Eval(ic, &interp.EvalOptions{RPC: &iRec})
 			}
 			pfc, pfErr := Compile(tc.query, pfReg)
 			if pfErr == nil {

@@ -105,11 +105,12 @@ func (f *fixture) evalCtx(t *testing.T, query string, vars map[string]xdm.Sequen
 func (f *fixture) evalBoth(t *testing.T, query string) string {
 	t.Helper()
 	pf := f.eval(t, query, nil)
-	c, err := interp.New(f.reg).Compile(query)
+	ie := interp.New(f.reg)
+	c, err := ie.Compile(query)
 	if err != nil {
 		t.Fatalf("interp compile: %v", err)
 	}
-	ref, _, err := c.Eval(&interp.EvalOptions{Docs: f.docs, RPC: client.New(f.net)})
+	ref, _, err := ie.Eval(c, &interp.EvalOptions{Docs: f.docs, RPC: client.New(f.net)})
 	if err != nil {
 		t.Fatalf("interp eval: %v", err)
 	}
@@ -897,5 +898,31 @@ func BenchmarkLiftedJoin_Q71(b *testing.B) {
 		if n := run(&ExecCtx{}); n != cfg.Matches {
 			b.Fatalf("%d results, want %d", n, cfg.Matches)
 		}
+	}
+}
+
+// BenchmarkLiftedLogic: a conjunctive where over a loop whose scope
+// carries a large bound variable. In "undecided" the left operand is
+// true in every iteration, so the right one runs over the scope as it
+// is; in "half" it is true in half of them, so the scope is narrowed to
+// those before the right operand runs.
+func BenchmarkLiftedLogic(b *testing.B) {
+	for _, tc := range []struct{ name, cond string }{
+		{"undecided", "$i > 0 and $i mod 3 = 0"},
+		{"half", "$i mod 2 = 0 and $i mod 3 = 0"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := Compile(`let $big := 1 to 300 return count(for $i in 1 to 300 where `+tc.cond+` return count($big))`, modules.NewRegistry())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Eval(&ExecCtx{}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -107,11 +107,12 @@ func everyWay(t *testing.T, net *netsim.Network, reg *modules.Registry, docs doc
 			sent = rec.sent
 		}
 	}
-	ic, err := interp.New(reg).Compile(strings.ReplaceAll(query, "DEST", "xrpc://native"))
+	ie := interp.New(reg)
+	ic, err := ie.Compile(strings.ReplaceAll(query, "DEST", "xrpc://native"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	iSeq, _, err := ic.Eval(&interp.EvalOptions{Docs: docs, RPC: client.New(net)})
+	iSeq, _, err := ie.Eval(ic, &interp.EvalOptions{Docs: docs, RPC: client.New(net)})
 	if err != nil {
 		t.Fatalf("interp: %v\n%s", err, query)
 	}

@@ -267,7 +267,7 @@ func TestConflictingUpdatesFailBeforeWriting(t *testing.T) {
 				t.Fatal(err)
 			}
 			own := p.store.Snapshot()
-			_, pul, err := c.Eval(&interp.EvalOptions{Docs: own, CollectUpdates: true})
+			_, pul, err := eng.Eval(c, &interp.EvalOptions{Docs: own, CollectUpdates: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,10 +71,10 @@ func (x *NativeExecutor) PlanCacheStats() cache.Stats { return x.plans.Stats() }
 // InvalidateCache clears all cached plans.
 func (x *NativeExecutor) InvalidateCache() { x.plans.Clear() }
 
-func (x *NativeExecutor) compiled(moduleURI string, atHint string) (*interp.Compiled, time.Duration, error) {
+func (x *NativeExecutor) compiled(moduleURI string, atHint string) (*xqrt.Compiled, time.Duration, error) {
 	if x.CacheEnabled {
 		if c, ok := x.plans.Get(moduleURI); ok {
-			return x.Engine.Bind(c), 0, nil
+			return c, 0, nil
 		}
 	}
 	// the registry's module before its source: PlanCache.Put says why
@@ -90,7 +90,7 @@ func (x *NativeExecutor) compiled(moduleURI string, atHint string) (*interp.Comp
 	}
 	x.plans.Misses.Add(1)
 	if x.CacheEnabled {
-		x.plans.Put(moduleURI, c.Compiled, int64(len(src)), self)
+		x.plans.Put(moduleURI, c, int64(len(src)), self)
 	}
 	return c, c.CompileTime, nil
 }
@@ -110,7 +110,7 @@ func (x *NativeExecutor) Execute(req *soap.Request, _ []byte, docs docres.DocRes
 		// CallBulk serializes updating functions on its own
 		workers = 1
 	}
-	results, pulByCall, err := c.CallBulk(req.Module, req.Method, req.Calls, &interp.EvalOptions{
+	results, pulByCall, err := x.Engine.CallBulk(c, req.Module, req.Method, req.Calls, &interp.EvalOptions{
 		Docs:           docs,
 		RPC:            rpc,
 		CollectUpdates: true,

@@ -113,7 +113,7 @@ func TestOneCallRequestBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := c.Eval(&interp.EvalOptions{
+			if _, _, err := eng.Eval(c, &interp.EvalOptions{
 				Docs:           storetest.Latest(t, local.store),
 				RPC:            client.New(rec),
 				CollectUpdates: true,

@@ -30,7 +30,7 @@ func collectPUL(t testing.TB, query string) (*xquf.UpdateList, *store.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pul, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, st), CollectUpdates: true})
+	_, pul, err := eng.Eval(c, &interp.EvalOptions{Docs: storetest.Latest(t, st), CollectUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func FuzzDecodePUL(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seq, _, err := c.Eval(&interp.EvalOptions{Docs: docs})
+		seq, _, err := eng.Eval(c, &interp.EvalOptions{Docs: docs})
 		if err != nil {
 			f.Fatal(err)
 		}

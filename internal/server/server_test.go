@@ -102,11 +102,12 @@ func newCluster(t *testing.T) (*netsim.Network, *peer, *peer, *peer) {
 func evalOn(t *testing.T, p *peer, net *netsim.Network, query string) xdm.Sequence {
 	t.Helper()
 	cl := client.New(net)
-	c, err := interp.New(p.reg).Compile(query)
+	ie := interp.New(p.reg)
+	c, err := ie.Compile(query)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, p.store), RPC: cl})
+	seq, _, err := ie.Eval(c, &interp.EvalOptions{Docs: storetest.Latest(t, p.store), RPC: cl})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -536,7 +537,7 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := c.Eval(&interp.EvalOptions{Docs: resolver, RPC: cl})
+	seq, _, err := eng.Eval(c, &interp.EvalOptions{Docs: resolver, RPC: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +546,7 @@ func TestClientDocResolverDataShipping(t *testing.T) {
 	}
 	// local docs still resolve locally
 	c2, _ := eng.Compile(`count(doc("filmDB.xml")//film)`)
-	seq2, _, err := c2.Eval(&interp.EvalOptions{Docs: resolver, RPC: cl})
+	seq2, _, err := eng.Eval(c2, &interp.EvalOptions{Docs: resolver, RPC: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +693,7 @@ return execute at {"xrpc://y.example.org"} {rel:isInside($film, $name)}`
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := c.Eval(&interp.EvalOptions{Docs: storetest.Latest(t, local.store), RPC: cl})
+		seq, _, err := eng.Eval(c, &interp.EvalOptions{Docs: storetest.Latest(t, local.store), RPC: cl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -806,7 +807,7 @@ func oneAtATime(t *testing.T, p *peer, req *soap.Request) executed {
 	merged := &xquf.UpdateList{}
 	var out executed
 	for ci, args := range req.Calls {
-		seq, pul, err := c.CallFunction(req.Module, req.Method, args, &interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
+		seq, pul, err := ref.CallFunction(c, req.Module, req.Method, args, &interp.EvalOptions{Docs: storetest.Latest(t, p.store)})
 		if err != nil {
 			return executed{err: err.Error()}
 		}

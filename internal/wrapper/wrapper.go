@@ -156,7 +156,7 @@ func (w *Wrapper) Execute(req *soap.Request, raw []byte, _ docres.DocResolver, _
 	stats.Compile = time.Since(compileStart)
 
 	execStart := time.Now()
-	seq, pul, err := compiled.Eval(&interp.EvalOptions{Docs: docs, CollectUpdates: true})
+	seq, pul, err := engine.Eval(compiled, &interp.EvalOptions{Docs: docs, CollectUpdates: true})
 	if err != nil {
 		return nil, nil, nil, err
 	}
